@@ -6,9 +6,10 @@ tensor powers mechanical. Channels whose output splits as H_B (x) H_E carry
 that split in ``out_factorization`` so the receiver/adversary marginals can
 be formed.
 
-A global dimension budget (default 2^12 complex dimensions) guards tensor
-powers: this package does exact desk-scale simulation and fails fast beyond
-it.
+A global budget (default 2^12) guards tensor powers: the n-th power is
+refused when the n-th power of its input dimension, output dimension or
+Kraus count exceeds it. This package does exact desk-scale simulation and
+fails fast beyond that.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .states import DensityOperator, TensorFactorization, tensor
 
 DEFAULT_DIM_BUDGET = 2**12
 TRACE_PRESERVATION_ATOL = 1e-9
-# Above this many Kraus products a tensor power is applied slot by slot
-# instead of materializing the full Kronecker family.
-KRAUS_MATERIALIZE_LIMIT = 10_000
 
 
 class QuantumChannel:
@@ -41,51 +39,29 @@ class QuantumChannel:
         channel into a receiver/adversary pair.
     """
 
-    __slots__ = ("_kraus", "out_factorization", "in_dim", "out_dim", "_power")
+    __slots__ = ("kraus", "out_factorization", "in_dim", "out_dim")
 
-    def __init__(self, kraus, out_factorization=None, _power=None):
-        if _power is not None:
-            # Internal lazy form produced by tensor_power: (base, n).
-            base, n = _power
-            self._kraus = None
-            self._power = (base, n)
-            self.in_dim = base.in_dim**n
-            self.out_dim = base.out_dim**n
-        else:
-            ops = [np.asarray(k, dtype=complex) for k in kraus]
-            if not ops:
-                raise ValidationError("kraus", "channel needs at least one Kraus operator")
-            out_dim, in_dim = ops[0].shape
-            if any(k.shape != (out_dim, in_dim) for k in ops):
-                raise ValidationError("kraus", "Kraus operators must share one shape")
-            gram = sum(k.conj().T @ k for k in ops)
-            err = float(np.abs(gram - np.eye(in_dim)).max())
-            if err > TRACE_PRESERVATION_ATOL:
-                raise ValidationError(
-                    "trace-preserving", f"max |sum K^dagger K - I| = {err:.3e}"
-                )
-            for k in ops:
-                k.flags.writeable = False
-            self._kraus = tuple(ops)
-            self._power = None
-            self.in_dim = in_dim
-            self.out_dim = out_dim
+    def __init__(self, kraus, out_factorization=None):
+        ops = [np.asarray(k, dtype=complex) for k in kraus]
+        if not ops:
+            raise ValidationError("kraus", "channel needs at least one Kraus operator")
+        out_dim, in_dim = ops[0].shape
+        if any(k.shape != (out_dim, in_dim) for k in ops):
+            raise ValidationError("kraus", "Kraus operators must share one shape")
+        gram = sum(k.conj().T @ k for k in ops)
+        err = float(np.abs(gram - np.eye(in_dim)).max())
+        if err > TRACE_PRESERVATION_ATOL:
+            raise ValidationError("trace-preserving", f"max |sum K^dagger K - I| = {err:.3e}")
+        for k in ops:
+            k.flags.writeable = False
+        self.kraus = tuple(ops)
+        self.in_dim = in_dim
+        self.out_dim = out_dim
         if out_factorization is not None:
             if not isinstance(out_factorization, TensorFactorization):
                 out_factorization = TensorFactorization(tuple(out_factorization))
             out_factorization.check_dim(self.out_dim)
         self.out_factorization = out_factorization
-
-    @property
-    def kraus(self) -> tuple[np.ndarray, ...]:
-        if self._kraus is None:
-            base, n = self._power
-            raise BudgetExceeded(
-                len(base.kraus) ** n,
-                KRAUS_MATERIALIZE_LIMIT,
-                f"materializing {len(base.kraus)}^{n} Kraus operators",
-            )
-        return self._kraus
 
     def apply_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Linear action sum_i K_i M K_i^dagger on a raw matrix."""
@@ -93,31 +69,13 @@ class QuantumChannel:
             raise DimensionMismatch(
                 f"matrix dim {matrix.shape[0]} != channel input dim {self.in_dim}"
             )
-        if self._kraus is not None:
-            out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-            for k in self._kraus:
-                out += k @ matrix @ k.conj().T
-            return out
-        base, n = self._power
-        # Apply the base channel slot by slot; slots already processed live
-        # on the output space, the rest still on the input space.
-        cur = matrix
-        for slot in range(n):
-            left = base.out_dim**slot
-            right = base.in_dim ** (n - slot - 1)
-            d_out = left * base.out_dim * right
-            t = cur.reshape(left, base.in_dim, right, left, base.in_dim, right)
-            out = np.zeros(
-                (left, base.out_dim, right, left, base.out_dim, right), dtype=complex
-            )
-            for k in base.kraus:
-                out += np.einsum("oi,aibcjd,pj->aobcpd", k, t, k.conj())
-            cur = out.reshape(d_out, d_out)
-        return cur
+        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
+        for k in self.kraus:
+            out += k @ matrix @ k.conj().T
+        return out
 
     def __repr__(self) -> str:
-        nk = "lazy" if self._kraus is None else str(len(self._kraus))
-        return f"QuantumChannel(in={self.in_dim}, out={self.out_dim}, kraus={nk})"
+        return f"QuantumChannel(in={self.in_dim}, out={self.out_dim}, kraus={len(self.kraus)})"
 
 
 def apply(c: QuantumChannel, rho: DensityOperator) -> DensityOperator:
@@ -130,11 +88,16 @@ def apply(c: QuantumChannel, rho: DensityOperator) -> DensityOperator:
 def tensor_power(
     c: QuantumChannel, n: int, budget: int = DEFAULT_DIM_BUDGET
 ) -> QuantumChannel:
-    """The n-fold product channel acting independently on each slot."""
+    """The n-fold product channel acting independently on each slot.
+
+    Its Kraus operators are all materialized. The budget bounds the n-th
+    power of the input dimension, the output dimension and the Kraus count
+    (the environment dimension of the power).
+    """
     n = int(n)
     if n < 1:
         raise ValidationError("power", f"tensor power needs n >= 1, got {n}")
-    worst = max(c.in_dim, c.out_dim) ** n
+    worst = max(c.in_dim, c.out_dim, len(c.kraus)) ** n
     if worst > budget:
         raise BudgetExceeded(worst, budget, f"tensor power n={n}")
     if c.out_factorization is not None:
@@ -143,8 +106,6 @@ def tensor_power(
         out_f = TensorFactorization((c.out_dim,) * n)
     if n == 1:
         return QuantumChannel(c.kraus, out_factorization=out_f)
-    if len(c.kraus) ** n > KRAUS_MATERIALIZE_LIMIT:
-        return QuantumChannel((), out_factorization=out_f, _power=(c, n))
     ops = [
         reduce(np.kron, combo)
         for combo in itertools.product(c.kraus, repeat=n)

@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -33,7 +31,7 @@ from .information import (
     holevo_chi,
     quantum_condition,
 )
-from .scenarios import ScenarioFormatError, load_scenario
+from .scenarios import ScenarioFormatError, load_scenario, write_atomic
 from .simulation import (
     bob_decoder,
     eve_default_strategy,
@@ -106,19 +104,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _dump_json(payload: dict) -> str:
     return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
 
@@ -158,7 +143,7 @@ def _load(args):
 
 def _emit(args, payload: dict) -> None:
     if getattr(args, "out", None):
-        _write_atomic(args.out, _dump_json(payload))
+        write_atomic(args.out, _dump_json(payload))
 
 
 def cmd_analyze(args) -> int:
@@ -249,7 +234,7 @@ def cmd_simulate(args) -> int:
     print(f"flags: {flags}")
     print(f"wall time: {elapsed:.2f} s")
     _emit(args, record.to_dict())
-    return 0
+    return 0 if condition.converged else 2
 
 
 def _parse_int_range(text: str) -> list[int]:
@@ -317,7 +302,7 @@ def cmd_sweep(args) -> int:
             print(f"n={row['n']} seed={row['seed']} {row['flags']}")
     if args.out:
         if args.format == "csv":
-            _write_atomic(args.out, _rows_to_csv(rows))
+            write_atomic(args.out, _rows_to_csv(rows))
         else:
             payload = {
                 "command": "sweep",
@@ -325,7 +310,7 @@ def cmd_sweep(args) -> int:
                 "rows": rows,
                 "config": dataclasses.asdict(cfg),
             }
-            _write_atomic(args.out, _dump_json(payload))
+            write_atomic(args.out, _dump_json(payload))
     return 2 if failed else 0
 
 

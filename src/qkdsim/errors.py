@@ -23,8 +23,8 @@ class DimensionMismatch(ValidationError):
 class BudgetExceeded(RuntimeError):
     """A requested tensor power or expansion exceeds the dimension budget.
 
-    ``limiting_dim`` is the total complex dimension the operation would
-    have required.
+    ``limiting_dim`` is the size the operation would have required: a
+    total complex dimension, or for a tensor power possibly its Kraus count.
     """
 
     def __init__(self, limiting_dim: int, budget: int, context: str = ""):

@@ -240,17 +240,20 @@ def scenario_to_dict(s: Scenario) -> dict:
     return data
 
 
-def save_scenario(s: Scenario, path: str) -> None:
-    """Write a scenario file atomically (temp file, then rename)."""
-    data = scenario_to_dict(s)
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path atomically (temp file in the same directory, then rename)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_scenario(s: Scenario, path: str) -> None:
+    """Write a scenario file atomically."""
+    write_atomic(path, json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n")

@@ -5,6 +5,9 @@ is encoded and sent through the channel, the receiver measures the whole
 block with a collective POVM (the pretty-good measurement over codeword
 block states) while the adversary measures slot by slot with a factorized
 POVM and post-processes outcomes through a classical decoding function.
+The channel is memoryless, so block states are Kronecker products of
+single-letter states, and the joint law is contracted one slot at a time;
+no operator on the joint receiver/adversary block space is ever built.
 The joint distribution of (K_A, K_B, K_E) is computed exactly by
 enumerating all outcome tuples; there is no Monte Carlo anywhere, so
 agreement probability and adversary information are sharp numbers and runs
@@ -29,7 +32,6 @@ from .channels import (
     apply,
     marginal,
     push_through,
-    tensor_power,
 )
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .information import (
@@ -41,12 +43,11 @@ from .information import (
 from .measurements import (
     FactorizedPovm,
     Povm,
-    expand,
     helstrom,
     pretty_good_measurement,
     random_rank1_povm,
 )
-from .states import DensityOperator, hermitian_eigensystem, permute_factors
+from .states import DensityOperator, hermitian_eigensystem
 
 _LBFGS_MAX_ITERS = 200
 
@@ -205,38 +206,29 @@ class SweepCell:
     error: str | None = None
 
 
-def _letter_outputs(s: Scenario) -> list[np.ndarray]:
-    """Channel output tau_a for each letter, as raw matrices."""
-    return [apply(s.theta, rho).matrix for rho in s.ensemble.states]
-
-
-def _block_state(s: Scenario, word: Codeword) -> np.ndarray:
-    taus = _letter_outputs(s)
-    for a in word.letters:
-        if a < 0 or a >= s.ensemble.size:
-            raise ValidationError("letter", f"letter {a} not in alphabet of size {s.ensemble.size}")
-    return reduce(np.kron, (taus[a] for a in word.letters))
+def _check_letters(s: Scenario, c: Codebook) -> None:
+    for word in c.words:
+        for a in word.letters:
+            if a < 0 or a >= s.ensemble.size:
+                raise ValidationError(
+                    "letter", f"letter {a} not in alphabet of size {s.ensemble.size}"
+                )
 
 
 def bob_decoder(s: Scenario, c: Codebook) -> Povm:
     """Pretty-good measurement over the receiver's codeword block states.
 
-    Effects live on the receiver block space and are entangled across
-    slots in general; outcomes are the keys 0..K-1.
+    The channel is memoryless, so a codeword's receiver state is the
+    Kronecker product of the single-letter receiver states. The effects are
+    entangled across slots in general; outcomes are the keys 0..K-1.
     """
     if c.length != s.n:
         raise DimensionMismatch(f"codebook length {c.length} != scenario block length {s.n}")
-    tensor_power(s.theta, s.n, budget=s.budget)  # budget check (fails fast)
-    d_b, d_e = s.dim_b, s.dim_e
-    n = s.n
-    dims = (d_b, d_e) * n
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    block_states = []
-    for word in c.words:
-        sigma = _block_state(s, word)
-        sigma = permute_factors(sigma, dims, perm)
-        t = sigma.reshape(d_b**n, d_e**n, d_b**n, d_e**n)
-        block_states.append(DensityOperator(np.einsum("aebe->ab", t)))
+    _check_letters(s, c)
+    letters = [rho.matrix for rho in s.bob_ensemble().states]
+    block_states = [
+        DensityOperator(reduce(np.kron, (letters[a] for a in word.letters))) for word in c.words
+    ]
     priors = np.full(len(c), 1.0 / len(c))
     return pretty_good_measurement(block_states, priors)
 
@@ -263,9 +255,13 @@ def _tuple_probs(tables: list[np.ndarray], word: Codeword) -> np.ndarray:
 def _ml_decoder(
     tables: list[np.ndarray], c: Codebook, slots: FactorizedPovm
 ) -> dict[tuple, int]:
-    """Maximum-likelihood decoding of outcome tuples to keys (lowest index wins)."""
+    """Maximum-likelihood decoding of outcome tuples to keys (lowest index wins).
+
+    Likelihoods within a relative 1e-9 of the largest count as tied, so ties
+    that hold in exact arithmetic are not decided by rounding.
+    """
     per_key = np.stack([_tuple_probs(tables, w) for w in c.words])
-    best = np.argmax(per_key, axis=0)
+    best = np.argmax(per_key >= per_key.max(axis=0) * (1 - 1e-9), axis=0)
     combos = list(itertools.product(*(p.outcomes for p in slots.slots)))
     return {combo: int(k) for combo, k in zip(combos, best)}
 
@@ -466,15 +462,35 @@ def _refine_slot(
     return povm_i, start_val
 
 
+def _block_law(effects: np.ndarray, slot_ops: list[np.ndarray]) -> np.ndarray:
+    """Tr[M_b (x)_i X_i(o_i)] for every block effect M_b and outcome tuple.
+
+    ``effects`` stacks the block effects, shape (K, D, D); ``slot_ops[i]``
+    stacks slot i's operators X_i(o), shape (m_i, d, d). The trace is taken
+    one slot at a time. Rows follow the effects, columns the outcome tuples
+    in lexicographic order.
+    """
+    t = effects
+    rest = effects.shape[1]
+    for x in slot_ops:
+        d = x.shape[1]
+        rest //= d
+        t = np.einsum("prqcs,ocr->poqs", t.reshape(-1, d, rest, d, rest), x)
+    return t.reshape(len(effects), -1)
+
+
 def evaluate(
     s: Scenario, c: Codebook, mb: Povm, me: EveStrategy, metadata: dict | None = None
 ) -> KeySimReport:
     """Exact joint distribution of the pipeline for the given strategies.
 
-    For each key the transmitted block state is contracted against the
-    receiver's block effect, leaving a conditional operator on the
-    adversary block space whose Born probabilities against the expanded
-    factorized POVM enumerate all outcome tuples exactly.
+    The channel is memoryless and the attack factorized, so for codeword w
+    p(b, o_1..o_n | w) = Tr[M_b (x)_i X_{a_i}(o_i)], where
+    X_a(o) = Tr_E[(I (x) E_o) Theta(xi_a)] is an operator on one receiver
+    letter space. The trace is contracted slot by slot for every outcome
+    tuple, which the decoder then maps to a key; neither the joint block
+    state nor the expanded adversary POVM is built. K_B is the outcome label
+    of the receiver's effect, not its position in the POVM.
     """
     k = s.key_count
     if len(c) != k:
@@ -490,22 +506,24 @@ def evaluate(
         raise DimensionMismatch(f"adversary strategy has {me.n} slots for block length {n}")
     if any(p.dim != d_e for p in me.slots.slots):
         raise DimensionMismatch("adversary slot POVMs must act on the adversary letter space")
+    _check_letters(s, c)
     decoder_idx = _decoder_index_array(me, k)
 
-    eve_expanded = np.stack(expand(me.slots, budget=s.budget).effects)
-    dims = (d_b, d_e) * n
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    bob_order = {b: j for j, b in enumerate(mb.outcomes)}
+    taus = np.stack(
+        [apply(s.theta, rho).matrix.reshape(d_b, d_e, d_b, d_e) for rho in s.ensemble.states]
+    )
+    # slot_ops[i][a, o] = X_a(o) for slot i's POVM
+    slot_ops = [
+        np.einsum("aiejf,ofe->aoij", taus, np.stack(povm.effects)) for povm in me.slots.slots
+    ]
+    effects = np.stack(mb.effects)
 
     joint = np.zeros((k, k, k))
     for key, word in enumerate(c.words):
-        sigma = permute_factors(_block_state(s, word), dims, perm)
-        sig4 = sigma.reshape(d_b**n, d_e**n, d_b**n, d_e**n)
-        for b_label, effect in zip(mb.outcomes, mb.effects):
-            cond = np.einsum("aebf,ba->ef", sig4, effect)
-            probs = np.clip(np.einsum("mfe,ef->m", eve_expanded, cond).real, 0.0, None)
-            grouped = np.bincount(decoder_idx, weights=probs, minlength=k)
-            joint[key, bob_order[b_label], :] += grouped / k
+        law = _block_law(effects, [x[a] for x, a in zip(slot_ops, word.letters)])
+        probs = np.clip(law.real, 0.0, None)
+        for b_label, row in zip(mb.outcomes, probs):
+            joint[key, b_label, :] = np.bincount(decoder_idx, weights=row, minlength=k) / k
     p_agree = float(sum(joint[i, i, :].sum() for i in range(k)))
     prior = np.full(k, 1.0 / k)
     bob_info = _mi_from_probs(prior, joint.sum(axis=2) * k)

@@ -19,7 +19,7 @@ from qkdsim.channels import (
 from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
 from qkdsim.states import DensityOperator, TensorFactorization, partial_trace, pure_state, tensor
 
-from conftest import random_density, random_pure, random_state_vector
+from conftest import random_density
 
 
 def random_channel(rng, in_dim, out_dim, n_kraus=None):
@@ -97,24 +97,10 @@ class TestTensorPower:
         with pytest.raises(BudgetExceeded, match="exceeds budget"):
             tensor_power(identity_channel(4), 7)  # 4^7 = 16384 > 4096
 
-    def test_lazy_path_matches_slotwise_oracle(self, rng):
-        base = depolarizing_channel(0.3)
-        big = tensor_power(base, 7)  # 4^7 Kraus products: applied lazily
-        assert big._kraus is None
-        mats = [random_pure(rng, 2).matrix for _ in range(7)]
-        rho = DensityOperator(reduce(np.kron, mats))
-        out = apply(big, rho)
-        expected = reduce(np.kron, [base.apply_matrix(m) for m in mats])
-        np.testing.assert_allclose(out.matrix, expected, atol=1e-10)
-
-    def test_lazy_path_matches_explicit_on_entangled_input(self, rng):
-        base = depolarizing_channel(0.3)
-        explicit = tensor_power(base, 2)
-        lazy = QuantumChannel((), _power=(base, 2))
-        rho = pure_state(random_state_vector(rng, 4))
-        np.testing.assert_allclose(
-            apply(explicit, rho).matrix, lazy.apply_matrix(rho.matrix), atol=1e-10
-        )
+    def test_budget_counts_kraus_products(self):
+        # in and out dims are 2, but 4 Kraus operators give 4^7 products
+        with pytest.raises(BudgetExceeded, match="16384"):
+            tensor_power(depolarizing_channel(0.3), 7)
 
 
 class TestMarginal:

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from qkdsim import cli
 from qkdsim.cli import main
+from qkdsim.information import ConditionReport
 from qkdsim.scenarios import (
     ScenarioFormatError,
     load_scenario,
@@ -57,6 +59,14 @@ class TestScenarioIO:
         for a, b in zip(back.theta.kraus, sc.theta.kraus):
             assert np.abs(a - b).max() < 1e-12
         np.testing.assert_allclose(back.ensemble.prior, sc.ensemble.prior, atol=1e-15)
+
+    def test_saved_file_format(self, tmp_path):
+        sc = load_scenario("bsc-pair", params=(0.2, 0.4))
+        path = tmp_path / "bsc.json"
+        save_scenario(sc, str(path))
+        expected = json.dumps(scenario_to_dict(sc), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
     def test_round_trip_with_classical_pair(self, tmp_path):
         sc = load_scenario("bsc-pair", params=(0.2, 0.4))
@@ -214,6 +224,18 @@ class TestSimulateCommand:
         assert da["p_agree"] == db["p_agree"]
         assert da["bob_info"] == db["bob_info"]
         assert da["eve_info"] == db["eve_info"]
+
+    def test_non_converged_condition_exits_2(self, capsys, monkeypatch, tmp_path):
+        def stalled(*args, **kwargs):
+            return ConditionReport(kind="quantum", lhs=0.5, rhs=0.25, margin=1e-6,
+                                   converged=False)
+
+        monkeypatch.setattr(cli, "quantum_condition", stalled)
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "paper-example", "-n", "1", "--out", str(out)])
+        assert code == 2
+        assert "flags: non-converged" in capsys.readouterr().out
+        assert json.loads(out.read_text())["flags"] == "non-converged"
 
     def test_budget_exit_code_names_dimension(self, capsys):
         code = main(["simulate", "paper-example", "-n", "9", "--restarts", "1"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ import pytest
 from qkdsim.channels import CqEnsemble, QuantumChannel
 from qkdsim.errors import ValidationError
 from qkdsim.information import OptimizerConfig, c1
-from qkdsim.measurements import Povm, born_rule, coarse_grain, expand
+from qkdsim.measurements import (
+    FactorizedPovm,
+    Povm,
+    born_rule,
+    coarse_grain,
+    expand,
+    random_rank1_povm,
+)
 from qkdsim.scenarios import paper_example
 from qkdsim.simulation import (
     Codebook,
@@ -22,7 +30,7 @@ from qkdsim.simulation import (
     sample_codebook,
     sweep,
 )
-from qkdsim.states import TensorFactorization, pure_state
+from qkdsim.states import TensorFactorization, permute_factors, pure_state
 
 from oracles import binary_entropy, block_success, helstrom_crossover, majority_error
 
@@ -133,6 +141,14 @@ class TestEveStrategies:
         rep = evaluate(sc, book, bob_decoder(sc, book), me)
         assert rep.eve_info == pytest.approx(1 - binary_entropy(err), abs=1e-9)
 
+    def test_default_decoder_ties_go_to_lowest_key(self):
+        # (0, 1) and (1, 0) are equally likely under both codewords
+        sc = paper_example(0.5).with_n(2)
+        me = eve_default_strategy(sc, repetition_codebook(2, 2))
+        assert me.decoder[(0, 1)] == 0
+        assert me.decoder[(1, 0)] == 0
+        assert me.decoder[(1, 1)] == 1
+
     def test_constant_adversary_states_zero_info(self):
         sc = paper_example(1.0).with_n(2)
         book = repetition_codebook(2, 2)
@@ -143,8 +159,6 @@ class TestEveStrategies:
         # class membership by construction: the flat attack measurement is
         # the decoder-coarse-graining of the expanded slot product, and the
         # joint's adversary marginal reproduces its Born statistics
-        from functools import reduce
-
         from qkdsim.states import DensityOperator
 
         sc = paper_example(0.5).with_n(2)
@@ -210,6 +224,26 @@ class TestEveStrategies:
         assert rep.eve_info >= base.eve_info - 1e-9
 
 
+def dense_joint(sc, book, mb, me):
+    """Independent oracle for evaluate: the full (d_b d_e)^n block state traced
+    against every Kronecker-product block effect, built explicitly and
+    permuted from [B1..Bn, E1..En] to the interleaved slot order."""
+    n, k = sc.n, sc.key_count
+    taus = [sc.theta.apply_matrix(s.matrix) for s in sc.ensemble.states]
+    flat_eve = expand(me.slots)
+    dims = (sc.dim_b,) * n + (sc.dim_e,) * n
+    perm = [f for j in range(n) for f in (j, n + j)]
+    oracle = np.zeros((k, k, k))
+    for key, word in enumerate(book.words):
+        sigma = reduce(np.kron, (taus[a] for a in word.letters))
+        for b_label, b_eff in zip(mb.outcomes, mb.effects):
+            for combo, e_eff in zip(flat_eve.outcomes, flat_eve.effects):
+                effect = permute_factors(np.kron(b_eff, e_eff), dims, perm)
+                p = np.sum(sigma * effect.T).real
+                oracle[key, b_label, me.decoder[combo]] += p / k
+    return oracle
+
+
 class TestEvaluate:
     def test_perfect_scenario(self):
         sc = paper_example(0.0)
@@ -267,8 +301,6 @@ class TestEvaluate:
         k = sc.key_count
         oracle = np.zeros((k, k, k))
         for key, word in enumerate(book.words):
-            from functools import reduce
-
             bob_block = reduce(np.kron, (bob_states[a] for a in word.letters))
             p_b = np.array(
                 [np.trace(eff @ bob_block).real for eff in mb.effects]
@@ -287,40 +319,47 @@ class TestEvaluate:
         np.testing.assert_allclose(rep.joint, oracle, atol=1e-9)
 
     def test_correlated_channel_matches_direct_contraction(self):
-        # independent oracle: build the full block effect with explicit
-        # Kronecker products and a factor permutation
         sc = correlated_scenario(0.15).with_n(2)
         book = repetition_codebook(2, 2)
         mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
         rep = evaluate(sc, book, mb, me)
-        from functools import reduce
-
-        from qkdsim.states import permute_factors
-
-        taus = [sc.theta.apply_matrix(s.matrix) for s in sc.ensemble.states]
-        flat_eve = expand(me.slots)
-        k = sc.key_count
-        oracle = np.zeros((k, k, k))
-        # interleaved order [B1,E1,B2,E2]; build effects in block order and
-        # permute them back instead of permuting the state
-        for key, word in enumerate(book.words):
-            sigma = reduce(np.kron, (taus[a] for a in word.letters))
-            for bi, b_eff in enumerate(mb.effects):
-                for combo, e_eff in zip(flat_eve.outcomes, flat_eve.effects):
-                    effect_block = np.kron(b_eff, e_eff)
-                    effect_inter = permute_factors(
-                        effect_block, (2, 2, 2, 2), (0, 2, 1, 3)
-                    )
-                    p = np.trace(sigma @ effect_inter).real
-                    oracle[key, bi, me.decoder[combo]] += p / k
-        np.testing.assert_allclose(rep.joint, oracle, atol=1e-9)
+        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, mb, me), atol=1e-9)
         # and the B/E outputs here are genuinely correlated, not a product
-        tau = taus[0].reshape(2, 2, 2, 2)
-        marg_b = np.einsum("aebe->ab", tau)
-        marg_e = np.einsum("aeaf->ef", tau)
-        assert np.abs(taus[0] - np.kron(marg_b, marg_e)).max() > 0.05
+        tau = sc.theta.apply_matrix(sc.ensemble.states[0].matrix)
+        t = tau.reshape(2, 2, 2, 2)
+        marg_b = np.einsum("aebe->ab", t)
+        marg_e = np.einsum("aeaf->ef", t)
+        assert np.abs(tau - np.kron(marg_b, marg_e)).max() > 0.05
         assert rep.eve_info > 0.1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "make", [lambda: paper_example(0.5), correlated_scenario], ids=["paper", "correlated"]
+    )
+    def test_random_slot_povms_match_direct_contraction(self, make, n):
+        sc = make().with_n(n)
+        rng = np.random.default_rng(100 + n)
+        book = sample_codebook(2, n, sc.ensemble.size, seed=n)
+        slots = FactorizedPovm(
+            [random_rank1_povm(sc.dim_e, int(rng.integers(2, 5)), rng) for _ in range(n)]
+        )
+        combos = itertools.product(*(p.outcomes for p in slots.slots))
+        me = EveStrategy(slots, {combo: int(rng.integers(2)) for combo in combos})
+        mb = bob_decoder(sc, book)
+        rep = evaluate(sc, book, mb, me)
+        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, mb, me), atol=1e-12)
+
+    def test_bob_key_is_outcome_label_not_position(self):
+        sc = paper_example(0.5).with_n(3)
+        book = repetition_codebook(2, 3)
+        mb = bob_decoder(sc, book)
+        me = eve_default_strategy(sc, book)
+        rep = evaluate(sc, book, mb, me)
+        relisted = Povm(mb.effects[::-1], outcomes=mb.outcomes[::-1])
+        rep_relisted = evaluate(sc, book, relisted, me)
+        np.testing.assert_array_equal(rep_relisted.joint, rep.joint)
+        assert rep_relisted.p_agree == pytest.approx(block_success(0.5, 3), abs=1e-12)
 
     def test_adversary_ceiling_small(self, rng):
         cfg = OptimizerConfig(restarts=1, seed=2)
