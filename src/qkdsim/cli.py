@@ -32,15 +32,7 @@ from .information import (
     quantum_condition,
 )
 from .scenarios import ScenarioFormatError, load_scenario, write_atomic
-from .simulation import (
-    bob_decoder,
-    eve_default_strategy,
-    eve_optimize,
-    repetition_codebook,
-    sample_codebook,
-    evaluate,
-    sweep,
-)
+from .simulation import run_cell, sweep
 
 SWEEP_COLUMNS = ("scenario", "n", "seed", "coder", "eve", "p_agree", "bob_info", "eve_info", "flags")
 
@@ -181,27 +173,11 @@ def cmd_analyze(args) -> int:
     return 0 if converged else 2
 
 
-def _make_codebook(scenario, coder: str, seed: int):
-    if coder == "repetition":
-        return repetition_codebook(scenario.key_count, scenario.n)
-    if coder == "random":
-        return sample_codebook(scenario.key_count, scenario.n, scenario.ensemble.size, seed)
-    raise ValidationError("coder", f"unknown coder {coder!r}")
-
-
 def cmd_simulate(args) -> int:
     scenario = _load(args).with_n(args.n)
     cfg = _config_from_args(args)
     t0 = time.perf_counter()
-    codebook = _make_codebook(scenario, args.coder, args.seed)
-    mb = bob_decoder(scenario, codebook)
-    if args.eve == "default":
-        me = eve_default_strategy(scenario, codebook)
-    elif args.eve == "optimized":
-        me = eve_optimize(scenario, codebook, cfg)
-    else:
-        raise ValidationError("eve", f"unknown adversary choice {args.eve!r}")
-    report = evaluate(scenario, codebook, mb, me, metadata={"seed": args.seed})
+    report = run_cell(scenario, args.coder, args.seed, args.eve, cfg)
     condition = quantum_condition(scenario.ensemble, scenario.theta, cfg)
     elapsed = time.perf_counter() - t0
     flags = "ok" if condition.converged else "non-converged"
@@ -237,12 +213,15 @@ def cmd_simulate(args) -> int:
     return 0 if condition.converged else 2
 
 
-def _parse_int_range(text: str) -> list[int]:
+def _parse_int_range(text: str, flag: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ValidationError(flag, f"expected integers like 1..4 or 1,2,4, got {text!r}") from None
 
 
 def _sweep_rows(cells) -> list[dict]:
@@ -287,8 +266,8 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def cmd_sweep(args) -> int:
     scenario = _load(args)
     cfg = _config_from_args(args)
-    n_range = _parse_int_range(args.n_range)
-    seeds = _parse_int_range(args.seeds)
+    n_range = _parse_int_range(args.n_range, "--n-range")
+    seeds = _parse_int_range(args.seeds, "--seeds")
     cells = sweep(scenario, n_range, seeds, cfg, coder=args.coder, eve=args.eve)
     rows = _sweep_rows(cells)
     failed = sum(1 for c in cells if c.error is not None)

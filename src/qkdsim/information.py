@@ -7,18 +7,23 @@ accessible-information maximum over priors and POVMs. The quantum
 feasibility condition compares the two across the channel marginals; the
 classical condition is the wiretap criterion max_P [I(P,V) - I(P,W)] > 0.
 
-Prior maximization uses an exhaustive grid for binary alphabets and
-Blahut-Arimoto style multiplicative ascent otherwise. POVM maximization is
-a seesaw: structured starts (Helstrom, pretty-good measurement) plus random
-restarts, each refined by quasi-Newton ascent over rank-one effect
-parametrizations with at most dim^2 outcomes. Every reported value is
-re-evaluated through the exact Born-rule path, so results are achievable by
-the returned witness; optimizers can under- but never over-report.
+Prior maximization uses an exhaustive grid for binary alphabets (the
+capacity and wiretap searches refine its best point by a bounded scalar
+search) and Blahut-Arimoto style multiplicative ascent otherwise. POVM maximization is a seesaw: structured starts (Helstrom,
+pretty-good measurement) plus random restarts, each refined by quasi-Newton
+ascent over rank-one effect parametrizations with at most dim^2 outcomes.
+That ascent, ``_ascend_povm``, is the single one in the package: it serves
+``accessible_information``, ``c1`` and ``c_k`` here and the adversary's
+per-slot seesaw in ``simulation.eve_optimize``, each caller supplying its
+own objective of the Born table. Every reported value is re-evaluated
+through the exact Born-rule path, so results are achievable by the
+returned witness; optimizers can under- but never over-report.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -34,6 +39,7 @@ from .measurements import (
     expand,
     helstrom,
     induced_channel,
+    normalize_vectors,
     pretty_good_measurement,
     random_rank1_povm,
 )
@@ -64,8 +70,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.grid_points < 2:
             raise ValidationError("grid-points", f"need >= 2 grid points, got {self.grid_points}")
-        if self.tol <= 0:
-            raise ValidationError("tolerance", f"tol must be positive, got {self.tol}")
+        if self.restarts < 0:
+            raise ValidationError("restarts", f"restarts must be >= 0, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValidationError("max-iters", f"max_iters must be >= 1, got {self.max_iters}")
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise ValidationError("tolerance", f"tol must be finite and positive, got {self.tol}")
+        if not math.isfinite(self.margin):
+            raise ValidationError("margin", f"margin must be finite, got {self.margin}")
 
 
 @dataclass
@@ -140,6 +152,32 @@ def _chi_of_prior(prior: np.ndarray, stack: np.ndarray) -> float:
     return float(max(h_avg - prior @ h_each, 0.0))
 
 
+def _mi_curve(ps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """I(P, rows) of a binary-input channel at every prior P = (p, 1 - p), p in ps."""
+    outs = ps[:, None] * rows[0] + (1.0 - ps)[:, None] * rows[1]
+    h_rows = _entropy_rows(rows)
+    return _entropy_rows(outs) - ps * h_rows[0] - (1.0 - ps) * h_rows[1]
+
+
+def _refine_binary_prior(ps: np.ndarray, vals: np.ndarray, exact) -> tuple[float, float]:
+    """Best binary prior weight p and its value, from grid values vals at ps.
+
+    The grid argmax is refined by a bounded scalar search of exact(p) within
+    one grid step of it; the refinement is kept only when it beats the grid.
+    """
+    i = int(np.argmax(vals))
+    best_p, best_v = float(ps[i]), float(vals[i])
+    step = 1.0 / (len(ps) - 1)
+    res = sciopt.minimize_scalar(
+        lambda q: -exact(q),
+        bounds=(max(0.0, best_p - step), min(1.0, best_p + step)),
+        method="bounded",
+    )
+    if res.success and -res.fun > best_v:
+        best_p, best_v = float(res.x), float(-res.fun)
+    return best_p, best_v
+
+
 def _log2_psd(matrix: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(matrix)
     logs = np.log2(np.clip(vals, _EIG_LOG_FLOOR, None))
@@ -180,16 +218,9 @@ def holevo_capacity(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
         h_mix = _entropy_rows(np.linalg.eigvalsh(mixes))
         h_each = _entropy_rows(np.linalg.eigvalsh(stack))
         vals = h_mix - ps * h_each[0] - (1.0 - ps) * h_each[1]
-        i = int(np.argmax(vals))
-        best_p, best_v = float(ps[i]), float(vals[i])
-        step = 1.0 / (cfg.grid_points - 1)
-        res = sciopt.minimize_scalar(
-            lambda q: -_chi_of_prior(np.array([q, 1.0 - q]), stack),
-            bounds=(max(0.0, best_p - step), min(1.0, best_p + step)),
-            method="bounded",
+        best_p, best_v = _refine_binary_prior(
+            ps, vals, lambda q: _chi_of_prior(np.array([q, 1.0 - q]), stack)
         )
-        if res.success and -res.fun > best_v:
-            best_p, best_v = float(res.x), float(-res.fun)
         return OptimizationResult(best_v, np.array([best_p, 1.0 - best_p]))
     rng = np.random.default_rng(cfg.seed)
     starts = [np.full(e.size, 1.0 / e.size)]
@@ -206,30 +237,30 @@ def holevo_capacity(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
 # POVM optimization
 
 
-def _rank1_vectors(povm: Povm) -> np.ndarray:
-    """Split effects into scaled rank-one vectors sqrt(lam) v."""
-    vecs = []
-    for m in povm.effects:
+def _rank1_pieces(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """Split effects into scaled rank-one vectors sqrt(lam) v, one row each.
+
+    ``groups[r]`` is the index of the effect that row r came from. An effect
+    with no eigenvalue above 1e-12 keeps its outcome through one zero row.
+    """
+    vecs, groups = [], []
+    for b, m in enumerate(povm.effects):
         vals, basis = hermitian_eigensystem(m)
+        added = False
         for lam, v in zip(vals, basis.T):
             if lam > 1e-12:
                 vecs.append(np.sqrt(lam) * v)
-    return np.stack(vecs)
+                groups.append(b)
+                added = True
+        if not added:
+            vecs.append(np.zeros(povm.dim, dtype=complex))
+            groups.append(b)
+    return np.stack(vecs), np.array(groups)
 
 
-def _normalize_vectors(w: np.ndarray) -> np.ndarray | None:
-    """Map raw vectors to POVM vectors via the inverse square root of their frame."""
-    t = np.einsum("bi,bj->ij", w, w.conj())
-    vals, vecs = np.linalg.eigh(t)
-    if vals.min() < 1e-12:
-        return None
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return w @ inv_sqrt.T
-
-
-def _probs_from_vectors(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Born probabilities P[a, b] = <u_b| rho_a |u_b>."""
-    return np.clip(np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real, 0.0, None)
+def _born_table(effects: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Born probabilities P[a, b] = Tr[M_b rho_a], clipped at 0."""
+    return np.clip(np.einsum("bij,aji->ab", effects, stack).real, 0.0, None)
 
 
 def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
@@ -237,52 +268,58 @@ def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
     return float(max(_entropy_rows(out) - prior @ _entropy_rows(probs), 0.0))
 
 
-def _povm_from_vectors(u: np.ndarray) -> Povm:
-    keep = [v for v in u if np.vdot(v, v).real > 1e-14]
-    return Povm([np.outer(v, v.conj()) for v in keep])
+def _ascend_povm(
+    stack: np.ndarray, w0: np.ndarray, value, max_iters: int
+) -> tuple[np.ndarray | None, bool]:
+    """Quasi-Newton ascent of value(P) over rank-one POVMs.
 
-
-def _refine_povm(
-    stack: np.ndarray, prior: np.ndarray, start: Povm, cfg: OptimizerConfig
-) -> tuple[float, Povm, bool]:
-    """Quasi-Newton ascent of the mutual information over rank-one POVMs."""
+    The rows of w0 are raw vectors, one per rank-one piece. They are
+    optimized unconstrained and mapped onto a POVM by ``normalize_vectors``;
+    P[a, b] = <u_b| rho_a |u_b> for the normalized vectors u_b and the
+    states rho_a in ``stack``. Returns the normalized final vectors (None if
+    their frame is singular) and whether L-BFGS reported success.
+    """
     dim = stack.shape[1]
-    w0 = _rank1_vectors(start)
+
+    def unpack(x: np.ndarray) -> np.ndarray | None:
+        w = x[: x.size // 2] + 1j * x[x.size // 2 :]
+        return normalize_vectors(w.reshape(-1, dim))
 
     def objective(x: np.ndarray) -> float:
-        w = x[: x.size // 2] + 1j * x[x.size // 2 :]
-        w = w.reshape(-1, dim)
-        u = _normalize_vectors(w)
+        u = unpack(x)
         if u is None:
             return 50.0
-        return -_mi_from_probs(prior, _probs_from_vectors(u, stack))
+        probs = np.clip(np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real, 0.0, None)
+        return -value(probs)
 
     x0 = np.concatenate([w0.real.ravel(), w0.imag.ravel()])
     res = sciopt.minimize(
-        objective,
-        x0,
-        method="L-BFGS-B",
-        options={"maxiter": _LBFGS_MAX_ITERS, "ftol": 1e-12},
+        objective, x0, method="L-BFGS-B", options={"maxiter": max_iters, "ftol": 1e-12}
     )
-    start_val = _exact_value(prior, start, stack)
-    best = (start_val, start, True)
-    w = res.x[: res.x.size // 2] + 1j * res.x[res.x.size // 2 :]
-    u = _normalize_vectors(w.reshape(-1, dim))
+    return unpack(res.x), bool(res.success)
+
+
+def _refine_povm(stack: np.ndarray, prior: np.ndarray, start: Povm) -> tuple[float, Povm, bool]:
+    """Ascent of the mutual information over rank-one POVMs, one outcome per
+    rank-one piece; never returns less than the start's value."""
+    pieces, _ = _rank1_pieces(start)
+    w0 = pieces[pieces.any(axis=1)]
+    u, ok = _ascend_povm(stack, w0, lambda probs: _mi_from_probs(prior, probs), _LBFGS_MAX_ITERS)
+    best = (_exact_value(prior, start, stack), start, True)
     if u is not None:
         try:
-            povm = _povm_from_vectors(u)
+            povm = Povm([np.outer(v, v.conj()) for v in u if np.vdot(v, v).real > 1e-14])
         except ValidationError:
             povm = None
         if povm is not None:
             val = _exact_value(prior, povm, stack)
             if val > best[0]:
-                best = (val, povm, bool(res.success))
+                best = (val, povm, ok)
     return best
 
 
 def _exact_value(prior: np.ndarray, povm: Povm, stack: np.ndarray) -> float:
-    rows = np.clip(np.einsum("bij,aji->ab", np.stack(povm.effects), stack).real, 0.0, None)
-    return _mi_from_probs(prior, rows)
+    return _mi_from_probs(prior, _born_table(np.stack(povm.effects), stack))
 
 
 def _povm_starts(
@@ -310,7 +347,7 @@ def _maximize_over_povm(
     stack = np.stack([s.matrix for s in states])
     best: tuple[float, Povm, bool] | None = None
     for start in list(extra_starts) + _povm_starts(states, prior, cfg, rng):
-        cand = _refine_povm(stack, prior, start, cfg)
+        cand = _refine_povm(stack, prior, start)
         if best is None or cand[0] > best[0]:
             best = cand
     return best
@@ -333,9 +370,7 @@ def _best_prior_for_channel(
         return np.array([1.0]), 0.0, True
     if k == 2:
         ps = np.linspace(0.0, 1.0, cfg.grid_points)
-        outs = ps[:, None] * rows[0] + (1.0 - ps)[:, None] * rows[1]
-        h_rows = _entropy_rows(rows)
-        vals = _entropy_rows(outs) - ps * h_rows[0] - (1.0 - ps) * h_rows[1]
+        vals = _mi_curve(ps, rows)
         i = int(np.argmax(vals))
         return np.array([ps[i], 1.0 - ps[i]]), float(vals[i]), True
     # Blahut-Arimoto with the standard duality-gap stopping rule.
@@ -387,7 +422,7 @@ def _joint_maximize(
         val = _exact_value(prior, povm, stack)
         converged = False
         for _ in range(cfg.max_iters):
-            v_pov, povm, _ = _refine_povm(stack, prior, povm, cfg)
+            v_pov, povm, _ = _refine_povm(stack, prior, povm)
             chan = induced_channel(povm, e)
             prior_new, v_pri, _ = _best_prior_for_channel(chan, cfg)
             new_val = max(v_pov, v_pri)
@@ -458,25 +493,12 @@ def classical_advantage(
     if k == 2:
         ps = np.linspace(0.0, 1.0, cfg.grid_points)
 
-        def diff_vals(rows):
-            outs = ps[:, None] * rows[0] + (1.0 - ps)[:, None] * rows[1]
-            h_rows = _entropy_rows(rows)
-            return _entropy_rows(outs) - ps * h_rows[0] - (1.0 - ps) * h_rows[1]
-
-        vals = diff_vals(v.matrix) - diff_vals(w.matrix)
-        i = int(np.argmax(vals))
-        best_p, best_v = float(ps[i]), float(vals[i])
-        step = 1.0 / (cfg.grid_points - 1)
-
-        def neg(q):
+        def advantage(q):
             p = np.array([q, 1.0 - q])
-            return -(mutual_information(p, v) - mutual_information(p, w))
+            return mutual_information(p, v) - mutual_information(p, w)
 
-        res = sciopt.minimize_scalar(
-            neg, bounds=(max(0.0, best_p - step), min(1.0, best_p + step)), method="bounded"
-        )
-        if res.success and -res.fun > best_v:
-            best_p, best_v = float(res.x), float(-res.fun)
+        vals = _mi_curve(ps, v.matrix) - _mi_curve(ps, w.matrix)
+        best_p, best_v = _refine_binary_prior(ps, vals, advantage)
         prior = np.array([best_p, 1.0 - best_p])
         return ConditionReport(
             kind="classical", lhs=best_v, rhs=0.0, margin=cfg.margin, lhs_prior=prior

@@ -262,8 +262,21 @@ def random_rank1_povm(dim: int, num_outcomes: int, rng: np.random.Generator) -> 
             "outcomes", f"need at least dim={dim} rank-1 outcomes for completeness"
         )
     w = rng.normal(size=(num_outcomes, dim)) + 1j * rng.normal(size=(num_outcomes, dim))
+    u = normalize_vectors(w)
+    if u is None:
+        raise ValidationError("frame", "random vectors do not span the space")
+    return Povm([np.outer(v, v.conj()) for v in u])
+
+
+def normalize_vectors(w: np.ndarray) -> np.ndarray | None:
+    """Rank-one POVM vectors u_b from raw rows w_b: u = w T^(-1/2).
+
+    T = sum_b |w_b><w_b| is the frame operator, so sum_b |u_b><u_b| = I.
+    Returns None when the frame is singular (the rows do not span).
+    """
     t = np.einsum("bi,bj->ij", w, w.conj())
     vals, vecs = np.linalg.eigh(t)
+    if vals.min() < 1e-12:
+        return None
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    u = w @ inv_sqrt.T
-    return Povm([np.outer(v, v.conj()) for v in u])
+    return w @ inv_sqrt.T

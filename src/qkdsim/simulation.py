@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .channels import (
     DEFAULT_DIM_BUDGET,
@@ -36,9 +35,10 @@ from .channels import (
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .information import (
     OptimizerConfig,
+    _ascend_povm,
+    _born_table,
     _mi_from_probs,
-    _normalize_vectors,
-    _probs_from_vectors,
+    _rank1_pieces,
 )
 from .measurements import (
     FactorizedPovm,
@@ -47,9 +47,10 @@ from .measurements import (
     pretty_good_measurement,
     random_rank1_povm,
 )
-from .states import DensityOperator, hermitian_eigensystem
+from .states import DensityOperator
 
-_LBFGS_MAX_ITERS = 200
+# Iteration cap of one slot's ascent; C1's ascent in ``information`` uses 300.
+_SLOT_ASCENT_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ class EveStrategy:
         if not isinstance(slots, FactorizedPovm):
             raise ValidationError("slots", "slots must be a FactorizedPovm")
         decoder = dict(decoder)
-        for combo in itertools.product(*(s.outcomes for s in slots.slots)):
+        for combo in slots.outcome_tuples():
             if combo not in decoder:
                 raise ValidationError("decoder-total", f"decoder misses outcome tuple {combo}")
         self.slots = slots
@@ -239,11 +240,7 @@ def _eve_slot_states(s: Scenario) -> np.ndarray:
 
 def _slot_channels(slots: FactorizedPovm, eve_states: np.ndarray) -> list[np.ndarray]:
     """Per-slot outcome-by-letter probability tables."""
-    tables = []
-    for povm in slots.slots:
-        eff = np.stack(povm.effects)
-        tables.append(np.clip(np.einsum("eij,aji->ea", eff, eve_states).real, 0.0, None))
-    return tables
+    return [_born_table(np.stack(povm.effects), eve_states).T for povm in slots.slots]
 
 
 def _tuple_probs(tables: list[np.ndarray], word: Codeword) -> np.ndarray:
@@ -262,8 +259,7 @@ def _ml_decoder(
     """
     per_key = np.stack([_tuple_probs(tables, w) for w in c.words])
     best = np.argmax(per_key >= per_key.max(axis=0) * (1 - 1e-9), axis=0)
-    combos = list(itertools.product(*(p.outcomes for p in slots.slots)))
-    return {combo: int(k) for combo, k in zip(combos, best)}
+    return {combo: int(k) for combo, k in zip(slots.outcome_tuples(), best)}
 
 
 def _eve_key_channel(
@@ -277,9 +273,9 @@ def _eve_key_channel(
     return np.stack(rows)
 
 
-def _decoder_index_array(me: EveStrategy, key_count: int) -> np.ndarray:
-    combos = list(itertools.product(*(p.outcomes for p in me.slots.slots)))
-    idx = np.array([me.decoder[combo] for combo in combos], dtype=int)
+def _decoder_index_array(slots: FactorizedPovm, decoder: dict, key_count: int) -> np.ndarray:
+    """Decoder keys of the outcome tuples, in lexicographic tuple order."""
+    idx = np.array([decoder[combo] for combo in slots.outcome_tuples()], dtype=int)
     if idx.min() < 0 or idx.max() >= key_count:
         raise ValidationError("decoder-range", "decoder maps outside the key set")
     return idx
@@ -319,31 +315,31 @@ def eve_optimize(
 ) -> EveStrategy:
     """Best factorized attack found by a per-slot seesaw.
 
-    Alternates quasi-Newton ascent over each slot's POVM (decoder fixed)
-    with maximum-likelihood re-derivation of the decoder. ``cfg.restarts``
-    counts seesaw starts: 0 returns the default strategy untouched, start 0
-    refines the default and further starts are random per-slot POVMs. The
-    best strategy by adversary information is returned, so the result never
-    falls below the default. ``eve_outcomes`` sets the per-slot outcome
-    alphabet size for random starts (default dim^2, which suffices for
-    rank-one optima).
+    Alternates ascent over each slot's POVM (decoder and other slots fixed;
+    see ``_refine_slot``) with maximum-likelihood re-derivation of the
+    decoder. ``cfg.restarts`` counts seesaw starts: 0 returns the default
+    strategy untouched, start 0 refines the default and further starts are
+    random per-slot POVMs. The best strategy by adversary information is
+    returned, so the result never falls below the default. ``eve_outcomes``
+    sets the per-slot outcome alphabet size for random starts (default
+    dim^2, which suffices for rank-one optima).
     """
     default = eve_default_strategy(s, c)
+    if cfg.restarts == 0:
+        return default
     eve_states = _eve_slot_states(s)
     key_count = len(c)
     d_e = s.dim_e
     n_out = eve_outcomes if eve_outcomes is not None else d_e * d_e
 
-    def info_of(slots: FactorizedPovm, decoder: dict) -> float:
-        tables = _slot_channels(slots, eve_states)
-        combos = list(itertools.product(*(p.outcomes for p in slots.slots)))
-        idx = np.array([decoder[combo] for combo in combos], dtype=int)
-        return _strategy_info(tables, c, idx, key_count)
+    def ml_step(slots: FactorizedPovm, tables: list[np.ndarray]):
+        decoder = _ml_decoder(tables, c, slots)
+        idx = _decoder_index_array(slots, decoder, key_count)
+        return decoder, idx, _strategy_info(tables, c, idx, key_count)
 
-    if cfg.restarts == 0:
-        return default
-    best_info = info_of(default.slots, default.decoder)
-    best = (best_info, default.slots, default.decoder)
+    tables = _slot_channels(default.slots, eve_states)
+    idx = _decoder_index_array(default.slots, default.decoder, key_count)
+    best = (_strategy_info(tables, c, idx, key_count), default.slots, default.decoder)
     rng = np.random.default_rng(cfg.seed)
     for restart in range(cfg.restarts):
         if restart == 0:
@@ -352,9 +348,7 @@ def eve_optimize(
             slot_povms = [random_rank1_povm(d_e, n_out, rng) for _ in range(s.n)]
         slots = FactorizedPovm(slot_povms)
         tables = _slot_channels(slots, eve_states)
-        decoder = _ml_decoder(tables, c, slots)
-        idx = _decoder_index_array(EveStrategy(slots, decoder), key_count)
-        val = _strategy_info(tables, c, idx, key_count)
+        decoder, idx, val = ml_step(slots, tables)
         if val > best[0]:
             best = (val, slots, dict(decoder))
         for _ in range(cfg.max_iters):
@@ -369,9 +363,7 @@ def eve_optimize(
                     val = new_val
                     improved = True
             slots = FactorizedPovm(slot_povms)
-            decoder = _ml_decoder(tables, c, slots)
-            idx = _decoder_index_array(EveStrategy(slots, decoder), key_count)
-            ml_val = _strategy_info(tables, c, idx, key_count)
+            decoder, idx, ml_val = ml_step(slots, tables)
             if ml_val > val:
                 val = ml_val
                 improved = True
@@ -395,68 +387,39 @@ def _refine_slot(
 ) -> tuple[Povm, float]:
     """Ascent over slot i's POVM with all other slots and the decoder fixed.
 
-    The slot's outcome count must not change (the decoder is defined on the
-    current outcome tuples), so effects are parametrized as grouped
-    rank-one pieces and reassembled per outcome.
+    Runs the package's one POVM ascent, ``information._ascend_povm``, on the
+    adversary's information with slot i's table replaced. The slot's outcome
+    count must not change (the decoder is defined on the current outcome
+    tuples), so the ascent runs over rank-one pieces whose probabilities are
+    summed back into the slot's outcomes. Never returns less than the
+    current value.
     """
-    d_e = eve_states.shape[1]
     povm_i = slot_povms[i]
-    m = len(povm_i)
-    vecs, groups = [], []
-    for b, effect in enumerate(povm_i.effects):
-        vals, basis = hermitian_eigensystem(effect)
-        added = False
-        for lam, v in zip(vals, basis.T):
-            if lam > 1e-12:
-                vecs.append(np.sqrt(lam) * v)
-                groups.append(b)
-                added = True
-        if not added:
-            vecs.append(np.zeros(d_e, dtype=complex))
-            groups.append(b)
-    w0 = np.stack(vecs)
-    groups = np.array(groups)
-
-    def table_from(w: np.ndarray) -> np.ndarray | None:
-        u = _normalize_vectors(w)
-        if u is None:
-            return None
-        probs = _probs_from_vectors(u, eve_states)
-        table = np.zeros((m, probs.shape[0]))
-        np.add.at(table, groups, probs.T)
-        return table
+    w0, groups = _rank1_pieces(povm_i)
 
     def value_with_table(table_i: np.ndarray) -> float:
         tabs = list(tables)
         tabs[i] = table_i
         return _strategy_info(tabs, c, decoder_idx, key_count)
 
-    def objective(x: np.ndarray) -> float:
-        w = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, d_e)
-        table = table_from(w)
-        if table is None:
-            return 50.0
-        return -value_with_table(table)
+    def value_of_pieces(probs: np.ndarray) -> float:
+        table = np.zeros((len(povm_i), probs.shape[0]))
+        np.add.at(table, groups, probs.T)
+        return value_with_table(table)
 
-    x0 = np.concatenate([w0.real.ravel(), w0.imag.ravel()])
-    res = sciopt.minimize(
-        objective, x0, method="L-BFGS-B", options={"maxiter": _LBFGS_MAX_ITERS, "ftol": 1e-12}
-    )
+    u, _ = _ascend_povm(eve_states, w0, value_of_pieces, _SLOT_ASCENT_MAX_ITERS)
     start_val = value_with_table(tables[i])
-    w = (res.x[: res.x.size // 2] + 1j * res.x[res.x.size // 2 :]).reshape(-1, d_e)
-    u = _normalize_vectors(w)
     if u is None:
         return povm_i, start_val
-    effects = [np.zeros((d_e, d_e), dtype=complex) for _ in range(m)]
+    d_e = eve_states.shape[1]
+    effects = [np.zeros((d_e, d_e), dtype=complex) for _ in range(len(povm_i))]
     for g, v in zip(groups, u):
         effects[g] = effects[g] + np.outer(v, v.conj())
     try:
         povm = Povm(effects, outcomes=povm_i.outcomes)
     except ValidationError:
         return povm_i, start_val
-    eff = np.stack(povm.effects)
-    table = np.clip(np.einsum("eij,aji->ea", eff, eve_states).real, 0.0, None)
-    val = value_with_table(table)
+    val = value_with_table(_born_table(np.stack(povm.effects), eve_states).T)
     if val > start_val:
         return povm, val
     return povm_i, start_val
@@ -507,7 +470,7 @@ def evaluate(
     if any(p.dim != d_e for p in me.slots.slots):
         raise DimensionMismatch("adversary slot POVMs must act on the adversary letter space")
     _check_letters(s, c)
-    decoder_idx = _decoder_index_array(me, k)
+    decoder_idx = _decoder_index_array(me.slots, me.decoder, k)
 
     taus = np.stack(
         [apply(s.theta, rho).matrix.reshape(d_b, d_e, d_b, d_e) for rho in s.ensemble.states]
@@ -540,6 +503,29 @@ def evaluate(
     return KeySimReport(joint=joint, p_agree=p_agree, bob_info=bob_info, eve_info=eve_info, metadata=meta)
 
 
+def run_cell(s: Scenario, coder: str, seed: int, eve: str, cfg: OptimizerConfig) -> KeySimReport:
+    """One pipeline run at block length ``s.n``.
+
+    Builds the codebook (``coder`` "repetition", or "random" drawn from
+    ``seed``), the receiver's decoder and the adversary (``eve`` "default",
+    or "optimized" by the seesaw under ``cfg``), then evaluates exactly.
+    """
+    if coder == "repetition":
+        book = repetition_codebook(s.key_count, s.n)
+    elif coder == "random":
+        book = sample_codebook(s.key_count, s.n, s.ensemble.size, seed)
+    else:
+        raise ValidationError("coder", f"unknown coder {coder!r}")
+    mb = bob_decoder(s, book)
+    if eve == "default":
+        me = eve_default_strategy(s, book)
+    elif eve == "optimized":
+        me = eve_optimize(s, book, cfg)
+    else:
+        raise ValidationError("eve", f"unknown adversary choice {eve!r}")
+    return evaluate(s, book, mb, me, metadata={"seed": seed, "coder": coder})
+
+
 def sweep(
     s: Scenario,
     n_range,
@@ -558,23 +544,9 @@ def sweep(
     for n, seed in sorted(itertools.product((int(x) for x in n_range), (int(x) for x in seeds))):
         cell = SweepCell(scenario=s.name, n=n, seed=seed, coder=coder, eve=eve)
         try:
-            sn = s.with_n(n)
-            if coder == "repetition":
-                book = repetition_codebook(sn.key_count, n)
-            elif coder == "random":
-                book = sample_codebook(sn.key_count, n, sn.ensemble.size, seed)
-            else:
-                raise ValidationError("coder", f"unknown coder {coder!r}")
             sub_seed = int(np.random.SeedSequence((cfg.seed, n, seed)).generate_state(1)[0])
             sub_cfg = dataclasses.replace(cfg, seed=sub_seed)
-            mb = bob_decoder(sn, book)
-            if eve == "default":
-                me = eve_default_strategy(sn, book)
-            elif eve == "optimized":
-                me = eve_optimize(sn, book, sub_cfg)
-            else:
-                raise ValidationError("eve", f"unknown adversary choice {eve!r}")
-            cell.report = evaluate(sn, book, mb, me, metadata={"seed": seed, "coder": coder})
+            cell.report = run_cell(s.with_n(n), coder, seed, eve, sub_cfg)
         except (ValidationError, BudgetExceeded, DimensionMismatch) as exc:
             cell.error = str(exc)
         cells.append(cell)

@@ -266,6 +266,27 @@ class TestSweepCommand:
         assert code == 0
         assert out.read_text().strip() == "scenario,n,seed,coder,eve,p_agree,bob_info,eve_info,flags"
 
+    @pytest.mark.parametrize("flag", ["--n-range", "--seeds"])
+    def test_non_integer_range_exits_1(self, flag, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        code = main(["sweep", "paper-example", flag, "abc", "--restarts", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, invariant",
+        [(["--restarts", "-3"], "restarts"), (["--tol", "nan"], "tolerance")],
+    )
+    def test_invalid_optimizer_config_exits_1(self, extra, invariant, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        code = main(["sweep", "paper-example", "--n-range", "1", "--seeds", "0",
+                     "--out", str(out)] + extra)
+        assert code == 1
+        assert invariant in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_failure_markers_and_exit_2(self, tmp_path, capsys):
         out = tmp_path / "partial.csv"
         code = main(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.channels import CqEnsemble, identity_channel
 from qkdsim.errors import DimensionMismatch, ValidationError
@@ -35,6 +37,28 @@ def qubit_pair_ensemble(s, prior=(0.5, 0.5)):
 
 def bsc(eps):
     return ClassicalChannel([[1 - eps, eps], [eps, 1 - eps]])
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "kwargs, invariant",
+        [
+            ({"restarts": -3}, "restarts"),
+            ({"max_iters": 0}, "max-iters"),
+            ({"tol": float("nan")}, "tolerance"),
+            ({"tol": float("inf")}, "tolerance"),
+            ({"margin": float("nan")}, "margin"),
+            ({"margin": float("-inf")}, "margin"),
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs, invariant):
+        with pytest.raises(ValidationError) as err:
+            OptimizerConfig(**kwargs)
+        assert err.value.invariant == invariant
+
+    def test_boundary_values_accepted(self):
+        cfg = OptimizerConfig(restarts=0, max_iters=1, margin=0.0)
+        assert (cfg.restarts, cfg.max_iters) == (0, 1)
 
 
 class TestShannonQuantities:
@@ -149,6 +173,23 @@ class TestAccessibleInformation:
             e = CqEnsemble([0.5, 0.5], (random_pure(rng, 2), random_pure(rng, 2)))
             res = accessible_information(e, cfg)
             assert res.value <= holevo_chi(e) + 1e-6
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4),
+        p0=st.floats(0.05, 0.95),
+    )
+    def test_holevo_bound_and_witness_property(self, angles, p0):
+        t0, f0, t1, f1 = angles
+        states = tuple(
+            pure_state([math.cos(t / 2), np.exp(1j * f) * math.sin(t / 2)])
+            for t, f in ((t0, f0), (t1, f1))
+        )
+        e = CqEnsemble([p0, 1.0 - p0], states)
+        res = accessible_information(e, OptimizerConfig(restarts=1, seed=0))
+        assert res.value <= holevo_chi(e) + 1e-9
+        replay = mutual_information(e.prior, induced_channel(res.povm, e))
+        assert replay == pytest.approx(res.value, abs=1e-9)
 
 
 class TestC1:

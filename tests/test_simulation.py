@@ -27,6 +27,7 @@ from qkdsim.simulation import (
     eve_optimize,
     evaluate,
     repetition_codebook,
+    run_cell,
     sample_codebook,
     sweep,
 )
@@ -431,6 +432,20 @@ class TestSweep:
                 assert gap == pytest.approx(0.0, abs=1e-9)
             else:
                 assert gap > 0.01
+
+    def test_run_cell_matches_explicit_pipeline(self):
+        sc = paper_example(0.5).with_n(2)
+        book = sample_codebook(2, 2, 2, 5)
+        me = eve_optimize(sc, book, CFG)
+        direct = evaluate(sc, book, bob_decoder(sc, book), me)
+        report = run_cell(sc, "random", 5, "optimized", CFG)
+        assert np.array_equal(report.joint, direct.joint)
+        assert report.metadata["codebook"] == [list(w.letters) for w in book.words]
+
+    @pytest.mark.parametrize("coder, eve", [("gray", "default"), ("random", "oracle")])
+    def test_run_cell_rejects_unknown_choices(self, coder, eve):
+        with pytest.raises(ValidationError):
+            run_cell(paper_example(0.5), coder, 0, eve, CFG)
 
     def test_empty_seed_list(self):
         sc = paper_example(0.5)
