@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .states import DensityOperator, TensorFactorization, tensor
+from .states import DensityOperator, TensorFactorization, require_finite, tensor
 
 DEFAULT_DIM_BUDGET = 2**12
 TRACE_PRESERVATION_ATOL = 1e-9
@@ -48,6 +48,7 @@ class QuantumChannel:
         out_dim, in_dim = ops[0].shape
         if any(k.shape != (out_dim, in_dim) for k in ops):
             raise ValidationError("kraus", "Kraus operators must share one shape")
+        require_finite(np.stack(ops), "kraus")
         gram = sum(k.conj().T @ k for k in ops)
         err = float(np.abs(gram - np.eye(in_dim)).max())
         if err > TRACE_PRESERVATION_ATOL:
@@ -164,6 +165,7 @@ class CqEnsemble:
     def __init__(self, prior, states):
         p = np.asarray(prior, dtype=float).ravel()
         states = tuple(states)
+        require_finite(p, "prior")
         if p.size != len(states) or p.size < 1:
             raise ValidationError(
                 "prior", f"prior length {p.size} != number of states {len(states)}"

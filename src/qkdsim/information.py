@@ -9,15 +9,22 @@ classical condition is the wiretap criterion max_P [I(P,V) - I(P,W)] > 0.
 
 Prior maximization uses an exhaustive grid for binary alphabets (the
 capacity and wiretap searches refine its best point by a bounded scalar
-search) and Blahut-Arimoto style multiplicative ascent otherwise. POVM maximization is a seesaw: structured starts (Helstrom,
-pretty-good measurement) plus random restarts, each refined by quasi-Newton
-ascent over rank-one effect parametrizations with at most dim^2 outcomes.
+search) and Blahut-Arimoto style multiplicative ascent otherwise. POVM
+maximization is a seesaw: structured starts (Helstrom, pretty-good
+measurement) plus random restarts, each refined by quasi-Newton ascent over
+rank-one effect parametrizations with at most dim^2 outcomes.
+
 That ascent, ``_ascend_povm``, is the single one in the package: it serves
 ``accessible_information``, ``c1`` and ``c_k`` here and the adversary's
-per-slot seesaw in ``simulation.eve_optimize``, each caller supplying its
-own objective of the Born table. Every reported value is re-evaluated
-through the exact Born-rule path, so results are achievable by the
-returned witness; optimizers can under- but never over-report.
+per-slot seesaw in ``simulation.eve_optimize``. Each caller supplies its
+objective of the Born table P together with the gradient dI/dP; for the
+mutual information that is p(a) (log2 P(b|a) - log2 P(b)) (``_mi_and_grad``).
+``_povm_objective`` pulls it back exactly through the Born rule and the
+frame normalization u_b = T^(-1/2) w_b (the Daleckii-Krein derivative of
+T^(-1/2) on T's eigenbasis), so L-BFGS-B runs on the analytic gradient.
+Every reported value is re-evaluated through the exact Born-rule path, so
+results are achievable by the returned witness; optimizers can under- but
+never over-report.
 """
 
 from __future__ import annotations
@@ -268,35 +275,77 @@ def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
     return float(max(_entropy_rows(out) - prior @ _entropy_rows(probs), 0.0))
 
 
+def _mi_and_grad(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """I(prior, probs) and its gradient G[a, b] = p(a) (log2 P(b|a) - log2 P(b)).
+
+    The entropy terms' constants cancel, so G needs no normalization of the
+    rows; both logarithms are floored at ``_EIG_LOG_FLOOR``.
+    """
+    log_rows = np.log2(np.clip(probs, _EIG_LOG_FLOOR, None))
+    log_out = np.log2(np.clip(prior @ probs, _EIG_LOG_FLOOR, None))
+    return _mi_from_probs(prior, probs), prior[:, None] * (log_rows - log_out)
+
+
+def _povm_objective(
+    x: np.ndarray, stack: np.ndarray, value_and_grad
+) -> tuple[float, np.ndarray]:
+    """-value(P) and its exact gradient in the packed raw vectors x.
+
+    x holds the real then the imaginary parts of the raw rows w_b. With
+    T = sum_b |w_b><w_b| = V diag(lam) V^dagger, u_b = T^(-1/2) w_b and
+    P[a, b] = <u_b| rho_a |u_b> clipped at 0, the caller's gradient G of
+    value(P) (zero where P was clipped) pulls back through the Born rule to
+    h_b = sum_a G[a, b] rho_a u_b, and through the frame by the
+    Daleckii-Krein derivative of lam^(-1/2), whose divided differences are
+    f1_ij = -1 / (sqrt(lam_i) sqrt(lam_j) (sqrt(lam_i) + sqrt(lam_j))): with
+    C = sum_b |w_b><h_b| and D = V (f1 o V^dagger (C + C^dagger) V) V^dagger,
+    d value / d conj(w_b) = T^(-1/2) h_b + D w_b. A singular frame scores
+    50.0 with a zero gradient.
+    """
+    dim = stack.shape[1]
+    w = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, dim)
+    lam, vecs = np.linalg.eigh(np.einsum("bi,bj->ij", w, w.conj()))
+    if lam.min() < 1e-12:
+        return 50.0, np.zeros_like(x)
+    root = np.sqrt(lam)
+    inv_sqrt = (vecs / root) @ vecs.conj().T
+    u = w @ inv_sqrt.T
+    raw = np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real
+    value, g = value_and_grad(np.clip(raw, 0.0, None))
+    g = np.where(raw < 0.0, 0.0, g)
+    h = np.einsum("ab,aij,bj->bi", g, stack, u)
+    c = w.T @ h.conj()
+    f1 = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+    d = vecs @ (f1 * (vecs.conj().T @ (c + c.conj().T) @ vecs)) @ vecs.conj().T
+    grad = 2.0 * (h @ inv_sqrt.T + w @ d.T)
+    return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+
+
 def _ascend_povm(
-    stack: np.ndarray, w0: np.ndarray, value, max_iters: int
+    stack: np.ndarray, w0: np.ndarray, value_and_grad, max_iters: int
 ) -> tuple[np.ndarray | None, bool]:
-    """Quasi-Newton ascent of value(P) over rank-one POVMs.
+    """Quasi-Newton ascent of value(P) over rank-one POVMs, with exact gradients.
 
     The rows of w0 are raw vectors, one per rank-one piece. They are
     optimized unconstrained and mapped onto a POVM by ``normalize_vectors``;
     P[a, b] = <u_b| rho_a |u_b> for the normalized vectors u_b and the
-    states rho_a in ``stack``. Returns the normalized final vectors (None if
-    their frame is singular) and whether L-BFGS reported success.
+    states rho_a in ``stack``. ``value_and_grad(P)`` returns the value and
+    G[a, b] = d value / d P[a, b]; ``_povm_objective`` pulls G back through
+    the Born rule and the frame normalization, so L-BFGS-B gets the exact
+    gradient with every evaluation. Returns the normalized final vectors
+    (None if their frame is singular) and whether L-BFGS reported success.
     """
-    dim = stack.shape[1]
-
-    def unpack(x: np.ndarray) -> np.ndarray | None:
-        w = x[: x.size // 2] + 1j * x[x.size // 2 :]
-        return normalize_vectors(w.reshape(-1, dim))
-
-    def objective(x: np.ndarray) -> float:
-        u = unpack(x)
-        if u is None:
-            return 50.0
-        probs = np.clip(np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real, 0.0, None)
-        return -value(probs)
-
     x0 = np.concatenate([w0.real.ravel(), w0.imag.ravel()])
     res = sciopt.minimize(
-        objective, x0, method="L-BFGS-B", options={"maxiter": max_iters, "ftol": 1e-12}
+        _povm_objective,
+        x0,
+        args=(stack, value_and_grad),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iters, "ftol": 1e-12},
     )
-    return unpack(res.x), bool(res.success)
+    w = res.x[: res.x.size // 2] + 1j * res.x[res.x.size // 2 :]
+    return normalize_vectors(w.reshape(-1, stack.shape[1])), bool(res.success)
 
 
 def _refine_povm(stack: np.ndarray, prior: np.ndarray, start: Povm) -> tuple[float, Povm, bool]:
@@ -304,7 +353,7 @@ def _refine_povm(stack: np.ndarray, prior: np.ndarray, start: Povm) -> tuple[flo
     rank-one piece; never returns less than the start's value."""
     pieces, _ = _rank1_pieces(start)
     w0 = pieces[pieces.any(axis=1)]
-    u, ok = _ascend_povm(stack, w0, lambda probs: _mi_from_probs(prior, probs), _LBFGS_MAX_ITERS)
+    u, ok = _ascend_povm(stack, w0, lambda probs: _mi_and_grad(prior, probs), _LBFGS_MAX_ITERS)
     best = (_exact_value(prior, start, stack), start, True)
     if u is not None:
         try:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import DEFAULT_DIM_BUDGET, CqEnsemble
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .states import DensityOperator, hermitian_eigensystem
+from .states import DensityOperator, hermitian_eigensystem, require_finite
 
 EFFECT_PSD_ATOL = 1e-10
 COMPLETENESS_ATOL = 1e-9
@@ -47,6 +47,7 @@ class Povm:
         for m in ops:
             if m.ndim != 2 or m.shape != (dim, dim):
                 raise ValidationError("effects", "effects must be square matrices of one size")
+            require_finite(m, "effects")
             herm = float(np.abs(m - m.conj().T).max())
             if herm > EFFECT_PSD_ATOL:
                 raise ValidationError("effect-hermitian", f"max |M - M^dagger| = {herm:.3e}")
@@ -116,6 +117,7 @@ class ClassicalChannel:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValidationError("matrix", f"transition matrix must be 2-D, got shape {m.shape}")
+        require_finite(m, "matrix")
         if m.min() < 0 or m.max() > 1 + 1e-10:
             raise ValidationError("matrix", "transition probabilities must lie in [0, 1]")
         row_err = float(np.abs(m.sum(axis=1) - 1.0).max())

@@ -134,15 +134,33 @@ def _complex_matrix(raw, where: str) -> np.ndarray:
     return np.stack([_complex_list(row, f"{where}[{i}]") for i, row in enumerate(raw)])
 
 
+def _coerce(raw, convert, where: str):
+    """convert(raw), with any type or value failure reported against ``where``."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"{where}: cannot read {raw!r} ({exc})") from None
+
+
+def _float_array(raw) -> np.ndarray:
+    return np.array(raw, dtype=float)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    """Build a scenario from its file form.
+
+    Raw fields are coerced under a guard, so a missing or mistyped field
+    becomes a ``ScenarioFormatError`` naming it; the constructors then check
+    the physics (normalization, completeness, finiteness).
+    """
     if data.get("format") != FORMAT_TAG:
         raise ScenarioFormatError(f"format: expected {FORMAT_TAG!r}, got {data.get('format')!r}")
     for key in ("name", "key_count", "alphabet_size", "states", "channel", "output_dims"):
         if key not in data:
             raise ScenarioFormatError(f"{key}: field missing")
     name = str(data["name"])
-    key_count = int(data["key_count"])
-    size = int(data["alphabet_size"])
+    key_count = _coerce(data["key_count"], int, "key_count")
+    size = _coerce(data["alphabet_size"], int, "alphabet_size")
     states_raw = data["states"]
     states = []
     for a in range(size):
@@ -154,11 +172,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     prior = data.get("prior")
     if prior is None:
         prior = [1.0 / size] * size
-    ensemble = CqEnsemble(prior, tuple(states))
-    out_dims = tuple(int(d) for d in data["output_dims"])
+    ensemble = CqEnsemble(_coerce(prior, _float_array, "prior"), tuple(states))
+    out_dims = _coerce(data["output_dims"], lambda raw: tuple(int(d) for d in raw), "output_dims")
     if len(out_dims) != 2:
         raise ScenarioFormatError("output_dims: expected exactly two output dimensions")
     chan = data["channel"]
+    if not isinstance(chan, dict):
+        raise ScenarioFormatError("channel: expected an object with 'builtin' or 'kraus'")
     if "builtin" in chan:
         if chan["builtin"] != "identity":
             raise ScenarioFormatError(f"channel.builtin: unknown builtin {chan['builtin']!r}")
@@ -166,6 +186,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             out_dims[0] * out_dims[1], out_factorization=TensorFactorization(out_dims)
         )
     elif "kraus" in chan:
+        if not isinstance(chan["kraus"], list):
+            raise ScenarioFormatError("channel.kraus: expected a list of matrices")
         ops = [
             _complex_matrix(k, f"channel.kraus[{i}]") for i, k in enumerate(chan["kraus"])
         ]
@@ -173,11 +195,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     else:
         raise ScenarioFormatError("channel: needs either 'builtin' or 'kraus'")
     classical_pair = None
-    if "classical_pair" in data and data["classical_pair"] is not None:
+    if data.get("classical_pair") is not None:
         cp = data["classical_pair"]
-        classical_pair = (
-            ClassicalChannel(np.array(cp["v"], dtype=float)),
-            ClassicalChannel(np.array(cp["w"], dtype=float)),
+        if not isinstance(cp, dict) or not {"v", "w"} <= cp.keys():
+            raise ScenarioFormatError("classical_pair: expected an object with 'v' and 'w'")
+        classical_pair = tuple(
+            ClassicalChannel(_coerce(cp[key], _float_array, f"classical_pair.{key}"))
+            for key in ("v", "w")
         )
     return Scenario(
         name=name,

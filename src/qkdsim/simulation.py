@@ -37,6 +37,7 @@ from .information import (
     OptimizerConfig,
     _ascend_povm,
     _born_table,
+    _mi_and_grad,
     _mi_from_probs,
     _rank1_pieces,
 )
@@ -317,7 +318,10 @@ def eve_optimize(
 
     Alternates ascent over each slot's POVM (decoder and other slots fixed;
     see ``_refine_slot``) with maximum-likelihood re-derivation of the
-    decoder. ``cfg.restarts`` counts seesaw starts: 0 returns the default
+    decoder. With those fixed, the key channel is linear in the slot's
+    table, P(K_E | K_A = k) = B[k] @ table_i[:, a_i(k)] (``_slot_map``), so
+    each slot ascent runs on the exact gradient of the adversary's
+    information. ``cfg.restarts`` counts seesaw starts: 0 returns the default
     strategy untouched, start 0 refines the default and further starts are
     random per-slot POVMs. The best strategy by adversary information is
     returned, so the result never falls below the default. ``eve_outcomes``
@@ -376,6 +380,52 @@ def eve_optimize(
     return EveStrategy(slots, decoder, descriptor=descriptor)
 
 
+def _slot_map(
+    tables: list[np.ndarray], i: int, c: Codebook, decoder_idx: np.ndarray, key_count: int
+) -> np.ndarray:
+    """B[k, e, o] with P(K_E = e | K_A = k) = sum_o B[k, e, o] table_i[o, a_i(k)].
+
+    With the other slots and the decoder fixed the key channel is linear in
+    slot i's table; column o of B is the key channel with slot i's outcome
+    fixed to o, enumerated by ``_eve_key_channel`` on a unit table.
+    """
+    tabs = list(tables)
+    cols = []
+    for o in range(tables[i].shape[0]):
+        unit = np.zeros_like(tables[i])
+        unit[o] = 1.0
+        tabs[i] = unit
+        cols.append(_eve_key_channel(tabs, c, decoder_idx, key_count))
+    return np.stack(cols, axis=-1)
+
+
+def _slot_value_and_grad(
+    tables: list[np.ndarray],
+    i: int,
+    c: Codebook,
+    decoder_idx: np.ndarray,
+    key_count: int,
+    groups: np.ndarray,
+):
+    """The adversary's information as a function of slot i's piece table.
+
+    Returns value_and_grad(P) for ``_ascend_povm``: P[a, r] is the Born
+    probability of rank-one piece r on letter a, and piece r belongs to
+    outcome groups[r]. The key channel is chan[k] = B[k] @ table_i[:, a_i(k)]
+    with B from ``_slot_map``, so value and gradient take one einsum each
+    around ``_mi_and_grad``.
+    """
+    b = _slot_map(tables, i, c, decoder_idx, key_count)[:, :, groups]
+    letters = np.eye(tables[i].shape[1])[[w.letters[i] for w in c.words]]
+    prior = np.full(key_count, 1.0 / key_count)
+
+    def value_and_grad(probs: np.ndarray) -> tuple[float, np.ndarray]:
+        value, g = _mi_and_grad(prior, np.einsum("ker,ka,ar->ke", b, letters, probs))
+        return value, np.einsum("ke,ker,ka->ar", g, b, letters)
+
+    return value_and_grad
+
+
 def _refine_slot(
     slot_povms: list[Povm],
     i: int,
@@ -391,8 +441,12 @@ def _refine_slot(
     adversary's information with slot i's table replaced. The slot's outcome
     count must not change (the decoder is defined on the current outcome
     tuples), so the ascent runs over rank-one pieces whose probabilities are
-    summed back into the slot's outcomes. Never returns less than the
-    current value.
+    summed back into the slot's outcomes. The key channel is linear in that
+    table through the map B of ``_slot_map``, built once per call, which
+    gives the ascent the exact value and gradient of every step
+    (``_slot_value_and_grad``). The start and the accepted end are scored
+    by the exact tuple enumeration of ``_strategy_info``. Never returns less
+    than the current value.
     """
     povm_i = slot_povms[i]
     w0, groups = _rank1_pieces(povm_i)
@@ -402,12 +456,8 @@ def _refine_slot(
         tabs[i] = table_i
         return _strategy_info(tabs, c, decoder_idx, key_count)
 
-    def value_of_pieces(probs: np.ndarray) -> float:
-        table = np.zeros((len(povm_i), probs.shape[0]))
-        np.add.at(table, groups, probs.T)
-        return value_with_table(table)
-
-    u, _ = _ascend_povm(eve_states, w0, value_of_pieces, _SLOT_ASCENT_MAX_ITERS)
+    value_and_grad = _slot_value_and_grad(tables, i, c, decoder_idx, key_count, groups)
+    u, _ = _ascend_povm(eve_states, w0, value_and_grad, _SLOT_ASCENT_MAX_ITERS)
     start_val = value_with_table(tables[i])
     if u is None:
         return povm_i, start_val

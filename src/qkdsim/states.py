@@ -27,6 +27,16 @@ NORM_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
 
+def require_finite(values: np.ndarray, field: str) -> None:
+    """Reject NaN and infinite entries, naming the field they came in.
+
+    Every tolerance check in the package reads ``err > tol``, which is false
+    for NaN, so each validated constructor calls this first.
+    """
+    if not np.isfinite(values).all():
+        raise ValidationError(field, "contains a non-finite value (NaN or infinity)")
+
+
 def _as_square_complex(matrix, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -70,6 +80,7 @@ class StateVector:
         v = np.asarray(amplitudes, dtype=complex).ravel()
         if v.size < 1:
             raise ValidationError("shape", "state vector must have at least one amplitude")
+        require_finite(v, "amplitudes")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValidationError("normalized", f"state vector norm is {norm!r}, expected 1")
@@ -100,6 +111,7 @@ class DensityOperator:
 
     def __init__(self, matrix):
         m = _as_square_complex(matrix, "density operator")
+        require_finite(m, "matrix")
         herm_err = float(np.abs(m - m.conj().T).max())
         if herm_err > HERMITICITY_ATOL:
             raise ValidationError("hermitian", f"max |M - M^dagger| = {herm_err:.3e}")

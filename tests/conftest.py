@@ -35,3 +35,8 @@ def binary_entropy(p):
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+
+
+def central_differences(f, x, h=1e-6):
+    """Gradient of a scalar function of a real vector by central differences."""
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(x.size)])

@@ -44,6 +44,11 @@ class TestValidationAndApply:
         with pytest.raises(ValidationError, match="trace-preserving"):
             QuantumChannel([np.eye(2) * 0.5])
 
+    def test_non_finite_kraus_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            QuantumChannel([np.array([[1.0, 0.0], [0.0, float("nan")]])])
+        assert err.value.invariant == "kraus"
+
     def test_identity_channel(self, rng):
         rho = random_density(rng, 3)
         out = apply(identity_channel(3), rho)
@@ -155,6 +160,11 @@ class TestEnsembles:
         states = (pure_state([1, 0]), pure_state([0, 1]))
         with pytest.raises(ValidationError, match="prior"):
             CqEnsemble([0.6, 0.6], states)
+
+    def test_non_finite_prior_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            CqEnsemble([float("nan"), 1.0], (pure_state([1, 0]), pure_state([0, 1])))
+        assert err.value.invariant == "prior"
 
     def test_encode_single_letter(self):
         e = CqEnsemble([0.5, 0.5], (pure_state([1, 0]), pure_state([0, 1])))

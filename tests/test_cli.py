@@ -9,6 +9,7 @@ from qkdsim.cli import main
 from qkdsim.information import ConditionReport
 from qkdsim.scenarios import (
     ScenarioFormatError,
+    bsc_pair,
     load_scenario,
     paper_example,
     save_scenario,
@@ -117,6 +118,52 @@ class TestScenarioIO:
                     "output_dims": [2, 2],
                 }
             )
+
+    def test_classical_pair_without_w_names_field(self):
+        data = scenario_to_dict(bsc_pair(0.1, 0.3))
+        del data["classical_pair"]["w"]
+        with pytest.raises(ScenarioFormatError, match="classical_pair"):
+            scenario_from_dict(data)
+
+    def test_non_numeric_prior_names_field(self):
+        data = scenario_to_dict(paper_example(0.5))
+        data["prior"] = ["a", "b"]
+        with pytest.raises(ScenarioFormatError, match="prior"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("key_count", "two"),
+            ("output_dims", 4),
+            ("channel", [1]),
+            ("channel", {"kraus": 5}),
+            ("classical_pair", [1]),
+        ],
+    )
+    def test_mistyped_field_names_field(self, field, value):
+        data = scenario_to_dict(paper_example(0.5))
+        data[field] = value
+        with pytest.raises(ScenarioFormatError, match=field):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d["states"]["0"][0].__setitem__(0, float("nan")), "amplitudes"),
+            (lambda d: d["classical_pair"].pop("w"), "classical_pair"),
+            (lambda d: d.__setitem__("prior", ["a", "b"]), "prior"),
+        ],
+        ids=["nan-amplitude", "no-w", "text-prior"],
+    )
+    def test_malformed_file_exits_1_without_traceback(self, corrupt, message, tmp_path, capsys):
+        data = scenario_to_dict(bsc_pair(0.1, 0.3))
+        corrupt(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--restarts", "1"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import information
 from qkdsim.channels import CqEnsemble, identity_channel
 from qkdsim.errors import DimensionMismatch, ValidationError
 from qkdsim.information import (
     OptimizerConfig,
+    _mi_and_grad,
+    _povm_objective,
     accessible_information,
     c1,
     c_k,
@@ -19,11 +22,18 @@ from qkdsim.information import (
     quantum_condition,
     shannon_entropy,
 )
-from qkdsim.measurements import ClassicalChannel, coarse_grain, induced_channel, random_rank1_povm
+from qkdsim.measurements import (
+    ClassicalChannel,
+    Povm,
+    coarse_grain,
+    induced_channel,
+    normalize_vectors,
+    random_rank1_povm,
+)
 from qkdsim.scenarios import paper_example
 from qkdsim.states import pure_state
 
-from conftest import random_pure
+from conftest import central_differences, random_pure
 from oracles import binary_entropy, grid_c1_qubit, pure_pair_c1, pure_pair_capacity
 
 CFG = OptimizerConfig(restarts=2, seed=7)
@@ -190,6 +200,53 @@ class TestAccessibleInformation:
         assert res.value <= holevo_chi(e) + 1e-9
         replay = mutual_information(e.prior, induced_channel(res.povm, e))
         assert replay == pytest.approx(res.value, abs=1e-9)
+
+
+class TestAscentGradient:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mi_objective_matches_central_differences(self, rng, dim):
+        e = CqEnsemble(rng.dirichlet(np.ones(3)), tuple(random_pure(rng, dim) for _ in range(3)))
+        stack = np.stack([s.matrix for s in e.states])
+        w = rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim))
+        x = np.concatenate([w.real.ravel(), w.imag.ravel()])
+
+        def vg(probs):
+            return _mi_and_grad(e.prior, probs)
+
+        value, grad = _povm_objective(x, stack, vg)
+        fd = central_differences(lambda y: _povm_objective(y, stack, vg)[0], x)
+        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+        povm = Povm([np.outer(v, v.conj()) for v in normalize_vectors(w)])
+        replay = mutual_information(e.prior, induced_channel(povm, e))
+        assert -value == pytest.approx(replay, abs=1e-12)
+
+    def test_singular_frame_scores_fifty_with_zero_gradient(self):
+        stack = np.stack([s.matrix for s in qubit_pair_ensemble(0.5).states])
+        w = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], dtype=complex)
+        x = np.concatenate([w.real.ravel(), w.imag.ravel()])
+        value, grad = _povm_objective(x, stack, lambda p: _mi_and_grad(np.full(2, 0.5), p))
+        assert value == 50.0
+        np.testing.assert_array_equal(grad, np.zeros_like(x))
+
+    def test_few_objective_calls_per_iteration(self, monkeypatch):
+        calls = {"objective": 0, "nit": 0}
+        objective = information._povm_objective
+        minimize = information.sciopt.minimize
+
+        def counted_objective(*args):
+            calls["objective"] += 1
+            return objective(*args)
+
+        def counted_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            calls["nit"] += res.nit
+            return res
+
+        monkeypatch.setattr(information, "_povm_objective", counted_objective)
+        monkeypatch.setattr(information.sciopt, "minimize", counted_minimize)
+        accessible_information(qubit_pair_ensemble(0.4), OptimizerConfig(restarts=1, seed=0))
+        assert calls["nit"] > 0
+        assert calls["objective"] <= 3 * calls["nit"]
 
 
 class TestC1:

@@ -50,6 +50,11 @@ class TestPovmValidation:
         with pytest.raises(ValidationError, match="effect-hermitian"):
             Povm([np.array([[0.5, 1j], [0, 0.5]]), np.array([[0.5, 0], [0, 0.5]])])
 
+    def test_non_finite_effect_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            Povm([np.diag([1.0, float("nan")]), np.diag([0.0, 1.0])])
+        assert err.value.invariant == "effects"
+
     def test_random_rank1_is_valid(self, rng):
         for dim, m in [(2, 4), (3, 9), (4, 16)]:
             povm = random_rank1_povm(dim, m, rng)
@@ -256,6 +261,11 @@ class TestClassicalChannel:
     def test_row_stochastic_validation(self):
         with pytest.raises(ValidationError, match="row-stochastic"):
             ClassicalChannel([[0.5, 0.4], [0.5, 0.5]])
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            ClassicalChannel([[float("nan"), 0.5], [0.5, 0.5]])
+        assert err.value.invariant == "matrix"
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValidationError, match="matrix"):

@@ -7,7 +7,13 @@ import pytest
 
 from qkdsim.channels import CqEnsemble, QuantumChannel
 from qkdsim.errors import ValidationError
-from qkdsim.information import OptimizerConfig, c1
+from qkdsim.information import (
+    OptimizerConfig,
+    _mi_from_probs,
+    _povm_objective,
+    _rank1_pieces,
+    c1,
+)
 from qkdsim.measurements import (
     FactorizedPovm,
     Povm,
@@ -30,9 +36,16 @@ from qkdsim.simulation import (
     run_cell,
     sample_codebook,
     sweep,
+    _decoder_index_array,
+    _eve_slot_states,
+    _slot_channels,
+    _slot_map,
+    _slot_value_and_grad,
+    _strategy_info,
 )
 from qkdsim.states import TensorFactorization, permute_factors, pure_state
 
+from conftest import central_differences
 from oracles import binary_entropy, block_success, helstrom_crossover, majority_error
 
 CFG = OptimizerConfig(restarts=2, seed=5)
@@ -223,6 +236,45 @@ class TestEveStrategies:
         assert all(len(p) == 2 for p in opt.slots.slots)
         rep = evaluate(sc, book, mb, opt)
         assert rep.eve_info >= base.eve_info - 1e-9
+
+
+def random_slot_setup(seed, i=1):
+    """A random n=3 factorized attack on paper_example with a random decoder."""
+    rng = np.random.default_rng(seed)
+    sc = paper_example(0.5).with_n(3)
+    book = sample_codebook(2, 3, 2, seed=3)
+    slots = FactorizedPovm([random_rank1_povm(2, 4, rng) for _ in range(3)])
+    states = _eve_slot_states(sc)
+    tables = _slot_channels(slots, states)
+    decoder = {t: int(rng.integers(0, 2)) for t in slots.outcome_tuples()}
+    idx = _decoder_index_array(slots, decoder, 2)
+    return rng, book, slots, states, tables, idx
+
+
+class TestSlotObjective:
+    def test_linear_map_reproduces_strategy_info(self):
+        rng, book, slots, states, tables, idx = random_slot_setup(0)
+        for i in range(3):
+            b = _slot_map(tables, i, book, idx, 2)
+            letters = [w.letters[i] for w in book.words]
+            for _ in range(3):
+                table = rng.dirichlet(np.ones(4), size=2).T
+                tabs = list(tables)
+                tabs[i] = table
+                chan = np.einsum("keo,ok->ke", b, table[:, letters])
+                assert _mi_from_probs(np.full(2, 0.5), chan) == pytest.approx(
+                    _strategy_info(tabs, book, idx, 2), abs=1e-12
+                )
+
+    def test_slot_objective_matches_central_differences(self):
+        rng, book, slots, states, tables, idx = random_slot_setup(1)
+        i = 1
+        w0, groups = _rank1_pieces(slots.slots[i])
+        vg = _slot_value_and_grad(tables, i, book, idx, 2, groups)
+        x = np.concatenate([w0.real.ravel(), w0.imag.ravel()]) + 0.1 * rng.normal(size=2 * w0.size)
+        _, grad = _povm_objective(x, states, vg)
+        fd = central_differences(lambda y: _povm_objective(y, states, vg)[0], x)
+        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
 
 def dense_joint(sc, book, mb, me):

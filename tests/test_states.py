@@ -40,6 +40,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match="normalized"):
             StateVector([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValidationError) as err:
+            StateVector([bad, 0.0])
+        assert err.value.invariant == "amplitudes"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValidationError) as err:
+            DensityOperator([[1.0, bad], [bad, 0.0]])
+        assert err.value.invariant == "matrix"
+
     def test_matrix_is_frozen(self):
         rho = pure_state([1, 0])
         with pytest.raises(ValueError):
