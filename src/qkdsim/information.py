@@ -9,7 +9,9 @@ classical condition is the wiretap criterion max_P [I(P,V) - I(P,W)] > 0.
 
 Prior maximization uses an exhaustive grid for binary alphabets (the
 capacity and wiretap searches refine its best point by a bounded scalar
-search) and Blahut-Arimoto style multiplicative ascent otherwise. POVM
+search) and Blahut-Arimoto multiplicative ascent otherwise; the Holevo and
+the classical channel capacity supply their own divergences to one loop,
+``_blahut_arimoto``. POVM
 maximization is a seesaw: structured starts (Helstrom, pretty-good
 measurement) plus random restarts, each refined by quasi-Newton ascent over
 rank-one effect parametrizations with at most dim^2 outcomes.
@@ -191,26 +193,34 @@ def _log2_psd(matrix: np.ndarray) -> np.ndarray:
     return (vecs * logs) @ vecs.conj().T
 
 
-def _quantum_ba(stack: np.ndarray, p0: np.ndarray, tol: float) -> tuple[np.ndarray, float, bool]:
-    """Multiplicative ascent of chi over the prior simplex.
+def _blahut_arimoto(divergences, p0: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    """Multiplicative ascent of a capacity over the prior simplex.
 
-    Uses the duality gap max_a D(rho_a || rho_bar) - chi as the stopping
-    rule, which brackets the capacity at every iteration.
+    ``divergences(p)`` returns D_a = D(letter a's output || average output)
+    at prior p. Stops when the duality gap max_a D_a - p @ D, which
+    brackets the capacity at every iteration, is within ``tol``; returns
+    the prior and whether that happened within the iteration cap.
     """
-    logs = np.stack([_log2_psd(m) for m in stack])
-    self_terms = np.einsum("aij,aji->a", stack, logs).real
     p = p0.copy()
-    converged = False
     for _ in range(_BA_MAX_ITERS):
-        avg = np.tensordot(p, stack, axes=1)
-        log_avg = _log2_psd(avg)
-        div = self_terms - np.einsum("aij,ji->a", stack, log_avg).real
-        val = float(p @ div)
-        if float(div.max()) - val <= tol:
-            converged = True
-            break
+        div = divergences(p)
+        if float(div.max()) - float(p @ div) <= tol:
+            return p, True
         p = p * np.exp2(div - div.max())
         p = p / p.sum()
+    return p, False
+
+
+def _quantum_ba(stack: np.ndarray, p0: np.ndarray, tol: float) -> tuple[np.ndarray, float, bool]:
+    """Blahut-Arimoto ascent of chi, with D_a = D(rho_a || rho_bar)."""
+    logs = np.stack([_log2_psd(m) for m in stack])
+    self_terms = np.einsum("aij,aji->a", stack, logs).real
+
+    def divergences(p):
+        log_avg = _log2_psd(np.tensordot(p, stack, axes=1))
+        return self_terms - np.einsum("aij,ji->a", stack, log_avg).real
+
+    p, converged = _blahut_arimoto(divergences, p0, tol)
     return p, _chi_of_prior(p, stack), converged
 
 
@@ -422,21 +432,14 @@ def _best_prior_for_channel(
         vals = _mi_curve(ps, rows)
         i = int(np.argmax(vals))
         return np.array([ps[i], 1.0 - ps[i]]), float(vals[i]), True
-    # Blahut-Arimoto with the standard duality-gap stopping rule.
-    p = np.full(k, 1.0 / k)
-    converged = False
     with np.errstate(divide="ignore", invalid="ignore"):
         log_rows = np.where(rows > 0, np.log2(np.where(rows > 0, rows, 1.0)), 0.0)
-    for _ in range(_BA_MAX_ITERS):
-        out = p @ rows
-        log_out = np.log2(np.clip(out, _EIG_LOG_FLOOR, None))
-        div = (rows * (log_rows - log_out)).sum(axis=1)
-        val = float(p @ div)
-        if float(div.max()) - val <= cfg.tol:
-            converged = True
-            break
-        p = p * np.exp2(div - div.max())
-        p = p / p.sum()
+
+    def divergences(p):
+        log_out = np.log2(np.clip(p @ rows, _EIG_LOG_FLOOR, None))
+        return (rows * (log_rows - log_out)).sum(axis=1)
+
+    p, converged = _blahut_arimoto(divergences, np.full(k, 1.0 / k), cfg.tol)
     out = p @ rows
     value = float(max(_entropy_rows(out) - p @ _entropy_rows(rows), 0.0))
     return p, value, converged

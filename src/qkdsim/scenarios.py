@@ -168,7 +168,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         if entry is None:
             raise ScenarioFormatError(f"states: state for letter {a} missing")
         amps = _complex_list(entry, f"states[{a}]")
-        states.append(pure_state(amps))
+        try:
+            states.append(pure_state(amps))
+        except ValidationError as exc:
+            raise ScenarioFormatError(f"states[{a}]: {exc}") from None
     prior = data.get("prior")
     if prior is None:
         prior = [1.0 / size] * size

@@ -244,34 +244,26 @@ def _slot_channels(slots: FactorizedPovm, eve_states: np.ndarray) -> list[np.nda
     return [_born_table(np.stack(povm.effects), eve_states).T for povm in slots.slots]
 
 
-def _tuple_probs(tables: list[np.ndarray], word: Codeword) -> np.ndarray:
-    """P(outcome tuple | codeword), flattened in lexicographic order."""
-    cols = [t[:, a] for t, a in zip(tables, word.letters)]
-    return reduce(np.multiply.outer, cols).ravel()
+def _likelihoods(tables: list[np.ndarray], c: Codebook) -> np.ndarray:
+    """P(outcome tuple | codeword), shape (K, M), tuples in lexicographic order."""
+    cols = [[t[:, a] for t, a in zip(tables, w.letters)] for w in c.words]
+    return np.stack([reduce(np.multiply.outer, col).ravel() for col in cols])
 
 
-def _ml_decoder(
-    tables: list[np.ndarray], c: Codebook, slots: FactorizedPovm
-) -> dict[tuple, int]:
-    """Maximum-likelihood decoding of outcome tuples to keys (lowest index wins).
+def _ml_decoder(lik: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood key of every outcome tuple (lowest index wins).
 
     Likelihoods within a relative 1e-9 of the largest count as tied, so ties
     that hold in exact arithmetic are not decided by rounding.
     """
-    per_key = np.stack([_tuple_probs(tables, w) for w in c.words])
-    best = np.argmax(per_key >= per_key.max(axis=0) * (1 - 1e-9), axis=0)
-    return {combo: int(k) for combo, k in zip(slots.outcome_tuples(), best)}
+    return np.argmax(lik >= lik.max(axis=0) * (1 - 1e-9), axis=0)
 
 
-def _eve_key_channel(
-    tables: list[np.ndarray], c: Codebook, decoder_idx: np.ndarray, key_count: int
-) -> np.ndarray:
-    """P(K_E | K_A) for a factorized strategy, via exact tuple enumeration."""
-    rows = []
-    for w in c.words:
-        flat = _tuple_probs(tables, w)
-        rows.append(np.bincount(decoder_idx, weights=flat, minlength=key_count))
-    return np.stack(rows)
+def _key_info(lik: np.ndarray, decoder_idx: np.ndarray) -> float:
+    """I(K_A; K_E) in bits for likelihoods ``lik`` and decoder keys ``decoder_idx``."""
+    k = lik.shape[0]
+    chan = np.stack([np.bincount(decoder_idx, weights=row, minlength=k) for row in lik])
+    return _mi_from_probs(np.full(k, 1.0 / k), chan)
 
 
 def _decoder_index_array(slots: FactorizedPovm, decoder: dict, key_count: int) -> np.ndarray:
@@ -298,22 +290,12 @@ def eve_default_strategy(s: Scenario, c: Codebook) -> EveStrategy:
         slot = pretty_good_measurement(ee.states, ee.prior)
         label = "pgm"
     slots = FactorizedPovm([slot] * s.n)
-    tables = _slot_channels(slots, _eve_slot_states(s))
-    decoder = _ml_decoder(tables, c, slots)
+    idx = _ml_decoder(_likelihoods(_slot_channels(slots, _eve_slot_states(s)), c))
+    decoder = dict(zip(slots.outcome_tuples(), idx.tolist()))
     return EveStrategy(slots, decoder, descriptor=f"default({label}+ml)")
 
 
-def _strategy_info(
-    tables: list[np.ndarray], c: Codebook, decoder_idx: np.ndarray, key_count: int
-) -> float:
-    chan = _eve_key_channel(tables, c, decoder_idx, key_count)
-    prior = np.full(key_count, 1.0 / key_count)
-    return _mi_from_probs(prior, chan)
-
-
-def eve_optimize(
-    s: Scenario, c: Codebook, cfg: OptimizerConfig, eve_outcomes: int | None = None
-) -> EveStrategy:
+def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
     """Best factorized attack found by a per-slot seesaw.
 
     Alternates ascent over each slot's POVM (decoder and other slots fixed;
@@ -323,80 +305,77 @@ def eve_optimize(
     each slot ascent runs on the exact gradient of the adversary's
     information. ``cfg.restarts`` counts seesaw starts: 0 returns the default
     strategy untouched, start 0 refines the default and further starts are
-    random per-slot POVMs. The best strategy by adversary information is
-    returned, so the result never falls below the default. ``eve_outcomes``
-    sets the per-slot outcome alphabet size for random starts (default
-    dim^2, which suffices for rank-one optima).
+    random rank-one POVMs with d_e^2 outcomes per slot.
+
+    The running value is always the exact information of the current slots
+    and decoder: a slot is accepted only when its exactly scored value beats
+    the running one by more than ``cfg.tol``, and the maximum-likelihood
+    decoder is adopted unless it lowers the value by more than ``cfg.tol``
+    (with the slots fixed it usually raises it, but a decoder that is ML for
+    the likelihoods need not maximize the mutual information). The best
+    (value, slots, decoder) seen is returned, so the result never falls
+    below the default and its information is the value recorded for it.
     """
     default = eve_default_strategy(s, c)
     if cfg.restarts == 0:
         return default
     eve_states = _eve_slot_states(s)
-    key_count = len(c)
     d_e = s.dim_e
-    n_out = eve_outcomes if eve_outcomes is not None else d_e * d_e
-
-    def ml_step(slots: FactorizedPovm, tables: list[np.ndarray]):
-        decoder = _ml_decoder(tables, c, slots)
-        idx = _decoder_index_array(slots, decoder, key_count)
-        return decoder, idx, _strategy_info(tables, c, idx, key_count)
-
-    tables = _slot_channels(default.slots, eve_states)
-    idx = _decoder_index_array(default.slots, default.decoder, key_count)
-    best = (_strategy_info(tables, c, idx, key_count), default.slots, default.decoder)
+    best = None
     rng = np.random.default_rng(cfg.seed)
     for restart in range(cfg.restarts):
         if restart == 0:
             slot_povms = list(default.slots.slots)
         else:
-            slot_povms = [random_rank1_povm(d_e, n_out, rng) for _ in range(s.n)]
-        slots = FactorizedPovm(slot_povms)
-        tables = _slot_channels(slots, eve_states)
-        decoder, idx, val = ml_step(slots, tables)
-        if val > best[0]:
-            best = (val, slots, dict(decoder))
+            slot_povms = [random_rank1_povm(d_e, d_e * d_e, rng) for _ in range(s.n)]
+        tables = _slot_channels(FactorizedPovm(slot_povms), eve_states)
+        lik = _likelihoods(tables, c)
+        idx = _ml_decoder(lik)
+        val = _key_info(lik, idx)
+        if best is None or val > best[0]:
+            best = (val, FactorizedPovm(slot_povms), idx)
         for _ in range(cfg.max_iters):
             improved = False
             for i in range(s.n):
-                new_povm, new_val = _refine_slot(
-                    slot_povms, i, tables, c, idx, key_count, eve_states
-                )
-                if new_val > val + cfg.tol:
-                    slot_povms[i] = new_povm
-                    tables = _slot_channels(FactorizedPovm(slot_povms), eve_states)
-                    val = new_val
+                step = _refine_slot(slot_povms[i], i, tables, c, idx, eve_states)
+                if step is not None and step[2] > val + cfg.tol:
+                    slot_povms[i], tables[i], val = step
                     improved = True
-            slots = FactorizedPovm(slot_povms)
-            decoder, idx, ml_val = ml_step(slots, tables)
-            if ml_val > val:
-                val = ml_val
-                improved = True
+            lik = _likelihoods(tables, c)
+            ml_idx = _ml_decoder(lik)
+            ml_val = _key_info(lik, ml_idx)
+            if ml_val >= val - cfg.tol:
+                improved = improved or ml_val > val
+                idx, val = ml_idx, ml_val
             if val > best[0]:
-                best = (val, slots, dict(decoder))
+                best = (val, FactorizedPovm(slot_povms), idx)
             if not improved:
                 break
-    _, slots, decoder = best
+    _, slots, idx = best
+    decoder = dict(zip(slots.outcome_tuples(), idx.tolist()))
     descriptor = f"optimized(restarts={cfg.restarts},seed={cfg.seed})"
     return EveStrategy(slots, decoder, descriptor=descriptor)
 
 
 def _slot_map(
-    tables: list[np.ndarray], i: int, c: Codebook, decoder_idx: np.ndarray, key_count: int
+    tables: list[np.ndarray], i: int, c: Codebook, decoder_idx: np.ndarray
 ) -> np.ndarray:
     """B[k, e, o] with P(K_E = e | K_A = k) = sum_o B[k, e, o] table_i[o, a_i(k)].
 
     With the other slots and the decoder fixed the key channel is linear in
-    slot i's table; column o of B is the key channel with slot i's outcome
-    fixed to o, enumerated by ``_eve_key_channel`` on a unit table.
+    slot i's table. The outcome tuples are enumerated once, with slot i's
+    table set to ones, and each tuple's likelihood is binned by its decoder
+    key and its slot-i outcome.
     """
     tabs = list(tables)
-    cols = []
-    for o in range(tables[i].shape[0]):
-        unit = np.zeros_like(tables[i])
-        unit[o] = 1.0
-        tabs[i] = unit
-        cols.append(_eve_key_channel(tabs, c, decoder_idx, key_count))
-    return np.stack(cols, axis=-1)
+    tabs[i] = np.ones_like(tables[i])
+    m = tables[i].shape[0]
+    outcome_i = np.indices([t.shape[0] for t in tables])[i].ravel()
+    bins = decoder_idx * m + outcome_i
+    k = len(c)
+    return np.stack(
+        [np.bincount(bins, weights=row, minlength=k * m) for row in _likelihoods(tabs, c)]
+    ).reshape(k, k, m)
 
 
 def _slot_value_and_grad(
@@ -404,7 +383,6 @@ def _slot_value_and_grad(
     i: int,
     c: Codebook,
     decoder_idx: np.ndarray,
-    key_count: int,
     groups: np.ndarray,
 ):
     """The adversary's information as a function of slot i's piece table.
@@ -415,9 +393,9 @@ def _slot_value_and_grad(
     with B from ``_slot_map``, so value and gradient take one einsum each
     around ``_mi_and_grad``.
     """
-    b = _slot_map(tables, i, c, decoder_idx, key_count)[:, :, groups]
+    b = _slot_map(tables, i, c, decoder_idx)[:, :, groups]
     letters = np.eye(tables[i].shape[1])[[w.letters[i] for w in c.words]]
-    prior = np.full(key_count, 1.0 / key_count)
+    prior = np.full(len(c), 1.0 / len(c))
 
     def value_and_grad(probs: np.ndarray) -> tuple[float, np.ndarray]:
         value, g = _mi_and_grad(prior, np.einsum("ker,ka,ar->ke", b, letters, probs))
@@ -427,14 +405,13 @@ def _slot_value_and_grad(
 
 
 def _refine_slot(
-    slot_povms: list[Povm],
+    povm_i: Povm,
     i: int,
     tables: list[np.ndarray],
     c: Codebook,
     decoder_idx: np.ndarray,
-    key_count: int,
     eve_states: np.ndarray,
-) -> tuple[Povm, float]:
+) -> tuple[Povm, np.ndarray, float] | None:
     """Ascent over slot i's POVM with all other slots and the decoder fixed.
 
     Runs the package's one POVM ascent, ``information._ascend_povm``, on the
@@ -444,23 +421,16 @@ def _refine_slot(
     summed back into the slot's outcomes. The key channel is linear in that
     table through the map B of ``_slot_map``, built once per call, which
     gives the ascent the exact value and gradient of every step
-    (``_slot_value_and_grad``). The start and the accepted end are scored
-    by the exact tuple enumeration of ``_strategy_info``. Never returns less
-    than the current value.
+    (``_slot_value_and_grad``). Returns the new POVM, its table and its
+    information scored by exact tuple enumeration, or None when the ascent
+    yields no valid POVM. The start is not scored: the caller holds its
+    value and keeps the new POVM only if it beats that value.
     """
-    povm_i = slot_povms[i]
     w0, groups = _rank1_pieces(povm_i)
-
-    def value_with_table(table_i: np.ndarray) -> float:
-        tabs = list(tables)
-        tabs[i] = table_i
-        return _strategy_info(tabs, c, decoder_idx, key_count)
-
-    value_and_grad = _slot_value_and_grad(tables, i, c, decoder_idx, key_count, groups)
+    value_and_grad = _slot_value_and_grad(tables, i, c, decoder_idx, groups)
     u, _ = _ascend_povm(eve_states, w0, value_and_grad, _SLOT_ASCENT_MAX_ITERS)
-    start_val = value_with_table(tables[i])
     if u is None:
-        return povm_i, start_val
+        return None
     d_e = eve_states.shape[1]
     effects = [np.zeros((d_e, d_e), dtype=complex) for _ in range(len(povm_i))]
     for g, v in zip(groups, u):
@@ -468,11 +438,11 @@ def _refine_slot(
     try:
         povm = Povm(effects, outcomes=povm_i.outcomes)
     except ValidationError:
-        return povm_i, start_val
-    val = value_with_table(_born_table(np.stack(povm.effects), eve_states).T)
-    if val > start_val:
-        return povm, val
-    return povm_i, start_val
+        return None
+    table = _born_table(np.stack(povm.effects), eve_states).T
+    tabs = list(tables)
+    tabs[i] = table
+    return povm, table, _key_info(_likelihoods(tabs, c), decoder_idx)
 
 
 def _block_law(effects: np.ndarray, slot_ops: list[np.ndarray]) -> np.ndarray:

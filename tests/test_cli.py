@@ -165,6 +165,23 @@ class TestScenarioIO:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "amps, message",
+        [
+            ([[float("nan"), 0.0], [0.0, 0.0]], "states[1]: amplitudes"),
+            ([[0.9, 0.0], [0.0, 0.0]], "states[1]: normalized"),
+        ],
+        ids=["nan", "norm-0.9"],
+    )
+    def test_bad_state_names_letter(self, amps, message, tmp_path, capsys):
+        data = scenario_to_dict(bsc_pair(0.1, 0.3))
+        data["states"]["1"] = amps
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--restarts", "1"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

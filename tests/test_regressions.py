@@ -41,14 +41,22 @@ def test_analyze_bsc_pair_classical_pin(tmp_path):
     assert payload["classical"]["lhs"] == pytest.approx(0.412295305641, abs=ABS)
 
 
-def test_simulate_optimized_pin(tmp_path):
+@pytest.mark.parametrize(
+    "argv, eve_info, p_agree",
+    [
+        (["-n", "2", "--coder", "random", "--restarts", "3", "--seed", "4"], 0.0, 0.5),
+        # The seesaw pool of the benchmark's eve-seesaw workload.
+        (["-n", "3", "--restarts", "2", "--seed", "0"], 0.900789087176, 0.996078370825),
+        (["-n", "3", "--restarts", "2", "--seed", "7"], 0.94477715302, 0.996078370825),
+    ],
+    ids=["n2-random-seed4", "n3-seed0", "n3-seed7"],
+)
+def test_simulate_optimized_pin(tmp_path, argv, eve_info, p_agree):
     payload = _run(
-        tmp_path,
-        ["simulate", "paper-example", "--overlap", "0.5", "-n", "2", "--coder", "random",
-         "--eve", "optimized", "--restarts", "3", "--seed", "4"],
+        tmp_path, ["simulate", "paper-example", "--overlap", "0.5", "--eve", "optimized"] + argv
     )
-    assert payload["eve_info"] == pytest.approx(0.0, abs=ABS)
-    assert payload["p_agree"] == pytest.approx(0.5, abs=ABS)
+    assert payload["eve_info"] == pytest.approx(eve_info, abs=ABS)
+    assert payload["p_agree"] == pytest.approx(p_agree, abs=ABS)
 
 
 def test_seesaw_gain_over_default_pin():

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.channels import CqEnsemble, QuantumChannel
 from qkdsim.errors import ValidationError
@@ -36,17 +39,23 @@ from qkdsim.simulation import (
     run_cell,
     sample_codebook,
     sweep,
-    _decoder_index_array,
     _eve_slot_states,
+    _key_info,
+    _likelihoods,
     _slot_channels,
     _slot_map,
     _slot_value_and_grad,
-    _strategy_info,
 )
 from qkdsim.states import TensorFactorization, permute_factors, pure_state
 
 from conftest import central_differences
-from oracles import binary_entropy, block_success, helstrom_crossover, majority_error
+from oracles import (
+    binary_entropy,
+    block_success,
+    helstrom_crossover,
+    majority_error,
+    pure_pair_c1,
+)
 
 CFG = OptimizerConfig(restarts=2, seed=5)
 
@@ -227,15 +236,41 @@ class TestEveStrategies:
         rep = evaluate(sc, book, bob_decoder(sc, book), opt)
         assert rep.eve_info == pytest.approx(0.0, abs=1e-9)
 
-    def test_optimize_with_custom_outcome_alphabet(self):
-        sc = paper_example(0.5).with_n(2)
-        book = repetition_codebook(2, 2)
+    def test_optimize_returns_the_value_it_records(self):
+        # Here a maximum-likelihood decoder lowers the information of the
+        # slots it is derived for; a seesaw that adopts it anyway keeps
+        # 1.3842888670 bits as its best and returns a strategy worth less.
+        sc = dataclasses.replace(paper_example(0.3), key_count=4).with_n(3)
+        book = sample_codebook(4, 3, 2, 5)
+        opt = eve_optimize(sc, book, OptimizerConfig(restarts=3, seed=5))
+        rep = evaluate(sc, book, bob_decoder(sc, book), opt)
+        assert rep.eve_info >= 1.3842888670
+
+
+class TestSeesawProperties:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        s=st.floats(0.05, 0.95),
+        n=st.sampled_from([1, 2]),
+        k=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_default_optimized_ceiling_and_replay(self, s, n, k, seed):
+        sc = dataclasses.replace(paper_example(s), key_count=k).with_n(n)
+        book = sample_codebook(k, n, 2, seed)
         mb = bob_decoder(sc, book)
-        base = evaluate(sc, book, mb, eve_default_strategy(sc, book))
-        opt = eve_optimize(sc, book, OptimizerConfig(restarts=2, seed=6), eve_outcomes=2)
-        assert all(len(p) == 2 for p in opt.slots.slots)
-        rep = evaluate(sc, book, mb, opt)
-        assert rep.eve_info >= base.eve_info - 1e-9
+        cfg = OptimizerConfig(restarts=1, seed=seed)
+        default = evaluate(sc, book, mb, eve_default_strategy(sc, book)).eve_info
+        opt = eve_optimize(sc, book, cfg)
+        optimized = evaluate(sc, book, mb, opt).eve_info
+        assert default <= optimized + 1e-9
+        assert optimized + 1e-9 <= min(math.log2(k), n * pure_pair_c1(s)) + 1e-6
+        again = eve_optimize(sc, book, cfg)
+        assert again.decoder == opt.decoder
+        for a, b in zip(again.slots.slots, opt.slots.slots):
+            assert a.outcomes == b.outcomes
+            for x, y in zip(a.effects, b.effects):
+                np.testing.assert_array_equal(x, y)
 
 
 def random_slot_setup(seed, i=1):
@@ -246,8 +281,7 @@ def random_slot_setup(seed, i=1):
     slots = FactorizedPovm([random_rank1_povm(2, 4, rng) for _ in range(3)])
     states = _eve_slot_states(sc)
     tables = _slot_channels(slots, states)
-    decoder = {t: int(rng.integers(0, 2)) for t in slots.outcome_tuples()}
-    idx = _decoder_index_array(slots, decoder, 2)
+    idx = np.array([int(rng.integers(0, 2)) for _ in range(4**3)])
     return rng, book, slots, states, tables, idx
 
 
@@ -255,7 +289,16 @@ class TestSlotObjective:
     def test_linear_map_reproduces_strategy_info(self):
         rng, book, slots, states, tables, idx = random_slot_setup(0)
         for i in range(3):
-            b = _slot_map(tables, i, book, idx, 2)
+            b = _slot_map(tables, i, book, idx)
+            # Column o is, bit for bit, the key channel with slot i's
+            # outcome fixed to o.
+            for o in range(4):
+                tabs = list(tables)
+                tabs[i] = np.zeros_like(tables[i])
+                tabs[i][o] = 1.0
+                lik = _likelihoods(tabs, book)
+                chan = np.stack([np.bincount(idx, weights=row, minlength=2) for row in lik])
+                np.testing.assert_array_equal(b[:, :, o], chan)
             letters = [w.letters[i] for w in book.words]
             for _ in range(3):
                 table = rng.dirichlet(np.ones(4), size=2).T
@@ -263,14 +306,14 @@ class TestSlotObjective:
                 tabs[i] = table
                 chan = np.einsum("keo,ok->ke", b, table[:, letters])
                 assert _mi_from_probs(np.full(2, 0.5), chan) == pytest.approx(
-                    _strategy_info(tabs, book, idx, 2), abs=1e-12
+                    _key_info(_likelihoods(tabs, book), idx), abs=1e-12
                 )
 
     def test_slot_objective_matches_central_differences(self):
         rng, book, slots, states, tables, idx = random_slot_setup(1)
         i = 1
         w0, groups = _rank1_pieces(slots.slots[i])
-        vg = _slot_value_and_grad(tables, i, book, idx, 2, groups)
+        vg = _slot_value_and_grad(tables, i, book, idx, groups)
         x = np.concatenate([w0.real.ravel(), w0.imag.ravel()]) + 0.1 * rng.normal(size=2 * w0.size)
         _, grad = _povm_objective(x, states, vg)
         fd = central_differences(lambda y: _povm_objective(y, states, vg)[0], x)
