@@ -11,19 +11,21 @@ Prior maximization uses an exhaustive grid for binary alphabets (the
 capacity and wiretap searches refine its best point by a bounded scalar
 search) and Blahut-Arimoto multiplicative ascent otherwise; the Holevo and
 the classical channel capacity supply their own divergences to one loop,
-``_blahut_arimoto``. POVM
-maximization is a seesaw: structured starts (Helstrom, pretty-good
-measurement) plus random restarts, each refined by quasi-Newton ascent over
-rank-one effect parametrizations with at most dim^2 outcomes.
+``_blahut_arimoto``. POVM maximization is a seesaw: structured starts
+(Helstrom, pretty-good measurement) plus random restarts, each refined by
+quasi-Newton ascent over rank-one effect parametrizations with at most
+dim^2 outcomes.
 
-That ascent, ``_ascend_povm``, is the single one in the package: it serves
-``accessible_information``, ``c1`` and ``c_k`` here and the adversary's
-per-slot seesaw in ``simulation.eve_optimize``. Each caller supplies its
-objective of the Born table P together with the gradient dI/dP; for the
-mutual information that is p(a) (log2 P(b|a) - log2 P(b)) (``_mi_and_grad``).
-``_povm_objective`` pulls it back exactly through the Born rule and the
-frame normalization u_b = T^(-1/2) w_b (the Daleckii-Krein derivative of
-T^(-1/2) on T's eigenbasis), so L-BFGS-B runs on the analytic gradient.
+That ascent, ``_ascend_povm``, is the single one in the package. It runs
+over a list of frames, one per POVM: ``accessible_information``, ``c1`` and
+``c_k`` pass one, and the adversary's seesaw in ``simulation.eve_optimize``
+passes one per slot it ascends, a single slot or all at once. Each caller
+supplies its objective of the Born tables P_f with the gradients dI/dP_f;
+for the mutual information that is p(a) (log2 P(b|a) - log2 P(b))
+(``_mi_and_grad``). ``_povm_objective`` pulls them back exactly through the
+Born rule and each frame's normalization u_b = T^(-1/2) w_b (the
+Daleckii-Krein derivative of T^(-1/2) on T's eigenbasis), so L-BFGS-B runs
+on the analytic gradient.
 Every reported value is re-evaluated through the exact Born-rule path, so
 results are achievable by the returned witness; optimizers can under- but
 never over-report.
@@ -297,65 +299,77 @@ def _mi_and_grad(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarra
 
 
 def _povm_objective(
-    x: np.ndarray, stack: np.ndarray, value_and_grad
+    x: np.ndarray, stack: np.ndarray, value_and_grad, parts: list[slice]
 ) -> tuple[float, np.ndarray]:
-    """-value(P) and its exact gradient in the packed raw vectors x.
+    """-value(P_1, ..., P_F) and its exact gradient in the packed raw vectors x.
 
-    x holds the real then the imaginary parts of the raw rows w_b. With
+    x holds the real then the imaginary parts of the raw rows w_b of every
+    frame in turn; frame f holds the rows parts[f]. Per frame, with
     T = sum_b |w_b><w_b| = V diag(lam) V^dagger, u_b = T^(-1/2) w_b and
-    P[a, b] = <u_b| rho_a |u_b> clipped at 0, the caller's gradient G of
-    value(P) (zero where P was clipped) pulls back through the Born rule to
-    h_b = sum_a G[a, b] rho_a u_b, and through the frame by the
+    P_f[a, b] = <u_b| rho_a |u_b> clipped at 0, the caller's gradient G_f of
+    value (zero where P_f was clipped) pulls back through the Born rule to
+    h_b = sum_a G_f[a, b] rho_a u_b, and through the frame by the
     Daleckii-Krein derivative of lam^(-1/2), whose divided differences are
     f1_ij = -1 / (sqrt(lam_i) sqrt(lam_j) (sqrt(lam_i) + sqrt(lam_j))): with
     C = sum_b |w_b><h_b| and D = V (f1 o V^dagger (C + C^dagger) V) V^dagger,
     d value / d conj(w_b) = T^(-1/2) h_b + D w_b. A singular frame scores
     50.0 with a zero gradient.
     """
-    dim = stack.shape[1]
-    w = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, dim)
-    lam, vecs = np.linalg.eigh(np.einsum("bi,bj->ij", w, w.conj()))
-    if lam.min() < 1e-12:
-        return 50.0, np.zeros_like(x)
-    root = np.sqrt(lam)
-    inv_sqrt = (vecs / root) @ vecs.conj().T
-    u = w @ inv_sqrt.T
-    raw = np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real
-    value, g = value_and_grad(np.clip(raw, 0.0, None))
-    g = np.where(raw < 0.0, 0.0, g)
-    h = np.einsum("ab,aij,bj->bi", g, stack, u)
-    c = w.T @ h.conj()
-    f1 = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
-    d = vecs @ (f1 * (vecs.conj().T @ (c + c.conj().T) @ vecs)) @ vecs.conj().T
-    grad = 2.0 * (h @ inv_sqrt.T + w @ d.T)
+    w_all = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, stack.shape[1])
+    frames = []
+    for w in (w_all[part] for part in parts):
+        lam, vecs = np.linalg.eigh(np.einsum("bi,bj->ij", w, w.conj()))
+        if lam.min() < 1e-12:
+            return 50.0, np.zeros_like(x)
+        root = np.sqrt(lam)
+        inv_sqrt = (vecs / root) @ vecs.conj().T
+        u = w @ inv_sqrt.T
+        raw = np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real
+        frames.append((w, root, vecs, inv_sqrt, u, raw))
+    value, gs = value_and_grad([np.clip(f[-1], 0.0, None) for f in frames])
+    grads = []
+    for (w, root, vecs, inv_sqrt, u, raw), g in zip(frames, gs):
+        h = np.einsum("ab,aij,bj->bi", np.where(raw < 0.0, 0.0, g), stack, u)
+        c = w.T @ h.conj()
+        f1 = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+        d = vecs @ (f1 * (vecs.conj().T @ (c + c.conj().T) @ vecs)) @ vecs.conj().T
+        grads.append(2.0 * (h @ inv_sqrt.T + w @ d.T))
+    grad = np.concatenate(grads)
     return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
 
 
 def _ascend_povm(
-    stack: np.ndarray, w0: np.ndarray, value_and_grad, max_iters: int
-) -> tuple[np.ndarray | None, bool]:
-    """Quasi-Newton ascent of value(P) over rank-one POVMs, with exact gradients.
+    stack: np.ndarray, frames: list[np.ndarray], value_and_grad, max_iters: int, gtol: float = 1e-5
+) -> tuple[list[np.ndarray] | None, bool]:
+    """Quasi-Newton ascent of value(P_1, ..., P_F) over rank-one POVMs.
 
-    The rows of w0 are raw vectors, one per rank-one piece. They are
-    optimized unconstrained and mapped onto a POVM by ``normalize_vectors``;
-    P[a, b] = <u_b| rho_a |u_b> for the normalized vectors u_b and the
-    states rho_a in ``stack``. ``value_and_grad(P)`` returns the value and
-    G[a, b] = d value / d P[a, b]; ``_povm_objective`` pulls G back through
-    the Born rule and the frame normalization, so L-BFGS-B gets the exact
-    gradient with every evaluation. Returns the normalized final vectors
-    (None if their frame is singular) and whether L-BFGS reported success.
+    Each of the F ``frames`` holds one POVM's raw vectors, one row per
+    rank-one piece. All frames are optimized together, unconstrained, and
+    each is mapped onto a POVM by ``normalize_vectors``;
+    P_f[a, b] = <u_b| rho_a |u_b> for frame f's normalized vectors u_b and
+    the states rho_a in ``stack``. ``value_and_grad`` takes the list of
+    tables P_f and returns the value and the gradients
+    G_f[a, b] = d value / d P_f[a, b]; ``_povm_objective`` pulls them back
+    through the Born rule and each frame's normalization, so L-BFGS-B gets
+    the exact gradient with every evaluation; it stops after ``max_iters``
+    iterations or once the projected gradient is at most ``gtol``. Returns
+    the normalized final frames (None if any is singular) and whether L-BFGS
+    reported success.
     """
-    x0 = np.concatenate([w0.real.ravel(), w0.imag.ravel()])
+    stops = itertools.accumulate(len(w) for w in frames)
+    parts = [slice(stop - len(w), stop) for w, stop in zip(frames, stops)]
+    x0 = np.concatenate([w.real.ravel() for w in frames] + [w.imag.ravel() for w in frames])
     res = sciopt.minimize(
         _povm_objective,
         x0,
-        args=(stack, value_and_grad),
+        args=(stack, value_and_grad, parts),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iters, "ftol": 1e-12},
+        options={"maxiter": max_iters, "ftol": 1e-12, "gtol": gtol},
     )
-    w = res.x[: res.x.size // 2] + 1j * res.x[res.x.size // 2 :]
-    return normalize_vectors(w.reshape(-1, stack.shape[1])), bool(res.success)
+    w = (res.x[: res.x.size // 2] + 1j * res.x[res.x.size // 2 :]).reshape(-1, stack.shape[1])
+    us = [normalize_vectors(w[part]) for part in parts]
+    return (None if any(u is None for u in us) else us), bool(res.success)
 
 
 def _refine_povm(stack: np.ndarray, prior: np.ndarray, start: Povm) -> tuple[float, Povm, bool]:
@@ -363,11 +377,16 @@ def _refine_povm(stack: np.ndarray, prior: np.ndarray, start: Povm) -> tuple[flo
     rank-one piece; never returns less than the start's value."""
     pieces, _ = _rank1_pieces(start)
     w0 = pieces[pieces.any(axis=1)]
-    u, ok = _ascend_povm(stack, w0, lambda probs: _mi_and_grad(prior, probs), _LBFGS_MAX_ITERS)
+
+    def value_and_grad(tables):
+        value, g = _mi_and_grad(prior, tables[0])
+        return value, [g]
+
+    us, ok = _ascend_povm(stack, [w0], value_and_grad, _LBFGS_MAX_ITERS)
     best = (_exact_value(prior, start, stack), start, True)
-    if u is not None:
+    if us is not None:
         try:
-            povm = Povm([np.outer(v, v.conj()) for v in u if np.vdot(v, v).real > 1e-14])
+            povm = Povm([np.outer(v, v.conj()) for v in us[0] if np.vdot(v, v).real > 1e-14])
         except ValidationError:
             povm = None
         if povm is not None:

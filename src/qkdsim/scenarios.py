@@ -138,8 +138,14 @@ def _coerce(raw, convert, where: str):
     """convert(raw), with any type or value failure reported against ``where``."""
     try:
         return convert(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"{where}: cannot read {raw!r} ({exc})") from None
+
+
+def _integer(raw) -> int:
+    if int(raw) != raw:
+        raise ValueError("not an integer")
+    return int(raw)
 
 
 def _float_array(raw) -> np.ndarray:
@@ -159,8 +165,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         if key not in data:
             raise ScenarioFormatError(f"{key}: field missing")
     name = str(data["name"])
-    key_count = _coerce(data["key_count"], int, "key_count")
-    size = _coerce(data["alphabet_size"], int, "alphabet_size")
+    key_count = _coerce(data["key_count"], _integer, "key_count")
+    size = _coerce(data["alphabet_size"], _integer, "alphabet_size")
     states_raw = data["states"]
     states = []
     for a in range(size):
@@ -176,7 +182,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if prior is None:
         prior = [1.0 / size] * size
     ensemble = CqEnsemble(_coerce(prior, _float_array, "prior"), tuple(states))
-    out_dims = _coerce(data["output_dims"], lambda raw: tuple(int(d) for d in raw), "output_dims")
+    out_dims = _coerce(data["output_dims"], lambda raw: tuple(map(_integer, raw)), "output_dims")
     if len(out_dims) != 2:
         raise ScenarioFormatError("output_dims: expected exactly two output dimensions")
     chan = data["channel"]

@@ -5,13 +5,15 @@ is encoded and sent through the channel, the receiver measures the whole
 block with a collective POVM (the pretty-good measurement over codeword
 block states) while the adversary measures slot by slot with a factorized
 POVM and post-processes outcomes through a classical decoding function.
-The channel is memoryless, so block states are Kronecker products of
-single-letter states, and the joint law is contracted one slot at a time;
-no operator on the joint receiver/adversary block space is ever built.
-The joint distribution of (K_A, K_B, K_E) is computed exactly by
-enumerating all outcome tuples; there is no Monte Carlo anywhere, so
-agreement probability and adversary information are sharp numbers and runs
-are bit-identical for fixed seeds.
+Its optimized attack comes from a seesaw that alternates per-slot ascents,
+joined by one ascent over all slots once they stall, with the
+maximum-likelihood decoder. The channel is memoryless, so block states
+are Kronecker products of single-letter states, and the joint law is
+contracted one slot at a time; no operator on the joint
+receiver/adversary block space is ever built. The joint law of
+(K_A, K_B, K_E) is computed exactly by enumerating all outcome tuples;
+there is no Monte Carlo anywhere, so agreement probability and adversary
+information are sharp numbers and runs are bit-identical for fixed seeds.
 """
 
 from __future__ import annotations
@@ -50,8 +52,13 @@ from .measurements import (
 )
 from .states import DensityOperator
 
-# Iteration cap of one slot's ascent; C1's ascent in ``information`` uses 300.
+# Iteration cap of the slot ascent per free slot; C1's ascent uses 300.
 _SLOT_ASCENT_MAX_ITERS = 200
+# A seesaw round whose per-slot pass gains less than this many bits has
+# stalled; it adds one joint ascent over all slots, which stops at a
+# projected gradient of _JOINT_GTOL (the per-slot ascents keep L-BFGS-B's 1e-5).
+_STALL_BITS = 1e-4
+_JOINT_GTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -268,10 +275,10 @@ def _key_info(lik: np.ndarray, decoder_idx: np.ndarray) -> float:
 
 def _decoder_index_array(slots: FactorizedPovm, decoder: dict, key_count: int) -> np.ndarray:
     """Decoder keys of the outcome tuples, in lexicographic tuple order."""
-    idx = np.array([decoder[combo] for combo in slots.outcome_tuples()], dtype=int)
-    if idx.min() < 0 or idx.max() >= key_count:
-        raise ValidationError("decoder-range", "decoder maps outside the key set")
-    return idx
+    idx = np.array([decoder[combo] for combo in slots.outcome_tuples()])
+    if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= key_count:
+        raise ValidationError("decoder-range", "decoder keys must be integers in the key set")
+    return idx.astype(int)
 
 
 def eve_default_strategy(s: Scenario, c: Codebook) -> EveStrategy:
@@ -296,25 +303,27 @@ def eve_default_strategy(s: Scenario, c: Codebook) -> EveStrategy:
 
 
 def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
-    """Best factorized attack found by a per-slot seesaw.
+    """Best factorized attack found by a seesaw between the slots and the decoder.
 
-    Alternates ascent over each slot's POVM (decoder and other slots fixed;
-    see ``_refine_slot``) with maximum-likelihood re-derivation of the
-    decoder. With those fixed, the key channel is linear in the slot's
-    table, P(K_E | K_A = k) = B[k] @ table_i[:, a_i(k)] (``_slot_map``), so
-    each slot ascent runs on the exact gradient of the adversary's
-    information. ``cfg.restarts`` counts seesaw starts: 0 returns the default
-    strategy untouched, start 0 refines the default and further starts are
-    random rank-one POVMs with d_e^2 outcomes per slot.
+    Each round ascends each slot's POVM in turn (decoder and other slots
+    fixed), then re-derives the maximum-likelihood decoder. Where that
+    block-coordinate ascent only crawls along a ridge (the slots gain less
+    than ``_STALL_BITS``), the round adds one joint ascent over every slot,
+    which climbs to the ridge's top. All ascents are ``_refine_slots`` on the
+    exact gradient of the adversary's information. ``cfg.restarts`` counts
+    seesaw starts: 0 returns the default strategy untouched, start 0 refines
+    the default and further starts are random rank-one POVMs with d_e^2
+    outcomes per slot.
 
     The running value is always the exact information of the current slots
-    and decoder: a slot is accepted only when its exactly scored value beats
-    the running one by more than ``cfg.tol``, and the maximum-likelihood
-    decoder is adopted unless it lowers the value by more than ``cfg.tol``
-    (with the slots fixed it usually raises it, but a decoder that is ML for
-    the likelihoods need not maximize the mutual information). The best
-    (value, slots, decoder) seen is returned, so the result never falls
-    below the default and its information is the value recorded for it.
+    and decoder. A slot's ascent is accepted only when it beats the running
+    value by more than ``cfg.tol``; the joint ascent is kept whenever it
+    raises the value, but only a gain above ``cfg.tol`` counts as progress.
+    The maximum-likelihood decoder is adopted unless it lowers the value by
+    more than ``cfg.tol`` (a decoder that is ML for the likelihoods need not
+    maximize the mutual information). A round without progress ends the
+    start. The best (value, slots, decoder) seen is returned, so the result
+    never falls below the default and its information is the value recorded.
     """
     default = eve_default_strategy(s, c)
     if cfg.restarts == 0:
@@ -335,12 +344,17 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
         if best is None or val > best[0]:
             best = (val, FactorizedPovm(slot_povms), idx)
         for _ in range(cfg.max_iters):
-            improved = False
+            start, improved = val, False
             for i in range(s.n):
-                step = _refine_slot(slot_povms[i], i, tables, c, idx, eve_states)
+                step = _refine_slots(slot_povms, tables, [i], c, idx, eve_states)
                 if step is not None and step[2] > val + cfg.tol:
-                    slot_povms[i], tables[i], val = step
+                    slot_povms, tables, val = step
                     improved = True
+            if s.n > 1 and val - start < _STALL_BITS:
+                step = _refine_slots(slot_povms, tables, list(range(s.n)), c, idx, eve_states)
+                if step is not None and step[2] > val:
+                    improved = improved or step[2] > val + cfg.tol
+                    slot_povms, tables, val = step
             lik = _likelihoods(tables, c)
             ml_idx = _ml_decoder(lik)
             ml_val = _key_info(lik, ml_idx)
@@ -357,92 +371,76 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
     return EveStrategy(slots, decoder, descriptor=descriptor)
 
 
-def _slot_map(
-    tables: list[np.ndarray], i: int, c: Codebook, decoder_idx: np.ndarray
-) -> np.ndarray:
-    """B[k, e, o] with P(K_E = e | K_A = k) = sum_o B[k, e, o] table_i[o, a_i(k)].
-
-    With the other slots and the decoder fixed the key channel is linear in
-    slot i's table. The outcome tuples are enumerated once, with slot i's
-    table set to ones, and each tuple's likelihood is binned by its decoder
-    key and its slot-i outcome.
-    """
-    tabs = list(tables)
-    tabs[i] = np.ones_like(tables[i])
-    m = tables[i].shape[0]
-    outcome_i = np.indices([t.shape[0] for t in tables])[i].ravel()
-    bins = decoder_idx * m + outcome_i
-    k = len(c)
-    return np.stack(
-        [np.bincount(bins, weights=row, minlength=k * m) for row in _likelihoods(tabs, c)]
-    ).reshape(k, k, m)
-
-
-def _slot_value_and_grad(
-    tables: list[np.ndarray],
-    i: int,
-    c: Codebook,
-    decoder_idx: np.ndarray,
-    groups: np.ndarray,
+def _joint_value_and_grad(
+    c: Codebook, decoder_idx: np.ndarray, tables: list[np.ndarray], free: list[int], groups
 ):
-    """The adversary's information as a function of slot i's piece table.
+    """The adversary's information as a function of the free slots' piece tables.
 
-    Returns value_and_grad(P) for ``_ascend_povm``: P[a, r] is the Born
-    probability of rank-one piece r on letter a, and piece r belongs to
-    outcome groups[r]. The key channel is chan[k] = B[k] @ table_i[:, a_i(k)]
-    with B from ``_slot_map``, so value and gradient take one einsum each
-    around ``_mi_and_grad``.
+    Returns value_and_grad(Ps) for ``_ascend_povm``: Ps[f][a, r] is the Born
+    probability of slot free[f]'s piece r (of outcome groups[f][r]) on
+    letter a; the other slots keep their ``tables``. The key channel sums
+    the likelihoods lik[k, t] over the tuples t decoded to each key, so
+    d value / d lik[k, t] = W[k, t] = G[k, idx[t]] with G from
+    ``_mi_and_grad``. Slot i's gradient contracts W with the other slots'
+    letter columns table_j[:, a_j(k)], summed back onto letters and pieces.
     """
-    b = _slot_map(tables, i, c, decoder_idx)[:, :, groups]
-    letters = np.eye(tables[i].shape[1])[[w.letters[i] for w in c.words]]
-    prior = np.full(len(c), 1.0 / len(c))
+    k, n = len(c), len(tables)
+    prior = np.full(k, 1.0 / k)
+    sums = [np.eye(g.max() + 1)[g] for g in groups]
+    letters = [np.array([w.letters[i] for w in c.words]) for i in range(n)]
+    onehot = [np.eye(tables[0].shape[1])[a] for a in letters]
+    decode = np.eye(k)[decoder_idx]
 
-    def value_and_grad(probs: np.ndarray) -> tuple[float, np.ndarray]:
-        value, g = _mi_and_grad(prior, np.einsum("ker,ka,ar->ke", b, letters, probs))
-        return value, np.einsum("ke,ker,ka->ar", g, b, letters)
+    def value_and_grad(ps: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+        tabs = list(tables)
+        for i, p, m in zip(free, ps, sums):
+            tabs[i] = (p @ m).T
+        value, g = _mi_and_grad(prior, _likelihoods(tabs, c) @ decode)
+        w = (g @ decode.T).reshape([k] + [t.shape[0] for t in tabs])
+        cols = [(t[:, a], [i + 1, 0]) for i, (t, a) in enumerate(zip(tabs, letters))]
+        grads = []
+        for i, m in zip(free, sums):
+            others = [x for j, col in enumerate(cols) if j != i for x in col]
+            dcol = np.einsum(w, list(range(n + 1)), *others, [i + 1, 0])
+            grads.append((dcol @ onehot[i]).T @ m.T)
+        return value, grads
 
     return value_and_grad
 
 
-def _refine_slot(
-    povm_i: Povm,
-    i: int,
+def _refine_slots(
+    slot_povms: list[Povm],
     tables: list[np.ndarray],
+    free: list[int],
     c: Codebook,
     decoder_idx: np.ndarray,
     eve_states: np.ndarray,
-) -> tuple[Povm, np.ndarray, float] | None:
-    """Ascent over slot i's POVM with all other slots and the decoder fixed.
+) -> tuple[list[Povm], list[np.ndarray], float] | None:
+    """One ascent over the POVMs of the slots in ``free``, all else fixed.
 
-    Runs the package's one POVM ascent, ``information._ascend_povm``, on the
-    adversary's information with slot i's table replaced. The slot's outcome
-    count must not change (the decoder is defined on the current outcome
-    tuples), so the ascent runs over rank-one pieces whose probabilities are
-    summed back into the slot's outcomes. The key channel is linear in that
-    table through the map B of ``_slot_map``, built once per call, which
-    gives the ascent the exact value and gradient of every step
-    (``_slot_value_and_grad``). Returns the new POVM, its table and its
-    information scored by exact tuple enumeration, or None when the ascent
-    yields no valid POVM. The start is not scored: the caller holds its
-    value and keeps the new POVM only if it beats that value.
+    Runs ``information._ascend_povm`` with one frame per free slot on
+    ``_joint_value_and_grad``. No outcome count may change (the decoder is
+    defined on the outcome tuples), so each frame holds the slot's rank-one
+    pieces, whose probabilities are summed back into its outcomes. Returns
+    all slots' POVMs and tables and their exactly scored information, or
+    None when the ascent yields no valid POVM; the caller decides whether
+    they beat its running value.
     """
-    w0, groups = _rank1_pieces(povm_i)
-    value_and_grad = _slot_value_and_grad(tables, i, c, decoder_idx, groups)
-    u, _ = _ascend_povm(eve_states, w0, value_and_grad, _SLOT_ASCENT_MAX_ITERS)
-    if u is None:
+    frames, groups = zip(*(_rank1_pieces(slot_povms[i]) for i in free))
+    value_and_grad = _joint_value_and_grad(c, decoder_idx, tables, free, groups)
+    gtol = _JOINT_GTOL if len(free) > 1 else 1e-5
+    us, _ = _ascend_povm(eve_states, frames, value_and_grad, _SLOT_ASCENT_MAX_ITERS * len(free), gtol)
+    if us is None:
         return None
-    d_e = eve_states.shape[1]
-    effects = [np.zeros((d_e, d_e), dtype=complex) for _ in range(len(povm_i))]
-    for g, v in zip(groups, u):
-        effects[g] = effects[g] + np.outer(v, v.conj())
+    povms = list(slot_povms)
     try:
-        povm = Povm(effects, outcomes=povm_i.outcomes)
+        for i, u, g in zip(free, us, groups):
+            effects = np.einsum("ro,ri,rj->oij", np.eye(len(povms[i]))[g], u, u.conj())
+            povms[i] = Povm(effects, outcomes=povms[i].outcomes)
     except ValidationError:
         return None
-    table = _born_table(np.stack(povm.effects), eve_states).T
-    tabs = list(tables)
-    tabs[i] = table
-    return povm, table, _key_info(_likelihoods(tabs, c), decoder_idx)
+    tables = _slot_channels(FactorizedPovm(povms), eve_states)
+    return povms, tables, _key_info(_likelihoods(tables, c), decoder_idx)
 
 
 def _block_law(effects: np.ndarray, slot_ops: list[np.ndarray]) -> np.ndarray:

@@ -182,6 +182,24 @@ class TestScenarioIO:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("key_count", 2.7),
+            ("key_count", float("inf")),
+            ("alphabet_size", 2.5),
+            ("output_dims", [2.9, 2.2]),
+        ],
+    )
+    def test_non_integral_integer_field_exits_1(self, field, value, tmp_path, capsys):
+        data = scenario_to_dict(paper_example(0.5))
+        data[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--restarts", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{field}: cannot read" in err and "Traceback" not in err
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

@@ -33,7 +33,7 @@ from qkdsim.measurements import (
 from qkdsim.scenarios import paper_example
 from qkdsim.states import pure_state
 
-from conftest import central_differences, random_pure
+from conftest import central_differences, random_density, random_pure
 from oracles import binary_entropy, grid_c1_qubit, pure_pair_c1, pure_pair_capacity
 
 CFG = OptimizerConfig(restarts=2, seed=7)
@@ -210,11 +210,12 @@ class TestAscentGradient:
         w = rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim))
         x = np.concatenate([w.real.ravel(), w.imag.ravel()])
 
-        def vg(probs):
-            return _mi_and_grad(e.prior, probs)
+        def vg(tables):
+            value, g = _mi_and_grad(e.prior, tables[0])
+            return value, [g]
 
-        value, grad = _povm_objective(x, stack, vg)
-        fd = central_differences(lambda y: _povm_objective(y, stack, vg)[0], x)
+        value, grad = _povm_objective(x, stack, vg, [slice(0, len(w))])
+        fd = central_differences(lambda y: _povm_objective(y, stack, vg, [slice(0, len(w))])[0], x)
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
         povm = Povm([np.outer(v, v.conj()) for v in normalize_vectors(w)])
         replay = mutual_information(e.prior, induced_channel(povm, e))
@@ -224,7 +225,12 @@ class TestAscentGradient:
         stack = np.stack([s.matrix for s in qubit_pair_ensemble(0.5).states])
         w = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], dtype=complex)
         x = np.concatenate([w.real.ravel(), w.imag.ravel()])
-        value, grad = _povm_objective(x, stack, lambda p: _mi_and_grad(np.full(2, 0.5), p))
+
+        def vg(tables):
+            value, g = _mi_and_grad(np.full(2, 0.5), tables[0])
+            return value, [g]
+
+        value, grad = _povm_objective(x, stack, vg, [slice(0, len(w))])
         assert value == 50.0
         np.testing.assert_array_equal(grad, np.zeros_like(x))
 
@@ -250,6 +256,19 @@ class TestAscentGradient:
 
 
 class TestC1:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        size=st.sampled_from([2, 3]),
+        dim=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_c1_at_most_holevo_capacity_property(self, size, dim, seed):
+        rng = np.random.default_rng(seed)
+        states = tuple(random_density(rng, dim) for _ in range(size))
+        e = CqEnsemble(rng.dirichlet(np.ones(size)), states)
+        cfg = OptimizerConfig(restarts=1)
+        assert c1(e, cfg).value <= holevo_capacity(e, cfg).value + 1e-9
+
     def test_orthogonal_pair(self):
         assert c1(qubit_pair_ensemble(0.0), CFG).value == pytest.approx(1.0, abs=1e-9)
 

@@ -1,5 +1,5 @@
 """Frozen scalar outputs of the POVM ascent, the binary-prior search and the
-adversary's per-slot seesaw.
+adversary's seesaw between its slots and its decoder.
 
 Both ascent callers (C1 and the seesaw) share one routine, so a change to it
 shows in every pin here; the values are exact to abs 1e-10.
@@ -47,7 +47,7 @@ def test_analyze_bsc_pair_classical_pin(tmp_path):
         (["-n", "2", "--coder", "random", "--restarts", "3", "--seed", "4"], 0.0, 0.5),
         # The seesaw pool of the benchmark's eve-seesaw workload.
         (["-n", "3", "--restarts", "2", "--seed", "0"], 0.900789087176, 0.996078370825),
-        (["-n", "3", "--restarts", "2", "--seed", "7"], 0.94477715302, 0.996078370825),
+        (["-n", "3", "--restarts", "2", "--seed", "7"], 0.944777153452, 0.996078370825),
     ],
     ids=["n2-random-seed4", "n3-seed0", "n3-seed7"],
 )
@@ -66,7 +66,7 @@ def test_seesaw_gain_over_default_pin():
     book = sample_codebook(2, 3, 2, 3)
     me = eve_optimize(sc, book, OptimizerConfig(restarts=1, seed=3))
     report = evaluate(sc, book, bob_decoder(sc, book), me)
-    assert report.eve_info == pytest.approx(0.9682890988909969, abs=ABS)
+    assert report.eve_info == pytest.approx(0.9682890994937405, abs=ABS)
 
 
 def test_zero_effect_slot_keeps_its_outcome():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import simulation
 from qkdsim.channels import CqEnsemble, QuantumChannel
 from qkdsim.errors import ValidationError
 from qkdsim.information import (
     OptimizerConfig,
-    _mi_from_probs,
     _povm_objective,
     _rank1_pieces,
     c1,
@@ -43,8 +43,7 @@ from qkdsim.simulation import (
     _key_info,
     _likelihoods,
     _slot_channels,
-    _slot_map,
-    _slot_value_and_grad,
+    _joint_value_and_grad,
 )
 from qkdsim.states import TensorFactorization, permute_factors, pure_state
 
@@ -246,6 +245,24 @@ class TestEveStrategies:
         rep = evaluate(sc, book, bob_decoder(sc, book), opt)
         assert rep.eve_info >= 1.3842888670
 
+    def test_no_restart_reaches_the_round_cap(self, monkeypatch):
+        # The default strategy and every start derive one ML decoder ("m"),
+        # then one per seesaw round; every start after the first opens with
+        # one random slot draw ("d") per slot. A seesaw that gains ~1e-6
+        # bits per round runs restart 1 here into the cap.
+        events = []
+        ml, draw = simulation._ml_decoder, simulation.random_rank1_povm
+        monkeypatch.setattr(simulation, "_ml_decoder", lambda lik: events.append("m") or ml(lik))
+        monkeypatch.setattr(
+            simulation, "random_rank1_povm", lambda *a: events.append("d") or draw(*a)
+        )
+        sc = paper_example(0.5).with_n(3)
+        cfg = OptimizerConfig(restarts=2, seed=0)
+        eve_optimize(sc, repetition_codebook(2, 3), cfg)
+        rounds = [len(run) - 1 for run in "".join(events)[1:].split("d" * sc.n)]
+        assert len(rounds) == cfg.restarts
+        assert 0 < max(rounds) < cfg.max_iters
+
 
 class TestSeesawProperties:
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -273,51 +290,49 @@ class TestSeesawProperties:
                 np.testing.assert_array_equal(x, y)
 
 
-def random_slot_setup(seed, i=1):
-    """A random n=3 factorized attack on paper_example with a random decoder."""
+def random_attack(seed, k):
+    """A random n=3 factorized attack on paper_example with a random decoder,
+    with each slot's rank-one pieces."""
     rng = np.random.default_rng(seed)
-    sc = paper_example(0.5).with_n(3)
-    book = sample_codebook(2, 3, 2, seed=3)
+    sc = dataclasses.replace(paper_example(0.5), key_count=k).with_n(3)
+    book = sample_codebook(k, 3, 2, seed=3)
     slots = FactorizedPovm([random_rank1_povm(2, 4, rng) for _ in range(3)])
     states = _eve_slot_states(sc)
-    tables = _slot_channels(slots, states)
-    idx = np.array([int(rng.integers(0, 2)) for _ in range(4**3)])
-    return rng, book, slots, states, tables, idx
+    idx = rng.integers(0, k, size=4**3)
+    pieces = [_rank1_pieces(p) for p in slots.slots]
+    return rng, book, slots, states, idx, pieces
 
 
-class TestSlotObjective:
-    def test_linear_map_reproduces_strategy_info(self):
-        rng, book, slots, states, tables, idx = random_slot_setup(0)
-        for i in range(3):
-            b = _slot_map(tables, i, book, idx)
-            # Column o is, bit for bit, the key channel with slot i's
-            # outcome fixed to o.
-            for o in range(4):
-                tabs = list(tables)
-                tabs[i] = np.zeros_like(tables[i])
-                tabs[i][o] = 1.0
-                lik = _likelihoods(tabs, book)
-                chan = np.stack([np.bincount(idx, weights=row, minlength=2) for row in lik])
-                np.testing.assert_array_equal(b[:, :, o], chan)
-            letters = [w.letters[i] for w in book.words]
-            for _ in range(3):
-                table = rng.dirichlet(np.ones(4), size=2).T
-                tabs = list(tables)
-                tabs[i] = table
-                chan = np.einsum("keo,ok->ke", b, table[:, letters])
-                assert _mi_from_probs(np.full(2, 0.5), chan) == pytest.approx(
-                    _key_info(_likelihoods(tabs, book), idx), abs=1e-12
-                )
+class TestJointObjective:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_value_is_key_info(self, k):
+        _, book, slots, states, idx, pieces = random_attack(0, k)
+        tables = _slot_channels(slots, states)
+        lik = _likelihoods(tables, book)
+        for free in ([0, 1, 2], [1]):
+            vg = _joint_value_and_grad(book, idx, tables, free, [pieces[i][1] for i in free])
+            ps = [
+                np.einsum("bi,aij,bj->ab", pieces[i][0].conj(), states, pieces[i][0]).real
+                for i in free
+            ]
+            value, grads = vg(ps)
+            assert value == pytest.approx(_key_info(lik, idx), abs=1e-12)
+            assert [g.shape for g in grads] == [p.shape for p in ps]
 
-    def test_slot_objective_matches_central_differences(self):
-        rng, book, slots, states, tables, idx = random_slot_setup(1)
-        i = 1
-        w0, groups = _rank1_pieces(slots.slots[i])
-        vg = _slot_value_and_grad(tables, i, book, idx, groups)
-        x = np.concatenate([w0.real.ravel(), w0.imag.ravel()]) + 0.1 * rng.normal(size=2 * w0.size)
-        _, grad = _povm_objective(x, states, vg)
-        fd = central_differences(lambda y: _povm_objective(y, states, vg)[0], x)
-        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_gradient_matches_central_differences(self, k):
+        rng, book, slots, states, idx, pieces = random_attack(1, k)
+        tables = _slot_channels(slots, states)
+        for free in ([0, 1, 2], [1]):
+            vg = _joint_value_and_grad(book, idx, tables, free, [pieces[i][1] for i in free])
+            w = np.concatenate([pieces[i][0] for i in free])
+            sizes = [len(pieces[i][0]) for i in free]
+            parts = [slice(stop - r, stop) for r, stop in zip(sizes, np.cumsum(sizes))]
+            x = np.concatenate([w.real.ravel(), w.imag.ravel()])
+            x = x + 0.1 * rng.normal(size=x.size)
+            _, grad = _povm_objective(x, states, vg, parts)
+            fd = central_differences(lambda y: _povm_objective(y, states, vg, parts)[0], x)
+            np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
 
 def dense_joint(sc, book, mb, me):
@@ -367,6 +382,25 @@ class TestEvaluate:
         constant = EveStrategy(me.slots, {k: 0 for k in me.decoder}, descriptor="constant")
         rep = evaluate(sc, book, bob_decoder(sc, book), constant)
         assert rep.eve_info == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("key", [1.9, 0.5, "1"])
+    def test_non_integer_decoder_key_rejected(self, key):
+        sc = paper_example(0.5).with_n(2)
+        book = repetition_codebook(2, 2)
+        me = eve_default_strategy(sc, book)
+        decoder = dict(me.decoder)
+        decoder[(1, 1)] = key
+        with pytest.raises(ValidationError, match="decoder-range"):
+            evaluate(sc, book, bob_decoder(sc, book), EveStrategy(me.slots, decoder))
+
+    def test_unsigned_decoder_keys_evaluated(self):
+        sc = paper_example(0.5).with_n(2)
+        book = repetition_codebook(2, 2)
+        mb = bob_decoder(sc, book)
+        me = eve_default_strategy(sc, book)
+        unsigned = {t: np.uint64(key) for t, key in me.decoder.items()}
+        rep = evaluate(sc, book, mb, EveStrategy(me.slots, unsigned))
+        assert rep.eve_info == evaluate(sc, book, mb, me).eve_info
 
     def test_joint_invariants(self):
         sc = paper_example(0.5).with_n(2)
