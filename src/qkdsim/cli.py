@@ -264,10 +264,12 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load(args)
     cfg = _config_from_args(args)
     n_range = _parse_int_range(args.n_range, "--n-range")
     seeds = _parse_int_range(args.seeds, "--seeds")
+    if any(seed < 0 for seed in seeds):
+        raise ValidationError("--seeds", f"codebook seeds must be >= 0, got {min(seeds)}")
+    scenario = _load(args)
     cells = sweep(scenario, n_range, seeds, cfg, coder=args.coder, eve=args.eve)
     rows = _sweep_rows(cells)
     failed = sum(1 for c in cells if c.error is not None)

@@ -11,21 +11,32 @@ Prior maximization uses an exhaustive grid for binary alphabets (the
 capacity and wiretap searches refine its best point by a bounded scalar
 search) and Blahut-Arimoto multiplicative ascent otherwise; the Holevo and
 the classical channel capacity supply their own divergences to one loop,
-``_blahut_arimoto``. POVM maximization is a seesaw: structured starts
-(Helstrom, pretty-good measurement) plus random restarts, each refined by
-quasi-Newton ascent over rank-one effect parametrizations with at most
-dim^2 outcomes.
+``_blahut_arimoto``.
 
-That ascent, ``_ascend_povm``, is the single one in the package. It runs
-over a list of frames, one per POVM: ``accessible_information``, ``c1`` and
-``c_k`` pass one, and the adversary's seesaw in ``simulation.eve_optimize``
-passes one per slot it ascends, a single slot or all at once. Each caller
-supplies its objective of the Born tables P_f with the gradients dI/dP_f;
-for the mutual information that is p(a) (log2 P(b|a) - log2 P(b))
-(``_mi_and_grad``). ``_povm_objective`` pulls them back exactly through the
-Born rule and each frame's normalization u_b = T^(-1/2) w_b (the
-Daleckii-Krein derivative of T^(-1/2) on T's eigenbasis), so L-BFGS-B runs
-on the analytic gradient.
+POVM maximization runs on rank-one frames: a POVM with one outcome per
+rank-one piece is a frame of raw vectors w_b, normalized by the frame
+operator to u_b = T^(-1/2) w_b, and scored through its Born table
+P[a, b] = <u_b| rho_a |u_b>. ``_ascend_povm`` is the quasi-Newton ascent
+of frames under a fixed prior. It runs over a list of frames, one per POVM:
+``accessible_information``, ``c1`` and ``c_k`` pass one, and the
+adversary's seesaw in ``simulation.eve_optimize`` passes one per slot it
+ascends, a single slot or all at once. Each caller supplies its objective
+of the Born tables P_f with the gradients dI/dP_f; for the mutual
+information that is p(a) (log2 P(b|a) - log2 P(b)) (``_mi_and_grad``).
+``_povm_objective`` pulls them back exactly through the Born rule and each
+frame's normalization (the Daleckii-Krein derivative of T^(-1/2) on T's
+eigenbasis), so L-BFGS-B runs on the analytic gradient.
+
+C1 and C_k are a seesaw over (prior, POVM) from structured starts
+(Helstrom, pretty-good measurement) and random restarts. Each start is
+held as its frame, its prior and its Born table; a ``Povm`` is built only
+for the winner. A round ascends the frame at the fixed prior, re-optimizes
+the prior for the row-normalized table and then runs one joint ascent over
+the frame and the prior's logits (``_ascend_joint``, on ``_povm_objective``
+plus the prior's gradient), the standard joint form of the problem (Shor,
+Math. Program. 97, 311 (2003)). The seesaw steps keep each start in its
+basin, and the joint ascent climbs to the basin's top in one call where the
+alternation alone crawls there over many rounds.
 Every reported value is re-evaluated through the exact Born-rule path, so
 results are achievable by the returned witness; optimizers can under- but
 never over-report.
@@ -44,12 +55,12 @@ from scipy import optimize as sciopt
 from .channels import DEFAULT_DIM_BUDGET, CqEnsemble, QuantumChannel, marginal, push_through
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .measurements import (
+    COMPLETENESS_ATOL,
     ClassicalChannel,
     FactorizedPovm,
     Povm,
     expand,
     helstrom,
-    induced_channel,
     normalize_vectors,
     pretty_good_measurement,
     random_rank1_povm,
@@ -59,6 +70,14 @@ from .states import DensityOperator, hermitian_eigensystem
 _BA_MAX_ITERS = 2000
 _LBFGS_MAX_ITERS = 300
 _EIG_LOG_FLOOR = 1e-18
+# L-BFGS-B's projected-gradient stop for the joint ascents of both seesaws:
+# C1's over the frame and the prior, the adversary's over all of its slots.
+# The ascents of one POVM keep L-BFGS-B's default, 1e-5.
+_JOINT_GTOL = 1e-8
+# A random start of C1's seesaw replaces the best start so far only when it
+# beats it by more than this; below it, two starts that reached the same
+# maximum differ by rounding alone, and the earlier, structured witness stays.
+_TIE_BITS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -83,6 +102,8 @@ class OptimizerConfig:
             raise ValidationError("grid-points", f"need >= 2 grid points, got {self.grid_points}")
         if self.restarts < 0:
             raise ValidationError("restarts", f"restarts must be >= 0, got {self.restarts}")
+        if self.seed < 0:
+            raise ValidationError("seed", f"seed must be >= 0, got {self.seed}")
         if self.max_iters < 1:
             raise ValidationError("max-iters", f"max_iters must be >= 1, got {self.max_iters}")
         if not math.isfinite(self.tol) or self.tol <= 0:
@@ -287,15 +308,26 @@ def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
     return float(max(_entropy_rows(out) - prior @ _entropy_rows(probs), 0.0))
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """The prior with logits z."""
+    p = np.exp(z - z.max())
+    return p / p.sum()
+
+
+def _log_ratio(prior: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """log2 P(b|a) - log2 P(b), both logarithms floored at ``_EIG_LOG_FLOOR``."""
+    log_rows = np.log2(np.clip(probs, _EIG_LOG_FLOOR, None))
+    log_out = np.log2(np.clip(prior @ probs, _EIG_LOG_FLOOR, None))
+    return log_rows - log_out
+
+
 def _mi_and_grad(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
     """I(prior, probs) and its gradient G[a, b] = p(a) (log2 P(b|a) - log2 P(b)).
 
     The entropy terms' constants cancel, so G needs no normalization of the
-    rows; both logarithms are floored at ``_EIG_LOG_FLOOR``.
+    rows.
     """
-    log_rows = np.log2(np.clip(probs, _EIG_LOG_FLOOR, None))
-    log_out = np.log2(np.clip(prior @ probs, _EIG_LOG_FLOOR, None))
-    return _mi_from_probs(prior, probs), prior[:, None] * (log_rows - log_out)
+    return _mi_from_probs(prior, probs), prior[:, None] * _log_ratio(prior, probs)
 
 
 def _povm_objective(
@@ -352,9 +384,10 @@ def _ascend_povm(
     G_f[a, b] = d value / d P_f[a, b]; ``_povm_objective`` pulls them back
     through the Born rule and each frame's normalization, so L-BFGS-B gets
     the exact gradient with every evaluation; it stops after ``max_iters``
-    iterations or once the projected gradient is at most ``gtol``. Returns
-    the normalized final frames (None if any is singular) and whether L-BFGS
-    reported success.
+    iterations or once the projected gradient is at most ``gtol``. A prior
+    in the objective stays fixed; C1's ascent over the prior as well is
+    ``_ascend_joint``. Returns the normalized final frames (None if any is
+    singular, see ``_normalized``) and whether L-BFGS reported success.
     """
     stops = itertools.accumulate(len(w) for w in frames)
     parts = [slice(stop - len(w), stop) for w, stop in zip(frames, stops)]
@@ -368,36 +401,104 @@ def _ascend_povm(
         options={"maxiter": max_iters, "ftol": 1e-12, "gtol": gtol},
     )
     w = (res.x[: res.x.size // 2] + 1j * res.x[res.x.size // 2 :]).reshape(-1, stack.shape[1])
-    us = [normalize_vectors(w[part]) for part in parts]
+    us = [_normalized(w[part]) for part in parts]
     return (None if any(u is None for u in us) else us), bool(res.success)
 
 
-def _refine_povm(stack: np.ndarray, prior: np.ndarray, start: Povm) -> tuple[float, Povm, bool]:
-    """Ascent of the mutual information over rank-one POVMs, one outcome per
-    rank-one piece; never returns less than the start's value."""
+def _normalized(w: np.ndarray) -> np.ndarray | None:
+    """``normalize_vectors(w)``, or None when the frame is singular or too
+    ill-conditioned for its vectors to sum to the identity within
+    ``COMPLETENESS_ATOL``, the tolerance a ``Povm`` is held to."""
+    u = normalize_vectors(w)
+    if u is None or np.abs(u.T @ u.conj() - np.eye(u.shape[1])).max() > COMPLETENESS_ATOL:
+        return None
+    return u
+
+
+def _frame_effects(u: np.ndarray) -> np.ndarray:
+    """The effects |u_b><u_b| of a normalized frame, without its zero rows."""
+    return np.stack([np.outer(v, v.conj()) for v in u if np.vdot(v, v).real > 1e-14])
+
+
+def _frame_table(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Born table of a normalized frame's POVM, the one ``_frame_povm`` builds."""
+    return _born_table(_frame_effects(u), stack)
+
+
+def _frame_povm(u: np.ndarray) -> Povm:
+    """The rank-one POVM of a normalized frame."""
+    return Povm(list(_frame_effects(u)))
+
+
+def _start_frame(start: Povm, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A start POVM's rank-one frame (its nonzero pieces) and the Born table
+    of its own effects, which is what the start itself scores."""
     pieces, _ = _rank1_pieces(start)
-    w0 = pieces[pieces.any(axis=1)]
+    return pieces[pieces.any(axis=1)], _born_table(np.stack(start.effects), stack)
+
+
+def _refine_frame(
+    stack: np.ndarray, prior: np.ndarray, frame: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """Ascent of I(prior, .) over rank-one POVMs from ``frame``, one outcome
+    per rank-one piece: the normalized frame, its Born table and whether
+    L-BFGS-B converged, or None for a singular frame."""
 
     def value_and_grad(tables):
         value, g = _mi_and_grad(prior, tables[0])
         return value, [g]
 
-    us, ok = _ascend_povm(stack, [w0], value_and_grad, _LBFGS_MAX_ITERS)
-    best = (_exact_value(prior, start, stack), start, True)
-    if us is not None:
-        try:
-            povm = Povm([np.outer(v, v.conj()) for v in us[0] if np.vdot(v, v).real > 1e-14])
-        except ValidationError:
-            povm = None
-        if povm is not None:
-            val = _exact_value(prior, povm, stack)
-            if val > best[0]:
-                best = (val, povm, ok)
-    return best
+    us, ok = _ascend_povm(stack, [frame], value_and_grad, _LBFGS_MAX_ITERS)
+    if us is None:
+        return None
+    return us[0], _frame_table(us[0], stack), ok
 
 
-def _exact_value(prior: np.ndarray, povm: Povm, stack: np.ndarray) -> float:
-    return _mi_from_probs(prior, _born_table(np.stack(povm.effects), stack))
+def _joint_objective(y: np.ndarray, stack: np.ndarray, rows: int) -> tuple[float, np.ndarray]:
+    """-I(p, M) and its exact gradient over a rank-one frame and a prior together.
+
+    y holds the frame's ``rows`` raw vectors, packed as in ``_povm_objective``,
+    then the prior's logits z, p = softmax(z). The frame's gradient is
+    ``_povm_objective``'s; with D_a = sum_b P[a, b] (log2 P[a, b] - log2 P(b)),
+    dI/dp_a = D_a - 1/ln 2 pulls back to dI/dz_a = p_a (D_a - sum_c p_c D_c),
+    where the constant cancels.
+    """
+    n = 2 * rows * stack.shape[1]
+    p = _softmax(y[n:])
+    div = np.zeros_like(p)
+
+    def value_and_grad(tables):
+        ratio = _log_ratio(p, tables[0])
+        div[:] = (tables[0] * ratio).sum(axis=1)
+        return _mi_from_probs(p, tables[0]), [p[:, None] * ratio]
+
+    value, grad = _povm_objective(y[:n], stack, value_and_grad, [slice(0, rows)])
+    return value, np.concatenate([grad, -p * (div - p @ div)])
+
+
+def _ascend_joint(
+    stack: np.ndarray, prior: np.ndarray, frame: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """One L-BFGS-B ascent of I(p, M) over the prior and the rank-one frame
+    together (``_joint_objective``), stopped only once the projected gradient
+    is at most ``_JOINT_GTOL``: the prior, the normalized frame and its Born
+    table, or None for a singular frame."""
+    y0 = np.concatenate(
+        [frame.real.ravel(), frame.imag.ravel(), np.log(np.clip(prior, _EIG_LOG_FLOOR, None))]
+    )
+    res = sciopt.minimize(
+        _joint_objective,
+        y0,
+        args=(stack, len(frame)),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": _LBFGS_MAX_ITERS, "ftol": 0.0, "gtol": _JOINT_GTOL},
+    )
+    n = frame.size
+    u = _normalized((res.x[:n] + 1j * res.x[n : 2 * n]).reshape(frame.shape))
+    if u is None:
+        return None
+    return _softmax(res.x[2 * n :]), u, _frame_table(u, stack)
 
 
 def _povm_starts(
@@ -420,15 +521,26 @@ def _maximize_over_povm(
     prior: np.ndarray,
     cfg: OptimizerConfig,
     rng: np.random.Generator,
-    extra_starts: tuple[Povm, ...] = (),
 ) -> tuple[float, Povm, bool]:
+    """Best I(prior, M) over the starts, each refined by ``_refine_frame``.
+
+    A start that its ascent does not improve keeps its own POVM; the
+    winner's POVM is built once, at the end.
+    """
     stack = np.stack([s.matrix for s in states])
-    best: tuple[float, Povm, bool] | None = None
-    for start in list(extra_starts) + _povm_starts(states, prior, cfg, rng):
-        cand = _refine_povm(stack, prior, start)
+    best = None
+    for start in _povm_starts(states, prior, cfg, rng):
+        frame, table = _start_frame(start, stack)
+        cand = (_mi_from_probs(prior, table), start, None, True)
+        step = _refine_frame(stack, prior, frame)
+        if step is not None:
+            val = _mi_from_probs(prior, step[1])
+            if val > cand[0]:
+                cand = (val, None, step[0], step[2])
         if best is None or cand[0] > best[0]:
             best = cand
-    return best
+    value, povm, frame, ok = best
+    return value, (povm if povm is not None else _frame_povm(frame)), ok
 
 
 def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
@@ -439,10 +551,9 @@ def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationR
 
 
 def _best_prior_for_channel(
-    chan: ClassicalChannel, cfg: OptimizerConfig
+    rows: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, float, bool]:
-    """Capacity-achieving prior of a fixed classical channel."""
-    rows = chan.matrix
+    """Capacity-achieving prior of a fixed classical channel (row-stochastic rows)."""
     k = rows.shape[0]
     if k == 1:
         return np.array([1.0]), 0.0, True
@@ -469,8 +580,24 @@ def _joint_maximize(
     cfg: OptimizerConfig,
     extra_starts: tuple[tuple[np.ndarray, Povm], ...] = (),
 ) -> OptimizationResult:
-    """Seesaw over (prior, POVM): refine the POVM at a fixed prior, then
-    re-optimize the prior for the induced channel, until stationary."""
+    """Seesaw over (prior, POVM) from each start, until a round gains at
+    most ``cfg.tol``.
+
+    A start is held as its rank-one frame, its prior and the Born table of
+    its current POVM; no ``Povm`` or ``ClassicalChannel`` is built in the
+    loop. Each round
+    - ascends the frame at the fixed prior (``_refine_frame``), kept when
+      it raises the value;
+    - re-optimizes the prior for the row-normalized table
+      (``_best_prior_for_channel``), kept when it is at least as good;
+    - runs one joint ascent over the frame and the prior
+      (``_ascend_joint``), kept whenever it raises the exact value.
+    A start that no ascent improved keeps its own POVM, and the winner's
+    POVM is built once, at the end. The structured starts (``extra_starts``,
+    Helstrom, pretty-good measurement) compete on value alone; a random
+    start replaces the best so far only when it beats it by more than
+    ``_TIE_BITS``.
+    """
     rng = np.random.default_rng(cfg.seed)
     stack = np.stack([s.matrix for s in e.states])
     starts: list[tuple[np.ndarray, Povm]] = list(extra_starts)
@@ -484,29 +611,40 @@ def _joint_maximize(
             prior = np.array([p0, 1.0 - p0])
             starts.append((prior, helstrom(e.states[0], e.states[1], p0)))
     starts.append((e.prior.copy(), pretty_good_measurement(e.states, e.prior)))
+    structured = len(starts)
     for _ in range(cfg.restarts):
         prior = rng.dirichlet(np.ones(e.size))
         starts.append((prior, random_rank1_povm(e.dim, e.dim * e.dim, rng)))
-    best: OptimizationResult | None = None
-    for prior0, povm0 in starts:
-        prior, povm = prior0, povm0
-        val = _exact_value(prior, povm, stack)
+    best = None
+    for i, (prior, povm) in enumerate(starts):
+        frame, table = _start_frame(povm, stack)
+        val = _mi_from_probs(prior, table)
         converged = False
         for _ in range(cfg.max_iters):
-            v_pov, povm, _ = _refine_povm(stack, prior, povm)
-            chan = induced_channel(povm, e)
-            prior_new, v_pri, _ = _best_prior_for_channel(chan, cfg)
+            v_pov = _mi_from_probs(prior, table)
+            step = _refine_frame(stack, prior, frame)
+            if step is not None and _mi_from_probs(prior, step[1]) > v_pov:
+                (frame, table, _), povm = step, None
+                v_pov = _mi_from_probs(prior, table)
+            rows = table / table.sum(axis=1, keepdims=True)
+            prior_new, v_pri, _ = _best_prior_for_channel(rows, cfg)
             new_val = max(v_pov, v_pri)
             if v_pri >= v_pov:
                 prior = prior_new
+            joint = _ascend_joint(stack, prior, frame)
+            if joint is not None and _mi_from_probs(joint[0], joint[2]) > new_val:
+                (prior, frame, table), povm = joint, None
+                new_val = _mi_from_probs(prior, table)
             if new_val <= val + cfg.tol:
                 val = max(val, new_val)
                 converged = True
                 break
             val = new_val
-        if best is None or val > best.value:
-            best = OptimizationResult(val, prior, povm=povm, converged=converged)
-    return best
+        if best is None or val > best[0] + (_TIE_BITS if i >= structured else 0.0):
+            best = (val, prior, povm, frame, converged)
+    val, prior, povm, frame, converged = best
+    povm = povm if povm is not None else _frame_povm(frame)
+    return OptimizationResult(val, prior, povm=povm, converged=converged)
 
 
 def c1(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
@@ -578,18 +716,14 @@ def classical_advantage(
     starts = [np.zeros(k)] + [rng.normal(size=k) for _ in range(max(cfg.restarts, 1))]
 
     def neg_soft(z):
-        z = z - z.max()
-        p = np.exp(z)
-        p /= p.sum()
+        p = _softmax(z)
         return -(mutual_information(p, v) - mutual_information(p, w))
 
     best_v, best_prior, ok = -np.inf, None, True
     for z0 in starts:
         res = sciopt.minimize(neg_soft, z0, method="L-BFGS-B", options={"maxiter": _LBFGS_MAX_ITERS})
         if -res.fun > best_v:
-            z = res.x - res.x.max()
-            p = np.exp(z)
-            best_v, best_prior, ok = float(-res.fun), p / p.sum(), bool(res.success)
+            best_v, best_prior, ok = float(-res.fun), _softmax(res.x), bool(res.success)
     return ConditionReport(
         kind="classical", lhs=best_v, rhs=0.0, margin=cfg.margin, lhs_prior=best_prior,
         converged=ok,

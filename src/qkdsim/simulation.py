@@ -36,6 +36,7 @@ from .channels import (
 )
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .information import (
+    _JOINT_GTOL,
     OptimizerConfig,
     _ascend_povm,
     _born_table,
@@ -58,7 +59,6 @@ _SLOT_ASCENT_MAX_ITERS = 200
 # stalled; it adds one joint ascent over all slots, which stops at a
 # projected gradient of _JOINT_GTOL (the per-slot ascents keep L-BFGS-B's 1e-5).
 _STALL_BITS = 1e-4
-_JOINT_GTOL = 1e-8
 
 
 @dataclass(frozen=True)

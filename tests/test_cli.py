@@ -402,6 +402,23 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSeedValidation:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["analyze", "paper-example", "--seed", "-5"], "seed"),
+            (["simulate", "paper-example", "-n", "2", "--seed=-1"], "seed"),
+            (["sweep", "paper-example", "--n-range", "2", "--seeds=-3", "--coder", "random"],
+             "--seeds"),
+        ],
+    )
+    def test_negative_seed_exits_1(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"error: {named}:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInfoCommands:
     def test_capacity(self, capsys, tmp_path):
         out = tmp_path / "cap.json"
