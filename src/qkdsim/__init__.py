@@ -3,12 +3,10 @@ distribution against individual (factorized-measurement) attacks."""
 
 from .channels import (
     DEFAULT_DIM_BUDGET,
-    Codeword,
     CqEnsemble,
     QuantumChannel,
     apply,
     depolarizing_channel,
-    encode,
     identity_channel,
     marginal,
     push_through,
@@ -33,8 +31,6 @@ from .measurements import (
     ClassicalChannel,
     FactorizedPovm,
     Povm,
-    born_rule,
-    coarse_grain,
     expand,
     helstrom,
     induced_channel,
@@ -67,7 +63,6 @@ from .states import (
     DensityOperator,
     StateVector,
     TensorFactorization,
-    partial_trace,
     permute_factors,
     pure_state,
     spectral,

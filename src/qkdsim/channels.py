@@ -6,22 +6,22 @@ tensor powers mechanical. Channels whose output splits as H_B (x) H_E carry
 that split in ``out_factorization`` so the receiver/adversary marginals can
 be formed.
 
-A global budget (default 2^12) guards tensor powers: the n-th power is
-refused when the n-th power of its input dimension, output dimension or
-Kraus count exceeds it. This package does exact desk-scale simulation and
-fails fast beyond that.
+One dimension budget, ``DEFAULT_DIM_BUDGET`` = 2^12, holds for the whole
+package: a scenario's block space, a tensor power (its n-th power of the
+input dimension, output dimension or Kraus count), an expanded factorized
+POVM and a block capacity's product space are refused beyond it. This
+package does exact desk-scale simulation and fails fast beyond that.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .states import DensityOperator, TensorFactorization, require_finite, tensor
+from .states import DensityOperator, TensorFactorization, require_finite
 
 DEFAULT_DIM_BUDGET = 2**12
 TRACE_PRESERVATION_ATOL = 1e-9
@@ -86,9 +86,7 @@ def apply(c: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(c.apply_matrix(rho.matrix))
 
 
-def tensor_power(
-    c: QuantumChannel, n: int, budget: int = DEFAULT_DIM_BUDGET
-) -> QuantumChannel:
+def tensor_power(c: QuantumChannel, n: int) -> QuantumChannel:
     """The n-fold product channel acting independently on each slot.
 
     Its Kraus operators are all materialized. The budget bounds the n-th
@@ -99,14 +97,12 @@ def tensor_power(
     if n < 1:
         raise ValidationError("power", f"tensor power needs n >= 1, got {n}")
     worst = max(c.in_dim, c.out_dim, len(c.kraus)) ** n
-    if worst > budget:
-        raise BudgetExceeded(worst, budget, f"tensor power n={n}")
+    if worst > DEFAULT_DIM_BUDGET:
+        raise BudgetExceeded(worst, DEFAULT_DIM_BUDGET, f"tensor power n={n}")
     if c.out_factorization is not None:
         out_f = TensorFactorization(c.out_factorization.dims * n)
     else:
         out_f = TensorFactorization((c.out_dim,) * n)
-    if n == 1:
-        return QuantumChannel(c.kraus, out_factorization=out_f)
     ops = [
         reduce(np.kron, combo)
         for combo in itertools.product(c.kraus, repeat=n)
@@ -138,19 +134,6 @@ def marginal(c: QuantumChannel, side: str) -> QuantumChannel:
         else:
             ops.extend(t[b, :, :] for b in range(d_b))
     return QuantumChannel(ops)
-
-
-@dataclass(frozen=True)
-class Codeword:
-    """A finite sequence of input letters."""
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(a) for a in self.letters))
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 class CqEnsemble:
@@ -193,16 +176,6 @@ class CqEnsemble:
 
     def __repr__(self) -> str:
         return f"CqEnsemble(size={self.size}, dim={self.dim})"
-
-
-def encode(e: CqEnsemble, w: Codeword) -> DensityOperator:
-    """Product state xi(a_1) (x) ... (x) xi(a_n) of a codeword."""
-    if not len(w):
-        raise ValidationError("letters", "codeword must have at least one letter")
-    for a in w.letters:
-        if a < 0 or a >= e.size:
-            raise ValidationError("letter", f"letter {a} not in alphabet of size {e.size}")
-    return reduce(tensor, (e.states[a] for a in w.letters))
 
 
 def push_through(e: CqEnsemble, c: QuantumChannel) -> CqEnsemble:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,46 +35,6 @@ from .scenarios import ScenarioFormatError, load_scenario, write_atomic
 from .simulation import run_cell, sweep
 
 SWEEP_COLUMNS = ("scenario", "n", "seed", "coder", "eve", "p_agree", "bob_info", "eve_info", "flags")
-
-
-@dataclass
-class ReportRecord:
-    """One simulation result row, reproducible from the record alone."""
-
-    scenario: str
-    n: int
-    seed: int
-    coder: str
-    eve: str
-    p_agree: float
-    bob_info: float
-    eve_info: float
-    quantum_lhs: float | None
-    quantum_rhs: float | None
-    quantum_satisfied: bool | None
-    flags: str
-    config: OptimizerConfig
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        # Wall time is volatile and stays out of machine output so identical
-        # flags and seeds give byte-identical files.
-        return {
-            "command": "simulate",
-            "scenario": self.scenario,
-            "n": self.n,
-            "seed": self.seed,
-            "coder": self.coder,
-            "eve": self.eve,
-            "p_agree": self.p_agree,
-            "bob_info": self.bob_info,
-            "eve_info": self.eve_info,
-            "quantum_lhs": self.quantum_lhs,
-            "quantum_rhs": self.quantum_rhs,
-            "quantum_satisfied": self.quantum_satisfied,
-            "flags": self.flags,
-            "config": dataclasses.asdict(self.config),
-        }
 
 
 def _round12(obj):
@@ -133,9 +93,22 @@ def _load(args):
     return load_scenario(args.scenario, params=args.params, overlap=args.overlap)
 
 
-def _emit(args, payload: dict) -> None:
-    if getattr(args, "out", None):
-        write_atomic(args.out, _dump_json(payload))
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work is done."""
+    if os.path.isdir(path):
+        raise ValidationError("--out", f"{path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValidationError("--out", f"the directory of {path!r} does not exist")
+
+
+def _emit(args, text: str) -> None:
+    """Write ``text`` to --out, when given; a failed write names --out."""
+    if not args.out:
+        return
+    try:
+        write_atomic(args.out, text)
+    except OSError as exc:
+        raise ValidationError("--out", f"cannot write {args.out!r}: {exc}") from None
 
 
 def cmd_analyze(args) -> int:
@@ -169,7 +142,7 @@ def cmd_analyze(args) -> int:
         "config": dataclasses.asdict(cfg),
         "satisfied": quantum.satisfied,
     }
-    _emit(args, payload)
+    _emit(args, _dump_json(payload))
     return 0 if converged else 2
 
 
@@ -181,27 +154,11 @@ def cmd_simulate(args) -> int:
     condition = quantum_condition(scenario.ensemble, scenario.theta, cfg)
     elapsed = time.perf_counter() - t0
     flags = "ok" if condition.converged else "non-converged"
-    record = ReportRecord(
-        scenario=scenario.name,
-        n=scenario.n,
-        seed=args.seed,
-        coder=args.coder,
-        eve=args.eve,
-        p_agree=report.p_agree,
-        bob_info=report.bob_info,
-        eve_info=report.eve_info,
-        quantum_lhs=condition.lhs,
-        quantum_rhs=condition.rhs,
-        quantum_satisfied=condition.satisfied,
-        flags=flags,
-        config=cfg,
-        wall_time_s=elapsed,
-    )
     print(f"scenario: {scenario.name} n={scenario.n} seed={args.seed} "
           f"coder={args.coder} eve={args.eve}")
     print(
-        f"p_agree={_fmt(record.p_agree)} bob_info={_fmt(record.bob_info)} "
-        f"eve_info={_fmt(record.eve_info)}"
+        f"p_agree={_fmt(report.p_agree)} bob_info={_fmt(report.bob_info)} "
+        f"eve_info={_fmt(report.eve_info)}"
     )
     print(
         f"quantum condition: lhs={_fmt(condition.lhs)} rhs={_fmt(condition.rhs)} "
@@ -209,7 +166,25 @@ def cmd_simulate(args) -> int:
     )
     print(f"flags: {flags}")
     print(f"wall time: {elapsed:.2f} s")
-    _emit(args, record.to_dict())
+    # Wall time stays out of machine output, so identical flags and seeds
+    # give byte-identical files.
+    payload = {
+        "command": "simulate",
+        "scenario": scenario.name,
+        "n": scenario.n,
+        "seed": args.seed,
+        "coder": args.coder,
+        "eve": args.eve,
+        "p_agree": report.p_agree,
+        "bob_info": report.bob_info,
+        "eve_info": report.eve_info,
+        "quantum_lhs": condition.lhs,
+        "quantum_rhs": condition.rhs,
+        "quantum_satisfied": condition.satisfied,
+        "flags": flags,
+        "config": dataclasses.asdict(cfg),
+    }
+    _emit(args, _dump_json(payload))
     return 0 if condition.converged else 2
 
 
@@ -218,10 +193,14 @@ def _parse_int_range(text: str, flag: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ValidationError(flag, f"expected integers like 1..4 or 1,2,4, got {text!r}") from None
+    if not values:
+        raise ValidationError(flag, f"{text!r} names no value")
+    return values
 
 
 def _sweep_rows(cells) -> list[dict]:
@@ -281,17 +260,16 @@ def cmd_sweep(args) -> int:
             )
         else:
             print(f"n={row['n']} seed={row['seed']} {row['flags']}")
-    if args.out:
-        if args.format == "csv":
-            write_atomic(args.out, _rows_to_csv(rows))
-        else:
-            payload = {
-                "command": "sweep",
-                "scenario": scenario.name,
-                "rows": rows,
-                "config": dataclasses.asdict(cfg),
-            }
-            write_atomic(args.out, _dump_json(payload))
+    if args.format == "csv":
+        _emit(args, _rows_to_csv(rows))
+    else:
+        payload = {
+            "command": "sweep",
+            "scenario": scenario.name,
+            "rows": rows,
+            "config": dataclasses.asdict(cfg),
+        }
+        _emit(args, _dump_json(payload))
     return 2 if failed else 0
 
 
@@ -313,7 +291,7 @@ def cmd_capacity(args) -> int:
         "converged": cap.converged,
         "config": dataclasses.asdict(cfg),
     }
-    _emit(args, payload)
+    _emit(args, _dump_json(payload))
     return 0 if cap.converged else 2
 
 
@@ -336,7 +314,7 @@ def cmd_accessible(args) -> int:
         "converged": acc.converged and joint.converged,
         "config": dataclasses.asdict(cfg),
     }
-    _emit(args, payload)
+    _emit(args, _dump_json(payload))
     return 0 if acc.converged and joint.converged else 2
 
 
@@ -395,6 +373,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except ScenarioFormatError as exc:
         print(f"error: scenario: {exc}", file=sys.stderr)

@@ -59,6 +59,7 @@ from .measurements import (
     ClassicalChannel,
     FactorizedPovm,
     Povm,
+    _born_table,
     expand,
     helstrom,
     normalize_vectors,
@@ -296,11 +297,6 @@ def _rank1_pieces(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
             vecs.append(np.zeros(povm.dim, dtype=complex))
             groups.append(b)
     return np.stack(vecs), np.array(groups)
-
-
-def _born_table(effects: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Born probabilities P[a, b] = Tr[M_b rho_a], clipped at 0."""
-    return np.clip(np.einsum("bij,aji->ab", effects, stack).real, 0.0, None)
 
 
 def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:

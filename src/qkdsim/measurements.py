@@ -1,11 +1,12 @@
 """POVMs, observable classes and measurement-induced classical channels.
 
-Three observable classes matter here: general POVMs, factorized POVMs on a
+Two observable classes matter here: general POVMs and factorized POVMs on a
 tensor-power space (a per-slot POVM for each transmission, the individual
-attack class) and coarse-grained POVMs obtained by classical
-post-processing of outcomes. Measuring a state with a POVM induces a
-classical channel via the Born rule, which is how all information
-quantities downstream are computed.
+attack class; its classical post-processing is the adversary's decoder in
+``simulation``). Measuring a state with a POVM induces a classical channel
+via the Born rule, P[a, b] = Tr[M_b rho_a]. One function, ``_born_table``,
+computes it for the information quantities, the induced channels and the
+adversary's per-slot tables.
 
 Also provides the two standard discrimination measurements used as decoder
 baselines: the Helstrom measurement and the pretty-good (square-root)
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .states import DensityOperator, hermitian_eigensystem, require_finite
 
 EFFECT_PSD_ATOL = 1e-10
 COMPLETENESS_ATOL = 1e-9
-PROBABILITY_FLOOR = -1e-12
 
 
 class Povm:
@@ -101,9 +101,6 @@ class FactorizedPovm:
     def dim(self) -> int:
         return int(np.prod([s.dim for s in self.slots]))
 
-    def outcome_tuples(self) -> list[tuple[Hashable, ...]]:
-        return list(itertools.product(*(s.outcomes for s in self.slots)))
-
     def __len__(self) -> int:
         return len(self.slots)
 
@@ -143,68 +140,35 @@ class ClassicalChannel:
         return f"ClassicalChannel({self.in_size} -> {self.out_size})"
 
 
-def born_rule(m: Povm, rho: DensityOperator) -> np.ndarray:
-    """Outcome distribution P(b) = Tr M(b) rho."""
-    if m.dim != rho.dim:
-        raise DimensionMismatch(f"POVM dim {m.dim} != state dim {rho.dim}")
-    p = np.array([float(np.trace(e @ rho.matrix).real) for e in m.effects])
-    if p.min() < PROBABILITY_FLOOR:
-        raise ValidationError("probability", f"Born probability {p.min():.3e} below floor")
-    return np.clip(p, 0.0, None)
+def _born_table(effects: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Born probabilities P[a, b] = Tr[M_b rho_a] of stacked effects and states, clipped at 0."""
+    return np.clip(np.einsum("bij,aji->ab", effects, stack).real, 0.0, None)
 
 
 def induced_channel(m: Povm, e: CqEnsemble) -> ClassicalChannel:
     """Classical channel letter -> outcome obtained by measuring each state."""
     if m.dim != e.dim:
         raise DimensionMismatch(f"POVM dim {m.dim} != ensemble dim {e.dim}")
-    rows = np.stack([born_rule(m, s) for s in e.states])
+    rows = _born_table(np.stack(m.effects), np.stack([s.matrix for s in e.states]))
     # Renormalization is cosmetic: completeness already bounds the defect.
     rows = rows / rows.sum(axis=1, keepdims=True)
     return ClassicalChannel(rows, in_alphabet=range(e.size), out_alphabet=m.outcomes)
 
 
-def expand(f: FactorizedPovm, budget: int = DEFAULT_DIM_BUDGET) -> Povm:
+def expand(f: FactorizedPovm) -> Povm:
     """Flatten a factorized POVM to the product space.
 
     Effects are Kronecker products over slots; outcome tuples come in
     lexicographic order of the slot outcome sets.
     """
     dim = f.dim
-    if dim > budget:
-        raise BudgetExceeded(dim, budget, f"expanding {len(f)} slots")
+    if dim > DEFAULT_DIM_BUDGET:
+        raise BudgetExceeded(dim, DEFAULT_DIM_BUDGET, f"expanding {len(f)} slots")
     effects = [
         reduce(np.kron, combo)
         for combo in itertools.product(*(s.effects for s in f.slots))
     ]
-    return Povm(effects, outcomes=f.outcome_tuples())
-
-
-def coarse_grain(m: Povm, f: Mapping | Callable[[Hashable], Hashable]) -> Povm:
-    """Post-process outcomes through f, summing effects over its fibers.
-
-    ``f`` maps every outcome of ``m`` to a new label; it must be total. The
-    resulting outcome set is the image of ``f`` (sorted when sortable,
-    otherwise in order of first appearance).
-    """
-    get = f.__getitem__ if isinstance(f, Mapping) else f
-    groups: dict[Hashable, np.ndarray] = {}
-    for label, effect in zip(m.outcomes, m.effects):
-        try:
-            new = get(label)
-        except KeyError:
-            raise ValidationError("outcome-function", f"no image for outcome {label!r}")
-        if new is None:
-            raise ValidationError("outcome-function", f"no image for outcome {label!r}")
-        if new in groups:
-            groups[new] = groups[new] + effect
-        else:
-            groups[new] = np.array(effect)
-    labels = list(groups)
-    try:
-        labels.sort()
-    except TypeError:
-        pass
-    return Povm([groups[k] for k in labels], outcomes=labels)
+    return Povm(effects, outcomes=itertools.product(*(s.outcomes for s in f.slots)))
 
 
 def helstrom(rho0: DensityOperator, rho1: DensityOperator, p0: float = 0.5) -> Povm:

@@ -14,12 +14,15 @@ receiver/adversary block space is ever built. The joint law of
 (K_A, K_B, K_E) is computed exactly by enumerating all outcome tuples;
 there is no Monte Carlo anywhere, so agreement probability and adversary
 information are sharp numbers and runs are bit-identical for fixed seeds.
+A codebook is a (K, n) array of letters and the adversary's decoder an
+array of keys, one per outcome tuple in lexicographic order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -27,7 +30,6 @@ import numpy as np
 
 from .channels import (
     DEFAULT_DIM_BUDGET,
-    Codeword,
     CqEnsemble,
     QuantumChannel,
     apply,
@@ -39,7 +41,6 @@ from .information import (
     _JOINT_GTOL,
     OptimizerConfig,
     _ascend_povm,
-    _born_table,
     _mi_and_grad,
     _mi_from_probs,
     _rank1_pieces,
@@ -47,6 +48,7 @@ from .information import (
 from .measurements import (
     FactorizedPovm,
     Povm,
+    _born_table,
     helstrom,
     pretty_good_measurement,
     random_rank1_povm,
@@ -76,7 +78,6 @@ class Scenario:
     ensemble: CqEnsemble
     theta: QuantumChannel
     n: int = 1
-    budget: int = DEFAULT_DIM_BUDGET
     classical_pair: tuple | None = None
 
     def __post_init__(self):
@@ -94,8 +95,8 @@ class Scenario:
         if self.n < 1:
             raise ValidationError("block-length", f"n must be >= 1, got {self.n}")
         total = self.theta.out_dim**self.n
-        if total > self.budget:
-            raise BudgetExceeded(total, self.budget, f"scenario block length n={self.n}")
+        if total > DEFAULT_DIM_BUDGET:
+            raise BudgetExceeded(total, DEFAULT_DIM_BUDGET, f"scenario block length n={self.n}")
 
     @property
     def dim_b(self) -> int:
@@ -117,29 +118,34 @@ class Scenario:
         return push_through(self.ensemble, marginal(self.theta, "B"))
 
 
-@dataclass(frozen=True)
 class Codebook:
-    """One codeword per key, all of equal length."""
+    """One codeword per key, all of equal length.
 
-    words: tuple[Codeword, ...]
+    ``letters`` is a read-only (K, n) integer array whose row k holds key
+    k's codeword. Whether the letters lie in an alphabet is checked where a
+    scenario supplies the alphabet.
+    """
 
-    def __post_init__(self):
-        words = tuple(
-            w if isinstance(w, Codeword) else Codeword(tuple(w)) for w in self.words
-        )
-        object.__setattr__(self, "words", words)
-        if len(words) < 2:
+    __slots__ = ("letters",)
+
+    def __init__(self, letters):
+        try:
+            letters = np.array(letters)
+        except ValueError:
+            raise ValidationError("codebook", "codewords must share one length") from None
+        if letters.ndim != 2 or letters.dtype.kind not in "iu":
+            raise ValidationError("codebook", "codewords must be equal-length integer sequences")
+        if len(letters) < 2:
             raise ValidationError("codebook", "need at least 2 codewords")
-        n = len(words[0])
-        if any(len(w) != n for w in words):
-            raise ValidationError("codebook", "codewords must share one length")
+        letters.flags.writeable = False
+        self.letters = letters
 
     @property
     def length(self) -> int:
-        return len(self.words[0])
+        return self.letters.shape[1]
 
     def __len__(self) -> int:
-        return len(self.words)
+        return self.letters.shape[0]
 
 
 def sample_codebook(key_count: int, n: int, alphabet_size: int, seed: int) -> Codebook:
@@ -147,34 +153,44 @@ def sample_codebook(key_count: int, n: int, alphabet_size: int, seed: int) -> Co
     if key_count < 2:
         raise ValidationError("key-count", f"need at least 2 keys, got {key_count}")
     rng = np.random.default_rng(seed)
-    letters = rng.integers(0, alphabet_size, size=(key_count, n))
-    return Codebook(tuple(Codeword(tuple(row)) for row in letters))
+    return Codebook(rng.integers(0, alphabet_size, size=(key_count, n)))
 
 
 def repetition_codebook(key_count: int, n: int) -> Codebook:
     """Deterministic coder sending letter k for key k, n times."""
-    return Codebook(tuple(Codeword((k,) * n) for k in range(key_count)))
+    return Codebook(np.repeat(np.arange(key_count)[:, None], n, axis=1))
 
 
 class EveStrategy:
     """A factorized attack: per-slot POVMs plus a classical decoder.
 
-    Membership in the individual-attack class holds by construction: the
-    flat measurement is the coarse-graining of the expanded slot product
-    under ``decoder``.
+    ``decoder`` is a read-only integer array with the key of every outcome
+    tuple of ``slots``, tuples in lexicographic order of the slots' effect
+    positions. Membership in the individual-attack class holds by
+    construction: the flat measurement is the coarse-graining of the
+    expanded slot product under ``decoder``. Keys at or above the key count
+    are rejected by ``evaluate``, which knows it.
     """
 
     __slots__ = ("slots", "decoder", "descriptor")
 
-    def __init__(self, slots: FactorizedPovm, decoder: dict, descriptor: str = "custom"):
+    def __init__(self, slots: FactorizedPovm, decoder, descriptor: str = "custom"):
         if not isinstance(slots, FactorizedPovm):
             raise ValidationError("slots", "slots must be a FactorizedPovm")
-        decoder = dict(decoder)
-        for combo in slots.outcome_tuples():
-            if combo not in decoder:
-                raise ValidationError("decoder-total", f"decoder misses outcome tuple {combo}")
+        keys = np.asarray(decoder)
+        total = math.prod(len(p) for p in slots.slots)
+        if keys.shape != (total,):
+            raise ValidationError(
+                "decoder-total", f"decoder has shape {keys.shape} for {total} outcome tuples"
+            )
+        if keys.dtype.kind not in "iu":
+            raise ValidationError("decoder-range", "decoder keys must be integers")
+        keys = keys.astype(int)
+        if keys.min() < 0:
+            raise ValidationError("decoder-range", f"decoder key {keys.min()} is negative")
+        keys.flags.writeable = False
         self.slots = slots
-        self.decoder = decoder
+        self.decoder = keys
         self.descriptor = descriptor
 
     @property
@@ -216,12 +232,11 @@ class SweepCell:
 
 
 def _check_letters(s: Scenario, c: Codebook) -> None:
-    for word in c.words:
-        for a in word.letters:
-            if a < 0 or a >= s.ensemble.size:
-                raise ValidationError(
-                    "letter", f"letter {a} not in alphabet of size {s.ensemble.size}"
-                )
+    bad = c.letters[(c.letters < 0) | (c.letters >= s.ensemble.size)]
+    if bad.size:
+        raise ValidationError(
+            "letter", f"letter {bad[0]} not in alphabet of size {s.ensemble.size}"
+        )
 
 
 def bob_decoder(s: Scenario, c: Codebook) -> Povm:
@@ -234,9 +249,9 @@ def bob_decoder(s: Scenario, c: Codebook) -> Povm:
     if c.length != s.n:
         raise DimensionMismatch(f"codebook length {c.length} != scenario block length {s.n}")
     _check_letters(s, c)
-    letters = [rho.matrix for rho in s.bob_ensemble().states]
+    states = [rho.matrix for rho in s.bob_ensemble().states]
     block_states = [
-        DensityOperator(reduce(np.kron, (letters[a] for a in word.letters))) for word in c.words
+        DensityOperator(reduce(np.kron, (states[a] for a in word))) for word in c.letters
     ]
     priors = np.full(len(c), 1.0 / len(c))
     return pretty_good_measurement(block_states, priors)
@@ -253,7 +268,7 @@ def _slot_channels(slots: FactorizedPovm, eve_states: np.ndarray) -> list[np.nda
 
 def _likelihoods(tables: list[np.ndarray], c: Codebook) -> np.ndarray:
     """P(outcome tuple | codeword), shape (K, M), tuples in lexicographic order."""
-    cols = [[t[:, a] for t, a in zip(tables, w.letters)] for w in c.words]
+    cols = [[t[:, a] for t, a in zip(tables, word)] for word in c.letters]
     return np.stack([reduce(np.multiply.outer, col).ravel() for col in cols])
 
 
@@ -273,14 +288,6 @@ def _key_info(lik: np.ndarray, decoder_idx: np.ndarray) -> float:
     return _mi_from_probs(np.full(k, 1.0 / k), chan)
 
 
-def _decoder_index_array(slots: FactorizedPovm, decoder: dict, key_count: int) -> np.ndarray:
-    """Decoder keys of the outcome tuples, in lexicographic tuple order."""
-    idx = np.array([decoder[combo] for combo in slots.outcome_tuples()])
-    if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= key_count:
-        raise ValidationError("decoder-range", "decoder keys must be integers in the key set")
-    return idx.astype(int)
-
-
 def eve_default_strategy(s: Scenario, c: Codebook) -> EveStrategy:
     """Baseline attack: per-slot binary discrimination plus ML decoding.
 
@@ -298,8 +305,7 @@ def eve_default_strategy(s: Scenario, c: Codebook) -> EveStrategy:
         label = "pgm"
     slots = FactorizedPovm([slot] * s.n)
     idx = _ml_decoder(_likelihoods(_slot_channels(slots, _eve_slot_states(s)), c))
-    decoder = dict(zip(slots.outcome_tuples(), idx.tolist()))
-    return EveStrategy(slots, decoder, descriptor=f"default({label}+ml)")
+    return EveStrategy(slots, idx, descriptor=f"default({label}+ml)")
 
 
 def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
@@ -366,9 +372,8 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
             if not improved:
                 break
     _, slots, idx = best
-    decoder = dict(zip(slots.outcome_tuples(), idx.tolist()))
     descriptor = f"optimized(restarts={cfg.restarts},seed={cfg.seed})"
-    return EveStrategy(slots, decoder, descriptor=descriptor)
+    return EveStrategy(slots, idx, descriptor=descriptor)
 
 
 def _joint_value_and_grad(
@@ -387,7 +392,7 @@ def _joint_value_and_grad(
     k, n = len(c), len(tables)
     prior = np.full(k, 1.0 / k)
     sums = [np.eye(g.max() + 1)[g] for g in groups]
-    letters = [np.array([w.letters[i] for w in c.words]) for i in range(n)]
+    letters = c.letters.T
     onehot = [np.eye(tables[0].shape[1])[a] for a in letters]
     decode = np.eye(k)[decoder_idx]
 
@@ -469,9 +474,11 @@ def evaluate(
     p(b, o_1..o_n | w) = Tr[M_b (x)_i X_{a_i}(o_i)], where
     X_a(o) = Tr_E[(I (x) E_o) Theta(xi_a)] is an operator on one receiver
     letter space. The trace is contracted slot by slot for every outcome
-    tuple, which the decoder then maps to a key; neither the joint block
-    state nor the expanded adversary POVM is built. K_B is the outcome label
-    of the receiver's effect, not its position in the POVM.
+    tuple, in lexicographic order of the effect positions, and ``me.decoder``
+    maps the tuple at each position to a key; neither the joint block state
+    nor the expanded adversary POVM is built. K_B is the outcome label of the
+    receiver's effect, not its position in the POVM. A codeword letter
+    outside the alphabet or a decoder key outside 0..K-1 is rejected.
     """
     k = s.key_count
     if len(c) != k:
@@ -488,7 +495,8 @@ def evaluate(
     if any(p.dim != d_e for p in me.slots.slots):
         raise DimensionMismatch("adversary slot POVMs must act on the adversary letter space")
     _check_letters(s, c)
-    decoder_idx = _decoder_index_array(me.slots, me.decoder, k)
+    if me.decoder.max() >= k:
+        raise ValidationError("decoder-range", f"decoder key {me.decoder.max()} >= {k} keys")
 
     taus = np.stack(
         [apply(s.theta, rho).matrix.reshape(d_b, d_e, d_b, d_e) for rho in s.ensemble.states]
@@ -500,11 +508,11 @@ def evaluate(
     effects = np.stack(mb.effects)
 
     joint = np.zeros((k, k, k))
-    for key, word in enumerate(c.words):
-        law = _block_law(effects, [x[a] for x, a in zip(slot_ops, word.letters)])
+    for key, word in enumerate(c.letters):
+        law = _block_law(effects, [x[a] for x, a in zip(slot_ops, word)])
         probs = np.clip(law.real, 0.0, None)
         for b_label, row in zip(mb.outcomes, probs):
-            joint[key, b_label, :] = np.bincount(decoder_idx, weights=row, minlength=k) / k
+            joint[key, b_label, :] = np.bincount(me.decoder, weights=row, minlength=k) / k
     p_agree = float(sum(joint[i, i, :].sum() for i in range(k)))
     prior = np.full(k, 1.0 / k)
     bob_info = _mi_from_probs(prior, joint.sum(axis=2) * k)
@@ -514,7 +522,7 @@ def evaluate(
         "n": n,
         "key_count": k,
         "eve": me.descriptor,
-        "codebook": [list(w.letters) for w in c.words],
+        "codebook": c.letters.tolist(),
     }
     if metadata:
         meta.update(metadata)

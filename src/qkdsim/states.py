@@ -2,7 +2,7 @@
 
 States are density operators: Hermitian, positive semidefinite, unit-trace
 complex matrices. This module provides construction and validation, tensor
-products, partial traces, spectral decomposition and von Neumann entropy.
+products, spectral decomposition and von Neumann entropy.
 All entropies are in bits (base-2 logarithms) throughout the package.
 
 Everything here is immutable after construction and every operation is a
@@ -12,7 +12,7 @@ pure function, so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -151,45 +151,6 @@ def pure_state(v: StateVector | Sequence[complex]) -> DensityOperator:
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product state a (x) b on the joint space."""
     return DensityOperator(np.kron(a.matrix, b.matrix))
-
-
-def partial_trace(
-    rho: DensityOperator,
-    factors: TensorFactorization | Sequence[int],
-    keep: Iterable[int],
-) -> DensityOperator:
-    """Trace out all tensor factors not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : DensityOperator
-        State on the full product space.
-    factors : TensorFactorization or sequence of int
-        Subsystem dimensions; their product must equal ``rho.dim``.
-    keep : iterable of int
-        Indices (0-based) of the factors to retain. The result lives on the
-        kept factors in their original order.
-    """
-    if not isinstance(factors, TensorFactorization):
-        factors = TensorFactorization(tuple(factors))
-    factors.check_dim(rho.dim)
-    dims = factors.dims
-    n = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ValidationError("keep-set", "keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValidationError("keep-set", f"keep indices {keep} out of range for {n} factors")
-    drop = [i for i in range(n) if i not in keep]
-    t = rho.matrix.reshape(dims + dims)
-    # Row/column axes of kept factors first, traced factors last.
-    order = keep + drop + [n + i for i in keep] + [n + i for i in drop]
-    t = t.transpose(order)
-    dk = int(np.prod([dims[i] for i in keep]))
-    dt = rho.dim // dk
-    t = t.reshape(dk, dt, dk, dt)
-    reduced = np.einsum("itjt->ij", t)
-    return DensityOperator(reduced)
 
 
 def permute_factors(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qkdsim.channels import QuantumChannel
 from qkdsim.states import DensityOperator, pure_state
 
 
@@ -23,6 +24,17 @@ def random_density(rng, dim, rank=None):
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = a @ a.conj().T
     return DensityOperator(m / np.trace(m))
+
+
+def random_channel(rng, in_dim, out_dim, n_kraus=None):
+    """Random CPTP map via a Haar-ish isometry sliced into Kraus operators."""
+    n_kraus = n_kraus or out_dim
+    a = rng.normal(size=(n_kraus * out_dim, in_dim)) + 1j * rng.normal(
+        size=(n_kraus * out_dim, in_dim)
+    )
+    q, r = np.linalg.qr(a)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return QuantumChannel([q[i * out_dim : (i + 1) * out_dim] for i in range(n_kraus)])
 
 
 def random_unitary(rng, dim):

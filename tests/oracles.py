@@ -1,8 +1,9 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here is deliberately separate from the package's own code paths:
-closed forms for binary pure-state ensembles and a dense brute-force grid
-over qubit projective measurements and priors.
+closed forms for binary pure-state ensembles, a dense brute-force grid
+over qubit projective measurements and priors, and dense partial-trace and
+coarse-graining references.
 """
 
 import math
@@ -84,3 +85,21 @@ def grid_c1_qubit(psi0, psi1, n_angle: int = 1501, n_prior: int = 1501) -> float
     mix = ps[:, None] * q0[None, :] + (1 - ps)[:, None] * q1[None, :]
     vals = h(mix) - ps[:, None] * h(q0)[None, :] - (1 - ps)[:, None] * h(q1)[None, :]
     return float(vals.max())
+
+
+def partial_trace(matrix: np.ndarray, dims, keep: int) -> np.ndarray:
+    """Trace out every tensor factor of ``matrix`` (factor sizes ``dims``) but ``keep``."""
+    n = len(dims)
+    cols = [n + i if i == keep else i for i in range(n)]
+    return np.einsum(matrix.reshape(tuple(dims) * 2), list(range(n)) + cols, [keep, n + keep])
+
+
+def coarse_grain(effects, labels, count: int) -> np.ndarray:
+    """Effects of the POVM that reports ``labels[b]`` in place of outcome b.
+
+    One effect per label 0..count-1, the sum of the effects mapped to it.
+    """
+    out = np.zeros((count,) + np.shape(effects[0]), dtype=complex)
+    for effect, label in zip(effects, labels):
+        out[label] += effect
+    return out

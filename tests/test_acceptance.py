@@ -173,7 +173,7 @@ def test_criterion_6_factorized_adversary_ceiling():
             slots = FactorizedPovm([random_rank1_povm(2, 4, rng) for _ in range(n)])
             combos = list(itertools.product(*(p.outcomes for p in slots.slots)))
             me = EveStrategy(
-                slots, {cb: int(rng.integers(0, 2)) for cb in combos}, descriptor="random"
+                slots, [int(rng.integers(0, 2)) for _ in combos], descriptor="random"
             )
         rep = evaluate(sc, book, bob_decoder(sc, book), me)
         ceiling = n * c1_cache[s] + 1e-6

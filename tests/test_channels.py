@@ -1,36 +1,23 @@
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
 
 from qkdsim.channels import (
-    Codeword,
     CqEnsemble,
     QuantumChannel,
     apply,
     depolarizing_channel,
-    encode,
     identity_channel,
     marginal,
     push_through,
     tensor_power,
 )
 from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
-from qkdsim.states import DensityOperator, TensorFactorization, partial_trace, pure_state, tensor
+from qkdsim.states import DensityOperator, pure_state, tensor
 
-from conftest import random_density
-
-
-def random_channel(rng, in_dim, out_dim, n_kraus=None):
-    """Random CPTP map via a Haar-ish isometry sliced into Kraus operators."""
-    n_kraus = n_kraus or out_dim
-    a = rng.normal(size=(n_kraus * out_dim, in_dim)) + 1j * rng.normal(
-        size=(n_kraus * out_dim, in_dim)
-    )
-    q, r = np.linalg.qr(a)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return QuantumChannel([q[i * out_dim : (i + 1) * out_dim] for i in range(n_kraus)])
+from conftest import random_channel, random_density
+from oracles import partial_trace
 
 
 def paper_letter_states(s):
@@ -137,7 +124,6 @@ class TestMarginal:
         theta = random_channel(rng, 2, 4, n_kraus=2)
         theta = QuantumChannel(theta.kraus, out_factorization=(2, 2))
         bob = marginal(theta, "B")
-        f = TensorFactorization((2, 2))
         for i in range(2):
             for j in range(2):
                 basis = np.zeros((2, 2), dtype=complex)
@@ -151,7 +137,7 @@ class TestMarginal:
         for _ in range(5):
             rho = random_density(rng, 2)
             lhs = apply(bob, rho).matrix
-            rhs = partial_trace(apply(theta, rho), f, keep=[0]).matrix
+            rhs = partial_trace(apply(theta, rho).matrix, (2, 2), keep=0)
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -165,31 +151,6 @@ class TestEnsembles:
         with pytest.raises(ValidationError) as err:
             CqEnsemble([float("nan"), 1.0], (pure_state([1, 0]), pure_state([0, 1])))
         assert err.value.invariant == "prior"
-
-    def test_encode_single_letter(self):
-        e = CqEnsemble([0.5, 0.5], (pure_state([1, 0]), pure_state([0, 1])))
-        out = encode(e, Codeword((1,)))
-        np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_encode_example_word(self):
-        xi0, xi1, phi, psi = paper_letter_states(0.5)
-        e = CqEnsemble([0.5, 0.5], (xi0, xi1))
-        out = encode(e, Codeword((0, 1)))
-        expected = reduce(np.kron, [phi.matrix, phi.matrix, psi.matrix, psi.matrix])
-        np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
-
-    def test_encode_pure_word_properties(self):
-        xi0, xi1, _, _ = paper_letter_states(0.3)
-        e = CqEnsemble([0.5, 0.5], (xi0, xi1))
-        out = encode(e, Codeword((0, 1, 0)))
-        vals = np.linalg.eigvalsh(out.matrix)
-        assert abs(vals.sum() - 1.0) < 1e-9
-        assert vals[-1] == pytest.approx(1.0, abs=1e-9)  # rank 1
-
-    def test_encode_unknown_letter(self):
-        e = CqEnsemble([1.0], (pure_state([1, 0]),))
-        with pytest.raises(ValidationError, match="letter"):
-            encode(e, Codeword((2,)))
 
     def test_push_through_identity(self, rng):
         e = CqEnsemble([0.3, 0.7], (random_density(rng, 2), random_density(rng, 2)))

@@ -339,14 +339,16 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].startswith("paper-example(s=0.5),1,0,repetition,default,")
 
-    def test_empty_n_range_header_only(self, tmp_path):
+    @pytest.mark.parametrize("text", ["3..1", ",,", ""])
+    @pytest.mark.parametrize("flag", ["--n-range", "--seeds"])
+    def test_empty_range_exits_1(self, flag, text, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("scenario loaded"))
         out = tmp_path / "empty.csv"
-        code = main(
-            ["sweep", "paper-example", "--n-range", "", "--seeds", "0",
-             "--restarts", "1", "--format", "csv", "--out", str(out)]
-        )
-        assert code == 0
-        assert out.read_text().strip() == "scenario,n,seed,coder,eve,p_agree,bob_info,eve_info,flags"
+        code = main(["sweep", "paper-example", "--n-range", "1", "--seeds", "0",
+                     flag, text, "--restarts", "1", "--out", str(out)])
+        assert code == 1
+        assert f"error: {flag}:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n-range", "--seeds"])
     def test_non_integer_range_exits_1(self, flag, tmp_path, capsys):
@@ -400,6 +402,35 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+OUT_COMMANDS = {
+    "analyze": ["analyze", "paper-example", "--restarts", "1"],
+    "simulate": ["simulate", "paper-example", "-n", "1", "--restarts", "1"],
+    "sweep": ["sweep", "paper-example", "--n-range", "1", "--seeds", "0", "--restarts", "1"],
+}
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_unusable_out_exits_1_before_any_work(
+        self, command, where, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("scenario loaded"))
+        out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        assert main(OUT_COMMANDS[command] + ["--out", str(out)]) == 1
+        assert "error: --out:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_failed_write_exits_1(self, command, tmp_path, capsys, monkeypatch):
+        def full_disk(path, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_atomic", full_disk)
+        assert main(OUT_COMMANDS[command] + ["--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert "error: --out:" in err and "No space left" in err
 
 
 class TestSeedValidation:

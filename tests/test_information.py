@@ -27,7 +27,6 @@ from qkdsim.information import (
 from qkdsim.measurements import (
     ClassicalChannel,
     Povm,
-    coarse_grain,
     induced_channel,
     normalize_vectors,
     random_rank1_povm,
@@ -36,7 +35,13 @@ from qkdsim.scenarios import paper_example
 from qkdsim.states import pure_state
 
 from conftest import central_differences, random_density, random_pure
-from oracles import binary_entropy, grid_c1_qubit, pure_pair_c1, pure_pair_capacity
+from oracles import (
+    binary_entropy,
+    coarse_grain,
+    grid_c1_qubit,
+    pure_pair_c1,
+    pure_pair_capacity,
+)
 
 CFG = OptimizerConfig(restarts=2, seed=7)
 
@@ -465,7 +470,7 @@ class TestDataProcessing:
             e = CqEnsemble([0.5, 0.5], (random_pure(rng, 2), random_pure(rng, 2)))
             povm = random_rank1_povm(2, 4, rng)
             fine = mutual_information(e.prior, induced_channel(povm, e))
-            labels = {b: int(rng.integers(0, 2)) for b in povm.outcomes}
-            merged = coarse_grain(povm, labels)
+            labels = [int(rng.integers(0, 2)) for _ in povm.outcomes]
+            merged = Povm(coarse_grain(povm.effects, labels, 2))
             coarse = mutual_information(e.prior, induced_channel(merged, e))
             assert coarse <= fine + 1e-9

@@ -20,8 +20,7 @@ from qkdsim.information import (
 from qkdsim.measurements import (
     FactorizedPovm,
     Povm,
-    born_rule,
-    coarse_grain,
+    _born_table,
     expand,
     random_rank1_povm,
 )
@@ -47,10 +46,11 @@ from qkdsim.simulation import (
 )
 from qkdsim.states import TensorFactorization, permute_factors, pure_state
 
-from conftest import central_differences
+from conftest import central_differences, random_channel, random_density, random_pure
 from oracles import (
     binary_entropy,
     block_success,
+    coarse_grain,
     helstrom_crossover,
     majority_error,
     pure_pair_c1,
@@ -80,24 +80,29 @@ class TestCodebooks:
     def test_same_seed_same_codebook(self):
         a = sample_codebook(2, 5, 2, seed=9)
         b = sample_codebook(2, 5, 2, seed=9)
-        assert a == b
+        np.testing.assert_array_equal(a.letters, b.letters)
 
     def test_seed_sweep_hits_both_distinct_word_books(self):
         seen = set()
         for seed in range(40):
             book = sample_codebook(2, 1, 2, seed)
-            letters = (book.words[0].letters[0], book.words[1].letters[0])
-            seen.add(letters)
+            seen.add(tuple(book.letters[:, 0].tolist()))
         assert (0, 1) in seen and (1, 0) in seen
 
     def test_repetition_codebook(self):
         book = repetition_codebook(2, 3)
-        assert book.words[0].letters == (0, 0, 0)
-        assert book.words[1].letters == (1, 1, 1)
+        assert book.letters.tolist() == [[0, 0, 0], [1, 1, 1]]
+        with pytest.raises(ValueError):
+            book.letters[0, 0] = 1
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValidationError, match="codebook"):
             Codebook(((0, 1), (1,)))
+
+    def test_unknown_letter_rejected(self):
+        sc = paper_example(0.5).with_n(2)
+        with pytest.raises(ValidationError, match="letter 2 not in alphabet of size 2"):
+            bob_decoder(sc, Codebook([[0, 1], [1, 2]]))
 
 
 class TestBobDecoder:
@@ -135,9 +140,7 @@ class TestBobDecoder:
             mb = bob_decoder(sc, book)
             me = eve_default_strategy(sc, book)
             rep = evaluate(sc, book, mb, me)
-            d = sum(
-                a != b for a, b in zip(book.words[0].letters, book.words[1].letters)
-            )
+            d = int((book.letters[0] != book.letters[1]).sum())
             overlap = s**d
             assert rep.p_agree == pytest.approx(
                 (1 + math.sqrt(1 - overlap**2)) / 2, abs=1e-9
@@ -164,12 +167,13 @@ class TestEveStrategies:
         assert rep.eve_info == pytest.approx(1 - binary_entropy(err), abs=1e-9)
 
     def test_default_decoder_ties_go_to_lowest_key(self):
-        # (0, 1) and (1, 0) are equally likely under both codewords
+        # Keys of the tuples (0, 0), (0, 1), (1, 0), (1, 1) in this order;
+        # (0, 1) and (1, 0) are equally likely under both codewords.
         sc = paper_example(0.5).with_n(2)
         me = eve_default_strategy(sc, repetition_codebook(2, 2))
-        assert me.decoder[(0, 1)] == 0
-        assert me.decoder[(1, 0)] == 0
-        assert me.decoder[(1, 1)] == 1
+        assert me.decoder.tolist() == [0, 0, 0, 1]
+        with pytest.raises(ValueError):
+            me.decoder[0] = 1
 
     def test_constant_adversary_states_zero_info(self):
         sc = paper_example(1.0).with_n(2)
@@ -181,33 +185,29 @@ class TestEveStrategies:
         # class membership by construction: the flat attack measurement is
         # the decoder-coarse-graining of the expanded slot product, and the
         # joint's adversary marginal reproduces its Born statistics
-        from qkdsim.states import DensityOperator
-
         sc = paper_example(0.5).with_n(2)
         book = repetition_codebook(2, 2)
         me = eve_default_strategy(sc, book)
-        flat = coarse_grain(expand(me.slots), me.decoder)
+        flat = coarse_grain(expand(me.slots).effects, me.decoder, 2)
         rep = evaluate(sc, book, bob_decoder(sc, book), me)
         eve_states = [s.matrix for s in sc.eve_ensemble().states]
-        for key, word in enumerate(book.words):
-            block = reduce(np.kron, (eve_states[a] for a in word.letters))
-            probs = born_rule(flat, DensityOperator(block))
+        for key, word in enumerate(book.letters):
+            block = reduce(np.kron, (eve_states[a] for a in word))
+            probs = _born_table(flat, block[None])[0]
             np.testing.assert_allclose(rep.joint[key].sum(axis=0) * 2, probs, atol=1e-9)
 
     def test_decoder_must_be_total(self):
         sc = paper_example(0.5).with_n(2)
         me = eve_default_strategy(sc, repetition_codebook(2, 2))
-        partial = dict(me.decoder)
-        partial.popitem()
         with pytest.raises(ValidationError, match="decoder-total"):
-            EveStrategy(me.slots, partial)
+            EveStrategy(me.slots, me.decoder[:-1])
 
     def test_optimize_zero_restarts_is_default(self):
         sc = paper_example(0.5).with_n(2)
         book = repetition_codebook(2, 2)
         default = eve_default_strategy(sc, book)
         opt = eve_optimize(sc, book, OptimizerConfig(restarts=0, seed=1))
-        assert opt.decoder == default.decoder
+        np.testing.assert_array_equal(opt.decoder, default.decoder)
         for a, b in zip(opt.slots.slots, default.slots.slots):
             for x, y in zip(a.effects, b.effects):
                 np.testing.assert_array_equal(x, y)
@@ -283,7 +283,7 @@ class TestSeesawProperties:
         assert default <= optimized + 1e-9
         assert optimized + 1e-9 <= min(math.log2(k), n * pure_pair_c1(s)) + 1e-6
         again = eve_optimize(sc, book, cfg)
-        assert again.decoder == opt.decoder
+        np.testing.assert_array_equal(again.decoder, opt.decoder)
         for a, b in zip(again.slots.slots, opt.slots.slots):
             assert a.outcomes == b.outcomes
             for x, y in zip(a.effects, b.effects):
@@ -345,13 +345,13 @@ def dense_joint(sc, book, mb, me):
     dims = (sc.dim_b,) * n + (sc.dim_e,) * n
     perm = [f for j in range(n) for f in (j, n + j)]
     oracle = np.zeros((k, k, k))
-    for key, word in enumerate(book.words):
-        sigma = reduce(np.kron, (taus[a] for a in word.letters))
+    for key, word in enumerate(book.letters):
+        sigma = reduce(np.kron, (taus[a] for a in word))
         for b_label, b_eff in zip(mb.outcomes, mb.effects):
-            for combo, e_eff in zip(flat_eve.outcomes, flat_eve.effects):
+            for e_eff, e_key in zip(flat_eve.effects, me.decoder):
                 effect = permute_factors(np.kron(b_eff, e_eff), dims, perm)
                 p = np.sum(sigma * effect.T).real
-                oracle[key, b_label, me.decoder[combo]] += p / k
+                oracle[key, b_label, e_key] += p / k
     return oracle
 
 
@@ -379,17 +379,17 @@ class TestEvaluate:
         sc = paper_example(0.5).with_n(2)
         book = repetition_codebook(2, 2)
         me = eve_default_strategy(sc, book)
-        constant = EveStrategy(me.slots, {k: 0 for k in me.decoder}, descriptor="constant")
+        constant = EveStrategy(me.slots, np.zeros_like(me.decoder), descriptor="constant")
         rep = evaluate(sc, book, bob_decoder(sc, book), constant)
         assert rep.eve_info == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("key", [1.9, 0.5, "1"])
+    @pytest.mark.parametrize("key", [1.9, 0.5, "1", 2, -1])
     def test_non_integer_decoder_key_rejected(self, key):
         sc = paper_example(0.5).with_n(2)
         book = repetition_codebook(2, 2)
         me = eve_default_strategy(sc, book)
-        decoder = dict(me.decoder)
-        decoder[(1, 1)] = key
+        decoder = me.decoder.tolist()
+        decoder[3] = key
         with pytest.raises(ValidationError, match="decoder-range"):
             evaluate(sc, book, bob_decoder(sc, book), EveStrategy(me.slots, decoder))
 
@@ -398,8 +398,7 @@ class TestEvaluate:
         book = repetition_codebook(2, 2)
         mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
-        unsigned = {t: np.uint64(key) for t, key in me.decoder.items()}
-        rep = evaluate(sc, book, mb, EveStrategy(me.slots, unsigned))
+        rep = evaluate(sc, book, mb, EveStrategy(me.slots, me.decoder.astype(np.uint64)))
         assert rep.eve_info == evaluate(sc, book, mb, me).eve_info
 
     def test_joint_invariants(self):
@@ -430,21 +429,20 @@ class TestEvaluate:
         bob_states = [s.matrix for s in sc.bob_ensemble().states]
         k = sc.key_count
         oracle = np.zeros((k, k, k))
-        for key, word in enumerate(book.words):
-            bob_block = reduce(np.kron, (bob_states[a] for a in word.letters))
+        for key, word in enumerate(book.letters):
+            bob_block = reduce(np.kron, (bob_states[a] for a in word))
             p_b = np.array(
                 [np.trace(eff @ bob_block).real for eff in mb.effects]
             )
             slot_rows = []
-            for povm, a in zip(me.slots.slots, word.letters):
+            for povm, a in zip(me.slots.slots, word):
                 slot_rows.append(
                     np.array([np.trace(eff @ eve_states[a]).real for eff in povm.effects])
                 )
             p_tuple = reduce(np.multiply.outer, slot_rows).ravel()
-            combos = list(itertools.product(*(p.outcomes for p in me.slots.slots)))
             p_e = np.zeros(k)
-            for combo, w in zip(combos, p_tuple):
-                p_e[me.decoder[combo]] += w
+            for e_key, w in zip(me.decoder, p_tuple):
+                p_e[e_key] += w
             oracle[key] = np.outer(p_b, p_e) / k
         np.testing.assert_allclose(rep.joint, oracle, atol=1e-9)
 
@@ -475,7 +473,7 @@ class TestEvaluate:
             [random_rank1_povm(sc.dim_e, int(rng.integers(2, 5)), rng) for _ in range(n)]
         )
         combos = itertools.product(*(p.outcomes for p in slots.slots))
-        me = EveStrategy(slots, {combo: int(rng.integers(2)) for combo in combos})
+        me = EveStrategy(slots, [int(rng.integers(2)) for _ in combos])
         mb = bob_decoder(sc, book)
         rep = evaluate(sc, book, mb, me)
         np.testing.assert_allclose(rep.joint, dense_joint(sc, book, mb, me), atol=1e-12)
@@ -509,6 +507,34 @@ class TestEvaluate:
         wrong = Povm([np.eye(2) / 2, np.eye(2) / 2], outcomes=(0, 7))
         with pytest.raises(ValidationError, match="bob-outcomes"):
             evaluate(sc, book, wrong, me)
+
+
+class TestJointLawProperties:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mixed=st.lists(st.booleans(), min_size=2, max_size=3),
+        k=st.sampled_from([2, 3]),
+        n=st.sampled_from([1, 2, 3]),
+    )
+    def test_evaluate_matches_dense_oracle(self, seed, mixed, k, n):
+        # A random qubit-input channel to (2, 2), a letter per entry of
+        # ``mixed`` (mixed or pure), random slot POVMs and a random decoder.
+        rng = np.random.default_rng(seed)
+        theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_factorization=(2, 2))
+        states = [random_density(rng, 2) if m else random_pure(rng, 2) for m in mixed]
+        ensemble = CqEnsemble(np.full(len(states), 1 / len(states)), states)
+        sc = Scenario(name="random", key_count=k, ensemble=ensemble, theta=theta, n=n)
+        book = sample_codebook(k, n, len(states), seed)
+        slots = FactorizedPovm(
+            [random_rank1_povm(2, int(rng.integers(2, 5)), rng) for _ in range(n)]
+        )
+        me = EveStrategy(slots, rng.integers(0, k, size=math.prod(len(p) for p in slots.slots)))
+        mb = bob_decoder(sc, book)
+        rep = evaluate(sc, book, mb, me)
+        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, mb, me), rtol=0, atol=1e-9)
+        assert rep.joint.sum() == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(rep.joint.sum(axis=(1, 2)), 1 / k, rtol=0, atol=1e-10)
 
 
 class TestSweep:
@@ -569,7 +595,7 @@ class TestSweep:
         direct = evaluate(sc, book, bob_decoder(sc, book), me)
         report = run_cell(sc, "random", 5, "optimized", CFG)
         assert np.array_equal(report.joint, direct.joint)
-        assert report.metadata["codebook"] == [list(w.letters) for w in book.words]
+        assert report.metadata["codebook"] == book.letters.tolist()
 
     @pytest.mark.parametrize("coder, eve", [("gray", "default"), ("random", "oracle")])
     def test_run_cell_rejects_unknown_choices(self, coder, eve):

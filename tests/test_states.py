@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qkdsim.channels import apply, identity_channel, marginal
 from qkdsim.errors import ValidationError
 from qkdsim.states import (
     DensityOperator,
     StateVector,
     TensorFactorization,
-    partial_trace,
     permute_factors,
     pure_state,
     spectral,
@@ -58,14 +58,8 @@ class TestValidation:
             rho.matrix[0, 0] = 0.0
 
     def test_bad_factorization_rejected(self):
-        rho = random_density(np.random.default_rng(0), 4)
         with pytest.raises(ValidationError, match="factorization"):
-            partial_trace(rho, (2, 3), keep=[0])
-
-    def test_empty_keep_rejected(self):
-        rho = random_density(np.random.default_rng(0), 4)
-        with pytest.raises(ValidationError, match="keep-set"):
-            partial_trace(rho, (2, 2), keep=[])
+            TensorFactorization((2, 3)).check_dim(4)
 
 
 class TestPureState:
@@ -90,6 +84,11 @@ class TestPureState:
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
 
 
+def trace_out(rho, dims, side):
+    """Partial trace of a two-factor state, taken by the package's channel marginal."""
+    return apply(marginal(identity_channel(rho.dim, out_factorization=dims), side), rho)
+
+
 class TestTensorAndPartialTrace:
     def test_mixed_identity_product(self):
         half = DensityOperator(np.eye(2) / 2)
@@ -99,12 +98,12 @@ class TestTensorAndPartialTrace:
     def test_trace_out_second_factor_recovers_first(self, rng):
         a = random_density(rng, 2)
         b = random_density(rng, 3)
-        back = partial_trace(tensor(a, b), (2, 3), keep=[0])
+        back = trace_out(tensor(a, b), (2, 3), "B")
         np.testing.assert_allclose(back.matrix, a.matrix, atol=1e-10)
 
     def test_bell_state_marginal_is_mixed(self):
         bell = pure_state(np.array([1, 0, 0, 1]) / math.sqrt(2))
-        reduced = partial_trace(bell, (2, 2), keep=[1])
+        reduced = trace_out(bell, (2, 2), "E")
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_two_qubit_letter_state(self):
@@ -112,16 +111,9 @@ class TestTensorAndPartialTrace:
         s = 0.5
         phi = pure_state([1, 0])
         letter = tensor(phi, phi)
-        kept = partial_trace(letter, (2, 2), keep=[0])
+        kept = trace_out(letter, (2, 2), "B")
         np.testing.assert_allclose(kept.matrix, phi.matrix, atol=1e-12)
         assert letter.dim == 4
-
-    def test_keep_order_independent(self, rng):
-        rho = random_density(rng, 8)
-        f = TensorFactorization((2, 2, 2))
-        a = partial_trace(partial_trace(rho, f, keep=[0, 2]), (2, 2), keep=[0])
-        b = partial_trace(rho, f, keep=[0])
-        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
 
     def test_permute_factors_roundtrip(self, rng):
         rho = random_density(rng, 8)
