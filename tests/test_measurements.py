@@ -17,6 +17,7 @@ from qkdsim.measurements import (
     pretty_good_measurement,
     random_rank1_povm,
 )
+from qkdsim.simulation import EveStrategy
 from qkdsim.states import pure_state, tensor
 
 from conftest import random_density, random_pure, random_unitary
@@ -215,6 +216,12 @@ class TestExpandAndCoarseGrain:
         joint = born(flat, tensor(r1, r2))
         product = np.outer(born(p1, r1), born(p2, r2)).ravel()
         np.testing.assert_allclose(joint, product, atol=1e-9)
+
+    def test_partial_function_rejected(self, rng):
+        # a post-processing defined on the first outcome only is not total
+        povm = random_rank1_povm(2, 4, rng)
+        with pytest.raises(ValidationError, match="decoder-total"):
+            EveStrategy(FactorizedPovm([povm]), [0])
 
     def test_majority_vote_matches_binomial(self):
         s = 0.5
