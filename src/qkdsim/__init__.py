@@ -48,6 +48,7 @@ from .scenarios import (
 from .simulation import (
     Codebook,
     EveStrategy,
+    GramReceiver,
     KeySimReport,
     Scenario,
     SweepCell,

@@ -5,8 +5,10 @@ Human-readable output goes to stdout with 6 decimal places; machine output
 is byte-identical across runs for identical flags and seeds. Files are
 written atomically. Exit codes: 0 success, 1 validation or parse failure
 (the message names the failed invariant), 2 optimizer non-convergence
-(partial report still emitted) or partial sweep failure, 3 dimension
-budget exceeded (the message names the limiting dimension).
+(partial report still emitted) or partial sweep failure, 3 budget
+exceeded (the message names the count that exceeds it: the receiver's Gram
+dimension, the adversary's outcome tuples, or a tensor power's or block
+capacity's dimension).
 """
 
 from __future__ import annotations
@@ -146,7 +148,13 @@ def cmd_analyze(args) -> int:
     return 0 if converged else 2
 
 
+def _check_block_lengths(values, flag: str) -> None:
+    if min(values) < 1:
+        raise ValidationError(flag, f"block lengths must be >= 1, got {min(values)}")
+
+
 def cmd_simulate(args) -> int:
+    _check_block_lengths([args.n], "-n")
     scenario = _load(args).with_n(args.n)
     cfg = _config_from_args(args)
     t0 = time.perf_counter()
@@ -245,6 +253,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     n_range = _parse_int_range(args.n_range, "--n-range")
+    _check_block_lengths(n_range, "--n-range")
     seeds = _parse_int_range(args.seeds, "--seeds")
     if any(seed < 0 for seed in seeds):
         raise ValidationError("--seeds", f"codebook seeds must be >= 0, got {min(seeds)}")
@@ -335,6 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkdsim",
         description="Key-distribution feasibility analysis and exact finite-block simulation",
+        epilog="exit codes: 0 success; 1 validation or parse failure; 2 optimizer "
+        "non-convergence or partial sweep failure; 3 budget exceeded (a simulation "
+        "builds at most 2^12 receiver Gram dimensions and 2^12 adversary outcome tuples)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the exact pipeline once")
     _add_common(p)
-    p.add_argument("-n", type=int, default=1, help="block length")
+    p.add_argument("-n", type=int, default=1, help="block length, >= 1")
     p.add_argument("--coder", choices=("random", "repetition"), default="repetition")
     p.add_argument("--eve", choices=("default", "optimized"), default="default")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="simulate over a grid of block lengths and seeds")
     _add_common(p)
-    p.add_argument("--n-range", default="1..3", help="block lengths, e.g. 1..4 or 1,2,4")
+    p.add_argument("--n-range", default="1..3", help="block lengths >= 1, e.g. 1..4 or 1,2,4")
     p.add_argument("--seeds", default="0", help="codebook seeds, e.g. 0..4 or 0,7")
     p.add_argument("--coder", choices=("random", "repetition"), default="repetition")
     p.add_argument("--eve", choices=("default", "optimized"), default="default")

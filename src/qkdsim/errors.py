@@ -21,16 +21,18 @@ class DimensionMismatch(ValidationError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A requested tensor power or expansion exceeds the dimension budget.
+    """A count of what an operation would build exceeds the budget.
 
-    ``limiting_dim`` is the size the operation would have required: a
-    total complex dimension, or for a tensor power possibly its Kraus count.
+    ``limiting_dim`` is that count and ``quantity`` names it: by default a
+    total complex dimension (for a tensor power possibly its Kraus count);
+    in a simulation the receiver's Gram dimension or the number of the
+    adversary's outcome tuples.
     """
 
-    def __init__(self, limiting_dim: int, budget: int, context: str = ""):
+    def __init__(
+        self, limiting_dim: int, budget: int, context: str = "", quantity: str = "dimension"
+    ):
         self.limiting_dim = limiting_dim
         self.budget = budget
         where = f" ({context})" if context else ""
-        super().__init__(
-            f"dimension {limiting_dim} exceeds budget {budget}{where}"
-        )
+        super().__init__(f"{quantity} {limiting_dim} exceeds budget {budget}{where}")

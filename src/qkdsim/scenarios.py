@@ -274,11 +274,18 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text to path atomically (temp file in the same directory, then rename)."""
+    """Write text to path atomically (temp file in the same directory, then rename).
+
+    The file gets the mode a plain write would give it, 0o666 less the umask,
+    not the 0o600 of the temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

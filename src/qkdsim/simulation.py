@@ -2,20 +2,21 @@
 
 One run of the pipeline: a uniform key K_A selects a codeword, each letter
 is encoded and sent through the channel, the receiver measures the whole
-block with a collective POVM (the pretty-good measurement over codeword
-block states) while the adversary measures slot by slot with a factorized
-POVM and post-processes outcomes through a classical decoding function.
-Its optimized attack comes from a seesaw that alternates per-slot ascents,
-joined by one ascent over all slots once they stall, with the
-maximum-likelihood decoder. The channel is memoryless, so block states
-are Kronecker products of single-letter states, and the joint law is
-contracted one slot at a time; no operator on the joint
-receiver/adversary block space is ever built. The joint law of
-(K_A, K_B, K_E) is computed exactly by enumerating all outcome tuples;
-there is no Monte Carlo anywhere, so agreement probability and adversary
-information are sharp numbers and runs are bit-identical for fixed seeds.
-A codebook is a (K, n) array of letters and the adversary's decoder an
-array of keys, one per outcome tuple in lexicographic order.
+block with a collective POVM (the square-root, or pretty-good, measurement
+of the codeword block states) while the adversary measures slot by slot
+with a factorized POVM and post-processes outcomes through a classical
+decoding function. Its optimized attack comes from a seesaw that alternates
+per-slot ascents, joined by one ascent over all slots once they stall, with
+the maximum-likelihood decoder. The channel is memoryless, so block states
+are Kronecker products of single-letter states. The receiver's measurement
+is held in Gram form on the span of the K codeword states, and the joint
+law is contracted one slot at a time; no operator on the receiver's or the
+adversary's block space is ever built. The joint law of (K_A, K_B, K_E) is
+computed exactly by enumerating all outcome tuples; there is no Monte
+Carlo anywhere, so agreement probability and adversary information are
+sharp numbers and runs are bit-identical for fixed seeds. A codebook is a
+(K, n) array of letters and the adversary's decoder an array of keys, one
+per outcome tuple in lexicographic order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .measurements import (
     pretty_good_measurement,
     random_rank1_povm,
 )
-from .states import DensityOperator
+from .states import spectral
 
 # Iteration cap of the slot ascent per free slot; C1's ascent uses 300.
 _SLOT_ASCENT_MAX_ITERS = 200
@@ -61,6 +62,10 @@ _SLOT_ASCENT_MAX_ITERS = 200
 # stalled; it adds one joint ascent over all slots, which stops at a
 # projected gradient of _JOINT_GTOL (the per-slot ascents keep L-BFGS-B's 1e-5).
 _STALL_BITS = 1e-4
+# Eigenvalues at or below this lie outside a state's support: the receiver's
+# letter factors drop them, and its G^(-1/2) inverts G/K only above it, the
+# threshold of measurements.pretty_good_measurement on the average state.
+_SUPPORT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,9 +99,6 @@ class Scenario:
             )
         if self.n < 1:
             raise ValidationError("block-length", f"n must be >= 1, got {self.n}")
-        total = self.theta.out_dim**self.n
-        if total > DEFAULT_DIM_BUDGET:
-            raise BudgetExceeded(total, DEFAULT_DIM_BUDGET, f"scenario block length n={self.n}")
 
     @property
     def dim_b(self) -> int:
@@ -146,6 +148,31 @@ class Codebook:
 
     def __len__(self) -> int:
         return self.letters.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class GramReceiver:
+    """The receiver's collective measurement, held on the span of the codeword states.
+
+    ``letters`` is the (K, n) codebook it was built for and ``factors[a]`` the
+    d_b x r_a rank factor A_a of receiver letter a. ``effects`` stacks the
+    Gram-form effects Q_b, each D x D with D = sum_k prod_i r_{w_k,i}, the
+    index running over codeword k's factor columns in codebook order; the
+    measurement on the block space is M_b = Psi Q_b Psi^dagger with Psi the
+    stacked codeword factors. ``outcomes[b]`` is the key that Q_b reports.
+    Built by ``bob_decoder``; arrays are read-only.
+    """
+
+    letters: np.ndarray
+    factors: tuple
+    effects: np.ndarray
+    outcomes: tuple
+
+    def __post_init__(self):
+        if len(self.outcomes) != len(self.effects):
+            raise ValidationError("outcomes", "one outcome label per effect required")
+        for a in (self.letters, self.effects, *self.factors):
+            a.flags.writeable = False
 
 
 def sample_codebook(key_count: int, n: int, alphabet_size: int, seed: int) -> Codebook:
@@ -239,22 +266,56 @@ def _check_letters(s: Scenario, c: Codebook) -> None:
         )
 
 
-def bob_decoder(s: Scenario, c: Codebook) -> Povm:
-    """Pretty-good measurement over the receiver's codeword block states.
+def _kron(mats: list[np.ndarray]) -> np.ndarray:
+    """Kronecker product of a list of matrices, from one outer product."""
+    t = reduce(np.multiply.outer, mats)
+    n = len(mats)
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return t.transpose(order).reshape(math.prod(m.shape[0] for m in mats), -1)
 
-    The channel is memoryless, so a codeword's receiver state is the
-    Kronecker product of the single-letter receiver states. The effects are
-    entangled across slots in general; outcomes are the keys 0..K-1.
+
+def _codeword_sizes(factors, letters: np.ndarray) -> list[int]:
+    """Columns of each codeword's factor, prod_i r_{w_i}: its share of the Gram dimension."""
+    return [math.prod(factors[a].shape[1] for a in word) for word in letters]
+
+
+def bob_decoder(s: Scenario, c: Codebook) -> GramReceiver:
+    """Square-root (pretty-good) measurement of the codeword block states, in Gram form.
+
+    Each receiver letter is rho_a = A_a A_a^dagger with a d_b x r_a rank
+    factor A_a that keeps the eigenvalues above ``_SUPPORT_FLOOR``. The
+    channel is memoryless, so codeword w has the factor A_w = (x)_i A_{w_i};
+    the factors stack into Psi = [A_{w_1} .. A_{w_K}]. The Gram matrix
+    G = Psi^dagger Psi has the blocks (x)_i A_{w_j,i}^dagger A_{w_l,i}, and
+    under the uniform prior the measurement is M_b = Psi Q_b Psi^dagger with
+    Q_b = G^(-1/2) E_b G^(-1/2) (Hausladen et al., PRA 54, 1869 (1996); Eldar
+    and Forney, IEEE TIT 47, 858 (2001)). G^(-1/2) inverts only the support
+    of G/K, so repeated codewords are allowed. Nothing of the receiver's block
+    dimension d_b^n is built; the Gram dimension, sum_k prod_i r_{w_k,i}, is
+    held to the budget. The effects are entangled across slots in general;
+    outcomes are the keys 0..K-1.
     """
     if c.length != s.n:
         raise DimensionMismatch(f"codebook length {c.length} != scenario block length {s.n}")
     _check_letters(s, c)
-    states = [rho.matrix for rho in s.bob_ensemble().states]
-    block_states = [
-        DensityOperator(reduce(np.kron, (states[a] for a in word))) for word in c.letters
-    ]
-    priors = np.full(len(c), 1.0 / len(c))
-    return pretty_good_measurement(block_states, priors)
+    factors = []
+    for rho in s.bob_ensemble().states:
+        vals, vecs = spectral(rho)
+        keep = vals > _SUPPORT_FLOOR
+        factors.append(vecs[:, keep] * np.sqrt(vals[keep]))
+    sizes = _codeword_sizes(factors, c.letters)
+    if sum(sizes) > DEFAULT_DIM_BUDGET:
+        raise BudgetExceeded(sum(sizes), DEFAULT_DIM_BUDGET, f"n={s.n}", "receiver Gram dimension")
+    overlaps = [[x.conj().T @ y for y in factors] for x in factors]
+    gram = np.block(
+        [[_kron([overlaps[a][b] for a, b in zip(u, v)]) for v in c.letters] for u in c.letters]
+    )
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > _SUPPORT_FLOOR * len(c)
+    root = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
+    cols = np.split(root, np.cumsum(sizes)[:-1], axis=1)
+    effects = np.stack([col @ col.conj().T for col in cols])
+    return GramReceiver(c.letters, tuple(factors), effects, tuple(range(len(c))))
 
 
 def _eve_slot_states(s: Scenario) -> np.ndarray:
@@ -266,8 +327,16 @@ def _slot_channels(slots: FactorizedPovm, eve_states: np.ndarray) -> list[np.nda
     return [_born_table(np.stack(povm.effects), eve_states).T for povm in slots.slots]
 
 
+def _check_tuple_count(counts, n: int) -> None:
+    """Refuse a likelihood table or joint law over more outcome tuples than the budget."""
+    total = math.prod(counts)
+    if total > DEFAULT_DIM_BUDGET:
+        raise BudgetExceeded(total, DEFAULT_DIM_BUDGET, f"n={n}", "adversary outcome tuple count")
+
+
 def _likelihoods(tables: list[np.ndarray], c: Codebook) -> np.ndarray:
     """P(outcome tuple | codeword), shape (K, M), tuples in lexicographic order."""
+    _check_tuple_count((t.shape[0] for t in tables), len(tables))
     cols = [[t[:, a] for t, a in zip(tables, word)] for word in c.letters]
     return np.stack([reduce(np.multiply.outer, col).ravel() for col in cols])
 
@@ -448,37 +517,59 @@ def _refine_slots(
     return povms, tables, _key_info(_likelihoods(tables, c), decoder_idx)
 
 
-def _block_law(effects: np.ndarray, slot_ops: list[np.ndarray]) -> np.ndarray:
-    """Tr[M_b (x)_i X_i(o_i)] for every block effect M_b and outcome tuple.
+def _receiver_law(mb: GramReceiver, slot_ops: list[np.ndarray]) -> np.ndarray:
+    """p(b, t | k) = Tr[Q_b Y_k(t)] for every codeword k, effect b and outcome tuple t.
 
-    ``effects`` stacks the block effects, shape (K, D, D); ``slot_ops[i]``
-    stacks slot i's operators X_i(o), shape (m_i, d, d). The trace is taken
-    one slot at a time. Rows follow the effects, columns the outcome tuples
-    in lexicographic order.
+    ``slot_ops[i]`` stacks X_a(o) for every letter a and outcome o of slot i,
+    shape (A, m_i, d_b, d_b). Y_k(t) has the blocks
+    Y_{lj} = (x)_i A_{w_l,i}^dagger X_{w_k,i}(o_i) A_{w_j,i}, so the trace is
+    a sum over block pairs (j, l); within a pair it is taken one slot at a
+    time, each slot consuming its rank indices of Q_b's block, so no block of
+    Y is built for all tuples at once. Q_b and Y are Hermitian, so the pair
+    (l, j) adds the conjugate of (j, l) and only j <= l is contracted.
+    Returns the real array of shape (K, len(effects), M), tuples in
+    lexicographic order.
     """
-    t = effects
-    rest = effects.shape[1]
-    for x in slot_ops:
-        d = x.shape[1]
-        rest //= d
-        t = np.einsum("prqcs,ocr->poqs", t.reshape(-1, d, rest, d, rest), x)
-    return t.reshape(len(effects), -1)
+    k, n = mb.letters.shape
+    ranks = [f.shape[1] for f in mb.factors]
+    sizes = _codeword_sizes(mb.factors, mb.letters)
+    blocks = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+    spans = [slice(end - r, end) for r, end in zip(ranks, np.cumsum(ranks))]
+    stacked = np.hstack(mb.factors)
+    # sandwiches[i][k, o][span b, span a] = A_b^dagger X_{w_k,i}(o) A_a
+    sandwiches = [stacked.conj().T @ x[a] @ stacked for x, a in zip(slot_ops, mb.letters.T)]
+    law = 0.0
+    for j in range(k):
+        for l in range(j, k):
+            t = mb.effects[None, :, blocks[j], blocks[l]]
+            rest_j, rest_l = sizes[j], sizes[l]
+            for y, a, b in zip(sandwiches, mb.letters[j], mb.letters[l]):
+                rest_j, rest_l = rest_j // ranks[a], rest_l // ranks[b]
+                t = t.reshape(len(t), -1, ranks[a], rest_j, ranks[b], rest_l)
+                t = np.einsum("kpaxby,koba->kpoxy", t, y[:, :, spans[b], spans[a]])
+            law = law + (1 if j == l else 2) * t.reshape(k, len(mb.effects), -1)
+    return law.real
 
 
 def evaluate(
-    s: Scenario, c: Codebook, mb: Povm, me: EveStrategy, metadata: dict | None = None
+    s: Scenario, c: Codebook, mb: GramReceiver, me: EveStrategy, metadata: dict | None = None
 ) -> KeySimReport:
     """Exact joint distribution of the pipeline for the given strategies.
 
     The channel is memoryless and the attack factorized, so for codeword w
-    p(b, o_1..o_n | w) = Tr[M_b (x)_i X_{a_i}(o_i)], where
+    p(b, o_1..o_n | w) = Tr[M_b (x)_i X_{w_i}(o_i)], where
     X_a(o) = Tr_E[(I (x) E_o) Theta(xi_a)] is an operator on one receiver
-    letter space. The trace is contracted slot by slot for every outcome
-    tuple, in lexicographic order of the effect positions, and ``me.decoder``
-    maps the tuple at each position to a key; neither the joint block state
-    nor the expanded adversary POVM is built. K_B is the outcome label of the
-    receiver's effect, not its position in the POVM. A codeword letter
-    outside the alphabet or a decoder key outside 0..K-1 is rejected.
+    letter space. With M_b = Psi Q_b Psi^dagger this is Tr[Q_b Y(t)] on the
+    codeword span (``_receiver_law``), contracted slot by slot for every
+    outcome tuple, in lexicographic order of the effect positions, and
+    ``me.decoder`` maps the tuple at each position to a key; neither a block
+    state nor the expanded adversary POVM is built. The pretty-good
+    measurement's completion on the kernel of the average block state adds
+    nothing, because (x)_i X_{w_i}(o_i) lies in the support of rho_w. K_B is
+    the outcome label of the receiver's effect, not its position. The
+    receiver must be ``bob_decoder``'s for this codebook. A codeword letter
+    outside the alphabet, a decoder key outside 0..K-1 or more outcome tuples
+    than the budget is rejected.
     """
     k = s.key_count
     if len(c) != k:
@@ -486,10 +577,14 @@ def evaluate(
     if c.length != s.n:
         raise DimensionMismatch(f"codebook length {c.length} != block length {s.n}")
     d_b, d_e, n = s.dim_b, s.dim_e, s.n
-    if mb.dim != d_b**n:
-        raise DimensionMismatch(f"receiver POVM dim {mb.dim} != block dim {d_b**n}")
-    if len(mb) != k or set(mb.outcomes) != set(range(k)):
-        raise ValidationError("bob-outcomes", "receiver POVM outcomes must be the key set")
+    if not isinstance(mb, GramReceiver):
+        raise ValidationError("receiver", "the receiver must be a GramReceiver from bob_decoder")
+    if not np.array_equal(mb.letters, c.letters):
+        raise ValidationError("receiver-codebook", "the receiver was built for another codebook")
+    if mb.factors[0].shape[0] != d_b:
+        raise DimensionMismatch(f"receiver letter dim {mb.factors[0].shape[0]} != {d_b}")
+    if len(mb.outcomes) != k or set(mb.outcomes) != set(range(k)):
+        raise ValidationError("bob-outcomes", "receiver outcomes must be the key set")
     if me.n != n:
         raise DimensionMismatch(f"adversary strategy has {me.n} slots for block length {n}")
     if any(p.dim != d_e for p in me.slots.slots):
@@ -497,6 +592,7 @@ def evaluate(
     _check_letters(s, c)
     if me.decoder.max() >= k:
         raise ValidationError("decoder-range", f"decoder key {me.decoder.max()} >= {k} keys")
+    _check_tuple_count((len(p) for p in me.slots.slots), n)
 
     taus = np.stack(
         [apply(s.theta, rho).matrix.reshape(d_b, d_e, d_b, d_e) for rho in s.ensemble.states]
@@ -505,13 +601,11 @@ def evaluate(
     slot_ops = [
         np.einsum("aiejf,ofe->aoij", taus, np.stack(povm.effects)) for povm in me.slots.slots
     ]
-    effects = np.stack(mb.effects)
+    probs = np.clip(_receiver_law(mb, slot_ops), 0.0, None)
 
     joint = np.zeros((k, k, k))
-    for key, word in enumerate(c.letters):
-        law = _block_law(effects, [x[a] for x, a in zip(slot_ops, word)])
-        probs = np.clip(law.real, 0.0, None)
-        for b_label, row in zip(mb.outcomes, probs):
+    for key in range(k):
+        for b_label, row in zip(mb.outcomes, probs[key]):
             joint[key, b_label, :] = np.bincount(me.decoder, weights=row, minlength=k) / k
     p_agree = float(sum(joint[i, i, :].sum() for i in range(k)))
     prior = np.full(k, 1.0 / k)

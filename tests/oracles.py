@@ -2,8 +2,9 @@
 
 Everything here is deliberately separate from the package's own code paths:
 closed forms for binary pure-state ensembles, a dense brute-force grid
-over qubit projective measurements and priors, and dense partial-trace and
-coarse-graining references.
+over qubit projective measurements and priors, dense partial-trace and
+coarse-graining references, and the receiver's pretty-good measurement
+built on the full block space.
 """
 
 import math
@@ -43,6 +44,19 @@ def majority_error(eps: float, n: int) -> float:
     for k in range((n // 2) + 1, n + 1):
         total += math.comb(n, k) * eps**k * (1 - eps) ** (n - k)
     return total
+
+
+def majority_vote_info(eps: float, n: int) -> float:
+    """I(K_A; K_E) in bits of a majority vote over n slots of a repetition code.
+
+    Each slot is misread with probability eps; a tied vote (even n) decodes
+    to key 0.
+    """
+    below = sum(math.comb(n, m) * eps**m * (1 - eps) ** (n - m) for m in range(n + 1) if m < n / 2)
+    tie = math.comb(n, n // 2) * (eps * (1 - eps)) ** (n // 2) if n % 2 == 0 else 0.0
+    given_0, given_1 = below + tie, 1 - below  # P(decoded 0 | key 0), P(decoded 0 | key 1)
+    noise = (binary_entropy(given_0) + binary_entropy(given_1)) / 2
+    return binary_entropy((given_0 + given_1) / 2) - noise
 
 
 def _bloch(v: np.ndarray) -> np.ndarray:
@@ -103,3 +117,21 @@ def coarse_grain(effects, labels, count: int) -> np.ndarray:
     for effect, label in zip(effects, labels):
         out[label] += effect
     return out
+
+
+def dense_pgm(block_states) -> np.ndarray:
+    """Pretty-good measurement of equiprobable states, built on their full space.
+
+    Effects S rho_k S / K with S the inverse square root of the average state
+    on its support (eigenvalues above 1e-12); the kernel projector goes to
+    outcome 0. Returns the stacked effects, one per state.
+    """
+    k = len(block_states)
+    avg = sum(block_states) / k
+    vals, vecs = np.linalg.eigh(avg)
+    support = vals > 1e-12
+    s = (vecs[:, support] / np.sqrt(vals[support])) @ vecs[:, support].conj().T
+    effects = np.stack([s @ rho @ s / k for rho in block_states])
+    kern = vecs[:, ~support]
+    effects[0] += kern @ kern.conj().T
+    return effects

@@ -320,10 +320,16 @@ class TestSimulateCommand:
         assert json.loads(out.read_text())["flags"] == "non-converged"
 
     def test_budget_exit_code_names_dimension(self, capsys):
-        code = main(["simulate", "paper-example", "-n", "9", "--restarts", "1"])
+        code = main(["simulate", "paper-example", "-n", "13", "--restarts", "1"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "budget" in err and str(4**9) in err
+        assert "budget: adversary outcome tuple count 8192 exceeds budget 4096" in err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_block_length_below_one_exits_1(self, n, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("scenario loaded"))
+        assert main(["simulate", "paper-example", "-n", n]) == 1
+        assert "error: -n: block lengths must be >= 1" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -350,6 +356,16 @@ class TestSweepCommand:
         assert f"error: {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["0..1", "2,-1"])
+    def test_block_length_below_one_exits_1(self, text, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("scenario loaded"))
+        out = tmp_path / "low.csv"
+        code = main(["sweep", "paper-example", "--n-range", text, "--seeds", "0",
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: --n-range: block lengths must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--n-range", "--seeds"])
     def test_non_integer_range_exits_1(self, flag, tmp_path, capsys):
         out = tmp_path / "bad.csv"
@@ -374,7 +390,7 @@ class TestSweepCommand:
     def test_partial_failure_markers_and_exit_2(self, tmp_path, capsys):
         out = tmp_path / "partial.csv"
         code = main(
-            ["sweep", "paper-example", "--n-range", "1,9", "--seeds", "0",
+            ["sweep", "paper-example", "--n-range", "1,13", "--seeds", "0",
              "--restarts", "1", "--format", "csv", "--out", str(out)]
         )
         assert code == 2
@@ -431,6 +447,21 @@ class TestOutPath:
         assert main(OUT_COMMANDS[command] + ["--out", str(tmp_path / "x.json")]) == 1
         err = capsys.readouterr().err
         assert "error: --out:" in err and "No space left" in err
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_follow_the_umask(self, umask, mode, tmp_path):
+        old = os.umask(umask)
+        try:
+            out = tmp_path / "cap.json"
+            assert main(["capacity", "paper-example", "--restarts", "1", "--out", str(out)]) == 0
+            saved = tmp_path / "scenario.json"
+            save_scenario(paper_example(0.5), str(saved))
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == mode
+        assert saved.stat().st_mode & 0o777 == mode
 
 
 class TestSeedValidation:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qkdsim import simulation
 from qkdsim.channels import CqEnsemble, QuantumChannel
-from qkdsim.errors import ValidationError
+from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
 from qkdsim.information import (
     OptimizerConfig,
     _povm_objective,
@@ -19,12 +19,11 @@ from qkdsim.information import (
 )
 from qkdsim.measurements import (
     FactorizedPovm,
-    Povm,
     _born_table,
     expand,
     random_rank1_povm,
 )
-from qkdsim.scenarios import paper_example
+from qkdsim.scenarios import bsc_pair, paper_example
 from qkdsim.simulation import (
     Codebook,
     EveStrategy,
@@ -51,8 +50,11 @@ from oracles import (
     binary_entropy,
     block_success,
     coarse_grain,
+    dense_pgm,
     helstrom_crossover,
     majority_error,
+    majority_vote_info,
+    partial_trace,
     pure_pair_c1,
 )
 
@@ -335,19 +337,24 @@ class TestJointObjective:
             np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
 
-def dense_joint(sc, book, mb, me):
-    """Independent oracle for evaluate: the full (d_b d_e)^n block state traced
-    against every Kronecker-product block effect, built explicitly and
+def dense_joint(sc, book, me):
+    """Independent oracle for evaluate: the receiver's pretty-good measurement
+    built on the full d_b^n block space, and the full (d_b d_e)^n block state
+    traced against every Kronecker-product block effect, built explicitly and
     permuted from [B1..Bn, E1..En] to the interleaved slot order."""
     n, k = sc.n, sc.key_count
     taus = [sc.theta.apply_matrix(s.matrix) for s in sc.ensemble.states]
+    bob_letters = [partial_trace(tau, (sc.dim_b, sc.dim_e), 0) for tau in taus]
+    bob_effects = dense_pgm(
+        [reduce(np.kron, (bob_letters[a] for a in word)) for word in book.letters]
+    )
     flat_eve = expand(me.slots)
     dims = (sc.dim_b,) * n + (sc.dim_e,) * n
     perm = [f for j in range(n) for f in (j, n + j)]
     oracle = np.zeros((k, k, k))
     for key, word in enumerate(book.letters):
         sigma = reduce(np.kron, (taus[a] for a in word))
-        for b_label, b_eff in zip(mb.outcomes, mb.effects):
+        for b_label, b_eff in enumerate(bob_effects):
             for e_eff, e_key in zip(flat_eve.effects, me.decoder):
                 effect = permute_factors(np.kron(b_eff, e_eff), dims, perm)
                 p = np.sum(sigma * effect.T).real
@@ -429,11 +436,11 @@ class TestEvaluate:
         bob_states = [s.matrix for s in sc.bob_ensemble().states]
         k = sc.key_count
         oracle = np.zeros((k, k, k))
-        for key, word in enumerate(book.letters):
-            bob_block = reduce(np.kron, (bob_states[a] for a in word))
-            p_b = np.array(
-                [np.trace(eff @ bob_block).real for eff in mb.effects]
-            )
+        bob_blocks = [reduce(np.kron, (bob_states[a] for a in word)) for word in book.letters]
+        bob_effects = dense_pgm(bob_blocks)
+        for key, bob_block in enumerate(bob_blocks):
+            word = book.letters[key]
+            p_b = np.array([np.trace(eff @ bob_block).real for eff in bob_effects])
             slot_rows = []
             for povm, a in zip(me.slots.slots, word):
                 slot_rows.append(
@@ -452,7 +459,7 @@ class TestEvaluate:
         mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
         rep = evaluate(sc, book, mb, me)
-        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, mb, me), atol=1e-9)
+        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), atol=1e-9)
         # and the B/E outputs here are genuinely correlated, not a product
         tau = sc.theta.apply_matrix(sc.ensemble.states[0].matrix)
         t = tau.reshape(2, 2, 2, 2)
@@ -463,7 +470,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize(
-        "make", [lambda: paper_example(0.5), correlated_scenario], ids=["paper", "correlated"]
+        "make",
+        [lambda: paper_example(0.5), correlated_scenario, lambda: bsc_pair(0.1, 0.3)],
+        ids=["paper", "correlated", "bsc"],
     )
     def test_random_slot_povms_match_direct_contraction(self, make, n):
         sc = make().with_n(n)
@@ -476,7 +485,7 @@ class TestEvaluate:
         me = EveStrategy(slots, [int(rng.integers(2)) for _ in combos])
         mb = bob_decoder(sc, book)
         rep = evaluate(sc, book, mb, me)
-        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, mb, me), atol=1e-12)
+        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), atol=1e-12)
 
     def test_bob_key_is_outcome_label_not_position(self):
         sc = paper_example(0.5).with_n(3)
@@ -484,7 +493,7 @@ class TestEvaluate:
         mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
         rep = evaluate(sc, book, mb, me)
-        relisted = Povm(mb.effects[::-1], outcomes=mb.outcomes[::-1])
+        relisted = dataclasses.replace(mb, effects=mb.effects[::-1], outcomes=mb.outcomes[::-1])
         rep_relisted = evaluate(sc, book, relisted, me)
         np.testing.assert_array_equal(rep_relisted.joint, rep.joint)
         assert rep_relisted.p_agree == pytest.approx(block_success(0.5, 3), abs=1e-12)
@@ -504,9 +513,23 @@ class TestEvaluate:
         sc = paper_example(0.5)
         book = repetition_codebook(2, 1)
         me = eve_default_strategy(sc, book)
-        wrong = Povm([np.eye(2) / 2, np.eye(2) / 2], outcomes=(0, 7))
+        wrong = dataclasses.replace(bob_decoder(sc, book), outcomes=(0, 7))
         with pytest.raises(ValidationError, match="bob-outcomes"):
             evaluate(sc, book, wrong, me)
+
+    def test_receiver_must_fit_the_codebook_and_letter_space(self):
+        sc = paper_example(0.5).with_n(2)
+        book = repetition_codebook(2, 2)
+        me = eve_default_strategy(sc, book)
+        other = bob_decoder(sc, Codebook([[0, 1], [1, 0]]))
+        with pytest.raises(ValidationError, match="receiver-codebook"):
+            evaluate(sc, book, other, me)
+        mb = bob_decoder(sc, book)
+        wide = dataclasses.replace(mb, factors=tuple(np.vstack([f, 0 * f]) for f in mb.factors))
+        with pytest.raises(DimensionMismatch, match="receiver letter dim 4"):
+            evaluate(sc, book, wide, me)
+        with pytest.raises(ValidationError, match="receiver"):
+            evaluate(sc, book, me.slots.slots[0], me)
 
 
 class TestJointLawProperties:
@@ -516,23 +539,28 @@ class TestJointLawProperties:
         mixed=st.lists(st.booleans(), min_size=2, max_size=3),
         k=st.sampled_from([2, 3]),
         n=st.sampled_from([1, 2, 3]),
+        repeat=st.booleans(),
     )
-    def test_evaluate_matches_dense_oracle(self, seed, mixed, k, n):
+    def test_evaluate_matches_dense_oracle(self, seed, mixed, k, n, repeat):
         # A random qubit-input channel to (2, 2), a letter per entry of
         # ``mixed`` (mixed or pure), random slot POVMs and a random decoder.
+        # The channel's receiver letters have rank 2; a repeated codeword
+        # makes the receiver's Gram matrix singular.
         rng = np.random.default_rng(seed)
         theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_factorization=(2, 2))
         states = [random_density(rng, 2) if m else random_pure(rng, 2) for m in mixed]
         ensemble = CqEnsemble(np.full(len(states), 1 / len(states)), states)
         sc = Scenario(name="random", key_count=k, ensemble=ensemble, theta=theta, n=n)
         book = sample_codebook(k, n, len(states), seed)
+        if repeat:
+            book = Codebook(np.vstack([book.letters[:1], book.letters[:-1]]))
         slots = FactorizedPovm(
             [random_rank1_povm(2, int(rng.integers(2, 5)), rng) for _ in range(n)]
         )
         me = EveStrategy(slots, rng.integers(0, k, size=math.prod(len(p) for p in slots.slots)))
         mb = bob_decoder(sc, book)
         rep = evaluate(sc, book, mb, me)
-        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, mb, me), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), rtol=0, atol=1e-9)
         assert rep.joint.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(rep.joint.sum(axis=(1, 2)), 1 / k, rtol=0, atol=1e-10)
 
@@ -562,24 +590,7 @@ class TestSweep:
         for cell in cells:
             n = cell.n
             bob_oracle = 1 - binary_entropy(1 - block_success(s, n))
-            # adversary: per-slot errors m; decode 1 only on strict majority
-            p_e1_a0 = sum(
-                math.comb(n, m) * eps**m * (1 - eps) ** (n - m)
-                for m in range(n + 1)
-                if m > n / 2
-            )
-            p_e0_a1 = sum(
-                math.comb(n, m) * eps**m * (1 - eps) ** (n - m)
-                for m in range(n + 1)
-                if m >= n / 2
-            )
-            rows = np.array([[1 - p_e1_a0, p_e1_a0], [p_e0_a1, 1 - p_e0_a1]])
-            out = 0.5 * rows[0] + 0.5 * rows[1]
-
-            def ent(v):
-                return float(sum(-x * math.log2(x) for x in v if x > 0))
-
-            eve_oracle = ent(out) - 0.5 * ent(rows[0]) - 0.5 * ent(rows[1])
+            eve_oracle = majority_vote_info(eps, n)
             assert cell.report.bob_info == pytest.approx(bob_oracle, abs=1e-9)
             assert cell.report.eve_info == pytest.approx(eve_oracle, abs=1e-9)
             gap = cell.report.bob_info - cell.report.eve_info
@@ -608,15 +619,36 @@ class TestSweep:
 
     def test_budget_failure_marks_cell(self):
         sc = paper_example(0.5)
-        cells = sweep(sc, [1, 7], [0], CFG)
+        cells = sweep(sc, [1, 13], [0], CFG)
         by_n = {c.n: c for c in cells}
         assert by_n[1].report is not None and by_n[1].error is None
-        assert by_n[7].report is None and "exceeds budget" in by_n[7].error
+        assert by_n[13].report is None and "exceeds budget" in by_n[13].error
 
     def test_cells_sorted(self):
         sc = paper_example(0.5)
         cells = sweep(sc, [2, 1], [1, 0], CFG)
         assert [(c.n, c.seed) for c in cells] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+class TestLargeBlocks:
+    """Block lengths whose receiver block space a dense receiver could not hold."""
+
+    def test_repetition_code_at_n12_meets_closed_forms(self):
+        s, n = 0.5, 12
+        sc = paper_example(s).with_n(n)
+        book = repetition_codebook(2, n)
+        rep = evaluate(sc, book, bob_decoder(sc, book), eve_default_strategy(sc, book))
+        assert rep.p_agree == pytest.approx(block_success(s, n), abs=1e-12)
+        assert rep.eve_info == pytest.approx(
+            majority_vote_info(helstrom_crossover(s), n), abs=1e-9
+        )
+
+    def test_mixed_letters_span_k_times_two_to_the_n(self):
+        sc = bsc_pair(0.1, 0.3).with_n(4)
+        mb = bob_decoder(sc, sample_codebook(2, 4, 2, seed=3))
+        assert mb.effects.shape == (2, 2 * 2**4, 2 * 2**4)
+        with pytest.raises(BudgetExceeded, match="dimension 8192 exceeds budget 4096"):
+            bob_decoder(sc.with_n(12), repetition_codebook(2, 12))
 
 
 class TestReportValidation:
