@@ -29,7 +29,6 @@ from .information import (
 )
 from .measurements import (
     ClassicalChannel,
-    FactorizedPovm,
     Povm,
     expand,
     helstrom,

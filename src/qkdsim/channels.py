@@ -10,9 +10,9 @@ One budget, ``DEFAULT_DIM_BUDGET`` = 2^12, holds for the whole package and
 bounds what is built: a simulation's receiver Gram dimension (the sum over
 codewords of the product of their letters' ranks) and its number of
 adversary outcome tuples, a tensor power (its n-th power of the input
-dimension, output dimension or Kraus count), an expanded factorized POVM and
-a block capacity's product space are refused beyond it. This package does
-exact desk-scale simulation and fails fast beyond that.
+dimension, output dimension or Kraus count), an expanded product of slot
+POVMs and a block capacity's product space are refused beyond it. This
+package does exact desk-scale simulation and fails fast beyond that.
 """
 
 from __future__ import annotations

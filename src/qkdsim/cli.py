@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -340,7 +341,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write machine-readable output here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qkdsim`` parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="qkdsim",
         description="Key-distribution feasibility analysis and exact finite-block simulation",

@@ -57,7 +57,6 @@ from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .measurements import (
     COMPLETENESS_ATOL,
     ClassicalChannel,
-    FactorizedPovm,
     Povm,
     _born_table,
     expand,
@@ -278,14 +277,14 @@ def holevo_capacity(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
 # POVM optimization
 
 
-def _rank1_pieces(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """Split effects into scaled rank-one vectors sqrt(lam) v, one row each.
+def _rank1_pieces(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split stacked (m, d, d) effects into scaled rank-one vectors sqrt(lam) v, one row each.
 
     ``groups[r]`` is the index of the effect that row r came from. An effect
     with no eigenvalue above 1e-12 keeps its outcome through one zero row.
     """
     vecs, groups = [], []
-    for b, m in enumerate(povm.effects):
+    for b, m in enumerate(effects):
         vals, basis = hermitian_eigensystem(m)
         added = False
         for lam, v in zip(vals, basis.T):
@@ -294,7 +293,7 @@ def _rank1_pieces(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
                 groups.append(b)
                 added = True
         if not added:
-            vecs.append(np.zeros(povm.dim, dtype=complex))
+            vecs.append(np.zeros(effects.shape[-1], dtype=complex))
             groups.append(b)
     return np.stack(vecs), np.array(groups)
 
@@ -429,8 +428,9 @@ def _frame_povm(u: np.ndarray) -> Povm:
 def _start_frame(start: Povm, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A start POVM's rank-one frame (its nonzero pieces) and the Born table
     of its own effects, which is what the start itself scores."""
-    pieces, _ = _rank1_pieces(start)
-    return pieces[pieces.any(axis=1)], _born_table(np.stack(start.effects), stack)
+    effects = np.stack(start.effects)
+    pieces, _ = _rank1_pieces(effects)
+    return pieces[pieces.any(axis=1)], _born_table(effects, stack)
 
 
 def _refine_frame(
@@ -673,9 +673,7 @@ def c_k(e: CqEnsemble, k: int, cfg: OptimizerConfig) -> OptimizationResult:
     extra = ()
     if single.povm is not None:
         start_prior = reduce(np.kron, [single.prior] * k)
-        start_povm = expand(FactorizedPovm([single.povm] * k))
-        flat = Povm(start_povm.effects)
-        extra = ((start_prior, flat),)
+        extra = ((start_prior, expand([single.povm] * k)),)
     result = _joint_maximize(prod_e, cfg, extra_starts=extra)
     result.converged = result.converged and single.converged
     return result

@@ -1,12 +1,13 @@
-"""POVMs, observable classes and measurement-induced classical channels.
+"""POVMs and measurement-induced classical channels.
 
-Two observable classes matter here: general POVMs and factorized POVMs on a
-tensor-power space (a per-slot POVM for each transmission, the individual
-attack class; its classical post-processing is the adversary's decoder in
-``simulation``). Measuring a state with a POVM induces a classical channel
-via the Born rule, P[a, b] = Tr[M_b rho_a]. One function, ``_born_table``,
-computes it for the information quantities, the induced channels and the
-adversary's per-slot tables.
+An outcome is the position of its effect. The individual attack class is a
+product of per-slot POVMs on a tensor-power space, one per transmission;
+``expand`` flattens such a product to one POVM, and its classical
+post-processing is the adversary's decoder in ``simulation``. Measuring a
+state with a POVM induces a classical channel via the Born rule,
+P[a, b] = Tr[M_b rho_a]. One function, ``_born_table``, computes it for the
+information quantities, the induced channels and the adversary's per-slot
+tables.
 
 Also provides the two standard discrimination measurements used as decoder
 baselines: the Helstrom measurement and the pretty-good (square-root)
@@ -16,6 +17,7 @@ measurement.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
 from typing import Sequence
 
@@ -32,14 +34,13 @@ COMPLETENESS_ATOL = 1e-9
 class Povm:
     """A finite-outcome positive operator-valued measure.
 
-    Effects are Hermitian PSD matrices summing to the identity.
-    ``outcomes`` are hashable labels parallel to ``effects`` (plain
-    0..m-1 integers by default, tuples for expanded factorized POVMs).
+    Effects are Hermitian PSD matrices summing to the identity; outcome b
+    is effect b.
     """
 
-    __slots__ = ("outcomes", "effects")
+    __slots__ = ("effects",)
 
-    def __init__(self, effects, outcomes=None):
+    def __init__(self, effects):
         ops = [np.asarray(m, dtype=complex) for m in effects]
         if not ops:
             raise ValidationError("effects", "POVM needs at least one effect")
@@ -58,16 +59,9 @@ class Povm:
         err = float(np.abs(total - np.eye(dim)).max())
         if err > COMPLETENESS_ATOL:
             raise ValidationError("completeness", f"max |sum M - I| = {err:.3e}")
-        if outcomes is None:
-            outcomes = tuple(range(len(ops)))
-        else:
-            outcomes = tuple(outcomes)
-            if len(outcomes) != len(ops):
-                raise ValidationError("outcomes", "one outcome label per effect required")
         for m in ops:
             m.flags.writeable = False
         self.effects = tuple(ops)
-        self.outcomes = outcomes
 
     @property
     def dim(self) -> int:
@@ -77,40 +71,15 @@ class Povm:
         return len(self.effects)
 
     def __repr__(self) -> str:
-        return f"Povm(outcomes={len(self)}, dim={self.dim})"
-
-
-class FactorizedPovm:
-    """A product measurement: one POVM per tensor slot.
-
-    The joint outcome set is the Cartesian product of the slot outcome
-    sets; :func:`expand` flattens it to a plain POVM on the product space.
-    """
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots: Sequence[Povm]):
-        slots = tuple(slots)
-        if not slots:
-            raise ValidationError("slots", "factorized POVM needs at least one slot")
-        if any(not isinstance(s, Povm) for s in slots):
-            raise ValidationError("slots", "slots must be Povm values")
-        self.slots = slots
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod([s.dim for s in self.slots]))
-
-    def __len__(self) -> int:
-        return len(self.slots)
+        return f"Povm(effects={len(self)}, dim={self.dim})"
 
 
 class ClassicalChannel:
-    """A row-stochastic transition matrix between finite alphabets."""
+    """A row-stochastic transition matrix; inputs and outputs are its row and column positions."""
 
-    __slots__ = ("in_alphabet", "out_alphabet", "matrix")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, in_alphabet=None, out_alphabet=None):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValidationError("matrix", f"transition matrix must be 2-D, got shape {m.shape}")
@@ -120,10 +89,6 @@ class ClassicalChannel:
         row_err = float(np.abs(m.sum(axis=1) - 1.0).max())
         if row_err > 1e-10:
             raise ValidationError("row-stochastic", f"max |row sum - 1| = {row_err:.3e}")
-        self.in_alphabet = tuple(in_alphabet) if in_alphabet is not None else tuple(range(m.shape[0]))
-        self.out_alphabet = tuple(out_alphabet) if out_alphabet is not None else tuple(range(m.shape[1]))
-        if len(self.in_alphabet) != m.shape[0] or len(self.out_alphabet) != m.shape[1]:
-            raise ValidationError("alphabet", "alphabet sizes must match the matrix shape")
         m = m.copy()
         m.flags.writeable = False
         self.matrix = m
@@ -152,23 +117,20 @@ def induced_channel(m: Povm, e: CqEnsemble) -> ClassicalChannel:
     rows = _born_table(np.stack(m.effects), np.stack([s.matrix for s in e.states]))
     # Renormalization is cosmetic: completeness already bounds the defect.
     rows = rows / rows.sum(axis=1, keepdims=True)
-    return ClassicalChannel(rows, in_alphabet=range(e.size), out_alphabet=m.outcomes)
+    return ClassicalChannel(rows)
 
 
-def expand(f: FactorizedPovm) -> Povm:
-    """Flatten a factorized POVM to the product space.
+def expand(slots: Sequence[Povm]) -> Povm:
+    """Flatten a product of per-slot POVMs to one POVM on the product space.
 
-    Effects are Kronecker products over slots; outcome tuples come in
-    lexicographic order of the slot outcome sets.
+    Effects are Kronecker products over slots, in lexicographic order of the
+    slots' effect positions.
     """
-    dim = f.dim
+    dim = math.prod(p.dim for p in slots)
     if dim > DEFAULT_DIM_BUDGET:
-        raise BudgetExceeded(dim, DEFAULT_DIM_BUDGET, f"expanding {len(f)} slots")
-    effects = [
-        reduce(np.kron, combo)
-        for combo in itertools.product(*(s.effects for s in f.slots))
-    ]
-    return Povm(effects, outcomes=itertools.product(*(s.outcomes for s in f.slots)))
+        raise BudgetExceeded(dim, DEFAULT_DIM_BUDGET, f"expanding {len(slots)} slots")
+    combos = itertools.product(*(p.effects for p in slots))
+    return Povm([reduce(np.kron, combo) for combo in combos])
 
 
 def helstrom(rho0: DensityOperator, rho1: DensityOperator, p0: float = 0.5) -> Povm:

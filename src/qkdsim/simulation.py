@@ -4,7 +4,7 @@ One run of the pipeline: a uniform key K_A selects a codeword, each letter
 is encoded and sent through the channel, the receiver measures the whole
 block with a collective POVM (the square-root, or pretty-good, measurement
 of the codeword block states) while the adversary measures slot by slot
-with a factorized POVM and post-processes outcomes through a classical
+with one POVM per slot and post-processes outcomes through a classical
 decoding function. Its optimized attack comes from a seesaw that alternates
 per-slot ascents, joined by one ascent over all slots once they stall, with
 the maximum-likelihood decoder. The channel is memoryless, so block states
@@ -15,8 +15,9 @@ adversary's block space is ever built. The joint law of (K_A, K_B, K_E) is
 computed exactly by enumerating all outcome tuples; there is no Monte
 Carlo anywhere, so agreement probability and adversary information are
 sharp numbers and runs are bit-identical for fixed seeds. A codebook is a
-(K, n) array of letters and the adversary's decoder an array of keys, one
-per outcome tuple in lexicographic order.
+(K, n) array of letters, the adversary's slots a tuple of POVMs and its
+decoder an array of keys, one per outcome tuple in lexicographic order of
+the slots' effect positions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -47,7 +48,6 @@ from .information import (
     _rank1_pieces,
 )
 from .measurements import (
-    FactorizedPovm,
     Povm,
     _born_table,
     helstrom,
@@ -159,18 +159,15 @@ class GramReceiver:
     Gram-form effects Q_b, each D x D with D = sum_k prod_i r_{w_k,i}, the
     index running over codeword k's factor columns in codebook order; the
     measurement on the block space is M_b = Psi Q_b Psi^dagger with Psi the
-    stacked codeword factors. ``outcomes[b]`` is the key that Q_b reports.
-    Built by ``bob_decoder``; arrays are read-only.
+    stacked codeword factors, and Q_b reports key b. Built by ``bob_decoder``;
+    arrays are read-only.
     """
 
     letters: np.ndarray
     factors: tuple
     effects: np.ndarray
-    outcomes: tuple
 
     def __post_init__(self):
-        if len(self.outcomes) != len(self.effects):
-            raise ValidationError("outcomes", "one outcome label per effect required")
         for a in (self.letters, self.effects, *self.factors):
             a.flags.writeable = False
 
@@ -191,21 +188,23 @@ def repetition_codebook(key_count: int, n: int) -> Codebook:
 class EveStrategy:
     """A factorized attack: per-slot POVMs plus a classical decoder.
 
-    ``decoder`` is a read-only integer array with the key of every outcome
-    tuple of ``slots``, tuples in lexicographic order of the slots' effect
-    positions. Membership in the individual-attack class holds by
-    construction: the flat measurement is the coarse-graining of the
-    expanded slot product under ``decoder``. Keys at or above the key count
-    are rejected by ``evaluate``, which knows it.
+    ``slots`` is a tuple of ``Povm``, one per slot. ``decoder`` is a
+    read-only integer array with the key of every outcome tuple of
+    ``slots``, tuples in lexicographic order of the slots' effect positions.
+    Membership in the individual-attack class holds by construction: the
+    flat measurement is the coarse-graining of ``expand(slots)`` under
+    ``decoder``. Keys at or above the key count are rejected by
+    ``evaluate``, which knows it.
     """
 
-    __slots__ = ("slots", "decoder", "descriptor")
+    __slots__ = ("slots", "decoder")
 
-    def __init__(self, slots: FactorizedPovm, decoder, descriptor: str = "custom"):
-        if not isinstance(slots, FactorizedPovm):
-            raise ValidationError("slots", "slots must be a FactorizedPovm")
+    def __init__(self, slots, decoder):
+        slots = tuple(slots)
+        if not slots or any(not isinstance(p, Povm) for p in slots):
+            raise ValidationError("slots", "slots must be one or more Povm values")
         keys = np.asarray(decoder)
-        total = math.prod(len(p) for p in slots.slots)
+        total = math.prod(len(p) for p in slots)
         if keys.shape != (total,):
             raise ValidationError(
                 "decoder-total", f"decoder has shape {keys.shape} for {total} outcome tuples"
@@ -218,7 +217,6 @@ class EveStrategy:
         keys.flags.writeable = False
         self.slots = slots
         self.decoder = keys
-        self.descriptor = descriptor
 
     @property
     def n(self) -> int:
@@ -233,7 +231,6 @@ class KeySimReport:
     p_agree: float
     bob_info: float
     eve_info: float
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         total = float(self.joint.sum())
@@ -264,14 +261,6 @@ def _check_letters(s: Scenario, c: Codebook) -> None:
         raise ValidationError(
             "letter", f"letter {bad[0]} not in alphabet of size {s.ensemble.size}"
         )
-
-
-def _kron(mats: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a list of matrices, from one outer product."""
-    t = reduce(np.multiply.outer, mats)
-    n = len(mats)
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return t.transpose(order).reshape(math.prod(m.shape[0] for m in mats), -1)
 
 
 def _codeword_sizes(factors, letters: np.ndarray) -> list[int]:
@@ -308,23 +297,20 @@ def bob_decoder(s: Scenario, c: Codebook) -> GramReceiver:
         raise BudgetExceeded(sum(sizes), DEFAULT_DIM_BUDGET, f"n={s.n}", "receiver Gram dimension")
     overlaps = [[x.conj().T @ y for y in factors] for x in factors]
     gram = np.block(
-        [[_kron([overlaps[a][b] for a, b in zip(u, v)]) for v in c.letters] for u in c.letters]
+        [[reduce(np.kron, [overlaps[a][b] for a, b in zip(u, v)]) for v in c.letters]
+         for u in c.letters]
     )
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > _SUPPORT_FLOOR * len(c)
     root = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
     cols = np.split(root, np.cumsum(sizes)[:-1], axis=1)
     effects = np.stack([col @ col.conj().T for col in cols])
-    return GramReceiver(c.letters, tuple(factors), effects, tuple(range(len(c))))
+    return GramReceiver(c.letters, tuple(factors), effects)
 
 
-def _eve_slot_states(s: Scenario) -> np.ndarray:
-    return np.stack([rho.matrix for rho in s.eve_ensemble().states])
-
-
-def _slot_channels(slots: FactorizedPovm, eve_states: np.ndarray) -> list[np.ndarray]:
-    """Per-slot outcome-by-letter probability tables."""
-    return [_born_table(np.stack(povm.effects), eve_states).T for povm in slots.slots]
+def _slot_channels(slots: list[np.ndarray], eve_states: np.ndarray) -> list[np.ndarray]:
+    """Per-slot outcome-by-letter probability tables of stacked slot effects."""
+    return [_born_table(effects, eve_states).T for effects in slots]
 
 
 def _check_tuple_count(counts, n: int) -> None:
@@ -365,16 +351,18 @@ def eve_default_strategy(s: Scenario, c: Codebook) -> EveStrategy:
     alphabets); the decoder is maximum likelihood for the codebook, ties
     going to the lowest key index.
     """
-    ee = s.eve_ensemble()
+    return _default_attack(s, c, s.eve_ensemble())
+
+
+def _default_attack(s: Scenario, c: Codebook, ee: CqEnsemble) -> EveStrategy:
+    """``eve_default_strategy`` on the adversary's single-letter ensemble ``ee``."""
     if ee.size == 2:
         slot = helstrom(ee.states[0], ee.states[1], float(ee.prior[0]))
-        label = "helstrom"
     else:
         slot = pretty_good_measurement(ee.states, ee.prior)
-        label = "pgm"
-    slots = FactorizedPovm([slot] * s.n)
-    idx = _ml_decoder(_likelihoods(_slot_channels(slots, _eve_slot_states(s)), c))
-    return EveStrategy(slots, idx, descriptor=f"default({label}+ml)")
+    tables = _slot_channels([np.stack(slot.effects)], np.stack([rho.matrix for rho in ee.states]))
+    idx = _ml_decoder(_likelihoods(tables * s.n, c))
+    return EveStrategy([slot] * s.n, idx)
 
 
 def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
@@ -399,37 +387,43 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
     maximize the mutual information). A round without progress ends the
     start. The best (value, slots, decoder) seen is returned, so the result
     never falls below the default and its information is the value recorded.
+
+    Each slot is held as its stacked (m, d_e, d_e) effects array; the
+    returned strategy's slots are the best arrays, validated as ``Povm``
+    once.
     """
-    default = eve_default_strategy(s, c)
+    ee = s.eve_ensemble()
+    default = _default_attack(s, c, ee)
     if cfg.restarts == 0:
         return default
-    eve_states = _eve_slot_states(s)
+    eve_states = np.stack([rho.matrix for rho in ee.states])
     d_e = s.dim_e
     best = None
     rng = np.random.default_rng(cfg.seed)
     for restart in range(cfg.restarts):
         if restart == 0:
-            slot_povms = list(default.slots.slots)
+            starts = default.slots
         else:
-            slot_povms = [random_rank1_povm(d_e, d_e * d_e, rng) for _ in range(s.n)]
-        tables = _slot_channels(FactorizedPovm(slot_povms), eve_states)
+            starts = [random_rank1_povm(d_e, d_e * d_e, rng) for _ in range(s.n)]
+        slots = [np.stack(p.effects) for p in starts]
+        tables = _slot_channels(slots, eve_states)
         lik = _likelihoods(tables, c)
         idx = _ml_decoder(lik)
         val = _key_info(lik, idx)
         if best is None or val > best[0]:
-            best = (val, FactorizedPovm(slot_povms), idx)
+            best = (val, slots, idx)
         for _ in range(cfg.max_iters):
             start, improved = val, False
             for i in range(s.n):
-                step = _refine_slots(slot_povms, tables, [i], c, idx, eve_states)
+                step = _refine_slots(slots, tables, [i], c, idx, eve_states)
                 if step is not None and step[2] > val + cfg.tol:
-                    slot_povms, tables, val = step
+                    slots, tables, val = step
                     improved = True
             if s.n > 1 and val - start < _STALL_BITS:
-                step = _refine_slots(slot_povms, tables, list(range(s.n)), c, idx, eve_states)
+                step = _refine_slots(slots, tables, list(range(s.n)), c, idx, eve_states)
                 if step is not None and step[2] > val:
                     improved = improved or step[2] > val + cfg.tol
-                    slot_povms, tables, val = step
+                    slots, tables, val = step
             lik = _likelihoods(tables, c)
             ml_idx = _ml_decoder(lik)
             ml_val = _key_info(lik, ml_idx)
@@ -437,12 +431,11 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
                 improved = improved or ml_val > val
                 idx, val = ml_idx, ml_val
             if val > best[0]:
-                best = (val, FactorizedPovm(slot_povms), idx)
+                best = (val, slots, idx)
             if not improved:
                 break
     _, slots, idx = best
-    descriptor = f"optimized(restarts={cfg.restarts},seed={cfg.seed})"
-    return EveStrategy(slots, idx, descriptor=descriptor)
+    return EveStrategy([Povm(effects) for effects in slots], idx)
 
 
 def _joint_value_and_grad(
@@ -483,38 +476,34 @@ def _joint_value_and_grad(
 
 
 def _refine_slots(
-    slot_povms: list[Povm],
+    slots: list[np.ndarray],
     tables: list[np.ndarray],
     free: list[int],
     c: Codebook,
     decoder_idx: np.ndarray,
     eve_states: np.ndarray,
-) -> tuple[list[Povm], list[np.ndarray], float] | None:
-    """One ascent over the POVMs of the slots in ``free``, all else fixed.
+) -> tuple[list[np.ndarray], list[np.ndarray], float] | None:
+    """One ascent over the stacked effects of the slots in ``free``, all else fixed.
 
     Runs ``information._ascend_povm`` with one frame per free slot on
     ``_joint_value_and_grad``. No outcome count may change (the decoder is
     defined on the outcome tuples), so each frame holds the slot's rank-one
     pieces, whose probabilities are summed back into its outcomes. Returns
-    all slots' POVMs and tables and their exactly scored information, or
-    None when the ascent yields no valid POVM; the caller decides whether
-    they beat its running value.
+    all slots' effects and tables and their exactly scored information, or
+    None when a frame fails ``_normalized``'s completeness check; the caller
+    decides whether they beat its running value.
     """
-    frames, groups = zip(*(_rank1_pieces(slot_povms[i]) for i in free))
+    frames, groups = zip(*(_rank1_pieces(slots[i]) for i in free))
     value_and_grad = _joint_value_and_grad(c, decoder_idx, tables, free, groups)
     gtol = _JOINT_GTOL if len(free) > 1 else 1e-5
     us, _ = _ascend_povm(eve_states, frames, value_and_grad, _SLOT_ASCENT_MAX_ITERS * len(free), gtol)
     if us is None:
         return None
-    povms = list(slot_povms)
-    try:
-        for i, u, g in zip(free, us, groups):
-            effects = np.einsum("ro,ri,rj->oij", np.eye(len(povms[i]))[g], u, u.conj())
-            povms[i] = Povm(effects, outcomes=povms[i].outcomes)
-    except ValidationError:
-        return None
-    tables = _slot_channels(FactorizedPovm(povms), eve_states)
-    return povms, tables, _key_info(_likelihoods(tables, c), decoder_idx)
+    slots = list(slots)
+    for i, u, g in zip(free, us, groups):
+        slots[i] = np.einsum("ro,ri,rj->oij", np.eye(len(slots[i]))[g], u, u.conj())
+    tables = _slot_channels(slots, eve_states)
+    return slots, tables, _key_info(_likelihoods(tables, c), decoder_idx)
 
 
 def _receiver_law(mb: GramReceiver, slot_ops: list[np.ndarray]) -> np.ndarray:
@@ -551,9 +540,7 @@ def _receiver_law(mb: GramReceiver, slot_ops: list[np.ndarray]) -> np.ndarray:
     return law.real
 
 
-def evaluate(
-    s: Scenario, c: Codebook, mb: GramReceiver, me: EveStrategy, metadata: dict | None = None
-) -> KeySimReport:
+def evaluate(s: Scenario, c: Codebook, mb: GramReceiver, me: EveStrategy) -> KeySimReport:
     """Exact joint distribution of the pipeline for the given strategies.
 
     The channel is memoryless and the attack factorized, so for codeword w
@@ -566,10 +553,10 @@ def evaluate(
     state nor the expanded adversary POVM is built. The pretty-good
     measurement's completion on the kernel of the average block state adds
     nothing, because (x)_i X_{w_i}(o_i) lies in the support of rho_w. K_B is
-    the outcome label of the receiver's effect, not its position. The
-    receiver must be ``bob_decoder``'s for this codebook. A codeword letter
-    outside the alphabet, a decoder key outside 0..K-1 or more outcome tuples
-    than the budget is rejected.
+    the position of the receiver's effect. The receiver must be
+    ``bob_decoder``'s for this codebook. A codeword letter outside the
+    alphabet, a decoder key outside 0..K-1 or more outcome tuples than the
+    budget is rejected.
     """
     k = s.key_count
     if len(c) != k:
@@ -583,44 +570,33 @@ def evaluate(
         raise ValidationError("receiver-codebook", "the receiver was built for another codebook")
     if mb.factors[0].shape[0] != d_b:
         raise DimensionMismatch(f"receiver letter dim {mb.factors[0].shape[0]} != {d_b}")
-    if len(mb.outcomes) != k or set(mb.outcomes) != set(range(k)):
-        raise ValidationError("bob-outcomes", "receiver outcomes must be the key set")
     if me.n != n:
         raise DimensionMismatch(f"adversary strategy has {me.n} slots for block length {n}")
-    if any(p.dim != d_e for p in me.slots.slots):
+    if any(p.dim != d_e for p in me.slots):
         raise DimensionMismatch("adversary slot POVMs must act on the adversary letter space")
     _check_letters(s, c)
     if me.decoder.max() >= k:
         raise ValidationError("decoder-range", f"decoder key {me.decoder.max()} >= {k} keys")
-    _check_tuple_count((len(p) for p in me.slots.slots), n)
+    _check_tuple_count((len(p) for p in me.slots), n)
 
     taus = np.stack(
         [apply(s.theta, rho).matrix.reshape(d_b, d_e, d_b, d_e) for rho in s.ensemble.states]
     )
     # slot_ops[i][a, o] = X_a(o) for slot i's POVM
     slot_ops = [
-        np.einsum("aiejf,ofe->aoij", taus, np.stack(povm.effects)) for povm in me.slots.slots
+        np.einsum("aiejf,ofe->aoij", taus, np.stack(povm.effects)) for povm in me.slots
     ]
     probs = np.clip(_receiver_law(mb, slot_ops), 0.0, None)
 
     joint = np.zeros((k, k, k))
     for key in range(k):
-        for b_label, row in zip(mb.outcomes, probs[key]):
-            joint[key, b_label, :] = np.bincount(me.decoder, weights=row, minlength=k) / k
+        for b, row in enumerate(probs[key]):
+            joint[key, b, :] = np.bincount(me.decoder, weights=row, minlength=k) / k
     p_agree = float(sum(joint[i, i, :].sum() for i in range(k)))
     prior = np.full(k, 1.0 / k)
     bob_info = _mi_from_probs(prior, joint.sum(axis=2) * k)
     eve_info = _mi_from_probs(prior, joint.sum(axis=1) * k)
-    meta = {
-        "scenario": s.name,
-        "n": n,
-        "key_count": k,
-        "eve": me.descriptor,
-        "codebook": c.letters.tolist(),
-    }
-    if metadata:
-        meta.update(metadata)
-    return KeySimReport(joint=joint, p_agree=p_agree, bob_info=bob_info, eve_info=eve_info, metadata=meta)
+    return KeySimReport(joint=joint, p_agree=p_agree, bob_info=bob_info, eve_info=eve_info)
 
 
 def run_cell(s: Scenario, coder: str, seed: int, eve: str, cfg: OptimizerConfig) -> KeySimReport:
@@ -643,7 +619,7 @@ def run_cell(s: Scenario, coder: str, seed: int, eve: str, cfg: OptimizerConfig)
         me = eve_optimize(s, book, cfg)
     else:
         raise ValidationError("eve", f"unknown adversary choice {eve!r}")
-    return evaluate(s, book, mb, me, metadata={"seed": seed, "coder": coder})
+    return evaluate(s, book, mb, me)
 
 
 def sweep(

@@ -325,6 +325,15 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "budget: adversary outcome tuple count 8192 exceeds budget 4096" in err
 
+    def test_budget_beyond_32_slots_exits_3(self, capsys):
+        # Past 32 slots a Kronecker product formed as one outer product needs
+        # more than numpy's 64 axes; the budget must still be what refuses.
+        argv = ["simulate", "paper-example", "--overlap", "0.5", "-n", "33",
+                "--coder", "repetition", "--eve", "default"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "budget: adversary outcome tuple count 8589934592 exceeds budget 4096" in err
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_block_length_below_one_exits_1(self, n, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("scenario loaded"))

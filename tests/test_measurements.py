@@ -8,7 +8,6 @@ from qkdsim.channels import CqEnsemble
 from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
 from qkdsim.measurements import (
     ClassicalChannel,
-    FactorizedPovm,
     Povm,
     _born_table,
     expand,
@@ -186,33 +185,35 @@ class TestInducedChannel:
 class TestExpandAndCoarseGrain:
     def test_single_slot_expansion(self, rng):
         povm = random_rank1_povm(2, 4, rng)
-        flat = expand(FactorizedPovm([povm]))
+        flat = expand([povm])
         for a, b in zip(flat.effects, povm.effects):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_two_basis_slots(self):
-        flat = expand(FactorizedPovm([BASIS_POVM, BASIS_POVM]))
+        # effect t is the product of slot effects (b1, b2), t = 2 b1 + b2:
+        # lexicographic in the slots' effect positions
+        flat = expand([BASIS_POVM, BASIS_POVM])
         assert flat.dim == 4 and len(flat) == 4
-        assert flat.outcomes == ((0, 0), (0, 1), (1, 0), (1, 1))
-        np.testing.assert_allclose(flat.effects[2], np.diag([0, 0, 1.0, 0]), atol=1e-12)
+        for t, effect in enumerate(flat.effects):
+            np.testing.assert_allclose(effect, np.diag(np.eye(4)[t]), atol=1e-12)
 
     def test_expansion_completeness(self):
         rho0, rho1 = qubit_pair(0.5)
         h = helstrom(rho0, rho1, 0.5)
-        flat = expand(FactorizedPovm([h, h]))
+        flat = expand([h, h])
         total = sum(flat.effects)
         assert np.abs(total - np.eye(4)).max() < 1e-9
 
     def test_budget_guard(self, rng):
         povm = random_rank1_povm(4, 16, rng)
         with pytest.raises(BudgetExceeded):
-            expand(FactorizedPovm([povm] * 7))
+            expand([povm] * 7)
 
     def test_product_born_rule(self, rng):
         p1 = random_rank1_povm(2, 4, rng)
         p2 = random_rank1_povm(2, 4, rng)
         r1, r2 = random_density(rng, 2), random_density(rng, 2)
-        flat = expand(FactorizedPovm([p1, p2]))
+        flat = expand([p1, p2])
         joint = born(flat, tensor(r1, r2))
         product = np.outer(born(p1, r1), born(p2, r2)).ravel()
         np.testing.assert_allclose(joint, product, atol=1e-9)
@@ -221,14 +222,14 @@ class TestExpandAndCoarseGrain:
         # a post-processing defined on the first outcome only is not total
         povm = random_rank1_povm(2, 4, rng)
         with pytest.raises(ValidationError, match="decoder-total"):
-            EveStrategy(FactorizedPovm([povm]), [0])
+            EveStrategy([povm], [0])
 
     def test_majority_vote_matches_binomial(self):
         s = 0.5
         rho0, rho1 = qubit_pair(s)
         h = helstrom(rho0, rho1, 0.5)
-        cube = expand(FactorizedPovm([h, h, h]))
-        majority = [int(sum(t) >= 2) for t in cube.outcomes]
+        cube = expand([h, h, h])
+        majority = [int(sum(t) >= 2) for t in itertools.product((0, 1), repeat=3)]
         voted = Povm(coarse_grain(cube.effects, majority, 2))
         block0 = tensor(tensor(rho0, rho0), rho0)
         p = born(voted, block0)

@@ -75,8 +75,8 @@ def test_zero_effect_slot_keeps_its_outcome():
     sc = paper_example(1.0).with_n(2)
     book = repetition_codebook(2, 2)
     me = eve_optimize(sc, book, OptimizerConfig(restarts=2, seed=0))
-    assert [p.outcomes for p in me.slots.slots] == [(0, 1), (0, 1)]
-    traces = [float(np.trace(e).real) for p in me.slots.slots for e in p.effects]
+    assert [len(p) for p in me.slots] == [2, 2]
+    traces = [float(np.trace(e).real) for p in me.slots for e in p.effects]
     assert traces == pytest.approx([0.0, 2.0, 0.0, 2.0], abs=ABS)
     report = evaluate(sc, book, bob_decoder(sc, book), me)
     assert report.eve_info == pytest.approx(0.0, abs=ABS)

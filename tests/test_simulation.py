@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 from functools import reduce
 
@@ -18,7 +17,7 @@ from qkdsim.information import (
     c1,
 )
 from qkdsim.measurements import (
-    FactorizedPovm,
+    Povm,
     _born_table,
     expand,
     random_rank1_povm,
@@ -37,7 +36,6 @@ from qkdsim.simulation import (
     run_cell,
     sample_codebook,
     sweep,
-    _eve_slot_states,
     _key_info,
     _likelihoods,
     _slot_channels,
@@ -204,13 +202,23 @@ class TestEveStrategies:
         with pytest.raises(ValidationError, match="decoder-total"):
             EveStrategy(me.slots, me.decoder[:-1])
 
+    @pytest.mark.parametrize(
+        "slots",
+        [[], [np.eye(2)], [Povm([np.eye(2)]), np.eye(2)]],
+        ids=["empty", "matrix", "mixed"],
+    )
+    def test_slots_must_be_povms(self, slots):
+        with pytest.raises(ValidationError) as err:
+            EveStrategy(slots, [0])
+        assert err.value.invariant == "slots"
+
     def test_optimize_zero_restarts_is_default(self):
         sc = paper_example(0.5).with_n(2)
         book = repetition_codebook(2, 2)
         default = eve_default_strategy(sc, book)
         opt = eve_optimize(sc, book, OptimizerConfig(restarts=0, seed=1))
         np.testing.assert_array_equal(opt.decoder, default.decoder)
-        for a, b in zip(opt.slots.slots, default.slots.slots):
+        for a, b in zip(opt.slots, default.slots):
             for x, y in zip(a.effects, b.effects):
                 np.testing.assert_array_equal(x, y)
 
@@ -286,22 +294,22 @@ class TestSeesawProperties:
         assert optimized + 1e-9 <= min(math.log2(k), n * pure_pair_c1(s)) + 1e-6
         again = eve_optimize(sc, book, cfg)
         np.testing.assert_array_equal(again.decoder, opt.decoder)
-        for a, b in zip(again.slots.slots, opt.slots.slots):
-            assert a.outcomes == b.outcomes
+        for a, b in zip(again.slots, opt.slots):
+            assert len(a) == len(b)
             for x, y in zip(a.effects, b.effects):
                 np.testing.assert_array_equal(x, y)
 
 
 def random_attack(seed, k):
     """A random n=3 factorized attack on paper_example with a random decoder,
-    with each slot's rank-one pieces."""
+    with each slot's stacked effects and rank-one pieces."""
     rng = np.random.default_rng(seed)
     sc = dataclasses.replace(paper_example(0.5), key_count=k).with_n(3)
     book = sample_codebook(k, 3, 2, seed=3)
-    slots = FactorizedPovm([random_rank1_povm(2, 4, rng) for _ in range(3)])
-    states = _eve_slot_states(sc)
+    slots = [np.stack(random_rank1_povm(2, 4, rng).effects) for _ in range(3)]
+    states = np.stack([rho.matrix for rho in sc.eve_ensemble().states])
     idx = rng.integers(0, k, size=4**3)
-    pieces = [_rank1_pieces(p) for p in slots.slots]
+    pieces = [_rank1_pieces(p) for p in slots]
     return rng, book, slots, states, idx, pieces
 
 
@@ -386,7 +394,7 @@ class TestEvaluate:
         sc = paper_example(0.5).with_n(2)
         book = repetition_codebook(2, 2)
         me = eve_default_strategy(sc, book)
-        constant = EveStrategy(me.slots, np.zeros_like(me.decoder), descriptor="constant")
+        constant = EveStrategy(me.slots, np.zeros_like(me.decoder))
         rep = evaluate(sc, book, bob_decoder(sc, book), constant)
         assert rep.eve_info == pytest.approx(0.0, abs=1e-12)
 
@@ -442,7 +450,7 @@ class TestEvaluate:
             word = book.letters[key]
             p_b = np.array([np.trace(eff @ bob_block).real for eff in bob_effects])
             slot_rows = []
-            for povm, a in zip(me.slots.slots, word):
+            for povm, a in zip(me.slots, word):
                 slot_rows.append(
                     np.array([np.trace(eff @ eve_states[a]).real for eff in povm.effects])
                 )
@@ -478,25 +486,11 @@ class TestEvaluate:
         sc = make().with_n(n)
         rng = np.random.default_rng(100 + n)
         book = sample_codebook(2, n, sc.ensemble.size, seed=n)
-        slots = FactorizedPovm(
-            [random_rank1_povm(sc.dim_e, int(rng.integers(2, 5)), rng) for _ in range(n)]
-        )
-        combos = itertools.product(*(p.outcomes for p in slots.slots))
-        me = EveStrategy(slots, [int(rng.integers(2)) for _ in combos])
+        slots = [random_rank1_povm(sc.dim_e, int(rng.integers(2, 5)), rng) for _ in range(n)]
+        me = EveStrategy(slots, [int(rng.integers(2)) for _ in range(math.prod(map(len, slots)))])
         mb = bob_decoder(sc, book)
         rep = evaluate(sc, book, mb, me)
         np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), atol=1e-12)
-
-    def test_bob_key_is_outcome_label_not_position(self):
-        sc = paper_example(0.5).with_n(3)
-        book = repetition_codebook(2, 3)
-        mb = bob_decoder(sc, book)
-        me = eve_default_strategy(sc, book)
-        rep = evaluate(sc, book, mb, me)
-        relisted = dataclasses.replace(mb, effects=mb.effects[::-1], outcomes=mb.outcomes[::-1])
-        rep_relisted = evaluate(sc, book, relisted, me)
-        np.testing.assert_array_equal(rep_relisted.joint, rep.joint)
-        assert rep_relisted.p_agree == pytest.approx(block_success(0.5, 3), abs=1e-12)
 
     def test_adversary_ceiling_small(self, rng):
         cfg = OptimizerConfig(restarts=1, seed=2)
@@ -508,14 +502,6 @@ class TestEvaluate:
                 me = eve_default_strategy(sc, book)
                 rep = evaluate(sc, book, bob_decoder(sc, book), me)
                 assert rep.eve_info <= n * cap + 1e-6
-
-    def test_bob_outcome_set_enforced(self):
-        sc = paper_example(0.5)
-        book = repetition_codebook(2, 1)
-        me = eve_default_strategy(sc, book)
-        wrong = dataclasses.replace(bob_decoder(sc, book), outcomes=(0, 7))
-        with pytest.raises(ValidationError, match="bob-outcomes"):
-            evaluate(sc, book, wrong, me)
 
     def test_receiver_must_fit_the_codebook_and_letter_space(self):
         sc = paper_example(0.5).with_n(2)
@@ -529,7 +515,7 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch, match="receiver letter dim 4"):
             evaluate(sc, book, wide, me)
         with pytest.raises(ValidationError, match="receiver"):
-            evaluate(sc, book, me.slots.slots[0], me)
+            evaluate(sc, book, me.slots[0], me)
 
 
 class TestJointLawProperties:
@@ -554,10 +540,8 @@ class TestJointLawProperties:
         book = sample_codebook(k, n, len(states), seed)
         if repeat:
             book = Codebook(np.vstack([book.letters[:1], book.letters[:-1]]))
-        slots = FactorizedPovm(
-            [random_rank1_povm(2, int(rng.integers(2, 5)), rng) for _ in range(n)]
-        )
-        me = EveStrategy(slots, rng.integers(0, k, size=math.prod(len(p) for p in slots.slots)))
+        slots = [random_rank1_povm(2, int(rng.integers(2, 5)), rng) for _ in range(n)]
+        me = EveStrategy(slots, rng.integers(0, k, size=math.prod(len(p) for p in slots)))
         mb = bob_decoder(sc, book)
         rep = evaluate(sc, book, mb, me)
         np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), rtol=0, atol=1e-9)
@@ -606,7 +590,6 @@ class TestSweep:
         direct = evaluate(sc, book, bob_decoder(sc, book), me)
         report = run_cell(sc, "random", 5, "optimized", CFG)
         assert np.array_equal(report.joint, direct.joint)
-        assert report.metadata["codebook"] == book.letters.tolist()
 
     @pytest.mark.parametrize("coder, eve", [("gray", "default"), ("random", "oracle")])
     def test_run_cell_rejects_unknown_choices(self, coder, eve):
