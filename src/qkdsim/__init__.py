@@ -47,7 +47,6 @@ from .scenarios import (
 from .simulation import (
     Codebook,
     EveStrategy,
-    GramReceiver,
     KeySimReport,
     Scenario,
     SweepCell,

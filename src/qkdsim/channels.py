@@ -157,7 +157,7 @@ class CqEnsemble:
             )
         if p.min() < 0 or abs(p.sum() - 1.0) > 1e-10:
             raise ValidationError(
-                "prior", f"prior must be nonnegative and sum to 1, got sum {p.sum()!r}"
+                "prior", f"prior must be nonnegative and sum to 1, got {p.tolist()}"
             )
         if any(not isinstance(s, DensityOperator) for s in states):
             raise ValidationError("states", "ensemble states must be DensityOperator values")

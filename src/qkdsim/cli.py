@@ -156,14 +156,14 @@ def _check_block_lengths(values, flag: str) -> None:
 
 def cmd_simulate(args) -> int:
     _check_block_lengths([args.n], "-n")
-    scenario = _load(args).with_n(args.n)
+    scenario = _load(args)
     cfg = _config_from_args(args)
     t0 = time.perf_counter()
-    report = run_cell(scenario, args.coder, args.seed, args.eve, cfg)
+    report = run_cell(scenario, args.n, args.coder, args.seed, args.eve, cfg)
     condition = quantum_condition(scenario.ensemble, scenario.theta, cfg)
     elapsed = time.perf_counter() - t0
     flags = "ok" if condition.converged else "non-converged"
-    print(f"scenario: {scenario.name} n={scenario.n} seed={args.seed} "
+    print(f"scenario: {scenario.name} n={args.n} seed={args.seed} "
           f"coder={args.coder} eve={args.eve}")
     print(
         f"p_agree={_fmt(report.p_agree)} bob_info={_fmt(report.bob_info)} "
@@ -180,7 +180,7 @@ def cmd_simulate(args) -> int:
     payload = {
         "command": "simulate",
         "scenario": scenario.name,
-        "n": scenario.n,
+        "n": args.n,
         "seed": args.seed,
         "coder": args.coder,
         "eve": args.eve,
@@ -331,9 +331,9 @@ def cmd_accessible(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("scenario", help="builtin name or scenario file path")
     parser.add_argument(
-        "params", nargs="*", type=float, help="builtin parameters (e.g. bsc-pair crossovers)"
+        "params", nargs="*", type=float, help="the bsc-pair crossovers EPS_B EPS_E"
     )
-    parser.add_argument("--overlap", type=float, default=None, help="letter overlap s")
+    parser.add_argument("--overlap", type=float, default=None, help="paper-example overlap s")
     parser.add_argument("--grid", type=int, default=2001, help="prior grid points")
     parser.add_argument("--restarts", type=int, default=8, help="optimizer restarts")
     parser.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance")

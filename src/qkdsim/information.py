@@ -156,7 +156,7 @@ def shannon_entropy(p) -> float:
     """Entropy of a probability vector in bits."""
     p = np.asarray(p, dtype=float).ravel()
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError("distribution", f"not a probability vector (sum {p.sum()!r})")
+        raise ValidationError("distribution", f"not a probability vector: {p.tolist()}")
     return float(_entropy_rows(p))
 
 
@@ -166,7 +166,7 @@ def mutual_information(p, v: ClassicalChannel) -> float:
     if p.size != v.in_size:
         raise DimensionMismatch(f"prior length {p.size} != channel inputs {v.in_size}")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError("distribution", f"not a probability vector (sum {p.sum()!r})")
+        raise ValidationError("distribution", f"not a probability vector: {p.tolist()}")
     out = p @ v.matrix
     val = float(_entropy_rows(out) - p @ _entropy_rows(v.matrix))
     return max(val, 0.0)

@@ -105,13 +105,16 @@ def bsc_pair(eps_b: float, eps_e: float) -> Scenario:
 def load_scenario(source: str, params=(), overlap: float | None = None) -> Scenario:
     """Resolve a builtin name or read a scenario file.
 
-    ``params`` feeds positional builtin parameters (the bsc-pair
-    crossovers); ``overlap`` feeds the paper-example overlap.
+    ``overlap`` feeds the paper-example overlap (default 0.5) and ``params``
+    the two bsc-pair crossovers; a parameter the scenario would ignore is refused.
     """
     params = tuple(float(x) for x in params)
+    if overlap is not None and source != "paper-example":
+        raise ScenarioFormatError(f"--overlap: only paper-example takes it, not {source}")
+    if params and source != "bsc-pair":
+        raise ScenarioFormatError(f"parameters: only bsc-pair takes them, got {list(params)}")
     if source == "paper-example":
-        s = overlap if overlap is not None else (params[0] if params else 0.5)
-        return paper_example(s)
+        return paper_example(0.5 if overlap is None else overlap)
     if source == "orthogonal":
         return orthogonal()
     if source == "bsc-pair":
@@ -167,6 +170,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     name = str(data["name"])
     key_count = _coerce(data["key_count"], _integer, "key_count")
     size = _coerce(data["alphabet_size"], _integer, "alphabet_size")
+    if size < 1:
+        raise ScenarioFormatError(f"alphabet_size: cannot read {size} (need at least one letter)")
     states_raw = data["states"]
     states = []
     for a in range(size):

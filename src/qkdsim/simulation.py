@@ -15,9 +15,10 @@ adversary's block space is ever built. The joint law of (K_A, K_B, K_E) is
 computed exactly by enumerating all outcome tuples; there is no Monte
 Carlo anywhere, so agreement probability and adversary information are
 sharp numbers and runs are bit-identical for fixed seeds. A codebook is a
-(K, n) array of letters, the adversary's slots a tuple of POVMs and its
-decoder an array of keys, one per outcome tuple in lexicographic order of
-the slots' effect positions.
+(K, n) array of letters; it fixes the block length n and the receiver's
+measurement. The adversary's slots are a tuple of POVMs and its decoder an
+array of keys, one per outcome tuple in lexicographic order of the slots'
+effect positions.
 """
 
 from __future__ import annotations
@@ -72,17 +73,16 @@ _SUPPORT_FLOOR = 1e-12
 class Scenario:
     """The fixed part of a key-distribution system.
 
-    ``key_count`` keys are encoded into length-``n`` codewords over the
-    ensemble alphabet; ``theta`` maps each transmitted letter state into
-    the receiver/adversary pair space (its output factorization gives the
-    B/E split).
+    ``key_count`` keys are encoded into codewords over the ensemble
+    alphabet; ``theta`` maps each transmitted letter state into the
+    receiver/adversary pair space (its output factorization gives the B/E
+    split). The block length is the codebook's, not the scenario's.
     """
 
     name: str
     key_count: int
     ensemble: CqEnsemble
     theta: QuantumChannel
-    n: int = 1
     classical_pair: tuple | None = None
 
     def __post_init__(self):
@@ -97,8 +97,6 @@ class Scenario:
                 "output-factorization",
                 "scenario channel needs a two-factor output (receiver/adversary split)",
             )
-        if self.n < 1:
-            raise ValidationError("block-length", f"n must be >= 1, got {self.n}")
 
     @property
     def dim_b(self) -> int:
@@ -107,9 +105,6 @@ class Scenario:
     @property
     def dim_e(self) -> int:
         return self.theta.out_factorization.dims[1]
-
-    def with_n(self, n: int) -> "Scenario":
-        return dataclasses.replace(self, n=int(n))
 
     def eve_ensemble(self) -> CqEnsemble:
         """Single-letter ensemble seen by the adversary."""
@@ -148,28 +143,6 @@ class Codebook:
 
     def __len__(self) -> int:
         return self.letters.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class GramReceiver:
-    """The receiver's collective measurement, held on the span of the codeword states.
-
-    ``letters`` is the (K, n) codebook it was built for and ``factors[a]`` the
-    d_b x r_a rank factor A_a of receiver letter a. ``effects`` stacks the
-    Gram-form effects Q_b, each D x D with D = sum_k prod_i r_{w_k,i}, the
-    index running over codeword k's factor columns in codebook order; the
-    measurement on the block space is M_b = Psi Q_b Psi^dagger with Psi the
-    stacked codeword factors, and Q_b reports key b. Built by ``bob_decoder``;
-    arrays are read-only.
-    """
-
-    letters: np.ndarray
-    factors: tuple
-    effects: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.letters, self.effects, *self.factors):
-            a.flags.writeable = False
 
 
 def sample_codebook(key_count: int, n: int, alphabet_size: int, seed: int) -> Codebook:
@@ -268,7 +241,7 @@ def _codeword_sizes(factors, letters: np.ndarray) -> list[int]:
     return [math.prod(factors[a].shape[1] for a in word) for word in letters]
 
 
-def bob_decoder(s: Scenario, c: Codebook) -> GramReceiver:
+def bob_decoder(s: Scenario, c: Codebook) -> tuple[tuple, np.ndarray]:
     """Square-root (pretty-good) measurement of the codeword block states, in Gram form.
 
     Each receiver letter is rho_a = A_a A_a^dagger with a d_b x r_a rank
@@ -283,9 +256,10 @@ def bob_decoder(s: Scenario, c: Codebook) -> GramReceiver:
     dimension d_b^n is built; the Gram dimension, sum_k prod_i r_{w_k,i}, is
     held to the budget. The effects are entangled across slots in general;
     outcomes are the keys 0..K-1.
+
+    Returns ``(factors, effects)``: the A_a, and the Q_b stacked, indexed by
+    the codewords' factor columns in codebook order.
     """
-    if c.length != s.n:
-        raise DimensionMismatch(f"codebook length {c.length} != scenario block length {s.n}")
     _check_letters(s, c)
     factors = []
     for rho in s.bob_ensemble().states:
@@ -294,7 +268,7 @@ def bob_decoder(s: Scenario, c: Codebook) -> GramReceiver:
         factors.append(vecs[:, keep] * np.sqrt(vals[keep]))
     sizes = _codeword_sizes(factors, c.letters)
     if sum(sizes) > DEFAULT_DIM_BUDGET:
-        raise BudgetExceeded(sum(sizes), DEFAULT_DIM_BUDGET, f"n={s.n}", "receiver Gram dimension")
+        raise BudgetExceeded(sum(sizes), DEFAULT_DIM_BUDGET, f"n={c.length}", "receiver Gram dimension")
     overlaps = [[x.conj().T @ y for y in factors] for x in factors]
     gram = np.block(
         [[reduce(np.kron, [overlaps[a][b] for a, b in zip(u, v)]) for v in c.letters]
@@ -305,7 +279,7 @@ def bob_decoder(s: Scenario, c: Codebook) -> GramReceiver:
     root = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
     cols = np.split(root, np.cumsum(sizes)[:-1], axis=1)
     effects = np.stack([col @ col.conj().T for col in cols])
-    return GramReceiver(c.letters, tuple(factors), effects)
+    return tuple(factors), effects
 
 
 def _slot_channels(slots: list[np.ndarray], eve_states: np.ndarray) -> list[np.ndarray]:
@@ -356,13 +330,14 @@ def eve_default_strategy(s: Scenario, c: Codebook) -> EveStrategy:
 
 def _default_attack(s: Scenario, c: Codebook, ee: CqEnsemble) -> EveStrategy:
     """``eve_default_strategy`` on the adversary's single-letter ensemble ``ee``."""
+    _check_letters(s, c)
     if ee.size == 2:
         slot = helstrom(ee.states[0], ee.states[1], float(ee.prior[0]))
     else:
         slot = pretty_good_measurement(ee.states, ee.prior)
     tables = _slot_channels([np.stack(slot.effects)], np.stack([rho.matrix for rho in ee.states]))
-    idx = _ml_decoder(_likelihoods(tables * s.n, c))
-    return EveStrategy([slot] * s.n, idx)
+    idx = _ml_decoder(_likelihoods(tables * c.length, c))
+    return EveStrategy([slot] * c.length, idx)
 
 
 def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
@@ -397,14 +372,14 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
     if cfg.restarts == 0:
         return default
     eve_states = np.stack([rho.matrix for rho in ee.states])
-    d_e = s.dim_e
+    d_e, n = s.dim_e, c.length
     best = None
     rng = np.random.default_rng(cfg.seed)
     for restart in range(cfg.restarts):
         if restart == 0:
             starts = default.slots
         else:
-            starts = [random_rank1_povm(d_e, d_e * d_e, rng) for _ in range(s.n)]
+            starts = [random_rank1_povm(d_e, d_e * d_e, rng) for _ in range(n)]
         slots = [np.stack(p.effects) for p in starts]
         tables = _slot_channels(slots, eve_states)
         lik = _likelihoods(tables, c)
@@ -414,13 +389,13 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
             best = (val, slots, idx)
         for _ in range(cfg.max_iters):
             start, improved = val, False
-            for i in range(s.n):
+            for i in range(n):
                 step = _refine_slots(slots, tables, [i], c, idx, eve_states)
                 if step is not None and step[2] > val + cfg.tol:
                     slots, tables, val = step
                     improved = True
-            if s.n > 1 and val - start < _STALL_BITS:
-                step = _refine_slots(slots, tables, list(range(s.n)), c, idx, eve_states)
+            if n > 1 and val - start < _STALL_BITS:
+                step = _refine_slots(slots, tables, list(range(n)), c, idx, eve_states)
                 if step is not None and step[2] > val:
                     improved = improved or step[2] > val + cfg.tol
                     slots, tables, val = step
@@ -506,9 +481,10 @@ def _refine_slots(
     return slots, tables, _key_info(_likelihoods(tables, c), decoder_idx)
 
 
-def _receiver_law(mb: GramReceiver, slot_ops: list[np.ndarray]) -> np.ndarray:
+def _receiver_law(letters: np.ndarray, factors, effects: np.ndarray, slot_ops) -> np.ndarray:
     """p(b, t | k) = Tr[Q_b Y_k(t)] for every codeword k, effect b and outcome tuple t.
 
+    ``factors`` and ``effects`` are ``bob_decoder``'s for the codebook ``letters``.
     ``slot_ops[i]`` stacks X_a(o) for every letter a and outcome o of slot i,
     shape (A, m_i, d_b, d_b). Y_k(t) has the blocks
     Y_{lj} = (x)_i A_{w_l,i}^dagger X_{w_k,i}(o_i) A_{w_j,i}, so the trace is
@@ -519,29 +495,29 @@ def _receiver_law(mb: GramReceiver, slot_ops: list[np.ndarray]) -> np.ndarray:
     Returns the real array of shape (K, len(effects), M), tuples in
     lexicographic order.
     """
-    k, n = mb.letters.shape
-    ranks = [f.shape[1] for f in mb.factors]
-    sizes = _codeword_sizes(mb.factors, mb.letters)
+    k = len(letters)
+    ranks = [f.shape[1] for f in factors]
+    sizes = _codeword_sizes(factors, letters)
     blocks = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
     spans = [slice(end - r, end) for r, end in zip(ranks, np.cumsum(ranks))]
-    stacked = np.hstack(mb.factors)
+    stacked = np.hstack(factors)
     # sandwiches[i][k, o][span b, span a] = A_b^dagger X_{w_k,i}(o) A_a
-    sandwiches = [stacked.conj().T @ x[a] @ stacked for x, a in zip(slot_ops, mb.letters.T)]
+    sandwiches = [stacked.conj().T @ x[a] @ stacked for x, a in zip(slot_ops, letters.T)]
     law = 0.0
     for j in range(k):
         for l in range(j, k):
-            t = mb.effects[None, :, blocks[j], blocks[l]]
+            t = effects[None, :, blocks[j], blocks[l]]
             rest_j, rest_l = sizes[j], sizes[l]
-            for y, a, b in zip(sandwiches, mb.letters[j], mb.letters[l]):
+            for y, a, b in zip(sandwiches, letters[j], letters[l]):
                 rest_j, rest_l = rest_j // ranks[a], rest_l // ranks[b]
                 t = t.reshape(len(t), -1, ranks[a], rest_j, ranks[b], rest_l)
                 t = np.einsum("kpaxby,koba->kpoxy", t, y[:, :, spans[b], spans[a]])
-            law = law + (1 if j == l else 2) * t.reshape(k, len(mb.effects), -1)
+            law = law + (1 if j == l else 2) * t.reshape(k, len(effects), -1)
     return law.real
 
 
-def evaluate(s: Scenario, c: Codebook, mb: GramReceiver, me: EveStrategy) -> KeySimReport:
-    """Exact joint distribution of the pipeline for the given strategies.
+def evaluate(s: Scenario, c: Codebook, me: EveStrategy) -> KeySimReport:
+    """Exact joint distribution of the pipeline for the codebook and the attack.
 
     The channel is memoryless and the attack factorized, so for codeword w
     p(b, o_1..o_n | w) = Tr[M_b (x)_i X_{w_i}(o_i)], where
@@ -553,31 +529,23 @@ def evaluate(s: Scenario, c: Codebook, mb: GramReceiver, me: EveStrategy) -> Key
     state nor the expanded adversary POVM is built. The pretty-good
     measurement's completion on the kernel of the average block state adds
     nothing, because (x)_i X_{w_i}(o_i) lies in the support of rho_w. K_B is
-    the position of the receiver's effect. The receiver must be
-    ``bob_decoder``'s for this codebook. A codeword letter outside the
-    alphabet, a decoder key outside 0..K-1 or more outcome tuples than the
-    budget is rejected.
+    the position of the receiver's effect. The receiver is ``bob_decoder``'s
+    for this codebook, built here once the attack has passed its checks. A
+    codeword letter outside the alphabet, a decoder key outside 0..K-1 or
+    more outcome tuples than the budget is rejected.
     """
     k = s.key_count
     if len(c) != k:
         raise DimensionMismatch(f"codebook has {len(c)} words for {k} keys")
-    if c.length != s.n:
-        raise DimensionMismatch(f"codebook length {c.length} != block length {s.n}")
-    d_b, d_e, n = s.dim_b, s.dim_e, s.n
-    if not isinstance(mb, GramReceiver):
-        raise ValidationError("receiver", "the receiver must be a GramReceiver from bob_decoder")
-    if not np.array_equal(mb.letters, c.letters):
-        raise ValidationError("receiver-codebook", "the receiver was built for another codebook")
-    if mb.factors[0].shape[0] != d_b:
-        raise DimensionMismatch(f"receiver letter dim {mb.factors[0].shape[0]} != {d_b}")
+    d_b, d_e, n = s.dim_b, s.dim_e, c.length
     if me.n != n:
         raise DimensionMismatch(f"adversary strategy has {me.n} slots for block length {n}")
     if any(p.dim != d_e for p in me.slots):
         raise DimensionMismatch("adversary slot POVMs must act on the adversary letter space")
-    _check_letters(s, c)
     if me.decoder.max() >= k:
         raise ValidationError("decoder-range", f"decoder key {me.decoder.max()} >= {k} keys")
     _check_tuple_count((len(p) for p in me.slots), n)
+    factors, effects = bob_decoder(s, c)
 
     taus = np.stack(
         [apply(s.theta, rho).matrix.reshape(d_b, d_e, d_b, d_e) for rho in s.ensemble.states]
@@ -586,7 +554,7 @@ def evaluate(s: Scenario, c: Codebook, mb: GramReceiver, me: EveStrategy) -> Key
     slot_ops = [
         np.einsum("aiejf,ofe->aoij", taus, np.stack(povm.effects)) for povm in me.slots
     ]
-    probs = np.clip(_receiver_law(mb, slot_ops), 0.0, None)
+    probs = np.clip(_receiver_law(c.letters, factors, effects, slot_ops), 0.0, None)
 
     joint = np.zeros((k, k, k))
     for key in range(k):
@@ -599,27 +567,29 @@ def evaluate(s: Scenario, c: Codebook, mb: GramReceiver, me: EveStrategy) -> Key
     return KeySimReport(joint=joint, p_agree=p_agree, bob_info=bob_info, eve_info=eve_info)
 
 
-def run_cell(s: Scenario, coder: str, seed: int, eve: str, cfg: OptimizerConfig) -> KeySimReport:
-    """One pipeline run at block length ``s.n``.
+def run_cell(
+    s: Scenario, n: int, coder: str, seed: int, eve: str, cfg: OptimizerConfig
+) -> KeySimReport:
+    """One pipeline run at block length ``n``.
 
     Builds the codebook (``coder`` "repetition", or "random" drawn from
-    ``seed``), the receiver's decoder and the adversary (``eve`` "default",
-    or "optimized" by the seesaw under ``cfg``), then evaluates exactly.
+    ``seed``) and the adversary (``eve`` "default", or "optimized" by the
+    seesaw under ``cfg``), then evaluates exactly, which builds the
+    receiver's decoder.
     """
     if coder == "repetition":
-        book = repetition_codebook(s.key_count, s.n)
+        book = repetition_codebook(s.key_count, n)
     elif coder == "random":
-        book = sample_codebook(s.key_count, s.n, s.ensemble.size, seed)
+        book = sample_codebook(s.key_count, n, s.ensemble.size, seed)
     else:
         raise ValidationError("coder", f"unknown coder {coder!r}")
-    mb = bob_decoder(s, book)
     if eve == "default":
         me = eve_default_strategy(s, book)
     elif eve == "optimized":
         me = eve_optimize(s, book, cfg)
     else:
         raise ValidationError("eve", f"unknown adversary choice {eve!r}")
-    return evaluate(s, book, mb, me)
+    return evaluate(s, book, me)
 
 
 def sweep(
@@ -642,7 +612,7 @@ def sweep(
         try:
             sub_seed = int(np.random.SeedSequence((cfg.seed, n, seed)).generate_state(1)[0])
             sub_cfg = dataclasses.replace(cfg, seed=sub_seed)
-            cell.report = run_cell(s.with_n(n), coder, seed, eve, sub_cfg)
+            cell.report = run_cell(s, n, coder, seed, eve, sub_cfg)
         except (ValidationError, BudgetExceeded, DimensionMismatch) as exc:
             cell.error = str(exc)
         cells.append(cell)

@@ -18,7 +18,6 @@ from qkdsim.measurements import random_rank1_povm
 from qkdsim.scenarios import paper_example
 from qkdsim.simulation import (
     EveStrategy,
-    bob_decoder,
     eve_default_strategy,
     eve_optimize,
     evaluate,
@@ -129,10 +128,9 @@ def test_criterion_4_classical_condition(tmp_path):
 def test_criterion_5_entangled_vs_factorized():
     t0 = time.perf_counter()
     s = 0.5
-    sc = paper_example(s).with_n(3)
+    sc = paper_example(s)
     book = repetition_codebook(2, 3)
-    mb = bob_decoder(sc, book)
-    rep = evaluate(sc, book, mb, eve_default_strategy(sc, book))
+    rep = evaluate(sc, book, eve_default_strategy(sc, book))
     p_agree_oracle = block_success(s, 3)
     bob_oracle = 1 - binary_entropy(1 - p_agree_oracle)
     eve_oracle = 1 - binary_entropy(majority_error(helstrom_crossover(s), 3))
@@ -142,7 +140,7 @@ def test_criterion_5_entangled_vs_factorized():
         and abs(rep.eve_info - eve_oracle) <= 1e-5
     )
     opt = eve_optimize(sc, book, OptimizerConfig(restarts=20, seed=1))
-    rep_opt = evaluate(sc, book, mb, opt)
+    rep_opt = evaluate(sc, book, opt)
     ok = ok and rep.bob_info > rep_opt.eve_info
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
@@ -162,7 +160,7 @@ def test_criterion_6_factorized_adversary_ceiling():
     for _ in range(50):
         s = float(rng.choice([0.3, 0.5, 0.7]))
         n = int(rng.integers(1, 5))
-        sc = paper_example(s).with_n(n)
+        sc = paper_example(s)
         if s not in c1_cache:
             c1_cache[s] = c1(sc.eve_ensemble(), cfg).value
         book = sample_codebook(2, n, 2, int(rng.integers(0, 10_000)))
@@ -171,7 +169,7 @@ def test_criterion_6_factorized_adversary_ceiling():
         else:
             slots = [random_rank1_povm(2, 4, rng) for _ in range(n)]
             me = EveStrategy(slots, [int(rng.integers(0, 2)) for _ in range(4**n)])
-        rep = evaluate(sc, book, bob_decoder(sc, book), me)
+        rep = evaluate(sc, book, me)
         ceiling = n * c1_cache[s] + 1e-6
         worst_slack = min(worst_slack, ceiling - rep.eve_info)
         if rep.eve_info > ceiling:
@@ -228,11 +226,11 @@ def test_criterion_8_invariant_suites():
         ok &= accessible_information(e, cfg).value <= holevo_chi(e) + 1e-6
     notes.append("holevo-bound")
     # joint normalization and determinism under fixed seeds
-    sc = paper_example(0.5).with_n(2)
+    sc = paper_example(0.5)
     book = sample_codebook(2, 2, 2, seed=4)
     cfg2 = OptimizerConfig(restarts=2, seed=21)
-    r1 = evaluate(sc, book, bob_decoder(sc, book), eve_optimize(sc, book, cfg2))
-    r2 = evaluate(sc, book, bob_decoder(sc, book), eve_optimize(sc, book, cfg2))
+    r1 = evaluate(sc, book, eve_optimize(sc, book, cfg2))
+    r2 = evaluate(sc, book, eve_optimize(sc, book, cfg2))
     ok &= abs(r1.joint.sum() - 1.0) < 1e-9
     ok &= bool(np.array_equal(r1.joint, r2.joint))
     notes.append("joint+determinism")

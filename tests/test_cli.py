@@ -153,8 +153,9 @@ class TestScenarioIO:
             (lambda d: d["states"]["0"][0].__setitem__(0, float("nan")), "amplitudes"),
             (lambda d: d["classical_pair"].pop("w"), "classical_pair"),
             (lambda d: d.__setitem__("prior", ["a", "b"]), "prior"),
+            (lambda d: d.__setitem__("prior", [1.5, -0.5]), "sum to 1, got [1.5, -0.5]"),
         ],
-        ids=["nan-amplitude", "no-w", "text-prior"],
+        ids=["nan-amplitude", "no-w", "text-prior", "negative-prior"],
     )
     def test_malformed_file_exits_1_without_traceback(self, corrupt, message, tmp_path, capsys):
         data = scenario_to_dict(bsc_pair(0.1, 0.3))
@@ -189,6 +190,8 @@ class TestScenarioIO:
             ("key_count", float("inf")),
             ("alphabet_size", 2.5),
             ("output_dims", [2.9, 2.2]),
+            ("alphabet_size", 0),
+            ("alphabet_size", -1),
         ],
     )
     def test_non_integral_integer_field_exits_1(self, field, value, tmp_path, capsys):
@@ -199,6 +202,26 @@ class TestScenarioIO:
         assert main(["analyze", str(path), "--restarts", "1"]) == 1
         err = capsys.readouterr().err
         assert f"{field}: cannot read" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["analyze", "orthogonal", "--overlap", "0.3"], "--overlap"),
+            (["sweep", "FILE", "--overlap", "0.3"], "--overlap"),
+            (["analyze", "bsc-pair", "0.1", "0.3", "--overlap", "0.5"], "--overlap"),
+            (["analyze", "paper-example", "0.3"], "parameters"),
+            (["analyze", "paper-example", "0.3", "0.4"], "parameters"),
+            (["analyze", "paper-example", "0.3", "--overlap", "0.4"], "parameters"),
+            (["analyze", "FILE", "0.3"], "parameters"),
+        ],
+    )
+    def test_parameter_the_scenario_does_not_take_exits_1(self, argv, named, tmp_path, capsys):
+        path = tmp_path / "bsc.json"
+        save_scenario(bsc_pair(0.1, 0.3), str(path))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        assert main(argv + ["--restarts", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: scenario: {named}:" in err and "Traceback" not in err
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -324,6 +347,15 @@ class TestSimulateCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "budget: adversary outcome tuple count 8192 exceeds budget 4096" in err
+
+    def test_attack_budget_is_checked_before_the_receiver(self, capsys):
+        # Both exceed the budget here: 4^12 outcome tuples of the random
+        # starts, and a receiver Gram dimension of 2 * 2^12.
+        argv = ["simulate", "bsc-pair", "0.1", "0.3", "-n", "12", "--eve", "optimized",
+                "--restarts", "2"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "budget: adversary outcome tuple count 16777216 exceeds budget 4096" in err
 
     def test_budget_beyond_32_slots_exits_3(self, capsys):
         # Past 32 slots a Kronecker product formed as one outer product needs

@@ -92,6 +92,8 @@ class TestShannonQuantities:
     def test_invalid_distribution(self):
         with pytest.raises(ValidationError, match="distribution"):
             shannon_entropy([0.5, 0.6])
+        with pytest.raises(ValidationError, match=r"vector: \[1.5, -0.5\]"):
+            shannon_entropy([1.5, -0.5])
 
     def test_identity_channel_mi(self):
         chan = ClassicalChannel(np.eye(2))

@@ -14,7 +14,6 @@ from qkdsim.cli import main
 from qkdsim.information import OptimizerConfig
 from qkdsim.scenarios import paper_example
 from qkdsim.simulation import (
-    bob_decoder,
     eve_optimize,
     evaluate,
     repetition_codebook,
@@ -62,22 +61,22 @@ def test_simulate_optimized_pin(tmp_path, argv, eve_info, p_agree):
 def test_seesaw_gain_over_default_pin():
     # Random coder, words (1,0,0) and (0,0,1): the default attack gives
     # 0.861721703825 bits, the seesaw lifts it.
-    sc = paper_example(0.3).with_n(3)
+    sc = paper_example(0.3)
     book = sample_codebook(2, 3, 2, 3)
     me = eve_optimize(sc, book, OptimizerConfig(restarts=1, seed=3))
-    report = evaluate(sc, book, bob_decoder(sc, book), me)
+    report = evaluate(sc, book, me)
     assert report.eve_info == pytest.approx(0.9682890994937405, abs=ABS)
 
 
 def test_zero_effect_slot_keeps_its_outcome():
     # At overlap 1 the letters coincide, so the Helstrom slot measurement has
     # a zero effect; the slot ascent must keep both outcomes.
-    sc = paper_example(1.0).with_n(2)
+    sc = paper_example(1.0)
     book = repetition_codebook(2, 2)
     me = eve_optimize(sc, book, OptimizerConfig(restarts=2, seed=0))
     assert [len(p) for p in me.slots] == [2, 2]
     traces = [float(np.trace(e).real) for p in me.slots for e in p.effects]
     assert traces == pytest.approx([0.0, 2.0, 0.0, 2.0], abs=ABS)
-    report = evaluate(sc, book, bob_decoder(sc, book), me)
+    report = evaluate(sc, book, me)
     assert report.eve_info == pytest.approx(0.0, abs=ABS)
     assert report.p_agree == pytest.approx(0.5, abs=ABS)

@@ -100,35 +100,43 @@ class TestCodebooks:
             Codebook(((0, 1), (1,)))
 
     def test_unknown_letter_rejected(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         with pytest.raises(ValidationError, match="letter 2 not in alphabet of size 2"):
             bob_decoder(sc, Codebook([[0, 1], [1, 2]]))
+
+    @pytest.mark.parametrize("letters", [[[0, -1], [1, 0]], [[0, 1], [1, 2]]], ids=["-1", "2"])
+    @pytest.mark.parametrize(
+        "build",
+        [eve_default_strategy, lambda sc, book: eve_optimize(sc, book, CFG)],
+        ids=["default", "optimize"],
+    )
+    def test_attack_builders_check_letters(self, build, letters):
+        with pytest.raises(ValidationError) as err:
+            build(paper_example(0.5), Codebook(letters))
+        assert err.value.invariant == "letter"
 
 
 class TestBobDecoder:
     def test_orthogonal_single_letter_perfect(self):
         sc = paper_example(0.0)
         book = repetition_codebook(2, 1)
-        mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
-        rep = evaluate(sc, book, mb, me)
+        rep = evaluate(sc, book, me)
         assert rep.p_agree == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_codewords_chance_agreement(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = Codebook(((0, 0), (0, 0)))
-        mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
-        rep = evaluate(sc, book, mb, me)
+        rep = evaluate(sc, book, me)
         assert rep.p_agree == pytest.approx(0.5, abs=1e-10)
 
     def test_block_success_closed_form(self):
         s = 0.5
-        sc = paper_example(s).with_n(3)
+        sc = paper_example(s)
         book = repetition_codebook(2, 3)
-        mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
-        rep = evaluate(sc, book, mb, me)
+        rep = evaluate(sc, book, me)
         assert rep.p_agree == pytest.approx(block_success(s, 3), abs=1e-9)
         assert rep.p_agree == pytest.approx(0.996078, abs=1e-6)
 
@@ -136,10 +144,9 @@ class TestBobDecoder:
         s = 0.6
         for seed in range(6):
             book = sample_codebook(2, 3, 2, seed)
-            sc = paper_example(s).with_n(3)
-            mb = bob_decoder(sc, book)
+            sc = paper_example(s)
             me = eve_default_strategy(sc, book)
-            rep = evaluate(sc, book, mb, me)
+            rep = evaluate(sc, book, me)
             d = int((book.letters[0] != book.letters[1]).sum())
             overlap = s**d
             assert rep.p_agree == pytest.approx(
@@ -151,45 +158,45 @@ class TestEveStrategies:
     def test_default_perfect_on_orthogonal(self):
         sc = paper_example(0.0)
         book = repetition_codebook(2, 1)
-        rep = evaluate(sc, book, bob_decoder(sc, book), eve_default_strategy(sc, book))
+        rep = evaluate(sc, book, eve_default_strategy(sc, book))
         assert rep.eve_info == pytest.approx(1.0, abs=1e-10)
 
     def test_default_majority_values(self):
         s = 0.5
-        sc = paper_example(s).with_n(3)
+        sc = paper_example(s)
         book = repetition_codebook(2, 3)
         me = eve_default_strategy(sc, book)
         eps = helstrom_crossover(s)
         assert eps == pytest.approx(0.066987, abs=1e-6)
         err = majority_error(eps, 3)
         assert err == pytest.approx(0.012861, abs=1e-6)
-        rep = evaluate(sc, book, bob_decoder(sc, book), me)
+        rep = evaluate(sc, book, me)
         assert rep.eve_info == pytest.approx(1 - binary_entropy(err), abs=1e-9)
 
     def test_default_decoder_ties_go_to_lowest_key(self):
         # Keys of the tuples (0, 0), (0, 1), (1, 0), (1, 1) in this order;
         # (0, 1) and (1, 0) are equally likely under both codewords.
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         me = eve_default_strategy(sc, repetition_codebook(2, 2))
         assert me.decoder.tolist() == [0, 0, 0, 1]
         with pytest.raises(ValueError):
             me.decoder[0] = 1
 
     def test_constant_adversary_states_zero_info(self):
-        sc = paper_example(1.0).with_n(2)
+        sc = paper_example(1.0)
         book = repetition_codebook(2, 2)
-        rep = evaluate(sc, book, bob_decoder(sc, book), eve_default_strategy(sc, book))
+        rep = evaluate(sc, book, eve_default_strategy(sc, book))
         assert rep.eve_info == pytest.approx(0.0, abs=1e-9)
 
     def test_strategy_is_coarse_grained_expansion(self):
         # class membership by construction: the flat attack measurement is
         # the decoder-coarse-graining of the expanded slot product, and the
         # joint's adversary marginal reproduces its Born statistics
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = repetition_codebook(2, 2)
         me = eve_default_strategy(sc, book)
         flat = coarse_grain(expand(me.slots).effects, me.decoder, 2)
-        rep = evaluate(sc, book, bob_decoder(sc, book), me)
+        rep = evaluate(sc, book, me)
         eve_states = [s.matrix for s in sc.eve_ensemble().states]
         for key, word in enumerate(book.letters):
             block = reduce(np.kron, (eve_states[a] for a in word))
@@ -197,7 +204,7 @@ class TestEveStrategies:
             np.testing.assert_allclose(rep.joint[key].sum(axis=0) * 2, probs, atol=1e-9)
 
     def test_decoder_must_be_total(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         me = eve_default_strategy(sc, repetition_codebook(2, 2))
         with pytest.raises(ValidationError, match="decoder-total"):
             EveStrategy(me.slots, me.decoder[:-1])
@@ -213,7 +220,7 @@ class TestEveStrategies:
         assert err.value.invariant == "slots"
 
     def test_optimize_zero_restarts_is_default(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = repetition_codebook(2, 2)
         default = eve_default_strategy(sc, book)
         opt = eve_optimize(sc, book, OptimizerConfig(restarts=0, seed=1))
@@ -223,36 +230,35 @@ class TestEveStrategies:
                 np.testing.assert_array_equal(x, y)
 
     def test_optimize_never_below_default(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = repetition_codebook(2, 2)
-        mb = bob_decoder(sc, book)
-        base = evaluate(sc, book, mb, eve_default_strategy(sc, book))
+        base = evaluate(sc, book, eve_default_strategy(sc, book))
         opt = eve_optimize(sc, book, OptimizerConfig(restarts=3, seed=2))
-        rep = evaluate(sc, book, mb, opt)
+        rep = evaluate(sc, book, opt)
         assert rep.eve_info >= base.eve_info - 1e-9
 
     def test_optimize_on_orthogonal_matches_default(self):
-        sc = paper_example(0.0).with_n(1)
+        sc = paper_example(0.0)
         book = repetition_codebook(2, 1)
         opt = eve_optimize(sc, book, OptimizerConfig(restarts=2, seed=3))
-        rep = evaluate(sc, book, bob_decoder(sc, book), opt)
+        rep = evaluate(sc, book, opt)
         assert rep.eve_info == pytest.approx(1.0, abs=1e-9)
 
     def test_optimize_on_constant_states_stays_zero(self):
-        sc = paper_example(1.0).with_n(2)
+        sc = paper_example(1.0)
         book = repetition_codebook(2, 2)
         opt = eve_optimize(sc, book, OptimizerConfig(restarts=3, seed=4))
-        rep = evaluate(sc, book, bob_decoder(sc, book), opt)
+        rep = evaluate(sc, book, opt)
         assert rep.eve_info == pytest.approx(0.0, abs=1e-9)
 
     def test_optimize_returns_the_value_it_records(self):
         # Here a maximum-likelihood decoder lowers the information of the
         # slots it is derived for; a seesaw that adopts it anyway keeps
         # 1.3842888670 bits as its best and returns a strategy worth less.
-        sc = dataclasses.replace(paper_example(0.3), key_count=4).with_n(3)
+        sc = dataclasses.replace(paper_example(0.3), key_count=4)
         book = sample_codebook(4, 3, 2, 5)
         opt = eve_optimize(sc, book, OptimizerConfig(restarts=3, seed=5))
-        rep = evaluate(sc, book, bob_decoder(sc, book), opt)
+        rep = evaluate(sc, book, opt)
         assert rep.eve_info >= 1.3842888670
 
     def test_no_restart_reaches_the_round_cap(self, monkeypatch):
@@ -266,10 +272,10 @@ class TestEveStrategies:
         monkeypatch.setattr(
             simulation, "random_rank1_povm", lambda *a: events.append("d") or draw(*a)
         )
-        sc = paper_example(0.5).with_n(3)
+        book = repetition_codebook(2, 3)
         cfg = OptimizerConfig(restarts=2, seed=0)
-        eve_optimize(sc, repetition_codebook(2, 3), cfg)
-        rounds = [len(run) - 1 for run in "".join(events)[1:].split("d" * sc.n)]
+        eve_optimize(paper_example(0.5), book, cfg)
+        rounds = [len(run) - 1 for run in "".join(events)[1:].split("d" * book.length)]
         assert len(rounds) == cfg.restarts
         assert 0 < max(rounds) < cfg.max_iters
 
@@ -283,13 +289,12 @@ class TestSeesawProperties:
         seed=st.integers(0, 2**16),
     )
     def test_default_optimized_ceiling_and_replay(self, s, n, k, seed):
-        sc = dataclasses.replace(paper_example(s), key_count=k).with_n(n)
+        sc = dataclasses.replace(paper_example(s), key_count=k)
         book = sample_codebook(k, n, 2, seed)
-        mb = bob_decoder(sc, book)
         cfg = OptimizerConfig(restarts=1, seed=seed)
-        default = evaluate(sc, book, mb, eve_default_strategy(sc, book)).eve_info
+        default = evaluate(sc, book, eve_default_strategy(sc, book)).eve_info
         opt = eve_optimize(sc, book, cfg)
-        optimized = evaluate(sc, book, mb, opt).eve_info
+        optimized = evaluate(sc, book, opt).eve_info
         assert default <= optimized + 1e-9
         assert optimized + 1e-9 <= min(math.log2(k), n * pure_pair_c1(s)) + 1e-6
         again = eve_optimize(sc, book, cfg)
@@ -304,7 +309,7 @@ def random_attack(seed, k):
     """A random n=3 factorized attack on paper_example with a random decoder,
     with each slot's stacked effects and rank-one pieces."""
     rng = np.random.default_rng(seed)
-    sc = dataclasses.replace(paper_example(0.5), key_count=k).with_n(3)
+    sc = dataclasses.replace(paper_example(0.5), key_count=k)
     book = sample_codebook(k, 3, 2, seed=3)
     slots = [np.stack(random_rank1_povm(2, 4, rng).effects) for _ in range(3)]
     states = np.stack([rho.matrix for rho in sc.eve_ensemble().states])
@@ -350,7 +355,7 @@ def dense_joint(sc, book, me):
     built on the full d_b^n block space, and the full (d_b d_e)^n block state
     traced against every Kronecker-product block effect, built explicitly and
     permuted from [B1..Bn, E1..En] to the interleaved slot order."""
-    n, k = sc.n, sc.key_count
+    n, k = book.length, sc.key_count
     taus = [sc.theta.apply_matrix(s.matrix) for s in sc.ensemble.states]
     bob_letters = [partial_trace(tau, (sc.dim_b, sc.dim_e), 0) for tau in taus]
     bob_effects = dense_pgm(
@@ -374,16 +379,16 @@ class TestEvaluate:
     def test_perfect_scenario(self):
         sc = paper_example(0.0)
         book = repetition_codebook(2, 1)
-        rep = evaluate(sc, book, bob_decoder(sc, book), eve_default_strategy(sc, book))
+        rep = evaluate(sc, book, eve_default_strategy(sc, book))
         assert rep.p_agree == pytest.approx(1.0, abs=1e-10)
         assert rep.bob_info == pytest.approx(1.0, abs=1e-10)
         assert rep.eve_info == pytest.approx(1.0, abs=1e-10)
 
     def test_example_exact_values(self):
         s = 0.5
-        sc = paper_example(s).with_n(3)
+        sc = paper_example(s)
         book = repetition_codebook(2, 3)
-        rep = evaluate(sc, book, bob_decoder(sc, book), eve_default_strategy(sc, book))
+        rep = evaluate(sc, book, eve_default_strategy(sc, book))
         eps_b = 1 - block_success(s, 3)
         err = majority_error(helstrom_crossover(s), 3)
         assert rep.p_agree == pytest.approx(block_success(s, 3), abs=1e-12)
@@ -391,55 +396,53 @@ class TestEvaluate:
         assert rep.eve_info == pytest.approx(1 - binary_entropy(err), abs=1e-12)
 
     def test_constant_decoder_kills_eve_info(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = repetition_codebook(2, 2)
         me = eve_default_strategy(sc, book)
         constant = EveStrategy(me.slots, np.zeros_like(me.decoder))
-        rep = evaluate(sc, book, bob_decoder(sc, book), constant)
+        rep = evaluate(sc, book, constant)
         assert rep.eve_info == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("key", [1.9, 0.5, "1", 2, -1])
     def test_non_integer_decoder_key_rejected(self, key):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = repetition_codebook(2, 2)
         me = eve_default_strategy(sc, book)
         decoder = me.decoder.tolist()
         decoder[3] = key
         with pytest.raises(ValidationError, match="decoder-range"):
-            evaluate(sc, book, bob_decoder(sc, book), EveStrategy(me.slots, decoder))
+            evaluate(sc, book, EveStrategy(me.slots, decoder))
 
     def test_unsigned_decoder_keys_evaluated(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = repetition_codebook(2, 2)
-        mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
-        rep = evaluate(sc, book, mb, EveStrategy(me.slots, me.decoder.astype(np.uint64)))
-        assert rep.eve_info == evaluate(sc, book, mb, me).eve_info
+        rep = evaluate(sc, book, EveStrategy(me.slots, me.decoder.astype(np.uint64)))
+        assert rep.eve_info == evaluate(sc, book, me).eve_info
 
     def test_joint_invariants(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = sample_codebook(2, 2, 2, seed=1)
-        rep = evaluate(sc, book, bob_decoder(sc, book), eve_default_strategy(sc, book))
+        rep = evaluate(sc, book, eve_default_strategy(sc, book))
         assert abs(rep.joint.sum() - 1.0) < 1e-9
         np.testing.assert_allclose(rep.joint.sum(axis=(1, 2)), [0.5, 0.5], atol=1e-10)
 
     def test_determinism_bit_identical(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = sample_codebook(2, 2, 2, seed=3)
         cfg = OptimizerConfig(restarts=2, seed=9)
-        r1 = evaluate(sc, book, bob_decoder(sc, book), eve_optimize(sc, book, cfg))
-        r2 = evaluate(sc, book, bob_decoder(sc, book), eve_optimize(sc, book, cfg))
+        r1 = evaluate(sc, book, eve_optimize(sc, book, cfg))
+        r2 = evaluate(sc, book, eve_optimize(sc, book, cfg))
         assert np.array_equal(r1.joint, r2.joint)
         assert r1.p_agree == r2.p_agree and r1.eve_info == r2.eve_info
 
     def test_factorized_joint_matches_product_oracle(self):
         # the example channel is a product across the B/E cut per letter, so
         # the joint must factorize as P(b|k) P(e|k)
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = repetition_codebook(2, 2)
-        mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
-        rep = evaluate(sc, book, mb, me)
+        rep = evaluate(sc, book, me)
         eve_states = [s.matrix for s in sc.eve_ensemble().states]
         bob_states = [s.matrix for s in sc.bob_ensemble().states]
         k = sc.key_count
@@ -462,11 +465,10 @@ class TestEvaluate:
         np.testing.assert_allclose(rep.joint, oracle, atol=1e-9)
 
     def test_correlated_channel_matches_direct_contraction(self):
-        sc = correlated_scenario(0.15).with_n(2)
+        sc = correlated_scenario(0.15)
         book = repetition_codebook(2, 2)
-        mb = bob_decoder(sc, book)
         me = eve_default_strategy(sc, book)
-        rep = evaluate(sc, book, mb, me)
+        rep = evaluate(sc, book, me)
         np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), atol=1e-9)
         # and the B/E outputs here are genuinely correlated, not a product
         tau = sc.theta.apply_matrix(sc.ensemble.states[0].matrix)
@@ -483,39 +485,38 @@ class TestEvaluate:
         ids=["paper", "correlated", "bsc"],
     )
     def test_random_slot_povms_match_direct_contraction(self, make, n):
-        sc = make().with_n(n)
+        sc = make()
         rng = np.random.default_rng(100 + n)
         book = sample_codebook(2, n, sc.ensemble.size, seed=n)
         slots = [random_rank1_povm(sc.dim_e, int(rng.integers(2, 5)), rng) for _ in range(n)]
         me = EveStrategy(slots, [int(rng.integers(2)) for _ in range(math.prod(map(len, slots)))])
-        mb = bob_decoder(sc, book)
-        rep = evaluate(sc, book, mb, me)
+        rep = evaluate(sc, book, me)
         np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), atol=1e-12)
 
     def test_adversary_ceiling_small(self, rng):
         cfg = OptimizerConfig(restarts=1, seed=2)
         cap = c1(paper_example(0.5).eve_ensemble(), cfg).value
         for n in (1, 2, 3):
-            sc = paper_example(0.5).with_n(n)
+            sc = paper_example(0.5)
             for seed in range(3):
                 book = sample_codebook(2, n, 2, seed)
                 me = eve_default_strategy(sc, book)
-                rep = evaluate(sc, book, bob_decoder(sc, book), me)
+                rep = evaluate(sc, book, me)
                 assert rep.eve_info <= n * cap + 1e-6
 
-    def test_receiver_must_fit_the_codebook_and_letter_space(self):
-        sc = paper_example(0.5).with_n(2)
-        book = repetition_codebook(2, 2)
-        me = eve_default_strategy(sc, book)
-        other = bob_decoder(sc, Codebook([[0, 1], [1, 0]]))
-        with pytest.raises(ValidationError, match="receiver-codebook"):
-            evaluate(sc, book, other, me)
-        mb = bob_decoder(sc, book)
-        wide = dataclasses.replace(mb, factors=tuple(np.vstack([f, 0 * f]) for f in mb.factors))
-        with pytest.raises(DimensionMismatch, match="receiver letter dim 4"):
-            evaluate(sc, book, wide, me)
-        with pytest.raises(ValidationError, match="receiver"):
-            evaluate(sc, book, me.slots[0], me)
+    def test_strategy_must_have_a_slot_per_codebook_letter(self):
+        sc = paper_example(0.5)
+        me = eve_default_strategy(sc, repetition_codebook(2, 2))
+        with pytest.raises(DimensionMismatch, match="2 slots for block length 3"):
+            evaluate(sc, repetition_codebook(2, 3), me)
+
+    def test_one_scenario_at_every_block_length(self):
+        s = 0.5
+        sc = paper_example(s)
+        for n in (1, 2, 3):
+            book = repetition_codebook(2, n)
+            rep = evaluate(sc, book, eve_default_strategy(sc, book))
+            assert rep.p_agree == pytest.approx(block_success(s, n), abs=1e-12)
 
 
 class TestJointLawProperties:
@@ -536,14 +537,13 @@ class TestJointLawProperties:
         theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_factorization=(2, 2))
         states = [random_density(rng, 2) if m else random_pure(rng, 2) for m in mixed]
         ensemble = CqEnsemble(np.full(len(states), 1 / len(states)), states)
-        sc = Scenario(name="random", key_count=k, ensemble=ensemble, theta=theta, n=n)
+        sc = Scenario(name="random", key_count=k, ensemble=ensemble, theta=theta)
         book = sample_codebook(k, n, len(states), seed)
         if repeat:
             book = Codebook(np.vstack([book.letters[:1], book.letters[:-1]]))
         slots = [random_rank1_povm(2, int(rng.integers(2, 5)), rng) for _ in range(n)]
         me = EveStrategy(slots, rng.integers(0, k, size=math.prod(len(p) for p in slots)))
-        mb = bob_decoder(sc, book)
-        rep = evaluate(sc, book, mb, me)
+        rep = evaluate(sc, book, me)
         np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), rtol=0, atol=1e-9)
         assert rep.joint.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(rep.joint.sum(axis=(1, 2)), 1 / k, rtol=0, atol=1e-10)
@@ -555,10 +555,7 @@ class TestSweep:
         cells = sweep(sc, [1], [0], CFG, coder="repetition", eve="default")
         assert len(cells) == 1
         book = repetition_codebook(2, 1)
-        direct = evaluate(
-            sc.with_n(1), book, bob_decoder(sc.with_n(1), book),
-            eve_default_strategy(sc.with_n(1), book),
-        )
+        direct = evaluate(sc, book, eve_default_strategy(sc, book))
         assert cells[0].report.p_agree == direct.p_agree
         assert cells[0].report.eve_info == direct.eve_info
 
@@ -584,17 +581,17 @@ class TestSweep:
                 assert gap > 0.01
 
     def test_run_cell_matches_explicit_pipeline(self):
-        sc = paper_example(0.5).with_n(2)
+        sc = paper_example(0.5)
         book = sample_codebook(2, 2, 2, 5)
         me = eve_optimize(sc, book, CFG)
-        direct = evaluate(sc, book, bob_decoder(sc, book), me)
-        report = run_cell(sc, "random", 5, "optimized", CFG)
+        direct = evaluate(sc, book, me)
+        report = run_cell(sc, 2, "random", 5, "optimized", CFG)
         assert np.array_equal(report.joint, direct.joint)
 
     @pytest.mark.parametrize("coder, eve", [("gray", "default"), ("random", "oracle")])
     def test_run_cell_rejects_unknown_choices(self, coder, eve):
         with pytest.raises(ValidationError):
-            run_cell(paper_example(0.5), coder, 0, eve, CFG)
+            run_cell(paper_example(0.5), 1, coder, 0, eve, CFG)
 
     def test_empty_seed_list(self):
         sc = paper_example(0.5)
@@ -618,20 +615,20 @@ class TestLargeBlocks:
 
     def test_repetition_code_at_n12_meets_closed_forms(self):
         s, n = 0.5, 12
-        sc = paper_example(s).with_n(n)
+        sc = paper_example(s)
         book = repetition_codebook(2, n)
-        rep = evaluate(sc, book, bob_decoder(sc, book), eve_default_strategy(sc, book))
+        rep = evaluate(sc, book, eve_default_strategy(sc, book))
         assert rep.p_agree == pytest.approx(block_success(s, n), abs=1e-12)
         assert rep.eve_info == pytest.approx(
             majority_vote_info(helstrom_crossover(s), n), abs=1e-9
         )
 
     def test_mixed_letters_span_k_times_two_to_the_n(self):
-        sc = bsc_pair(0.1, 0.3).with_n(4)
-        mb = bob_decoder(sc, sample_codebook(2, 4, 2, seed=3))
-        assert mb.effects.shape == (2, 2 * 2**4, 2 * 2**4)
+        sc = bsc_pair(0.1, 0.3)
+        _, effects = bob_decoder(sc, sample_codebook(2, 4, 2, seed=3))
+        assert effects.shape == (2, 2 * 2**4, 2 * 2**4)
         with pytest.raises(BudgetExceeded, match="dimension 8192 exceeds budget 4096"):
-            bob_decoder(sc.with_n(12), repetition_codebook(2, 12))
+            bob_decoder(sc, repetition_codebook(2, 12))
 
 
 class TestReportValidation:

@@ -1,0 +1,81 @@
+"""Run the equality set: CLI commands whose outputs a refactor must keep byte-identical.
+
+Usage: python3 tools/equality_set.py SRC OUTDIR
+
+Imports ``qkdsim.cli.main`` from the package under SRC (a ``src`` directory)
+and runs each command in-process with ``--out``. For command NN it writes to
+OUTDIR the ``--out`` file (NN.out, absent when the command fails before
+writing it), stdout without the ``wall time:`` line (NN.stdout), stderr
+(NN.stderr) and the exit code (NN.exit); ``commands.txt`` lists the commands.
+Compare two trees with ``diff -r OUTDIR_A OUTDIR_B``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+SIM = ["simulate", "paper-example", "--overlap", "0.5", "-n", "3"]
+COMMANDS = [
+    *(SIM + ["--eve", "optimized", "--restarts", "2", "--seed", str(seed)] for seed in range(8)),
+    SIM + ["--coder", "repetition", "--eve", "default"],
+    ["simulate", "paper-example", "--overlap", "0.3", "-n", "3", "--coder", "random",
+     "--eve", "optimized", "--restarts", "1", "--seed", "3"],
+    ["sweep", "paper-example", "--overlap", "0.5", "--n-range", "1..6", "--seeds", "0..9",
+     "--coder", "random", "--eve", "default", "--format", "json"],
+    ["sweep", "paper-example", "--overlap", "0.3", "--n-range", "1..3", "--seeds", "0..5",
+     "--coder", "random", "--eve", "optimized", "--restarts", "2", "--format", "json"],
+    ["sweep", "bsc-pair", "0.1", "0.3", "--n-range", "1..4", "--seeds", "0..3",
+     "--coder", "random", "--eve", "optimized", "--restarts", "2"],
+    *(["analyze", "paper-example", "--overlap", s] for s in ("0.2", "0.5", "0.8")),
+    ["analyze", "bsc-pair", "0.1", "0.3"],
+    ["accessible", "paper-example", "--overlap", "0.5"],
+    ["capacity", "paper-example", "--overlap", "0.5"],
+    ["capacity", "bsc-pair", "0.1", "0.3"],
+    # A sweep with a budget error cell, and a simulation that exceeds the budget.
+    ["sweep", "paper-example", "--overlap", "0.5", "--n-range", "12..13", "--coder", "repetition"],
+    ["simulate", "bsc-pair", "0.1", "0.3", "-n", "12"],
+]
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    src, outdir = (os.path.abspath(a) for a in argv)
+    sys.path.insert(0, src)
+    import qkdsim.cli
+
+    if not os.path.abspath(qkdsim.cli.__file__).startswith(src + os.sep):
+        print(f"error: imported qkdsim from {qkdsim.cli.__file__}, not {src}", file=sys.stderr)
+        return 1
+    os.makedirs(outdir, exist_ok=True)
+    _write(os.path.join(outdir, "commands.txt"), "".join(" ".join(c) + "\n" for c in COMMANDS))
+    for i, command in enumerate(COMMANDS, 1):
+        base = os.path.join(outdir, f"{i:02d}")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(base + ".out")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = qkdsim.cli.main(command + ["--out", base + ".out"])
+            except SystemExit as exc:
+                code = exc.code
+        lines = out.getvalue().splitlines(keepends=True)
+        _write(base + ".stdout", "".join(l for l in lines if not l.startswith("wall time:")))
+        _write(base + ".stderr", err.getvalue())
+        _write(base + ".exit", f"{code}\n")
+        print(f"{i:02d} exit {code}: {' '.join(command)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
