@@ -25,7 +25,9 @@ of the Born tables P_f with the gradients dI/dP_f; for the mutual
 information that is p(a) (log2 P(b|a) - log2 P(b)) (``_mi_and_grad``).
 ``_povm_objective`` pulls them back exactly through the Born rule and each
 frame's normalization (the Daleckii-Krein derivative of T^(-1/2) on T's
-eigenbasis), so L-BFGS-B runs on the analytic gradient.
+eigenbasis), so L-BFGS-B runs on the analytic gradient. Its one call site is
+``_lbfgs``, shared with C1's joint ascent; a start that already meets the
+projected-gradient stop returns there as converged without a scipy call.
 
 C1 and C_k are a seesaw over (prior, POVM) from structured starts
 (Helstrom, pretty-good measurement) and random restarts. Each start is
@@ -145,11 +147,9 @@ class ConditionReport:
 
 def _entropy_rows(rows: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits along the last axis, 0 log 0 = 0."""
-    x = np.clip(rows, 0.0, 1.0)
-    t = np.zeros_like(x)
-    mask = x > 0
-    t[mask] = -x[mask] * np.log2(x[mask])
-    return t.sum(axis=-1)
+    x = np.minimum(np.maximum(rows, 0.0), 1.0)
+    pos = x > 0
+    return np.where(pos, -x * np.log2(np.where(pos, x, 1.0)), 0.0).sum(axis=-1)
 
 
 def shannon_entropy(p) -> float:
@@ -298,9 +298,16 @@ def _rank1_pieces(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(vecs), np.array(groups)
 
 
-def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
+def _mi_and_marginal(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """I(prior, probs) in bits and the output marginal P(b), from one
+    ``_entropy_rows`` call over the rows and the marginal together."""
     out = prior @ probs
-    return float(max(_entropy_rows(out) - prior @ _entropy_rows(probs), 0.0))
+    h = _entropy_rows(np.vstack([probs, out]))
+    return float(max(h[-1] - prior @ h[:-1], 0.0)), out
+
+
+def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
+    return _mi_and_marginal(prior, probs)[0]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -309,11 +316,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def _log_ratio(prior: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """log2 P(b|a) - log2 P(b), both logarithms floored at ``_EIG_LOG_FLOOR``."""
-    log_rows = np.log2(np.clip(probs, _EIG_LOG_FLOOR, None))
-    log_out = np.log2(np.clip(prior @ probs, _EIG_LOG_FLOOR, None))
-    return log_rows - log_out
+def _mi_and_log_ratio(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """I(prior, probs) and log2 P(b|a) - log2 P(b), both logarithms floored at
+    ``_EIG_LOG_FLOOR``."""
+    value, out = _mi_and_marginal(prior, probs)
+    floor = _EIG_LOG_FLOOR
+    return value, np.log2(np.maximum(probs, floor)) - np.log2(np.maximum(out, floor))
 
 
 def _mi_and_grad(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -322,7 +330,8 @@ def _mi_and_grad(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarra
     The entropy terms' constants cancel, so G needs no normalization of the
     rows.
     """
-    return _mi_from_probs(prior, probs), prior[:, None] * _log_ratio(prior, probs)
+    value, ratio = _mi_and_log_ratio(prior, probs)
+    return value, prior[:, None] * ratio
 
 
 def _povm_objective(
@@ -349,19 +358,20 @@ def _povm_objective(
         if lam.min() < 1e-12:
             return 50.0, np.zeros_like(x)
         root = np.sqrt(lam)
-        inv_sqrt = (vecs / root) @ vecs.conj().T
+        vecs_h = vecs.conj().T
+        inv_sqrt = (vecs / root) @ vecs_h
         u = w @ inv_sqrt.T
         raw = np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real
-        frames.append((w, root, vecs, inv_sqrt, u, raw))
-    value, gs = value_and_grad([np.clip(f[-1], 0.0, None) for f in frames])
+        frames.append((w, root, vecs, vecs_h, inv_sqrt, u, raw))
+    value, gs = value_and_grad([np.maximum(f[-1], 0.0) for f in frames])
     grads = []
-    for (w, root, vecs, inv_sqrt, u, raw), g in zip(frames, gs):
+    for (w, root, vecs, vecs_h, inv_sqrt, u, raw), g in zip(frames, gs):
         h = np.einsum("ab,aij,bj->bi", np.where(raw < 0.0, 0.0, g), stack, u)
         c = w.T @ h.conj()
         f1 = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
-        d = vecs @ (f1 * (vecs.conj().T @ (c + c.conj().T) @ vecs)) @ vecs.conj().T
+        d = vecs @ (f1 * (vecs_h @ (c + c.conj().T) @ vecs)) @ vecs_h
         grads.append(2.0 * (h @ inv_sqrt.T + w @ d.T))
-    grad = np.concatenate(grads)
+    grad = grads[0] if len(grads) == 1 else np.concatenate(grads)
     return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
 
 
@@ -377,9 +387,11 @@ def _ascend_povm(
     the states rho_a in ``stack``. ``value_and_grad`` takes the list of
     tables P_f and returns the value and the gradients
     G_f[a, b] = d value / d P_f[a, b]; ``_povm_objective`` pulls them back
-    through the Born rule and each frame's normalization, so L-BFGS-B gets
-    the exact gradient with every evaluation; it stops after ``max_iters``
-    iterations or once the projected gradient is at most ``gtol``. A prior
+    through the Born rule and each frame's normalization, so L-BFGS-B
+    (``_lbfgs``) gets the exact gradient with every evaluation; it stops
+    after ``max_iters`` iterations or once the projected gradient is at most
+    ``gtol``, which a start that already meets it does with no iteration
+    and no scipy call. A prior
     in the objective stays fixed; C1's ascent over the prior as well is
     ``_ascend_joint``. Returns the normalized final frames (None if any is
     singular, see ``_normalized``) and whether L-BFGS reported success.
@@ -387,17 +399,32 @@ def _ascend_povm(
     stops = itertools.accumulate(len(w) for w in frames)
     parts = [slice(stop - len(w), stop) for w, stop in zip(frames, stops)]
     x0 = np.concatenate([w.real.ravel() for w in frames] + [w.imag.ravel() for w in frames])
-    res = sciopt.minimize(
-        _povm_objective,
-        x0,
-        args=(stack, value_and_grad, parts),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iters, "ftol": 1e-12, "gtol": gtol},
-    )
-    w = (res.x[: res.x.size // 2] + 1j * res.x[res.x.size // 2 :]).reshape(-1, stack.shape[1])
+    x, ok = _lbfgs(_povm_objective, x0, (stack, value_and_grad, parts), max_iters, 1e-12, gtol)
+    w = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, stack.shape[1])
     us = [_normalized(w[part]) for part in parts]
-    return (None if any(u is None for u in us) else us), bool(res.success)
+    return (None if any(u is None for u in us) else us), ok
+
+
+def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: float):
+    """L-BFGS-B minimization of fun(x, *args) = (value, gradient) from x0: the
+    final point and whether L-BFGS-B reported success. The package's one
+    L-BFGS-B call site for its analytic-gradient ascents.
+
+    Unbounded, L-BFGS-B's stop at iteration 0 is max_i |g_i(x0)| <= gtol,
+    where it returns x0 as converged; such a start returns the same without
+    a scipy call. Otherwise scipy gets the evaluation at x0 from a one-entry
+    memo instead of repeating it.
+    """
+    first = fun(x0, *args)
+    if np.abs(first[1]).max() <= gtol:
+        return x0, True
+
+    def memo(x, *fun_args):
+        return first if np.array_equal(x, x0) else fun(x, *fun_args)
+
+    options = {"maxiter": max_iters, "ftol": ftol, "gtol": gtol}
+    res = sciopt.minimize(memo, x0, args=args, jac=True, method="L-BFGS-B", options=options)
+    return res.x, bool(res.success)
 
 
 def _normalized(w: np.ndarray) -> np.ndarray | None:
@@ -464,9 +491,9 @@ def _joint_objective(y: np.ndarray, stack: np.ndarray, rows: int) -> tuple[float
     div = np.zeros_like(p)
 
     def value_and_grad(tables):
-        ratio = _log_ratio(p, tables[0])
+        value, ratio = _mi_and_log_ratio(p, tables[0])
         div[:] = (tables[0] * ratio).sum(axis=1)
-        return _mi_from_probs(p, tables[0]), [p[:, None] * ratio]
+        return value, [p[:, None] * ratio]
 
     value, grad = _povm_objective(y[:n], stack, value_and_grad, [slice(0, rows)])
     return value, np.concatenate([grad, -p * (div - p @ div)])
@@ -482,19 +509,12 @@ def _ascend_joint(
     y0 = np.concatenate(
         [frame.real.ravel(), frame.imag.ravel(), np.log(np.clip(prior, _EIG_LOG_FLOOR, None))]
     )
-    res = sciopt.minimize(
-        _joint_objective,
-        y0,
-        args=(stack, len(frame)),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": _LBFGS_MAX_ITERS, "ftol": 0.0, "gtol": _JOINT_GTOL},
-    )
+    y, _ = _lbfgs(_joint_objective, y0, (stack, len(frame)), _LBFGS_MAX_ITERS, 0.0, _JOINT_GTOL)
     n = frame.size
-    u = _normalized((res.x[:n] + 1j * res.x[n : 2 * n]).reshape(frame.shape))
+    u = _normalized((y[:n] + 1j * y[n : 2 * n]).reshape(frame.shape))
     if u is None:
         return None
-    return _softmax(res.x[2 * n :]), u, _frame_table(u, stack)
+    return _softmax(y[2 * n :]), u, _frame_table(u, stack)
 
 
 def _povm_starts(

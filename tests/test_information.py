@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from qkdsim import information
 from qkdsim.channels import CqEnsemble, identity_channel
 from qkdsim.errors import DimensionMismatch, ValidationError
 from qkdsim.information import (
+    _JOINT_GTOL,
     OptimizerConfig,
+    _ascend_joint,
+    _ascend_povm,
     _joint_objective,
+    _lbfgs,
     _mi_and_grad,
     _povm_objective,
     _softmax,
+    _start_frame,
     accessible_information,
     c1,
     c_k,
@@ -27,6 +33,7 @@ from qkdsim.information import (
 from qkdsim.measurements import (
     ClassicalChannel,
     Povm,
+    helstrom,
     induced_channel,
     normalize_vectors,
     random_rank1_povm,
@@ -277,6 +284,66 @@ class TestAscentGradient:
         accessible_information(qubit_pair_ensemble(0.4), OptimizerConfig(restarts=1, seed=0))
         assert calls["nit"] > 0
         assert calls["objective"] <= 3 * calls["nit"]
+
+
+class _NoScipy:
+    def __getattr__(self, name):
+        raise AssertionError(f"scipy.optimize.{name} called")
+
+
+class TestLbfgs:
+    @pytest.mark.parametrize("joint", [False, True], ids=["povm", "joint"])
+    def test_same_point_as_plain_minimize(self, rng, joint):
+        e = CqEnsemble(rng.dirichlet(np.ones(3)), tuple(random_density(rng, 2) for _ in range(3)))
+        stack = np.stack([s.matrix for s in e.states])
+        w = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
+        if joint:
+            fun, args, ftol, gtol = _joint_objective, (stack, len(w)), 0.0, _JOINT_GTOL
+            x0 = np.concatenate([x0, rng.normal(size=3)])
+        else:
+
+            def vg(tables):
+                value, g = _mi_and_grad(e.prior, tables[0])
+                return value, [g]
+
+            fun, args, ftol, gtol = _povm_objective, (stack, vg, [slice(0, len(w))]), 1e-12, 1e-5
+
+        def same_as_plain(x0):
+            x, ok = _lbfgs(fun, x0, args, 300, ftol, gtol)
+            res = optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
+                                    options={"maxiter": 300, "ftol": ftol, "gtol": gtol})
+            assert np.array_equal(x, res.x)
+            assert ok == res.success
+            return res
+
+        res = same_as_plain(x0)
+        assert res.nit > 0
+        # Its normalized end point lies near the stop but, here, not within it.
+        n = w.size
+        u = normalize_vectors((res.x[:n] + 1j * res.x[n : 2 * n]).reshape(w.shape))
+        restart = np.concatenate([u.real.ravel(), u.imag.ravel(), res.x[2 * n :]])
+        assert same_as_plain(restart).nit > 0
+
+    @pytest.mark.parametrize("overlap", [0.3, 0.8])
+    def test_converged_start_makes_no_scipy_call(self, monkeypatch, overlap):
+        e = qubit_pair_ensemble(overlap, prior=(0.3, 0.7))
+        stack = np.stack([s.matrix for s in e.states])
+        frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.3), stack)
+
+        def vg(tables):
+            value, g = _mi_and_grad(e.prior, tables[0])
+            return value, [g]
+
+        [u], _ = _ascend_povm(stack, [frame], vg, 300)
+        prior, v, _ = _ascend_joint(stack, e.prior, frame)
+        monkeypatch.setattr(information, "sciopt", _NoScipy())
+        [u_again], ok = _ascend_povm(stack, [u], vg, 300)
+        assert ok
+        np.testing.assert_allclose(u_again, u, rtol=0, atol=1e-12)
+        prior_again, v_again, _ = _ascend_joint(stack, prior, v)
+        np.testing.assert_allclose(prior_again, prior, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v_again, v, rtol=0, atol=1e-12)
 
 
 class TestC1:

@@ -1,5 +1,6 @@
 """Frozen scalar outputs of the POVM ascent, the binary-prior search and the
-adversary's seesaw between its slots and its decoder.
+adversary's seesaw between its slots and its decoder, on binary alphabets and
+on one three-letter scenario file.
 
 Both ascent callers (C1 and the seesaw) share one routine, so a change to it
 shows in every pin here; the values are exact to abs 1e-10.
@@ -56,6 +57,44 @@ def test_simulate_optimized_pin(tmp_path, argv, eve_info, p_agree):
     )
     assert payload["eve_info"] == pytest.approx(eve_info, abs=ABS)
     assert payload["p_agree"] == pytest.approx(p_agree, abs=ABS)
+
+
+THREE_MIXED = {
+    "format": "qkdsim-scenario-v1",
+    "name": "three-mixed",
+    "key_count": 2,
+    "alphabet_size": 3,
+    "states": {
+        "0": [[0.6, 0], [0, 0], [0, 0], [0.8, 0]],
+        "1": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]],
+        "2": [[0, 0], [0.6, 0], [0, 0.8], [0, 0]],
+    },
+    "channel": {"builtin": "identity"},
+    "output_dims": [2, 2],
+}
+
+
+@pytest.fixture
+def three_mixed(tmp_path):
+    path = tmp_path / "three-mixed.json"
+    path.write_text(json.dumps(THREE_MIXED))
+    return str(path)
+
+
+def test_analyze_three_letter_c1_pin(tmp_path, three_mixed):
+    # Three letters: C1 runs Blahut-Arimoto for the prior and ends on the
+    # boundary of the simplex, with no weight on letter 2.
+    payload = _run(tmp_path, ["analyze", three_mixed])
+    assert payload["quantum"]["rhs"] == pytest.approx(0.323844957799, abs=ABS)
+    prior = payload["quantum"]["rhs_prior"]
+    assert prior == pytest.approx([0.4019457392, 0.5980542608, 0.0], abs=ABS)
+
+
+def test_simulate_three_letter_optimized_pin(tmp_path, three_mixed):
+    argv = ["simulate", three_mixed, "-n", "2", "--coder", "random", "--eve", "optimized",
+            "--restarts", "2", "--seed", "1"]
+    payload = _run(tmp_path, argv)
+    assert payload["eve_info"] == pytest.approx(0.551012909932, abs=ABS)
 
 
 def test_seesaw_gain_over_default_pin():

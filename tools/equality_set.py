@@ -3,20 +3,37 @@
 Usage: python3 tools/equality_set.py SRC OUTDIR
 
 Imports ``qkdsim.cli.main`` from the package under SRC (a ``src`` directory)
-and runs each command in-process with ``--out``. For command NN it writes to
-OUTDIR the ``--out`` file (NN.out, absent when the command fails before
-writing it), stdout without the ``wall time:`` line (NN.stdout), stderr
+and runs each command in-process with ``--out``, from OUTDIR as the working
+directory. It first writes the scenario file ``three-mixed.json`` there: three
+pure letters on two qubits, the set's one alphabet larger than two. For command NN
+it writes to OUTDIR the ``--out`` file (NN.out, absent when the command fails
+before writing it), stdout without the ``wall time:`` line (NN.stdout), stderr
 (NN.stderr) and the exit code (NN.exit); ``commands.txt`` lists the commands.
-Compare two trees with ``diff -r OUTDIR_A OUTDIR_B``.
+No file names OUTDIR, so compare two trees with ``diff -r OUTDIR_A OUTDIR_B``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 
+THREE_MIXED = "three-mixed.json"
+THREE_MIXED_SCENARIO = {
+    "format": "qkdsim-scenario-v1",
+    "name": "three-mixed",
+    "key_count": 2,
+    "alphabet_size": 3,
+    "states": {
+        "0": [[0.6, 0], [0, 0], [0, 0], [0.8, 0]],
+        "1": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]],
+        "2": [[0, 0], [0.6, 0], [0, 0.8], [0, 0]],
+    },
+    "channel": {"builtin": "identity"},
+    "output_dims": [2, 2],
+}
 SIM = ["simulate", "paper-example", "--overlap", "0.5", "-n", "3"]
 COMMANDS = [
     *(SIM + ["--eve", "optimized", "--restarts", "2", "--seed", str(seed)] for seed in range(8)),
@@ -37,6 +54,10 @@ COMMANDS = [
     # A sweep with a budget error cell, and a simulation that exceeds the budget.
     ["sweep", "paper-example", "--overlap", "0.5", "--n-range", "12..13", "--coder", "repetition"],
     ["simulate", "bsc-pair", "0.1", "0.3", "-n", "12"],
+    # A three-letter alphabet; C1's prior puts no weight on letter 2.
+    *([command, THREE_MIXED] for command in ("analyze", "accessible", "capacity")),
+    ["simulate", THREE_MIXED, "-n", "2", "--coder", "random", "--eve", "optimized",
+     "--restarts", "2", "--seed", "1"],
 ]
 
 
@@ -58,9 +79,11 @@ def main(argv=None) -> int:
         print(f"error: imported qkdsim from {qkdsim.cli.__file__}, not {src}", file=sys.stderr)
         return 1
     os.makedirs(outdir, exist_ok=True)
-    _write(os.path.join(outdir, "commands.txt"), "".join(" ".join(c) + "\n" for c in COMMANDS))
+    os.chdir(outdir)
+    _write(THREE_MIXED, json.dumps(THREE_MIXED_SCENARIO, indent=2) + "\n")
+    _write("commands.txt", "".join(" ".join(c) + "\n" for c in COMMANDS))
     for i, command in enumerate(COMMANDS, 1):
-        base = os.path.join(outdir, f"{i:02d}")
+        base = f"{i:02d}"
         with contextlib.suppress(FileNotFoundError):
             os.remove(base + ".out")
         out, err = io.StringIO(), io.StringIO()
