@@ -9,16 +9,20 @@ decoding function. Its optimized attack comes from a seesaw that alternates
 per-slot ascents, joined by one ascent over all slots once they stall, with
 the maximum-likelihood decoder. The channel is memoryless, so block states
 are Kronecker products of single-letter states. The receiver's measurement
-is held in Gram form on the span of the K codeword states, and the joint
-law is contracted one slot at a time; no operator on the receiver's or the
-adversary's block space is ever built. The joint law of (K_A, K_B, K_E) is
-computed exactly by enumerating all outcome tuples; there is no Monte
-Carlo anywhere, so agreement probability and adversary information are
-sharp numbers and runs are bit-identical for fixed seeds. A codebook is a
-(K, n) array of letters; it fixes the block length n and the receiver's
-measurement. The adversary's slots are a tuple of POVMs and its decoder an
-array of keys, one per outcome tuple in lexicographic order of the slots'
-effect positions.
+is held in Gram form on the span of the K codeword states. A constant
+codebook column, one letter in every codeword, factors out of the Gram
+matrix (G = G_inf (x) (x) A_a^dagger A_a), so the Gram matrix and the
+effects are built on the informative columns only, and each constant slot
+multiplies the law by its Born probabilities on the letter's support
+projector. The joint law is contracted one slot at a time; no operator on
+the receiver's or the adversary's block space is ever built. The joint law
+of (K_A, K_B, K_E) is computed exactly by enumerating all outcome tuples;
+there is no Monte Carlo anywhere, so agreement probability and adversary
+information are sharp numbers and runs are bit-identical for fixed seeds.
+A codebook is a (K, n) array of letters; it fixes the block length n and
+the receiver's measurement. The adversary's slots are a tuple of POVMs and
+its decoder an array of keys, one per outcome tuple in lexicographic order
+of the slots' effect positions.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ _SLOT_ASCENT_MAX_ITERS = 200
 # projected gradient of _JOINT_GTOL (the per-slot ascents keep L-BFGS-B's 1e-5).
 _STALL_BITS = 1e-4
 # Eigenvalues at or below this lie outside a state's support: the receiver's
-# letter factors drop them, and its G^(-1/2) inverts G/K only above it, the
-# threshold of measurements.pretty_good_measurement on the average state.
+# letter factors drop them, and its G^(-1/2) inverts G_inf/K (the Gram matrix
+# on the informative columns) only above it, the threshold of
+# measurements.pretty_good_measurement on the average state.
 _SUPPORT_FLOOR = 1e-12
 
 
@@ -241,6 +246,25 @@ def _codeword_sizes(factors, letters: np.ndarray) -> list[int]:
     return [math.prod(factors[a].shape[1] for a in word) for word in letters]
 
 
+def _informative(letters: np.ndarray) -> np.ndarray:
+    """Mask of the codebook columns whose letters differ between codewords.
+
+    A constant column tells the receiver nothing (see ``bob_decoder``). When
+    every column is constant, column 0 counts as informative, so the Gram
+    matrix is never empty.
+    """
+    mask = (letters != letters[0]).any(axis=0)
+    mask[0] |= not mask.any()
+    return mask
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products, without np.kron's per-call set-up."""
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(
+        x.shape[0] * y.shape[0], x.shape[1] * y.shape[1]
+    )
+
+
 def bob_decoder(s: Scenario, c: Codebook) -> tuple[tuple, np.ndarray]:
     """Square-root (pretty-good) measurement of the codeword block states, in Gram form.
 
@@ -251,14 +275,24 @@ def bob_decoder(s: Scenario, c: Codebook) -> tuple[tuple, np.ndarray]:
     G = Psi^dagger Psi has the blocks (x)_i A_{w_j,i}^dagger A_{w_l,i}, and
     under the uniform prior the measurement is M_b = Psi Q_b Psi^dagger with
     Q_b = G^(-1/2) E_b G^(-1/2) (Hausladen et al., PRA 54, 1869 (1996); Eldar
-    and Forney, IEEE TIT 47, 858 (2001)). G^(-1/2) inverts only the support
-    of G/K, so repeated codewords are allowed. Nothing of the receiver's block
-    dimension d_b^n is built; the Gram dimension, sum_k prod_i r_{w_k,i}, is
+    and Forney, IEEE TIT 47, 858 (2001)).
+
+    A constant column, where every codeword carries letter a, adds the same
+    factor O_aa = A_a^dagger A_a to every block, so G = G_inf (x) (x) O_aa over
+    the constant columns, Q_b = Q_b^inf (x) (x) O_aa^(-1) and
+    M_b = M_b^inf (x) (x) Pi_a, with Pi_a the projector onto rho_a's kept
+    support. The Gram matrix, G^(-1/2) and the effects are therefore built on
+    the informative columns (``_informative``) only. G^(-1/2) inverts only
+    the support of G_inf/K, so repeated codewords are allowed; the constant
+    factor needs no such floor, since its eigenvalues are kept letter
+    eigenvalues. Nothing of the receiver's block dimension d_b^n is built; the
+    Gram dimension, sum_k prod_i r_{w_k,i} over the informative columns, is
     held to the budget. The effects are entangled across slots in general;
     outcomes are the keys 0..K-1.
 
-    Returns ``(factors, effects)``: the A_a, and the Q_b stacked, indexed by
-    the codewords' factor columns in codebook order.
+    Returns ``(factors, effects)``: the A_a, and the Q_b^inf stacked, indexed
+    by the codewords' factor columns on the informative columns, in codebook
+    order.
     """
     _check_letters(s, c)
     factors = []
@@ -266,13 +300,14 @@ def bob_decoder(s: Scenario, c: Codebook) -> tuple[tuple, np.ndarray]:
         vals, vecs = spectral(rho)
         keep = vals > _SUPPORT_FLOOR
         factors.append(vecs[:, keep] * np.sqrt(vals[keep]))
-    sizes = _codeword_sizes(factors, c.letters)
+    letters = c.letters[:, _informative(c.letters)]
+    sizes = _codeword_sizes(factors, letters)
     if sum(sizes) > DEFAULT_DIM_BUDGET:
         raise BudgetExceeded(sum(sizes), DEFAULT_DIM_BUDGET, f"n={c.length}", "receiver Gram dimension")
     overlaps = [[x.conj().T @ y for y in factors] for x in factors]
     gram = np.block(
-        [[reduce(np.kron, [overlaps[a][b] for a, b in zip(u, v)]) for v in c.letters]
-         for u in c.letters]
+        [[reduce(_kron, [overlaps[a][b] for a, b in zip(u, v)]) for v in letters]
+         for u in letters]
     )
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > _SUPPORT_FLOOR * len(c)
@@ -482,38 +517,61 @@ def _refine_slots(
 
 
 def _receiver_law(letters: np.ndarray, factors, effects: np.ndarray, slot_ops) -> np.ndarray:
-    """p(b, t | k) = Tr[Q_b Y_k(t)] for every codeword k, effect b and outcome tuple t.
+    """p(b, t | k) = Tr[M_b (x)_i X_{w_k,i}(o_i)] for every codeword k, effect b, outcome tuple t.
 
     ``factors`` and ``effects`` are ``bob_decoder``'s for the codebook ``letters``.
     ``slot_ops[i]`` stacks X_a(o) for every letter a and outcome o of slot i,
-    shape (A, m_i, d_b, d_b). Y_k(t) has the blocks
-    Y_{lj} = (x)_i A_{w_l,i}^dagger X_{w_k,i}(o_i) A_{w_j,i}, so the trace is
-    a sum over block pairs (j, l); within a pair it is taken one slot at a
-    time, each slot consuming its rank indices of Q_b's block, so no block of
-    Y is built for all tuples at once. Q_b and Y are Hermitian, so the pair
-    (l, j) adds the conjugate of (j, l) and only j <= l is contracted.
-    Returns the real array of shape (K, len(effects), M), tuples in
-    lexicographic order.
+    shape (A, m_i, d_b, d_b). Since M_b = M_b^inf (x) (x) Pi_a, the law is the
+    informative slots' law times q_i(o) = Tr[Pi_a X_a(o)] of every constant
+    slot i with letter a, all multiplied in one broadcast.
+
+    On the informative slots the law is Tr[Q_b^inf Y_k(t)], where Y_k(t) has
+    the blocks Y_{lj} = (x)_i A_{w_l,i}^dagger X_{w_k,i}(o_i) A_{w_j,i}, so
+    the trace is a sum over block pairs (j, l); within a pair it is taken one
+    slot at a time, each slot consuming its rank indices of Q_b's block, so
+    no block of Y is built for all tuples at once. Q_b and Y are Hermitian,
+    so the pair (l, j) adds the conjugate of (j, l) and only j <= l is
+    contracted. Returns the real array of shape (K, len(effects), M), tuples
+    in lexicographic order.
     """
     k = len(letters)
+    inf = _informative(letters)
     ranks = [f.shape[1] for f in factors]
-    sizes = _codeword_sizes(factors, letters)
+    sizes = _codeword_sizes(factors, letters[:, inf])
     blocks = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
     spans = [slice(end - r, end) for r, end in zip(ranks, np.cumsum(ranks))]
     stacked = np.hstack(factors)
-    # sandwiches[i][k, o][span b, span a] = A_b^dagger X_{w_k,i}(o) A_a
-    sandwiches = [stacked.conj().T @ x[a] @ stacked for x, a in zip(slot_ops, letters.T)]
+    # sandwiches[i][k, o][span b, span a] = A_b^dagger X_{w_k,i}(o) A_a, informative slots
+    sandwiches = [
+        stacked.conj().T @ x[a] @ stacked
+        for x, a, keep in zip(slot_ops, letters.T, inf)
+        if keep
+    ]
     law = 0.0
     for j in range(k):
         for l in range(j, k):
             t = effects[None, :, blocks[j], blocks[l]]
             rest_j, rest_l = sizes[j], sizes[l]
-            for y, a, b in zip(sandwiches, letters[j], letters[l]):
+            for y, a, b in zip(sandwiches, letters[j, inf], letters[l, inf]):
                 rest_j, rest_l = rest_j // ranks[a], rest_l // ranks[b]
                 t = t.reshape(len(t), -1, ranks[a], rest_j, ranks[b], rest_l)
                 t = np.einsum("kpaxby,koba->kpoxy", t, y[:, :, spans[b], spans[a]])
             law = law + (1 if j == l else 2) * t.reshape(k, len(effects), -1)
-    return law.real
+    law = law.real
+    if inf.all():
+        return law
+    # A_a's columns are orthogonal, so Pi_a = sum_r a_r a_r^dagger / |a_r|^2.
+    projs = [(f / (abs(f) ** 2).sum(axis=0)) @ f.conj().T for f in factors]
+    consts = [
+        np.einsum("ij,oji->o", projs[a], x[a]).real
+        for x, a, keep in zip(slot_ops, letters[0], inf)
+        if not keep
+    ]
+    const_law = reduce(np.multiply.outer, consts)
+    counts = [x.shape[1] for x in slot_ops]
+    law = law.reshape(k, len(effects), *np.where(inf, counts, 1))
+    law = law * const_law.reshape(np.where(inf, 1, counts))
+    return law.reshape(k, len(effects), -1)
 
 
 def evaluate(s: Scenario, c: Codebook, me: EveStrategy) -> KeySimReport:
@@ -523,7 +581,8 @@ def evaluate(s: Scenario, c: Codebook, me: EveStrategy) -> KeySimReport:
     p(b, o_1..o_n | w) = Tr[M_b (x)_i X_{w_i}(o_i)], where
     X_a(o) = Tr_E[(I (x) E_o) Theta(xi_a)] is an operator on one receiver
     letter space. With M_b = Psi Q_b Psi^dagger this is Tr[Q_b Y(t)] on the
-    codeword span (``_receiver_law``), contracted slot by slot for every
+    codeword span of the informative columns times the constant slots' Born
+    probabilities (``_receiver_law``), contracted slot by slot for every
     outcome tuple, in lexicographic order of the effect positions, and
     ``me.decoder`` maps the tuple at each position to a key; neither a block
     state nor the expanded adversary POVM is built. The pretty-good

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import simulation
@@ -528,6 +529,8 @@ class TestJointLawProperties:
         n=st.sampled_from([1, 2, 3]),
         repeat=st.booleans(),
     )
+    # Seed 2 draws the three codewords 100, 001 and 000: column 1 is constant.
+    @example(seed=2, mixed=[True, True], k=3, n=3, repeat=False)
     def test_evaluate_matches_dense_oracle(self, seed, mixed, k, n, repeat):
         # A random qubit-input channel to (2, 2), a letter per entry of
         # ``mixed`` (mixed or pure), random slot POVMs and a random decoder.
@@ -547,6 +550,49 @@ class TestJointLawProperties:
         np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), rtol=0, atol=1e-9)
         assert rep.joint.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(rep.joint.sum(axis=(1, 2)), 1 / k, rtol=0, atol=1e-10)
+
+
+def assert_same_default_report(sc, book, short):
+    """Under the default attack, ``book`` and ``short`` give the same report to 1e-12."""
+    rep, ref = (evaluate(sc, b, eve_default_strategy(sc, b)) for b in (book, short))
+    np.testing.assert_allclose(rep.joint, ref.joint, rtol=0, atol=1e-12)
+    for name in ("p_agree", "bob_info", "eve_info"):
+        assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=0, abs=1e-12)
+
+
+class TestConstantColumns:
+    """A column where every codeword carries the same letter tells the receiver nothing."""
+
+    def test_kron_helper_is_numpy_kron(self):
+        rng = np.random.default_rng(0)
+        shapes = list(itertools.product((1, 2, 3), (1, 2)))
+        for shape_x, shape_y in itertools.product(shapes, shapes):
+            x = rng.normal(size=shape_x) + 1j * rng.normal(size=shape_x)
+            y = rng.normal(size=shape_y) + 1j * rng.normal(size=shape_y)
+            assert np.array_equal(simulation._kron(x, y), np.kron(x, y))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bsc=st.booleans(),
+        k=st.sampled_from([2, 3]),
+        constant=st.lists(st.booleans(), min_size=2, max_size=6).filter(
+            lambda m: any(m) and not all(m)
+        ),
+    )
+    def test_constant_columns_carry_no_key_information(self, seed, bsc, k, constant):
+        # Random non-constant columns, and constant ones where ``constant``
+        # says; the same codebook without the constant columns must give the
+        # same report under the default attack.
+        sc = dataclasses.replace(bsc_pair(0.1, 0.3) if bsc else paper_example(0.5), key_count=k)
+        rng = np.random.default_rng(seed)
+        letters = rng.integers(0, 2, size=(k, len(constant)))
+        for i, const in enumerate(constant):
+            if const:
+                letters[:, i] = letters[0, i]
+            elif (letters[:, i] == letters[0, i]).all():
+                letters[0, i] = 1 - letters[0, i]
+        assert_same_default_report(sc, Codebook(letters), Codebook(letters[:, ~np.array(constant)]))
 
 
 class TestSweep:
@@ -622,6 +668,14 @@ class TestLargeBlocks:
         assert rep.eve_info == pytest.approx(
             majority_vote_info(helstrom_crossover(s), n), abs=1e-9
         )
+
+    def test_constant_columns_leave_the_gram_matrix(self):
+        # Columns 3-7 and 11 differ; the other six are constant.
+        sc = bsc_pair(0.1, 0.3)
+        book = sample_codebook(2, 12, 2, 0)
+        _, effects = bob_decoder(sc, book)
+        assert effects.shape == (2, 2 * 2**6, 2 * 2**6)
+        assert_same_default_report(sc, book, Codebook(book.letters[:, [3, 4, 5, 6, 7, 11]]))
 
     def test_mixed_letters_span_k_times_two_to_the_n(self):
         sc = bsc_pair(0.1, 0.3)

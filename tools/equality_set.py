@@ -46,6 +46,9 @@ COMMANDS = [
      "--coder", "random", "--eve", "optimized", "--restarts", "2", "--format", "json"],
     ["sweep", "bsc-pair", "0.1", "0.3", "--n-range", "1..4", "--seeds", "0..3",
      "--coder", "random", "--eve", "optimized", "--restarts", "2"],
+    # Mixed receiver letters; most of these codebooks have a constant column.
+    ["sweep", "bsc-pair", "0.1", "0.3", "--n-range", "5..8", "--seeds", "0..2",
+     "--coder", "random", "--format", "json"],
     *(["analyze", "paper-example", "--overlap", s] for s in ("0.2", "0.5", "0.8")),
     ["analyze", "bsc-pair", "0.1", "0.3"],
     ["accessible", "paper-example", "--overlap", "0.5"],
