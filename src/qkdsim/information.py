@@ -42,6 +42,12 @@ alternation alone crawls there over many rounds.
 Every reported value is re-evaluated through the exact Born-rule path, so
 results are achievable by the returned witness; optimizers can under- but
 never over-report.
+
+``scipy.optimize`` is imported inside its three callers (``_lbfgs``,
+``_refine_binary_prior`` and ``classical_advantage``), not at module level:
+the exact enumerator and the command line's set-up run on numpy alone and
+so never pay scipy's import, which costs more than the rest of the package's
+start-up. After the first call the import is a ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .channels import DEFAULT_DIM_BUDGET, CqEnsemble, QuantumChannel, marginal, push_through
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
@@ -197,10 +202,12 @@ def _refine_binary_prior(ps: np.ndarray, vals: np.ndarray, exact) -> tuple[float
     The grid argmax is refined by a bounded scalar search of exact(p) within
     one grid step of it; the refinement is kept only when it beats the grid.
     """
+    from scipy import optimize
+
     i = int(np.argmax(vals))
     best_p, best_v = float(ps[i]), float(vals[i])
     step = 1.0 / (len(ps) - 1)
-    res = sciopt.minimize_scalar(
+    res = optimize.minimize_scalar(
         lambda q: -exact(q),
         bounds=(max(0.0, best_p - step), min(1.0, best_p + step)),
         method="bounded",
@@ -413,7 +420,8 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
     Unbounded, L-BFGS-B's stop at iteration 0 is max_i |g_i(x0)| <= gtol,
     where it returns x0 as converged; such a start returns the same without
     a scipy call. Otherwise scipy gets the evaluation at x0 from a one-entry
-    memo instead of repeating it.
+    memo instead of repeating it. ``scipy.optimize`` is imported here, on the
+    first call that needs it, so a process that never ascends never loads it.
     """
     first = fun(x0, *args)
     if np.abs(first[1]).max() <= gtol:
@@ -422,8 +430,10 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
     def memo(x, *fun_args):
         return first if np.array_equal(x, x0) else fun(x, *fun_args)
 
+    from scipy import optimize
+
     options = {"maxiter": max_iters, "ftol": ftol, "gtol": gtol}
-    res = sciopt.minimize(memo, x0, args=args, jac=True, method="L-BFGS-B", options=options)
+    res = optimize.minimize(memo, x0, args=args, jac=True, method="L-BFGS-B", options=options)
     return res.x, bool(res.success)
 
 
@@ -733,9 +743,11 @@ def classical_advantage(
         p = _softmax(z)
         return -(mutual_information(p, v) - mutual_information(p, w))
 
+    from scipy import optimize
+
     best_v, best_prior, ok = -np.inf, None, True
     for z0 in starts:
-        res = sciopt.minimize(neg_soft, z0, method="L-BFGS-B", options={"maxiter": _LBFGS_MAX_ITERS})
+        res = optimize.minimize(neg_soft, z0, method="L-BFGS-B", options={"maxiter": _LBFGS_MAX_ITERS})
         if -res.fun > best_v:
             best_v, best_prior, ok = float(-res.fun), _softmax(res.x), bool(res.success)
     return ConditionReport(

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -540,3 +542,35 @@ class TestInfoCommands:
         payload = json.loads(out.read_text())
         assert payload["c1"] == pytest.approx(pure_pair_c1(0.5), abs=1e-4)
         assert payload["accessible_information"] == pytest.approx(pure_pair_c1(0.5), abs=1e-4)
+
+
+def _scipy_after(commands):
+    """Exit codes of ``main`` on each argv in commands, run in order in a fresh
+    interpreter, and the scipy modules loaded after them."""
+    script = (
+        "import json, sys\n"
+        "import qkdsim\n"
+        "from qkdsim.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': scipy}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    def test_enumerator_and_argument_errors_never_load_scipy(self):
+        sweep = ["sweep", "paper-example", "--overlap", "0.5", "--n-range", "1..3",
+                 "--seeds", "0..2", "--coder", "random", "--eve", "default"]
+        bad_overlap = ["analyze", "paper-example", "--overlap", "2"]
+        run = _scipy_after([sweep, bad_overlap])
+        assert run == {"codes": [0, 1], "scipy": []}
+
+    def test_first_optimizer_call_loads_scipy(self):
+        run = _scipy_after([["analyze", "paper-example", "--overlap", "0.5"]])
+        assert run["codes"] == [0]
+        assert "scipy.optimize" in run["scipy"]
