@@ -25,9 +25,15 @@ of the Born tables P_f with the gradients dI/dP_f; for the mutual
 information that is p(a) (log2 P(b|a) - log2 P(b)) (``_mi_and_grad``).
 ``_povm_objective`` pulls them back exactly through the Born rule and each
 frame's normalization (the Daleckii-Krein derivative of T^(-1/2) on T's
-eigenbasis), so L-BFGS-B runs on the analytic gradient. Its one call site is
-``_lbfgs``, shared with C1's joint ascent; a start that already meets the
-projected-gradient stop returns there as converged without a scipy call.
+eigenbasis), so L-BFGS-B runs on the analytic gradient. It evaluates all
+frames in one stacked pass: their rows go into one (F, r, d) array, a frame
+with fewer rows padded with zero rows, so one batched ``eigh`` takes every
+frame operator and the Born tables and pullbacks are batched alike. A single
+frame (C1, ``accessible_information``, a one-slot ascent) skips the frame
+axis, so its arithmetic and its bits are a one-frame pass's. L-BFGS-B's one
+call site is ``_lbfgs``, shared with C1's joint ascent; a start that already
+meets the projected-gradient stop returns there as converged without a scipy
+call.
 
 C1 and C_k are a seesaw over (prior, POVM) from structured starts
 (Helstrom, pretty-good measurement) and random restarts. Each start is
@@ -72,7 +78,7 @@ from .measurements import (
     pretty_good_measurement,
     random_rank1_povm,
 )
-from .states import DensityOperator, hermitian_eigensystem
+from .states import DensityOperator
 
 _BA_MAX_ITERS = 2000
 _LBFGS_MAX_ITERS = 300
@@ -287,29 +293,25 @@ def holevo_capacity(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
 def _rank1_pieces(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split stacked (m, d, d) effects into scaled rank-one vectors sqrt(lam) v, one row each.
 
-    ``groups[r]`` is the index of the effect that row r came from. An effect
-    with no eigenvalue above 1e-12 keeps its outcome through one zero row.
+    One batched ``eigh`` splits every effect; each effect's rows follow its
+    eigenvalues in descending order. ``groups[r]`` is the index of the effect
+    that row r came from. An effect with no eigenvalue above 1e-12 keeps its
+    outcome through one zero row.
     """
-    vecs, groups = [], []
-    for b, m in enumerate(effects):
-        vals, basis = hermitian_eigensystem(m)
-        added = False
-        for lam, v in zip(vals, basis.T):
-            if lam > 1e-12:
-                vecs.append(np.sqrt(lam) * v)
-                groups.append(b)
-                added = True
-        if not added:
-            vecs.append(np.zeros(effects.shape[-1], dtype=complex))
-            groups.append(b)
-    return np.stack(vecs), np.array(groups)
+    vals, basis = np.linalg.eigh(np.asarray(effects, dtype=complex))
+    vals, basis = vals[:, ::-1], basis[:, :, ::-1]
+    keep = vals > 1e-12
+    rows = np.sqrt(np.where(keep, vals, 0.0))[..., None] * basis.transpose(0, 2, 1)
+    take = keep.copy()
+    take[:, 0] |= ~keep.any(axis=1)
+    return rows[take], np.nonzero(take)[0]
 
 
 def _mi_and_marginal(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
     """I(prior, probs) in bits and the output marginal P(b), from one
     ``_entropy_rows`` call over the rows and the marginal together."""
     out = prior @ probs
-    h = _entropy_rows(np.vstack([probs, out]))
+    h = _entropy_rows(np.concatenate((probs, out[None])))
     return float(max(h[-1] - prior @ h[:-1], 0.0)), out
 
 
@@ -357,28 +359,49 @@ def _povm_objective(
     C = sum_b |w_b><h_b| and D = V (f1 o V^dagger (C + C^dagger) V) V^dagger,
     d value / d conj(w_b) = T^(-1/2) h_b + D w_b. A singular frame scores
     50.0 with a zero gradient.
+
+    The F frames go through one stacked pass: an (F, r, d) array of rows, one
+    batched ``eigh`` of the frame operators and batched Born tables and
+    pullbacks. A frame with fewer than r rows is padded with zero rows, which
+    change neither T nor the other rows and get a zero gradient; the caller
+    sees each frame's own rows only. A single frame keeps its (r, d) rows
+    without the frame axis: the same operations then run on 2-D arrays, which
+    costs numpy less per call.
     """
-    w_all = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, stack.shape[1])
-    frames = []
-    for w in (w_all[part] for part in parts):
-        lam, vecs = np.linalg.eigh(np.einsum("bi,bj->ij", w, w.conj()))
-        if lam.min() < 1e-12:
-            return 50.0, np.zeros_like(x)
-        root = np.sqrt(lam)
-        vecs_h = vecs.conj().T
-        inv_sqrt = (vecs / root) @ vecs_h
-        u = w @ inv_sqrt.T
-        raw = np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real
-        frames.append((w, root, vecs, vecs_h, inv_sqrt, u, raw))
-    value, gs = value_and_grad([np.maximum(f[-1], 0.0) for f in frames])
-    grads = []
-    for (w, root, vecs, vecs_h, inv_sqrt, u, raw), g in zip(frames, gs):
-        h = np.einsum("ab,aij,bj->bi", np.where(raw < 0.0, 0.0, g), stack, u)
-        c = w.T @ h.conj()
-        f1 = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
-        d = vecs @ (f1 * (vecs_h @ (c + c.conj().T) @ vecs)) @ vecs_h
-        grads.append(2.0 * (h @ inv_sqrt.T + w @ d.T))
-    grad = grads[0] if len(grads) == 1 else np.concatenate(grads)
+    d = stack.shape[1]
+    w_all = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, d)
+    sizes = [part.stop - part.start for part in parts]
+    single = len(parts) == 1
+    if single:
+        w = w_all
+    else:
+        w = np.zeros((len(parts), max(sizes), d), dtype=complex)
+        for f, part in enumerate(parts):
+            w[f, : sizes[f]] = w_all[part]
+    lam, vecs = np.linalg.eigh(np.einsum("...bi,...bj->...ij", w, w.conj()))
+    if lam.min() < 1e-12:
+        return 50.0, np.zeros_like(x)
+    root = np.sqrt(lam)
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    inv_sqrt_t = ((vecs / root[..., None, :]) @ vecs_h).swapaxes(-1, -2)
+    u = w @ inv_sqrt_t
+    raw = np.einsum("...bi,aij,...bj->...ab", u.conj(), stack, u).real
+    probs = np.maximum(raw, 0.0)
+    value, gs = value_and_grad([probs] if single else [p[:, :n] for p, n in zip(probs, sizes)])
+    if single:
+        (g,) = gs
+    else:
+        g = np.zeros_like(raw)
+        for f, (gf, n) in enumerate(zip(gs, sizes)):
+            g[f, :, :n] = gf
+    h = np.einsum("...ab,aij,...bj->...bi", np.where(raw < 0.0, 0.0, g), stack, u)
+    c = w.swapaxes(-1, -2) @ h.conj()
+    col, row = root[..., :, None], root[..., None, :]
+    f1 = -1.0 / ((col * row) * (col + row))
+    dd = vecs @ (f1 * (vecs_h @ (c + c.conj().swapaxes(-1, -2)) @ vecs)) @ vecs_h
+    grad = 2.0 * (h @ inv_sqrt_t + w @ dd.swapaxes(-1, -2))
+    if not single:
+        grad = np.concatenate([gf[:n] for gf, n in zip(grad, sizes)])
     return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
 
 
@@ -419,16 +442,19 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
 
     Unbounded, L-BFGS-B's stop at iteration 0 is max_i |g_i(x0)| <= gtol,
     where it returns x0 as converged; such a start returns the same without
-    a scipy call. Otherwise scipy gets the evaluation at x0 from a one-entry
-    memo instead of repeating it. ``scipy.optimize`` is imported here, on the
+    a scipy call. Otherwise scipy's first evaluation, at x0, is served from a
+    one-shot memo instead of repeated; later calls go straight to fun, which
+    returns the same for x0 anyway. ``scipy.optimize`` is imported here, on the
     first call that needs it, so a process that never ascends never loads it.
     """
     first = fun(x0, *args)
     if np.abs(first[1]).max() <= gtol:
         return x0, True
 
+    pending = [first]
+
     def memo(x, *fun_args):
-        return first if np.array_equal(x, x0) else fun(x, *fun_args)
+        return pending.pop() if pending and np.array_equal(x, x0) else fun(x, *fun_args)
 
     from scipy import optimize
 

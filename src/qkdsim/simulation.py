@@ -7,7 +7,11 @@ of the codeword block states) while the adversary measures slot by slot
 with one POVM per slot and post-processes outcomes through a classical
 decoding function. Its optimized attack comes from a seesaw that alternates
 per-slot ascents, joined by one ascent over all slots once they stall, with
-the maximum-likelihood decoder. The channel is memoryless, so block states
+the maximum-likelihood decoder. The attack is factorized, so a one-slot
+ascent contracts the other slots and the decoder into a key channel of the
+free slot once (``_joint_value_and_grad``): each evaluation then costs
+O(K r K) for r rank-one pieces, not O(n K prod_j m_j) over every outcome
+tuple. The channel is memoryless, so block states
 are Kronecker products of single-letter states. The receiver's measurement
 is held in Gram form on the span of the K codeword states. A constant
 codebook column, one letter in every codeword, factors out of the Gram
@@ -332,8 +336,16 @@ def _check_tuple_count(counts, n: int) -> None:
 def _likelihoods(tables: list[np.ndarray], c: Codebook) -> np.ndarray:
     """P(outcome tuple | codeword), shape (K, M), tuples in lexicographic order."""
     _check_tuple_count((t.shape[0] for t in tables), len(tables))
-    cols = [[t[:, a] for t, a in zip(tables, word)] for word in c.letters]
-    return np.stack([reduce(np.multiply.outer, col).ravel() for col in cols])
+    return _column_likelihoods([t[:, a] for t, a in zip(tables, c.letters.T)])
+
+
+def _column_likelihoods(cols: list[np.ndarray]) -> np.ndarray:
+    """``_likelihoods`` from each slot's (m_i, K) letter columns table_i[:, a_i(k)]:
+    one broadcast product per slot, over every codeword at once."""
+    lik = cols[0].T
+    for col in cols[1:]:
+        lik = (lik[:, :, None] * col.T[:, None, :]).reshape(len(lik), -1)
+    return lik
 
 
 def _ml_decoder(lik: np.ndarray) -> np.ndarray:
@@ -456,28 +468,60 @@ def _joint_value_and_grad(
     Returns value_and_grad(Ps) for ``_ascend_povm``: Ps[f][a, r] is the Born
     probability of slot free[f]'s piece r (of outcome groups[f][r]) on
     letter a; the other slots keep their ``tables``. The key channel sums
-    the likelihoods lik[k, t] over the tuples t decoded to each key, so
-    d value / d lik[k, t] = W[k, t] = G[k, idx[t]] with G from
-    ``_mi_and_grad``. Slot i's gradient contracts W with the other slots'
-    letter columns table_j[:, a_j(k)], summed back onto letters and pieces.
+    the likelihoods lik[k, t] over the tuples t decoded to each key, and
+    ``_mi_and_grad`` gives G[k, e] = d value / d chan[k, e].
+
+    One free slot i: everything but slot i's table is fixed for the whole
+    ascent, so S[k, r, e], the product of the other slots' likelihoods
+    summed over the tuples whose slot-i outcome is piece r's and whose key
+    is e, is contracted once, here. Then chan[k, e] = sum_r Ps[a_i(k), r]
+    S[k, r, e] and d value / d Ps[a, r] = sum over the keys k with
+    a_i(k) = a of sum_e G[k, e] S[k, r, e]: O(K r K) per evaluation, against
+    O(n K prod_j m_j) for the tuple contraction.
+
+    Several free slots: lik[k, t] is the product of every slot's letter
+    column table_j[:, a_j(k)], the fixed slots' taken once, here. With
+    W[k, t] = G[k, idx[t]], slot i's gradient contracts W with the other
+    slots' letter columns, summed back onto letters and pieces.
     """
     k, n = len(c), len(tables)
     prior = np.full(k, 1.0 / k)
-    sums = [np.eye(g.max() + 1)[g] for g in groups]
     letters = c.letters.T
+    counts = [t.shape[0] for t in tables]
+    if len(free) == 1:
+        (i,), (g,) = free, groups
+        rest = list(tables)
+        rest[i] = np.ones_like(tables[i])
+        lik = _likelihoods(rest, c)
+        # Tuple t's slot-i outcome, and the flat (k, outcome, key) cell of lik[k, t].
+        outcome = np.arange(lik.shape[1]) // math.prod(counts[i + 1 :]) % counts[i]
+        cell = (np.arange(k)[:, None] * counts[i] + outcome) * k + decoder_idx
+        s = np.bincount(cell.ravel(), weights=lik.ravel(), minlength=k * counts[i] * k)
+        s = s.reshape(k, counts[i], k)[:, g, :]
+        slot_letters = letters[i]
+        slot_onehot = np.eye(tables[i].shape[1])[slot_letters].T
+
+        def value_and_grad(ps: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+            value, gk = _mi_and_grad(prior, np.einsum("kr,kre->ke", ps[0][slot_letters], s))
+            return value, [slot_onehot @ np.einsum("ke,kre->kr", gk, s)]
+
+        return value_and_grad
+
     onehot = [np.eye(tables[0].shape[1])[a] for a in letters]
     decode = np.eye(k)[decoder_idx]
+    sums = [np.eye(g.max() + 1)[g] for g in groups]
+    fixed = [t[:, a] for t, a in zip(tables, letters)]
 
     def value_and_grad(ps: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        tabs = list(tables)
+        cols = list(fixed)
         for i, p, m in zip(free, ps, sums):
-            tabs[i] = (p @ m).T
-        value, g = _mi_and_grad(prior, _likelihoods(tabs, c) @ decode)
-        w = (g @ decode.T).reshape([k] + [t.shape[0] for t in tabs])
-        cols = [(t[:, a], [i + 1, 0]) for i, (t, a) in enumerate(zip(tabs, letters))]
+            cols[i] = (p @ m).T[:, letters[i]]
+        value, g = _mi_and_grad(prior, _column_likelihoods(cols) @ decode)
+        w = (g @ decode.T).reshape([k] + counts)
+        labelled = [(col, [j + 1, 0]) for j, col in enumerate(cols)]
         grads = []
         for i, m in zip(free, sums):
-            others = [x for j, col in enumerate(cols) if j != i for x in col]
+            others = [x for j, col in enumerate(labelled) if j != i for x in col]
             dcol = np.einsum(w, list(range(n + 1)), *others, [i + 1, 0])
             grads.append((dcol @ onehot[i]).T @ m.T)
         return value, grads
@@ -509,10 +553,10 @@ def _refine_slots(
     us, _ = _ascend_povm(eve_states, frames, value_and_grad, _SLOT_ASCENT_MAX_ITERS * len(free), gtol)
     if us is None:
         return None
-    slots = list(slots)
+    slots, tables = list(slots), list(tables)
     for i, u, g in zip(free, us, groups):
         slots[i] = np.einsum("ro,ri,rj->oij", np.eye(len(slots[i]))[g], u, u.conj())
-    tables = _slot_channels(slots, eve_states)
+        tables[i] = _born_table(slots[i], eve_states).T
     return slots, tables, _key_info(_likelihoods(tables, c), decoder_idx)
 
 

@@ -3,11 +3,15 @@
 Everything here is deliberately separate from the package's own code paths:
 closed forms for binary pure-state ensembles, a dense brute-force grid
 over qubit projective measurements and priors, dense partial-trace and
-coarse-graining references, and the receiver's pretty-good measurement
-built on the full block space.
+coarse-graining references, the receiver's pretty-good measurement
+built on the full block space, and the straightforward forms of the
+optimizers' inner loops: the rank-one split one effect at a time, the POVM
+objective one frame at a time and the adversary's information contracted
+over every outcome tuple.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -135,3 +139,94 @@ def dense_pgm(block_states) -> np.ndarray:
     kern = vecs[:, ~support]
     effects[0] += kern @ kern.conj().T
     return effects
+
+
+def rank1_pieces_per_effect(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-one split of stacked effects, one eigendecomposition per effect.
+
+    Each effect's eigenvectors, eigenvalues descending (the order of
+    ``states.hermitian_eigensystem``), scaled by sqrt(lam) for lam above
+    1e-12; an effect with none keeps one zero row. Returns the rows and the
+    effect index of each row.
+    """
+    vecs, groups = [], []
+    for b, m in enumerate(effects):
+        vals, basis = np.linalg.eigh(m)
+        vals, basis = vals[::-1], basis[:, ::-1]
+        kept = [np.sqrt(lam) * v for lam, v in zip(vals, basis.T) if lam > 1e-12]
+        kept = kept or [np.zeros(effects.shape[-1], dtype=complex)]
+        vecs += kept
+        groups += [b] * len(kept)
+    return np.stack(vecs), np.array(groups)
+
+
+def povm_objective_per_frame(x, stack, value_and_grad, parts):
+    """-value(P_1..P_F) and its gradient in the packed raw rows x, one frame at a time.
+
+    The Born tables of the normalized rows u = w T^(-1/2) and the exact
+    pullback of the caller's gradients through the Born rule and the frame
+    normalization (Daleckii-Krein), frame by frame, in the package's packing:
+    real then imaginary parts, frame f holding rows parts[f]. A singular frame
+    scores 50.0 with a zero gradient.
+    """
+    w_all = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, stack.shape[1])
+    frames = []
+    for w in (w_all[part] for part in parts):
+        lam, vecs = np.linalg.eigh(np.einsum("bi,bj->ij", w, w.conj()))
+        if lam.min() < 1e-12:
+            return 50.0, np.zeros_like(x)
+        root = np.sqrt(lam)
+        vecs_h = vecs.conj().T
+        inv_sqrt = (vecs / root) @ vecs_h
+        u = w @ inv_sqrt.T
+        raw = np.einsum("bi,aij,bj->ab", u.conj(), stack, u).real
+        frames.append((w, root, vecs, vecs_h, inv_sqrt, u, raw))
+    value, gs = value_and_grad([np.maximum(f[-1], 0.0) for f in frames])
+    grads = []
+    for (w, root, vecs, vecs_h, inv_sqrt, u, raw), g in zip(frames, gs):
+        h = np.einsum("ab,aij,bj->bi", np.where(raw < 0.0, 0.0, g), stack, u)
+        c = w.T @ h.conj()
+        f1 = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+        d = vecs @ (f1 * (vecs_h @ (c + c.conj().T) @ vecs)) @ vecs_h
+        grads.append(2.0 * (h @ inv_sqrt.T + w @ d.T))
+    grad = np.concatenate(grads)
+    return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+
+
+def tuple_key_information(letters, decoder, tables, free, groups, ps):
+    """I(K_A; K_E) in bits of a factorized attack and its gradient in the free slots' piece tables.
+
+    Contracted over every outcome tuple: slot free[f]'s outcome table is
+    ps[f] summed over its pieces' outcomes groups[f], every codeword's
+    likelihood of a tuple is the product of its slots' letter columns and
+    the key channel sums the likelihoods of the tuples decoded to each key,
+    under a uniform key prior. The gradient of the information in
+    chan[k, e] is p(k) (log2 chan[k, e] - log2 P(e)), both logarithms
+    floored at 1e-18, spread over the tuples and pulled back through the
+    other slots' letter columns onto letters and pieces.
+    """
+    k, n = letters.shape
+    tabs = list(tables)
+    sums = [np.eye(g.max() + 1)[g] for g in groups]
+    for i, p, m in zip(free, ps, sums):
+        tabs[i] = (p @ m).T
+    lik = np.stack(
+        [reduce(np.multiply.outer, [t[:, a] for t, a in zip(tabs, word)]).ravel() for word in letters]
+    )
+    decode = np.eye(k)[decoder]
+    chan = lik @ decode
+    prior = np.full(k, 1.0 / k)
+    out = prior @ chan
+    pos = chan > 0
+    ratio = chan[pos] / np.broadcast_to(out, chan.shape)[pos]
+    value = float((prior[:, None] * chan)[pos] @ np.log2(ratio))
+    g = prior[:, None] * (np.log2(np.maximum(chan, 1e-18)) - np.log2(np.maximum(out, 1e-18)))
+    w = (g @ decode.T).reshape([k] + [t.shape[0] for t in tabs])
+    cols = [(t[:, a], [j + 1, 0]) for j, (t, a) in enumerate(zip(tabs, letters.T))]
+    grads = []
+    for i, m in zip(free, sums):
+        others = [x for j, col in enumerate(cols) if j != i for x in col]
+        dcol = np.einsum(w, list(range(n + 1)), *others, [i + 1, 0])
+        onehot = np.eye(tables[0].shape[1])[letters[:, i]]
+        grads.append((dcol @ onehot).T @ m.T)
+    return value, grads

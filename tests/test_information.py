@@ -18,6 +18,7 @@ from qkdsim.information import (
     _lbfgs,
     _mi_and_grad,
     _povm_objective,
+    _rank1_pieces,
     _softmax,
     _start_frame,
     accessible_information,
@@ -46,8 +47,10 @@ from oracles import (
     binary_entropy,
     coarse_grain,
     grid_c1_qubit,
+    povm_objective_per_frame,
     pure_pair_c1,
     pure_pair_capacity,
+    rank1_pieces_per_effect,
 )
 
 CFG = OptimizerConfig(restarts=2, seed=7)
@@ -264,6 +267,54 @@ class TestAscentGradient:
         value, grad = _povm_objective(x, stack, vg, [slice(0, len(w))])
         assert value == 50.0
         np.testing.assert_array_equal(grad, np.zeros_like(x))
+
+    @staticmethod
+    def _frames_objective(rng, dim, rows):
+        """Packed raw rows of frames with ``rows`` rows each, random states and
+        a value_and_grad summing each frame's mutual information."""
+        stack = np.stack([random_density(rng, dim).matrix for _ in range(3)])
+        prior = rng.dirichlet(np.ones(3))
+        w = rng.normal(size=(sum(rows), dim)) + 1j * rng.normal(size=(sum(rows), dim))
+        x = np.concatenate([w.real.ravel(), w.imag.ravel()])
+        parts = [slice(stop - r, stop) for r, stop in zip(rows, np.cumsum(rows))]
+
+        def vg(tables):
+            pairs = [_mi_and_grad(prior, t) for t in tables]
+            return sum(v for v, _ in pairs), [g for _, g in pairs]
+
+        return x, stack, vg, parts
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_frames_match_per_frame_loop(self, rng, dim):
+        x, stack, vg, parts = self._frames_objective(rng, dim, [dim, dim * dim, dim + 1, dim * dim])
+        value, grad = _povm_objective(x, stack, vg, parts)
+        want, want_grad = povm_objective_per_frame(x, stack, vg, parts)
+        assert value == pytest.approx(want, abs=1e-13)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_frame_keeps_the_per_frame_bits(self, rng, dim):
+        for rows in (dim, dim + 1, dim * dim):
+            x, stack, vg, parts = self._frames_objective(rng, dim, [rows])
+            value, grad = _povm_objective(x, stack, vg, parts)
+            want, want_grad = povm_objective_per_frame(x, stack, vg, parts)
+            assert value == want
+            assert np.array_equal(grad, want_grad)
+
+    def test_rank1_pieces_match_per_effect_split(self, rng):
+        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        stacks = [
+            np.stack([a @ a.conj().T, np.outer(v, v.conj()), np.zeros((3, 3), dtype=complex)]),
+            np.stack(random_rank1_povm(3, 5, rng).effects),
+            np.stack(helstrom(random_density(rng, 2), random_density(rng, 2), 0.3).effects),
+        ]
+        for effects in stacks:
+            pieces, groups = _rank1_pieces(effects)
+            want, want_groups = rank1_pieces_per_effect(effects)
+            assert np.array_equal(pieces, want)
+            assert np.array_equal(groups, want_groups)
+        assert list(_rank1_pieces(stacks[0])[1]) == [0, 0, 1, 2]
 
     def test_few_objective_calls_per_iteration(self, monkeypatch):
         calls = {"objective": 0, "nit": 0}

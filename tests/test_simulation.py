@@ -55,6 +55,7 @@ from oracles import (
     majority_vote_info,
     partial_trace,
     pure_pair_c1,
+    tuple_key_information,
 )
 
 CFG = OptimizerConfig(restarts=2, seed=5)
@@ -306,40 +307,47 @@ class TestSeesawProperties:
                 np.testing.assert_array_equal(x, y)
 
 
-def random_attack(seed, k):
-    """A random n=3 factorized attack on paper_example with a random decoder,
-    with each slot's stacked effects and rank-one pieces."""
+def random_attack(seed, k, counts=(4, 4, 4)):
+    """A random factorized attack on paper_example with a random decoder, one
+    slot of random rank-one effects per entry of ``counts``, with each slot's
+    stacked effects and rank-one pieces."""
     rng = np.random.default_rng(seed)
     sc = dataclasses.replace(paper_example(0.5), key_count=k)
-    book = sample_codebook(k, 3, 2, seed=3)
-    slots = [np.stack(random_rank1_povm(2, 4, rng).effects) for _ in range(3)]
+    book = sample_codebook(k, len(counts), 2, seed=3)
+    slots = [np.stack(random_rank1_povm(2, m, rng).effects) for m in counts]
     states = np.stack([rho.matrix for rho in sc.eve_ensemble().states])
-    idx = rng.integers(0, k, size=4**3)
+    idx = rng.integers(0, k, size=math.prod(counts))
     pieces = [_rank1_pieces(p) for p in slots]
     return rng, book, slots, states, idx, pieces
+
+
+def piece_table(frame, states):
+    return np.einsum("bi,aij,bj->ab", frame.conj(), states, frame).real
+
+
+# Four-outcome slots, and a two-outcome slot between two four-outcome ones.
+ATTACK_COUNTS = [(4, 4, 4), (4, 2, 4)]
+FREE_SLOTS = [[0, 1, 2], [0], [1], [2]]
 
 
 class TestJointObjective:
     @pytest.mark.parametrize("k", [2, 3])
     def test_value_is_key_info(self, k):
-        _, book, slots, states, idx, pieces = random_attack(0, k)
-        tables = _slot_channels(slots, states)
-        lik = _likelihoods(tables, book)
-        for free in ([0, 1, 2], [1]):
+        for counts, free in itertools.product(ATTACK_COUNTS, FREE_SLOTS):
+            _, book, slots, states, idx, pieces = random_attack(0, k, counts)
+            tables = _slot_channels(slots, states)
+            lik = _likelihoods(tables, book)
             vg = _joint_value_and_grad(book, idx, tables, free, [pieces[i][1] for i in free])
-            ps = [
-                np.einsum("bi,aij,bj->ab", pieces[i][0].conj(), states, pieces[i][0]).real
-                for i in free
-            ]
+            ps = [piece_table(pieces[i][0], states) for i in free]
             value, grads = vg(ps)
             assert value == pytest.approx(_key_info(lik, idx), abs=1e-12)
             assert [g.shape for g in grads] == [p.shape for p in ps]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_gradient_matches_central_differences(self, k):
-        rng, book, slots, states, idx, pieces = random_attack(1, k)
-        tables = _slot_channels(slots, states)
-        for free in ([0, 1, 2], [1]):
+        for counts, free in itertools.product(ATTACK_COUNTS, FREE_SLOTS):
+            rng, book, slots, states, idx, pieces = random_attack(1, k, counts)
+            tables = _slot_channels(slots, states)
             vg = _joint_value_and_grad(book, idx, tables, free, [pieces[i][1] for i in free])
             w = np.concatenate([pieces[i][0] for i in free])
             sizes = [len(pieces[i][0]) for i in free]
@@ -349,6 +357,25 @@ class TestJointObjective:
             _, grad = _povm_objective(x, states, vg, parts)
             fd = central_differences(lambda y: _povm_objective(y, states, vg, parts)[0], x)
             np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([2, 3]),
+        counts=st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4),
+        slot=st.integers(0, 3),
+    )
+    def test_one_slot_matches_tuple_contraction(self, seed, k, counts, slot):
+        """The precontracted one-slot objective against the contraction over every tuple."""
+        rng, book, slots, states, idx, pieces = random_attack(seed, k, counts)
+        tables = _slot_channels(slots, states)
+        free = [slot % len(counts)]
+        groups = [pieces[free[0]][1]]
+        ps = [_born_table(np.stack(random_rank1_povm(2, counts[free[0]], rng).effects), states)]
+        value, grads = _joint_value_and_grad(book, idx, tables, free, groups)(ps)
+        want, want_grads = tuple_key_information(book.letters, idx, tables, free, groups, ps)
+        assert value == pytest.approx(want, abs=1e-12)
+        np.testing.assert_allclose(grads[0], want_grads[0], rtol=0, atol=1e-12)
 
 
 def dense_joint(sc, book, me):

@@ -40,6 +40,9 @@ COMMANDS = [
     SIM + ["--coder", "repetition", "--eve", "default"],
     ["simulate", "paper-example", "--overlap", "0.3", "-n", "3", "--coder", "random",
      "--eve", "optimized", "--restarts", "1", "--seed", "3"],
+    # Five adversary slots: one-slot ascents over 4^5 outcome tuples, joint ascents over five frames.
+    ["simulate", "paper-example", "--overlap", "0.3", "-n", "5", "--coder", "random",
+     "--eve", "optimized", "--restarts", "2", "--seed", "1"],
     ["sweep", "paper-example", "--overlap", "0.5", "--n-range", "1..6", "--seeds", "0..9",
      "--coder", "random", "--eve", "default", "--format", "json"],
     ["sweep", "paper-example", "--overlap", "0.3", "--n-range", "1..3", "--seeds", "0..5",
