@@ -11,7 +11,7 @@ Prior maximization uses an exhaustive grid for binary alphabets (the
 capacity and wiretap searches refine its best point by a bounded scalar
 search) and Blahut-Arimoto multiplicative ascent otherwise; the Holevo and
 the classical channel capacity supply their own divergences to one loop,
-``_blahut_arimoto``.
+``_blahut_arimoto``. C1's prior moves with its POVM, as described below.
 
 POVM maximization runs on rank-one frames: a POVM with one outcome per
 rank-one piece is a frame of raw vectors w_b, normalized by the frame
@@ -38,13 +38,16 @@ call.
 C1 and C_k are a seesaw over (prior, POVM) from structured starts
 (Helstrom, pretty-good measurement) and random restarts. Each start is
 held as its frame, its prior and its Born table; a ``Povm`` is built only
-for the winner. A round ascends the frame at the fixed prior, re-optimizes
-the prior for the row-normalized table and then runs one joint ascent over
-the frame and the prior's logits (``_ascend_joint``, on ``_povm_objective``
-plus the prior's gradient), the standard joint form of the problem (Shor,
-Math. Program. 97, 311 (2003)). The seesaw steps keep each start in its
-basin, and the joint ascent climbs to the basin's top in one call where the
-alternation alone crawls there over many rounds.
+for the winner. A round is one joint ascent over the frame and the prior's
+logits (``_ascend_joint``, on ``_povm_objective`` plus the prior's
+gradient), the standard joint form of the problem (Shor, Math. Program. 97,
+311 (2003)), which climbs to its basin's top in one call. For two letters
+that is the whole round: I is concave in the one-number prior at a fixed
+POVM, so the ascent's prior is the best for its POVM. From three letters
+on, a letter whose logit has fallen far cannot come back, and an ascent
+from a poor start POVM can drop a letter that the maximum keeps; so the
+round first ascends the frame at the fixed prior and re-optimizes the prior
+for the row-normalized table by Blahut-Arimoto.
 Every reported value is re-evaluated through the exact Born-rule path, so
 results are achievable by the returned witness; optimizers can under- but
 never over-report.
@@ -605,15 +608,10 @@ def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationR
 def _best_prior_for_channel(
     rows: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, float, bool]:
-    """Capacity-achieving prior of a fixed classical channel (row-stochastic rows)."""
+    """Capacity-achieving prior of a fixed classical channel (row-stochastic
+    rows) by Blahut-Arimoto from the uniform prior: the prior, its value and
+    whether the duality gap closed to ``cfg.tol``."""
     k = rows.shape[0]
-    if k == 1:
-        return np.array([1.0]), 0.0, True
-    if k == 2:
-        ps = np.linspace(0.0, 1.0, cfg.grid_points)
-        vals = _mi_curve(ps, rows)
-        i = int(np.argmax(vals))
-        return np.array([ps[i], 1.0 - ps[i]]), float(vals[i]), True
     with np.errstate(divide="ignore", invalid="ignore"):
         log_rows = np.where(rows > 0, np.log2(np.where(rows > 0, rows, 1.0)), 0.0)
 
@@ -637,15 +635,14 @@ def _joint_maximize(
 
     A start is held as its rank-one frame, its prior and the Born table of
     its current POVM; no ``Povm`` or ``ClassicalChannel`` is built in the
-    loop. Each round
-    - ascends the frame at the fixed prior (``_refine_frame``), kept when
-      it raises the value;
-    - re-optimizes the prior for the row-normalized table
-      (``_best_prior_for_channel``), kept when it is at least as good;
-    - runs one joint ascent over the frame and the prior
-      (``_ascend_joint``), kept whenever it raises the exact value.
-    A start that no ascent improved keeps its own POVM, and the winner's
-    POVM is built once, at the end. The structured starts (``extra_starts``,
+    loop. A round is one joint ascent over the frame and the prior
+    (``_ascend_joint``), kept when it raises the exact value. For three
+    letters or more it is the alternating round: first the frame is
+    ascended at the fixed prior (``_refine_frame``), kept when it raises the
+    value, and the prior re-optimized for the row-normalized table
+    (``_best_prior_for_channel``), kept when it is at least as good.
+    A start that no ascent improved keeps its own POVM, and the winner's POVM
+    is built once, at the end. The structured starts (``extra_starts``,
     Helstrom, pretty-good measurement) compete on value alone; a random
     start replaces the best so far only when it beats it by more than
     ``_TIE_BITS``.
@@ -673,16 +670,16 @@ def _joint_maximize(
         val = _mi_from_probs(prior, table)
         converged = False
         for _ in range(cfg.max_iters):
-            v_pov = _mi_from_probs(prior, table)
-            step = _refine_frame(stack, prior, frame)
-            if step is not None and _mi_from_probs(prior, step[1]) > v_pov:
-                (frame, table, _), povm = step, None
-                v_pov = _mi_from_probs(prior, table)
-            rows = table / table.sum(axis=1, keepdims=True)
-            prior_new, v_pri, _ = _best_prior_for_channel(rows, cfg)
-            new_val = max(v_pov, v_pri)
-            if v_pri >= v_pov:
-                prior = prior_new
+            new_val = _mi_from_probs(prior, table)
+            if e.size > 2:
+                step = _refine_frame(stack, prior, frame)
+                if step is not None and _mi_from_probs(prior, step[1]) > new_val:
+                    (frame, table, _), povm = step, None
+                    new_val = _mi_from_probs(prior, table)
+                rows = table / table.sum(axis=1, keepdims=True)
+                prior_new, v_pri, _ = _best_prior_for_channel(rows, cfg)
+                if v_pri >= new_val:
+                    prior, new_val = prior_new, v_pri
             joint = _ascend_joint(stack, prior, frame)
             if joint is not None and _mi_from_probs(joint[0], joint[2]) > new_val:
                 (prior, frame, table), povm = joint, None
@@ -708,8 +705,9 @@ def c_k(e: CqEnsemble, k: int, cfg: OptimizerConfig) -> OptimizationResult:
     """Block-k capacity with collective measurements over k copies.
 
     Maximizes I over priors on length-k words and POVMs on the k-fold
-    product space. Lies between k*C1 (product strategies) and k*C (the
-    entropy bound), which the seesaw start set exploits.
+    product space by C1's seesaw (``_joint_maximize``), its start set led by
+    the product of C1's witness. Lies between k*C1 (product strategies) and
+    k*C (the entropy bound), which the seesaw start set exploits.
     """
     k = int(k)
     if k < 1:

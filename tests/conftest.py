@@ -26,6 +26,23 @@ def random_density(rng, dim, rank=None):
     return DensityOperator(m / np.trace(m))
 
 
+# Three pure letters on two qubits under the identity channel: the adversary's
+# marginal letters are mixed, and C1's prior puts no weight on letter 2.
+THREE_MIXED = {
+    "format": "qkdsim-scenario-v1",
+    "name": "three-mixed",
+    "key_count": 2,
+    "alphabet_size": 3,
+    "states": {
+        "0": [[0.6, 0], [0, 0], [0, 0], [0.8, 0]],
+        "1": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]],
+        "2": [[0, 0], [0.6, 0], [0, 0.8], [0, 0]],
+    },
+    "channel": {"builtin": "identity"},
+    "output_dims": [2, 2],
+}
+
+
 def random_channel(rng, in_dim, out_dim, n_kraus=None):
     """Random CPTP map via a Haar-ish isometry sliced into Kraus operators."""
     n_kraus = n_kraus or out_dim

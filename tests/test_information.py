@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -39,11 +39,12 @@ from qkdsim.measurements import (
     normalize_vectors,
     random_rank1_povm,
 )
-from qkdsim.scenarios import paper_example
+from qkdsim.scenarios import paper_example, scenario_from_dict
 from qkdsim.states import pure_state
 
-from conftest import central_differences, random_density, random_pure
+from conftest import THREE_MIXED, central_differences, random_density, random_pure
 from oracles import (
+    alternating_c1,
     binary_entropy,
     coarse_grain,
     grid_c1_qubit,
@@ -54,6 +55,18 @@ from oracles import (
 )
 
 CFG = OptimizerConfig(restarts=2, seed=7)
+
+
+def random_mixed_ensemble(size, dim, seed):
+    """``size`` random letters on C^dim, each of random rank, at a random prior."""
+    rng = np.random.default_rng(seed)
+    states = tuple(random_density(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(size))
+    return CqEnsemble(rng.dirichlet(np.ones(size)), states)
+
+
+mixed_ensembles = st.builds(
+    random_mixed_ensemble, st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(0, 2**16)
+)
 
 
 def qubit_pair_ensemble(s, prior=(0.5, 0.5)):
@@ -424,11 +437,23 @@ class TestC1:
         replay = mutual_information(res.prior, induced_channel(res.povm, e))
         assert replay == pytest.approx(res.value, abs=1e-9)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(e=mixed_ensembles, restarts=st.integers(1, 2))
+    @example(e=scenario_from_dict(THREE_MIXED).eve_ensemble(), restarts=2)
+    @example(e=paper_example(0.2).eve_ensemble(), restarts=1)
+    # Three qubit letters where joint ascents alone drop a letter, 0.053 bits low.
+    @example(e=random_mixed_ensemble(3, 2, 68), restarts=1)
+    def test_never_below_alternating_seesaw_property(self, e, restarts):
+        """A maximum may move up, never down: C1 reaches at least what the
+        alternating seesaw reaches from every start."""
+        cfg = OptimizerConfig(restarts=restarts)
+        assert c1(e, cfg).value >= alternating_c1(e, cfg) - 1e-12
+
     @pytest.mark.parametrize("overlap", [0.2, 0.5, 0.8])
-    def test_at_most_two_prior_steps_per_start(self, monkeypatch, overlap):
+    def test_at_most_two_joint_ascents_per_start(self, monkeypatch, overlap):
         """The joint ascent ends each start in one round, and the next round
-        confirms it; the alternation alone took 50-78 prior steps here."""
-        calls = {"starts": 0, "prior_steps": 0}
+        confirms it."""
+        calls = {"starts": 0, "ascents": 0}
 
         def counted(name, key):
             original = getattr(information, name)
@@ -441,10 +466,10 @@ class TestC1:
 
         for name in ("helstrom", "pretty_good_measurement", "random_rank1_povm"):
             counted(name, "starts")
-        counted("_best_prior_for_channel", "prior_steps")
+        counted("_ascend_joint", "ascents")
         c1(paper_example(overlap).eve_ensemble(), OptimizerConfig())
         assert calls["starts"] > 0
-        assert calls["prior_steps"] <= 2 * calls["starts"]
+        assert calls["ascents"] <= 2 * calls["starts"]
 
     def test_orthogonal_pair(self):
         assert c1(qubit_pair_ensemble(0.0), CFG).value == pytest.approx(1.0, abs=1e-9)

@@ -21,6 +21,8 @@ from qkdsim.simulation import (
     sample_codebook,
 )
 
+from conftest import THREE_MIXED
+
 ABS = 1e-10
 
 
@@ -34,6 +36,13 @@ def test_analyze_paper_example_pin(tmp_path):
     payload = _run(tmp_path, ["analyze", "paper-example", "--overlap", "0.5", "--restarts", "1"])
     assert payload["quantum"]["lhs"] == pytest.approx(0.811278124459, abs=ABS)
     assert payload["quantum"]["rhs"] == pytest.approx(0.645421097335, abs=ABS)
+
+
+def test_analyze_uniform_c1_prior_without_noise(tmp_path):
+    # At overlap 0.2 the value is flat in C1's prior near its optimum, so a
+    # prior search that stops early leaves its witness a few 1e-9 off.
+    payload = _run(tmp_path, ["analyze", "paper-example", "--overlap", "0.2"])
+    assert payload["quantum"]["rhs_prior"] == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_analyze_bsc_pair_classical_pin(tmp_path):
@@ -57,21 +66,6 @@ def test_simulate_optimized_pin(tmp_path, argv, eve_info, p_agree):
     )
     assert payload["eve_info"] == pytest.approx(eve_info, abs=ABS)
     assert payload["p_agree"] == pytest.approx(p_agree, abs=ABS)
-
-
-THREE_MIXED = {
-    "format": "qkdsim-scenario-v1",
-    "name": "three-mixed",
-    "key_count": 2,
-    "alphabet_size": 3,
-    "states": {
-        "0": [[0.6, 0], [0, 0], [0, 0], [0.8, 0]],
-        "1": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]],
-        "2": [[0, 0], [0.6, 0], [0, 0.8], [0, 0]],
-    },
-    "channel": {"builtin": "identity"},
-    "output_dims": [2, 2],
-}
 
 
 @pytest.fixture
