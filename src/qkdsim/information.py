@@ -7,11 +7,13 @@ accessible-information maximum over priors and POVMs. The quantum
 feasibility condition compares the two across the channel marginals; the
 classical condition is the wiretap criterion max_P [I(P,V) - I(P,W)] > 0.
 
-Prior maximization uses an exhaustive grid for binary alphabets (the
-capacity and wiretap searches refine its best point by a bounded scalar
-search) and Blahut-Arimoto multiplicative ascent otherwise; the Holevo and
-the classical channel capacity supply their own divergences to one loop,
-``_blahut_arimoto``. C1's prior moves with its POVM, as described below.
+Every prior search is one ascent, ``_ascend_prior``: L-BFGS-B on weights
+q >= 0, p = q / sum(q), whose stop bounds Blahut-Arimoto's duality gap
+max_a D_a - p @ D (Nagaoka, ISIT 1998). The concave Holevo and classical
+channel capacities ascend from the uniform prior, and Blahut-Arimoto steps
+polish the prior and certify the gap (``_capacity_prior``); the wiretap
+advantage, not concave, ascends from a start set. C1's prior moves with its
+POVM, as described below.
 
 POVM maximization runs on rank-one frames: a POVM with one outcome per
 rank-one piece is a frame of raw vectors w_b, normalized by the frame
@@ -31,9 +33,9 @@ with fewer rows padded with zero rows, so one batched ``eigh`` takes every
 frame operator and the Born tables and pullbacks are batched alike. A single
 frame (C1, ``accessible_information``, a one-slot ascent) skips the frame
 axis, so its arithmetic and its bits are a one-frame pass's. L-BFGS-B's one
-call site is ``_lbfgs``, shared with C1's joint ascent; a start that already
-meets the projected-gradient stop returns there as converged without a scipy
-call.
+call site is ``_lbfgs``, shared with C1's joint ascent and the prior ascent;
+a start that already meets the projected-gradient stop returns there as
+converged without a scipy call.
 
 C1 and C_k are a seesaw over (prior, POVM) from structured starts
 (Helstrom, pretty-good measurement) and random restarts. Each start is
@@ -47,16 +49,17 @@ POVM, so the ascent's prior is the best for its POVM. From three letters
 on, a letter whose logit has fallen far cannot come back, and an ascent
 from a poor start POVM can drop a letter that the maximum keeps; so the
 round first ascends the frame at the fixed prior and re-optimizes the prior
-for the row-normalized table by Blahut-Arimoto.
+for the row-normalized table by the prior ascent.
 Every reported value is re-evaluated through the exact Born-rule path, so
 results are achievable by the returned witness; optimizers can under- but
 never over-report.
 
-``scipy.optimize`` is imported inside its three callers (``_lbfgs``,
-``_refine_binary_prior`` and ``classical_advantage``), not at module level:
-the exact enumerator and the command line's set-up run on numpy alone and
-so never pay scipy's import, which costs more than the rest of the package's
-start-up. After the first call the import is a ``sys.modules`` lookup.
+``scipy.optimize`` is imported inside its one caller, ``_lbfgs``, not at
+module level: the exact enumerator, the command line's set-up and an ascent
+whose start already meets its stop (such as a symmetric binary capacity) run
+on numpy alone and so never pay scipy's import, which costs more than the
+rest of the package's start-up. After the first call the import is a
+``sys.modules`` lookup.
 """
 
 from __future__ import annotations
@@ -100,10 +103,11 @@ _TIE_BITS = 1e-13
 class OptimizerConfig:
     """Knobs for the prior/POVM searches.
 
-    grid_points is the binary-prior grid resolution, restarts the number of
-    random seesaw restarts, max_iters the alternation cap, tol the
-    convergence threshold on the objective and margin the verdict margin in
-    bits for "satisfied" condition reports.
+    grid_points is the resolution of the start grid of the binary wiretap
+    search, restarts the number of random seesaw restarts (and of random
+    wiretap starts), max_iters the alternation cap, tol the convergence
+    threshold on the objective and on a capacity's duality gap, and margin the
+    verdict margin in bits for "satisfied" condition reports.
     """
 
     grid_points: int = 2001
@@ -205,42 +209,61 @@ def _mi_curve(ps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _entropy_rows(outs) - ps * h_rows[0] - (1.0 - ps) * h_rows[1]
 
 
-def _refine_binary_prior(ps: np.ndarray, vals: np.ndarray, exact) -> tuple[float, float]:
-    """Best binary prior weight p and its value, from grid values vals at ps.
-
-    The grid argmax is refined by a bounded scalar search of exact(p) within
-    one grid step of it; the refinement is kept only when it beats the grid.
-    """
-    from scipy import optimize
-
-    i = int(np.argmax(vals))
-    best_p, best_v = float(ps[i]), float(vals[i])
-    step = 1.0 / (len(ps) - 1)
-    res = optimize.minimize_scalar(
-        lambda q: -exact(q),
-        bounds=(max(0.0, best_p - step), min(1.0, best_p + step)),
-        method="bounded",
-    )
-    if res.success and -res.fun > best_v:
-        best_p, best_v = float(res.x), float(-res.fun)
-    return best_p, best_v
-
-
-def _log2_psd(matrix: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(matrix)
+def _log2_psd(matrices: np.ndarray) -> np.ndarray:
+    """Base-2 logarithm of a PSD matrix or a stack of them, eigenvalues floored
+    at ``_EIG_LOG_FLOOR``."""
+    vals, vecs = np.linalg.eigh(matrices)
     logs = np.log2(np.clip(vals, _EIG_LOG_FLOOR, None))
-    return (vecs * logs) @ vecs.conj().T
+    return (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _blahut_arimoto(divergences, p0: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
-    """Multiplicative ascent of a capacity over the prior simplex.
+def _channel_divergences(rows: np.ndarray):
+    """D_a(p) = D(row a || p @ rows) in bits, for row-stochastic rows."""
+    log_rows = np.log2(np.where(rows > 0, rows, 1.0))
 
-    ``divergences(p)`` returns D_a = D(letter a's output || average output)
-    at prior p. Stops when the duality gap max_a D_a - p @ D, which
-    brackets the capacity at every iteration, is within ``tol``; returns
-    the prior and whether that happened within the iteration cap.
+    def divergences(p):
+        log_out = np.log2(np.clip(p @ rows, _EIG_LOG_FLOOR, None))
+        return (rows * (log_rows - log_out)).sum(axis=1)
+
+    return divergences
+
+
+def _ascend_prior(divergences, p0: np.ndarray, gtol: float) -> np.ndarray:
+    """L-BFGS-B ascent from p0 of a value p @ D(p) whose entries D =
+    ``divergences(p)`` are its derivatives in p up to a shared constant.
+
+    The variables are weights q >= 0, p = q / sum(q); the value's gradient in
+    q is (D - p @ D) / sum(q), so L-BFGS-B's projected-gradient stop at
+    ``gtol`` bounds Blahut-Arimoto's duality gap max_a D_a - p @ D, and a
+    letter at weight 0 is freed once its D_a exceeds p @ D. The penalty
+    (sum(q) - 1)^2 / 2 pins the scale that the value ignores, lest q drift to
+    where every gradient is below the stop; q = 0, where p is undefined and
+    which a quasi-Newton step can still propose, scores 50.0 with a zero
+    gradient, so the line search backs off. It ends at the stop or where the
+    line search finds no lower value, mostly at a gap of a few 1e-8.
     """
-    p = p0.copy()
+
+    def objective(q):
+        total = q.sum()
+        if total <= 0.0:
+            return 50.0, np.zeros_like(q)
+        p = q / total
+        div = divergences(p)
+        value = float(p @ div)
+        return 0.5 * (total - 1.0) ** 2 - value, (total - 1.0) - (div - value) / total
+
+    bounds = [(0.0, None)] * p0.size
+    q, _ = _lbfgs(objective, p0, (), _LBFGS_MAX_ITERS, 0.0, gtol, bounds)
+    return q / q.sum()
+
+
+def _capacity_prior(divergences, size: int, tol: float) -> tuple[np.ndarray, bool]:
+    """Capacity-achieving prior of a concave p @ D(p), chi or a classical
+    channel's I, and whether its duality gap closed to ``tol``:
+    ``_ascend_prior`` from the uniform prior, then Blahut-Arimoto steps as
+    polish and certificate, until the gap, which brackets the capacity, is
+    within ``tol`` or ``_BA_MAX_ITERS`` steps have run."""
+    p = _ascend_prior(divergences, np.full(size, 1.0 / size), tol)
     for _ in range(_BA_MAX_ITERS):
         div = divergences(p)
         if float(div.max()) - float(p @ div) <= tol:
@@ -250,43 +273,18 @@ def _blahut_arimoto(divergences, p0: np.ndarray, tol: float) -> tuple[np.ndarray
     return p, False
 
 
-def _quantum_ba(stack: np.ndarray, p0: np.ndarray, tol: float) -> tuple[np.ndarray, float, bool]:
-    """Blahut-Arimoto ascent of chi, with D_a = D(rho_a || rho_bar)."""
-    logs = np.stack([_log2_psd(m) for m in stack])
-    self_terms = np.einsum("aij,aji->a", stack, logs).real
+def holevo_capacity(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
+    """max_P chi(P) over the prior simplex, by ``_capacity_prior`` with
+    D_a = D(rho_a || rho_bar)."""
+    stack = np.stack([s.matrix for s in e.states])
+    self_terms = np.einsum("aij,aji->a", stack, _log2_psd(stack)).real
 
     def divergences(p):
         log_avg = _log2_psd(np.tensordot(p, stack, axes=1))
         return self_terms - np.einsum("aij,ji->a", stack, log_avg).real
 
-    p, converged = _blahut_arimoto(divergences, p0, tol)
-    return p, _chi_of_prior(p, stack), converged
-
-
-def holevo_capacity(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
-    """max_P chi(P) over the prior simplex."""
-    stack = np.stack([s.matrix for s in e.states])
-    if e.size == 1:
-        return OptimizationResult(0.0, np.array([1.0]))
-    if e.size == 2:
-        ps = np.linspace(0.0, 1.0, cfg.grid_points)
-        mixes = ps[:, None, None] * stack[0] + (1.0 - ps)[:, None, None] * stack[1]
-        h_mix = _entropy_rows(np.linalg.eigvalsh(mixes))
-        h_each = _entropy_rows(np.linalg.eigvalsh(stack))
-        vals = h_mix - ps * h_each[0] - (1.0 - ps) * h_each[1]
-        best_p, best_v = _refine_binary_prior(
-            ps, vals, lambda q: _chi_of_prior(np.array([q, 1.0 - q]), stack)
-        )
-        return OptimizationResult(best_v, np.array([best_p, 1.0 - best_p]))
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.full(e.size, 1.0 / e.size)]
-    starts += [rng.dirichlet(np.ones(e.size)) for _ in range(min(cfg.restarts, 2))]
-    best = OptimizationResult(-1.0, starts[0], converged=False)
-    for p0 in starts:
-        p, val, ok = _quantum_ba(stack, p0, cfg.tol)
-        if val > best.value:
-            best = OptimizationResult(val, p, converged=ok)
-    return best
+    p, converged = _capacity_prior(divergences, e.size, cfg.tol)
+    return OptimizationResult(_chi_of_prior(p, stack), p, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +436,21 @@ def _ascend_povm(
     return (None if any(u is None for u in us) else us), ok
 
 
-def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: float):
+def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: float,
+           bounds=None):
     """L-BFGS-B minimization of fun(x, *args) = (value, gradient) from x0: the
     final point and whether L-BFGS-B reported success. The package's one
-    L-BFGS-B call site for its analytic-gradient ascents.
+    L-BFGS-B call site, for every analytic-gradient ascent; ``bounds`` are
+    L-BFGS-B's (low, high) pairs, None for an unbounded ascent.
 
-    Unbounded, L-BFGS-B's stop at iteration 0 is max_i |g_i(x0)| <= gtol,
-    where it returns x0 as converged; such a start returns the same without
-    a scipy call. Otherwise scipy's first evaluation, at x0, is served from a
-    one-shot memo instead of repeated; later calls go straight to fun, which
-    returns the same for x0 anyway. ``scipy.optimize`` is imported here, on the
-    first call that needs it, so a process that never ascends never loads it.
+    L-BFGS-B stops at iteration 0, returning x0 as converged, when x0's
+    projected gradient is at most gtol. That gradient is never larger than
+    |g| entry by entry, and equal to it unbounded, so a start with
+    max_i |g_i(x0)| <= gtol returns x0 here without a scipy call. Otherwise
+    scipy's first evaluation, at x0, is served from a one-shot memo instead of
+    repeated; later calls go straight to fun, which returns the same for x0
+    anyway. ``scipy.optimize`` is imported here, on the first call that needs
+    it, so a process that never ascends never loads it.
     """
     first = fun(x0, *args)
     if np.abs(first[1]).max() <= gtol:
@@ -462,7 +464,9 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
     from scipy import optimize
 
     options = {"maxiter": max_iters, "ftol": ftol, "gtol": gtol}
-    res = optimize.minimize(memo, x0, args=args, jac=True, method="L-BFGS-B", options=options)
+    res = optimize.minimize(
+        memo, x0, args=args, jac=True, method="L-BFGS-B", bounds=bounds, options=options
+    )
     return res.x, bool(res.success)
 
 
@@ -609,17 +613,9 @@ def _best_prior_for_channel(
     rows: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, float, bool]:
     """Capacity-achieving prior of a fixed classical channel (row-stochastic
-    rows) by Blahut-Arimoto from the uniform prior: the prior, its value and
-    whether the duality gap closed to ``cfg.tol``."""
-    k = rows.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_rows = np.where(rows > 0, np.log2(np.where(rows > 0, rows, 1.0)), 0.0)
-
-    def divergences(p):
-        log_out = np.log2(np.clip(p @ rows, _EIG_LOG_FLOOR, None))
-        return (rows * (log_rows - log_out)).sum(axis=1)
-
-    p, converged = _blahut_arimoto(divergences, np.full(k, 1.0 / k), cfg.tol)
+    rows) by ``_capacity_prior``: the prior, its value and whether the duality
+    gap closed to ``cfg.tol``."""
+    p, converged = _capacity_prior(_channel_divergences(rows), rows.shape[0], cfg.tol)
     out = p @ rows
     value = float(max(_entropy_rows(out) - p @ _entropy_rows(rows), 0.0))
     return p, value, converged
@@ -738,45 +734,41 @@ def classical_advantage(
 ) -> ConditionReport:
     """Wiretap feasibility: is max_P [I(P,V) - I(P,W)] positive?
 
-    The objective is a difference of concave functions, so the search is a
-    dense grid (binary input) or multi-start ascent; the verdict margin
-    comes from the config.
+    The objective p @ (D^V - D^W) is a difference of concave functions, so
+    ``_ascend_prior`` climbs it from the best point of a ``cfg.grid_points``
+    grid (two inputs) or from the uniform and ``max(cfg.restarts, 1)`` random
+    priors, and the best end wins. Here the gap max_a D_a - p @ D certifies a
+    stationary point only; a gap g leaves about g^2 to a local maximum of unit
+    curvature, so the search converged when the winner's is <= sqrt(cfg.tol).
     """
     if v.in_size != w.in_size:
         raise DimensionMismatch(
             f"channels disagree on input alphabet: {v.in_size} vs {w.in_size}"
         )
     k = v.in_size
+    div_v, div_w = _channel_divergences(v.matrix), _channel_divergences(w.matrix)
+
+    def divergences(p):
+        return div_v(p) - div_w(p)
+
     if k == 2:
         ps = np.linspace(0.0, 1.0, cfg.grid_points)
-
-        def advantage(q):
-            p = np.array([q, 1.0 - q])
-            return mutual_information(p, v) - mutual_information(p, w)
-
-        vals = _mi_curve(ps, v.matrix) - _mi_curve(ps, w.matrix)
-        best_p, best_v = _refine_binary_prior(ps, vals, advantage)
-        prior = np.array([best_p, 1.0 - best_p])
-        return ConditionReport(
-            kind="classical", lhs=best_v, rhs=0.0, margin=cfg.margin, lhs_prior=prior
-        )
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(k)] + [rng.normal(size=k) for _ in range(max(cfg.restarts, 1))]
-
-    def neg_soft(z):
-        p = _softmax(z)
-        return -(mutual_information(p, v) - mutual_information(p, w))
-
-    from scipy import optimize
-
-    best_v, best_prior, ok = -np.inf, None, True
-    for z0 in starts:
-        res = optimize.minimize(neg_soft, z0, method="L-BFGS-B", options={"maxiter": _LBFGS_MAX_ITERS})
-        if -res.fun > best_v:
-            best_v, best_prior, ok = float(-res.fun), _softmax(res.x), bool(res.success)
+        q = ps[int(np.argmax(_mi_curve(ps, v.matrix) - _mi_curve(ps, w.matrix)))]
+        starts = [np.array([q, 1.0 - q])]
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        starts = [np.full(k, 1.0 / k)]
+        starts += [rng.dirichlet(np.ones(k)) for _ in range(max(cfg.restarts, 1))]
+    best_v, best_prior = -np.inf, None
+    for p0 in starts:
+        p = _ascend_prior(divergences, p0, cfg.tol)
+        val = mutual_information(p, v) - mutual_information(p, w)
+        if val > best_v:
+            best_v, best_prior = val, p
+    div = divergences(best_prior)
     return ConditionReport(
         kind="classical", lhs=best_v, rhs=0.0, margin=cfg.margin, lhs_prior=best_prior,
-        converged=ok,
+        converged=bool(div.max() - best_prior @ div <= math.sqrt(cfg.tol)),
     )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ THREE_MIXED = {
     },
     "channel": {"builtin": "identity"},
     "output_dims": [2, 2],
+}
+
+# Four real qubit letters cos(t/2)|0> + sin(t/2)|1>, the last two nearly equal,
+# under the identity channel with a trivial adversary: the capacity puts
+# weight 1/2 on each of the outer letters and none on the middle two.
+FOUR_LETTER = {
+    "format": "qkdsim-scenario-v1",
+    "name": "four-letter",
+    "key_count": 2,
+    "alphabet_size": 4,
+    "states": {
+        str(a): [[math.cos(t / 2), 0], [math.sin(t / 2), 0]]
+        for a, t in enumerate((0.453, 1.608, 2.980, 2.986))
+    },
+    "channel": {"builtin": "identity"},
+    "output_dims": [2, 1],
 }
 
 

@@ -1,16 +1,17 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here is deliberately separate from the package's own code paths:
-closed forms for binary pure-state ensembles, a dense brute-force grid
-over qubit projective measurements and priors, dense partial-trace and
-coarse-graining references, the receiver's pretty-good measurement
-built on the full block space, and the straightforward forms of the
-optimizers' inner loops: the rank-one split one effect at a time, the POVM
-objective one frame at a time and the adversary's information contracted
-over every outcome tuple. ``alternating_c1`` is the reference seesaw for C1:
-every start climbed by the longer alternating round, against which C1 must
-never report less. It reuses the package's POVM ascent and joint objective;
-from three letters on, its round is C1's own.
+closed forms for binary pure-state ensembles, a dense brute-force grid over
+qubit projective measurements and priors, dense partial-trace and
+coarse-graining references, the receiver's pretty-good measurement built on
+the full block space, plain Blahut-Arimoto for the Holevo and the classical
+channel capacity, run to a duality gap of 1e-12 or a step cap, and the
+straightforward forms of the optimizers' inner loops: the rank-one split one
+effect at a time, the POVM objective one frame at a time and the adversary's
+information contracted over every outcome tuple. ``alternating_c1`` is the
+reference seesaw for C1: every start climbed by the longer alternating
+round, against which C1 must never report less. It reuses the package's POVM
+ascent and joint objective; its prior search is this module's own.
 """
 
 import math
@@ -238,16 +239,82 @@ def tuple_key_information(letters, decoder, tables, free, groups, ps):
     return value, grads
 
 
+BA_GAP = 1e-12
+BA_MAX_ITERS = 100_000
+
+
+def _entropy(x) -> np.ndarray:
+    """Shannon entropy in bits along the last axis, 0 log 0 = 0."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    safe = np.where(x > 0, x, 1.0)
+    return -(x * np.log2(safe)).sum(axis=-1)
+
+
+def _blahut_arimoto(divergences, size: int) -> np.ndarray:
+    """Prior of a capacity by multiplicative steps from the uniform prior,
+    run until the duality gap max_a D_a - p @ D is at most ``BA_GAP`` or for
+    ``BA_MAX_ITERS`` steps. Each step raises the value, and the prior is a
+    witness either way, so its value is a lower bound on the capacity. A
+    near-useless channel can need more steps than the cap: plain
+    Blahut-Arimoto took 1.7 million on one random four-input channel."""
+    p = np.full(size, 1.0 / size)
+    for _ in range(BA_MAX_ITERS):
+        div = divergences(p)
+        if div.max() - p @ div <= BA_GAP:
+            break
+        p = p * np.exp2(div - div.max())
+        p = p / p.sum()
+    return p
+
+
+def classical_capacity_ba(rows) -> tuple[np.ndarray, float]:
+    """Capacity-achieving prior and capacity in bits of a classical channel
+    with row-stochastic ``rows``, by ``_blahut_arimoto``."""
+    rows = np.asarray(rows, dtype=float)
+    log_rows = np.log2(np.where(rows > 0, rows, 1.0))
+
+    def divergences(p):
+        out = p @ rows
+        return (rows * (log_rows - np.log2(np.where(out > 0, out, 1.0)))).sum(axis=1)
+
+    p = _blahut_arimoto(divergences, rows.shape[0])
+    return p, float(_entropy(p @ rows) - p @ _entropy(rows))
+
+
+def _log2m(matrix) -> np.ndarray:
+    """log2 of a PSD matrix on its support (eigenvalues above 1e-15)."""
+    vals, vecs = np.linalg.eigh(matrix)
+    logs = np.log2(np.where(vals > 1e-15, vals, 1.0))
+    return (vecs * logs) @ vecs.conj().T
+
+
+def holevo_capacity_ba(e) -> float:
+    """Holevo capacity max_P chi(P) of an ensemble's letters in bits, by
+    ``_blahut_arimoto`` on D_a = D(rho_a || rho_bar)."""
+    states = [s.matrix for s in e.states]
+    self_terms = np.array([np.trace(rho @ _log2m(rho)).real for rho in states])
+
+    def divergences(p):
+        log_avg = _log2m(sum(pa * rho for pa, rho in zip(p, states)))
+        return self_terms - np.array([np.trace(rho @ log_avg).real for rho in states])
+
+    p = _blahut_arimoto(divergences, len(states))
+    avg = sum(pa * rho for pa, rho in zip(p, states))
+    each = np.array([_entropy(np.linalg.eigvalsh(rho)) for rho in states])
+    return float(_entropy(np.linalg.eigvalsh(avg)) - p @ each)
+
+
 def _best_prior(rows, cfg):
     """Capacity-achieving prior of a classical channel and its value: the best
-    point of a ``cfg.grid_points`` grid for two inputs, Blahut-Arimoto from
-    the uniform prior otherwise."""
+    point of a ``cfg.grid_points`` grid for two inputs, ``_blahut_arimoto``
+    otherwise."""
     if rows.shape[0] == 2:
         ps = np.linspace(0.0, 1.0, cfg.grid_points)
-        vals = info._mi_curve(ps, rows)
+        priors = np.stack([ps, 1.0 - ps], axis=1)
+        vals = _entropy(priors @ rows) - priors @ _entropy(rows)
         i = int(np.argmax(vals))
-        return np.array([ps[i], 1.0 - ps[i]]), float(vals[i])
-    return info._best_prior_for_channel(rows, cfg)[:2]
+        return priors[i], float(vals[i])
+    return classical_capacity_ba(rows)
 
 
 def _joint_step(stack, prior, frame):

@@ -570,6 +570,12 @@ class TestStartup:
         run = _scipy_after([sweep, bad_overlap])
         assert run == {"codes": [0, 1], "scipy": []}
 
+    def test_symmetric_binary_capacity_never_loads_scipy(self):
+        # The prior ascent starts at the uniform prior, which already meets its stop.
+        run = _scipy_after([["capacity", "paper-example", "--overlap", "0.5"],
+                            ["capacity", "bsc-pair", "0.1", "0.3"]])
+        assert run == {"codes": [0, 0], "scipy": []}
+
     def test_first_optimizer_call_loads_scipy(self):
         run = _scipy_after([["analyze", "paper-example", "--overlap", "0.5"]])
         assert run["codes"] == [0]

@@ -14,6 +14,9 @@ from qkdsim.information import (
     OptimizerConfig,
     _ascend_joint,
     _ascend_povm,
+    _ascend_prior,
+    _best_prior_for_channel,
+    _channel_divergences,
     _joint_objective,
     _lbfgs,
     _mi_and_grad,
@@ -42,12 +45,20 @@ from qkdsim.measurements import (
 from qkdsim.scenarios import paper_example, scenario_from_dict
 from qkdsim.states import pure_state
 
-from conftest import THREE_MIXED, central_differences, random_density, random_pure
+from conftest import (
+    FOUR_LETTER,
+    THREE_MIXED,
+    central_differences,
+    random_density,
+    random_pure,
+)
 from oracles import (
     alternating_c1,
     binary_entropy,
+    classical_capacity_ba,
     coarse_grain,
     grid_c1_qubit,
+    holevo_capacity_ba,
     povm_objective_per_frame,
     pure_pair_c1,
     pure_pair_capacity,
@@ -67,6 +78,12 @@ def random_mixed_ensemble(size, dim, seed):
 mixed_ensembles = st.builds(
     random_mixed_ensemble, st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(0, 2**16)
 )
+
+
+def random_channel_rows(inputs, outputs, concentration, seed):
+    """Row-stochastic rows, each drawn from Dirichlet(concentration)."""
+    rng = np.random.default_rng(seed)
+    return rng.dirichlet(np.full(outputs, concentration), size=inputs)
 
 
 def qubit_pair_ensemble(s, prior=(0.5, 0.5)):
@@ -186,6 +203,39 @@ class TestHolevo:
         res = holevo_capacity(e, CFG)
         assert holevo_chi(e) - 1e-9 <= res.value <= math.log2(3)
         assert res.converged
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        e=st.builds(
+            random_mixed_ensemble, st.integers(2, 5), st.sampled_from([2, 3]), st.integers(0, 2**16)
+        )
+    )
+    @example(e=scenario_from_dict(FOUR_LETTER).ensemble)
+    @example(e=scenario_from_dict(THREE_MIXED).ensemble)
+    def test_capacity_reaches_blahut_arimoto_property(self, e):
+        res = holevo_capacity(e, CFG)
+        assert res.converged
+        assert res.value >= holevo_capacity_ba(e) - 1e-12
+
+
+class TestPriorAscent:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        rows=st.builds(
+            random_channel_rows, st.integers(2, 5), st.integers(2, 5), st.sampled_from([0.2, 1.0]),
+            st.integers(0, 2**16),
+        )
+    )
+    def test_classical_capacity_reaches_blahut_arimoto_property(self, rows):
+        _, value, converged = _best_prior_for_channel(rows, CFG)
+        assert converged
+        assert value >= classical_capacity_ba(rows)[1] - 1e-12
+
+    def test_prior_ascent_frees_a_letter_at_weight_zero(self):
+        # At a vertex the other letters' divergences exceed the value, so the
+        # bounded weights leave the face, where softmax logits could not.
+        p = _ascend_prior(_channel_divergences(np.eye(3)), np.array([1.0, 0.0, 0.0]), 1e-9)
+        np.testing.assert_allclose(p, np.full(3, 1 / 3), rtol=0, atol=1e-9)
 
 
 class TestAccessibleInformation:
@@ -571,7 +621,33 @@ class TestClassicalAdvantage:
         v = ClassicalChannel(np.eye(3))
         w = ClassicalChannel(np.full((3, 3), 1 / 3))
         rep = classical_advantage(v, w, CFG)
-        assert rep.lhs == pytest.approx(math.log2(3), abs=1e-4)
+        assert rep.lhs == pytest.approx(math.log2(3), abs=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        inputs=st.integers(2, 5), outputs=st.integers(2, 5),
+        concentration=st.sampled_from([0.1, 1.0]), seed=st.integers(0, 2**16),
+    )
+    def test_converged_and_at_least_uniform_property(self, inputs, outputs, concentration, seed):
+        v = ClassicalChannel(random_channel_rows(inputs, outputs, concentration, seed))
+        w = ClassicalChannel(random_channel_rows(inputs, outputs, concentration, seed + 1))
+        rep = classical_advantage(v, w, CFG)
+        uniform = np.full(inputs, 1 / inputs)
+        assert rep.converged
+        assert rep.lhs >= mutual_information(uniform, v) - mutual_information(uniform, w) - 1e-12
+
+    def test_step_onto_zero_weights(self):
+        # From two of the default random starts, L-BFGS-B's second step
+        # proposes q = 0, where the prior is undefined.
+        v = ClassicalChannel([[0.9999999982, 1.8e-09], [0.9999999928, 7.2e-09],
+                              [0.9982484065, 0.0017515935], [0.8794348969, 0.1205651031],
+                              [0.815113935, 0.184886065]])
+        w = ClassicalChannel([[6.747e-07, 0.9999993253], [0.999999699, 3.01e-07],
+                              [0.9966106549, 0.0033893451], [0.118271903, 0.881728097],
+                              [0.9970301667, 0.0029698333]])
+        rep = classical_advantage(v, w, OptimizerConfig())
+        assert rep.converged
+        assert rep.lhs == pytest.approx(0.102861117031, abs=1e-10)
 
 
 class TestQuantumCondition:

@@ -1,6 +1,6 @@
-"""Frozen scalar outputs of the POVM ascent, the binary-prior search and the
+"""Frozen scalar outputs of the POVM ascent, the prior ascent and the
 adversary's seesaw between its slots and its decoder, on binary alphabets and
-on one three-letter scenario file.
+on a three-letter and a four-letter scenario file.
 
 Both ascent callers (C1 and the seesaw) share one routine, so a change to it
 shows in every pin here; the values are exact to abs 1e-10.
@@ -21,7 +21,7 @@ from qkdsim.simulation import (
     sample_codebook,
 )
 
-from conftest import THREE_MIXED
+from conftest import FOUR_LETTER, THREE_MIXED
 
 ABS = 1e-10
 
@@ -76,12 +76,23 @@ def three_mixed(tmp_path):
 
 
 def test_analyze_three_letter_c1_pin(tmp_path, three_mixed):
-    # Three letters: C1 runs Blahut-Arimoto for the prior and ends on the
-    # boundary of the simplex, with no weight on letter 2.
+    # Three letters: C1's prior search ends on the boundary of the simplex,
+    # with no weight on letter 2.
     payload = _run(tmp_path, ["analyze", three_mixed])
     assert payload["quantum"]["rhs"] == pytest.approx(0.323844957799, abs=ABS)
     prior = payload["quantum"]["rhs_prior"]
-    assert prior == pytest.approx([0.4019457392, 0.5980542608, 0.0], abs=ABS)
+    assert prior == pytest.approx([0.401945737279, 0.598054262721, 0.0], abs=ABS)
+
+
+def test_capacity_four_letter_file(tmp_path):
+    # Blahut-Arimoto alone moves weight between the two nearly equal letters
+    # slowly; it stopped at its iteration cap 3.2e-5 low and exited 2.
+    path = tmp_path / "four-letter.json"
+    path.write_text(json.dumps(FOUR_LETTER))
+    payload = _run(tmp_path, ["capacity", str(path)])
+    assert payload["converged"]
+    assert payload["capacity"] == pytest.approx(0.934237, abs=1e-6)
+    assert payload["prior"] == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-6)
 
 
 def test_simulate_three_letter_optimized_pin(tmp_path, three_mixed):

@@ -4,8 +4,9 @@ Usage: python3 tools/equality_set.py SRC OUTDIR
 
 Imports ``qkdsim.cli.main`` from the package under SRC (a ``src`` directory)
 and runs each command in-process with ``--out``, from OUTDIR as the working
-directory. It first writes the scenario file ``three-mixed.json`` there: three
-pure letters on two qubits, the set's one alphabet larger than two. For command NN
+directory. It first writes two scenario files there: ``three-mixed.json``, three
+pure letters on two qubits, and ``four-letter.json``, four real qubit letters
+whose capacity puts no weight on its two middle letters. For command NN
 it writes to OUTDIR the ``--out`` file (NN.out, absent when the command fails
 before writing it), stdout without the ``wall time:`` line (NN.stdout), stderr
 (NN.stderr) and the exit code (NN.exit); ``commands.txt`` lists the commands.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -33,6 +35,19 @@ THREE_MIXED_SCENARIO = {
     },
     "channel": {"builtin": "identity"},
     "output_dims": [2, 2],
+}
+FOUR_LETTER = "four-letter.json"
+FOUR_LETTER_SCENARIO = {
+    "format": "qkdsim-scenario-v1",
+    "name": "four-letter",
+    "key_count": 2,
+    "alphabet_size": 4,
+    "states": {
+        str(a): [[math.cos(t / 2), 0], [math.sin(t / 2), 0]]
+        for a, t in enumerate((0.453, 1.608, 2.980, 2.986))
+    },
+    "channel": {"builtin": "identity"},
+    "output_dims": [2, 1],
 }
 SIM = ["simulate", "paper-example", "--overlap", "0.5", "-n", "3"]
 COMMANDS = [
@@ -64,6 +79,8 @@ COMMANDS = [
     *([command, THREE_MIXED] for command in ("analyze", "accessible", "capacity")),
     ["simulate", THREE_MIXED, "-n", "2", "--coder", "random", "--eve", "optimized",
      "--restarts", "2", "--seed", "1"],
+    # Four letters, two of them nearly equal: the capacity prior is [0.5, 0, 0, 0.5].
+    ["capacity", FOUR_LETTER],
 ]
 
 
@@ -87,6 +104,7 @@ def main(argv=None) -> int:
     os.makedirs(outdir, exist_ok=True)
     os.chdir(outdir)
     _write(THREE_MIXED, json.dumps(THREE_MIXED_SCENARIO, indent=2) + "\n")
+    _write(FOUR_LETTER, json.dumps(FOUR_LETTER_SCENARIO, indent=2) + "\n")
     _write("commands.txt", "".join(" ".join(c) + "\n" for c in COMMANDS))
     for i, command in enumerate(COMMANDS, 1):
         base = f"{i:02d}"
