@@ -18,38 +18,46 @@ POVM, as described below.
 POVM maximization runs on rank-one frames: a POVM with one outcome per
 rank-one piece is a frame of raw vectors w_b, normalized by the frame
 operator to u_b = T^(-1/2) w_b, and scored through its Born table
-P[a, b] = <u_b| rho_a |u_b>. ``_ascend_povm`` is the quasi-Newton ascent
-of frames under a fixed prior. It runs over a list of frames, one per POVM:
-``accessible_information``, ``c1`` and ``c_k`` pass one, and the
-adversary's seesaw in ``simulation.eve_optimize`` passes one per slot it
-ascends, a single slot or all at once. Each caller supplies its objective
-of the Born tables P_f with the gradients dI/dP_f; for the mutual
-information that is p(a) (log2 P(b|a) - log2 P(b)) (``_mi_and_grad``).
-``_povm_objective`` pulls them back exactly through the Born rule and each
-frame's normalization (the Daleckii-Krein derivative of T^(-1/2) on T's
-eigenbasis), so L-BFGS-B runs on the analytic gradient. It evaluates all
-frames in one stacked pass: their rows go into one (F, r, d) array, a frame
-with fewer rows padded with zero rows, so one batched ``eigh`` takes every
-frame operator and the Born tables and pullbacks are batched alike. A single
-frame (C1, ``accessible_information``, a one-slot ascent) skips the frame
-axis, so its arithmetic and its bits are a one-frame pass's. L-BFGS-B's one
-call site is ``_lbfgs``, shared with C1's joint ascent and the prior ascent;
-a start that already meets the projected-gradient stop returns there as
-converged without a scipy call.
+P[a, b] = <u_b| rho_a |u_b>. Every ascent of frames is L-BFGS-B on
+``_povm_objective``: the caller supplies its objective of the Born tables P_f
+with the gradients dI/dP_f; for the mutual information that is
+p(a) (log2 P(b|a) - log2 P(b)) (``_mi_and_grad``). ``_povm_objective`` pulls
+them back exactly through the Born rule and each frame's normalization (the
+Daleckii-Krein derivative of T^(-1/2) on T's eigenbasis), so L-BFGS-B runs
+on the analytic gradient. Several frames go through one stacked pass: their
+rows are scattered into one zero-padded (F, r, d) array, one batched ``eigh``
+takes every frame operator, and the caller's objective takes the (F, A, r)
+tables and returns an (F, A, r) gradient; a padded row's column of P is 0
+and its gradient is never gathered back. A single frame (a one-slot ascent of
+the adversary) skips the frame axis, so its arithmetic and its bits are a
+one-frame pass's. The adversary's seesaw in ``simulation.eve_optimize``
+ascends one problem, a slot or all of its slots, by ``_ascend_povm``. C1, C_k
+and ``accessible_information`` climb many independent starts, and
+``_ascend_starts`` climbs all of them at once: one L-BFGS-B problem whose
+value is the sum over starts of I(p_f, P_f), each start's frame (and, in a
+joint ascent, its prior's logits) one block of x, so the gradient is
+blockwise and one stacked pass serves every start (Byrd, Lu, Nocedal and
+Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)). L-BFGS-B's one call site is
+``_lbfgs``, shared with the prior ascent; a start that already meets the
+projected-gradient stop returns there as converged without a scipy call,
+and such a start does not join a stacked ascent either.
 
 C1 and C_k are a seesaw over (prior, POVM) from structured starts
 (Helstrom, pretty-good measurement) and random restarts. Each start is
 held as its frame, its prior and its Born table; a ``Povm`` is built only
 for the winner. A round is one joint ascent over the frame and the prior's
-logits (``_ascend_joint``, on ``_povm_objective`` plus the prior's
-gradient), the standard joint form of the problem (Shor, Math. Program. 97,
-311 (2003)), which climbs to its basin's top in one call. For two letters
-that is the whole round: I is concave in the one-number prior at a fixed
-POVM, so the ascent's prior is the best for its POVM. From three letters
-on, a letter whose logit has fallen far cannot come back, and an ascent
-from a poor start POVM can drop a letter that the maximum keeps; so the
-round first ascends the frame at the fixed prior and re-optimizes the prior
-for the row-normalized table by the prior ascent.
+logits (``_joint_objective``), the standard joint form of the problem
+(Shor, Math. Program. 97, 311 (2003)), which climbs to its basin's top in
+one call; every start still climbing takes its round in the same stacked
+ascent, and keeps it only when it raises that start's exact value. For two
+letters that is the whole round: I is concave in the one-number prior at a
+fixed POVM, so the ascent's prior is the best for its POVM. From three
+letters on, a letter whose logit has fallen far cannot come back, and an
+ascent from a poor start POVM can drop a letter that the maximum keeps; so
+the round first ascends every frame at its fixed prior (one stacked ascent)
+and re-optimizes each prior for its row-normalized table by the prior
+ascent. ``accessible_information`` climbs its starts at the ensemble's prior
+in one stacked ascent.
 Every reported value is re-evaluated through the exact Born-rule path, so
 results are achievable by the returned witness; optimizers can under- but
 never over-report.
@@ -68,6 +76,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,9 +98,10 @@ from .states import DensityOperator
 _BA_MAX_ITERS = 2000
 _LBFGS_MAX_ITERS = 300
 _EIG_LOG_FLOOR = 1e-18
-# L-BFGS-B's projected-gradient stop for the joint ascents of both seesaws:
-# C1's over the frame and the prior, the adversary's over all of its slots.
-# The ascents of one POVM keep L-BFGS-B's default, 1e-5.
+# L-BFGS-B's projected-gradient stop for every stacked ascent of C1's, C_k's
+# and accessible information's starts, joint or at fixed priors, and for the
+# adversary's joint ascent over all of its slots. The adversary's one-slot
+# ascents keep L-BFGS-B's default, 1e-5.
 _JOINT_GTOL = 1e-8
 # A random start of C1's seesaw replaces the best start so far only when it
 # beats it by more than this; below it, two starts that reached the same
@@ -321,64 +331,101 @@ def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """The prior with logits z."""
-    p = np.exp(z - z.max())
-    return p / p.sum()
-
-
-def _mi_and_log_ratio(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
-    """I(prior, probs) and log2 P(b|a) - log2 P(b), both logarithms floored at
-    ``_EIG_LOG_FLOOR``."""
-    value, out = _mi_and_marginal(prior, probs)
-    floor = _EIG_LOG_FLOOR
-    return value, np.log2(np.maximum(probs, floor)) - np.log2(np.maximum(out, floor))
+    """The prior with logits z, or one prior per row of a stack of logits."""
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _mi_and_grad(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
-    """I(prior, probs) and its gradient G[a, b] = p(a) (log2 P(b|a) - log2 P(b)).
+    """I(prior, probs) and its gradient G[a, b] = p(a) (log2 P(b|a) - log2 P(b)),
+    both logarithms floored at ``_EIG_LOG_FLOOR``.
 
     The entropy terms' constants cancel, so G needs no normalization of the
     rows.
     """
-    value, ratio = _mi_and_log_ratio(prior, probs)
+    value, out = _mi_and_marginal(prior, probs)
+    floor = _EIG_LOG_FLOOR
+    ratio = np.log2(np.maximum(probs, floor)) - np.log2(np.maximum(out, floor))
     return value, prior[:, None] * ratio
 
 
-def _povm_objective(
-    x: np.ndarray, stack: np.ndarray, value_and_grad, parts: list[slice]
-) -> tuple[float, np.ndarray]:
-    """-value(P_1, ..., P_F) and its exact gradient in the packed raw vectors x.
+def _divergences_stacked(priors: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D_f[a] = sum_b P_f[a, b] (log2 P_f(b|a) - log2 P_f(b)) of F priors
+    (F, A) and Born tables (F, A, m) at once, and the log ratios inside it,
+    both logarithms floored as in ``_mi_and_grad``. I(p_f, P_f) = p_f . D_f,
+    whose gradient in P_f is p_f[a] times the log ratio. A zero column, such
+    as a padded row's, has a log ratio of exactly 0."""
+    out = np.einsum("fa,fab->fb", priors, probs)
+    floor = _EIG_LOG_FLOOR
+    ratio = np.log2(np.maximum(probs, floor)) - np.log2(np.maximum(out, floor))[:, None]
+    return (probs * ratio).sum(axis=2), ratio
 
-    x holds the real then the imaginary parts of the raw rows w_b of every
-    frame in turn; frame f holds the rows parts[f]. Per frame, with
-    T = sum_b |w_b><w_b| = V diag(lam) V^dagger, u_b = T^(-1/2) w_b and
-    P_f[a, b] = <u_b| rho_a |u_b> clipped at 0, the caller's gradient G_f of
-    value (zero where P_f was clipped) pulls back through the Born rule to
-    h_b = sum_a G_f[a, b] rho_a u_b, and through the frame by the
-    Daleckii-Krein derivative of lam^(-1/2), whose divided differences are
+
+class _Rows(NamedTuple):
+    """Where the packed rows of F frames go in ``_povm_objective``'s zero-padded
+    (F, r, d) array: packed row i is row ``row[i]`` of frame ``frame[i]``."""
+
+    frame: np.ndarray
+    row: np.ndarray
+    shape: tuple[int, int]
+
+
+def _frame_rows(sizes) -> _Rows:
+    """The ``_Rows`` of frames of ``sizes`` rows each, packed one after another."""
+    sizes = np.asarray(sizes)
+    first = np.cumsum(sizes) - sizes
+    row = np.arange(sizes.sum()) - np.repeat(first, sizes)
+    return _Rows(np.repeat(np.arange(sizes.size), sizes), row, (sizes.size, int(sizes.max())))
+
+
+def _pack(frames, logits=()) -> np.ndarray:
+    """The packed raw vectors of ``frames``: the real then the imaginary parts
+    of their rows, frame after frame, then any ``logits`` arrays."""
+    return np.concatenate(
+        [w.real.ravel() for w in frames] + [w.imag.ravel() for w in frames] + list(logits)
+    )
+
+
+def _unpack(x: np.ndarray, sizes, dim: int) -> list[np.ndarray]:
+    """The complex rows of each frame of ``sizes`` rows in a packed x; the
+    values after them (logits) are not read."""
+    n = sum(sizes) * dim
+    w = (x[:n] + 1j * x[n : 2 * n]).reshape(-1, dim)
+    return np.split(w, np.cumsum(sizes)[:-1])
+
+
+def _povm_objective(
+    x: np.ndarray, stack: np.ndarray, value_and_grad, rows: _Rows | None
+) -> tuple[float, np.ndarray]:
+    """-value and its exact gradient in the packed raw vectors x of one or
+    more frames (``_pack``).
+
+    Per frame, with T = sum_b |w_b><w_b| = V diag(lam) V^dagger,
+    u_b = T^(-1/2) w_b and P[a, b] = <u_b| rho_a |u_b> clipped at 0, the
+    caller's gradient G of value (zero where P was clipped) pulls back through
+    the Born rule to h_b = sum_a G[a, b] rho_a u_b, and through the frame by
+    the Daleckii-Krein derivative of lam^(-1/2), whose divided differences are
     f1_ij = -1 / (sqrt(lam_i) sqrt(lam_j) (sqrt(lam_i) + sqrt(lam_j))): with
     C = sum_b |w_b><h_b| and D = V (f1 o V^dagger (C + C^dagger) V) V^dagger,
     d value / d conj(w_b) = T^(-1/2) h_b + D w_b. A singular frame scores
     50.0 with a zero gradient.
 
-    The F frames go through one stacked pass: an (F, r, d) array of rows, one
-    batched ``eigh`` of the frame operators and batched Born tables and
-    pullbacks. A frame with fewer than r rows is padded with zero rows, which
-    change neither T nor the other rows and get a zero gradient; the caller
-    sees each frame's own rows only. A single frame keeps its (r, d) rows
-    without the frame axis: the same operations then run on 2-D arrays, which
-    costs numpy less per call.
+    With ``rows`` None, x is one frame: its (r, d) rows go through the pass as
+    2-D arrays, which costs numpy least per call, and
+    ``value_and_grad(P)`` takes its (A, r) table and returns the value and G.
+    Otherwise x holds the F frames of ``rows``, which go through one stacked
+    pass: their rows are scattered into a zero-padded (F, r, d) array, one
+    batched ``eigh`` takes every frame operator, and ``value_and_grad``
+    takes the (F, A, r) tables and returns the value and the (F, A, r)
+    gradient. A padded row changes neither T nor the other rows; its column
+    of P is 0, its u_b and h_b are 0, and its gradient is never gathered
+    back into x.
     """
     d = stack.shape[1]
-    w_all = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, d)
-    sizes = [part.stop - part.start for part in parts]
-    single = len(parts) == 1
-    if single:
-        w = w_all
-    else:
-        w = np.zeros((len(parts), max(sizes), d), dtype=complex)
-        for f, part in enumerate(parts):
-            w[f, : sizes[f]] = w_all[part]
+    w = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, d)
+    if rows is not None:
+        packed, w = w, np.zeros(rows.shape + (d,), dtype=complex)
+        w[rows.frame, rows.row] = packed
     lam, vecs = np.linalg.eigh(np.einsum("...bi,...bj->...ij", w, w.conj()))
     if lam.min() < 1e-12:
         return 50.0, np.zeros_like(x)
@@ -387,61 +434,54 @@ def _povm_objective(
     inv_sqrt_t = ((vecs / root[..., None, :]) @ vecs_h).swapaxes(-1, -2)
     u = w @ inv_sqrt_t
     raw = np.einsum("...bi,aij,...bj->...ab", u.conj(), stack, u).real
-    probs = np.maximum(raw, 0.0)
-    value, gs = value_and_grad([probs] if single else [p[:, :n] for p, n in zip(probs, sizes)])
-    if single:
-        (g,) = gs
-    else:
-        g = np.zeros_like(raw)
-        for f, (gf, n) in enumerate(zip(gs, sizes)):
-            g[f, :, :n] = gf
+    value, g = value_and_grad(np.maximum(raw, 0.0))
     h = np.einsum("...ab,aij,...bj->...bi", np.where(raw < 0.0, 0.0, g), stack, u)
     c = w.swapaxes(-1, -2) @ h.conj()
     col, row = root[..., :, None], root[..., None, :]
     f1 = -1.0 / ((col * row) * (col + row))
     dd = vecs @ (f1 * (vecs_h @ (c + c.conj().swapaxes(-1, -2)) @ vecs)) @ vecs_h
     grad = 2.0 * (h @ inv_sqrt_t + w @ dd.swapaxes(-1, -2))
-    if not single:
-        grad = np.concatenate([gf[:n] for gf, n in zip(grad, sizes)])
+    if rows is not None:
+        grad = grad[rows.frame, rows.row]
     return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
 
 
 def _ascend_povm(
     stack: np.ndarray, frames: list[np.ndarray], value_and_grad, max_iters: int, gtol: float = 1e-5
 ) -> tuple[list[np.ndarray] | None, bool]:
-    """Quasi-Newton ascent of value(P_1, ..., P_F) over rank-one POVMs.
+    """Quasi-Newton ascent of one value(P_1, ..., P_F) over rank-one POVMs.
 
     Each of the F ``frames`` holds one POVM's raw vectors, one row per
     rank-one piece. All frames are optimized together, unconstrained, and
     each is mapped onto a POVM by ``normalize_vectors``;
     P_f[a, b] = <u_b| rho_a |u_b> for frame f's normalized vectors u_b and
-    the states rho_a in ``stack``. ``value_and_grad`` takes the list of
-    tables P_f and returns the value and the gradients
-    G_f[a, b] = d value / d P_f[a, b]; ``_povm_objective`` pulls them back
-    through the Born rule and each frame's normalization, so L-BFGS-B
-    (``_lbfgs``) gets the exact gradient with every evaluation; it stops
-    after ``max_iters`` iterations or once the projected gradient is at most
-    ``gtol``, which a start that already meets it does with no iteration
-    and no scipy call. A prior
-    in the objective stays fixed; C1's ascent over the prior as well is
-    ``_ascend_joint``. Returns the normalized final frames (None if any is
+    the states rho_a in ``stack``. ``value_and_grad`` is ``_povm_objective``'s:
+    it takes the one frame's (A, r) table, or for F > 1 the zero-padded
+    (F, A, r) tables, and returns the value and its gradient in them, of the
+    same shape. ``_povm_objective`` pulls it back through the Born rule and
+    each frame's normalization, so L-BFGS-B (``_lbfgs``) gets the exact
+    gradient with every evaluation; it stops after ``max_iters`` iterations
+    or once the projected gradient is at most ``gtol``, which a start that
+    already meets it does with no iteration and no scipy call. This is the
+    adversary's slot ascent; C1's starts, each its own problem, climb by
+    ``_ascend_starts``. Returns the normalized final frames (None if any is
     singular, see ``_normalized``) and whether L-BFGS reported success.
     """
-    stops = itertools.accumulate(len(w) for w in frames)
-    parts = [slice(stop - len(w), stop) for w, stop in zip(frames, stops)]
-    x0 = np.concatenate([w.real.ravel() for w in frames] + [w.imag.ravel() for w in frames])
-    x, ok = _lbfgs(_povm_objective, x0, (stack, value_and_grad, parts), max_iters, 1e-12, gtol)
-    w = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, stack.shape[1])
-    us = [_normalized(w[part]) for part in parts]
+    sizes = [len(w) for w in frames]
+    rows = None if len(frames) == 1 else _frame_rows(sizes)
+    args = (stack, value_and_grad, rows)
+    x, ok = _lbfgs(_povm_objective, _pack(frames), args, max_iters, 1e-12, gtol)
+    us = [_normalized(w) for w in _unpack(x, sizes, stack.shape[1])]
     return (None if any(u is None for u in us) else us), ok
 
 
 def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: float,
-           bounds=None):
+           bounds=None, first=None):
     """L-BFGS-B minimization of fun(x, *args) = (value, gradient) from x0: the
     final point and whether L-BFGS-B reported success. The package's one
     L-BFGS-B call site, for every analytic-gradient ascent; ``bounds`` are
-    L-BFGS-B's (low, high) pairs, None for an unbounded ascent.
+    L-BFGS-B's (low, high) pairs, None for an unbounded ascent, and ``first``
+    is fun(x0, *args) when the caller has it already.
 
     L-BFGS-B stops at iteration 0, returning x0 as converged, when x0's
     projected gradient is at most gtol. That gradient is never larger than
@@ -452,7 +492,8 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
     anyway. ``scipy.optimize`` is imported here, on the first call that needs
     it, so a process that never ascends never loads it.
     """
-    first = fun(x0, *args)
+    if first is None:
+        first = fun(x0, *args)
     if np.abs(first[1]).max() <= gtol:
         return x0, True
 
@@ -503,61 +544,102 @@ def _start_frame(start: Povm, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pieces[pieces.any(axis=1)], _born_table(effects, stack)
 
 
-def _refine_frame(
-    stack: np.ndarray, prior: np.ndarray, frame: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """Ascent of I(prior, .) over rank-one POVMs from ``frame``, one outcome
-    per rank-one piece: the normalized frame, its Born table and whether
-    L-BFGS-B converged, or None for a singular frame."""
+def _joint_objective(y: np.ndarray, stack: np.ndarray, rows: _Rows) -> tuple[float, np.ndarray]:
+    """-sum_f I(p_f, M_f) and its exact gradient over F rank-one frames and F
+    priors together.
 
-    def value_and_grad(tables):
-        value, g = _mi_and_grad(prior, tables[0])
-        return value, [g]
-
-    us, ok = _ascend_povm(stack, [frame], value_and_grad, _LBFGS_MAX_ITERS)
-    if us is None:
-        return None
-    return us[0], _frame_table(us[0], stack), ok
-
-
-def _joint_objective(y: np.ndarray, stack: np.ndarray, rows: int) -> tuple[float, np.ndarray]:
-    """-I(p, M) and its exact gradient over a rank-one frame and a prior together.
-
-    y holds the frame's ``rows`` raw vectors, packed as in ``_povm_objective``,
-    then the prior's logits z, p = softmax(z). The frame's gradient is
-    ``_povm_objective``'s; with D_a = sum_b P[a, b] (log2 P[a, b] - log2 P(b)),
-    dI/dp_a = D_a - 1/ln 2 pulls back to dI/dz_a = p_a (D_a - sum_c p_c D_c),
-    where the constant cancels.
+    y holds the frames' raw vectors, packed as in ``_povm_objective`` with
+    ``rows``, then each prior's logits z_f, p_f = softmax(z_f). The frames'
+    gradient is ``_povm_objective``'s; with
+    D_f[a] = sum_b P_f[a, b] (log2 P_f[a, b] - log2 P_f(b)),
+    dI/dp_f[a] = D_f[a] - 1/ln 2 pulls back to
+    dI/dz_f[a] = p_f[a] (D_f[a] - p_f . D_f), where the constant cancels.
     """
-    n = 2 * rows * stack.shape[1]
-    p = _softmax(y[n:])
+    n = 2 * rows.frame.size * stack.shape[1]
+    p = _softmax(y[n:].reshape(rows.shape[0], -1))
     div = np.zeros_like(p)
 
     def value_and_grad(tables):
-        value, ratio = _mi_and_log_ratio(p, tables[0])
-        div[:] = (tables[0] * ratio).sum(axis=1)
-        return value, [p[:, None] * ratio]
+        div[:], ratio = _divergences_stacked(p, tables)
+        return float((p * div).sum()), p[:, :, None] * ratio
 
-    value, grad = _povm_objective(y[:n], stack, value_and_grad, [slice(0, rows)])
-    return value, np.concatenate([grad, -p * (div - p @ div)])
+    value, grad = _povm_objective(y[:n], stack, value_and_grad, rows)
+    pull = p * (div - (p * div).sum(axis=1, keepdims=True))
+    return value, np.concatenate([grad, -pull.ravel()])
 
 
-def _ascend_joint(
-    stack: np.ndarray, prior: np.ndarray, frame: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """One L-BFGS-B ascent of I(p, M) over the prior and the rank-one frame
-    together (``_joint_objective``), stopped only once the projected gradient
-    is at most ``_JOINT_GTOL``: the prior, the normalized frame and its Born
-    table, or None for a singular frame."""
-    y0 = np.concatenate(
-        [frame.real.ravel(), frame.imag.ravel(), np.log(np.clip(prior, _EIG_LOG_FLOOR, None))]
-    )
-    y, _ = _lbfgs(_joint_objective, y0, (stack, len(frame)), _LBFGS_MAX_ITERS, 0.0, _JOINT_GTOL)
-    n = frame.size
-    u = _normalized((y[:n] + 1j * y[n : 2 * n]).reshape(frame.shape))
-    if u is None:
-        return None
-    return _softmax(y[2 * n :]), u, _frame_table(u, stack)
+def _block_max(grad: np.ndarray, rows: _Rows, dim: int) -> np.ndarray:
+    """max |grad| over each start's block of a packed gradient: its frame's
+    rows, real and imaginary, and any logits after the frames."""
+    n = rows.frame.size * dim
+    per_row = np.abs(grad[: 2 * n]).reshape(2, -1, dim).max(axis=(0, 2))
+    top = np.zeros(rows.shape[0])
+    np.maximum.at(top, rows.frame, per_row)
+    if grad.size > 2 * n:
+        top = np.maximum(top, np.abs(grad[2 * n :]).reshape(rows.shape[0], -1).max(axis=1))
+    return top
+
+
+def _ascend_starts(
+    stack: np.ndarray, priors, frames, joint: bool
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, bool] | None]:
+    """One L-BFGS-B ascent of sum_f I(p_f, M_f) over the rank-one frames of
+    F starts at once: over their priors as well with ``joint``
+    (``_joint_objective``), at the fixed ``priors`` without.
+
+    Each start is one block of x, its frame and with ``joint`` its prior's
+    logits. The blocks share only the sum, so the gradient is blockwise, and
+    one stacked ``_povm_objective`` pass serves every start. A start whose own
+    block already meets the stop, max |g| at most ``_JOINT_GTOL``, does not
+    join, and comes back as it went in, as ``_lbfgs`` returns such a start on
+    its own; in the sum, L-BFGS-B would move it with the others. The others
+    climb in one ``_lbfgs`` call, which stops only once the whole projected
+    gradient is at most ``_JOINT_GTOL`` (``ftol`` 0), when its line search
+    fails, or after ``_LBFGS_MAX_ITERS`` iterations. Returns per start its
+    prior, normalized frame, Born table and whether L-BFGS-B reported
+    success, or None for a singular frame.
+    """
+    dim = stack.shape[1]
+    priors = np.stack(priors)
+
+    def problem(idx):
+        rows = _frame_rows([len(frames[f]) for f in idx])
+        picked = [frames[f] for f in idx]
+        if joint:
+            logits = np.log(np.clip(priors[idx], _EIG_LOG_FLOOR, None)).ravel()
+            return _pack(picked, [logits]), _joint_objective, (stack, rows)
+
+        fixed = priors[idx]
+
+        def value_and_grad(tables):
+            div, ratio = _divergences_stacked(fixed, tables)
+            return float((fixed * div).sum()), fixed[:, :, None] * ratio
+
+        return _pack(picked), _povm_objective, (stack, value_and_grad, rows)
+
+    def ends(idx, x, ok):
+        sizes = [len(frames[f]) for f in idx]
+        ws = _unpack(x, sizes, dim)
+        ps = _softmax(x[2 * sum(sizes) * dim :].reshape(len(idx), -1)) if joint else priors[idx]
+        return {f: (w, p, ok) for f, w, p in zip(idx, ws, ps)}
+
+    everyone = list(range(len(frames)))
+    x0, fun, args = problem(everyone)
+    first = fun(x0, *args)
+    moving = [f for f, top in enumerate(_block_max(first[1], args[-1], dim)) if top > _JOINT_GTOL]
+    out = ends(everyone, x0, True)
+    if moving:
+        if len(moving) < len(frames):
+            x0, fun, args = problem(moving)
+            first = None
+        x, ok = _lbfgs(fun, x0, args, _LBFGS_MAX_ITERS, 0.0, _JOINT_GTOL, first=first)
+        out.update(ends(moving, x, ok))
+    result = []
+    for f in everyone:
+        w, p, ok = out[f]
+        u = _normalized(w)
+        result.append(None if u is None else (p, u, _frame_table(u, stack), ok))
+    return result
 
 
 def _povm_starts(
@@ -581,21 +663,23 @@ def _maximize_over_povm(
     cfg: OptimizerConfig,
     rng: np.random.Generator,
 ) -> tuple[float, Povm, bool]:
-    """Best I(prior, M) over the starts, each refined by ``_refine_frame``.
+    """Best I(prior, M) over the starts, which all climb in one fixed-prior
+    ``_ascend_starts`` call.
 
     A start that its ascent does not improve keeps its own POVM; the
     winner's POVM is built once, at the end.
     """
     stack = np.stack([s.matrix for s in states])
+    starts = _povm_starts(states, prior, cfg, rng)
+    frames, tables = zip(*(_start_frame(start, stack) for start in starts))
+    steps = _ascend_starts(stack, [prior] * len(starts), frames, joint=False)
     best = None
-    for start in _povm_starts(states, prior, cfg, rng):
-        frame, table = _start_frame(start, stack)
+    for start, table, step in zip(starts, tables, steps):
         cand = (_mi_from_probs(prior, table), start, None, True)
-        step = _refine_frame(stack, prior, frame)
         if step is not None:
-            val = _mi_from_probs(prior, step[1])
+            val = _mi_from_probs(prior, step[2])
             if val > cand[0]:
-                cand = (val, None, step[0], step[2])
+                cand = (val, None, step[1], step[3])
         if best is None or cand[0] > best[0]:
             best = cand
     value, povm, frame, ok = best
@@ -621,6 +705,20 @@ def _best_prior_for_channel(
     return p, value, converged
 
 
+@dataclass
+class _Climb:
+    """One start of C1's seesaw: its prior, its start ``Povm`` (None once an
+    ascent has moved it), its rank-one frame, the Born table of its current
+    POVM, its exact value and whether a round has gained at most ``cfg.tol``."""
+
+    prior: np.ndarray
+    povm: Povm | None
+    frame: np.ndarray
+    table: np.ndarray
+    value: float
+    converged: bool = False
+
+
 def _joint_maximize(
     e: CqEnsemble,
     cfg: OptimizerConfig,
@@ -629,19 +727,23 @@ def _joint_maximize(
     """Seesaw over (prior, POVM) from each start, until a round gains at
     most ``cfg.tol``.
 
-    A start is held as its rank-one frame, its prior and the Born table of
-    its current POVM; no ``Povm`` or ``ClassicalChannel`` is built in the
-    loop. A round is one joint ascent over the frame and the prior
-    (``_ascend_joint``), kept when it raises the exact value. For three
-    letters or more it is the alternating round: first the frame is
-    ascended at the fixed prior (``_refine_frame``), kept when it raises the
-    value, and the prior re-optimized for the row-normalized table
-    (``_best_prior_for_channel``), kept when it is at least as good.
-    A start that no ascent improved keeps its own POVM, and the winner's POVM
-    is built once, at the end. The structured starts (``extra_starts``,
-    Helstrom, pretty-good measurement) compete on value alone; a random
-    start replaces the best so far only when it beats it by more than
-    ``_TIE_BITS``.
+    A start is held as a ``_Climb``: its rank-one frame, its prior and the
+    Born table of its current POVM; no ``Povm`` or ``ClassicalChannel`` is
+    built in the loop. Every start that is still climbing takes its round at
+    once, in one stacked L-BFGS-B ascent (``_ascend_starts``); the rules stay
+    per start. A round is one joint ascent over the frame and the prior,
+    kept when it raises the start's exact value. For three letters or more it
+    is the alternating round: first every frame is ascended at its fixed
+    prior (one fixed-prior ``_ascend_starts`` call), each kept when it raises
+    the value, then each prior is re-optimized for its row-normalized table
+    (``_best_prior_for_channel``), kept when it is at least as good, and then
+    the joint ascent. A start whose round gains at most ``cfg.tol`` has
+    converged and leaves the batch; the others go on for up to
+    ``cfg.max_iters`` rounds. A start that no ascent improved keeps its own
+    POVM, and the winner's POVM is built once, at the end. The structured
+    starts (``extra_starts``, Helstrom, pretty-good measurement) compete on
+    value alone; a random start replaces the best so far only when it beats it
+    by more than ``_TIE_BITS``.
     """
     rng = np.random.default_rng(cfg.seed)
     stack = np.stack([s.matrix for s in e.states])
@@ -660,36 +762,42 @@ def _joint_maximize(
     for _ in range(cfg.restarts):
         prior = rng.dirichlet(np.ones(e.size))
         starts.append((prior, random_rank1_povm(e.dim, e.dim * e.dim, rng)))
-    best = None
-    for i, (prior, povm) in enumerate(starts):
+    climbs = []
+    for prior, povm in starts:
         frame, table = _start_frame(povm, stack)
-        val = _mi_from_probs(prior, table)
-        converged = False
-        for _ in range(cfg.max_iters):
-            new_val = _mi_from_probs(prior, table)
-            if e.size > 2:
-                step = _refine_frame(stack, prior, frame)
-                if step is not None and _mi_from_probs(prior, step[1]) > new_val:
-                    (frame, table, _), povm = step, None
-                    new_val = _mi_from_probs(prior, table)
-                rows = table / table.sum(axis=1, keepdims=True)
+        climbs.append(_Climb(prior, povm, frame, table, _mi_from_probs(prior, table)))
+    active = climbs
+    for _ in range(cfg.max_iters):
+        if not active:
+            break
+        news = [_mi_from_probs(c.prior, c.table) for c in active]
+        if e.size > 2:
+            priors, frames = [c.prior for c in active], [c.frame for c in active]
+            steps = _ascend_starts(stack, priors, frames, joint=False)
+            for j, (c, step) in enumerate(zip(active, steps)):
+                if step is not None and _mi_from_probs(c.prior, step[2]) > news[j]:
+                    c.frame, c.table, c.povm = step[1], step[2], None
+                    news[j] = _mi_from_probs(c.prior, c.table)
+                rows = c.table / c.table.sum(axis=1, keepdims=True)
                 prior_new, v_pri, _ = _best_prior_for_channel(rows, cfg)
-                if v_pri >= new_val:
-                    prior, new_val = prior_new, v_pri
-            joint = _ascend_joint(stack, prior, frame)
-            if joint is not None and _mi_from_probs(joint[0], joint[2]) > new_val:
-                (prior, frame, table), povm = joint, None
-                new_val = _mi_from_probs(prior, table)
-            if new_val <= val + cfg.tol:
-                val = max(val, new_val)
-                converged = True
-                break
-            val = new_val
-        if best is None or val > best[0] + (_TIE_BITS if i >= structured else 0.0):
-            best = (val, prior, povm, frame, converged)
-    val, prior, povm, frame, converged = best
-    povm = povm if povm is not None else _frame_povm(frame)
-    return OptimizationResult(val, prior, povm=povm, converged=converged)
+                if v_pri >= news[j]:
+                    c.prior, news[j] = prior_new, v_pri
+        priors, frames = [c.prior for c in active], [c.frame for c in active]
+        joints = _ascend_starts(stack, priors, frames, joint=True)
+        for j, (c, step) in enumerate(zip(active, joints)):
+            if step is not None and _mi_from_probs(step[0], step[2]) > news[j]:
+                c.prior, c.frame, c.table, c.povm = step[0], step[1], step[2], None
+                news[j] = _mi_from_probs(c.prior, c.table)
+        for c, new in zip(active, news):
+            c.converged = new <= c.value + cfg.tol
+            c.value = max(c.value, new)
+        active = [c for c in active if not c.converged]
+    best = None
+    for i, c in enumerate(climbs):
+        if best is None or c.value > best.value + (_TIE_BITS if i >= structured else 0.0):
+            best = c
+    povm = best.povm if best.povm is not None else _frame_povm(best.frame)
+    return OptimizationResult(best.value, best.prior, povm=povm, converged=best.converged)
 
 
 def c1(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:

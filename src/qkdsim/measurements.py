@@ -157,6 +157,15 @@ def pretty_good_measurement(
 ) -> Povm:
     """Square-root measurement with effects S p_i rho_i S, S = rhobar^(-1/2).
 
+    Each effect is built as B_i B_i^dagger from the partial isometry B = S F.
+    F stacks the factors sqrt(p_i) A_i of the states, rho_i = A_i A_i^dagger
+    (scaled eigenvectors), so F F^dagger = rhobar, and one SVD
+    F = U Sigma W^dagger gives B = U W^dagger on rhobar's support (Sigma^2
+    above 1e-12). The effects are then Hermitian and sum to the support
+    projector by construction, however ill-conditioned rhobar is; forming
+    S p_i rho_i S directly is not Hermitian to ``EFFECT_PSD_ATOL`` when a
+    prior weight is near 1e-8 to 1e-10.
+
     When the average state rhobar is singular the leftover kernel projector
     is assigned to outcome 0, which keeps the completion deterministic; it
     is orthogonal to every state's support so statistics are unaffected.
@@ -170,15 +179,14 @@ def pretty_good_measurement(
     dim = states[0].dim
     if any(s.dim != dim for s in states):
         raise DimensionMismatch("states must share a dimension")
-    avg = sum(w * s.matrix for w, s in zip(p, states))
-    vals, vecs = hermitian_eigensystem(avg)
-    support = vals > 1e-12
-    inv_sqrt = np.zeros_like(vals)
-    inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
-    s_op = (vecs * inv_sqrt) @ vecs.conj().T
-    effects = [s_op @ (w * rho.matrix) @ s_op for w, rho in zip(p, states)]
+    vals, vecs = np.linalg.eigh(np.stack([s.matrix for s in states]))
+    factors = vecs * np.sqrt(np.clip(vals, 0.0, None) * p[:, None])[:, None, :]
+    u, sigma, wh = np.linalg.svd(factors.transpose(1, 0, 2).reshape(dim, -1), full_matrices=False)
+    support = sigma**2 > 1e-12
+    blocks = (u[:, support] @ wh[support]).reshape(dim, len(states), dim).transpose(1, 0, 2)
+    effects = blocks @ blocks.conj().swapaxes(-1, -2)
     if not support.all():
-        kern = vecs[:, ~support]
+        kern = u[:, ~support]
         effects[0] = effects[0] + kern @ kern.conj().T
     return Povm(effects)
 

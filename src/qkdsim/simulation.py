@@ -465,9 +465,12 @@ def _joint_value_and_grad(
 ):
     """The adversary's information as a function of the free slots' piece tables.
 
-    Returns value_and_grad(Ps) for ``_ascend_povm``: Ps[f][a, r] is the Born
+    Returns value_and_grad(Ps) for ``_ascend_povm``: Ps[f, a, r] is the Born
     probability of slot free[f]'s piece r (of outcome groups[f][r]) on
-    letter a; the other slots keep their ``tables``. The key channel sums
+    letter a, in ``_povm_objective``'s arrays: one free slot's (A, r) table,
+    or several slots' tables zero-padded to one (F, A, r) array, of which
+    each slot reads its own columns and gets a gradient of the same shape,
+    zero in the padding. The other slots keep their ``tables``. The key channel sums
     the likelihoods lik[k, t] over the tuples t decoded to each key, and
     ``_mi_and_grad`` gives G[k, e] = d value / d chan[k, e].
 
@@ -501,9 +504,9 @@ def _joint_value_and_grad(
         slot_letters = letters[i]
         slot_onehot = np.eye(tables[i].shape[1])[slot_letters].T
 
-        def value_and_grad(ps: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-            value, gk = _mi_and_grad(prior, np.einsum("kr,kre->ke", ps[0][slot_letters], s))
-            return value, [slot_onehot @ np.einsum("ke,kre->kr", gk, s)]
+        def value_and_grad(ps: np.ndarray) -> tuple[float, np.ndarray]:
+            value, gk = _mi_and_grad(prior, np.einsum("kr,kre->ke", ps[slot_letters], s))
+            return value, slot_onehot @ np.einsum("ke,kre->kr", gk, s)
 
         return value_and_grad
 
@@ -512,18 +515,18 @@ def _joint_value_and_grad(
     sums = [np.eye(g.max() + 1)[g] for g in groups]
     fixed = [t[:, a] for t, a in zip(tables, letters)]
 
-    def value_and_grad(ps: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+    def value_and_grad(ps: np.ndarray) -> tuple[float, np.ndarray]:
         cols = list(fixed)
         for i, p, m in zip(free, ps, sums):
-            cols[i] = (p @ m).T[:, letters[i]]
+            cols[i] = (p[:, : len(m)] @ m).T[:, letters[i]]
         value, g = _mi_and_grad(prior, _column_likelihoods(cols) @ decode)
         w = (g @ decode.T).reshape([k] + counts)
         labelled = [(col, [j + 1, 0]) for j, col in enumerate(cols)]
-        grads = []
-        for i, m in zip(free, sums):
+        grads = np.zeros_like(ps)
+        for f, (i, m) in enumerate(zip(free, sums)):
             others = [x for j, col in enumerate(labelled) if j != i for x in col]
             dcol = np.einsum(w, list(range(n + 1)), *others, [i + 1, 0])
-            grads.append((dcol @ onehot[i]).T @ m.T)
+            grads[f, :, : len(m)] = (dcol @ onehot[i]).T @ m.T
         return value, grads
 
     return value_and_grad

@@ -10,17 +10,24 @@ straightforward forms of the optimizers' inner loops: the rank-one split one
 effect at a time, the POVM objective one frame at a time and the adversary's
 information contracted over every outcome tuple. ``alternating_c1`` is the
 reference seesaw for C1: every start climbed by the longer alternating
-round, against which C1 must never report less. It reuses the package's POVM
-ascent and joint objective; its prior search is this module's own.
+round, against which C1 must never report less; ``sequential_c1``,
+``sequential_c_k`` and ``sequential_accessible`` climb each start on its own,
+as the package did before it stacked its starts into one ascent. They reuse
+the package's single-frame POVM objective and its L-BFGS-B call site; the
+joint objective, the per-start ascents and the prior search of
+``alternating_c1`` are this module's own.
 """
 
+import itertools
 import math
 from functools import reduce
 
 import numpy as np
 
 from qkdsim import information as info
-from qkdsim.measurements import helstrom, pretty_good_measurement, random_rank1_povm
+from qkdsim.channels import CqEnsemble
+from qkdsim.measurements import expand, helstrom, pretty_good_measurement, random_rank1_povm
+from qkdsim.states import DensityOperator
 
 
 def binary_entropy(p: float) -> float:
@@ -317,18 +324,148 @@ def _best_prior(rows, cfg):
     return classical_capacity_ba(rows)
 
 
+def joint_objective(y, stack, rows):
+    """-I(p, M) and its gradient over one frame of ``rows`` raw vectors and
+    the prior's logits z, p = softmax(z), packed in that order: the package's
+    single-frame POVM objective for the frame and p_a (D_a - p . D) for the
+    logits, with D_a = sum_b P[a, b] (log2 P[a, b] - log2 P(b))."""
+    n = 2 * rows * stack.shape[1]
+    z = y[n:]
+    p = np.exp(z - z.max())
+    p = p / p.sum()
+    div = np.zeros_like(p)
+
+    def value_and_grad(table):
+        value, out = info._mi_and_marginal(p, table)
+        ratio = np.log2(np.maximum(table, 1e-18)) - np.log2(np.maximum(out, 1e-18))
+        div[:] = (table * ratio).sum(axis=1)
+        return value, p[:, None] * ratio
+
+    value, grad = info._povm_objective(y[:n], stack, value_and_grad, None)
+    return value, np.concatenate([grad, -p * (div - p @ div)])
+
+
 def _joint_step(stack, prior, frame):
     """One L-BFGS-B ascent over the prior's logits and the frame together,
     stopped at a projected gradient of 1e-8: (prior, normalized frame, Born
     table), or None for a singular frame."""
     logits = np.log(np.clip(prior, 1e-18, None))
     y0 = np.concatenate([frame.real.ravel(), frame.imag.ravel(), logits])
-    y, _ = info._lbfgs(info._joint_objective, y0, (stack, len(frame)), 300, 0.0, 1e-8)
+    y, _ = info._lbfgs(joint_objective, y0, (stack, len(frame)), 300, 0.0, 1e-8)
     n = frame.size
     u = info._normalized((y[:n] + 1j * y[n : 2 * n]).reshape(frame.shape))
     if u is None:
         return None
-    return info._softmax(y[2 * n :]), u, info._frame_table(u, stack)
+    z = y[2 * n :]
+    p = np.exp(z - z.max())
+    return p / p.sum(), u, info._frame_table(u, stack)
+
+
+def _refine_frame(stack, prior, frame):
+    """One L-BFGS-B ascent of I(prior, .) over rank-one POVMs from ``frame``,
+    alone: (normalized frame, Born table, L-BFGS-B's success), or None for a
+    singular frame."""
+    us, ok = info._ascend_povm(stack, [frame], lambda t: info._mi_and_grad(prior, t), 300)
+    if us is None:
+        return None
+    return us[0], info._frame_table(us[0], stack), ok
+
+
+def _c1_starts(e, cfg, extra_starts=()):
+    """C1's start set: ``extra_starts``, then for two letters Helstrom at the
+    ensemble's prior and at 0.5, 0.25 and 0.75, the pretty-good measurement,
+    then ``cfg.restarts`` random (prior, rank-one POVM) pairs drawn from
+    ``cfg.seed``; and the number of structured starts."""
+    rng = np.random.default_rng(cfg.seed)
+    starts = list(extra_starts)
+    if e.size == 2:
+        seen = set()
+        for p0 in (float(e.prior[0]), 0.5, 0.25, 0.75):
+            if round(p0, 6) not in seen:
+                seen.add(round(p0, 6))
+                starts.append((np.array([p0, 1.0 - p0]), helstrom(e.states[0], e.states[1], p0)))
+    starts.append((e.prior.copy(), pretty_good_measurement(e.states, e.prior)))
+    structured = len(starts)
+    for _ in range(cfg.restarts):
+        prior = rng.dirichlet(np.ones(e.size))
+        starts.append((prior, random_rank1_povm(e.dim, e.dim * e.dim, rng)))
+    return starts, structured
+
+
+def sequential_c1(e, cfg, extra_starts=()):
+    """C1's seesaw with every start climbed on its own, one L-BFGS-B call per
+    ascent, as C1 was computed before its starts were stacked: a round is one
+    joint ascent (for three letters or more preceded by a frame ascent at the
+    fixed prior and the capacity prior of the row-normalized table), each step
+    kept when it raises the start's value, until a round gains at most
+    ``cfg.tol``; a random start replaces the best only when it beats it by
+    more than ``information._TIE_BITS``. Returns an ``OptimizationResult``."""
+    stack = np.stack([s.matrix for s in e.states])
+    starts, structured = _c1_starts(e, cfg, extra_starts)
+    best = None
+    for i, (prior, povm) in enumerate(starts):
+        frame, table = info._start_frame(povm, stack)
+        val = info._mi_from_probs(prior, table)
+        converged = False
+        for _ in range(cfg.max_iters):
+            new_val = info._mi_from_probs(prior, table)
+            if e.size > 2:
+                step = _refine_frame(stack, prior, frame)
+                if step is not None and info._mi_from_probs(prior, step[1]) > new_val:
+                    (frame, table, _), povm = step, None
+                    new_val = info._mi_from_probs(prior, table)
+                rows = table / table.sum(axis=1, keepdims=True)
+                prior_new, v_pri, _ = info._best_prior_for_channel(rows, cfg)
+                if v_pri >= new_val:
+                    prior, new_val = prior_new, v_pri
+            joint = _joint_step(stack, prior, frame)
+            if joint is not None and info._mi_from_probs(joint[0], joint[2]) > new_val:
+                (prior, frame, table), povm = joint, None
+                new_val = info._mi_from_probs(prior, table)
+            if new_val <= val + cfg.tol:
+                val = max(val, new_val)
+                converged = True
+                break
+            val = new_val
+        if best is None or val > best[0] + (info._TIE_BITS if i >= structured else 0.0):
+            best = (val, prior, povm, frame, converged)
+    val, prior, povm, frame, converged = best
+    povm = povm if povm is not None else info._frame_povm(frame)
+    return info.OptimizationResult(val, prior, povm=povm, converged=converged)
+
+
+def sequential_c_k(e, k, cfg):
+    """``information.c_k`` on ``sequential_c1``: the seesaw over length-k
+    words and product-space POVMs, its start set led by the product of the
+    sequential C1 witness."""
+    single = sequential_c1(e, cfg)
+    words = list(itertools.product(range(e.size), repeat=k))
+    states = tuple(DensityOperator(reduce(np.kron, (e.states[a].matrix for a in w))) for w in words)
+    prod_e = CqEnsemble(reduce(np.kron, [e.prior] * k), states)
+    extra = ((reduce(np.kron, [single.prior] * k), expand([single.povm] * k)),)
+    return sequential_c1(prod_e, cfg, extra_starts=extra)
+
+
+def sequential_accessible(e, cfg) -> float:
+    """max_M I(P, M) at the ensemble's own prior with every start (Helstrom for
+    two letters, the pretty-good measurement, ``cfg.restarts`` random rank-one
+    POVMs) ascended on its own; a start keeps its own value when its ascent
+    does not raise it."""
+    rng = np.random.default_rng(cfg.seed)
+    stack = np.stack([s.matrix for s in e.states])
+    starts = [pretty_good_measurement(e.states, e.prior)]
+    if e.size == 2:
+        starts.insert(0, helstrom(e.states[0], e.states[1], float(e.prior[0])))
+    starts += [random_rank1_povm(e.dim, e.dim * e.dim, rng) for _ in range(cfg.restarts)]
+    best = -math.inf
+    for povm in starts:
+        frame, table = info._start_frame(povm, stack)
+        val = info._mi_from_probs(e.prior, table)
+        step = _refine_frame(stack, e.prior, frame)
+        if step is not None:
+            val = max(val, info._mi_from_probs(e.prior, step[1]))
+        best = max(best, val)
+    return best
 
 
 def alternating_c1(e, cfg) -> float:
@@ -346,26 +483,15 @@ def alternating_c1(e, cfg) -> float:
     ``cfg.tol`` or after ``cfg.max_iters`` rounds. Returns the best start's
     value.
     """
-    rng = np.random.default_rng(cfg.seed)
     stack = np.stack([s.matrix for s in e.states])
-    starts = []
-    if e.size == 2:
-        seen = set()
-        for p0 in (float(e.prior[0]), 0.5, 0.25, 0.75):
-            if round(p0, 6) not in seen:
-                seen.add(round(p0, 6))
-                starts.append((np.array([p0, 1.0 - p0]), helstrom(e.states[0], e.states[1], p0)))
-    starts.append((e.prior.copy(), pretty_good_measurement(e.states, e.prior)))
-    for _ in range(cfg.restarts):
-        prior = rng.dirichlet(np.ones(e.size))
-        starts.append((prior, random_rank1_povm(e.dim, e.dim * e.dim, rng)))
+    starts, _ = _c1_starts(e, cfg)
     best = -math.inf
     for prior, povm in starts:
         frame, table = info._start_frame(povm, stack)
         val = info._mi_from_probs(prior, table)
         for _ in range(cfg.max_iters):
             v_pov = info._mi_from_probs(prior, table)
-            step = info._refine_frame(stack, prior, frame)
+            step = _refine_frame(stack, prior, frame)
             if step is not None and info._mi_from_probs(prior, step[1]) > v_pov:
                 frame, table, _ = step
                 v_pov = info._mi_from_probs(prior, table)

@@ -12,14 +12,18 @@ from qkdsim.errors import DimensionMismatch, ValidationError
 from qkdsim.information import (
     _JOINT_GTOL,
     OptimizerConfig,
-    _ascend_joint,
     _ascend_povm,
     _ascend_prior,
+    _ascend_starts,
     _best_prior_for_channel,
     _channel_divergences,
+    _divergences_stacked,
+    _frame_rows,
     _joint_objective,
     _lbfgs,
     _mi_and_grad,
+    _mi_from_probs,
+    _pack,
     _povm_objective,
     _rank1_pieces,
     _softmax,
@@ -59,10 +63,14 @@ from oracles import (
     coarse_grain,
     grid_c1_qubit,
     holevo_capacity_ba,
+    joint_objective as oracle_joint_objective,
     povm_objective_per_frame,
     pure_pair_c1,
     pure_pair_capacity,
     rank1_pieces_per_effect,
+    sequential_accessible,
+    sequential_c1,
+    sequential_c_k,
 )
 
 CFG = OptimizerConfig(restarts=2, seed=7)
@@ -293,12 +301,11 @@ class TestAscentGradient:
         w = rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim))
         x = np.concatenate([w.real.ravel(), w.imag.ravel()])
 
-        def vg(tables):
-            value, g = _mi_and_grad(e.prior, tables[0])
-            return value, [g]
+        def vg(table):
+            return _mi_and_grad(e.prior, table)
 
-        value, grad = _povm_objective(x, stack, vg, [slice(0, len(w))])
-        fd = central_differences(lambda y: _povm_objective(y, stack, vg, [slice(0, len(w))])[0], x)
+        value, grad = _povm_objective(x, stack, vg, None)
+        fd = central_differences(lambda y: _povm_objective(y, stack, vg, None)[0], x)
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
         povm = Povm([np.outer(v, v.conj()) for v in normalize_vectors(w)])
         replay = mutual_information(e.prior, induced_channel(povm, e))
@@ -311,11 +318,12 @@ class TestAscentGradient:
         w = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         z = rng.normal(size=size)
         y = np.concatenate([w.real.ravel(), w.imag.ravel(), z])
-        value, grad = _joint_objective(y, stack, len(w))
+        rows = _frame_rows([len(w)])
+        value, grad = _joint_objective(y, stack, rows)
         povm = Povm([np.outer(v, v.conj()) for v in normalize_vectors(w)])
         exact = mutual_information(_softmax(z), induced_channel(povm, e))
         assert -value == pytest.approx(exact, abs=1e-12)
-        fd = central_differences(lambda x: _joint_objective(x, stack, len(w))[0], y)
+        fd = central_differences(lambda x: _joint_objective(x, stack, rows)[0], y)
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
     def test_singular_frame_scores_fifty_with_zero_gradient(self):
@@ -323,18 +331,19 @@ class TestAscentGradient:
         w = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], dtype=complex)
         x = np.concatenate([w.real.ravel(), w.imag.ravel()])
 
-        def vg(tables):
-            value, g = _mi_and_grad(np.full(2, 0.5), tables[0])
-            return value, [g]
+        def vg(table):
+            return _mi_and_grad(np.full(2, 0.5), table)
 
-        value, grad = _povm_objective(x, stack, vg, [slice(0, len(w))])
+        value, grad = _povm_objective(x, stack, vg, None)
         assert value == 50.0
         np.testing.assert_array_equal(grad, np.zeros_like(x))
 
     @staticmethod
     def _frames_objective(rng, dim, rows):
-        """Packed raw rows of frames with ``rows`` rows each, random states and
-        a value_and_grad summing each frame's mutual information."""
+        """Packed raw rows of frames with ``rows`` rows each, random states, the
+        frames' slices of the packed rows and a value_and_grad summing each
+        frame's mutual information over a list of tables, as
+        ``povm_objective_per_frame`` passes them."""
         stack = np.stack([random_density(rng, dim).matrix for _ in range(3)])
         prior = rng.dirichlet(np.ones(3))
         w = rng.normal(size=(sum(rows), dim)) + 1j * rng.normal(size=(sum(rows), dim))
@@ -350,7 +359,13 @@ class TestAscentGradient:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stacked_frames_match_per_frame_loop(self, rng, dim):
         x, stack, vg, parts = self._frames_objective(rng, dim, [dim, dim * dim, dim + 1, dim * dim])
-        value, grad = _povm_objective(x, stack, vg, parts)
+
+        def stacked_vg(tables):
+            value, grads = vg(tables)
+            return value, np.stack(grads)
+
+        rows = _frame_rows([part.stop - part.start for part in parts])
+        value, grad = _povm_objective(x, stack, stacked_vg, rows)
         want, want_grad = povm_objective_per_frame(x, stack, vg, parts)
         assert value == pytest.approx(want, abs=1e-13)
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-13)
@@ -359,7 +374,12 @@ class TestAscentGradient:
     def test_one_frame_keeps_the_per_frame_bits(self, rng, dim):
         for rows in (dim, dim + 1, dim * dim):
             x, stack, vg, parts = self._frames_objective(rng, dim, [rows])
-            value, grad = _povm_objective(x, stack, vg, parts)
+
+            def one_vg(table):
+                value, (g,) = vg([table])
+                return value, g
+
+            value, grad = _povm_objective(x, stack, one_vg, None)
             want, want_grad = povm_objective_per_frame(x, stack, vg, parts)
             assert value == want
             assert np.array_equal(grad, want_grad)
@@ -412,15 +432,15 @@ class TestLbfgs:
         w = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
         if joint:
-            fun, args, ftol, gtol = _joint_objective, (stack, len(w)), 0.0, _JOINT_GTOL
+            args = (stack, _frame_rows([len(w)]))
+            fun, ftol, gtol = _joint_objective, 0.0, _JOINT_GTOL
             x0 = np.concatenate([x0, rng.normal(size=3)])
         else:
 
-            def vg(tables):
-                value, g = _mi_and_grad(e.prior, tables[0])
-                return value, [g]
+            def vg(table):
+                return _mi_and_grad(e.prior, table)
 
-            fun, args, ftol, gtol = _povm_objective, (stack, vg, [slice(0, len(w))]), 1e-12, 1e-5
+            fun, args, ftol, gtol = _povm_objective, (stack, vg, None), 1e-12, 1e-5
 
         def same_as_plain(x0):
             x, ok = _lbfgs(fun, x0, args, 300, ftol, gtol)
@@ -444,19 +464,92 @@ class TestLbfgs:
         stack = np.stack([s.matrix for s in e.states])
         frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.3), stack)
 
-        def vg(tables):
-            value, g = _mi_and_grad(e.prior, tables[0])
-            return value, [g]
+        def vg(table):
+            return _mi_and_grad(e.prior, table)
 
         [u], _ = _ascend_povm(stack, [frame], vg, 300)
-        prior, v, _ = _ascend_joint(stack, e.prior, frame)
+        [(prior, v, _, _)] = _ascend_starts(stack, [e.prior], [frame], joint=True)
         monkeypatch.setattr(optimize, "minimize", _no_minimize)
         [u_again], ok = _ascend_povm(stack, [u], vg, 300)
         assert ok
         np.testing.assert_allclose(u_again, u, rtol=0, atol=1e-12)
-        prior_again, v_again, _ = _ascend_joint(stack, prior, v)
+        [(prior_again, v_again, _, _)] = _ascend_starts(stack, [prior], [v], joint=True)
         np.testing.assert_allclose(prior_again, prior, rtol=0, atol=1e-12)
         np.testing.assert_allclose(v_again, v, rtol=0, atol=1e-12)
+
+
+class TestStackedStarts:
+    """The stacked objective of C1's and accessible information's starts:
+    frames of unequal row counts in one zero-padded pass."""
+
+    SIZES = (2, 4, 9)
+
+    @staticmethod
+    def _problem(rng):
+        stack = np.stack([random_density(rng, 2).matrix for _ in range(3)])
+        sizes = TestStackedStarts.SIZES
+        frames = [rng.normal(size=(r, 2)) + 1j * rng.normal(size=(r, 2)) for r in sizes]
+        priors = rng.dirichlet(np.ones(3), size=len(frames))
+        return stack, frames, priors
+
+    def test_joint_value_and_gradient_are_blockwise(self, rng):
+        stack, frames, priors = self._problem(rng)
+        logits = np.log(priors)
+        y = _pack(frames, [logits.ravel()])
+        value, grad = _joint_objective(y, stack, _frame_rows(self.SIZES))
+        n = sum(self.SIZES) * 2
+        rows = np.split(np.arange(sum(self.SIZES)), np.cumsum(self.SIZES)[:-1])
+        real, imag = grad[:n].reshape(-1, 2), grad[n : 2 * n].reshape(-1, 2)
+        total = 0.0
+        for f, w in enumerate(frames):
+            one_value, one_grad = oracle_joint_objective(_pack([w], [logits[f]]), stack, len(w))
+            total += one_value
+            block_logits = grad[2 * n :].reshape(3, 3)[f]
+            want = np.concatenate([real[rows[f]].ravel(), imag[rows[f]].ravel(), block_logits])
+            np.testing.assert_allclose(want, one_grad, rtol=0, atol=1e-13)
+        assert value == pytest.approx(total, abs=1e-13)
+
+    def test_fixed_prior_value_matches_single_frames_and_padding_gets_zero(self, rng):
+        stack, frames, priors = self._problem(rng)
+        seen = []
+
+        def vg(tables):
+            div, ratio = _divergences_stacked(priors, tables)
+            seen.append((tables, priors[:, :, None] * ratio))
+            return float((priors * div).sum()), seen[-1][1]
+
+        value, grad = _povm_objective(_pack(frames), stack, vg, _frame_rows(self.SIZES))
+        tables, g = seen[0]
+        singles = [
+            _povm_objective(_pack([w]), stack, lambda t, p=p: _mi_and_grad(p, t), None)
+            for w, p in zip(frames, priors)
+        ]
+        assert value == pytest.approx(sum(v for v, _ in singles), abs=1e-13)
+        n = sum(self.SIZES) * 2
+        rows = np.split(np.arange(sum(self.SIZES)), np.cumsum(self.SIZES)[:-1])
+        real, imag = grad[:n].reshape(-1, 2), grad[n:].reshape(-1, 2)
+        for f, (_, one_grad) in enumerate(singles):
+            want = np.concatenate([real[rows[f]].ravel(), imag[rows[f]].ravel()])
+            np.testing.assert_allclose(want, one_grad, rtol=0, atol=1e-13)
+        for f, r in enumerate(self.SIZES):
+            assert not tables[f, :, r:].any()
+            assert np.array_equal(g[f, :, r:], np.zeros_like(g[f, :, r:]))
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["frame", "joint"])
+    def test_converged_start_does_not_join(self, rng, joint):
+        """Helstrom at overlap 0.8 already meets the stop: it comes back
+        bit-identical to its own early exit while a random start climbs."""
+        e = paper_example(0.8).eve_ensemble()
+        stack = np.stack([s.matrix for s in e.states])
+        helstrom_frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.5), stack)
+        random_frame, random_table = _start_frame(random_rank1_povm(2, 4, rng), stack)
+        priors = [e.prior, rng.dirichlet(np.ones(2))]
+        alone = _ascend_starts(stack, priors[:1], [helstrom_frame], joint)[0]
+        both = _ascend_starts(stack, priors, [helstrom_frame, random_frame], joint)
+        for got, want in zip(both[0], alone):
+            assert np.array_equal(got, want)
+        prior, _, table, _ = both[1]
+        assert _mi_from_probs(prior, table) > _mi_from_probs(priors[1], random_table) + 0.01
 
 
 class TestC1:
@@ -499,10 +592,28 @@ class TestC1:
         cfg = OptimizerConfig(restarts=restarts)
         assert c1(e, cfg).value >= alternating_c1(e, cfg) - 1e-12
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(e=mixed_ensembles, restarts=st.integers(1, 2))
+    def test_stacked_starts_never_below_sequential_property(self, e, restarts):
+        """Climbing every start in one stacked ascent per round reaches at
+        least what climbing each start on its own reaches."""
+        cfg = OptimizerConfig(restarts=restarts)
+        assert c1(e, cfg).value >= sequential_c1(e, cfg).value - 1e-12
+
+    def test_stacked_c_k_never_below_sequential(self):
+        e = random_mixed_ensemble(2, 2, 5)
+        cfg = OptimizerConfig(restarts=1)
+        assert c_k(e, 2, cfg).value >= sequential_c_k(e, 2, cfg).value - 1e-12
+
+    def test_stacked_accessible_never_below_sequential(self):
+        e = scenario_from_dict(THREE_MIXED).eve_ensemble()
+        cfg = OptimizerConfig()
+        assert accessible_information(e, cfg).value >= sequential_accessible(e, cfg) - 1e-12
+
     @pytest.mark.parametrize("overlap", [0.2, 0.5, 0.8])
     def test_at_most_two_joint_ascents_per_start(self, monkeypatch, overlap):
         """The joint ascent ends each start in one round, and the next round
-        confirms it."""
+        confirms it: every start climbs in the same two stacked ascents."""
         calls = {"starts": 0, "ascents": 0}
 
         def counted(name, key):
@@ -516,10 +627,10 @@ class TestC1:
 
         for name in ("helstrom", "pretty_good_measurement", "random_rank1_povm"):
             counted(name, "starts")
-        counted("_ascend_joint", "ascents")
+        counted("_ascend_starts", "ascents")
         c1(paper_example(overlap).eve_ensemble(), OptimizerConfig())
         assert calls["starts"] > 0
-        assert calls["ascents"] <= 2 * calls["starts"]
+        assert calls["ascents"] <= 2
 
     def test_orthogonal_pair(self):
         assert c1(qubit_pair_ensemble(0.0), CFG).value == pytest.approx(1.0, abs=1e-9)

@@ -149,6 +149,26 @@ class TestPrettyGoodMeasurement:
         assert len(povm) == 1
         np.testing.assert_allclose(povm.effects[0], np.eye(3), atol=1e-10)
 
+    @pytest.mark.parametrize("weight", [1e-8, 1e-10])
+    def test_tiny_prior_weight_builds(self, weight):
+        # S p_i rho_i S formed directly missed the Hermiticity check here by
+        # 6.8e-10 and 3.6e-8.
+        rho0, rho1 = pure_state([1, 0]), pure_state([0.6, 0.8])
+        povm = pretty_good_measurement((rho0, rho1), (weight, 1.0 - weight))
+        for m in povm.effects:
+            assert np.abs(m - m.conj().T).max() <= 1e-15
+        np.testing.assert_allclose(sum(povm.effects), np.eye(2), rtol=0, atol=1e-14)
+
+    def test_matches_square_root_formula(self, rng):
+        states = (random_density(rng, 3, 1), random_density(rng, 3, 2), random_density(rng, 3, 3))
+        p = rng.dirichlet(np.ones(3))
+        avg = sum(w * s.matrix for w, s in zip(p, states))
+        vals, vecs = np.linalg.eigh(avg)
+        s_op = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        povm = pretty_good_measurement(states, p)
+        for m, w, rho in zip(povm.effects, p, states):
+            np.testing.assert_allclose(m, s_op @ (w * rho.matrix) @ s_op, rtol=0, atol=1e-12)
+
     def test_singular_average_kernel_to_outcome_zero(self):
         # two pure states spanning 2 of 3 dimensions: kernel goes to effect 0
         rho0 = pure_state([1, 0, 0])

@@ -77,11 +77,29 @@ def three_mixed(tmp_path):
 
 def test_analyze_three_letter_c1_pin(tmp_path, three_mixed):
     # Three letters: C1's prior search ends on the boundary of the simplex,
-    # with no weight on letter 2.
+    # with no weight on one of the two mirror-image letters 0 and 2.
     payload = _run(tmp_path, ["analyze", three_mixed])
     assert payload["quantum"]["rhs"] == pytest.approx(0.323844957799, abs=ABS)
     prior = payload["quantum"]["rhs_prior"]
-    assert prior == pytest.approx([0.401945737279, 0.598054262721, 0.0], abs=ABS)
+    assert prior == pytest.approx([0.0, 0.598054270854, 0.401945729146], abs=ABS)
+
+
+@pytest.mark.parametrize("weight", [1e-8, 1e-10])
+def test_analyze_tiny_prior_weight(tmp_path, weight):
+    # The pretty-good measurement at such a prior failed its Hermiticity
+    # check, and analyze exited 1.
+    path = tmp_path / "tiny-prior.json"
+    path.write_text(json.dumps({
+        "format": "qkdsim-scenario-v1",
+        "name": "tiny-prior",
+        "key_count": 2,
+        "alphabet_size": 2,
+        "states": {"0": [[1, 0], [0, 0]], "1": [[0.6, 0], [0.8, 0]]},
+        "prior": [weight, 1.0 - weight],
+        "channel": {"builtin": "identity"},
+        "output_dims": [1, 2],
+    }))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out.json")]) == 0
 
 
 def test_capacity_four_letter_file(tmp_path):

@@ -13,6 +13,7 @@ from qkdsim.channels import CqEnsemble, QuantumChannel
 from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
 from qkdsim.information import (
     OptimizerConfig,
+    _frame_rows,
     _povm_objective,
     _rank1_pieces,
     c1,
@@ -325,6 +326,17 @@ def piece_table(frame, states):
     return np.einsum("bi,aij,bj->ab", frame.conj(), states, frame).real
 
 
+def stack_tables(ps):
+    """Piece tables as the POVM objective passes them: one table alone,
+    several zero-padded to the most pieces into one (F, A, r) array."""
+    if len(ps) == 1:
+        return ps[0]
+    out = np.zeros((len(ps), ps[0].shape[0], max(p.shape[1] for p in ps)))
+    for f, p in enumerate(ps):
+        out[f, :, : p.shape[1]] = p
+    return out
+
+
 # Four-outcome slots, and a two-outcome slot between two four-outcome ones.
 ATTACK_COUNTS = [(4, 4, 4), (4, 2, 4)]
 FREE_SLOTS = [[0, 1, 2], [0], [1], [2]]
@@ -339,9 +351,12 @@ class TestJointObjective:
             lik = _likelihoods(tables, book)
             vg = _joint_value_and_grad(book, idx, tables, free, [pieces[i][1] for i in free])
             ps = [piece_table(pieces[i][0], states) for i in free]
-            value, grads = vg(ps)
+            value, grads = vg(stack_tables(ps))
             assert value == pytest.approx(_key_info(lik, idx), abs=1e-12)
-            assert [g.shape for g in grads] == [p.shape for p in ps]
+            assert grads.shape == stack_tables(ps).shape
+            if len(free) > 1:
+                for g, p in zip(grads, ps):
+                    assert not g[:, p.shape[1] :].any()
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_gradient_matches_central_differences(self, k):
@@ -351,11 +366,11 @@ class TestJointObjective:
             vg = _joint_value_and_grad(book, idx, tables, free, [pieces[i][1] for i in free])
             w = np.concatenate([pieces[i][0] for i in free])
             sizes = [len(pieces[i][0]) for i in free]
-            parts = [slice(stop - r, stop) for r, stop in zip(sizes, np.cumsum(sizes))]
+            rows = None if len(free) == 1 else _frame_rows(sizes)
             x = np.concatenate([w.real.ravel(), w.imag.ravel()])
             x = x + 0.1 * rng.normal(size=x.size)
-            _, grad = _povm_objective(x, states, vg, parts)
-            fd = central_differences(lambda y: _povm_objective(y, states, vg, parts)[0], x)
+            _, grad = _povm_objective(x, states, vg, rows)
+            fd = central_differences(lambda y: _povm_objective(y, states, vg, rows)[0], x)
             np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -372,10 +387,10 @@ class TestJointObjective:
         free = [slot % len(counts)]
         groups = [pieces[free[0]][1]]
         ps = [_born_table(np.stack(random_rank1_povm(2, counts[free[0]], rng).effects), states)]
-        value, grads = _joint_value_and_grad(book, idx, tables, free, groups)(ps)
+        value, grad = _joint_value_and_grad(book, idx, tables, free, groups)(ps[0])
         want, want_grads = tuple_key_information(book.letters, idx, tables, free, groups, ps)
         assert value == pytest.approx(want, abs=1e-12)
-        np.testing.assert_allclose(grads[0], want_grads[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want_grads[0], rtol=0, atol=1e-12)
 
 
 def dense_joint(sc, book, me):
