@@ -6,7 +6,6 @@ from .channels import (
     CqEnsemble,
     QuantumChannel,
     apply,
-    depolarizing_channel,
     identity_channel,
     marginal,
     push_through,
@@ -64,9 +63,6 @@ from .states import (
     TensorFactorization,
     permute_factors,
     pure_state,
-    spectral,
-    tensor,
-    von_neumann_entropy,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,9 @@
 
 A channel is stored as a list of Kraus operators K_i with
 sum_i K_i^dagger K_i = I, which makes trace preservation checkable and
-tensor powers mechanical. Channels whose output splits as H_B (x) H_E carry
+tensor powers mechanical. An ensemble holds its states as one validated
+(A, d, d) array, and pushing it through a channel maps that array letter
+by letter. Channels whose output splits as H_B (x) H_E carry
 that split in ``out_factorization`` so the receiver/adversary marginals can
 be formed.
 
@@ -23,7 +25,14 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .states import DensityOperator, TensorFactorization, require_finite
+from .states import (
+    DensityOperator,
+    TensorFactorization,
+    check_states,
+    matrix_stack,
+    require_distribution,
+    require_finite,
+)
 
 DEFAULT_DIM_BUDGET = 2**12
 TRACE_PRESERVATION_ATOL = 1e-9
@@ -141,32 +150,29 @@ def marginal(c: QuantumChannel, side: str) -> QuantumChannel:
 class CqEnsemble:
     """A finite input alphabet with a prior and a state per letter.
 
-    Letters are 0..size-1; ``states[a]`` is the state the encoder emits for
-    letter ``a`` and ``prior`` is the distribution the ensemble carries.
+    Letters are 0..size-1. ``states`` is one read-only complex (A, d, d)
+    array whose entry ``a`` is the state the encoder emits for letter ``a``,
+    validated once, here, by ``check_states``; ``prior`` is the
+    distribution the ensemble carries.
     """
 
     __slots__ = ("prior", "states")
 
     def __init__(self, prior, states):
         p = np.asarray(prior, dtype=float).ravel()
-        states = tuple(states)
-        require_finite(p, "prior")
-        if p.size != len(states) or p.size < 1:
+        stack = matrix_stack(
+            states, DimensionMismatch("ensemble states must be one (A, d, d) stack of square matrices")
+        )
+        require_distribution(p, "prior")
+        if p.size != len(stack):
             raise ValidationError(
-                "prior", f"prior length {p.size} != number of states {len(states)}"
+                "prior", f"prior length {p.size} != number of states {len(stack)}"
             )
-        if p.min() < 0 or abs(p.sum() - 1.0) > 1e-10:
-            raise ValidationError(
-                "prior", f"prior must be nonnegative and sum to 1, got {p.tolist()}"
-            )
-        if any(not isinstance(s, DensityOperator) for s in states):
-            raise ValidationError("states", "ensemble states must be DensityOperator values")
-        dim = states[0].dim
-        if any(s.dim != dim for s in states):
-            raise DimensionMismatch("ensemble states must share one dimension")
+        check_states(stack, "state")
         p.flags.writeable = False
+        stack.flags.writeable = False
         self.prior = p
-        self.states = states
+        self.states = stack
 
     @property
     def size(self) -> int:
@@ -174,7 +180,7 @@ class CqEnsemble:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[1]
 
     def __repr__(self) -> str:
         return f"CqEnsemble(size={self.size}, dim={self.dim})"
@@ -184,27 +190,9 @@ def push_through(e: CqEnsemble, c: QuantumChannel) -> CqEnsemble:
     """Compose the ensemble with a channel: states become c(xi(a))."""
     if e.dim != c.in_dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} != channel input dim {c.in_dim}")
-    return CqEnsemble(e.prior, tuple(apply(c, s) for s in e.states))
+    return CqEnsemble(e.prior, [c.apply_matrix(rho) for rho in e.states])
 
 
 def identity_channel(dim: int, out_factorization=None) -> QuantumChannel:
     """The identity map on a dim-dimensional space."""
     return QuantumChannel([np.eye(dim)], out_factorization=out_factorization)
-
-
-def depolarizing_channel(lam: float) -> QuantumChannel:
-    """Qubit depolarizing channel rho -> (1-lam) rho + lam I/2."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError("parameter", f"depolarizing strength must be in [0,1], got {lam}")
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    i = np.eye(2, dtype=complex)
-    return QuantumChannel(
-        [
-            np.sqrt(1 - 3 * lam / 4) * i,
-            np.sqrt(lam / 4) * x,
-            np.sqrt(lam / 4) * y,
-            np.sqrt(lam / 4) * z,
-        ]
-    )

@@ -64,10 +64,7 @@ def _dump_json(payload: dict) -> str:
 
 
 def _effects_as_pairs(povm) -> list:
-    return [
-        [[[float(z.real), float(z.imag)] for z in row] for row in effect]
-        for effect in povm.effects
-    ]
+    return np.stack([povm.effects.real, povm.effects.imag], axis=-1).tolist()
 
 
 def _condition_dict(report: ConditionReport) -> dict:

@@ -93,7 +93,7 @@ from .measurements import (
     pretty_good_measurement,
     random_rank1_povm,
 )
-from .states import DensityOperator
+from .states import require_distribution
 
 _BA_MAX_ITERS = 2000
 _LBFGS_MAX_ITERS = 300
@@ -183,8 +183,7 @@ def _entropy_rows(rows: np.ndarray) -> np.ndarray:
 def shannon_entropy(p) -> float:
     """Entropy of a probability vector in bits."""
     p = np.asarray(p, dtype=float).ravel()
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError("distribution", f"not a probability vector: {p.tolist()}")
+    require_distribution(p, "distribution", floor=-1e-12, atol=1e-9)
     return float(_entropy_rows(p))
 
 
@@ -193,8 +192,7 @@ def mutual_information(p, v: ClassicalChannel) -> float:
     p = np.asarray(p, dtype=float).ravel()
     if p.size != v.in_size:
         raise DimensionMismatch(f"prior length {p.size} != channel inputs {v.in_size}")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError("distribution", f"not a probability vector: {p.tolist()}")
+    require_distribution(p, "distribution", floor=-1e-12, atol=1e-9)
     out = p @ v.matrix
     val = float(_entropy_rows(out) - p @ _entropy_rows(v.matrix))
     return max(val, 0.0)
@@ -202,7 +200,7 @@ def mutual_information(p, v: ClassicalChannel) -> float:
 
 def holevo_chi(e: CqEnsemble) -> float:
     """H(average state) - average state entropy at the ensemble's own prior."""
-    return float(_chi_of_prior(e.prior, np.stack([s.matrix for s in e.states])))
+    return float(_chi_of_prior(e.prior, e.states))
 
 
 def _chi_of_prior(prior: np.ndarray, stack: np.ndarray) -> float:
@@ -286,7 +284,7 @@ def _capacity_prior(divergences, size: int, tol: float) -> tuple[np.ndarray, boo
 def holevo_capacity(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
     """max_P chi(P) over the prior simplex, by ``_capacity_prior`` with
     D_a = D(rho_a || rho_bar)."""
-    stack = np.stack([s.matrix for s in e.states])
+    stack = e.states
     self_terms = np.einsum("aij,aji->a", stack, _log2_psd(stack)).real
 
     def divergences(p):
@@ -533,15 +531,14 @@ def _frame_table(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def _frame_povm(u: np.ndarray) -> Povm:
     """The rank-one POVM of a normalized frame."""
-    return Povm(list(_frame_effects(u)))
+    return Povm(_frame_effects(u))
 
 
 def _start_frame(start: Povm, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A start POVM's rank-one frame (its nonzero pieces) and the Born table
     of its own effects, which is what the start itself scores."""
-    effects = np.stack(start.effects)
-    pieces, _ = _rank1_pieces(effects)
-    return pieces[pieces.any(axis=1)], _born_table(effects, stack)
+    pieces, _ = _rank1_pieces(start.effects)
+    return pieces[pieces.any(axis=1)], _born_table(start.effects, stack)
 
 
 def _joint_objective(y: np.ndarray, stack: np.ndarray, rows: _Rows) -> tuple[float, np.ndarray]:
@@ -642,42 +639,32 @@ def _ascend_starts(
     return result
 
 
-def _povm_starts(
-    states: tuple[DensityOperator, ...],
-    prior: np.ndarray,
-    cfg: OptimizerConfig,
-    rng: np.random.Generator,
-) -> list[Povm]:
-    dim = states[0].dim
+def _povm_starts(e: CqEnsemble, cfg: OptimizerConfig, rng: np.random.Generator) -> list[Povm]:
     starts: list[Povm] = []
-    if len(states) == 2:
-        starts.append(helstrom(states[0], states[1], float(prior[0])))
-    starts.append(pretty_good_measurement(states, prior))
-    starts += [random_rank1_povm(dim, dim * dim, rng) for _ in range(cfg.restarts)]
+    if e.size == 2:
+        starts.append(helstrom(e.states[0], e.states[1], float(e.prior[0])))
+    starts.append(pretty_good_measurement(e))
+    starts += [random_rank1_povm(e.dim, e.dim * e.dim, rng) for _ in range(cfg.restarts)]
     return starts
 
 
 def _maximize_over_povm(
-    states: tuple[DensityOperator, ...],
-    prior: np.ndarray,
-    cfg: OptimizerConfig,
-    rng: np.random.Generator,
+    e: CqEnsemble, cfg: OptimizerConfig, rng: np.random.Generator
 ) -> tuple[float, Povm, bool]:
-    """Best I(prior, M) over the starts, which all climb in one fixed-prior
-    ``_ascend_starts`` call.
+    """Best I(prior, M) at the ensemble's prior over the starts, which all
+    climb in one fixed-prior ``_ascend_starts`` call.
 
     A start that its ascent does not improve keeps its own POVM; the
     winner's POVM is built once, at the end.
     """
-    stack = np.stack([s.matrix for s in states])
-    starts = _povm_starts(states, prior, cfg, rng)
-    frames, tables = zip(*(_start_frame(start, stack) for start in starts))
-    steps = _ascend_starts(stack, [prior] * len(starts), frames, joint=False)
+    starts = _povm_starts(e, cfg, rng)
+    frames, tables = zip(*(_start_frame(start, e.states) for start in starts))
+    steps = _ascend_starts(e.states, [e.prior] * len(starts), frames, joint=False)
     best = None
     for start, table, step in zip(starts, tables, steps):
-        cand = (_mi_from_probs(prior, table), start, None, True)
+        cand = (_mi_from_probs(e.prior, table), start, None, True)
         if step is not None:
-            val = _mi_from_probs(prior, step[2])
+            val = _mi_from_probs(e.prior, step[2])
             if val > cand[0]:
                 cand = (val, None, step[1], step[3])
         if best is None or cand[0] > best[0]:
@@ -689,7 +676,7 @@ def _maximize_over_povm(
 def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
     """max_M I(P, M) at the ensemble's own prior."""
     rng = np.random.default_rng(cfg.seed)
-    value, povm, ok = _maximize_over_povm(e.states, e.prior, cfg, rng)
+    value, povm, ok = _maximize_over_povm(e, cfg, rng)
     return OptimizationResult(value, e.prior.copy(), povm=povm, converged=ok)
 
 
@@ -746,7 +733,7 @@ def _joint_maximize(
     by more than ``_TIE_BITS``.
     """
     rng = np.random.default_rng(cfg.seed)
-    stack = np.stack([s.matrix for s in e.states])
+    stack = e.states
     starts: list[tuple[np.ndarray, Povm]] = list(extra_starts)
     if e.size == 2:
         seen = set()
@@ -757,7 +744,7 @@ def _joint_maximize(
             seen.add(key)
             prior = np.array([p0, 1.0 - p0])
             starts.append((prior, helstrom(e.states[0], e.states[1], p0)))
-    starts.append((e.prior.copy(), pretty_good_measurement(e.states, e.prior)))
+    starts.append((e.prior.copy(), pretty_good_measurement(e)))
     structured = len(starts)
     for _ in range(cfg.restarts):
         prior = rng.dirichlet(np.ones(e.size))
@@ -822,12 +809,9 @@ def c_k(e: CqEnsemble, k: int, cfg: OptimizerConfig) -> OptimizationResult:
     if total > DEFAULT_DIM_BUDGET:
         raise BudgetExceeded(total, DEFAULT_DIM_BUDGET, f"block capacity k={k}")
     single = c1(e, cfg)
-    words = list(itertools.product(range(e.size), repeat=k))
-    prod_states = tuple(
-        DensityOperator(reduce(np.kron, (e.states[a].matrix for a in w))) for w in words
-    )
-    prod_prior = reduce(np.kron, [e.prior] * k)
-    prod_e = CqEnsemble(prod_prior, prod_states)
+    words = itertools.product(range(e.size), repeat=k)
+    prod_states = [reduce(np.kron, (e.states[a] for a in w)) for w in words]
+    prod_e = CqEnsemble(reduce(np.kron, [e.prior] * k), prod_states)
     extra = ()
     if single.povm is not None:
         start_prior = reduce(np.kron, [single.prior] * k)

@@ -1,6 +1,7 @@
 """POVMs and measurement-induced classical channels.
 
-An outcome is the position of its effect. The individual attack class is a
+A POVM holds its effects as one validated (m, d, d) array, and an outcome
+is the position of its effect. The individual attack class is a
 product of per-slot POVMs on a tensor-power space, one per transmission;
 ``expand`` flattens such a product to one POVM, and its classical
 post-processing is the adversary's decoder in ``simulation``. Measuring a
@@ -10,8 +11,8 @@ information quantities, the induced channels and the adversary's per-slot
 tables.
 
 Also provides the two standard discrimination measurements used as decoder
-baselines: the Helstrom measurement and the pretty-good (square-root)
-measurement.
+baselines: the Helstrom measurement of two state matrices and the
+pretty-good (square-root) measurement of an ensemble.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .channels import DEFAULT_DIM_BUDGET, CqEnsemble
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .states import DensityOperator, hermitian_eigensystem, require_finite
+from .states import hermitian_eigensystem, matrix_stack, reject_first, require_finite
 
 EFFECT_PSD_ATOL = 1e-10
 COMPLETENESS_ATOL = 1e-9
@@ -34,38 +35,31 @@ COMPLETENESS_ATOL = 1e-9
 class Povm:
     """A finite-outcome positive operator-valued measure.
 
-    Effects are Hermitian PSD matrices summing to the identity; outcome b
-    is effect b.
+    ``effects`` is one read-only complex (m, d, d) array of Hermitian PSD
+    matrices summing to the identity; outcome b is effect b. Construction
+    validates the whole stack at once: one batched ``eigvalsh`` and one
+    completeness sum.
     """
 
     __slots__ = ("effects",)
 
     def __init__(self, effects):
-        ops = [np.asarray(m, dtype=complex) for m in effects]
-        if not ops:
-            raise ValidationError("effects", "POVM needs at least one effect")
-        dim = ops[0].shape[0]
-        for m in ops:
-            if m.ndim != 2 or m.shape != (dim, dim):
-                raise ValidationError("effects", "effects must be square matrices of one size")
-            require_finite(m, "effects")
-            herm = float(np.abs(m - m.conj().T).max())
-            if herm > EFFECT_PSD_ATOL:
-                raise ValidationError("effect-hermitian", f"max |M - M^dagger| = {herm:.3e}")
-            lo = float(np.linalg.eigvalsh(m).min())
-            if lo < -EFFECT_PSD_ATOL:
-                raise ValidationError("effect-positive", f"smallest eigenvalue is {lo:.3e}")
-        total = sum(ops)
-        err = float(np.abs(total - np.eye(dim)).max())
+        ops = matrix_stack(effects, ValidationError("effects", "effects must be square matrices of one size"))
+        finite = np.isfinite(ops).all(axis=(1, 2))
+        reject_first(~finite, "effects", "contains a non-finite value (NaN or infinity)", finite, "effect")
+        herm = np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        reject_first(herm > EFFECT_PSD_ATOL, "effect-hermitian", "max |M - M^dagger| = {:.3e}", herm, "effect")
+        low = np.linalg.eigvalsh(ops).min(axis=1)
+        reject_first(low < -EFFECT_PSD_ATOL, "effect-positive", "smallest eigenvalue is {:.3e}", low, "effect")
+        err = float(np.abs(ops.sum(axis=0) - np.eye(ops.shape[1])).max())
         if err > COMPLETENESS_ATOL:
             raise ValidationError("completeness", f"max |sum M - I| = {err:.3e}")
-        for m in ops:
-            m.flags.writeable = False
-        self.effects = tuple(ops)
+        ops.flags.writeable = False
+        self.effects = ops
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -114,7 +108,7 @@ def induced_channel(m: Povm, e: CqEnsemble) -> ClassicalChannel:
     """Classical channel letter -> outcome obtained by measuring each state."""
     if m.dim != e.dim:
         raise DimensionMismatch(f"POVM dim {m.dim} != ensemble dim {e.dim}")
-    rows = _born_table(np.stack(m.effects), np.stack([s.matrix for s in e.states]))
+    rows = _born_table(m.effects, e.states)
     # Renormalization is cosmetic: completeness already bounds the defect.
     rows = rows / rows.sum(axis=1, keepdims=True)
     return ClassicalChannel(rows)
@@ -133,29 +127,30 @@ def expand(slots: Sequence[Povm]) -> Povm:
     return Povm([reduce(np.kron, combo) for combo in combos])
 
 
-def helstrom(rho0: DensityOperator, rho1: DensityOperator, p0: float = 0.5) -> Povm:
+def helstrom(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> Povm:
     """Error-minimizing two-outcome measurement for a binary ensemble.
 
-    Outcome 0 projects onto the strictly positive eigenspace of
-    p0 rho0 - (1-p0) rho1, outcome 1 onto its complement; the success
-    probability is (1 + Tr|p0 rho0 - (1-p0) rho1|) / 2.
+    ``rho0`` and ``rho1`` are the two (d, d) state matrices, such as an
+    ensemble's ``states[0]`` and ``states[1]``. Outcome 0 projects onto the
+    strictly positive eigenspace of p0 rho0 - (1-p0) rho1, outcome 1 onto
+    its complement; the success probability is
+    (1 + Tr|p0 rho0 - (1-p0) rho1|) / 2.
     """
-    if rho0.dim != rho1.dim:
+    if rho0.shape != rho1.shape:
         raise DimensionMismatch("states must share a dimension")
     if not 0.0 <= p0 <= 1.0:
         raise ValidationError("prior", f"prior must be in [0,1], got {p0}")
-    delta = p0 * rho0.matrix - (1.0 - p0) * rho1.matrix
+    delta = p0 * rho0 - (1.0 - p0) * rho1
     vals, vecs = hermitian_eigensystem(delta)
     pos = vecs[:, vals > 0.0]
     m0 = pos @ pos.conj().T
-    m1 = np.eye(rho0.dim) - m0
+    m1 = np.eye(len(rho0)) - m0
     return Povm([m0, m1])
 
 
-def pretty_good_measurement(
-    states: Sequence[DensityOperator], priors
-) -> Povm:
-    """Square-root measurement with effects S p_i rho_i S, S = rhobar^(-1/2).
+def pretty_good_measurement(e: CqEnsemble) -> Povm:
+    """Square-root measurement of an ensemble, with effects S p_i rho_i S,
+    S = rhobar^(-1/2), from its own states and prior.
 
     Each effect is built as B_i B_i^dagger from the partial isometry B = S F.
     F stacks the factors sqrt(p_i) A_i of the states, rho_i = A_i A_i^dagger
@@ -170,20 +165,12 @@ def pretty_good_measurement(
     is assigned to outcome 0, which keeps the completion deterministic; it
     is orthogonal to every state's support so statistics are unaffected.
     """
-    states = tuple(states)
-    if not states:
-        raise ValidationError("states", "need at least one state")
-    p = np.asarray(priors, dtype=float).ravel()
-    if p.size != len(states) or p.min() < 0 or abs(p.sum() - 1.0) > 1e-10:
-        raise ValidationError("prior", "priors must be a distribution over the states")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise DimensionMismatch("states must share a dimension")
-    vals, vecs = np.linalg.eigh(np.stack([s.matrix for s in states]))
-    factors = vecs * np.sqrt(np.clip(vals, 0.0, None) * p[:, None])[:, None, :]
+    dim = e.dim
+    vals, vecs = np.linalg.eigh(e.states)
+    factors = vecs * np.sqrt(np.clip(vals, 0.0, None) * e.prior[:, None])[:, None, :]
     u, sigma, wh = np.linalg.svd(factors.transpose(1, 0, 2).reshape(dim, -1), full_matrices=False)
     support = sigma**2 > 1e-12
-    blocks = (u[:, support] @ wh[support]).reshape(dim, len(states), dim).transpose(1, 0, 2)
+    blocks = (u[:, support] @ wh[support]).reshape(dim, e.size, dim).transpose(1, 0, 2)
     effects = blocks @ blocks.conj().swapaxes(-1, -2)
     if not support.all():
         kern = u[:, ~support]
@@ -201,7 +188,7 @@ def random_rank1_povm(dim: int, num_outcomes: int, rng: np.random.Generator) -> 
     u = normalize_vectors(w)
     if u is None:
         raise ValidationError("frame", "random vectors do not span the space")
-    return Povm([np.outer(v, v.conj()) for v in u])
+    return Povm(u[:, :, None] * u.conj()[:, None, :])
 
 
 def normalize_vectors(w: np.ndarray) -> np.ndarray | None:

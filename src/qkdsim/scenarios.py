@@ -30,7 +30,7 @@ from .channels import CqEnsemble, QuantumChannel, identity_channel
 from .errors import ValidationError
 from .measurements import ClassicalChannel
 from .simulation import Scenario
-from .states import DensityOperator, TensorFactorization, pure_state, spectral
+from .states import TensorFactorization, hermitian_eigensystem, pure_state
 
 FORMAT_TAG = "qkdsim-scenario-v1"
 BUILTIN_NAMES = ("paper-example", "orthogonal", "bsc-pair")
@@ -47,12 +47,8 @@ def paper_example(overlap: float = 0.5) -> Scenario:
         raise ValidationError("overlap", f"overlap must be in [0, 1], got {s}")
     phi = np.array([1.0, 0.0])
     psi = np.array([s, math.sqrt(max(1.0 - s * s, 0.0))])
-    qubit0, qubit1 = pure_state(phi), pure_state(psi)
-    letters = (
-        DensityOperator(np.kron(qubit0.matrix, qubit0.matrix)),
-        DensityOperator(np.kron(qubit1.matrix, qubit1.matrix)),
-    )
-    ensemble = CqEnsemble([0.5, 0.5], letters)
+    qubits = [pure_state(phi).matrix, pure_state(psi).matrix]
+    ensemble = CqEnsemble([0.5, 0.5], [np.kron(q, q) for q in qubits])
     theta = identity_channel(4, out_factorization=TensorFactorization((2, 2)))
     return Scenario(
         name=f"paper-example(s={s:g})", key_count=2, ensemble=ensemble, theta=theta
@@ -92,7 +88,7 @@ def bsc_pair(eps_b: float, eps_e: float) -> Scenario:
                 k = amp * np.outer(np.kron(basis[b], basis[e]), basis[a])
                 ops.append(k)
     theta = QuantumChannel(ops, out_factorization=TensorFactorization((2, 2)))
-    ensemble = CqEnsemble([0.5, 0.5], (pure_state([1, 0]), pure_state([0, 1])))
+    ensemble = CqEnsemble([0.5, 0.5], [pure_state([1, 0]).matrix, pure_state([0, 1]).matrix])
     return Scenario(
         name=f"bsc-pair({eps_b:g},{eps_e:g})",
         key_count=2,
@@ -180,13 +176,13 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioFormatError(f"states: state for letter {a} missing")
         amps = _complex_list(entry, f"states[{a}]")
         try:
-            states.append(pure_state(amps))
+            states.append(pure_state(amps).matrix)
         except ValidationError as exc:
             raise ScenarioFormatError(f"states[{a}]: {exc}") from None
     prior = data.get("prior")
     if prior is None:
         prior = [1.0 / size] * size
-    ensemble = CqEnsemble(_coerce(prior, _float_array, "prior"), tuple(states))
+    ensemble = CqEnsemble(_coerce(prior, _float_array, "prior"), states)
     out_dims = _coerce(data["output_dims"], lambda raw: tuple(map(_integer, raw)), "output_dims")
     if len(out_dims) != 2:
         raise ScenarioFormatError("output_dims: expected exactly two output dimensions")
@@ -243,8 +239,8 @@ def _pairs(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _state_amplitudes(rho: DensityOperator) -> np.ndarray:
-    vals, vecs = spectral(rho)
+def _state_amplitudes(rho: np.ndarray) -> np.ndarray:
+    vals, vecs = hermitian_eigensystem(rho)
     if vals[0] < 1.0 - 1e-9 or (len(vals) > 1 and vals[1] > 1e-9):
         raise ValidationError("pure-state", "scenario files can only serialize pure states")
     v = vecs[:, 0]

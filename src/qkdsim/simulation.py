@@ -39,14 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import (
-    DEFAULT_DIM_BUDGET,
-    CqEnsemble,
-    QuantumChannel,
-    apply,
-    marginal,
-    push_through,
-)
+from .channels import DEFAULT_DIM_BUDGET, CqEnsemble, QuantumChannel, marginal, push_through
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .information import (
     _JOINT_GTOL,
@@ -63,7 +56,7 @@ from .measurements import (
     pretty_good_measurement,
     random_rank1_povm,
 )
-from .states import spectral
+from .states import hermitian_eigensystem
 
 # Iteration cap of the slot ascent per free slot; C1's ascent uses 300.
 _SLOT_ASCENT_MAX_ITERS = 200
@@ -301,7 +294,7 @@ def bob_decoder(s: Scenario, c: Codebook) -> tuple[tuple, np.ndarray]:
     _check_letters(s, c)
     factors = []
     for rho in s.bob_ensemble().states:
-        vals, vecs = spectral(rho)
+        vals, vecs = hermitian_eigensystem(rho)
         keep = vals > _SUPPORT_FLOOR
         factors.append(vecs[:, keep] * np.sqrt(vals[keep]))
     letters = c.letters[:, _informative(c.letters)]
@@ -381,8 +374,8 @@ def _default_attack(s: Scenario, c: Codebook, ee: CqEnsemble) -> EveStrategy:
     if ee.size == 2:
         slot = helstrom(ee.states[0], ee.states[1], float(ee.prior[0]))
     else:
-        slot = pretty_good_measurement(ee.states, ee.prior)
-    tables = _slot_channels([np.stack(slot.effects)], np.stack([rho.matrix for rho in ee.states]))
+        slot = pretty_good_measurement(ee)
+    tables = _slot_channels([slot.effects], ee.states)
     idx = _ml_decoder(_likelihoods(tables * c.length, c))
     return EveStrategy([slot] * c.length, idx)
 
@@ -418,7 +411,7 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
     default = _default_attack(s, c, ee)
     if cfg.restarts == 0:
         return default
-    eve_states = np.stack([rho.matrix for rho in ee.states])
+    eve_states = ee.states
     d_e, n = s.dim_e, c.length
     best = None
     rng = np.random.default_rng(cfg.seed)
@@ -427,7 +420,7 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
             starts = default.slots
         else:
             starts = [random_rank1_povm(d_e, d_e * d_e, rng) for _ in range(n)]
-        slots = [np.stack(p.effects) for p in starts]
+        slots = [p.effects for p in starts]
         tables = _slot_channels(slots, eve_states)
         lik = _likelihoods(tables, c)
         idx = _ml_decoder(lik)
@@ -653,13 +646,10 @@ def evaluate(s: Scenario, c: Codebook, me: EveStrategy) -> KeySimReport:
     _check_tuple_count((len(p) for p in me.slots), n)
     factors, effects = bob_decoder(s, c)
 
-    taus = np.stack(
-        [apply(s.theta, rho).matrix.reshape(d_b, d_e, d_b, d_e) for rho in s.ensemble.states]
-    )
+    taus = np.stack([s.theta.apply_matrix(rho) for rho in s.ensemble.states])
+    taus = taus.reshape(-1, d_b, d_e, d_b, d_e)
     # slot_ops[i][a, o] = X_a(o) for slot i's POVM
-    slot_ops = [
-        np.einsum("aiejf,ofe->aoij", taus, np.stack(povm.effects)) for povm in me.slots
-    ]
+    slot_ops = [np.einsum("aiejf,ofe->aoij", taus, povm.effects) for povm in me.slots]
     probs = np.clip(_receiver_law(c.letters, factors, effects, slot_ops), 0.0, None)
 
     joint = np.zeros((k, k, k))

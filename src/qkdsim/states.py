@@ -1,8 +1,12 @@
 """Dense complex matrix algebra for finite-dimensional quantum states.
 
 States are density operators: Hermitian, positive semidefinite, unit-trace
-complex matrices. This module provides construction and validation, tensor
-products, spectral decomposition and von Neumann entropy.
+complex matrices. This module provides their construction and validation:
+one batched check, ``check_states``, validates a stack of states at once and
+serves both a single ``DensityOperator`` and a whole ensemble's
+``(A, d, d)`` array. It also holds the shared input checks (finiteness,
+probability vectors, square-matrix stacks), tensor-factor reordering and
+the Hermitian eigendecomposition.
 All entropies are in bits (base-2 logarithms) throughout the package.
 
 Everything here is immutable after construction and every operation is a
@@ -19,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch, ValidationError
 
 # Construction tolerances. Eigenvalues in [EIGENVALUE_FLOOR, 0) are treated
-# as floating-point jitter and clipped to 0; anything more negative is a
+# as floating-point jitter and accepted; anything more negative is a
 # genuine positivity violation.
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -35,6 +39,55 @@ def require_finite(values: np.ndarray, field: str) -> None:
     """
     if not np.isfinite(values).all():
         raise ValidationError(field, "contains a non-finite value (NaN or infinity)")
+
+
+def require_distribution(p: np.ndarray, field: str, floor: float = 0.0, atol: float = 1e-10) -> None:
+    """Reject a vector that is not a probability distribution, naming the field.
+
+    Its entries must be finite and at least ``floor`` and sum to 1 within ``atol``.
+    """
+    require_finite(p, field)
+    if p.size < 1 or p.min() < floor or abs(p.sum() - 1.0) > atol:
+        raise ValidationError(
+            field, f"not a probability vector: must be nonnegative and sum to 1, got {p.tolist()}"
+        )
+
+
+def matrix_stack(matrices, error: ValidationError) -> np.ndarray:
+    """A fresh complex (A, d, d) array of square matrices, A, d >= 1, or ``error``."""
+    try:
+        stack = np.array(matrices, dtype=complex)
+    except (TypeError, ValueError):
+        raise error from None
+    if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
+        raise error
+    return stack
+
+
+def reject_first(bad: np.ndarray, invariant: str, template: str, values, label=None) -> None:
+    """Raise for the first index i flagged in ``bad``: ``template.format(values[i])``,
+    after "<label> i: " when a label is given."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(invariant, (f"{label} {i}: " if label else "") + template.format(values[i]))
+
+
+def check_states(stack: np.ndarray, label: str | None = None) -> None:
+    """Validate an (A, d, d) stack of density operators by batched checks.
+
+    Each check runs over the whole stack, in this order: finiteness
+    ("matrix"), Hermiticity, unit trace and positive semidefiniteness, up to
+    the module tolerances. The first failing state is reported, named by
+    ``label`` and its index when a label is given.
+    """
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    reject_first(~finite, "matrix", "contains a non-finite value (NaN or infinity)", finite, label)
+    herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    reject_first(herm > HERMITICITY_ATOL, "hermitian", "max |M - M^dagger| = {:.3e}", herm, label)
+    tr = np.trace(stack, axis1=1, axis2=2)
+    reject_first(abs(tr - 1.0) > TRACE_ATOL, "unit-trace", "trace is {!r}, expected 1", tr.tolist(), label)
+    low = np.linalg.eigvalsh(stack).min(axis=1)
+    reject_first(low < EIGENVALUE_FLOOR, "positive-semidefinite", "smallest eigenvalue is {:.3e}", low, label)
 
 
 def _as_square_complex(matrix, what: str) -> np.ndarray:
@@ -99,7 +152,8 @@ class DensityOperator:
     """A validated quantum state.
 
     Construction checks Hermiticity, unit trace and positive
-    semidefiniteness (up to the module tolerances) and freezes the matrix.
+    semidefiniteness (up to the module tolerances), by ``check_states`` on a
+    stack of one, and freezes the matrix.
 
     Parameters
     ----------
@@ -107,26 +161,13 @@ class DensityOperator:
         Square complex matrix representing the state.
     """
 
-    __slots__ = ("matrix", "_eigenvalues")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = _as_square_complex(matrix, "density operator")
-        require_finite(m, "matrix")
-        herm_err = float(np.abs(m - m.conj().T).max())
-        if herm_err > HERMITICITY_ATOL:
-            raise ValidationError("hermitian", f"max |M - M^dagger| = {herm_err:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError("unit-trace", f"trace is {tr!r}, expected 1")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < EIGENVALUE_FLOOR:
-            raise ValidationError(
-                "positive-semidefinite", f"smallest eigenvalue is {eigs.min():.3e}"
-            )
-        m = m.copy()
+        m = _as_square_complex(matrix, "density operator").copy()
+        check_states(m[None])
         m.flags.writeable = False
         self.matrix = m
-        self._eigenvalues = np.clip(eigs, 0.0, 1.0)
 
     @property
     def dim(self) -> int:
@@ -146,11 +187,6 @@ def pure_state(v: StateVector | Sequence[complex]) -> DensityOperator:
         v = StateVector(v)
     a = v.amplitudes
     return DensityOperator(np.outer(a, a.conj()))
-
-
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product state a (x) b on the joint space."""
-    return DensityOperator(np.kron(a.matrix, b.matrix))
 
 
 def permute_factors(
@@ -187,19 +223,3 @@ def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("hermitian", f"max |M - M^dagger| = {herm_err:.3e}")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def spectral(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a state."""
-    return hermitian_eigensystem(rho.matrix)
-
-
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy -Tr(rho log2 rho) in bits.
-
-    Eigenvalues are clipped to [0, 1] before taking logarithms and
-    0 log 0 is treated as 0.
-    """
-    eigs = rho._eigenvalues
-    pos = eigs[eigs > 0.0]
-    return float(-(pos * np.log2(pos)).sum()) if pos.size else 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qkdsim.channels import QuantumChannel
+from qkdsim.channels import CqEnsemble, QuantumChannel
 from qkdsim.states import DensityOperator, pure_state
 
 
@@ -19,6 +19,11 @@ def random_state_vector(rng, dim):
 
 def random_pure(rng, dim):
     return pure_state(random_state_vector(rng, dim))
+
+
+def ensemble(prior, letters):
+    """The ensemble of ``DensityOperator`` letters under ``prior``."""
+    return CqEnsemble(prior, [rho.matrix for rho in letters])
 
 
 def random_density(rng, dim, rank=None):
@@ -76,6 +81,26 @@ def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+SPOILS = ("none", "hermitian", "scale", "negative", "nan")
+
+
+def spoil(m, how):
+    """A copy of the Hermitian matrix ``m`` broken one way: ``how`` is one of
+    ``SPOILS``: left as it is, made non-Hermitian, scaled by 1.1, given the
+    spectrum (1.1, -0.1, 0, ...) on its own eigenbasis, or given a NaN."""
+    m = np.array(m, dtype=complex)
+    if how == "hermitian":
+        m[0, 1] += 1e-3
+    elif how == "scale":
+        m = 1.1 * m
+    elif how == "negative":
+        vecs = np.linalg.eigh(m)[1]
+        m = (vecs * np.r_[1.1, -0.1, np.zeros(len(m) - 2)]) @ vecs.conj().T
+    elif how == "nan":
+        m[0, 0] = np.nan
+    return m
 
 
 def binary_entropy(p):

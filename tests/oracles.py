@@ -8,7 +8,10 @@ the full block space, plain Blahut-Arimoto for the Holevo and the classical
 channel capacity, run to a duality gap of 1e-12 or a step cap, and the
 straightforward forms of the optimizers' inner loops: the rank-one split one
 effect at a time, the POVM objective one frame at a time and the adversary's
-information contracted over every outcome tuple. ``alternating_c1`` is the
+information contracted over every outcome tuple. The state product, the
+von Neumann entropy and the depolarizing channel are test helpers only, and
+``povm_invariant`` is the POVM check one effect at a time, against which the
+batched ``Povm`` check is tested. ``alternating_c1`` is the
 reference seesaw for C1: every start climbed by the longer alternating
 round, against which C1 must never report less; ``sequential_c1``,
 ``sequential_c_k`` and ``sequential_accessible`` climb each start on its own,
@@ -25,9 +28,54 @@ from functools import reduce
 import numpy as np
 
 from qkdsim import information as info
-from qkdsim.channels import CqEnsemble
-from qkdsim.measurements import expand, helstrom, pretty_good_measurement, random_rank1_povm
+from qkdsim.channels import CqEnsemble, QuantumChannel
+from qkdsim.measurements import (
+    COMPLETENESS_ATOL,
+    EFFECT_PSD_ATOL,
+    expand,
+    helstrom,
+    pretty_good_measurement,
+    random_rank1_povm,
+)
 from qkdsim.states import DensityOperator
+
+
+def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
+    """Kronecker product state a (x) b on the joint space."""
+    return DensityOperator(np.kron(a.matrix, b.matrix))
+
+
+def von_neumann_entropy(rho: DensityOperator) -> float:
+    """Entropy -Tr(rho log2 rho) in bits, eigenvalues clipped to [0, 1], 0 log 0 = 0."""
+    eigs = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, 1.0)
+    pos = eigs[eigs > 0.0]
+    return float(-(pos * np.log2(pos)).sum()) if pos.size else 0.0
+
+
+def depolarizing_channel(lam: float) -> QuantumChannel:
+    """Qubit depolarizing channel rho -> (1-lam) rho + lam I/2, in Kraus form."""
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    weights = [1 - 3 * lam / 4] + [lam / 4] * 3
+    return QuantumChannel([math.sqrt(w) * np.asarray(m, dtype=complex) for w, m in zip(weights, paulis)])
+
+
+def povm_invariant(effects) -> str | None:
+    """The invariant a POVM's effects fail, checked one effect at a time, or None.
+
+    Per effect in order: finiteness ("effects"), Hermiticity
+    ("effect-hermitian") and positivity ("effect-positive"); then
+    completeness of their sum.
+    """
+    for m in effects:
+        if not np.isfinite(m).all():
+            return "effects"
+        if np.abs(m - m.conj().T).max() > EFFECT_PSD_ATOL:
+            return "effect-hermitian"
+        if np.linalg.eigvalsh(m).min() < -EFFECT_PSD_ATOL:
+            return "effect-positive"
+    if np.abs(sum(effects) - np.eye(len(effects[0]))).max() > COMPLETENESS_ATOL:
+        return "completeness"
+    return None
 
 
 def binary_entropy(p: float) -> float:
@@ -298,7 +346,7 @@ def _log2m(matrix) -> np.ndarray:
 def holevo_capacity_ba(e) -> float:
     """Holevo capacity max_P chi(P) of an ensemble's letters in bits, by
     ``_blahut_arimoto`` on D_a = D(rho_a || rho_bar)."""
-    states = [s.matrix for s in e.states]
+    states = list(e.states)
     self_terms = np.array([np.trace(rho @ _log2m(rho)).real for rho in states])
 
     def divergences(p):
@@ -384,7 +432,7 @@ def _c1_starts(e, cfg, extra_starts=()):
             if round(p0, 6) not in seen:
                 seen.add(round(p0, 6))
                 starts.append((np.array([p0, 1.0 - p0]), helstrom(e.states[0], e.states[1], p0)))
-    starts.append((e.prior.copy(), pretty_good_measurement(e.states, e.prior)))
+    starts.append((e.prior.copy(), pretty_good_measurement(e)))
     structured = len(starts)
     for _ in range(cfg.restarts):
         prior = rng.dirichlet(np.ones(e.size))
@@ -400,7 +448,7 @@ def sequential_c1(e, cfg, extra_starts=()):
     kept when it raises the start's value, until a round gains at most
     ``cfg.tol``; a random start replaces the best only when it beats it by
     more than ``information._TIE_BITS``. Returns an ``OptimizationResult``."""
-    stack = np.stack([s.matrix for s in e.states])
+    stack = e.states
     starts, structured = _c1_starts(e, cfg, extra_starts)
     best = None
     for i, (prior, povm) in enumerate(starts):
@@ -439,8 +487,8 @@ def sequential_c_k(e, k, cfg):
     words and product-space POVMs, its start set led by the product of the
     sequential C1 witness."""
     single = sequential_c1(e, cfg)
-    words = list(itertools.product(range(e.size), repeat=k))
-    states = tuple(DensityOperator(reduce(np.kron, (e.states[a].matrix for a in w))) for w in words)
+    words = itertools.product(range(e.size), repeat=k)
+    states = [reduce(np.kron, (e.states[a] for a in w)) for w in words]
     prod_e = CqEnsemble(reduce(np.kron, [e.prior] * k), states)
     extra = ((reduce(np.kron, [single.prior] * k), expand([single.povm] * k)),)
     return sequential_c1(prod_e, cfg, extra_starts=extra)
@@ -452,8 +500,8 @@ def sequential_accessible(e, cfg) -> float:
     POVMs) ascended on its own; a start keeps its own value when its ascent
     does not raise it."""
     rng = np.random.default_rng(cfg.seed)
-    stack = np.stack([s.matrix for s in e.states])
-    starts = [pretty_good_measurement(e.states, e.prior)]
+    stack = e.states
+    starts = [pretty_good_measurement(e)]
     if e.size == 2:
         starts.insert(0, helstrom(e.states[0], e.states[1], float(e.prior[0])))
     starts += [random_rank1_povm(e.dim, e.dim * e.dim, rng) for _ in range(cfg.restarts)]
@@ -483,7 +531,7 @@ def alternating_c1(e, cfg) -> float:
     ``cfg.tol`` or after ``cfg.max_iters`` rounds. Returns the best start's
     value.
     """
-    stack = np.stack([s.matrix for s in e.states])
+    stack = e.states
     starts, _ = _c1_starts(e, cfg)
     best = -math.inf
     for prior, povm in starts:

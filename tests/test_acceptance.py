@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from qkdsim.channels import CqEnsemble
 from qkdsim.cli import main
 from qkdsim.information import OptimizerConfig, c1, c_k, holevo_chi, quantum_condition
 from qkdsim.measurements import random_rank1_povm
@@ -24,9 +23,9 @@ from qkdsim.simulation import (
     repetition_codebook,
     sample_codebook,
 )
-from qkdsim.states import pure_state, von_neumann_entropy
+from qkdsim.states import pure_state
 
-from conftest import random_density, random_pure
+from conftest import ensemble, random_density, random_pure
 from oracles import (
     binary_entropy,
     block_success,
@@ -35,6 +34,7 @@ from oracles import (
     majority_error,
     pure_pair_c1,
     pure_pair_capacity,
+    von_neumann_entropy,
 )
 
 
@@ -95,7 +95,7 @@ def test_criterion_3_seesaw_matches_grid_oracle():
         v0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         v1 = rng.normal(size=2) + 1j * rng.normal(size=2)
         v0, v1 = v0 / np.linalg.norm(v0), v1 / np.linalg.norm(v1)
-        e = CqEnsemble([0.5, 0.5], (pure_state(v0), pure_state(v1)))
+        e = ensemble([0.5, 0.5], (pure_state(v0), pure_state(v1)))
         seesaw = c1(e, cfg).value
         oracle = grid_c1_qubit(v0, v1)
         worst = max(worst, abs(seesaw - oracle))
@@ -222,7 +222,7 @@ def test_criterion_8_invariant_suites():
 
     cfg = OptimizerConfig(restarts=1, seed=8)
     for _ in range(10):
-        e = CqEnsemble([0.5, 0.5], (random_pure(rng, 2), random_pure(rng, 2)))
+        e = ensemble([0.5, 0.5], (random_pure(rng, 2), random_pure(rng, 2)))
         ok &= accessible_information(e, cfg).value <= holevo_chi(e) + 1e-6
     notes.append("holevo-bound")
     # joint normalization and determinism under fixed seeds

@@ -7,17 +7,16 @@ from qkdsim.channels import (
     CqEnsemble,
     QuantumChannel,
     apply,
-    depolarizing_channel,
     identity_channel,
     marginal,
     push_through,
     tensor_power,
 )
 from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
-from qkdsim.states import DensityOperator, pure_state, tensor
+from qkdsim.states import DensityOperator, pure_state
 
 from conftest import random_channel, random_density
-from oracles import partial_trace
+from oracles import depolarizing_channel, partial_trace, tensor
 
 
 def paper_letter_states(s):
@@ -143,32 +142,41 @@ class TestMarginal:
 
 class TestEnsembles:
     def test_prior_validation(self):
-        states = (pure_state([1, 0]), pure_state([0, 1]))
+        states = (pure_state([1, 0]).matrix, pure_state([0, 1]).matrix)
         with pytest.raises(ValidationError, match="prior"):
             CqEnsemble([0.6, 0.6], states)
 
     def test_non_finite_prior_rejected(self):
         with pytest.raises(ValidationError) as err:
-            CqEnsemble([float("nan"), 1.0], (pure_state([1, 0]), pure_state([0, 1])))
+            CqEnsemble([float("nan"), 1.0], (pure_state([1, 0]).matrix, pure_state([0, 1]).matrix))
         assert err.value.invariant == "prior"
 
     def test_push_through_identity(self, rng):
-        e = CqEnsemble([0.3, 0.7], (random_density(rng, 2), random_density(rng, 2)))
+        e = CqEnsemble([0.3, 0.7], (random_density(rng, 2).matrix, random_density(rng, 2).matrix))
         out = push_through(e, identity_channel(2))
-        for a in range(2):
-            np.testing.assert_allclose(out.states[a].matrix, e.states[a].matrix, atol=1e-12)
+        np.testing.assert_allclose(out.states, e.states, atol=1e-12)
         np.testing.assert_allclose(out.prior, e.prior)
+
+    def test_push_through_is_apply_per_letter(self, rng):
+        letters = [random_density(rng, 2) for _ in range(3)]
+        chan = random_channel(rng, 2, 3, n_kraus=2)
+        out = push_through(CqEnsemble(rng.dirichlet(np.ones(3)), [r.matrix for r in letters]), chan)
+        np.testing.assert_array_equal(out.states, [apply(chan, r).matrix for r in letters])
+
+    def test_letters_of_two_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            CqEnsemble([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3])
 
     def test_push_through_eve_marginal(self):
         xi0, xi1, phi, psi = paper_letter_states(0.5)
-        e = CqEnsemble([0.5, 0.5], (xi0, xi1))
+        e = CqEnsemble([0.5, 0.5], (xi0.matrix, xi1.matrix))
         theta = identity_channel(4, out_factorization=(2, 2))
         out = push_through(e, marginal(theta, "E"))
-        np.testing.assert_allclose(out.states[0].matrix, phi.matrix, atol=1e-10)
-        np.testing.assert_allclose(out.states[1].matrix, psi.matrix, atol=1e-10)
+        np.testing.assert_allclose(out.states[0], phi.matrix, atol=1e-10)
+        np.testing.assert_allclose(out.states[1], psi.matrix, atol=1e-10)
 
     def test_push_through_depolarizing(self):
-        e = CqEnsemble([0.5, 0.5], (pure_state([1, 0]), pure_state([0, 1])))
+        e = CqEnsemble([0.5, 0.5], (pure_state([1, 0]).matrix, pure_state([0, 1]).matrix))
         out = push_through(e, depolarizing_channel(1.0))
         for a in range(2):
-            np.testing.assert_allclose(out.states[a].matrix, np.eye(2) / 2, atol=1e-10)
+            np.testing.assert_allclose(out.states[a], np.eye(2) / 2, atol=1e-10)

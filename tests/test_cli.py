@@ -26,14 +26,13 @@ class TestScenarioIO:
     def test_builtin_paper_example_overlap(self):
         sc = load_scenario("paper-example", overlap=0.5)
         # letter states must overlap as <xi(0), xi(1)> = s^2 per qubit pair
-        m0 = sc.ensemble.states[0].matrix
-        m1 = sc.ensemble.states[1].matrix
+        m0, m1 = sc.ensemble.states
         fidelity = np.trace(m0 @ m1).real
         assert fidelity == pytest.approx(0.5**4, abs=1e-12)
 
     def test_builtin_orthogonal(self):
         sc = load_scenario("orthogonal")
-        m0, m1 = (s.matrix for s in sc.ensemble.states)
+        m0, m1 = sc.ensemble.states
         assert np.trace(m0 @ m1).real == pytest.approx(0.0, abs=1e-12)
 
     def test_builtin_bsc_pair_marginals(self):
@@ -42,9 +41,9 @@ class TestScenarioIO:
         np.testing.assert_allclose(v.matrix, [[0.9, 0.1], [0.1, 0.9]])
         np.testing.assert_allclose(w.matrix, [[0.7, 0.3], [0.3, 0.7]])
         bob = sc.bob_ensemble()
-        np.testing.assert_allclose(bob.states[0].matrix, np.diag([0.9, 0.1]), atol=1e-12)
+        np.testing.assert_allclose(bob.states[0], np.diag([0.9, 0.1]), atol=1e-12)
         eve = sc.eve_ensemble()
-        np.testing.assert_allclose(eve.states[1].matrix, np.diag([0.3, 0.7]), atol=1e-12)
+        np.testing.assert_allclose(eve.states[1], np.diag([0.3, 0.7]), atol=1e-12)
 
     def test_bsc_pair_needs_two_params(self):
         with pytest.raises(ScenarioFormatError, match="two crossover"):
@@ -58,7 +57,7 @@ class TestScenarioIO:
         assert back.name == sc.name
         assert back.key_count == sc.key_count
         for a, b in zip(back.ensemble.states, sc.ensemble.states):
-            assert np.abs(a.matrix - b.matrix).max() < 1e-12
+            assert np.abs(a - b).max() < 1e-12
         for a, b in zip(back.theta.kraus, sc.theta.kraus):
             assert np.abs(a - b).max() < 1e-12
         np.testing.assert_allclose(back.ensemble.prior, sc.ensemble.prior, atol=1e-15)

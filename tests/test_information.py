@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from qkdsim import information
-from qkdsim.channels import CqEnsemble, identity_channel
+from qkdsim.channels import identity_channel
 from qkdsim.errors import DimensionMismatch, ValidationError
 from qkdsim.information import (
     _JOINT_GTOL,
@@ -47,12 +47,13 @@ from qkdsim.measurements import (
     random_rank1_povm,
 )
 from qkdsim.scenarios import paper_example, scenario_from_dict
-from qkdsim.states import pure_state
+from qkdsim.states import hermitian_eigensystem, pure_state
 
 from conftest import (
     FOUR_LETTER,
     THREE_MIXED,
     central_differences,
+    ensemble,
     random_density,
     random_pure,
 )
@@ -80,7 +81,7 @@ def random_mixed_ensemble(size, dim, seed):
     """``size`` random letters on C^dim, each of random rank, at a random prior."""
     rng = np.random.default_rng(seed)
     states = tuple(random_density(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(size))
-    return CqEnsemble(rng.dirichlet(np.ones(size)), states)
+    return ensemble(rng.dirichlet(np.ones(size)), states)
 
 
 mixed_ensembles = st.builds(
@@ -97,7 +98,7 @@ def random_channel_rows(inputs, outputs, concentration, seed):
 def qubit_pair_ensemble(s, prior=(0.5, 0.5)):
     psi0 = np.array([1.0, 0.0])
     psi1 = np.array([s, math.sqrt(1 - s * s)])
-    return CqEnsemble(prior, (pure_state(psi0), pure_state(psi1)))
+    return ensemble(prior, (pure_state(psi0), pure_state(psi1)))
 
 
 def bsc(eps):
@@ -140,8 +141,15 @@ class TestShannonQuantities:
     def test_invalid_distribution(self):
         with pytest.raises(ValidationError, match="distribution"):
             shannon_entropy([0.5, 0.6])
-        with pytest.raises(ValidationError, match=r"vector: \[1.5, -0.5\]"):
+        with pytest.raises(ValidationError, match=r"sum to 1, got \[1.5, -0.5\]"):
             shannon_entropy([1.5, -0.5])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_distribution_rejected(self, bad):
+        # A NaN passed every tolerance test, and the entropy came back 0.0.
+        with pytest.raises(ValidationError) as err:
+            shannon_entropy([bad, 1.0])
+        assert err.value.invariant == "distribution"
 
     def test_identity_channel_mi(self):
         chan = ClassicalChannel(np.eye(2))
@@ -157,6 +165,13 @@ class TestShannonQuantities:
         )
         assert mutual_information([0.5, 0.5], bsc(0.1)) == pytest.approx(0.531004, abs=1e-6)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_mi_non_finite_prior_rejected(self, bad):
+        # A NaN passed every tolerance test, and the information came back NaN.
+        with pytest.raises(ValidationError) as err:
+            mutual_information([bad, 1.0], ClassicalChannel(np.eye(2)))
+        assert err.value.invariant == "distribution"
+
     def test_mi_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mutual_information([1.0], bsc(0.1))
@@ -168,7 +183,7 @@ class TestHolevo:
 
     def test_identical_states_chi(self, rng):
         rho = random_pure(rng, 2)
-        e = CqEnsemble([0.5, 0.5], (rho, rho))
+        e = ensemble([0.5, 0.5], (rho, rho))
         assert holevo_chi(e) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_pair_chi_closed_form(self):
@@ -192,7 +207,7 @@ class TestHolevo:
         assert res.value == pytest.approx(0.811278, abs=1e-6)
 
     def test_capacity_single_letter(self):
-        e = CqEnsemble([1.0], (pure_state([1, 0]),))
+        e = ensemble([1.0], (pure_state([1, 0]),))
         assert holevo_capacity(e, CFG).value == 0.0
 
     def test_capacity_beats_chi_at_own_prior(self, rng):
@@ -207,7 +222,7 @@ class TestHolevo:
             pure_state([math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)])
             for k in range(3)
         )
-        e = CqEnsemble([1 / 3] * 3, states)
+        e = ensemble([1 / 3] * 3, states)
         res = holevo_capacity(e, CFG)
         assert holevo_chi(e) - 1e-9 <= res.value <= math.log2(3)
         assert res.converged
@@ -253,7 +268,7 @@ class TestAccessibleInformation:
 
     def test_identical_states(self, rng):
         rho = random_pure(rng, 2)
-        e = CqEnsemble([0.5, 0.5], (rho, rho))
+        e = ensemble([0.5, 0.5], (rho, rho))
         assert accessible_information(e, CFG).value == pytest.approx(0.0, abs=1e-9)
 
     def test_pure_pair_closed_form(self):
@@ -271,7 +286,7 @@ class TestAccessibleInformation:
     def test_holevo_bound_on_random_ensembles(self, rng):
         cfg = OptimizerConfig(restarts=1, seed=3)
         for _ in range(50):
-            e = CqEnsemble([0.5, 0.5], (random_pure(rng, 2), random_pure(rng, 2)))
+            e = ensemble([0.5, 0.5], (random_pure(rng, 2), random_pure(rng, 2)))
             res = accessible_information(e, cfg)
             assert res.value <= holevo_chi(e) + 1e-6
 
@@ -286,7 +301,7 @@ class TestAccessibleInformation:
             pure_state([math.cos(t / 2), np.exp(1j * f) * math.sin(t / 2)])
             for t, f in ((t0, f0), (t1, f1))
         )
-        e = CqEnsemble([p0, 1.0 - p0], states)
+        e = ensemble([p0, 1.0 - p0], states)
         res = accessible_information(e, OptimizerConfig(restarts=1, seed=0))
         assert res.value <= holevo_chi(e) + 1e-9
         replay = mutual_information(e.prior, induced_channel(res.povm, e))
@@ -296,8 +311,8 @@ class TestAccessibleInformation:
 class TestAscentGradient:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_mi_objective_matches_central_differences(self, rng, dim):
-        e = CqEnsemble(rng.dirichlet(np.ones(3)), tuple(random_pure(rng, dim) for _ in range(3)))
-        stack = np.stack([s.matrix for s in e.states])
+        e = ensemble(rng.dirichlet(np.ones(3)), tuple(random_pure(rng, dim) for _ in range(3)))
+        stack = e.states
         w = rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim))
         x = np.concatenate([w.real.ravel(), w.imag.ravel()])
 
@@ -313,8 +328,8 @@ class TestAscentGradient:
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_joint_objective_value_and_gradient(self, rng, size):
-        e = CqEnsemble(np.full(size, 1.0 / size), tuple(random_density(rng, 2) for _ in range(size)))
-        stack = np.stack([s.matrix for s in e.states])
+        e = ensemble(np.full(size, 1.0 / size), tuple(random_density(rng, 2) for _ in range(size)))
+        stack = e.states
         w = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         z = rng.normal(size=size)
         y = np.concatenate([w.real.ravel(), w.imag.ravel(), z])
@@ -327,7 +342,7 @@ class TestAscentGradient:
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
     def test_singular_frame_scores_fifty_with_zero_gradient(self):
-        stack = np.stack([s.matrix for s in qubit_pair_ensemble(0.5).states])
+        stack = qubit_pair_ensemble(0.5).states
         w = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], dtype=complex)
         x = np.concatenate([w.real.ravel(), w.imag.ravel()])
 
@@ -389,8 +404,8 @@ class TestAscentGradient:
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         stacks = [
             np.stack([a @ a.conj().T, np.outer(v, v.conj()), np.zeros((3, 3), dtype=complex)]),
-            np.stack(random_rank1_povm(3, 5, rng).effects),
-            np.stack(helstrom(random_density(rng, 2), random_density(rng, 2), 0.3).effects),
+            random_rank1_povm(3, 5, rng).effects,
+            helstrom(random_density(rng, 2).matrix, random_density(rng, 2).matrix, 0.3).effects,
         ]
         for effects in stacks:
             pieces, groups = _rank1_pieces(effects)
@@ -427,8 +442,8 @@ def _no_minimize(*args, **kwargs):
 class TestLbfgs:
     @pytest.mark.parametrize("joint", [False, True], ids=["povm", "joint"])
     def test_same_point_as_plain_minimize(self, rng, joint):
-        e = CqEnsemble(rng.dirichlet(np.ones(3)), tuple(random_density(rng, 2) for _ in range(3)))
-        stack = np.stack([s.matrix for s in e.states])
+        e = ensemble(rng.dirichlet(np.ones(3)), tuple(random_density(rng, 2) for _ in range(3)))
+        stack = e.states
         w = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
         if joint:
@@ -461,7 +476,7 @@ class TestLbfgs:
     @pytest.mark.parametrize("overlap", [0.3, 0.8])
     def test_converged_start_makes_no_scipy_call(self, monkeypatch, overlap):
         e = qubit_pair_ensemble(overlap, prior=(0.3, 0.7))
-        stack = np.stack([s.matrix for s in e.states])
+        stack = e.states
         frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.3), stack)
 
         def vg(table):
@@ -540,7 +555,7 @@ class TestStackedStarts:
         """Helstrom at overlap 0.8 already meets the stop: it comes back
         bit-identical to its own early exit while a random start climbs."""
         e = paper_example(0.8).eve_ensemble()
-        stack = np.stack([s.matrix for s in e.states])
+        stack = e.states
         helstrom_frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.5), stack)
         random_frame, random_table = _start_frame(random_rank1_povm(2, 4, rng), stack)
         priors = [e.prior, rng.dirichlet(np.ones(2))]
@@ -562,7 +577,7 @@ class TestC1:
     def test_c1_at_most_holevo_capacity_property(self, size, dim, seed):
         rng = np.random.default_rng(seed)
         states = tuple(random_density(rng, dim) for _ in range(size))
-        e = CqEnsemble(rng.dirichlet(np.ones(size)), states)
+        e = ensemble(rng.dirichlet(np.ones(size)), states)
         cfg = OptimizerConfig(restarts=1)
         assert c1(e, cfg).value <= holevo_capacity(e, cfg).value + 1e-9
 
@@ -575,7 +590,7 @@ class TestC1:
     def test_c1_witness_achieves_value_property(self, size, dim, seed):
         rng = np.random.default_rng(seed)
         states = tuple(random_density(rng, dim) for _ in range(size))
-        e = CqEnsemble(rng.dirichlet(np.ones(size)), states)
+        e = ensemble(rng.dirichlet(np.ones(size)), states)
         res = c1(e, OptimizerConfig(restarts=1))
         replay = mutual_information(res.prior, induced_channel(res.povm, e))
         assert replay == pytest.approx(res.value, abs=1e-9)
@@ -637,7 +652,7 @@ class TestC1:
 
     def test_identical_states(self, rng):
         rho = random_pure(rng, 2)
-        e = CqEnsemble([0.5, 0.5], (rho, rho))
+        e = ensemble([0.5, 0.5], (rho, rho))
         assert c1(e, CFG).value == pytest.approx(0.0, abs=1e-9)
 
     def test_pure_pair_uniform_optimum(self):
@@ -650,12 +665,10 @@ class TestC1:
         for _ in range(5):
             v0 = random_pure(rng, 2)
             v1 = random_pure(rng, 2)
-            e = CqEnsemble([0.5, 0.5], (v0, v1))
+            e = ensemble([0.5, 0.5], (v0, v1))
             res = c1(e, CFG)
-            from qkdsim.states import spectral
-
-            a0 = spectral(v0)[1][:, 0]
-            a1 = spectral(v1)[1][:, 0]
+            a0 = hermitian_eigensystem(v0.matrix)[1][:, 0]
+            a1 = hermitian_eigensystem(v1.matrix)[1][:, 0]
             oracle = grid_c1_qubit(a0, a1)
             assert res.value == pytest.approx(oracle, abs=1e-3)
 
@@ -806,7 +819,7 @@ class TestDataProcessing:
     def test_coarse_graining_never_increases_mi(self, size, dim, coarse_count, seed):
         rng = np.random.default_rng(seed)
         states = tuple(random_density(rng, dim) for _ in range(size))
-        e = CqEnsemble(rng.dirichlet(np.ones(size)), states)
+        e = ensemble(rng.dirichlet(np.ones(size)), states)
         povm = random_rank1_povm(dim, dim + 1, rng)
         fine = mutual_information(e.prior, induced_channel(povm, e))
         labels = rng.integers(0, coarse_count, size=len(povm))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.channels import CqEnsemble
 from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
@@ -17,10 +19,10 @@ from qkdsim.measurements import (
     random_rank1_povm,
 )
 from qkdsim.simulation import EveStrategy
-from qkdsim.states import pure_state, tensor
+from qkdsim.states import pure_state
 
-from conftest import random_density, random_pure, random_unitary
-from oracles import coarse_grain
+from conftest import SPOILS, ensemble, random_density, random_pure, random_unitary, spoil
+from oracles import coarse_grain, povm_invariant, tensor
 
 
 def qubit_pair(s):
@@ -30,7 +32,7 @@ def qubit_pair(s):
 
 def born(povm, rho):
     """Outcome distribution of one state, through the package's Born table."""
-    return _born_table(np.stack(povm.effects), rho.matrix[None])[0]
+    return _born_table(povm.effects, rho.matrix[None])[0]
 
 
 def success_probability(povm, states, priors):
@@ -60,6 +62,50 @@ class TestPovmValidation:
             Povm([np.diag([1.0, float("nan")]), np.diag([0.0, 1.0])])
         assert err.value.invariant == "effects"
 
+    def test_effects_are_one_read_only_stack(self):
+        povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert povm.effects.shape == (2, 2, 2) and povm.effects.dtype == complex
+        with pytest.raises(ValueError):
+            povm.effects[0, 0, 0] = 0.5
+
+    def test_message_names_the_failing_effect(self):
+        with pytest.raises(ValidationError, match="effect 1: smallest eigenvalue"):
+            Povm([np.diag([1.1, 0.0]), np.diag([-0.1, 1.0])])
+
+    @pytest.mark.parametrize(
+        "effects", [[], [np.eye(2), np.eye(3)], [np.ones((2, 3))]], ids=["empty", "ragged", "oblong"]
+    )
+    def test_bad_shape_rejected(self, effects):
+        with pytest.raises(ValidationError) as err:
+            Povm(effects)
+        assert err.value.invariant == "effects"
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        count=st.integers(1, 4),
+        dim=st.sampled_from([2, 3]),
+        how=st.sampled_from(SPOILS),
+        where=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batched_check_matches_per_effect_reference_property(self, count, dim, how, where, seed):
+        # Random effects S^(-1/2) A_b S^(-1/2), S = sum_b A_b, one of them spoiled.
+        rng = np.random.default_rng(seed)
+        raw = [random_density(rng, dim).matrix for _ in range(count)]
+        vals, vecs = np.linalg.eigh(sum(raw))
+        root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        effects = [root @ a @ root for a in raw]
+        where %= count
+        effects[where] = spoil(effects[where], how)
+        expected = povm_invariant(effects)
+        assert (expected is None) == (how == "none")
+        try:
+            Povm(effects)
+        except ValidationError as err:
+            assert err.invariant == expected is not None
+        else:
+            assert expected is None
+
     def test_random_rank1_is_valid(self, rng):
         for dim, m in [(2, 4), (3, 9), (4, 16)]:
             povm = random_rank1_povm(dim, m, rng)
@@ -78,7 +124,7 @@ class TestBornRule:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            induced_channel(BASIS_POVM, CqEnsemble([1.0], (random_density(rng, 3),)))
+            induced_channel(BASIS_POVM, ensemble([1.0], (random_density(rng, 3),)))
 
     def test_sums_to_one(self, rng):
         for _ in range(20):
@@ -91,13 +137,13 @@ class TestBornRule:
 class TestHelstrom:
     def test_orthogonal_states_perfect(self):
         rho0, rho1 = qubit_pair(0.0)
-        povm = helstrom(rho0, rho1, 0.5)
+        povm = helstrom(rho0.matrix, rho1.matrix, 0.5)
         assert success_probability(povm, (rho0, rho1), (0.5, 0.5)) == pytest.approx(1.0)
 
     def test_identical_states(self, rng):
         rho = random_density(rng, 2)
         for p0 in (0.5, 0.7, 0.2):
-            povm = helstrom(rho, rho, p0)
+            povm = helstrom(rho.matrix, rho.matrix, p0)
             assert success_probability(povm, (rho, rho), (p0, 1 - p0)) == pytest.approx(
                 max(p0, 1 - p0), abs=1e-10
             )
@@ -105,7 +151,7 @@ class TestHelstrom:
     def test_closed_form_success(self):
         s = 0.5
         rho0, rho1 = qubit_pair(s)
-        povm = helstrom(rho0, rho1, 0.5)
+        povm = helstrom(rho0.matrix, rho1.matrix, 0.5)
         expected = (1 + math.sqrt(1 - s * s)) / 2
         assert success_probability(povm, (rho0, rho1), (0.5, 0.5)) == pytest.approx(
             expected, abs=1e-10
@@ -115,7 +161,7 @@ class TestHelstrom:
     def test_beats_random_projective_measurements(self, rng):
         rho0 = random_density(rng, 2)
         rho1 = random_density(rng, 2)
-        povm = helstrom(rho0, rho1, 0.5)
+        povm = helstrom(rho0.matrix, rho1.matrix, 0.5)
         best = success_probability(povm, (rho0, rho1), (0.5, 0.5))
         for _ in range(100):
             u = random_unitary(rng, 2)
@@ -130,14 +176,14 @@ class TestHelstrom:
 class TestPrettyGoodMeasurement:
     def test_orthogonal_states_projective(self):
         rho0, rho1 = qubit_pair(0.0)
-        povm = pretty_good_measurement((rho0, rho1), (0.5, 0.5))
+        povm = pretty_good_measurement(ensemble((0.5, 0.5), (rho0, rho1)))
         np.testing.assert_allclose(povm.effects[0], rho0.matrix, atol=1e-10)
         np.testing.assert_allclose(povm.effects[1], rho1.matrix, atol=1e-10)
 
     def test_matches_helstrom_for_equiprobable_pure_pair(self):
         s = 0.5
         rho0, rho1 = qubit_pair(s)
-        pgm = pretty_good_measurement((rho0, rho1), (0.5, 0.5))
+        pgm = pretty_good_measurement(ensemble((0.5, 0.5), (rho0, rho1)))
         expected = (1 + math.sqrt(1 - s * s)) / 2
         assert success_probability(pgm, (rho0, rho1), (0.5, 0.5)) == pytest.approx(
             expected, abs=1e-10
@@ -145,7 +191,7 @@ class TestPrettyGoodMeasurement:
 
     def test_single_state_gives_identity(self, rng):
         rho = random_pure(rng, 3)
-        povm = pretty_good_measurement((rho,), (1.0,))
+        povm = pretty_good_measurement(ensemble((1.0,), (rho,)))
         assert len(povm) == 1
         np.testing.assert_allclose(povm.effects[0], np.eye(3), atol=1e-10)
 
@@ -154,7 +200,7 @@ class TestPrettyGoodMeasurement:
         # S p_i rho_i S formed directly missed the Hermiticity check here by
         # 6.8e-10 and 3.6e-8.
         rho0, rho1 = pure_state([1, 0]), pure_state([0.6, 0.8])
-        povm = pretty_good_measurement((rho0, rho1), (weight, 1.0 - weight))
+        povm = pretty_good_measurement(ensemble((weight, 1.0 - weight), (rho0, rho1)))
         for m in povm.effects:
             assert np.abs(m - m.conj().T).max() <= 1e-15
         np.testing.assert_allclose(sum(povm.effects), np.eye(2), rtol=0, atol=1e-14)
@@ -165,36 +211,44 @@ class TestPrettyGoodMeasurement:
         avg = sum(w * s.matrix for w, s in zip(p, states))
         vals, vecs = np.linalg.eigh(avg)
         s_op = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        povm = pretty_good_measurement(states, p)
+        povm = pretty_good_measurement(ensemble(p, states))
         for m, w, rho in zip(povm.effects, p, states):
             np.testing.assert_allclose(m, s_op @ (w * rho.matrix) @ s_op, rtol=0, atol=1e-12)
+
+    def test_non_finite_prior_never_reaches_the_svd(self):
+        # Given the prior on its own, a NaN weight reached numpy's SVD and
+        # raised LinAlgError; the measurement now takes a validated ensemble.
+        rho0, rho1 = qubit_pair(0.5)
+        with pytest.raises(ValidationError) as err:
+            pretty_good_measurement(CqEnsemble([float("nan"), 1.0], [rho0.matrix, rho1.matrix]))
+        assert err.value.invariant == "prior"
 
     def test_singular_average_kernel_to_outcome_zero(self):
         # two pure states spanning 2 of 3 dimensions: kernel goes to effect 0
         rho0 = pure_state([1, 0, 0])
         rho1 = pure_state([0, 1, 0])
-        povm = pretty_good_measurement((rho0, rho1), (0.5, 0.5))
+        povm = pretty_good_measurement(ensemble((0.5, 0.5), (rho0, rho1)))
         assert povm.effects[0][2, 2] == pytest.approx(1.0, abs=1e-12)
         assert povm.effects[1][2, 2] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestInducedChannel:
     def test_orthogonal_states_identity_channel(self):
-        e = CqEnsemble([0.5, 0.5], qubit_pair(0.0))
+        e = ensemble([0.5, 0.5], qubit_pair(0.0))
         chan = induced_channel(BASIS_POVM, e)
         np.testing.assert_allclose(chan.matrix, np.eye(2), atol=1e-12)
 
     def test_constant_ensemble_identical_rows(self, rng):
         rho = random_density(rng, 2)
-        e = CqEnsemble([0.5, 0.5], (rho, rho))
+        e = ensemble([0.5, 0.5], (rho, rho))
         chan = induced_channel(random_rank1_povm(2, 4, rng), e)
         np.testing.assert_allclose(chan.matrix[0], chan.matrix[1], atol=1e-12)
 
     def test_helstrom_induces_symmetric_channel(self):
         s = 0.5
         rho0, rho1 = qubit_pair(s)
-        e = CqEnsemble([0.5, 0.5], (rho0, rho1))
-        chan = induced_channel(helstrom(rho0, rho1, 0.5), e)
+        e = ensemble([0.5, 0.5], (rho0, rho1))
+        chan = induced_channel(helstrom(rho0.matrix, rho1.matrix, 0.5), e)
         eps = (1 - math.sqrt(1 - s * s)) / 2
         np.testing.assert_allclose(
             chan.matrix, [[1 - eps, eps], [eps, 1 - eps]], atol=1e-10
@@ -219,7 +273,7 @@ class TestExpandAndCoarseGrain:
 
     def test_expansion_completeness(self):
         rho0, rho1 = qubit_pair(0.5)
-        h = helstrom(rho0, rho1, 0.5)
+        h = helstrom(rho0.matrix, rho1.matrix, 0.5)
         flat = expand([h, h])
         total = sum(flat.effects)
         assert np.abs(total - np.eye(4)).max() < 1e-9
@@ -247,7 +301,7 @@ class TestExpandAndCoarseGrain:
     def test_majority_vote_matches_binomial(self):
         s = 0.5
         rho0, rho1 = qubit_pair(s)
-        h = helstrom(rho0, rho1, 0.5)
+        h = helstrom(rho0.matrix, rho1.matrix, 0.5)
         cube = expand([h, h, h])
         majority = [int(sum(t) >= 2) for t in itertools.product((0, 1), repeat=3)]
         voted = Povm(coarse_grain(cube.effects, majority, 2))

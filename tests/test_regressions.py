@@ -1,4 +1,4 @@
-"""Frozen scalar outputs of the POVM ascent, the prior ascent and the
+"""Frozen scalar outputs of the POVM ascent, the prior ascent, C_k and the
 adversary's seesaw between its slots and its decoder, on binary alphabets and
 on a three-letter and a four-letter scenario file.
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qkdsim.cli import main
-from qkdsim.information import OptimizerConfig
+from qkdsim.information import OptimizerConfig, c_k
 from qkdsim.scenarios import paper_example
 from qkdsim.simulation import (
     eve_optimize,
@@ -128,6 +128,15 @@ def test_seesaw_gain_over_default_pin():
     me = eve_optimize(sc, book, OptimizerConfig(restarts=1, seed=3))
     report = evaluate(sc, book, me)
     assert report.eve_info == pytest.approx(0.9682890994937405, abs=ABS)
+
+
+def test_c_k_two_copy_pin():
+    # No command reaches C_k, so no golden output covers it.
+    result = c_k(paper_example(0.5).eve_ensemble(), 2, OptimizerConfig(restarts=2, seed=3))
+    assert result.value == pytest.approx(1.2908421946694615, abs=1e-12)
+    assert result.prior == pytest.approx([0.25] * 4, abs=1e-12)
+    assert result.converged
+    assert len(result.povm) == 4
 
 
 def test_zero_effect_slot_keeps_its_outcome():

@@ -75,7 +75,7 @@ def correlated_scenario(eps=0.1):
             p = 1 - eps if a == b else eps
             ops.append(math.sqrt(p) * np.outer(np.kron(basis[b], basis[b]), basis[a]))
     theta = QuantumChannel(ops, out_factorization=TensorFactorization((2, 2)))
-    ensemble = CqEnsemble([0.5, 0.5], (pure_state([1, 0]), pure_state([0, 1])))
+    ensemble = CqEnsemble([0.5, 0.5], [pure_state([1, 0]).matrix, pure_state([0, 1]).matrix])
     return Scenario(name="correlated", key_count=2, ensemble=ensemble, theta=theta)
 
 
@@ -200,7 +200,7 @@ class TestEveStrategies:
         me = eve_default_strategy(sc, book)
         flat = coarse_grain(expand(me.slots).effects, me.decoder, 2)
         rep = evaluate(sc, book, me)
-        eve_states = [s.matrix for s in sc.eve_ensemble().states]
+        eve_states = sc.eve_ensemble().states
         for key, word in enumerate(book.letters):
             block = reduce(np.kron, (eve_states[a] for a in word))
             probs = _born_table(flat, block[None])[0]
@@ -315,8 +315,8 @@ def random_attack(seed, k, counts=(4, 4, 4)):
     rng = np.random.default_rng(seed)
     sc = dataclasses.replace(paper_example(0.5), key_count=k)
     book = sample_codebook(k, len(counts), 2, seed=3)
-    slots = [np.stack(random_rank1_povm(2, m, rng).effects) for m in counts]
-    states = np.stack([rho.matrix for rho in sc.eve_ensemble().states])
+    slots = [random_rank1_povm(2, m, rng).effects for m in counts]
+    states = sc.eve_ensemble().states
     idx = rng.integers(0, k, size=math.prod(counts))
     pieces = [_rank1_pieces(p) for p in slots]
     return rng, book, slots, states, idx, pieces
@@ -386,7 +386,7 @@ class TestJointObjective:
         tables = _slot_channels(slots, states)
         free = [slot % len(counts)]
         groups = [pieces[free[0]][1]]
-        ps = [_born_table(np.stack(random_rank1_povm(2, counts[free[0]], rng).effects), states)]
+        ps = [_born_table(random_rank1_povm(2, counts[free[0]], rng).effects, states)]
         value, grad = _joint_value_and_grad(book, idx, tables, free, groups)(ps[0])
         want, want_grads = tuple_key_information(book.letters, idx, tables, free, groups, ps)
         assert value == pytest.approx(want, abs=1e-12)
@@ -399,7 +399,7 @@ def dense_joint(sc, book, me):
     traced against every Kronecker-product block effect, built explicitly and
     permuted from [B1..Bn, E1..En] to the interleaved slot order."""
     n, k = book.length, sc.key_count
-    taus = [sc.theta.apply_matrix(s.matrix) for s in sc.ensemble.states]
+    taus = [sc.theta.apply_matrix(rho) for rho in sc.ensemble.states]
     bob_letters = [partial_trace(tau, (sc.dim_b, sc.dim_e), 0) for tau in taus]
     bob_effects = dense_pgm(
         [reduce(np.kron, (bob_letters[a] for a in word)) for word in book.letters]
@@ -486,8 +486,8 @@ class TestEvaluate:
         book = repetition_codebook(2, 2)
         me = eve_default_strategy(sc, book)
         rep = evaluate(sc, book, me)
-        eve_states = [s.matrix for s in sc.eve_ensemble().states]
-        bob_states = [s.matrix for s in sc.bob_ensemble().states]
+        eve_states = sc.eve_ensemble().states
+        bob_states = sc.bob_ensemble().states
         k = sc.key_count
         oracle = np.zeros((k, k, k))
         bob_blocks = [reduce(np.kron, (bob_states[a] for a in word)) for word in book.letters]
@@ -514,7 +514,7 @@ class TestEvaluate:
         rep = evaluate(sc, book, me)
         np.testing.assert_allclose(rep.joint, dense_joint(sc, book, me), atol=1e-9)
         # and the B/E outputs here are genuinely correlated, not a product
-        tau = sc.theta.apply_matrix(sc.ensemble.states[0].matrix)
+        tau = sc.theta.apply_matrix(sc.ensemble.states[0])
         t = tau.reshape(2, 2, 2, 2)
         marg_b = np.einsum("aebe->ab", t)
         marg_e = np.einsum("aeaf->ef", t)
@@ -581,7 +581,7 @@ class TestJointLawProperties:
         rng = np.random.default_rng(seed)
         theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_factorization=(2, 2))
         states = [random_density(rng, 2) if m else random_pure(rng, 2) for m in mixed]
-        ensemble = CqEnsemble(np.full(len(states), 1 / len(states)), states)
+        ensemble = CqEnsemble(np.full(len(states), 1 / len(states)), [rho.matrix for rho in states])
         sc = Scenario(name="random", key_count=k, ensemble=ensemble, theta=theta)
         book = sample_codebook(k, n, len(states), seed)
         if repeat:

@@ -2,21 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkdsim.channels import apply, identity_channel, marginal
+from qkdsim.channels import CqEnsemble, apply, identity_channel, marginal
 from qkdsim.errors import ValidationError
 from qkdsim.states import (
     DensityOperator,
     StateVector,
     TensorFactorization,
+    hermitian_eigensystem,
     permute_factors,
     pure_state,
-    spectral,
-    tensor,
-    von_neumann_entropy,
 )
 
-from conftest import binary_entropy, random_density, random_unitary
+from conftest import SPOILS, binary_entropy, random_density, random_unitary, spoil
+from oracles import tensor, von_neumann_entropy
 
 
 class TestValidation:
@@ -34,7 +35,7 @@ class TestValidation:
 
     def test_small_negative_jitter_tolerated(self):
         rho = DensityOperator([[1 + 5e-11, 0], [0, -5e-11]])
-        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_array_equal(rho.matrix, np.diag([1 + 5e-11, -5e-11]))
 
     def test_non_normalized_vector_rejected(self):
         with pytest.raises(ValidationError, match="normalized"):
@@ -60,6 +61,50 @@ class TestValidation:
     def test_bad_factorization_rejected(self):
         with pytest.raises(ValidationError, match="factorization"):
             TensorFactorization((2, 3)).check_dim(4)
+
+
+def invariant_of(build):
+    """The invariant that ``build()`` fails, or None when it succeeds."""
+    try:
+        build()
+    except ValidationError as err:
+        return err.invariant
+    return None
+
+
+class TestBatchedEnsembleCheck:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        size=st.integers(1, 4),
+        dim=st.sampled_from([2, 3]),
+        how=st.sampled_from(SPOILS),
+        where=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_ensemble_fails_as_its_letter_does_property(self, size, dim, how, where, seed):
+        rng = np.random.default_rng(seed)
+        letters = [random_density(rng, dim, int(rng.integers(1, dim + 1))).matrix for _ in range(size)]
+        where %= size
+        letters[where] = spoil(letters[where], how)
+        expected = [invariant_of(lambda m=m: DensityOperator(m)) for m in letters]
+        assert (expected[where] is None) == (how == "none")
+        try:
+            CqEnsemble(np.full(size, 1.0 / size), letters)
+        except ValidationError as err:
+            assert err.invariant == expected[where] is not None
+            assert str(err).startswith(f"{err.invariant}: state {where}: ")
+        else:
+            assert expected == [None] * size
+
+    def test_states_are_one_read_only_stack(self):
+        e = CqEnsemble([0.5, 0.5], [pure_state([1, 0]).matrix, pure_state([0, 1]).matrix])
+        assert e.states.shape == (2, 2, 2) and e.states.dtype == complex
+        with pytest.raises(ValueError):
+            e.states[0, 0, 0] = 0.5
+
+    def test_single_state_message_names_no_index(self):
+        with pytest.raises(ValidationError, match=r"^unit-trace: trace is \(1\.2\+0j\), expected 1$"):
+            DensityOperator([[0.6, 0], [0, 0.6]])
 
 
 class TestPureState:
@@ -123,13 +168,16 @@ class TestTensorAndPartialTrace:
 
 
 class TestSpectralAndEntropy:
+    """The package's eigendecomposition, and the oracle entropy that the
+    Holevo-bound acceptance test relies on."""
+
     def test_diagonal_spectrum(self):
-        vals, _ = spectral(DensityOperator(np.diag([0.75, 0.25])))
+        vals, _ = hermitian_eigensystem(np.diag([0.75, 0.25]))
         np.testing.assert_allclose(vals, [0.75, 0.25], atol=1e-12)
 
     def test_pure_state_spectrum(self):
         plus = pure_state(np.array([1, 1]) / math.sqrt(2))
-        vals, _ = spectral(plus)
+        vals, _ = hermitian_eigensystem(plus.matrix)
         np.testing.assert_allclose(vals, [1.0, 0.0], atol=1e-12)
 
     def test_two_state_mixture_closed_form(self):
@@ -138,14 +186,14 @@ class TestSpectralAndEntropy:
         phi = np.array([1.0, 0.0])
         psi = np.array([s, math.sqrt(1 - s * s)])
         mix = DensityOperator((np.outer(phi, phi) + np.outer(psi, psi)) / 2)
-        vals, vecs = spectral(mix)
+        vals, vecs = hermitian_eigensystem(mix.matrix)
         np.testing.assert_allclose(vals, [(1 + s) / 2, (1 - s) / 2], atol=1e-12)
         recon = (vecs * vals) @ vecs.conj().T
         assert np.abs(recon - mix.matrix).max() < 1e-9
 
     def test_eigenvalues_sum_to_one(self, rng):
         for _ in range(20):
-            vals, _ = spectral(random_density(rng, 4))
+            vals, _ = hermitian_eigensystem(random_density(rng, 4).matrix)
             assert abs(vals.sum() - 1.0) < 1e-9
 
     def test_pure_state_zero_entropy(self):
