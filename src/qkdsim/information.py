@@ -9,65 +9,52 @@ classical condition is the wiretap criterion max_P [I(P,V) - I(P,W)] > 0.
 
 Every prior search is one ascent, ``_ascend_prior``: L-BFGS-B on weights
 q >= 0, p = q / sum(q), whose stop bounds Blahut-Arimoto's duality gap
-max_a D_a - p @ D (Nagaoka, ISIT 1998). The concave Holevo and classical
-channel capacities ascend from the uniform prior, and Blahut-Arimoto steps
-polish the prior and certify the gap (``_capacity_prior``); the wiretap
-advantage, not concave, ascends from a start set. C1's prior moves with its
-POVM, as described below.
+max_a D_a - p @ D (Nagaoka, ISIT 1998). The concave capacities ascend from
+the uniform prior, and Blahut-Arimoto steps polish the prior and certify the
+gap (``_capacity_prior``); the wiretap advantage, not concave, ascends from a
+start set. C1's prior moves with its POVM, as described below.
 
-POVM maximization runs on rank-one frames: a POVM with one outcome per
-rank-one piece is a frame of raw vectors w_b, normalized by the frame
-operator to u_b = T^(-1/2) w_b, and scored through its Born table
+POVM maximization runs on rank-one frames: raw vectors w_b, normalized by
+the frame operator to u_b = T^(-1/2) w_b and scored through the Born table
 P[a, b] = <u_b| rho_a |u_b>. Every ascent of frames is L-BFGS-B on
-``_povm_objective``: the caller supplies its objective of the Born tables P_f
-with the gradients dI/dP_f; for the mutual information that is
-p(a) (log2 P(b|a) - log2 P(b)) (``_mi_and_grad``). ``_povm_objective`` pulls
-them back exactly through the Born rule and each frame's normalization (the
-Daleckii-Krein derivative of T^(-1/2) on T's eigenbasis), so L-BFGS-B runs
-on the analytic gradient. Several frames go through one stacked pass: their
-rows are scattered into one zero-padded (F, r, d) array, one batched ``eigh``
-takes every frame operator, and the caller's objective takes the (F, A, r)
-tables and returns an (F, A, r) gradient; a padded row's column of P is 0
-and its gradient is never gathered back. A single frame (a one-slot ascent of
-the adversary) skips the frame axis, so its arithmetic and its bits are a
-one-frame pass's. The adversary's seesaw in ``simulation.eve_optimize``
-ascends one problem, a slot or all of its slots, by ``_ascend_povm``. C1, C_k
-and ``accessible_information`` climb many independent starts, and
-``_ascend_starts`` climbs all of them at once: one L-BFGS-B problem whose
-value is the sum over starts of I(p_f, P_f), each start's frame (and, in a
-joint ascent, its prior's logits) one block of x, so the gradient is
-blockwise and one stacked pass serves every start (Byrd, Lu, Nocedal and
-Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)). L-BFGS-B's one call site is
-``_lbfgs``, shared with the prior ascent; a start that already meets the
-projected-gradient stop returns there as converged without a scipy call,
-and such a start does not join a stacked ascent either.
+``_povm_objective``, which pulls the caller's gradient dI/dP_f (for the
+mutual information p(a) (log2 P(b|a) - log2 P(b)), ``_mi_and_grad``) back
+exactly through the Born rule and the normalization (the Daleckii-Krein
+derivative of T^(-1/2)). Several frames go through one stacked pass, their
+rows scattered into one zero-padded (F, r, d) array with one batched
+``eigh``; a padded row's column of P is 0 and its gradient is never gathered
+back. A single frame skips the frame axis, so its bits are a one-frame
+pass's. The adversary's seesaw (``simulation.eve_optimize``) ascends a slot
+or all of its slots by ``_ascend_povm``. C1, C_k and
+``accessible_information`` climb many independent starts at once by
+``_ascend_starts``: one L-BFGS-B problem on the sum over starts of
+I(p_f, P_f), each start's frame (and in a joint ascent its prior's logits)
+one block of x, so the gradient is blockwise (Byrd, Lu, Nocedal and Zhu,
+SIAM J. Sci. Comput. 16, 1190 (1995)). L-BFGS-B's one call site is
+``_lbfgs``; a start that already meets the projected-gradient stop returns
+there without a scipy call, and does not join a stacked ascent.
 
-C1 and C_k are a seesaw over (prior, POVM) from structured starts
-(Helstrom, pretty-good measurement) and random restarts. Each start is
-held as its frame, its prior and its Born table; a ``Povm`` is built only
-for the winner. A round is one joint ascent over the frame and the prior's
-logits (``_joint_objective``), the standard joint form of the problem
-(Shor, Math. Program. 97, 311 (2003)), which climbs to its basin's top in
-one call; every start still climbing takes its round in the same stacked
-ascent, and keeps it only when it raises that start's exact value. For two
-letters that is the whole round: I is concave in the one-number prior at a
-fixed POVM, so the ascent's prior is the best for its POVM. From three
-letters on, a letter whose logit has fallen far cannot come back, and an
-ascent from a poor start POVM can drop a letter that the maximum keeps; so
-the round first ascends every frame at its fixed prior (one stacked ascent)
-and re-optimizes each prior for its row-normalized table by the prior
-ascent. ``accessible_information`` climbs its starts at the ensemble's prior
-in one stacked ascent.
-Every reported value is re-evaluated through the exact Born-rule path, so
-results are achievable by the returned witness; optimizers can under- but
-never over-report.
+The starts are held as arrays, one per quantity (``_Starts``): frames
+zero-padded into (F, R, d), priors, Born tables and values. An ascent's ends
+are normalized, tabled and scored by one call each over every start. A
+structured start (Helstrom, pretty-good measurement) keeps its ``Povm`` until
+an ascent moves it; otherwise only the winner's is built. C1 and C_k are a
+seesaw over (prior, POVM): a round is one joint ascent over the frame and the
+prior's logits (``_joint_objective``; Shor, Math. Program. 97, 311 (2003)),
+kept when it raises the start's exact value. For two letters that is the
+whole round, I being concave in the one-number prior at a fixed POVM. From
+three letters on, a letter whose logit has fallen far cannot come back, so
+the round first ascends every frame at its fixed prior and re-optimizes each
+prior for its row-normalized table. A later start replaces the best only when
+it beats it by more than ``_TIE_BITS``, so of starts that reach one maximum
+the earliest is the witness. ``accessible_information`` climbs its starts at
+the ensemble's prior. Every reported value is re-evaluated through the exact
+Born-rule path, so it is achievable by the returned witness.
 
-``scipy.optimize`` is imported inside its one caller, ``_lbfgs``, not at
-module level: the exact enumerator, the command line's set-up and an ascent
-whose start already meets its stop (such as a symmetric binary capacity) run
-on numpy alone and so never pay scipy's import, which costs more than the
-rest of the package's start-up. After the first call the import is a
-``sys.modules`` lookup.
+``scipy.optimize`` is imported inside ``_lbfgs``, not at module level: the
+exact enumerator, the command line's set-up and an ascent whose start already
+meets its stop run on numpy alone and never pay scipy's import, which costs
+more than the rest of the package's start-up.
 """
 
 from __future__ import annotations
@@ -89,7 +76,6 @@ from .measurements import (
     _born_table,
     expand,
     helstrom,
-    normalize_vectors,
     pretty_good_measurement,
     random_rank1_povm,
 )
@@ -98,14 +84,12 @@ from .states import require_distribution
 _BA_MAX_ITERS = 2000
 _LBFGS_MAX_ITERS = 300
 _EIG_LOG_FLOOR = 1e-18
-# L-BFGS-B's projected-gradient stop for every stacked ascent of C1's, C_k's
-# and accessible information's starts, joint or at fixed priors, and for the
-# adversary's joint ascent over all of its slots. The adversary's one-slot
-# ascents keep L-BFGS-B's default, 1e-5.
+# L-BFGS-B's projected-gradient stop for every stacked ascent of starts and
+# the adversary's joint ascent over its slots; one-slot ascents keep 1e-5.
 _JOINT_GTOL = 1e-8
-# A random start of C1's seesaw replaces the best start so far only when it
+# A later start of C1's seesaw replaces the best start so far only when it
 # beats it by more than this; below it, two starts that reached the same
-# maximum differ by rounding alone, and the earlier, structured witness stays.
+# maximum differ by rounding alone, and the earlier witness stays.
 _TIE_BITS = 1e-13
 
 
@@ -173,11 +157,16 @@ class ConditionReport:
         self.satisfied = bool(self.lhs > self.rhs + self.margin)
 
 
+def _entropy_terms(x: np.ndarray) -> np.ndarray:
+    """-x log2 x of every entry, clipped to [0, 1] first, 0 log 0 = 0."""
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
+    pos = x > 0
+    return np.where(pos, -x * np.log2(np.where(pos, x, 1.0)), 0.0)
+
+
 def _entropy_rows(rows: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits along the last axis, 0 log 0 = 0."""
-    x = np.minimum(np.maximum(rows, 0.0), 1.0)
-    pos = x > 0
-    return np.where(pos, -x * np.log2(np.where(pos, x, 1.0)), 0.0).sum(axis=-1)
+    return _entropy_terms(rows).sum(axis=-1)
 
 
 def shannon_entropy(p) -> float:
@@ -247,8 +236,7 @@ def _ascend_prior(divergences, p0: np.ndarray, gtol: float) -> np.ndarray:
     (sum(q) - 1)^2 / 2 pins the scale that the value ignores, lest q drift to
     where every gradient is below the stop; q = 0, where p is undefined and
     which a quasi-Newton step can still propose, scores 50.0 with a zero
-    gradient, so the line search backs off. It ends at the stop or where the
-    line search finds no lower value, mostly at a gap of a few 1e-8.
+    gradient, so the line search backs off.
     """
 
     def objective(q):
@@ -326,6 +314,16 @@ def _mi_and_marginal(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.nd
 
 def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
     return _mi_and_marginal(prior, probs)[0]
+
+
+def _scores(priors: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """I(p_f, P_f) of F priors (F, A) and Born tables (F, A, R), by
+    ``_mi_from_probs``'s entropies summed in table order, so a zero (padded)
+    column changes no bit and no start's score depends on another's."""
+    out = (priors[:, :, None] * tables).sum(axis=1)
+    columns = np.concatenate((tables, out[:, None]), axis=1).transpose(2, 0, 1)
+    h = _entropy_terms(np.ascontiguousarray(columns)).sum(axis=0)
+    return np.maximum(h[:, -1] - (priors * h[:, :-1]).sum(axis=1), 0.0)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -408,16 +406,12 @@ def _povm_objective(
     d value / d conj(w_b) = T^(-1/2) h_b + D w_b. A singular frame scores
     50.0 with a zero gradient.
 
-    With ``rows`` None, x is one frame: its (r, d) rows go through the pass as
-    2-D arrays, which costs numpy least per call, and
-    ``value_and_grad(P)`` takes its (A, r) table and returns the value and G.
-    Otherwise x holds the F frames of ``rows``, which go through one stacked
-    pass: their rows are scattered into a zero-padded (F, r, d) array, one
-    batched ``eigh`` takes every frame operator, and ``value_and_grad``
-    takes the (F, A, r) tables and returns the value and the (F, A, r)
-    gradient. A padded row changes neither T nor the other rows; its column
-    of P is 0, its u_b and h_b are 0, and its gradient is never gathered
-    back into x.
+    With ``rows`` None, x is one frame, whose (r, d) rows go through as 2-D
+    arrays (cheapest per call), and ``value_and_grad`` maps its (A, r) table
+    to the value and G. Otherwise the F frames of ``rows`` are scattered into
+    a zero-padded (F, r, d) array for one stacked pass, and ``value_and_grad``
+    maps the (F, A, r) tables to the value and an (F, A, r) G. A padded row
+    changes neither T nor the other rows, and its gradient is not gathered.
     """
     d = stack.shape[1]
     w = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, d)
@@ -447,30 +441,23 @@ def _povm_objective(
 def _ascend_povm(
     stack: np.ndarray, frames: list[np.ndarray], value_and_grad, max_iters: int, gtol: float = 1e-5
 ) -> tuple[list[np.ndarray] | None, bool]:
-    """Quasi-Newton ascent of one value(P_1, ..., P_F) over rank-one POVMs.
+    """Quasi-Newton ascent of one value(P_1, ..., P_F) over rank-one POVMs,
+    the adversary's slot ascent.
 
     Each of the F ``frames`` holds one POVM's raw vectors, one row per
-    rank-one piece. All frames are optimized together, unconstrained, and
-    each is mapped onto a POVM by ``normalize_vectors``;
-    P_f[a, b] = <u_b| rho_a |u_b> for frame f's normalized vectors u_b and
-    the states rho_a in ``stack``. ``value_and_grad`` is ``_povm_objective``'s:
-    it takes the one frame's (A, r) table, or for F > 1 the zero-padded
-    (F, A, r) tables, and returns the value and its gradient in them, of the
-    same shape. ``_povm_objective`` pulls it back through the Born rule and
-    each frame's normalization, so L-BFGS-B (``_lbfgs``) gets the exact
-    gradient with every evaluation; it stops after ``max_iters`` iterations
-    or once the projected gradient is at most ``gtol``, which a start that
-    already meets it does with no iteration and no scipy call. This is the
-    adversary's slot ascent; C1's starts, each its own problem, climb by
-    ``_ascend_starts``. Returns the normalized final frames (None if any is
-    singular, see ``_normalized``) and whether L-BFGS reported success.
+    rank-one piece; all are optimized together, unconstrained, on
+    ``_povm_objective`` with its ``value_and_grad``, so L-BFGS-B (``_lbfgs``)
+    gets the exact gradient. It stops after ``max_iters`` iterations or once
+    the projected gradient is at most ``gtol``. Returns the normalized final
+    frames (None if any fails ``_normalized_frames``) and whether L-BFGS-B
+    reported success.
     """
     sizes = [len(w) for w in frames]
     rows = None if len(frames) == 1 else _frame_rows(sizes)
     args = (stack, value_and_grad, rows)
     x, ok = _lbfgs(_povm_objective, _pack(frames), args, max_iters, 1e-12, gtol)
-    us = [_normalized(w) for w in _unpack(x, sizes, stack.shape[1])]
-    return (None if any(u is None for u in us) else us), ok
+    us, good = zip(*(_normalized_frames(w) for w in _unpack(x, sizes, stack.shape[1])))
+    return (list(us) if all(good) else None), ok
 
 
 def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: float,
@@ -481,14 +468,11 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
     L-BFGS-B's (low, high) pairs, None for an unbounded ascent, and ``first``
     is fun(x0, *args) when the caller has it already.
 
-    L-BFGS-B stops at iteration 0, returning x0 as converged, when x0's
-    projected gradient is at most gtol. That gradient is never larger than
-    |g| entry by entry, and equal to it unbounded, so a start with
-    max_i |g_i(x0)| <= gtol returns x0 here without a scipy call. Otherwise
-    scipy's first evaluation, at x0, is served from a one-shot memo instead of
-    repeated; later calls go straight to fun, which returns the same for x0
-    anyway. ``scipy.optimize`` is imported here, on the first call that needs
-    it, so a process that never ascends never loads it.
+    L-BFGS-B stops at iteration 0 when x0's projected gradient, never
+    larger than |g| entry by entry, is at most gtol; so a start with
+    max_i |g_i(x0)| <= gtol returns x0 as converged here without a scipy
+    call. Otherwise scipy's first evaluation, at x0, is served from a
+    one-shot memo. ``scipy.optimize`` is imported here, on first need.
     """
     if first is None:
         first = fun(x0, *args)
@@ -509,36 +493,97 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
     return res.x, bool(res.success)
 
 
-def _normalized(w: np.ndarray) -> np.ndarray | None:
-    """``normalize_vectors(w)``, or None when the frame is singular or too
-    ill-conditioned for its vectors to sum to the identity within
-    ``COMPLETENESS_ATOL``, the tolerance a ``Povm`` is held to."""
-    u = normalize_vectors(w)
-    if u is None or np.abs(u.T @ u.conj() - np.eye(u.shape[1])).max() > COMPLETENESS_ATOL:
-        return None
-    return u
+def _normalized_frames(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``normalize_vectors`` of one (r, d) frame or of each of a zero-padded
+    (F, R, d) stack by one batched ``eigh``, and whether each is a POVM: not
+    singular, and complete within ``COMPLETENESS_ATOL``. A padded row stays 0
+    and changes no other bit."""
+    t = np.einsum("...bi,...bj->...ij", w, w.conj())
+    vals, vecs = np.linalg.eigh(t)
+    ok = vals.min(axis=-1) >= 1e-12
+    root = np.sqrt(np.where(ok[..., None], vals, 1.0))
+    inv_sqrt = (vecs / root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    u = w @ inv_sqrt.swapaxes(-1, -2)
+    err = np.abs(u.swapaxes(-1, -2) @ u.conj() - np.eye(w.shape[-1])).max(axis=(-2, -1))
+    return u, ok & (err <= COMPLETENESS_ATOL)
 
 
-def _frame_effects(u: np.ndarray) -> np.ndarray:
-    """The effects |u_b><u_b| of a normalized frame, without its zero rows."""
-    return np.stack([np.outer(v, v.conj()) for v in u if np.vdot(v, v).real > 1e-14])
+def _kept_rows(u: np.ndarray) -> np.ndarray:
+    """The rows of normalized frames that carry an effect: squared norm above 1e-14."""
+    return (u.real**2 + u.imag**2).sum(axis=-1) > 1e-14
 
 
-def _frame_table(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Born table of a normalized frame's POVM, the one ``_frame_povm`` builds."""
-    return _born_table(_frame_effects(u), stack)
+def _frame_tables(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Born tables (F, A, R) of zero-padded normalized frames (F, R, d), those
+    of the POVMs ``_frame_povm`` builds, with a zero column per dropped row."""
+    effects = u[..., :, None] * u.conj()[..., None, :]
+    return np.where(_kept_rows(u)[:, None, :], _born_table(effects, stack), 0.0)
 
 
 def _frame_povm(u: np.ndarray) -> Povm:
-    """The rank-one POVM of a normalized frame."""
-    return Povm(_frame_effects(u))
+    """The rank-one POVM of a normalized frame, one effect per kept row."""
+    v = u[_kept_rows(u)]
+    return Povm(v[:, :, None] * v.conj()[:, None, :])
 
 
 def _start_frame(start: Povm, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A start POVM's rank-one frame (its nonzero pieces) and the Born table
-    of its own effects, which is what the start itself scores."""
+    """A start POVM's rank-one frame (its nonzero pieces) and its Born table."""
     pieces, _ = _rank1_pieces(start.effects)
     return pieces[pieces.any(axis=1)], _born_table(start.effects, stack)
+
+
+def _padded(frames, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Frames zero-padded into one (F, R, d) array, R >= ``width``, and their row counts."""
+    sizes = np.array([len(w) for w in frames])
+    rows = _frame_rows(sizes)
+    out = np.zeros((len(frames), max(rows.shape[1], width), frames[0].shape[1]), dtype=complex)
+    out[rows.frame, rows.row] = np.concatenate(frames)
+    return out, sizes
+
+
+@dataclass
+class _Starts:
+    """Starts held as one array per quantity: rank-one frames zero-padded into
+    (F, R, d), frame f's rows its first ``sizes[f]``; priors (F, A); Born
+    tables (F, A, R); values (F,), -inf for a rejected frame; and whether
+    their last ascent reported success (F,)."""
+
+    priors: np.ndarray
+    frames: np.ndarray
+    sizes: np.ndarray
+    tables: np.ndarray
+    values: np.ndarray
+    ok: np.ndarray
+
+    def __getitem__(self, f: int):
+        """Start f unpadded, (prior, frame, table, flag), or None if rejected."""
+        if self.values[f] == -np.inf:
+            return None
+        r = self.sizes[f]
+        return self.priors[f], self.frames[f, :r], self.tables[f, :, :r], bool(self.ok[f])
+
+
+def _start_set(stack: np.ndarray, priors: np.ndarray, povms, raws) -> _Starts:
+    """The starts ``povms`` (``_start_frame``) and the rank-one POVMs that
+    ``random_rank1_povm`` makes of the raw frames ``raws``, at ``priors``;
+    the random ones are normalized, split and tabled in one batch each and
+    get no ``Povm``. A start scores the table of its own effects."""
+    frames, tables = map(list, zip(*(_start_frame(povm, stack) for povm in povms)))
+    if raws:
+        u, ok = _normalized_frames(np.stack(raws))
+        if not ok.all():
+            raise ValidationError("frame", "random vectors do not span the space")
+        effects = u[..., :, None] * u.conj()[..., None, :]
+        pieces, groups = _rank1_pieces(effects.reshape(-1, *effects.shape[2:]))
+        nonzero = pieces.any(axis=1)
+        counts = np.bincount(groups[nonzero] // effects.shape[1], minlength=len(raws))
+        frames += np.split(pieces[nonzero], np.cumsum(counts)[:-1])
+        tables += list(_born_table(effects, stack))
+    cols = _frame_rows([t.shape[1] for t in tables])
+    frames, sizes = _padded(frames, cols.shape[1])
+    padded = np.zeros((len(tables), len(stack), frames.shape[1]))
+    padded[cols.frame, :, cols.row] = np.concatenate(tables, axis=1).T
+    return _Starts(priors, frames, sizes, padded, _scores(priors, padded), np.ones(len(sizes), bool))
 
 
 def _joint_objective(y: np.ndarray, stack: np.ndarray, rows: _Rows) -> tuple[float, np.ndarray]:
@@ -547,10 +592,9 @@ def _joint_objective(y: np.ndarray, stack: np.ndarray, rows: _Rows) -> tuple[flo
 
     y holds the frames' raw vectors, packed as in ``_povm_objective`` with
     ``rows``, then each prior's logits z_f, p_f = softmax(z_f). The frames'
-    gradient is ``_povm_objective``'s; with
-    D_f[a] = sum_b P_f[a, b] (log2 P_f[a, b] - log2 P_f(b)),
-    dI/dp_f[a] = D_f[a] - 1/ln 2 pulls back to
-    dI/dz_f[a] = p_f[a] (D_f[a] - p_f . D_f), where the constant cancels.
+    gradient is ``_povm_objective``'s; with D_f[a] = sum_b P_f[a, b]
+    (log2 P_f[a, b] - log2 P_f(b)), dI/dp_f[a] = D_f[a] - 1/ln 2 pulls back
+    to dI/dz_f[a] = p_f[a] (D_f[a] - p_f . D_f), where the constant cancels.
     """
     n = 2 * rows.frame.size * stack.shape[1]
     p = _softmax(y[n:].reshape(rows.shape[0], -1))
@@ -577,34 +621,33 @@ def _block_max(grad: np.ndarray, rows: _Rows, dim: int) -> np.ndarray:
     return top
 
 
-def _ascend_starts(
-    stack: np.ndarray, priors, frames, joint: bool
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, bool] | None]:
-    """One L-BFGS-B ascent of sum_f I(p_f, M_f) over the rank-one frames of
-    F starts at once: over their priors as well with ``joint``
-    (``_joint_objective``), at the fixed ``priors`` without.
+def _ascend_starts(stack: np.ndarray, priors, frames, joint: bool, sizes=None) -> _Starts:
+    """One L-BFGS-B ascent of sum_f I(p_f, M_f) over F starts' rank-one
+    frames, and with ``joint`` their priors (``_joint_objective``), at once.
 
-    Each start is one block of x, its frame and with ``joint`` its prior's
-    logits. The blocks share only the sum, so the gradient is blockwise, and
-    one stacked ``_povm_objective`` pass serves every start. A start whose own
-    block already meets the stop, max |g| at most ``_JOINT_GTOL``, does not
-    join, and comes back as it went in, as ``_lbfgs`` returns such a start on
-    its own; in the sum, L-BFGS-B would move it with the others. The others
-    climb in one ``_lbfgs`` call, which stops only once the whole projected
-    gradient is at most ``_JOINT_GTOL`` (``ftol`` 0), when its line search
-    fails, or after ``_LBFGS_MAX_ITERS`` iterations. Returns per start its
-    prior, normalized frame, Born table and whether L-BFGS-B reported
-    success, or None for a singular frame.
+    ``frames`` is a zero-padded (F, R, d) array, frame f's rows its first
+    ``sizes[f]``, or without ``sizes`` a sequence of unpadded frames. Each
+    start is one block of x, so one stacked ``_povm_objective`` pass serves
+    all. A start whose block already meets the stop, max |g| at most
+    ``_JOINT_GTOL``, does not join and comes back as it went in, as
+    ``_lbfgs`` returns it alone. The others climb in one ``_lbfgs`` call
+    (``ftol`` 0) to the stop, a failed line search or ``_LBFGS_MAX_ITERS``
+    iterations. The ends are normalized, tabled and scored in one call each
+    and returned as ``_Starts`` of width R.
     """
+    if sizes is None:
+        frames, sizes = _padded(frames)
+    priors = np.asarray(priors, dtype=float)
     dim = stack.shape[1]
-    priors = np.stack(priors)
+    w, ends, ok = np.zeros_like(frames), priors.copy(), np.ones(len(frames), dtype=bool)
 
     def problem(idx):
-        rows = _frame_rows([len(frames[f]) for f in idx])
-        picked = [frames[f] for f in idx]
+        rows = _frame_rows(sizes[idx])
+        packed = frames[idx[rows.frame], rows.row]
+        parts = [packed.real.ravel(), packed.imag.ravel()]
         if joint:
-            logits = np.log(np.clip(priors[idx], _EIG_LOG_FLOOR, None)).ravel()
-            return _pack(picked, [logits]), _joint_objective, (stack, rows)
+            parts.append(np.log(np.clip(priors[idx], _EIG_LOG_FLOOR, None)).ravel())
+            return np.concatenate(parts), _joint_objective, (stack, rows)
 
         fixed = priors[idx]
 
@@ -612,72 +655,50 @@ def _ascend_starts(
             div, ratio = _divergences_stacked(fixed, tables)
             return float((fixed * div).sum()), fixed[:, :, None] * ratio
 
-        return _pack(picked), _povm_objective, (stack, value_and_grad, rows)
+        return np.concatenate(parts), _povm_objective, (stack, value_and_grad, rows)
 
-    def ends(idx, x, ok):
-        sizes = [len(frames[f]) for f in idx]
-        ws = _unpack(x, sizes, dim)
-        ps = _softmax(x[2 * sum(sizes) * dim :].reshape(len(idx), -1)) if joint else priors[idx]
-        return {f: (w, p, ok) for f, w, p in zip(idx, ws, ps)}
+    def end(idx, x, rows):
+        n = rows.frame.size * dim
+        w[idx[rows.frame], rows.row] = (x[:n] + 1j * x[n : 2 * n]).reshape(-1, dim)
+        if joint:
+            ends[idx] = _softmax(x[2 * n :].reshape(idx.size, -1))
 
-    everyone = list(range(len(frames)))
+    everyone = np.arange(len(frames))
     x0, fun, args = problem(everyone)
     first = fun(x0, *args)
-    moving = [f for f, top in enumerate(_block_max(first[1], args[-1], dim)) if top > _JOINT_GTOL]
-    out = ends(everyone, x0, True)
-    if moving:
-        if len(moving) < len(frames):
+    end(everyone, x0, args[-1])
+    moving = everyone[_block_max(first[1], args[-1], dim) > _JOINT_GTOL]
+    if moving.size:
+        if moving.size < everyone.size:
             x0, fun, args = problem(moving)
             first = None
-        x, ok = _lbfgs(fun, x0, args, _LBFGS_MAX_ITERS, 0.0, _JOINT_GTOL, first=first)
-        out.update(ends(moving, x, ok))
-    result = []
-    for f in everyone:
-        w, p, ok = out[f]
-        u = _normalized(w)
-        result.append(None if u is None else (p, u, _frame_table(u, stack), ok))
-    return result
-
-
-def _povm_starts(e: CqEnsemble, cfg: OptimizerConfig, rng: np.random.Generator) -> list[Povm]:
-    starts: list[Povm] = []
-    if e.size == 2:
-        starts.append(helstrom(e.states[0], e.states[1], float(e.prior[0])))
-    starts.append(pretty_good_measurement(e))
-    starts += [random_rank1_povm(e.dim, e.dim * e.dim, rng) for _ in range(cfg.restarts)]
-    return starts
-
-
-def _maximize_over_povm(
-    e: CqEnsemble, cfg: OptimizerConfig, rng: np.random.Generator
-) -> tuple[float, Povm, bool]:
-    """Best I(prior, M) at the ensemble's prior over the starts, which all
-    climb in one fixed-prior ``_ascend_starts`` call.
-
-    A start that its ascent does not improve keeps its own POVM; the
-    winner's POVM is built once, at the end.
-    """
-    starts = _povm_starts(e, cfg, rng)
-    frames, tables = zip(*(_start_frame(start, e.states) for start in starts))
-    steps = _ascend_starts(e.states, [e.prior] * len(starts), frames, joint=False)
-    best = None
-    for start, table, step in zip(starts, tables, steps):
-        cand = (_mi_from_probs(e.prior, table), start, None, True)
-        if step is not None:
-            val = _mi_from_probs(e.prior, step[2])
-            if val > cand[0]:
-                cand = (val, None, step[1], step[3])
-        if best is None or cand[0] > best[0]:
-            best = cand
-    value, povm, frame, ok = best
-    return value, (povm if povm is not None else _frame_povm(frame)), ok
+        x, ok[moving] = _lbfgs(fun, x0, args, _LBFGS_MAX_ITERS, 0.0, _JOINT_GTOL, first=first)
+        end(moving, x, args[-1])
+    u, valid = _normalized_frames(w)
+    tables = _frame_tables(u, stack)
+    return _Starts(ends, u, sizes, tables, np.where(valid, _scores(ends, tables), -np.inf), ok)
 
 
 def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
-    """max_M I(P, M) at the ensemble's own prior."""
+    """max_M I(P, M) at the ensemble's own prior, over the starts (Helstrom
+    for two letters, the pretty-good measurement, ``cfg.restarts`` random
+    rank-one POVMs) climbed by one fixed-prior ``_ascend_starts`` call. A
+    start its ascent does not improve keeps its own value and POVM."""
     rng = np.random.default_rng(cfg.seed)
-    value, povm, ok = _maximize_over_povm(e, cfg, rng)
-    return OptimizationResult(value, e.prior.copy(), povm=povm, converged=ok)
+    povms = [pretty_good_measurement(e)]
+    if e.size == 2:
+        povms.insert(0, helstrom(e.states[0], e.states[1], float(e.prior[0])))
+    m = (e.dim * e.dim, e.dim)
+    raws = [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(cfg.restarts)]
+    priors = np.tile(e.prior, (len(povms) + len(raws), 1))
+    starts = _start_set(e.states, priors, povms, raws)
+    ends = _ascend_starts(e.states, priors, starts.frames, False, starts.sizes)
+    f = int(np.argmax(np.maximum(ends.values, starts.values)))
+    if ends.values[f] > starts.values[f]:
+        _, frame, _, ok = ends[f]
+        return OptimizationResult(float(ends.values[f]), e.prior.copy(), _frame_povm(frame), ok)
+    povm = povms[f] if f < len(povms) else _frame_povm(starts[f][1])
+    return OptimizationResult(float(starts.values[f]), e.prior.copy(), povm)
 
 
 def _best_prior_for_channel(
@@ -692,18 +713,16 @@ def _best_prior_for_channel(
     return p, value, converged
 
 
-@dataclass
-class _Climb:
-    """One start of C1's seesaw: its prior, its start ``Povm`` (None once an
-    ascent has moved it), its rank-one frame, the Born table of its current
-    POVM, its exact value and whether a round has gained at most ``cfg.tol``."""
-
-    prior: np.ndarray
-    povm: Povm | None
-    frame: np.ndarray
-    table: np.ndarray
-    value: float
-    converged: bool = False
+def _climb(stack, held: _Starts, active, news, own, joint: bool) -> np.ndarray:
+    """One ``_ascend_starts`` of the ``active`` starts; each moves to its end
+    where that beats its ``news``, which then takes the end's value, and no
+    longer holds its ``own`` POVM. Returns the new ``news``."""
+    ends = _ascend_starts(stack, held.priors[active], held.frames[active], joint, held.sizes[active])
+    up = ends.values > news
+    moved = active[up]
+    held.priors[moved], held.frames[moved] = ends.priors[up], ends.frames[up]
+    held.tables[moved], own[moved] = ends.tables[up], False
+    return np.where(up, ends.values, news)
 
 
 def _joint_maximize(
@@ -714,77 +733,57 @@ def _joint_maximize(
     """Seesaw over (prior, POVM) from each start, until a round gains at
     most ``cfg.tol``.
 
-    A start is held as a ``_Climb``: its rank-one frame, its prior and the
-    Born table of its current POVM; no ``Povm`` or ``ClassicalChannel`` is
-    built in the loop. Every start that is still climbing takes its round at
-    once, in one stacked L-BFGS-B ascent (``_ascend_starts``); the rules stay
-    per start. A round is one joint ascent over the frame and the prior,
-    kept when it raises the start's exact value. For three letters or more it
-    is the alternating round: first every frame is ascended at its fixed
-    prior (one fixed-prior ``_ascend_starts`` call), each kept when it raises
-    the value, then each prior is re-optimized for its row-normalized table
-    (``_best_prior_for_channel``), kept when it is at least as good, and then
-    the joint ascent. A start whose round gains at most ``cfg.tol`` has
-    converged and leaves the batch; the others go on for up to
-    ``cfg.max_iters`` rounds. A start that no ascent improved keeps its own
-    POVM, and the winner's POVM is built once, at the end. The structured
-    starts (``extra_starts``, Helstrom, pretty-good measurement) compete on
-    value alone; a random start replaces the best so far only when it beats it
-    by more than ``_TIE_BITS``.
+    The starts (``extra_starts``, for two letters Helstrom at the ensemble's
+    prior and at 0.5, 0.25 and 0.75, the pretty-good measurement and
+    ``cfg.restarts`` random ones) are ``_Starts`` with a converged flag each,
+    and every start still climbing takes its round in the same stacked
+    ascents. A round is one joint ascent, kept when it raises the start's
+    value; from three letters on it first has a fixed-prior frame ascent,
+    kept likewise, and ``_best_prior_for_channel`` on the row-normalized
+    table, kept when as good. A start leaves once a round gains at most
+    ``cfg.tol``, or after ``cfg.max_iters`` rounds.
     """
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
     starts: list[tuple[np.ndarray, Povm]] = list(extra_starts)
     if e.size == 2:
-        seen = set()
-        for p0 in (float(e.prior[0]), 0.5, 0.25, 0.75):
-            key = round(p0, 6)
-            if key in seen:
-                continue
-            seen.add(key)
-            prior = np.array([p0, 1.0 - p0])
-            starts.append((prior, helstrom(e.states[0], e.states[1], p0)))
+        ps = (float(e.prior[0]), 0.5, 0.25, 0.75)
+        for i, p0 in enumerate(ps):
+            if round(p0, 6) not in {round(p, 6) for p in ps[:i]}:
+                starts.append((np.array([p0, 1.0 - p0]), helstrom(e.states[0], e.states[1], p0)))
     starts.append((e.prior.copy(), pretty_good_measurement(e)))
-    structured = len(starts)
+    priors, povms = map(list, zip(*starts))
+    raws, m = [], (e.dim * e.dim, e.dim)
     for _ in range(cfg.restarts):
-        prior = rng.dirichlet(np.ones(e.size))
-        starts.append((prior, random_rank1_povm(e.dim, e.dim * e.dim, rng)))
-    climbs = []
-    for prior, povm in starts:
-        frame, table = _start_frame(povm, stack)
-        climbs.append(_Climb(prior, povm, frame, table, _mi_from_probs(prior, table)))
-    active = climbs
+        priors.append(rng.dirichlet(np.ones(e.size)))
+        raws.append(rng.normal(size=m) + 1j * rng.normal(size=m))
+    held = _start_set(stack, np.array(priors), povms, raws)
+    active = np.arange(held.values.size)
+    own, converged = active < len(povms), np.zeros(active.size, dtype=bool)
     for _ in range(cfg.max_iters):
-        if not active:
+        if not active.size:
             break
-        news = [_mi_from_probs(c.prior, c.table) for c in active]
+        news = held.values[active]
         if e.size > 2:
-            priors, frames = [c.prior for c in active], [c.frame for c in active]
-            steps = _ascend_starts(stack, priors, frames, joint=False)
-            for j, (c, step) in enumerate(zip(active, steps)):
-                if step is not None and _mi_from_probs(c.prior, step[2]) > news[j]:
-                    c.frame, c.table, c.povm = step[1], step[2], None
-                    news[j] = _mi_from_probs(c.prior, c.table)
-                rows = c.table / c.table.sum(axis=1, keepdims=True)
-                prior_new, v_pri, _ = _best_prior_for_channel(rows, cfg)
-                if v_pri >= news[j]:
-                    c.prior, news[j] = prior_new, v_pri
-        priors, frames = [c.prior for c in active], [c.frame for c in active]
-        joints = _ascend_starts(stack, priors, frames, joint=True)
-        for j, (c, step) in enumerate(zip(active, joints)):
-            if step is not None and _mi_from_probs(step[0], step[2]) > news[j]:
-                c.prior, c.frame, c.table, c.povm = step[0], step[1], step[2], None
-                news[j] = _mi_from_probs(c.prior, c.table)
-        for c, new in zip(active, news):
-            c.converged = new <= c.value + cfg.tol
-            c.value = max(c.value, new)
-        active = [c for c in active if not c.converged]
-    best = None
-    for i, c in enumerate(climbs):
-        if best is None or c.value > best.value + (_TIE_BITS if i >= structured else 0.0):
-            best = c
-    povm = best.povm if best.povm is not None else _frame_povm(best.frame)
-    return OptimizationResult(best.value, best.prior, povm=povm, converged=best.converged)
+            # A kept prior step leaves a start's value apart from its table's.
+            news = _scores(held.priors[active], held.tables[active])
+            news = _climb(stack, held, active, news, own, False)
+            for j, f in enumerate(active):
+                # Its nonzero columns in C order, as an unpadded table holds them.
+                table = held.tables[f].compress(held.tables[f].any(axis=0), axis=1)
+                prior, value, _ = _best_prior_for_channel(table / table.sum(axis=1, keepdims=True), cfg)
+                if value >= news[j]:
+                    held.priors[f], news[j] = prior, value
+        news = _climb(stack, held, active, news, own, True)
+        converged[active] = news <= held.values[active] + cfg.tol
+        held.values[active] = np.maximum(held.values[active], news)
+        active = active[~converged[active]]
+    values, best = held.values.tolist(), 0
+    for f, value in enumerate(values):
+        if value > values[best] + _TIE_BITS:
+            best = f
+    povm = povms[best] if own[best] else _frame_povm(held[best][1])
+    return OptimizationResult(values[best], held.priors[best], povm, bool(converged[best]))
 
 
 def c1(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
@@ -874,12 +873,6 @@ def quantum_condition(
     lhs = holevo_capacity(eb, cfg)
     rhs = c1(ee, cfg)
     return ConditionReport(
-        kind="quantum",
-        lhs=lhs.value,
-        rhs=rhs.value,
-        margin=cfg.margin,
-        lhs_prior=lhs.prior,
-        rhs_prior=rhs.prior,
-        rhs_povm=rhs.povm,
-        converged=lhs.converged and rhs.converged,
+        kind="quantum", lhs=lhs.value, rhs=rhs.value, margin=cfg.margin, lhs_prior=lhs.prior,
+        rhs_prior=rhs.prior, rhs_povm=rhs.povm, converged=lhs.converged and rhs.converged,
     )

@@ -100,8 +100,9 @@ class ClassicalChannel:
 
 
 def _born_table(effects: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Born probabilities P[a, b] = Tr[M_b rho_a] of stacked effects and states, clipped at 0."""
-    return np.clip(np.einsum("bij,aji->ab", effects, stack).real, 0.0, None)
+    """Born probabilities P[a, b] = Tr[M_b rho_a] of stacked effects and states, clipped at 0;
+    of a stack of effect stacks (..., m, d, d), one (..., A, m) table per stack."""
+    return np.clip(np.einsum("...bij,aji->...ab", effects, stack).real, 0.0, None)
 
 
 def induced_channel(m: Povm, e: CqEnsemble) -> ClassicalChannel:

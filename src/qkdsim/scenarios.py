@@ -30,7 +30,7 @@ from .channels import CqEnsemble, QuantumChannel, identity_channel
 from .errors import ValidationError
 from .measurements import ClassicalChannel
 from .simulation import Scenario
-from .states import TensorFactorization, hermitian_eigensystem, pure_state
+from .states import StateVector, TensorFactorization, hermitian_eigensystem
 
 FORMAT_TAG = "qkdsim-scenario-v1"
 BUILTIN_NAMES = ("paper-example", "orthogonal", "bsc-pair")
@@ -40,6 +40,12 @@ class ScenarioFormatError(ValueError):
     """A scenario file failed to parse; the message names the bad field."""
 
 
+def _letter(amplitudes) -> np.ndarray:
+    """|v><v| of a validated unit vector v; the ensemble checks it as a state."""
+    v = StateVector(amplitudes).amplitudes
+    return np.outer(v, v.conj())
+
+
 def paper_example(overlap: float = 0.5) -> Scenario:
     """Ideal-eavesdropping system with per-qubit letter overlap ``overlap``."""
     s = float(overlap)
@@ -47,7 +53,7 @@ def paper_example(overlap: float = 0.5) -> Scenario:
         raise ValidationError("overlap", f"overlap must be in [0, 1], got {s}")
     phi = np.array([1.0, 0.0])
     psi = np.array([s, math.sqrt(max(1.0 - s * s, 0.0))])
-    qubits = [pure_state(phi).matrix, pure_state(psi).matrix]
+    qubits = [_letter(phi), _letter(psi)]
     ensemble = CqEnsemble([0.5, 0.5], [np.kron(q, q) for q in qubits])
     theta = identity_channel(4, out_factorization=TensorFactorization((2, 2)))
     return Scenario(
@@ -88,7 +94,7 @@ def bsc_pair(eps_b: float, eps_e: float) -> Scenario:
                 k = amp * np.outer(np.kron(basis[b], basis[e]), basis[a])
                 ops.append(k)
     theta = QuantumChannel(ops, out_factorization=TensorFactorization((2, 2)))
-    ensemble = CqEnsemble([0.5, 0.5], [pure_state([1, 0]).matrix, pure_state([0, 1]).matrix])
+    ensemble = CqEnsemble([0.5, 0.5], [_letter([1, 0]), _letter([0, 1])])
     return Scenario(
         name=f"bsc-pair({eps_b:g},{eps_e:g})",
         key_count=2,
@@ -176,7 +182,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioFormatError(f"states: state for letter {a} missing")
         amps = _complex_list(entry, f"states[{a}]")
         try:
-            states.append(pure_state(amps).matrix)
+            states.append(_letter(amps))
         except ValidationError as exc:
             raise ScenarioFormatError(f"states[{a}]: {exc}") from None
     prior = data.get("prior")

@@ -540,8 +540,8 @@ def _refine_slots(
     defined on the outcome tuples), so each frame holds the slot's rank-one
     pieces, whose probabilities are summed back into its outcomes. Returns
     all slots' effects and tables and their exactly scored information, or
-    None when a frame fails ``_normalized``'s completeness check; the caller
-    decides whether they beat its running value.
+    None when a frame fails ``_normalized_frames``; the caller decides
+    whether they beat its running value.
     """
     frames, groups = zip(*(_rank1_pieces(slots[i]) for i in free))
     value_and_grad = _joint_value_and_grad(c, decoder_idx, tables, free, groups)

@@ -35,6 +35,7 @@ from qkdsim.measurements import (
     expand,
     helstrom,
     pretty_good_measurement,
+    normalize_vectors,
     random_rank1_povm,
 )
 from qkdsim.states import DensityOperator
@@ -222,6 +223,39 @@ def rank1_pieces_per_effect(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.stack(vecs), np.array(groups)
 
 
+def start_frame(povm, stack) -> tuple[np.ndarray, np.ndarray]:
+    """One start POVM's rank-one frame (its nonzero pieces, split one effect
+    at a time) and the Born table of its own effects."""
+    pieces, _ = rank1_pieces_per_effect(povm.effects)
+    table = np.clip(np.einsum("bij,aji->ab", povm.effects, stack).real, 0.0, None)
+    return pieces[pieces.any(axis=1)], table
+
+
+def normalized(w):
+    """One raw frame's rank-one POVM vectors, ``normalize_vectors(w)``, or None
+    when the frame is singular or its vectors miss the identity by more than
+    ``COMPLETENESS_ATOL``."""
+    u = normalize_vectors(w)
+    if u is None or np.abs(u.T @ u.conj() - np.eye(u.shape[1])).max() > COMPLETENESS_ATOL:
+        return None
+    return u
+
+
+def frame_table(u, stack) -> np.ndarray:
+    """Born table of one normalized frame's POVM, an effect per row of squared
+    norm above 1e-14."""
+    effects = np.stack([np.outer(v, v.conj()) for v in u if np.vdot(v, v).real > 1e-14])
+    return np.clip(np.einsum("bij,aji->ab", effects, stack).real, 0.0, None)
+
+
+def mi_from_probs(prior, probs) -> float:
+    """I(prior, probs) in bits of one start: the marginal by ``@`` and the
+    entropies of the rows and the marginal in one call."""
+    out = prior @ probs
+    h = info._entropy_rows(np.concatenate((probs, out[None])))
+    return float(max(h[-1] - prior @ h[:-1], 0.0))
+
+
 def povm_objective_per_frame(x, stack, value_and_grad, parts):
     """-value(P_1..P_F) and its gradient in the packed raw rows x, one frame at a time.
 
@@ -401,12 +435,12 @@ def _joint_step(stack, prior, frame):
     y0 = np.concatenate([frame.real.ravel(), frame.imag.ravel(), logits])
     y, _ = info._lbfgs(joint_objective, y0, (stack, len(frame)), 300, 0.0, 1e-8)
     n = frame.size
-    u = info._normalized((y[:n] + 1j * y[n : 2 * n]).reshape(frame.shape))
+    u = normalized((y[:n] + 1j * y[n : 2 * n]).reshape(frame.shape))
     if u is None:
         return None
     z = y[2 * n :]
     p = np.exp(z - z.max())
-    return p / p.sum(), u, info._frame_table(u, stack)
+    return p / p.sum(), u, frame_table(u, stack)
 
 
 def _refine_frame(stack, prior, frame):
@@ -416,14 +450,14 @@ def _refine_frame(stack, prior, frame):
     us, ok = info._ascend_povm(stack, [frame], lambda t: info._mi_and_grad(prior, t), 300)
     if us is None:
         return None
-    return us[0], info._frame_table(us[0], stack), ok
+    return us[0], frame_table(us[0], stack), ok
 
 
 def _c1_starts(e, cfg, extra_starts=()):
     """C1's start set: ``extra_starts``, then for two letters Helstrom at the
     ensemble's prior and at 0.5, 0.25 and 0.75, the pretty-good measurement,
     then ``cfg.restarts`` random (prior, rank-one POVM) pairs drawn from
-    ``cfg.seed``; and the number of structured starts."""
+    ``cfg.seed``."""
     rng = np.random.default_rng(cfg.seed)
     starts = list(extra_starts)
     if e.size == 2:
@@ -433,11 +467,10 @@ def _c1_starts(e, cfg, extra_starts=()):
                 seen.add(round(p0, 6))
                 starts.append((np.array([p0, 1.0 - p0]), helstrom(e.states[0], e.states[1], p0)))
     starts.append((e.prior.copy(), pretty_good_measurement(e)))
-    structured = len(starts)
     for _ in range(cfg.restarts):
         prior = rng.dirichlet(np.ones(e.size))
         starts.append((prior, random_rank1_povm(e.dim, e.dim * e.dim, rng)))
-    return starts, structured
+    return starts
 
 
 def sequential_c1(e, cfg, extra_starts=()):
@@ -446,36 +479,36 @@ def sequential_c1(e, cfg, extra_starts=()):
     joint ascent (for three letters or more preceded by a frame ascent at the
     fixed prior and the capacity prior of the row-normalized table), each step
     kept when it raises the start's value, until a round gains at most
-    ``cfg.tol``; a random start replaces the best only when it beats it by
+    ``cfg.tol``; a later start replaces the best only when it beats it by
     more than ``information._TIE_BITS``. Returns an ``OptimizationResult``."""
     stack = e.states
-    starts, structured = _c1_starts(e, cfg, extra_starts)
+    starts = _c1_starts(e, cfg, extra_starts)
     best = None
-    for i, (prior, povm) in enumerate(starts):
-        frame, table = info._start_frame(povm, stack)
-        val = info._mi_from_probs(prior, table)
+    for prior, povm in starts:
+        frame, table = start_frame(povm, stack)
+        val = mi_from_probs(prior, table)
         converged = False
         for _ in range(cfg.max_iters):
-            new_val = info._mi_from_probs(prior, table)
+            new_val = mi_from_probs(prior, table)
             if e.size > 2:
                 step = _refine_frame(stack, prior, frame)
-                if step is not None and info._mi_from_probs(prior, step[1]) > new_val:
+                if step is not None and mi_from_probs(prior, step[1]) > new_val:
                     (frame, table, _), povm = step, None
-                    new_val = info._mi_from_probs(prior, table)
+                    new_val = mi_from_probs(prior, table)
                 rows = table / table.sum(axis=1, keepdims=True)
                 prior_new, v_pri, _ = info._best_prior_for_channel(rows, cfg)
                 if v_pri >= new_val:
                     prior, new_val = prior_new, v_pri
             joint = _joint_step(stack, prior, frame)
-            if joint is not None and info._mi_from_probs(joint[0], joint[2]) > new_val:
+            if joint is not None and mi_from_probs(joint[0], joint[2]) > new_val:
                 (prior, frame, table), povm = joint, None
-                new_val = info._mi_from_probs(prior, table)
+                new_val = mi_from_probs(prior, table)
             if new_val <= val + cfg.tol:
                 val = max(val, new_val)
                 converged = True
                 break
             val = new_val
-        if best is None or val > best[0] + (info._TIE_BITS if i >= structured else 0.0):
+        if best is None or val > best[0] + info._TIE_BITS:
             best = (val, prior, povm, frame, converged)
     val, prior, povm, frame, converged = best
     povm = povm if povm is not None else info._frame_povm(frame)
@@ -507,11 +540,11 @@ def sequential_accessible(e, cfg) -> float:
     starts += [random_rank1_povm(e.dim, e.dim * e.dim, rng) for _ in range(cfg.restarts)]
     best = -math.inf
     for povm in starts:
-        frame, table = info._start_frame(povm, stack)
-        val = info._mi_from_probs(e.prior, table)
+        frame, table = start_frame(povm, stack)
+        val = mi_from_probs(e.prior, table)
         step = _refine_frame(stack, e.prior, frame)
         if step is not None:
-            val = max(val, info._mi_from_probs(e.prior, step[1]))
+            val = max(val, mi_from_probs(e.prior, step[1]))
         best = max(best, val)
     return best
 
@@ -532,25 +565,25 @@ def alternating_c1(e, cfg) -> float:
     value.
     """
     stack = e.states
-    starts, _ = _c1_starts(e, cfg)
+    starts = _c1_starts(e, cfg)
     best = -math.inf
     for prior, povm in starts:
-        frame, table = info._start_frame(povm, stack)
-        val = info._mi_from_probs(prior, table)
+        frame, table = start_frame(povm, stack)
+        val = mi_from_probs(prior, table)
         for _ in range(cfg.max_iters):
-            v_pov = info._mi_from_probs(prior, table)
+            v_pov = mi_from_probs(prior, table)
             step = _refine_frame(stack, prior, frame)
-            if step is not None and info._mi_from_probs(prior, step[1]) > v_pov:
+            if step is not None and mi_from_probs(prior, step[1]) > v_pov:
                 frame, table, _ = step
-                v_pov = info._mi_from_probs(prior, table)
+                v_pov = mi_from_probs(prior, table)
             prior_new, v_pri = _best_prior(table / table.sum(axis=1, keepdims=True), cfg)
             new_val = max(v_pov, v_pri)
             if v_pri >= v_pov:
                 prior = prior_new
             joint = _joint_step(stack, prior, frame)
-            if joint is not None and info._mi_from_probs(joint[0], joint[2]) > new_val:
+            if joint is not None and mi_from_probs(joint[0], joint[2]) > new_val:
                 prior, frame, table = joint
-                new_val = info._mi_from_probs(prior, table)
+                new_val = mi_from_probs(prior, table)
             done = new_val <= val + cfg.tol
             val = max(val, new_val)
             if done:

@@ -171,9 +171,10 @@ class TestScenarioIO:
         "amps, message",
         [
             ([[float("nan"), 0.0], [0.0, 0.0]], "states[1]: amplitudes"),
+            ([[float("inf"), 0.0], [0.0, 0.0]], "states[1]: amplitudes"),
             ([[0.9, 0.0], [0.0, 0.0]], "states[1]: normalized"),
         ],
-        ids=["nan", "norm-0.9"],
+        ids=["nan", "inf", "norm-0.9"],
     )
     def test_bad_state_names_letter(self, amps, message, tmp_path, capsys):
         data = scenario_to_dict(bsc_pair(0.1, 0.3))

@@ -19,15 +19,20 @@ from qkdsim.information import (
     _channel_divergences,
     _divergences_stacked,
     _frame_rows,
+    _frame_tables,
     _joint_objective,
     _lbfgs,
     _mi_and_grad,
     _mi_from_probs,
+    _normalized_frames,
     _pack,
+    _padded,
     _povm_objective,
     _rank1_pieces,
+    _scores,
     _softmax,
     _start_frame,
+    _start_set,
     accessible_information,
     c1,
     c_k,
@@ -44,6 +49,7 @@ from qkdsim.measurements import (
     helstrom,
     induced_channel,
     normalize_vectors,
+    pretty_good_measurement,
     random_rank1_povm,
 )
 from qkdsim.scenarios import paper_example, scenario_from_dict
@@ -64,7 +70,10 @@ from oracles import (
     coarse_grain,
     grid_c1_qubit,
     holevo_capacity_ba,
+    frame_table,
     joint_objective as oracle_joint_objective,
+    mi_from_probs,
+    normalized,
     povm_objective_per_frame,
     pure_pair_c1,
     pure_pair_capacity,
@@ -72,6 +81,7 @@ from oracles import (
     sequential_accessible,
     sequential_c1,
     sequential_c_k,
+    start_frame,
 )
 
 CFG = OptimizerConfig(restarts=2, seed=7)
@@ -565,6 +575,91 @@ class TestStackedStarts:
             assert np.array_equal(got, want)
         prior, _, table, _ = both[1]
         assert _mi_from_probs(prior, table) > _mi_from_probs(priors[1], random_table) + 0.01
+
+
+class TestStartSetReference:
+    """The stacked start set against the per-start path it replaced, one
+    start at a time (``oracles.start_frame``, ``normalized``, ``frame_table``
+    and ``mi_from_probs``): frames and tables bit for bit, values within
+    ``SCORE_ATOL``, because a stacked score sums a table's columns and letters
+    in table order and the per-start one hands the marginal and the last dot
+    product to BLAS."""
+
+    # A score sums at most d^2 + 1 entropy terms of at most log2(d^2) bits
+    # each, so two summation orders part by a few dozen ulps of 1 at most.
+    SCORE_ATOL = 64 * np.finfo(float).eps
+
+    @staticmethod
+    def _ensemble(size, dim, seed):
+        rng = np.random.default_rng(seed)
+        letters = [random_density(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(size)]
+        return ensemble(rng.dirichlet(np.ones(size)), letters)
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(size=st.integers(2, 4), dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+    def test_start_set_matches_per_start_reference_property(self, size, dim, seed):
+        e = self._ensemble(size, dim, seed)
+        stack = e.states
+        povms = [pretty_good_measurement(e)]
+        if size == 2:
+            povms.insert(0, helstrom(stack[0], stack[1], float(e.prior[0])))
+        draws, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        shape = (dim * dim, dim)
+        raws = [draws.normal(size=shape) + 1j * draws.normal(size=shape) for _ in range(3)]
+        povms_ref = povms + [random_rank1_povm(dim, dim * dim, replay) for _ in raws]
+        priors = np.random.default_rng(seed + 1).dirichlet(np.ones(size), size=len(povms_ref))
+        starts = _start_set(stack, priors, povms, raws)
+        for f, povm in enumerate(povms_ref):
+            frame, table = start_frame(povm, stack)
+            r, cols = len(frame), table.shape[1]
+            assert starts.sizes[f] == r
+            assert np.array_equal(starts.frames[f, :r], frame)
+            assert not starts.frames[f, r:].any()
+            assert np.array_equal(starts.tables[f, :, :cols], table)
+            assert not starts.tables[f, :, cols:].any()
+            want = mi_from_probs(priors[f], table)
+            assert starts.values[f] == pytest.approx(want, abs=self.SCORE_ATOL)
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(size=st.integers(2, 4), dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+    def test_padded_ends_match_per_start_reference_property(self, size, dim, seed):
+        """A Helstrom frame (two rows on a qubit) padded beside d^2-row random
+        frames, a (d + 1)-row frame and one singular frame, normalized, tabled
+        and scored in one batch each."""
+        e = self._ensemble(size, dim, seed)
+        stack = e.states
+        rng = np.random.default_rng(seed)
+        pair = ensemble([0.5, 0.5], [random_pure(rng, dim), random_pure(rng, dim)])
+        helstrom_frame, _ = start_frame(helstrom(pair.states[0], pair.states[1], 0.3), pair.states)
+        line = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        frames = [
+            rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim)),
+            helstrom_frame,
+            rng.normal(size=(dim + 1, dim)) + 1j * rng.normal(size=(dim + 1, dim)),
+            rng.normal(size=(dim, 1)) * line,
+            rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim)),
+        ]
+        priors = rng.dirichlet(np.ones(size), size=len(frames))
+        padded, sizes = _padded(frames)
+        u, ok = _normalized_frames(padded)
+        tables = _frame_tables(u, stack)
+        values = _scores(priors, tables)
+        for f, w in enumerate(frames):
+            want = normalized(w)
+            assert ok[f] == (want is not None)
+            if want is None:
+                continue
+            r = sizes[f]
+            assert np.array_equal(u[f, :r], want)
+            assert not u[f, r:].any()
+            table = frame_table(want, stack)
+            kept = np.array([np.vdot(v, v).real > 1e-14 for v in want])
+            assert np.array_equal(tables[f, :, :r][:, kept], table)
+            assert not tables[f, :, :r][:, ~kept].any() and not tables[f, :, r:].any()
+            assert values[f] == pytest.approx(mi_from_probs(priors[f], table), abs=self.SCORE_ATOL)
+            alone = _scores(priors[f : f + 1], tables[f : f + 1, :, :r])
+            assert alone[0] == values[f]
+        assert list(sizes[:2]) == [dim * dim, dim] and list(ok) == [True, True, True, False, True]
 
 
 class TestC1:

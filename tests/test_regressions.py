@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from qkdsim.cli import main
-from qkdsim.information import OptimizerConfig, c_k
+from qkdsim.information import OptimizerConfig, c1, c_k
+from qkdsim.measurements import helstrom
 from qkdsim.scenarios import paper_example
 from qkdsim.simulation import (
     eve_optimize,
@@ -137,6 +138,18 @@ def test_c_k_two_copy_pin():
     assert result.prior == pytest.approx([0.25] * 4, abs=1e-12)
     assert result.converged
     assert len(result.povm) == 4
+
+
+def test_tied_structured_starts_keep_the_first_witness():
+    # At overlap 0.8 the Helstrom starts at priors 0.5 and 0.25 reach the same
+    # maximum; the second climbs to it and leads by 3.3e-16, which is rounding.
+    # The first start, the exact Helstrom measurement at the ensemble's prior,
+    # stays the witness (golden 18).
+    e = paper_example(0.8).eve_ensemble()
+    result = c1(e, OptimizerConfig())
+    assert result.value == pytest.approx(0.278071905113, abs=ABS)
+    assert np.array_equal(result.prior, [0.5, 0.5])
+    assert np.array_equal(result.povm.effects, helstrom(e.states[0], e.states[1], 0.5).effects)
 
 
 def test_zero_effect_slot_keeps_its_outcome():
