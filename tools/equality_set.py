@@ -4,9 +4,10 @@ Usage: python3 tools/equality_set.py SRC OUTDIR
 
 Imports ``qkdsim.cli.main`` from the package under SRC (a ``src`` directory)
 and runs each command in-process with ``--out``, from OUTDIR as the working
-directory. It first writes two scenario files there: ``three-mixed.json``, three
-pure letters on two qubits, and ``four-letter.json``, four real qubit letters
-whose capacity puts no weight on its two middle letters. For command NN
+directory. It first writes three scenario files there: ``three-mixed.json``,
+three pure letters on two qubits, ``four-letter.json``, four real qubit
+letters whose capacity puts no weight on its two middle letters, and
+``three-qutrit.json``, three real qutrit letters. For command NN
 it writes to OUTDIR the ``--out`` file (NN.out, absent when the command fails
 before writing it), stdout without the ``wall time:`` line (NN.stdout), stderr
 (NN.stderr) and the exit code (NN.exit); ``commands.txt`` lists the commands.
@@ -49,6 +50,19 @@ FOUR_LETTER_SCENARIO = {
     "channel": {"builtin": "identity"},
     "output_dims": [2, 1],
 }
+THREE_QUTRIT = "three-qutrit.json"
+THREE_QUTRIT_SCENARIO = {
+    "format": "qkdsim-scenario-v1",
+    "name": "three-qutrit",
+    "key_count": 2,
+    "alphabet_size": 3,
+    "states": {
+        str(a): [[x, 0] for x in letter]
+        for a, letter in enumerate(([1, 0, 0], [0.6, 0.8, 0], [0.48, 0.36, 0.8]))
+    },
+    "channel": {"builtin": "identity"},
+    "output_dims": [1, 3],
+}
 SIM = ["simulate", "paper-example", "--overlap", "0.5", "-n", "3"]
 COMMANDS = [
     *(SIM + ["--eve", "optimized", "--restarts", "2", "--seed", str(seed)] for seed in range(8)),
@@ -81,6 +95,8 @@ COMMANDS = [
      "--restarts", "2", "--seed", "1"],
     # Four letters, two of them nearly equal: the capacity prior is [0.5, 0, 0, 0.5].
     ["capacity", FOUR_LETTER],
+    # C1 on a qutrit: 3-row structured frames padded beside 9-row random frames.
+    ["accessible", THREE_QUTRIT],
 ]
 
 
@@ -105,6 +121,7 @@ def main(argv=None) -> int:
     os.chdir(outdir)
     _write(THREE_MIXED, json.dumps(THREE_MIXED_SCENARIO, indent=2) + "\n")
     _write(FOUR_LETTER, json.dumps(FOUR_LETTER_SCENARIO, indent=2) + "\n")
+    _write(THREE_QUTRIT, json.dumps(THREE_QUTRIT_SCENARIO, indent=2) + "\n")
     _write("commands.txt", "".join(" ".join(c) + "\n" for c in COMMANDS))
     for i, command in enumerate(COMMANDS, 1):
         base = f"{i:02d}"
