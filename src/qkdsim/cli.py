@@ -331,7 +331,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "params", nargs="*", type=float, help="the bsc-pair crossovers EPS_B EPS_E"
     )
     parser.add_argument("--overlap", type=float, default=None, help="paper-example overlap s")
-    parser.add_argument("--grid", type=int, default=2001, help="prior grid points")
+    parser.add_argument(
+        "--grid", type=int, default=2001, help="start grid points of the two-input wiretap search"
+    )
     parser.add_argument("--restarts", type=int, default=8, help="optimizer restarts")
     parser.add_argument("--tol", type=float, default=1e-9, help="convergence tolerance")
     parser.add_argument("--seed", type=int, default=0, help="seed for codebooks and optimizers")

@@ -15,17 +15,19 @@ gap (``_capacity_prior``); the wiretap advantage, not concave, ascends from a
 start set. C1's prior moves with its POVM, as described below.
 
 POVM maximization runs on rank-one frames: raw vectors w_b, normalized by
-the frame operator to u_b = T^(-1/2) w_b and scored through the Born table
-P[a, b] = <u_b| rho_a |u_b>. Every ascent of frames is L-BFGS-B on
-``_povm_objective``, which pulls the caller's gradient dI/dP_f (for the
-mutual information p(a) (log2 P(b|a) - log2 P(b)), ``_mi_and_grad``) back
-exactly through the Born rule and the normalization (the Daleckii-Krein
-derivative of T^(-1/2)). Several frames go through one stacked pass, their
-rows scattered into one zero-padded (F, r, d) array with one batched
-``eigh``; a padded row's column of P is 0 and its gradient is never gathered
-back. A single frame skips the frame axis, so its bits are a one-frame
-pass's. The adversary's seesaw (``simulation.eve_optimize``) ascends a slot
-or all of its slots by ``_ascend_povm``. C1, C_k and
+the frame operator to u_b = T^(-1/2) w_b (``measurements._normalized_frames``)
+and scored through the Born table P[a, b] = <u_b| rho_a |u_b>. Frames have
+one layout everywhere: F frames zero-padded into one (F, R, d) array, a
+frame's rows its nonzero rows. Every ascent of frames is L-BFGS-B on
+``_povm_objective``, whose variables x are the real and then the imaginary
+parts of that array, with any logits after them. It pulls the caller's
+gradient dI/dP_f (for the mutual information p(a) (log2 P(b|a) - log2 P(b)),
+``_divergences_stacked``) back exactly through the Born rule and the
+normalization (the Daleckii-Krein derivative of T^(-1/2)), every frame in one
+batched pass. A padded row is a variable whose gradient is exactly 0 (u_b = 0
+gives it a zero column of P, whose log ratio is 0), so L-BFGS-B leaves it at
+exactly 0. The adversary's seesaw (``simulation.eve_optimize``) ascends a
+slot or all of its slots by ``_ascend_povm``. C1, C_k and
 ``accessible_information`` climb many independent starts at once by
 ``_ascend_starts``: one L-BFGS-B problem on the sum over starts of
 I(p_f, P_f), each start's frame (and in a joint ascent its prior's logits)
@@ -63,21 +65,19 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
 from .channels import DEFAULT_DIM_BUDGET, CqEnsemble, QuantumChannel, marginal, push_through
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .measurements import (
-    COMPLETENESS_ATOL,
     ClassicalChannel,
     Povm,
     _born_table,
+    _normalized_frames,
     expand,
     helstrom,
     pretty_good_measurement,
-    random_rank1_povm,
 )
 from .states import require_distribution
 
@@ -357,44 +357,11 @@ def _divergences_stacked(priors: np.ndarray, probs: np.ndarray) -> tuple[np.ndar
     return (probs * ratio).sum(axis=2), ratio
 
 
-class _Rows(NamedTuple):
-    """Where the packed rows of F frames go in ``_povm_objective``'s zero-padded
-    (F, r, d) array: packed row i is row ``row[i]`` of frame ``frame[i]``."""
-
-    frame: np.ndarray
-    row: np.ndarray
-    shape: tuple[int, int]
-
-
-def _frame_rows(sizes) -> _Rows:
-    """The ``_Rows`` of frames of ``sizes`` rows each, packed one after another."""
-    sizes = np.asarray(sizes)
-    first = np.cumsum(sizes) - sizes
-    row = np.arange(sizes.sum()) - np.repeat(first, sizes)
-    return _Rows(np.repeat(np.arange(sizes.size), sizes), row, (sizes.size, int(sizes.max())))
-
-
-def _pack(frames, logits=()) -> np.ndarray:
-    """The packed raw vectors of ``frames``: the real then the imaginary parts
-    of their rows, frame after frame, then any ``logits`` arrays."""
-    return np.concatenate(
-        [w.real.ravel() for w in frames] + [w.imag.ravel() for w in frames] + list(logits)
-    )
-
-
-def _unpack(x: np.ndarray, sizes, dim: int) -> list[np.ndarray]:
-    """The complex rows of each frame of ``sizes`` rows in a packed x; the
-    values after them (logits) are not read."""
-    n = sum(sizes) * dim
-    w = (x[:n] + 1j * x[n : 2 * n]).reshape(-1, dim)
-    return np.split(w, np.cumsum(sizes)[:-1])
-
-
 def _povm_objective(
-    x: np.ndarray, stack: np.ndarray, value_and_grad, rows: _Rows | None
+    x: np.ndarray, stack: np.ndarray, value_and_grad, shape: tuple[int, int, int]
 ) -> tuple[float, np.ndarray]:
-    """-value and its exact gradient in the packed raw vectors x of one or
-    more frames (``_pack``).
+    """-value and its exact gradient in x, the real and then the imaginary
+    parts of F frames zero-padded into one array of ``shape`` (F, R, d).
 
     Per frame, with T = sum_b |w_b><w_b| = V diag(lam) V^dagger,
     u_b = T^(-1/2) w_b and P[a, b] = <u_b| rho_a |u_b> clipped at 0, the
@@ -406,18 +373,12 @@ def _povm_objective(
     d value / d conj(w_b) = T^(-1/2) h_b + D w_b. A singular frame scores
     50.0 with a zero gradient.
 
-    With ``rows`` None, x is one frame, whose (r, d) rows go through as 2-D
-    arrays (cheapest per call), and ``value_and_grad`` maps its (A, r) table
-    to the value and G. Otherwise the F frames of ``rows`` are scattered into
-    a zero-padded (F, r, d) array for one stacked pass, and ``value_and_grad``
-    maps the (F, A, r) tables to the value and an (F, A, r) G. A padded row
-    changes neither T nor the other rows, and its gradient is not gathered.
+    ``value_and_grad`` maps the (F, A, R) tables to the value and an
+    (F, A, R) G. A padded row changes neither T nor the other rows, and its
+    gradient is exactly 0 when G is finite on its zero column.
     """
-    d = stack.shape[1]
-    w = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(-1, d)
-    if rows is not None:
-        packed, w = w, np.zeros(rows.shape + (d,), dtype=complex)
-        w[rows.frame, rows.row] = packed
+    n = x.size // 2
+    w = (x[:n] + 1j * x[n:]).reshape(shape)
     lam, vecs = np.linalg.eigh(np.einsum("...bi,...bj->...ij", w, w.conj()))
     if lam.min() < 1e-12:
         return 50.0, np.zeros_like(x)
@@ -433,31 +394,29 @@ def _povm_objective(
     f1 = -1.0 / ((col * row) * (col + row))
     dd = vecs @ (f1 * (vecs_h @ (c + c.conj().swapaxes(-1, -2)) @ vecs)) @ vecs_h
     grad = 2.0 * (h @ inv_sqrt_t + w @ dd.swapaxes(-1, -2))
-    if rows is not None:
-        grad = grad[rows.frame, rows.row]
     return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
 
 
 def _ascend_povm(
     stack: np.ndarray, frames: list[np.ndarray], value_and_grad, max_iters: int, gtol: float = 1e-5
-) -> tuple[list[np.ndarray] | None, bool]:
+) -> tuple[np.ndarray | None, bool]:
     """Quasi-Newton ascent of one value(P_1, ..., P_F) over rank-one POVMs,
     the adversary's slot ascent.
 
     Each of the F ``frames`` holds one POVM's raw vectors, one row per
-    rank-one piece; all are optimized together, unconstrained, on
-    ``_povm_objective`` with its ``value_and_grad``, so L-BFGS-B (``_lbfgs``)
-    gets the exact gradient. It stops after ``max_iters`` iterations or once
-    the projected gradient is at most ``gtol``. Returns the normalized final
-    frames (None if any fails ``_normalized_frames``) and whether L-BFGS-B
-    reported success.
+    rank-one piece; they are zero-padded once into (F, R, d) and optimized
+    together, unconstrained, on ``_povm_objective`` with its
+    ``value_and_grad``, so L-BFGS-B (``_lbfgs``) gets the exact gradient. It
+    stops after ``max_iters`` iterations or once the projected gradient is at
+    most ``gtol``. Returns the normalized final frames as one (F, R, d) array
+    (None if any fails ``_normalized_frames``) and whether L-BFGS-B reported
+    success.
     """
-    sizes = [len(w) for w in frames]
-    rows = None if len(frames) == 1 else _frame_rows(sizes)
-    args = (stack, value_and_grad, rows)
-    x, ok = _lbfgs(_povm_objective, _pack(frames), args, max_iters, 1e-12, gtol)
-    us, good = zip(*(_normalized_frames(w) for w in _unpack(x, sizes, stack.shape[1])))
-    return (list(us) if all(good) else None), ok
+    w = _padded(frames)
+    x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
+    x, ok = _lbfgs(_povm_objective, x0, (stack, value_and_grad, w.shape), max_iters, 1e-12, gtol)
+    u, good = _normalized_frames((x[: w.size] + 1j * x[w.size :]).reshape(w.shape))
+    return (u if good.all() else None), ok
 
 
 def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: float,
@@ -493,21 +452,6 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
     return res.x, bool(res.success)
 
 
-def _normalized_frames(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``normalize_vectors`` of one (r, d) frame or of each of a zero-padded
-    (F, R, d) stack by one batched ``eigh``, and whether each is a POVM: not
-    singular, and complete within ``COMPLETENESS_ATOL``. A padded row stays 0
-    and changes no other bit."""
-    t = np.einsum("...bi,...bj->...ij", w, w.conj())
-    vals, vecs = np.linalg.eigh(t)
-    ok = vals.min(axis=-1) >= 1e-12
-    root = np.sqrt(np.where(ok[..., None], vals, 1.0))
-    inv_sqrt = (vecs / root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    u = w @ inv_sqrt.swapaxes(-1, -2)
-    err = np.abs(u.swapaxes(-1, -2) @ u.conj() - np.eye(w.shape[-1])).max(axis=(-2, -1))
-    return u, ok & (err <= COMPLETENESS_ATOL)
-
-
 def _kept_rows(u: np.ndarray) -> np.ndarray:
     """The rows of normalized frames that carry an effect: squared norm above 1e-14."""
     return (u.real**2 + u.imag**2).sum(axis=-1) > 1e-14
@@ -532,42 +476,36 @@ def _start_frame(start: Povm, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pieces[pieces.any(axis=1)], _born_table(start.effects, stack)
 
 
-def _padded(frames, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Frames zero-padded into one (F, R, d) array, R >= ``width``, and their row counts."""
-    sizes = np.array([len(w) for w in frames])
-    rows = _frame_rows(sizes)
-    out = np.zeros((len(frames), max(rows.shape[1], width), frames[0].shape[1]), dtype=complex)
-    out[rows.frame, rows.row] = np.concatenate(frames)
-    return out, sizes
+def _padded(arrays, width: int = 0) -> np.ndarray:
+    """F arrays of shape (r_f, c) zero-padded into one (F, R, c) array of their
+    dtype, R >= ``width``."""
+    sizes = np.array([len(a) for a in arrays])
+    out = np.zeros((len(arrays), max(sizes.max(), width), arrays[0].shape[1]), arrays[0].dtype)
+    out[np.arange(out.shape[1]) < sizes[:, None]] = np.concatenate(arrays)
+    return out
 
 
 @dataclass
 class _Starts:
     """Starts held as one array per quantity: rank-one frames zero-padded into
-    (F, R, d), frame f's rows its first ``sizes[f]``; priors (F, A); Born
-    tables (F, A, R); values (F,), -inf for a rejected frame; and whether
-    their last ascent reported success (F,)."""
+    (F, R, d), a frame's rows its nonzero rows; priors (F, A); Born tables
+    (F, A, R), a zero column per padded or dropped row; values (F,), -inf for
+    a rejected frame; and whether their last ascent reported success (F,)."""
 
     priors: np.ndarray
     frames: np.ndarray
-    sizes: np.ndarray
     tables: np.ndarray
     values: np.ndarray
     ok: np.ndarray
 
-    def __getitem__(self, f: int):
-        """Start f unpadded, (prior, frame, table, flag), or None if rejected."""
-        if self.values[f] == -np.inf:
-            return None
-        r = self.sizes[f]
-        return self.priors[f], self.frames[f, :r], self.tables[f, :, :r], bool(self.ok[f])
-
 
 def _start_set(stack: np.ndarray, priors: np.ndarray, povms, raws) -> _Starts:
-    """The starts ``povms`` (``_start_frame``) and the rank-one POVMs that
-    ``random_rank1_povm`` makes of the raw frames ``raws``, at ``priors``;
-    the random ones are normalized, split and tabled in one batch each and
-    get no ``Povm``. A start scores the table of its own effects."""
+    """The starts ``povms`` (``_start_frame``) and the rank-one POVMs of the
+    raw frames ``raws``, at ``priors``. ``_normalized_frames`` normalizes the
+    raw frames as it normalizes ``random_rank1_povm``'s draw, so a frame drawn
+    as that function draws gives its POVM; the random ones are normalized,
+    split and tabled in one batch each and get no ``Povm``. A start scores the
+    table of its own effects. Frames and tables are zero-padded to one width."""
     frames, tables = map(list, zip(*(_start_frame(povm, stack) for povm in povms)))
     if raws:
         u, ok = _normalized_frames(np.stack(raws))
@@ -579,75 +517,68 @@ def _start_set(stack: np.ndarray, priors: np.ndarray, povms, raws) -> _Starts:
         counts = np.bincount(groups[nonzero] // effects.shape[1], minlength=len(raws))
         frames += np.split(pieces[nonzero], np.cumsum(counts)[:-1])
         tables += list(_born_table(effects, stack))
-    cols = _frame_rows([t.shape[1] for t in tables])
-    frames, sizes = _padded(frames, cols.shape[1])
-    padded = np.zeros((len(tables), len(stack), frames.shape[1]))
-    padded[cols.frame, :, cols.row] = np.concatenate(tables, axis=1).T
-    return _Starts(priors, frames, sizes, padded, _scores(priors, padded), np.ones(len(sizes), bool))
+    frames = _padded(frames, max(t.shape[1] for t in tables))
+    padded = np.ascontiguousarray(_padded([t.T for t in tables], frames.shape[1]).swapaxes(1, 2))
+    return _Starts(priors, frames, padded, _scores(priors, padded), np.ones(len(tables), bool))
 
 
-def _joint_objective(y: np.ndarray, stack: np.ndarray, rows: _Rows) -> tuple[float, np.ndarray]:
+def _joint_objective(
+    y: np.ndarray, stack: np.ndarray, shape: tuple[int, int, int]
+) -> tuple[float, np.ndarray]:
     """-sum_f I(p_f, M_f) and its exact gradient over F rank-one frames and F
     priors together.
 
-    y holds the frames' raw vectors, packed as in ``_povm_objective`` with
-    ``rows``, then each prior's logits z_f, p_f = softmax(z_f). The frames'
-    gradient is ``_povm_objective``'s; with D_f[a] = sum_b P_f[a, b]
+    y holds the frames of ``shape`` (F, R, d) as in ``_povm_objective``, then
+    each prior's logits z_f, p_f = softmax(z_f). The frames' gradient is
+    ``_povm_objective``'s; with D_f[a] = sum_b P_f[a, b]
     (log2 P_f[a, b] - log2 P_f(b)), dI/dp_f[a] = D_f[a] - 1/ln 2 pulls back
     to dI/dz_f[a] = p_f[a] (D_f[a] - p_f . D_f), where the constant cancels.
     """
-    n = 2 * rows.frame.size * stack.shape[1]
-    p = _softmax(y[n:].reshape(rows.shape[0], -1))
+    n = 2 * math.prod(shape)
+    p = _softmax(y[n:].reshape(shape[0], -1))
     div = np.zeros_like(p)
 
     def value_and_grad(tables):
         div[:], ratio = _divergences_stacked(p, tables)
         return float((p * div).sum()), p[:, :, None] * ratio
 
-    value, grad = _povm_objective(y[:n], stack, value_and_grad, rows)
+    value, grad = _povm_objective(y[:n], stack, value_and_grad, shape)
     pull = p * (div - (p * div).sum(axis=1, keepdims=True))
     return value, np.concatenate([grad, -pull.ravel()])
 
 
-def _block_max(grad: np.ndarray, rows: _Rows, dim: int) -> np.ndarray:
-    """max |grad| over each start's block of a packed gradient: its frame's
-    rows, real and imaginary, and any logits after the frames."""
-    n = rows.frame.size * dim
-    per_row = np.abs(grad[: 2 * n]).reshape(2, -1, dim).max(axis=(0, 2))
-    top = np.zeros(rows.shape[0])
-    np.maximum.at(top, rows.frame, per_row)
-    if grad.size > 2 * n:
-        top = np.maximum(top, np.abs(grad[2 * n :]).reshape(rows.shape[0], -1).max(axis=1))
+def _block_max(grad: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """max |grad| over each start's block of x: its frame of the (F, R, d)
+    ``shape``, real and imaginary, and any logits after the frames."""
+    n = 2 * math.prod(shape)
+    top = np.abs(grad[:n]).reshape(2, shape[0], -1).max(axis=(0, 2))
+    if grad.size > n:
+        top = np.maximum(top, np.abs(grad[n:]).reshape(shape[0], -1).max(axis=1))
     return top
 
 
-def _ascend_starts(stack: np.ndarray, priors, frames, joint: bool, sizes=None) -> _Starts:
+def _ascend_starts(stack: np.ndarray, priors, frames: np.ndarray, joint: bool) -> _Starts:
     """One L-BFGS-B ascent of sum_f I(p_f, M_f) over F starts' rank-one
-    frames, and with ``joint`` their priors (``_joint_objective``), at once.
+    frames, a zero-padded (F, R, d) array, and with ``joint`` their priors
+    (``_joint_objective``), at once.
 
-    ``frames`` is a zero-padded (F, R, d) array, frame f's rows its first
-    ``sizes[f]``, or without ``sizes`` a sequence of unpadded frames. Each
-    start is one block of x, so one stacked ``_povm_objective`` pass serves
-    all. A start whose block already meets the stop, max |g| at most
+    Each start is one block of x, so one stacked ``_povm_objective`` pass
+    serves all. A start whose block already meets the stop, max |g| at most
     ``_JOINT_GTOL``, does not join and comes back as it went in, as
     ``_lbfgs`` returns it alone. The others climb in one ``_lbfgs`` call
     (``ftol`` 0) to the stop, a failed line search or ``_LBFGS_MAX_ITERS``
-    iterations. The ends are normalized, tabled and scored in one call each
-    and returned as ``_Starts`` of width R.
+    iterations; their padded rows stay exactly 0. The ends are normalized,
+    tabled and scored in one call each and returned as ``_Starts`` of width R.
     """
-    if sizes is None:
-        frames, sizes = _padded(frames)
     priors = np.asarray(priors, dtype=float)
-    dim = stack.shape[1]
     w, ends, ok = np.zeros_like(frames), priors.copy(), np.ones(len(frames), dtype=bool)
 
     def problem(idx):
-        rows = _frame_rows(sizes[idx])
-        packed = frames[idx[rows.frame], rows.row]
-        parts = [packed.real.ravel(), packed.imag.ravel()]
+        chosen = frames[idx]
+        parts = [chosen.real.ravel(), chosen.imag.ravel()]
         if joint:
             parts.append(np.log(np.clip(priors[idx], _EIG_LOG_FLOOR, None)).ravel())
-            return np.concatenate(parts), _joint_objective, (stack, rows)
+            return np.concatenate(parts), _joint_objective, (stack, chosen.shape)
 
         fixed = priors[idx]
 
@@ -655,11 +586,11 @@ def _ascend_starts(stack: np.ndarray, priors, frames, joint: bool, sizes=None) -
             div, ratio = _divergences_stacked(fixed, tables)
             return float((fixed * div).sum()), fixed[:, :, None] * ratio
 
-        return np.concatenate(parts), _povm_objective, (stack, value_and_grad, rows)
+        return np.concatenate(parts), _povm_objective, (stack, value_and_grad, chosen.shape)
 
-    def end(idx, x, rows):
-        n = rows.frame.size * dim
-        w[idx[rows.frame], rows.row] = (x[:n] + 1j * x[n : 2 * n]).reshape(-1, dim)
+    def end(idx, x, shape):
+        n = math.prod(shape)
+        w[idx] = (x[:n] + 1j * x[n : 2 * n]).reshape(shape)
         if joint:
             ends[idx] = _softmax(x[2 * n :].reshape(idx.size, -1))
 
@@ -667,7 +598,7 @@ def _ascend_starts(stack: np.ndarray, priors, frames, joint: bool, sizes=None) -
     x0, fun, args = problem(everyone)
     first = fun(x0, *args)
     end(everyone, x0, args[-1])
-    moving = everyone[_block_max(first[1], args[-1], dim) > _JOINT_GTOL]
+    moving = everyone[_block_max(first[1], args[-1]) > _JOINT_GTOL]
     if moving.size:
         if moving.size < everyone.size:
             x0, fun, args = problem(moving)
@@ -676,7 +607,7 @@ def _ascend_starts(stack: np.ndarray, priors, frames, joint: bool, sizes=None) -
         end(moving, x, args[-1])
     u, valid = _normalized_frames(w)
     tables = _frame_tables(u, stack)
-    return _Starts(ends, u, sizes, tables, np.where(valid, _scores(ends, tables), -np.inf), ok)
+    return _Starts(ends, u, tables, np.where(valid, _scores(ends, tables), -np.inf), ok)
 
 
 def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
@@ -692,12 +623,12 @@ def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationR
     raws = [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(cfg.restarts)]
     priors = np.tile(e.prior, (len(povms) + len(raws), 1))
     starts = _start_set(e.states, priors, povms, raws)
-    ends = _ascend_starts(e.states, priors, starts.frames, False, starts.sizes)
+    ends = _ascend_starts(e.states, priors, starts.frames, False)
     f = int(np.argmax(np.maximum(ends.values, starts.values)))
     if ends.values[f] > starts.values[f]:
-        _, frame, _, ok = ends[f]
-        return OptimizationResult(float(ends.values[f]), e.prior.copy(), _frame_povm(frame), ok)
-    povm = povms[f] if f < len(povms) else _frame_povm(starts[f][1])
+        povm = _frame_povm(ends.frames[f])
+        return OptimizationResult(float(ends.values[f]), e.prior.copy(), povm, bool(ends.ok[f]))
+    povm = povms[f] if f < len(povms) else _frame_povm(starts.frames[f])
     return OptimizationResult(float(starts.values[f]), e.prior.copy(), povm)
 
 
@@ -717,7 +648,7 @@ def _climb(stack, held: _Starts, active, news, own, joint: bool) -> np.ndarray:
     """One ``_ascend_starts`` of the ``active`` starts; each moves to its end
     where that beats its ``news``, which then takes the end's value, and no
     longer holds its ``own`` POVM. Returns the new ``news``."""
-    ends = _ascend_starts(stack, held.priors[active], held.frames[active], joint, held.sizes[active])
+    ends = _ascend_starts(stack, held.priors[active], held.frames[active], joint)
     up = ends.values > news
     moved = active[up]
     held.priors[moved], held.frames[moved] = ends.priors[up], ends.frames[up]
@@ -782,7 +713,7 @@ def _joint_maximize(
     for f, value in enumerate(values):
         if value > values[best] + _TIE_BITS:
             best = f
-    povm = povms[best] if own[best] else _frame_povm(held[best][1])
+    povm = povms[best] if own[best] else _frame_povm(held.frames[best])
     return OptimizationResult(values[best], held.priors[best], povm, bool(converged[best]))
 
 

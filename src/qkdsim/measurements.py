@@ -32,6 +32,22 @@ EFFECT_PSD_ATOL = 1e-10
 COMPLETENESS_ATOL = 1e-9
 
 
+def _normalized_frames(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-one POVM vectors u = w T^(-1/2) of one (r, d) frame of raw rows
+    w_b, or of each frame of a zero-padded (F, R, d) stack by one batched
+    ``eigh``, and whether each is a POVM: not singular, and complete within
+    ``COMPLETENESS_ATOL``. T = sum_b |w_b><w_b| is the frame operator, so
+    sum_b |u_b><u_b| = I. A padded row stays 0 and changes no other bit."""
+    t = np.einsum("...bi,...bj->...ij", w, w.conj())
+    vals, vecs = np.linalg.eigh(t)
+    ok = vals.min(axis=-1) >= 1e-12
+    root = np.sqrt(np.where(ok[..., None], vals, 1.0))
+    inv_sqrt = (vecs / root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    u = w @ inv_sqrt.swapaxes(-1, -2)
+    err = np.abs(u.swapaxes(-1, -2) @ u.conj() - np.eye(w.shape[-1])).max(axis=(-2, -1))
+    return u, ok & (err <= COMPLETENESS_ATOL)
+
+
 class Povm:
     """A finite-outcome positive operator-valued measure.
 
@@ -186,21 +202,7 @@ def random_rank1_povm(dim: int, num_outcomes: int, rng: np.random.Generator) -> 
             "outcomes", f"need at least dim={dim} rank-1 outcomes for completeness"
         )
     w = rng.normal(size=(num_outcomes, dim)) + 1j * rng.normal(size=(num_outcomes, dim))
-    u = normalize_vectors(w)
-    if u is None:
+    u, ok = _normalized_frames(w)
+    if not ok:
         raise ValidationError("frame", "random vectors do not span the space")
     return Povm(u[:, :, None] * u.conj()[:, None, :])
-
-
-def normalize_vectors(w: np.ndarray) -> np.ndarray | None:
-    """Rank-one POVM vectors u_b from raw rows w_b: u = w T^(-1/2).
-
-    T = sum_b |w_b><w_b| is the frame operator, so sum_b |u_b><u_b| = I.
-    Returns None when the frame is singular (the rows do not span).
-    """
-    t = np.einsum("bi,bj->ij", w, w.conj())
-    vals, vecs = np.linalg.eigh(t)
-    if vals.min() < 1e-12:
-        return None
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return w @ inv_sqrt.T

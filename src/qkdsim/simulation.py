@@ -460,10 +460,10 @@ def _joint_value_and_grad(
 
     Returns value_and_grad(Ps) for ``_ascend_povm``: Ps[f, a, r] is the Born
     probability of slot free[f]'s piece r (of outcome groups[f][r]) on
-    letter a, in ``_povm_objective``'s arrays: one free slot's (A, r) table,
-    or several slots' tables zero-padded to one (F, A, r) array, of which
-    each slot reads its own columns and gets a gradient of the same shape,
-    zero in the padding. The other slots keep their ``tables``. The key channel sums
+    letter a, the free slots' tables zero-padded to one (F, A, R) array as
+    ``_povm_objective`` passes them, of which each slot reads its own columns
+    and gets a gradient of the same shape, zero in the padding; one free
+    slot's is (1, A, r). The other slots keep their ``tables``. The key channel sums
     the likelihoods lik[k, t] over the tuples t decoded to each key, and
     ``_mi_and_grad`` gives G[k, e] = d value / d chan[k, e].
 
@@ -498,8 +498,8 @@ def _joint_value_and_grad(
         slot_onehot = np.eye(tables[i].shape[1])[slot_letters].T
 
         def value_and_grad(ps: np.ndarray) -> tuple[float, np.ndarray]:
-            value, gk = _mi_and_grad(prior, np.einsum("kr,kre->ke", ps[slot_letters], s))
-            return value, slot_onehot @ np.einsum("ke,kre->kr", gk, s)
+            value, gk = _mi_and_grad(prior, np.einsum("kr,kre->ke", ps[0][slot_letters], s))
+            return value, (slot_onehot @ np.einsum("ke,kre->kr", gk, s))[None]
 
         return value_and_grad
 
@@ -538,7 +538,8 @@ def _refine_slots(
     Runs ``information._ascend_povm`` with one frame per free slot on
     ``_joint_value_and_grad``. No outcome count may change (the decoder is
     defined on the outcome tuples), so each frame holds the slot's rank-one
-    pieces, whose probabilities are summed back into its outcomes. Returns
+    pieces, whose probabilities are summed back into its outcomes; slot
+    free[f] reads its rows of the ascent's zero-padded (F, R, d) end. Returns
     all slots' effects and tables and their exactly scored information, or
     None when a frame fails ``_normalized_frames``; the caller decides
     whether they beat its running value.
@@ -551,6 +552,7 @@ def _refine_slots(
         return None
     slots, tables = list(slots), list(tables)
     for i, u, g in zip(free, us, groups):
+        u = u[: len(g)]
         slots[i] = np.einsum("ro,ri,rj->oij", np.eye(len(slots[i]))[g], u, u.conj())
         tables[i] = _born_table(slots[i], eve_states).T
     return slots, tables, _key_info(_likelihoods(tables, c), decoder_idx)

@@ -109,6 +109,12 @@ def binary_entropy(p):
     return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
 
 
+def flat(w, *logits):
+    """L-BFGS-B's variables for frames ``w`` of any shape: the real and then
+    the imaginary parts, then any ``logits``."""
+    return np.concatenate([w.real.ravel(), w.imag.ravel(), *logits])
+
+
 def central_differences(f, x, h=1e-6):
     """Gradient of a scalar function of a real vector by central differences."""
     return np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(x.size)])

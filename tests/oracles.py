@@ -16,9 +16,10 @@ reference seesaw for C1: every start climbed by the longer alternating
 round, against which C1 must never report less; ``sequential_c1``,
 ``sequential_c_k`` and ``sequential_accessible`` climb each start on its own,
 as the package did before it stacked its starts into one ascent. They reuse
-the package's single-frame POVM objective and its L-BFGS-B call site; the
-joint objective, the per-start ascents and the prior search of
-``alternating_c1`` are this module's own.
+the package's POVM objective, called with one frame, and its L-BFGS-B call
+site; the joint objective, the per-start ascents, the prior search of
+``alternating_c1`` and the frame normalization, ``normalize_vectors``, are
+this module's own.
 """
 
 import itertools
@@ -35,7 +36,6 @@ from qkdsim.measurements import (
     expand,
     helstrom,
     pretty_good_measurement,
-    normalize_vectors,
     random_rank1_povm,
 )
 from qkdsim.states import DensityOperator
@@ -231,6 +231,20 @@ def start_frame(povm, stack) -> tuple[np.ndarray, np.ndarray]:
     return pieces[pieces.any(axis=1)], table
 
 
+def normalize_vectors(w: np.ndarray) -> np.ndarray | None:
+    """Rank-one POVM vectors u_b from one frame's raw rows w_b: u = w T^(-1/2).
+
+    T = sum_b |w_b><w_b| is the frame operator, so sum_b |u_b><u_b| = I.
+    Returns None when the frame is singular (the rows do not span).
+    """
+    t = np.einsum("bi,bj->ij", w, w.conj())
+    vals, vecs = np.linalg.eigh(t)
+    if vals.min() < 1e-12:
+        return None
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return w @ inv_sqrt.T
+
+
 def normalized(w):
     """One raw frame's rank-one POVM vectors, ``normalize_vectors(w)``, or None
     when the frame is singular or its vectors miss the identity by more than
@@ -417,13 +431,15 @@ def joint_objective(y, stack, rows):
     p = p / p.sum()
     div = np.zeros_like(p)
 
-    def value_and_grad(table):
+    def value_and_grad(tables):
+        (table,) = tables
         value, out = info._mi_and_marginal(p, table)
         ratio = np.log2(np.maximum(table, 1e-18)) - np.log2(np.maximum(out, 1e-18))
         div[:] = (table * ratio).sum(axis=1)
-        return value, p[:, None] * ratio
+        return value, (p[:, None] * ratio)[None]
 
-    value, grad = info._povm_objective(y[:n], stack, value_and_grad, None)
+    shape = (1, rows, stack.shape[1])
+    value, grad = info._povm_objective(y[:n], stack, value_and_grad, shape)
     return value, np.concatenate([grad, -p * (div - p @ div)])
 
 
@@ -447,7 +463,11 @@ def _refine_frame(stack, prior, frame):
     """One L-BFGS-B ascent of I(prior, .) over rank-one POVMs from ``frame``,
     alone: (normalized frame, Born table, L-BFGS-B's success), or None for a
     singular frame."""
-    us, ok = info._ascend_povm(stack, [frame], lambda t: info._mi_and_grad(prior, t), 300)
+    def value_and_grad(tables):
+        value, g = info._mi_and_grad(prior, tables[0])
+        return value, g[None]
+
+    us, ok = info._ascend_povm(stack, [frame], value_and_grad, 300)
     if us is None:
         return None
     return us[0], frame_table(us[0], stack), ok

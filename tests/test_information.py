@@ -18,14 +18,11 @@ from qkdsim.information import (
     _best_prior_for_channel,
     _channel_divergences,
     _divergences_stacked,
-    _frame_rows,
     _frame_tables,
     _joint_objective,
     _lbfgs,
     _mi_and_grad,
     _mi_from_probs,
-    _normalized_frames,
-    _pack,
     _padded,
     _povm_objective,
     _rank1_pieces,
@@ -46,9 +43,9 @@ from qkdsim.information import (
 from qkdsim.measurements import (
     ClassicalChannel,
     Povm,
+    _normalized_frames,
     helstrom,
     induced_channel,
-    normalize_vectors,
     pretty_good_measurement,
     random_rank1_povm,
 )
@@ -60,6 +57,7 @@ from conftest import (
     THREE_MIXED,
     central_differences,
     ensemble,
+    flat,
     random_density,
     random_pure,
 )
@@ -109,6 +107,17 @@ def qubit_pair_ensemble(s, prior=(0.5, 0.5)):
     psi0 = np.array([1.0, 0.0])
     psi1 = np.array([s, math.sqrt(1 - s * s)])
     return ensemble(prior, (pure_state(psi0), pure_state(psi1)))
+
+
+def one_frame(value_and_grad):
+    """A one-frame value_and_grad on an (A, r) table as ``_povm_objective``
+    calls it, on the (1, A, r) tables of one frame."""
+
+    def stacked(tables):
+        value, g = value_and_grad(tables[0])
+        return value, g[None]
+
+    return stacked
 
 
 def bsc(eps):
@@ -323,16 +332,13 @@ class TestAscentGradient:
     def test_mi_objective_matches_central_differences(self, rng, dim):
         e = ensemble(rng.dirichlet(np.ones(3)), tuple(random_pure(rng, dim) for _ in range(3)))
         stack = e.states
-        w = rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim))
-        x = np.concatenate([w.real.ravel(), w.imag.ravel()])
-
-        def vg(table):
-            return _mi_and_grad(e.prior, table)
-
-        value, grad = _povm_objective(x, stack, vg, None)
-        fd = central_differences(lambda y: _povm_objective(y, stack, vg, None)[0], x)
+        w = rng.normal(size=(1, dim * dim, dim)) + 1j * rng.normal(size=(1, dim * dim, dim))
+        x = flat(w)
+        vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
+        value, grad = _povm_objective(x, stack, vg, w.shape)
+        fd = central_differences(lambda y: _povm_objective(y, stack, vg, w.shape)[0], x)
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
-        povm = Povm([np.outer(v, v.conj()) for v in normalize_vectors(w)])
+        povm = Povm([np.outer(v, v.conj()) for v in normalized(w[0])])
         replay = mutual_information(e.prior, induced_channel(povm, e))
         assert -value == pytest.approx(replay, abs=1e-12)
 
@@ -340,72 +346,75 @@ class TestAscentGradient:
     def test_joint_objective_value_and_gradient(self, rng, size):
         e = ensemble(np.full(size, 1.0 / size), tuple(random_density(rng, 2) for _ in range(size)))
         stack = e.states
-        w = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        w = rng.normal(size=(1, 4, 2)) + 1j * rng.normal(size=(1, 4, 2))
         z = rng.normal(size=size)
-        y = np.concatenate([w.real.ravel(), w.imag.ravel(), z])
-        rows = _frame_rows([len(w)])
-        value, grad = _joint_objective(y, stack, rows)
-        povm = Povm([np.outer(v, v.conj()) for v in normalize_vectors(w)])
+        y = flat(w, z)
+        value, grad = _joint_objective(y, stack, w.shape)
+        povm = Povm([np.outer(v, v.conj()) for v in normalized(w[0])])
         exact = mutual_information(_softmax(z), induced_channel(povm, e))
         assert -value == pytest.approx(exact, abs=1e-12)
-        fd = central_differences(lambda x: _joint_objective(x, stack, rows)[0], y)
+        fd = central_differences(lambda x: _joint_objective(x, stack, w.shape)[0], y)
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
     def test_singular_frame_scores_fifty_with_zero_gradient(self):
         stack = qubit_pair_ensemble(0.5).states
-        w = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], dtype=complex)
-        x = np.concatenate([w.real.ravel(), w.imag.ravel()])
-
-        def vg(table):
-            return _mi_and_grad(np.full(2, 0.5), table)
-
-        value, grad = _povm_objective(x, stack, vg, None)
+        w = np.array([[[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]]], dtype=complex)
+        x = flat(w)
+        vg = one_frame(lambda table: _mi_and_grad(np.full(2, 0.5), table))
+        value, grad = _povm_objective(x, stack, vg, w.shape)
         assert value == 50.0
         np.testing.assert_array_equal(grad, np.zeros_like(x))
 
     @staticmethod
     def _frames_objective(rng, dim, rows):
-        """Packed raw rows of frames with ``rows`` rows each, random states, the
-        frames' slices of the packed rows and a value_and_grad summing each
-        frame's mutual information over a list of tables, as
-        ``povm_objective_per_frame`` passes them."""
+        """Frames with ``rows`` rows each, zero-padded into one (F, R, d)
+        array; random states; a value_and_grad summing each frame's mutual
+        information over a list of tables; and the frames' packed raw rows
+        with each frame's slice of them, as ``povm_objective_per_frame``
+        takes them."""
         stack = np.stack([random_density(rng, dim).matrix for _ in range(3)])
         prior = rng.dirichlet(np.ones(3))
-        w = rng.normal(size=(sum(rows), dim)) + 1j * rng.normal(size=(sum(rows), dim))
-        x = np.concatenate([w.real.ravel(), w.imag.ravel()])
+        frames = [rng.normal(size=(r, dim)) + 1j * rng.normal(size=(r, dim)) for r in rows]
         parts = [slice(stop - r, stop) for r, stop in zip(rows, np.cumsum(rows))]
 
         def vg(tables):
             pairs = [_mi_and_grad(prior, t) for t in tables]
             return sum(v for v, _ in pairs), [g for _, g in pairs]
 
-        return x, stack, vg, parts
+        return _padded(frames), stack, vg, flat(np.concatenate(frames)), parts
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stacked_frames_match_per_frame_loop(self, rng, dim):
-        x, stack, vg, parts = self._frames_objective(rng, dim, [dim, dim * dim, dim + 1, dim * dim])
+        """Every frame's gradient matches the per-frame loop's, and every
+        padded entry of the gradient is exactly 0."""
+        w, stack, vg, packed, parts = self._frames_objective(
+            rng, dim, [dim, dim * dim, dim + 1, dim * dim]
+        )
 
         def stacked_vg(tables):
-            value, grads = vg(tables)
+            value, grads = vg(list(tables))
             return value, np.stack(grads)
 
-        rows = _frame_rows([part.stop - part.start for part in parts])
-        value, grad = _povm_objective(x, stack, stacked_vg, rows)
-        want, want_grad = povm_objective_per_frame(x, stack, vg, parts)
+        value, grad = _povm_objective(flat(w), stack, stacked_vg, w.shape)
+        want, want_grad = povm_objective_per_frame(packed, stack, vg, parts)
         assert value == pytest.approx(want, abs=1e-13)
-        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-13)
+        grad, want_grad = grad.reshape(2, *w.shape), want_grad.reshape(2, -1, dim)
+        for f, part in enumerate(parts):
+            r = part.stop - part.start
+            np.testing.assert_allclose(grad[:, f, :r], want_grad[:, part], rtol=0, atol=1e-13)
+            assert not grad[:, f, r:].any()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_frame_keeps_the_per_frame_bits(self, rng, dim):
         for rows in (dim, dim + 1, dim * dim):
-            x, stack, vg, parts = self._frames_objective(rng, dim, [rows])
+            w, stack, vg, packed, parts = self._frames_objective(rng, dim, [rows])
 
-            def one_vg(table):
-                value, (g,) = vg([table])
-                return value, g
+            def one_vg(tables):
+                value, (g,) = vg(list(tables))
+                return value, g[None]
 
-            value, grad = _povm_objective(x, stack, one_vg, None)
-            want, want_grad = povm_objective_per_frame(x, stack, vg, parts)
+            value, grad = _povm_objective(flat(w), stack, one_vg, w.shape)
+            want, want_grad = povm_objective_per_frame(packed, stack, vg, parts)
             assert value == want
             assert np.array_equal(grad, want_grad)
 
@@ -454,18 +463,15 @@ class TestLbfgs:
     def test_same_point_as_plain_minimize(self, rng, joint):
         e = ensemble(rng.dirichlet(np.ones(3)), tuple(random_density(rng, 2) for _ in range(3)))
         stack = e.states
-        w = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
+        w = rng.normal(size=(1, 4, 2)) + 1j * rng.normal(size=(1, 4, 2))
+        x0 = flat(w)
         if joint:
-            args = (stack, _frame_rows([len(w)]))
+            args = (stack, w.shape)
             fun, ftol, gtol = _joint_objective, 0.0, _JOINT_GTOL
             x0 = np.concatenate([x0, rng.normal(size=3)])
         else:
-
-            def vg(table):
-                return _mi_and_grad(e.prior, table)
-
-            fun, args, ftol, gtol = _povm_objective, (stack, vg, None), 1e-12, 1e-5
+            vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
+            fun, args, ftol, gtol = _povm_objective, (stack, vg, w.shape), 1e-12, 1e-5
 
         def same_as_plain(x0):
             x, ok = _lbfgs(fun, x0, args, 300, ftol, gtol)
@@ -479,8 +485,8 @@ class TestLbfgs:
         assert res.nit > 0
         # Its normalized end point lies near the stop but, here, not within it.
         n = w.size
-        u = normalize_vectors((res.x[:n] + 1j * res.x[n : 2 * n]).reshape(w.shape))
-        restart = np.concatenate([u.real.ravel(), u.imag.ravel(), res.x[2 * n :]])
+        u, _ = _normalized_frames((res.x[:n] + 1j * res.x[n : 2 * n]).reshape(w.shape))
+        restart = flat(u, res.x[2 * n :])
         assert same_as_plain(restart).nit > 0
 
     @pytest.mark.parametrize("overlap", [0.3, 0.8])
@@ -489,18 +495,16 @@ class TestLbfgs:
         stack = e.states
         frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.3), stack)
 
-        def vg(table):
-            return _mi_and_grad(e.prior, table)
-
-        [u], _ = _ascend_povm(stack, [frame], vg, 300)
-        [(prior, v, _, _)] = _ascend_starts(stack, [e.prior], [frame], joint=True)
+        vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
+        u, _ = _ascend_povm(stack, [frame], vg, 300)
+        end = _ascend_starts(stack, [e.prior], frame[None], joint=True)
         monkeypatch.setattr(optimize, "minimize", _no_minimize)
-        [u_again], ok = _ascend_povm(stack, [u], vg, 300)
+        u_again, ok = _ascend_povm(stack, list(u), vg, 300)
         assert ok
         np.testing.assert_allclose(u_again, u, rtol=0, atol=1e-12)
-        [(prior_again, v_again, _, _)] = _ascend_starts(stack, [prior], [v], joint=True)
-        np.testing.assert_allclose(prior_again, prior, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v_again, v, rtol=0, atol=1e-12)
+        again = _ascend_starts(stack, end.priors, end.frames, joint=True)
+        np.testing.assert_allclose(again.priors, end.priors, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(again.frames, end.frames, rtol=0, atol=1e-12)
 
 
 class TestStackedStarts:
@@ -520,18 +524,17 @@ class TestStackedStarts:
     def test_joint_value_and_gradient_are_blockwise(self, rng):
         stack, frames, priors = self._problem(rng)
         logits = np.log(priors)
-        y = _pack(frames, [logits.ravel()])
-        value, grad = _joint_objective(y, stack, _frame_rows(self.SIZES))
-        n = sum(self.SIZES) * 2
-        rows = np.split(np.arange(sum(self.SIZES)), np.cumsum(self.SIZES)[:-1])
-        real, imag = grad[:n].reshape(-1, 2), grad[n : 2 * n].reshape(-1, 2)
+        w = _padded(frames)
+        value, grad = _joint_objective(flat(w, logits.ravel()), stack, w.shape)
+        n = 2 * w.size
+        parts, block_logits = grad[:n].reshape(2, *w.shape), grad[n:].reshape(3, 3)
         total = 0.0
-        for f, w in enumerate(frames):
-            one_value, one_grad = oracle_joint_objective(_pack([w], [logits[f]]), stack, len(w))
+        for f, (frame, r) in enumerate(zip(frames, self.SIZES)):
+            one_value, one_grad = oracle_joint_objective(flat(frame, logits[f]), stack, r)
             total += one_value
-            block_logits = grad[2 * n :].reshape(3, 3)[f]
-            want = np.concatenate([real[rows[f]].ravel(), imag[rows[f]].ravel(), block_logits])
+            want = np.concatenate([parts[0, f, :r].ravel(), parts[1, f, :r].ravel(), block_logits[f]])
             np.testing.assert_allclose(want, one_grad, rtol=0, atol=1e-13)
+            assert not parts[:, f, r:].any()
         assert value == pytest.approx(total, abs=1e-13)
 
     def test_fixed_prior_value_matches_single_frames_and_padding_gets_zero(self, rng):
@@ -543,20 +546,20 @@ class TestStackedStarts:
             seen.append((tables, priors[:, :, None] * ratio))
             return float((priors * div).sum()), seen[-1][1]
 
-        value, grad = _povm_objective(_pack(frames), stack, vg, _frame_rows(self.SIZES))
+        w = _padded(frames)
+        value, grad = _povm_objective(flat(w), stack, vg, w.shape)
         tables, g = seen[0]
         singles = [
-            _povm_objective(_pack([w]), stack, lambda t, p=p: _mi_and_grad(p, t), None)
-            for w, p in zip(frames, priors)
+            _povm_objective(flat(frame), stack, one_frame(lambda t, p=p: _mi_and_grad(p, t)),
+                            (1,) + frame.shape)
+            for frame, p in zip(frames, priors)
         ]
         assert value == pytest.approx(sum(v for v, _ in singles), abs=1e-13)
-        n = sum(self.SIZES) * 2
-        rows = np.split(np.arange(sum(self.SIZES)), np.cumsum(self.SIZES)[:-1])
-        real, imag = grad[:n].reshape(-1, 2), grad[n:].reshape(-1, 2)
-        for f, (_, one_grad) in enumerate(singles):
-            want = np.concatenate([real[rows[f]].ravel(), imag[rows[f]].ravel()])
+        grad = grad.reshape(2, *w.shape)
+        for f, ((_, one_grad), r) in enumerate(zip(singles, self.SIZES)):
+            want = np.concatenate([grad[0, f, :r].ravel(), grad[1, f, :r].ravel()])
             np.testing.assert_allclose(want, one_grad, rtol=0, atol=1e-13)
-        for f, r in enumerate(self.SIZES):
+            assert not grad[:, f, r:].any()
             assert not tables[f, :, r:].any()
             assert np.array_equal(g[f, :, r:], np.zeros_like(g[f, :, r:]))
 
@@ -569,12 +572,15 @@ class TestStackedStarts:
         helstrom_frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.5), stack)
         random_frame, random_table = _start_frame(random_rank1_povm(2, 4, rng), stack)
         priors = [e.prior, rng.dirichlet(np.ones(2))]
-        alone = _ascend_starts(stack, priors[:1], [helstrom_frame], joint)[0]
-        both = _ascend_starts(stack, priors, [helstrom_frame, random_frame], joint)
-        for got, want in zip(both[0], alone):
-            assert np.array_equal(got, want)
-        prior, _, table, _ = both[1]
-        assert _mi_from_probs(prior, table) > _mi_from_probs(priors[1], random_table) + 0.01
+        alone = _ascend_starts(stack, priors[:1], helstrom_frame[None], joint)
+        both = _ascend_starts(stack, priors, _padded([helstrom_frame, random_frame]), joint)
+        r = len(helstrom_frame)
+        assert np.array_equal(both.priors[0], alone.priors[0])
+        assert np.array_equal(both.frames[0, :r], alone.frames[0]) and not both.frames[0, r:].any()
+        assert np.array_equal(both.tables[0, :, :r], alone.tables[0])
+        assert not both.tables[0, :, r:].any()
+        assert both.values[0] == alone.values[0] and both.ok[0] == alone.ok[0]
+        assert both.values[1] > _mi_from_probs(priors[1], random_table) + 0.01
 
 
 class TestStartSetReference:
@@ -612,7 +618,6 @@ class TestStartSetReference:
         for f, povm in enumerate(povms_ref):
             frame, table = start_frame(povm, stack)
             r, cols = len(frame), table.shape[1]
-            assert starts.sizes[f] == r
             assert np.array_equal(starts.frames[f, :r], frame)
             assert not starts.frames[f, r:].any()
             assert np.array_equal(starts.tables[f, :, :cols], table)
@@ -640,7 +645,7 @@ class TestStartSetReference:
             rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim)),
         ]
         priors = rng.dirichlet(np.ones(size), size=len(frames))
-        padded, sizes = _padded(frames)
+        padded = _padded(frames)
         u, ok = _normalized_frames(padded)
         tables = _frame_tables(u, stack)
         values = _scores(priors, tables)
@@ -649,7 +654,7 @@ class TestStartSetReference:
             assert ok[f] == (want is not None)
             if want is None:
                 continue
-            r = sizes[f]
+            r = len(w)
             assert np.array_equal(u[f, :r], want)
             assert not u[f, r:].any()
             table = frame_table(want, stack)
@@ -659,7 +664,25 @@ class TestStartSetReference:
             assert values[f] == pytest.approx(mi_from_probs(priors[f], table), abs=self.SCORE_ATOL)
             alone = _scores(priors[f : f + 1], tables[f : f + 1, :, :r])
             assert alone[0] == values[f]
-        assert list(sizes[:2]) == [dim * dim, dim] and list(ok) == [True, True, True, False, True]
+        assert padded.shape[1] == dim * dim and list(ok) == [True, True, True, False, True]
+        # The nonsingular frames climb from the padded stack: every padded
+        # entry of the gradient is exactly 0, and so is every padded row of the
+        # ends of a real L-BFGS-B run, at fixed priors and jointly.
+        keep = [0, 1, 2, 4]
+        fixed, climbing = priors[keep], padded[keep]
+
+        def vg(tables):
+            div, ratio = _divergences_stacked(fixed, tables)
+            return float((fixed * div).sum()), fixed[:, :, None] * ratio
+
+        grad = _povm_objective(flat(climbing), stack, vg, climbing.shape)[1]
+        grad = grad.reshape(2, *climbing.shape)
+        rows = [len(frames[f]) for f in keep]
+        assert not any(grad[:, j, r:].any() for j, r in enumerate(rows))
+        for joint in (False, True):
+            ends = _ascend_starts(stack, fixed, climbing, joint)
+            assert ends.values[0] > values[0]
+            assert not any(ends.frames[j, r:].any() for j, r in enumerate(rows))
 
 
 class TestC1:
@@ -735,7 +758,7 @@ class TestC1:
 
             monkeypatch.setattr(information, name, wrapper)
 
-        for name in ("helstrom", "pretty_good_measurement", "random_rank1_povm"):
+        for name in ("helstrom", "pretty_good_measurement"):
             counted(name, "starts")
         counted("_ascend_starts", "ascents")
         c1(paper_example(overlap).eve_ensemble(), OptimizerConfig())

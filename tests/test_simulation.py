@@ -13,7 +13,7 @@ from qkdsim.channels import CqEnsemble, QuantumChannel
 from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
 from qkdsim.information import (
     OptimizerConfig,
-    _frame_rows,
+    _padded,
     _povm_objective,
     _rank1_pieces,
     c1,
@@ -45,7 +45,7 @@ from qkdsim.simulation import (
 )
 from qkdsim.states import TensorFactorization, permute_factors, pure_state
 
-from conftest import central_differences, random_channel, random_density, random_pure
+from conftest import central_differences, flat, random_channel, random_density, random_pure
 from oracles import (
     binary_entropy,
     block_success,
@@ -327,10 +327,8 @@ def piece_table(frame, states):
 
 
 def stack_tables(ps):
-    """Piece tables as the POVM objective passes them: one table alone,
-    several zero-padded to the most pieces into one (F, A, r) array."""
-    if len(ps) == 1:
-        return ps[0]
+    """Piece tables as the POVM objective passes them: zero-padded to the
+    most pieces into one (F, A, R) array."""
     out = np.zeros((len(ps), ps[0].shape[0], max(p.shape[1] for p in ps)))
     for f, p in enumerate(ps):
         out[f, :, : p.shape[1]] = p
@@ -354,9 +352,8 @@ class TestJointObjective:
             value, grads = vg(stack_tables(ps))
             assert value == pytest.approx(_key_info(lik, idx), abs=1e-12)
             assert grads.shape == stack_tables(ps).shape
-            if len(free) > 1:
-                for g, p in zip(grads, ps):
-                    assert not g[:, p.shape[1] :].any()
+            for g, p in zip(grads, ps):
+                assert not g[:, p.shape[1] :].any()
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_gradient_matches_central_differences(self, k):
@@ -364,13 +361,12 @@ class TestJointObjective:
             rng, book, slots, states, idx, pieces = random_attack(1, k, counts)
             tables = _slot_channels(slots, states)
             vg = _joint_value_and_grad(book, idx, tables, free, [pieces[i][1] for i in free])
-            w = np.concatenate([pieces[i][0] for i in free])
-            sizes = [len(pieces[i][0]) for i in free]
-            rows = None if len(free) == 1 else _frame_rows(sizes)
-            x = np.concatenate([w.real.ravel(), w.imag.ravel()])
-            x = x + 0.1 * rng.normal(size=x.size)
-            _, grad = _povm_objective(x, states, vg, rows)
-            fd = central_differences(lambda y: _povm_objective(y, states, vg, rows)[0], x)
+            frames = [pieces[i][0] for i in free]
+            noise = [rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape) for f in frames]
+            w = _padded([f + 0.1 * e for f, e in zip(frames, noise)])
+            x = flat(w)
+            _, grad = _povm_objective(x, states, vg, w.shape)
+            fd = central_differences(lambda y: _povm_objective(y, states, vg, w.shape)[0], x)
             np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -387,10 +383,10 @@ class TestJointObjective:
         free = [slot % len(counts)]
         groups = [pieces[free[0]][1]]
         ps = [_born_table(random_rank1_povm(2, counts[free[0]], rng).effects, states)]
-        value, grad = _joint_value_and_grad(book, idx, tables, free, groups)(ps[0])
+        value, grad = _joint_value_and_grad(book, idx, tables, free, groups)(ps[0][None])
         want, want_grads = tuple_key_information(book.letters, idx, tables, free, groups, ps)
         assert value == pytest.approx(want, abs=1e-12)
-        np.testing.assert_allclose(grad, want_grads[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad[0], want_grads[0], rtol=0, atol=1e-12)
 
 
 def dense_joint(sc, book, me):
