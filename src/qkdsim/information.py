@@ -18,23 +18,32 @@ POVM maximization runs on rank-one frames: raw vectors w_b, normalized by
 the frame operator to u_b = T^(-1/2) w_b (``measurements._normalized_frames``)
 and scored through the Born table P[a, b] = <u_b| rho_a |u_b>. Frames have
 one layout everywhere: F frames zero-padded into one (F, R, d) array, a
-frame's rows its nonzero rows. Every ascent of frames is L-BFGS-B on
-``_povm_objective``, whose variables x are the real and then the imaginary
-parts of that array, with any logits after them. It pulls the caller's
-gradient dI/dP_f (for the mutual information p(a) (log2 P(b|a) - log2 P(b)),
-``_divergences_stacked``) back exactly through the Born rule and the
-normalization (the Daleckii-Krein derivative of T^(-1/2)), every frame in one
-batched pass. A padded row is a variable whose gradient is exactly 0 (u_b = 0
-gives it a zero column of P, whose log ratio is 0), so L-BFGS-B leaves it at
-exactly 0. The adversary's seesaw (``simulation.eve_optimize``) ascends a
-slot or all of its slots by ``_ascend_povm``. C1, C_k and
-``accessible_information`` climb many independent starts at once by
-``_ascend_starts``: one L-BFGS-B problem on the sum over starts of
-I(p_f, P_f), each start's frame (and in a joint ascent its prior's logits)
-one block of x, so the gradient is blockwise (Byrd, Lu, Nocedal and Zhu,
-SIAM J. Sci. Comput. 16, 1190 (1995)). L-BFGS-B's one call site is
-``_lbfgs``; a start that already meets the projected-gradient stop returns
-there without a scipy call, and does not join a stacked ascent.
+frame's rows its nonzero rows; an ascent's variables are the real and then
+the imaginary parts of that array, with any logits after them.
+``_frame_pullback`` pulls the caller's gradient dI/dP_f (for the mutual
+information p(a) (log2 P(b|a) - log2 P(b)), ``_divergences_stacked``) back
+exactly through the Born rule and the normalization (the Daleckii-Krein
+derivative of T^(-1/2)), every frame in one batched pass and each frame's
+bits its own. A padded row is a variable whose gradient is exactly 0 (u_b = 0
+gives it a zero column of P, whose log ratio is 0), so an ascent leaves it at
+exactly 0. Two ascents use it:
+
+- L-BFGS-B (``_lbfgs``, the package's one scipy call site) on
+  ``_povm_objective``, one value over all frames. The adversary's seesaw
+  (``simulation.eve_optimize``) ascends a slot or all of its slots this way
+  by ``_ascend_povm``, and a fixed-prior ``_ascend_starts`` (accessible
+  information, and the frame step of C1's three-letter round) ascends the
+  sum over starts of I(p_f, P_f) as one problem, each start one block of x,
+  so the gradient is blockwise (Byrd, Lu, Nocedal and Zhu, SIAM J. Sci.
+  Comput. 16, 1190 (1995)).
+- The package's own L-BFGS (``_lbfgs_rows``) on ``_joint_rows``, one row per
+  start: C1's and C_k's joint ascents over each start's frame and its prior's
+  logits. Each start keeps its own curvature pairs, step and stop, and all
+  starts still climbing share one stacked evaluation per round, so a start
+  ends where it would alone, and one that has stopped is no longer evaluated.
+
+Either way a start that already meets the stop, max |g| at most
+``_JOINT_GTOL``, does not climb: ``_lbfgs`` returns it without a scipy call.
 
 The starts are held as arrays, one per quantity (``_Starts``): frames
 zero-padded into (F, R, d), priors, Born tables and values. An ascent's ends
@@ -42,8 +51,8 @@ are normalized, tabled and scored by one call each over every start. A
 structured start (Helstrom, pretty-good measurement) keeps its ``Povm`` until
 an ascent moves it; otherwise only the winner's is built. C1 and C_k are a
 seesaw over (prior, POVM): a round is one joint ascent over the frame and the
-prior's logits (``_joint_objective``; Shor, Math. Program. 97, 311 (2003)),
-kept when it raises the start's exact value. For two letters that is the
+prior's logits (``_joint_rows``; Shor, Math. Program. 97, 311 (2003)), kept
+when it raises the start's exact value. For two letters that is the
 whole round, I being concave in the one-number prior at a fixed POVM. From
 three letters on, a letter whose logit has fallen far cannot come back, so
 the round first ascends every frame at its fixed prior and re-optimizes each
@@ -54,9 +63,9 @@ the ensemble's prior. Every reported value is re-evaluated through the exact
 Born-rule path, so it is achievable by the returned witness.
 
 ``scipy.optimize`` is imported inside ``_lbfgs``, not at module level: the
-exact enumerator, the command line's set-up and an ascent whose start already
-meets its stop run on numpy alone and never pay scipy's import, which costs
-more than the rest of the package's start-up.
+exact enumerator, the command line's set-up, C1 of a two-letter ensemble and
+an ascent whose start already meets its stop run on numpy alone and never pay
+scipy's import, which costs more than the rest of the package's start-up.
 """
 
 from __future__ import annotations
@@ -84,9 +93,18 @@ from .states import require_distribution
 _BA_MAX_ITERS = 2000
 _LBFGS_MAX_ITERS = 300
 _EIG_LOG_FLOOR = 1e-18
-# L-BFGS-B's projected-gradient stop for every stacked ascent of starts and
-# the adversary's joint ascent over its slots; one-slot ascents keep 1e-5.
+# The stop max |g| of every ascent of starts (in a fixed-prior one, L-BFGS-B's
+# projected gradient) and of the adversary's joint ascent over its slots;
+# one-slot ascents keep 1e-5.
 _JOINT_GTOL = 1e-8
+# Curvature pairs each start keeps in a joint ascent (scipy's default maxcor),
+# the rejected trial steps in a row after which a start stops, and the least
+# factor by which one rejection shrinks a step. The first step has unit length
+# and a start near its stop needs one about its gradient's norm, so a floor
+# of 0.1 would cost it one rejected trial per decade.
+_LBFGS_MEMORY = 10
+_MAX_REJECTS = 30
+_MIN_SHRINK = 1e-10
 # A later start of C1's seesaw replaces the best start so far only when it
 # beats it by more than this; below it, two starts that reached the same
 # maximum differ by rounding alone, and the earlier witness stays.
@@ -361,17 +379,8 @@ def _povm_objective(
     x: np.ndarray, stack: np.ndarray, value_and_grad, shape: tuple[int, int, int]
 ) -> tuple[float, np.ndarray]:
     """-value and its exact gradient in x, the real and then the imaginary
-    parts of F frames zero-padded into one array of ``shape`` (F, R, d).
-
-    Per frame, with T = sum_b |w_b><w_b| = V diag(lam) V^dagger,
-    u_b = T^(-1/2) w_b and P[a, b] = <u_b| rho_a |u_b> clipped at 0, the
-    caller's gradient G of value (zero where P was clipped) pulls back through
-    the Born rule to h_b = sum_a G[a, b] rho_a u_b, and through the frame by
-    the Daleckii-Krein derivative of lam^(-1/2), whose divided differences are
-    f1_ij = -1 / (sqrt(lam_i) sqrt(lam_j) (sqrt(lam_i) + sqrt(lam_j))): with
-    C = sum_b |w_b><h_b| and D = V (f1 o V^dagger (C + C^dagger) V) V^dagger,
-    d value / d conj(w_b) = T^(-1/2) h_b + D w_b. A singular frame scores
-    50.0 with a zero gradient.
+    parts of F frames zero-padded into one array of ``shape`` (F, R, d), by
+    ``_frame_pullback``. A singular frame scores 50.0 with a zero gradient.
 
     ``value_and_grad`` maps the (F, A, R) tables to the value and an
     (F, A, R) G. A padded row changes neither T nor the other rows, and its
@@ -382,6 +391,26 @@ def _povm_objective(
     lam, vecs = np.linalg.eigh(np.einsum("...bi,...bj->...ij", w, w.conj()))
     if lam.min() < 1e-12:
         return 50.0, np.zeros_like(x)
+    value, grad = _frame_pullback(w, lam, vecs, stack, value_and_grad)
+    return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+
+
+def _frame_pullback(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray, stack: np.ndarray,
+                    value_and_grad):
+    """value_and_grad's value at the Born tables of raw frames w (F, R, d),
+    and its gradient 2 d value / d conj(w), given the frame operators'
+    eigenvalues lam (all positive) and eigenvectors.
+
+    Per frame, with T = sum_b |w_b><w_b| = V diag(lam) V^dagger,
+    u_b = T^(-1/2) w_b and P[a, b] = <u_b| rho_a |u_b> clipped at 0, the
+    caller's gradient G of value (zero where P was clipped) pulls back through
+    the Born rule to h_b = sum_a G[a, b] rho_a u_b, and through the frame by
+    the Daleckii-Krein derivative of lam^(-1/2), whose divided differences are
+    f1_ij = -1 / (sqrt(lam_i) sqrt(lam_j) (sqrt(lam_i) + sqrt(lam_j))): with
+    C = sum_b |w_b><h_b| and D = V (f1 o V^dagger (C + C^dagger) V) V^dagger,
+    d value / d conj(w_b) = T^(-1/2) h_b + D w_b. Every step acts frame by
+    frame, so no frame's bits depend on the others.
+    """
     root = np.sqrt(lam)
     vecs_h = vecs.conj().swapaxes(-1, -2)
     inv_sqrt_t = ((vecs / root[..., None, :]) @ vecs_h).swapaxes(-1, -2)
@@ -393,8 +422,7 @@ def _povm_objective(
     col, row = root[..., :, None], root[..., None, :]
     f1 = -1.0 / ((col * row) * (col + row))
     dd = vecs @ (f1 * (vecs_h @ (c + c.conj().swapaxes(-1, -2)) @ vecs)) @ vecs_h
-    grad = 2.0 * (h @ inv_sqrt_t + w @ dd.swapaxes(-1, -2))
-    return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+    return value, 2.0 * (h @ inv_sqrt_t + w @ dd.swapaxes(-1, -2))
 
 
 def _ascend_povm(
@@ -423,9 +451,11 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
            bounds=None, first=None):
     """L-BFGS-B minimization of fun(x, *args) = (value, gradient) from x0: the
     final point and whether L-BFGS-B reported success. The package's one
-    L-BFGS-B call site, for every analytic-gradient ascent; ``bounds`` are
-    L-BFGS-B's (low, high) pairs, None for an unbounded ascent, and ``first``
-    is fun(x0, *args) when the caller has it already.
+    L-BFGS-B call site, for the prior ascents, the adversary's slot ascents
+    and fixed-prior ascents of starts (joint ascents of starts run
+    ``_lbfgs_rows``); ``bounds`` are L-BFGS-B's (low, high) pairs, None for an
+    unbounded ascent, and ``first`` is fun(x0, *args) when the caller has it
+    already.
 
     L-BFGS-B stops at iteration 0 when x0's projected gradient, never
     larger than |g| entry by entry, is at most gtol; so a start with
@@ -522,89 +552,232 @@ def _start_set(stack: np.ndarray, priors: np.ndarray, povms, raws) -> _Starts:
     return _Starts(priors, frames, padded, _scores(priors, padded), np.ones(len(tables), bool))
 
 
-def _joint_objective(
-    y: np.ndarray, stack: np.ndarray, shape: tuple[int, int, int]
-) -> tuple[float, np.ndarray]:
-    """-sum_f I(p_f, M_f) and its exact gradient over F rank-one frames and F
-    priors together.
+def _joint_rows(x: np.ndarray, stack: np.ndarray, rows: tuple[int, int]):
+    """-I(p_f, M_f) of every row of x and its exact gradient, (k,) and (k, n).
 
-    y holds the frames of ``shape`` (F, R, d) as in ``_povm_objective``, then
-    each prior's logits z_f, p_f = softmax(z_f). The frames' gradient is
-    ``_povm_objective``'s; with D_f[a] = sum_b P_f[a, b]
+    A row holds one frame zero-padded to ``rows`` (R, d), its real and then
+    its imaginary parts, then its prior's logits z_f, p_f = softmax(z_f). The
+    frame's gradient is ``_frame_pullback``'s; with D_f[a] = sum_b P_f[a, b]
     (log2 P_f[a, b] - log2 P_f(b)), dI/dp_f[a] = D_f[a] - 1/ln 2 pulls back
     to dI/dz_f[a] = p_f[a] (D_f[a] - p_f . D_f), where the constant cancels.
+    A singular frame scores 50.0 with a zero gradient in its own row only, and
+    a padded row's gradient is exactly 0; no row's bits depend on the others.
     """
-    n = 2 * math.prod(shape)
-    p = _softmax(y[n:].reshape(shape[0], -1))
-    div = np.zeros_like(p)
+    k, m = len(x), rows[0] * rows[1]
+    w = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(k, *rows)
+    lam, vecs = np.linalg.eigh(np.einsum("...bi,...bj->...ij", w, w.conj()))
+    if lam[:, 0].min() < 1e-12:
+        good = lam[:, 0] >= 1e-12
+        values, grads = np.full(k, 50.0), np.zeros_like(x)
+        if good.any():
+            values[good], grads[good] = _joint_rows(x[good], stack, rows)
+        return values, grads
+    p = _softmax(x[:, 2 * m :])
+    div = []
 
     def value_and_grad(tables):
-        div[:], ratio = _divergences_stacked(p, tables)
-        return float((p * div).sum()), p[:, :, None] * ratio
+        d, ratio = _divergences_stacked(p, tables)
+        div.append(d)
+        return (p * d).sum(axis=1), p[:, :, None] * ratio
 
-    value, grad = _povm_objective(y[:n], stack, value_and_grad, shape)
-    pull = p * (div - (p * div).sum(axis=1, keepdims=True))
-    return value, np.concatenate([grad, -pull.ravel()])
+    value, grad = _frame_pullback(w, lam, vecs, stack, value_and_grad)
+    pull = p * (value[:, None] - div[0])
+    return -value, np.concatenate([-grad.real.reshape(k, m), -grad.imag.reshape(k, m), pull], 1)
+
+
+class _Pairs:
+    """Each row's last ``_LBFGS_MEMORY`` curvature pairs (s, y), held for the
+    compact form of the L-BFGS inverse Hessian (Byrd, Nocedal and Schnabel,
+    Math. Program. 63, 129 (1994)), with H0 = gamma I:
+
+        H g = gamma g + S v - gamma Y u,  u = R^(-1) S^T g,
+        v = R^(-T) ((D + gamma Y^T Y) u - gamma Y^T g),
+
+    R the upper triangle of S^T Y in the order the pairs came, and D its
+    diagonal. The pairs sit in a ring of slots shared by all rows, the next
+    entering slot ``count % M`` in place of the oldest; every product above
+    is the same in any order of the slots, so ``r_inv`` holds R^(-1) with its
+    rows and columns in slot order. ``z`` holds every s and then every y (k, 2M, n); R^(-1), Y^T Y and
+    D are updated as each pair enters, so a product takes matrix products
+    only. A zero pair (s = y = 0) gets R_ii = 1, so that u_i = v_i = 0 and it
+    drops out exactly.
+    """
+
+    def __init__(self, k: int, n: int):
+        mem = _LBFGS_MEMORY
+        self.z = np.zeros((k, 2 * mem, n))
+        self.r_inv = np.tile(np.eye(mem), (k, 1, 1))
+        self.yy = np.zeros((k, mem, mem))
+        self.diag = np.zeros((k, mem))
+        self.count = 0
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> None:
+        """Put (s, y), with sy = s . y > 0, or a zero pair with sy = 0, in
+        place of every row's oldest pair. The oldest pair is R's first row and
+        column, so dropping it leaves R'^(-1), the trailing block of R^(-1);
+        the new pair adds the last column c = S^T y, and R^(-1) becomes
+        [[R'^(-1), -R'^(-1) c / sy], [0, 1 / sy]]."""
+        mem, z, r_inv = _LBFGS_MEMORY, self.z, self.r_inv
+        j = self.count % mem
+        self.count += 1
+        z[:, j], z[:, mem + j] = s, y
+        cross = (z @ y[:, :, None])[..., 0]
+        pivot = np.where(sy > 0.0, sy, 1.0)
+        r_inv[:, j] = r_inv[:, :, j] = 0.0
+        r_inv[:, :, j] = (r_inv @ cross[:, :mem, None])[..., 0] / -pivot[:, None]
+        r_inv[:, j, j] = 1.0 / pivot
+        self.yy[:, j] = self.yy[:, :, j] = cross[:, mem:]
+        self.diag[:, j] = sy
+
+    def times(self, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """H g of every row."""
+        mem = _LBFGS_MEMORY
+        proj = self.z @ g[:, :, None]
+        u = self.r_inv @ proj[:, :mem]
+        scale = gamma[:, None, None]
+        inner = self.diag[:, :, None] * u + scale * (self.yy @ u - proj[:, mem:])
+        v = self.r_inv.swapaxes(1, 2) @ inner
+        back = self.z.swapaxes(1, 2) @ np.concatenate((v, -scale * u), 1)
+        return gamma[:, None] * g + back[..., 0]
+
+    def take(self, keep: np.ndarray) -> None:
+        """Keep the rows ``keep``."""
+        self.z, self.r_inv, self.yy, self.diag = (
+            self.z[keep], self.r_inv[keep], self.yy[keep], self.diag[keep])
+
+
+def _lbfgs_rows(fun, x: np.ndarray, gtol: float, max_iters: int):
+    """Minimize every row of x on its own by L-BFGS (Liu and Nocedal, Math.
+    Program. 45, 503 (1989)), the rows still climbing in lockstep: one
+    fun(rows) = (values (k,), gradients (k, n)) call per round serves them
+    all, and each row keeps its own curvature pairs, step and stop, so no
+    row's path depends on the others.
+
+    A row that meets the stop max |g| <= ``gtol`` at x does not climb. The
+    others keep their last ``_LBFGS_MEMORY`` pairs in one ring shared by
+    round (``_Pairs``): a row that did not step, or whose pair fails
+    s . y > 8 eps y . y, adds a zero pair, so H stays positive definite and
+    -H g is a descent direction. H0 = gamma I, gamma = s . y / y . y of the
+    newest valid pair and 1/|g| before the first, so the first step is
+    -g/|g|, of unit length, as L-BFGS-B's first iteration is; later trial
+    steps are t = 1. A trial is accepted under Armijo's rule with c = 1e-4 and
+    a rounding slack of 8 eps |f|; otherwise t backtracks to the minimizer of
+    the quadratic through f, its slope and the trial's value, clipped to
+    [``_MIN_SHRINK`` t, 0.5 t]. A row stops when an accepted step meets the stop
+    (success), after ``max_iters`` accepted steps or after ``_MAX_REJECTS``
+    rejected trials in a row. Returns the end rows and whether each met the
+    stop.
+    """
+    eps = np.finfo(float).eps
+    f, g = fun(x)
+    ends, ok = x.copy(), np.ones(len(x), dtype=bool)
+    live = np.flatnonzero(np.abs(g).max(axis=1) > gtol)
+    x, f, g = x[live], f[live], g[live]
+    gamma = 1.0 / np.sqrt((g * g).sum(axis=1))
+    d = -gamma[:, None] * g
+    slope, t = (g * d).sum(axis=1), np.ones(live.size)
+    pairs = _Pairs(*x.shape)
+    steps, rejects = np.zeros(live.size, dtype=int), np.zeros(live.size, dtype=int)
+    while live.size:
+        trial = x + t[:, None] * d
+        f_new, g_new = fun(trial)
+        accept = f_new <= f + (1e-4 * t) * slope + (8.0 * eps) * np.abs(f)
+        s, y = trial - x, g_new - g
+        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
+        valid = accept & (sy > (8.0 * eps) * yy)
+        pairs.push(s * valid[:, None], y * valid[:, None], sy * valid)
+        gamma = np.divide(sy, yy, out=gamma, where=valid)
+        if accept.all():
+            x, f, g, t, rejects = trial, f_new, g_new, np.ones(live.size), np.zeros_like(rejects)
+        else:
+            # q is the decrease over its linear prediction t * slope, below
+            # Armijo's 1e-4 on a rejection; the quadratic through f, slope and
+            # f_new has its minimizer at t / (2 (1 - q)).
+            q = (f_new - f) / (t * slope)
+            t = np.where(accept, 1.0, t * np.maximum(0.5 / np.fmax(1.0 - q, 1.0), _MIN_SHRINK))
+            rejects = np.where(accept, 0, rejects + 1)
+            moved = accept[:, None]
+            x, f, g = np.where(moved, trial, x), np.where(accept, f_new, f), np.where(moved, g_new, g)
+        steps += accept
+        met = accept & (np.abs(g).max(axis=1) <= gtol)
+        stop = met | (steps >= max_iters) | (rejects >= _MAX_REJECTS)
+        if stop.any():
+            ends[live[stop]], ok[live[stop]] = x[stop], met[stop]
+            keep = ~stop
+            live, x, f, g, d, t = live[keep], x[keep], f[keep], g[keep], d[keep], t[keep]
+            slope, gamma, steps, rejects, accept = (
+                slope[keep], gamma[keep], steps[keep], rejects[keep], accept[keep])
+            pairs.take(keep)
+        if accept.any():
+            d = np.where(accept[:, None], -pairs.times(g, gamma), d)
+            slope = (g * d).sum(axis=1)
+    return ends, ok
 
 
 def _block_max(grad: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """max |grad| over each start's block of x: its frame of the (F, R, d)
-    ``shape``, real and imaginary, and any logits after the frames."""
-    n = 2 * math.prod(shape)
-    top = np.abs(grad[:n]).reshape(2, shape[0], -1).max(axis=(0, 2))
-    if grad.size > n:
-        top = np.maximum(top, np.abs(grad[n:]).reshape(shape[0], -1).max(axis=1))
-    return top
+    """max |grad| over each frame's block of x, real and imaginary, for
+    frames of ``shape`` (F, R, d)."""
+    return np.abs(grad).reshape(2, shape[0], -1).max(axis=(0, 2))
 
 
-def _ascend_starts(stack: np.ndarray, priors, frames: np.ndarray, joint: bool) -> _Starts:
-    """One L-BFGS-B ascent of sum_f I(p_f, M_f) over F starts' rank-one
-    frames, a zero-padded (F, R, d) array, and with ``joint`` their priors
-    (``_joint_objective``), at once.
-
-    Each start is one block of x, so one stacked ``_povm_objective`` pass
-    serves all. A start whose block already meets the stop, max |g| at most
-    ``_JOINT_GTOL``, does not join and comes back as it went in, as
-    ``_lbfgs`` returns it alone. The others climb in one ``_lbfgs`` call
-    (``ftol`` 0) to the stop, a failed line search or ``_LBFGS_MAX_ITERS``
-    iterations; their padded rows stay exactly 0. The ends are normalized,
-    tabled and scored in one call each and returned as ``_Starts`` of width R.
-    """
-    priors = np.asarray(priors, dtype=float)
-    w, ends, ok = np.zeros_like(frames), priors.copy(), np.ones(len(frames), dtype=bool)
+def _ascend_frames(stack: np.ndarray, priors: np.ndarray, frames: np.ndarray):
+    """``_ascend_starts``' fixed-prior ascent: the raw end frames and whether
+    each start's ascent reported success."""
 
     def problem(idx):
-        chosen = frames[idx]
-        parts = [chosen.real.ravel(), chosen.imag.ravel()]
-        if joint:
-            parts.append(np.log(np.clip(priors[idx], _EIG_LOG_FLOOR, None)).ravel())
-            return np.concatenate(parts), _joint_objective, (stack, chosen.shape)
-
-        fixed = priors[idx]
+        chosen, fixed = frames[idx], priors[idx]
 
         def value_and_grad(tables):
             div, ratio = _divergences_stacked(fixed, tables)
             return float((fixed * div).sum()), fixed[:, :, None] * ratio
 
-        return np.concatenate(parts), _povm_objective, (stack, value_and_grad, chosen.shape)
+        x = np.concatenate([chosen.real.ravel(), chosen.imag.ravel()])
+        return x, (stack, value_and_grad, chosen.shape)
 
     def end(idx, x, shape):
-        n = math.prod(shape)
-        w[idx] = (x[:n] + 1j * x[n : 2 * n]).reshape(shape)
-        if joint:
-            ends[idx] = _softmax(x[2 * n :].reshape(idx.size, -1))
+        w[idx] = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(shape)
 
-    everyone = np.arange(len(frames))
-    x0, fun, args = problem(everyone)
-    first = fun(x0, *args)
-    end(everyone, x0, args[-1])
-    moving = everyone[_block_max(first[1], args[-1]) > _JOINT_GTOL]
+    w, ok, everyone = np.zeros_like(frames), np.ones(len(frames), dtype=bool), np.arange(len(frames))
+    x0, args = problem(everyone)
+    first = _povm_objective(x0, *args)
+    end(everyone, x0, frames.shape)
+    moving = everyone[_block_max(first[1], frames.shape) > _JOINT_GTOL]
     if moving.size:
         if moving.size < everyone.size:
-            x0, fun, args = problem(moving)
-            first = None
-        x, ok[moving] = _lbfgs(fun, x0, args, _LBFGS_MAX_ITERS, 0.0, _JOINT_GTOL, first=first)
+            (x0, args), first = problem(moving), None
+        x, ok[moving] = _lbfgs(_povm_objective, x0, args, _LBFGS_MAX_ITERS, 0.0, _JOINT_GTOL,
+                               first=first)
         end(moving, x, args[-1])
+    return w, ok
+
+
+def _ascend_starts(stack: np.ndarray, priors, frames: np.ndarray, joint: bool) -> _Starts:
+    """An ascent of I(p_f, M_f) from each of F starts' rank-one frames, a
+    zero-padded (F, R, d) array, and with ``joint`` their priors, all starts
+    evaluated in one stacked pass. A start that already meets the stop,
+    max |g| at most ``_JOINT_GTOL``, does not climb and comes back as it went
+    in. The ends are normalized, tabled and scored in one call each and
+    returned as ``_Starts`` of width R; padded rows stay exactly 0.
+
+    A joint ascent climbs each start on its own, over its frame and its
+    prior's logits, by ``_lbfgs_rows`` on ``_joint_rows``: one row per start,
+    so a start's end does not depend on the other starts. At fixed priors the
+    starts climbing are one L-BFGS-B problem (``_lbfgs``, ``ftol`` 0) on
+    ``_povm_objective`` of sum_f I(p_f, M_f), each start one block of x, so
+    the gradient is blockwise (Byrd, Lu, Nocedal and Zhu, SIAM J. Sci.
+    Comput. 16, 1190 (1995)); it runs to the stop, a failed line search or
+    ``_LBFGS_MAX_ITERS`` iterations.
+    """
+    priors = np.asarray(priors, dtype=float)
+    if joint:
+        count, m, rows = len(frames), frames[0].size, frames.shape[1:]
+        x0 = np.concatenate([frames.real.reshape(count, m), frames.imag.reshape(count, m),
+                             np.log(np.clip(priors, _EIG_LOG_FLOOR, None))], axis=1)
+        x, ok = _lbfgs_rows(lambda y: _joint_rows(y, stack, rows), x0, _JOINT_GTOL,
+                            _LBFGS_MAX_ITERS)
+        w, ends = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(frames.shape), _softmax(x[:, 2 * m :])
+    else:
+        (w, ok), ends = _ascend_frames(stack, priors, frames), priors.copy()
     u, valid = _normalized_frames(w)
     tables = _frame_tables(u, stack)
     return _Starts(ends, u, tables, np.where(valid, _scores(ends, tables), -np.inf), ok)
@@ -645,9 +818,11 @@ def _best_prior_for_channel(
 
 
 def _climb(stack, held: _Starts, active, news, own, joint: bool) -> np.ndarray:
-    """One ``_ascend_starts`` of the ``active`` starts; each moves to its end
-    where that beats its ``news``, which then takes the end's value, and no
-    longer holds its ``own`` POVM. Returns the new ``news``."""
+    """One ``_ascend_starts`` of the ``active`` starts, joint (each start on
+    its own, in lockstep) or at their fixed priors (one stacked L-BFGS-B
+    problem); each moves to its end where that beats its ``news``, which then
+    takes the end's value, and no longer holds its ``own`` POVM. Returns the
+    new ``news``."""
     ends = _ascend_starts(stack, held.priors[active], held.frames[active], joint)
     up = ends.values > news
     moved = active[up]
@@ -667,11 +842,13 @@ def _joint_maximize(
     The starts (``extra_starts``, for two letters Helstrom at the ensemble's
     prior and at 0.5, 0.25 and 0.75, the pretty-good measurement and
     ``cfg.restarts`` random ones) are ``_Starts`` with a converged flag each,
-    and every start still climbing takes its round in the same stacked
-    ascents. A round is one joint ascent, kept when it raises the start's
-    value; from three letters on it first has a fixed-prior frame ascent,
-    kept likewise, and ``_best_prior_for_channel`` on the row-normalized
-    table, kept when as good. A start leaves once a round gains at most
+    and every start still climbing takes its round in the same
+    ``_ascend_starts`` calls. A round is one joint ascent, in which each start
+    climbs on its own by ``_lbfgs_rows`` and all share one evaluation per
+    step, kept when it raises the start's value; from three letters on it
+    first has a fixed-prior frame ascent, one stacked L-BFGS-B problem, kept
+    likewise, and ``_best_prior_for_channel`` on the row-normalized table,
+    kept when as good. A start leaves once a round gains at most
     ``cfg.tol``, or after ``cfg.max_iters`` rounds.
     """
     rng = np.random.default_rng(cfg.seed)

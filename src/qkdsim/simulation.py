@@ -118,7 +118,7 @@ class Scenario:
 
 
 class Codebook:
-    """One codeword per key, all of equal length.
+    """One codeword per key, all of one length of at least 1.
 
     ``letters`` is a read-only (K, n) integer array whose row k holds key
     k's codeword. Whether the letters lie in an alphabet is checked where a
@@ -136,6 +136,8 @@ class Codebook:
             raise ValidationError("codebook", "codewords must be equal-length integer sequences")
         if len(letters) < 2:
             raise ValidationError("codebook", "need at least 2 codewords")
+        if letters.shape[1] < 1:
+            raise ValidationError("codebook", "codewords need at least 1 letter")
         letters.flags.writeable = False
         self.letters = letters
 

@@ -577,6 +577,14 @@ class TestStartup:
         assert run == {"codes": [0, 0], "scipy": []}
 
     def test_first_optimizer_call_loads_scipy(self):
-        run = _scipy_after([["analyze", "paper-example", "--overlap", "0.5"]])
+        # Accessible information's fixed-prior ascent of its random starts is L-BFGS-B.
+        run = _scipy_after([["accessible", "paper-example", "--overlap", "0.5"]])
         assert run["codes"] == [0]
         assert "scipy.optimize" in run["scipy"]
+
+    def test_binary_analyze_never_loads_scipy_optimize(self):
+        # C1's joint ascents are the package's own L-BFGS, and the symmetric
+        # capacity's uniform prior already meets its stop.
+        run = _scipy_after([["analyze", "paper-example", "--overlap", "0.3"]])
+        assert run["codes"] == [0]
+        assert "scipy.optimize" not in run["scipy"]

@@ -19,7 +19,7 @@ from qkdsim.information import (
     _channel_divergences,
     _divergences_stacked,
     _frame_tables,
-    _joint_objective,
+    _joint_rows,
     _lbfgs,
     _mi_and_grad,
     _mi_from_probs,
@@ -344,17 +344,19 @@ class TestAscentGradient:
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_joint_objective_value_and_gradient(self, rng, size):
+        """Each row of the joint objective: its value and its central differences."""
         e = ensemble(np.full(size, 1.0 / size), tuple(random_density(rng, 2) for _ in range(size)))
         stack = e.states
-        w = rng.normal(size=(1, 4, 2)) + 1j * rng.normal(size=(1, 4, 2))
-        z = rng.normal(size=size)
-        y = flat(w, z)
-        value, grad = _joint_objective(y, stack, w.shape)
-        povm = Povm([np.outer(v, v.conj()) for v in normalized(w[0])])
-        exact = mutual_information(_softmax(z), induced_channel(povm, e))
-        assert -value == pytest.approx(exact, abs=1e-12)
-        fd = central_differences(lambda x: _joint_objective(x, stack, w.shape)[0], y)
-        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
+        w = rng.normal(size=(2, 4, 2)) + 1j * rng.normal(size=(2, 4, 2))
+        z = rng.normal(size=(2, size))
+        x = np.stack([flat(frame, logits) for frame, logits in zip(w, z)])
+        values, grads = _joint_rows(x, stack, w.shape[1:])
+        for f, row in enumerate(x):
+            povm = Povm([np.outer(v, v.conj()) for v in normalized(w[f])])
+            exact = mutual_information(_softmax(z[f]), induced_channel(povm, e))
+            assert -values[f] == pytest.approx(exact, abs=1e-12)
+            fd = central_differences(lambda y: _joint_rows(y[None], stack, w.shape[1:])[0][0], row)
+            np.testing.assert_allclose(grads[f], fd, rtol=0, atol=1e-6)
 
     def test_singular_frame_scores_fifty_with_zero_gradient(self):
         stack = qubit_pair_ensemble(0.5).states
@@ -364,6 +366,14 @@ class TestAscentGradient:
         value, grad = _povm_objective(x, stack, vg, w.shape)
         assert value == 50.0
         np.testing.assert_array_equal(grad, np.zeros_like(x))
+        # In the joint objective it does so in its own row only.
+        spanning = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5j]])
+        rows = np.stack([flat(w[0], np.zeros(2)), flat(spanning, np.zeros(2))])
+        values, grads = _joint_rows(rows, stack, w.shape[1:])
+        assert values[0] == 50.0 and not grads[0].any()
+        alone_value, alone_grad = _joint_rows(rows[1:], stack, w.shape[1:])
+        assert values[1] == alone_value[0] < 0.0
+        assert np.array_equal(grads[1], alone_grad[0]) and grads[1].any()
 
     @staticmethod
     def _frames_objective(rng, dim, rows):
@@ -466,8 +476,12 @@ class TestLbfgs:
         w = rng.normal(size=(1, 4, 2)) + 1j * rng.normal(size=(1, 4, 2))
         x0 = flat(w)
         if joint:
-            args = (stack, w.shape)
-            fun, ftol, gtol = _joint_objective, 0.0, _JOINT_GTOL
+
+            def fun(y, stack, rows):
+                values, grads = _joint_rows(y[None], stack, rows)
+                return values[0], grads[0]
+
+            args, ftol, gtol = (stack, w.shape[1:]), 0.0, _JOINT_GTOL
             x0 = np.concatenate([x0, rng.normal(size=3)])
         else:
             vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
@@ -522,20 +536,21 @@ class TestStackedStarts:
         return stack, frames, priors
 
     def test_joint_value_and_gradient_are_blockwise(self, rng):
+        """Each row of the joint objective against the one-frame oracle, and
+        every padded entry of its gradient exactly 0."""
         stack, frames, priors = self._problem(rng)
         logits = np.log(priors)
         w = _padded(frames)
-        value, grad = _joint_objective(flat(w, logits.ravel()), stack, w.shape)
-        n = 2 * w.size
-        parts, block_logits = grad[:n].reshape(2, *w.shape), grad[n:].reshape(3, 3)
-        total = 0.0
+        rows = np.stack([flat(frame, z) for frame, z in zip(w, logits)])
+        values, grads = _joint_rows(rows, stack, w.shape[1:])
+        m = w[0].size
         for f, (frame, r) in enumerate(zip(frames, self.SIZES)):
             one_value, one_grad = oracle_joint_objective(flat(frame, logits[f]), stack, r)
-            total += one_value
-            want = np.concatenate([parts[0, f, :r].ravel(), parts[1, f, :r].ravel(), block_logits[f]])
+            assert values[f] == pytest.approx(one_value, abs=1e-13)
+            parts = grads[f, : 2 * m].reshape(2, *w.shape[1:])
+            want = np.concatenate([parts[0, :r].ravel(), parts[1, :r].ravel(), grads[f, 2 * m :]])
             np.testing.assert_allclose(want, one_grad, rtol=0, atol=1e-13)
-            assert not parts[:, f, r:].any()
-        assert value == pytest.approx(total, abs=1e-13)
+            assert not parts[:, r:].any()
 
     def test_fixed_prior_value_matches_single_frames_and_padding_gets_zero(self, rng):
         stack, frames, priors = self._problem(rng)
@@ -581,6 +596,28 @@ class TestStackedStarts:
         assert not both.tables[0, :, r:].any()
         assert both.values[0] == alone.values[0] and both.ok[0] == alone.ok[0]
         assert both.values[1] > _mi_from_probs(priors[1], random_table) + 0.01
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(size=st.integers(2, 4), dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+    def test_joint_end_does_not_depend_on_the_other_starts_property(self, size, dim, seed):
+        """Every start of a joint ascent ends where it ends climbing alone, bit
+        for bit: frame, prior, value and success. The starts are a Helstrom
+        frame of the first two letters, the pretty-good measurement and three
+        random frames, zero-padded to d^2 rows."""
+        e = random_mixed_ensemble(size, dim, seed)
+        stack = e.states
+        rng = np.random.default_rng(seed + 1)
+        povms = [helstrom(stack[0], stack[1], 0.5), pretty_good_measurement(e)]
+        shape = (dim * dim, dim)
+        raws = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
+        priors = rng.dirichlet(np.ones(size), size=len(povms) + len(raws))
+        starts = _start_set(stack, priors, povms, raws)
+        ends = _ascend_starts(stack, starts.priors, starts.frames, True)
+        for f in range(len(priors)):
+            alone = _ascend_starts(stack, starts.priors[f : f + 1], starts.frames[f : f + 1], True)
+            assert np.array_equal(ends.frames[f], alone.frames[0])
+            assert np.array_equal(ends.priors[f], alone.priors[0])
+            assert ends.values[f] == alone.values[0] and ends.ok[f] == alone.ok[0]
 
 
 class TestStartSetReference:

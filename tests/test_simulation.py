@@ -102,6 +102,10 @@ class TestCodebooks:
         with pytest.raises(ValidationError, match="codebook"):
             Codebook(((0, 1), (1,)))
 
+    def test_empty_codewords_rejected(self):
+        with pytest.raises(ValidationError, match="codebook: codewords need at least 1 letter"):
+            Codebook(np.zeros((2, 0), int))
+
     def test_unknown_letter_rejected(self):
         sc = paper_example(0.5)
         with pytest.raises(ValidationError, match="letter 2 not in alphabet of size 2"):
@@ -687,6 +691,12 @@ class TestSweep:
         by_n = {c.n: c for c in cells}
         assert by_n[1].report is not None and by_n[1].error is None
         assert by_n[13].report is None and "exceeds budget" in by_n[13].error
+
+    @pytest.mark.parametrize("coder", ["random", "repetition"])
+    def test_empty_codewords_mark_cell(self, coder):
+        cells = sweep(paper_example(0.5), [0, 1], [1], CFG, coder=coder)
+        assert cells[0].report is None and "codewords need at least 1 letter" in cells[0].error
+        assert cells[1].report is not None and cells[1].error is None
 
     def test_cells_sorted(self):
         sc = paper_example(0.5)
