@@ -28,28 +28,29 @@ bits its own. A padded row is a variable whose gradient is exactly 0 (u_b = 0
 gives it a zero column of P, whose log ratio is 0), so an ascent leaves it at
 exactly 0. Two ascents use it:
 
-- L-BFGS-B (``_lbfgs``, the package's one scipy call site) on
-  ``_povm_objective``, one value over all frames. The adversary's seesaw
-  (``simulation.eve_optimize``) ascends a slot or all of its slots this way
-  by ``_ascend_povm``, and a fixed-prior ``_ascend_starts`` (accessible
-  information, and the frame step of C1's three-letter round) ascends the
-  sum over starts of I(p_f, P_f) as one problem, each start one block of x,
-  so the gradient is blockwise (Byrd, Lu, Nocedal and Zhu, SIAM J. Sci.
-  Comput. 16, 1190 (1995)).
 - The package's own L-BFGS (``_lbfgs_rows``) on ``_joint_rows``, one row per
-  start: C1's and C_k's joint ascents over each start's frame and its prior's
-  logits. Each start keeps its own curvature pairs, step and stop, and all
-  starts still climbing share one stacked evaluation per round, so a start
-  ends where it would alone, and one that has stopped is no longer evaluated.
-
-Either way a start that already meets the stop, max |g| at most
-``_JOINT_GTOL``, does not climb: ``_lbfgs`` returns it without a scipy call.
+  start, climbs every ascent of starts (``_ascend_starts``): C1's and C_k's
+  joint ascents over each start's frame and its prior's logits, and the
+  fixed-prior ascents (accessible information, and the frame step of C1's
+  three-letter round), where the row carries the prior itself with a
+  gradient of exactly 0. Each start keeps its own curvature pairs, step and
+  stop, and all starts still climbing share one stacked evaluation per
+  round, so a start ends where it would alone, and one that has stopped is
+  no longer evaluated. A start that already meets the stop, max |g| at most
+  ``_JOINT_GTOL``, does not climb.
+- L-BFGS-B (``_lbfgs``, the package's one scipy call site) on
+  ``_povm_objective``, one value over all frames: the adversary's seesaw
+  (``simulation.eve_optimize``) ascends a slot or all of its slots this way
+  by ``_ascend_povm``. ``_lbfgs`` also serves the prior ascents, on bounded
+  weights.
 
 The starts are held as arrays, one per quantity (``_Starts``): frames
 zero-padded into (F, R, d), priors, Born tables and values. An ascent's ends
-are normalized, tabled and scored by one call each over every start. A
-structured start (Helstrom, pretty-good measurement) keeps its ``Povm`` until
-an ascent moves it; otherwise only the winner's is built. C1 and C_k are a
+are normalized, tabled and scored by one call each over every start. The
+structured starts (``_structured_starts``: Helstrom, and the pretty-good
+measurement at the ensemble's, the uniform and the Holevo-capacity prior) are
+shared by C1 and accessible information; one keeps its ``Povm`` until an
+ascent moves it, and otherwise only the winner's is built. C1 and C_k are a
 seesaw over (prior, POVM): a round is one joint ascent over the frame and the
 prior's logits (``_joint_rows``; Shor, Math. Program. 97, 311 (2003)), kept
 when it raises the start's exact value. For two letters that is the
@@ -63,9 +64,10 @@ the ensemble's prior. Every reported value is re-evaluated through the exact
 Born-rule path, so it is achievable by the returned witness.
 
 ``scipy.optimize`` is imported inside ``_lbfgs``, not at module level: the
-exact enumerator, the command line's set-up, C1 of a two-letter ensemble and
-an ascent whose start already meets its stop run on numpy alone and never pay
-scipy's import, which costs more than the rest of the package's start-up.
+exact enumerator, the command line's set-up, every ascent of starts, and so C1
+of two letters and accessible information where ``holevo_capacity`` takes no
+step (its uniform start already meets the stop), run on numpy alone and never
+pay scipy's import, which costs more than the rest of the package's start-up.
 """
 
 from __future__ import annotations
@@ -93,15 +95,14 @@ from .states import require_distribution
 _BA_MAX_ITERS = 2000
 _LBFGS_MAX_ITERS = 300
 _EIG_LOG_FLOOR = 1e-18
-# The stop max |g| of every ascent of starts (in a fixed-prior one, L-BFGS-B's
-# projected gradient) and of the adversary's joint ascent over its slots;
-# one-slot ascents keep 1e-5.
+# The stop max |g| of every ascent of starts and of the adversary's joint
+# ascent over its slots; one-slot ascents keep 1e-5.
 _JOINT_GTOL = 1e-8
-# Curvature pairs each start keeps in a joint ascent (scipy's default maxcor),
-# the rejected trial steps in a row after which a start stops, and the least
-# factor by which one rejection shrinks a step. The first step has unit length
-# and a start near its stop needs one about its gradient's norm, so a floor
-# of 0.1 would cost it one rejected trial per decade.
+# Curvature pairs each start keeps in an ascent of starts (scipy's default
+# maxcor), the rejected trial steps in a row after which a start stops, and
+# the least factor by which one rejection shrinks a step. The first step has
+# unit length and a start near its stop needs one about its gradient's norm,
+# so a floor of 0.1 would cost it one rejected trial per decade.
 _LBFGS_MEMORY = 10
 _MAX_REJECTS = 30
 _MIN_SHRINK = 1e-10
@@ -448,14 +449,12 @@ def _ascend_povm(
 
 
 def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: float,
-           bounds=None, first=None):
+           bounds=None):
     """L-BFGS-B minimization of fun(x, *args) = (value, gradient) from x0: the
     final point and whether L-BFGS-B reported success. The package's one
-    L-BFGS-B call site, for the prior ascents, the adversary's slot ascents
-    and fixed-prior ascents of starts (joint ascents of starts run
-    ``_lbfgs_rows``); ``bounds`` are L-BFGS-B's (low, high) pairs, None for an
-    unbounded ascent, and ``first`` is fun(x0, *args) when the caller has it
-    already.
+    L-BFGS-B call site, for the prior ascents (bounded weights) and the
+    adversary's ``_ascend_povm`` (ascents of starts run ``_lbfgs_rows``);
+    ``bounds`` are L-BFGS-B's (low, high) pairs, None for an unbounded ascent.
 
     L-BFGS-B stops at iteration 0 when x0's projected gradient, never
     larger than |g| entry by entry, is at most gtol; so a start with
@@ -463,8 +462,7 @@ def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: 
     call. Otherwise scipy's first evaluation, at x0, is served from a
     one-shot memo. ``scipy.optimize`` is imported here, on first need.
     """
-    if first is None:
-        first = fun(x0, *args)
+    first = fun(x0, *args)
     if np.abs(first[1]).max() <= gtol:
         return x0, True
 
@@ -552,16 +550,18 @@ def _start_set(stack: np.ndarray, priors: np.ndarray, povms, raws) -> _Starts:
     return _Starts(priors, frames, padded, _scores(priors, padded), np.ones(len(tables), bool))
 
 
-def _joint_rows(x: np.ndarray, stack: np.ndarray, rows: tuple[int, int]):
+def _joint_rows(x: np.ndarray, stack: np.ndarray, rows: tuple[int, int], logits: bool):
     """-I(p_f, M_f) of every row of x and its exact gradient, (k,) and (k, n).
 
     A row holds one frame zero-padded to ``rows`` (R, d), its real and then
-    its imaginary parts, then its prior's logits z_f, p_f = softmax(z_f). The
-    frame's gradient is ``_frame_pullback``'s; with D_f[a] = sum_b P_f[a, b]
-    (log2 P_f[a, b] - log2 P_f(b)), dI/dp_f[a] = D_f[a] - 1/ln 2 pulls back
-    to dI/dz_f[a] = p_f[a] (D_f[a] - p_f . D_f), where the constant cancels.
-    A singular frame scores 50.0 with a zero gradient in its own row only, and
-    a padded row's gradient is exactly 0; no row's bits depend on the others.
+    its imaginary parts, then its prior: with ``logits`` the prior's logits
+    z_f, p_f = softmax(z_f), otherwise p_f itself, whose gradient is exactly 0
+    so that an ascent leaves it as it is. The frame's gradient is
+    ``_frame_pullback``'s; with D_f[a] = sum_b P_f[a, b] (log2 P_f[a, b] -
+    log2 P_f(b)), dI/dp_f[a] = D_f[a] - 1/ln 2 pulls back to dI/dz_f[a] =
+    p_f[a] (D_f[a] - p_f . D_f), where the constant cancels. A singular frame
+    scores 50.0 with a zero gradient in its own row only, and a padded row's
+    gradient is exactly 0; no row's bits depend on the others.
     """
     k, m = len(x), rows[0] * rows[1]
     w = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(k, *rows)
@@ -570,9 +570,9 @@ def _joint_rows(x: np.ndarray, stack: np.ndarray, rows: tuple[int, int]):
         good = lam[:, 0] >= 1e-12
         values, grads = np.full(k, 50.0), np.zeros_like(x)
         if good.any():
-            values[good], grads[good] = _joint_rows(x[good], stack, rows)
+            values[good], grads[good] = _joint_rows(x[good], stack, rows, logits)
         return values, grads
-    p = _softmax(x[:, 2 * m :])
+    p = _softmax(x[:, 2 * m :]) if logits else x[:, 2 * m :]
     div = []
 
     def value_and_grad(tables):
@@ -581,7 +581,7 @@ def _joint_rows(x: np.ndarray, stack: np.ndarray, rows: tuple[int, int]):
         return (p * d).sum(axis=1), p[:, :, None] * ratio
 
     value, grad = _frame_pullback(w, lam, vecs, stack, value_and_grad)
-    pull = p * (value[:, None] - div[0])
+    pull = p * (value[:, None] - div[0]) if logits else np.zeros_like(p)
     return -value, np.concatenate([-grad.real.reshape(k, m), -grad.imag.reshape(k, m), pull], 1)
 
 
@@ -714,84 +714,71 @@ def _lbfgs_rows(fun, x: np.ndarray, gtol: float, max_iters: int):
     return ends, ok
 
 
-def _block_max(grad: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """max |grad| over each frame's block of x, real and imaginary, for
-    frames of ``shape`` (F, R, d)."""
-    return np.abs(grad).reshape(2, shape[0], -1).max(axis=(0, 2))
-
-
-def _ascend_frames(stack: np.ndarray, priors: np.ndarray, frames: np.ndarray):
-    """``_ascend_starts``' fixed-prior ascent: the raw end frames and whether
-    each start's ascent reported success."""
-
-    def problem(idx):
-        chosen, fixed = frames[idx], priors[idx]
-
-        def value_and_grad(tables):
-            div, ratio = _divergences_stacked(fixed, tables)
-            return float((fixed * div).sum()), fixed[:, :, None] * ratio
-
-        x = np.concatenate([chosen.real.ravel(), chosen.imag.ravel()])
-        return x, (stack, value_and_grad, chosen.shape)
-
-    def end(idx, x, shape):
-        w[idx] = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(shape)
-
-    w, ok, everyone = np.zeros_like(frames), np.ones(len(frames), dtype=bool), np.arange(len(frames))
-    x0, args = problem(everyone)
-    first = _povm_objective(x0, *args)
-    end(everyone, x0, frames.shape)
-    moving = everyone[_block_max(first[1], frames.shape) > _JOINT_GTOL]
-    if moving.size:
-        if moving.size < everyone.size:
-            (x0, args), first = problem(moving), None
-        x, ok[moving] = _lbfgs(_povm_objective, x0, args, _LBFGS_MAX_ITERS, 0.0, _JOINT_GTOL,
-                               first=first)
-        end(moving, x, args[-1])
-    return w, ok
-
-
 def _ascend_starts(stack: np.ndarray, priors, frames: np.ndarray, joint: bool) -> _Starts:
     """An ascent of I(p_f, M_f) from each of F starts' rank-one frames, a
-    zero-padded (F, R, d) array, and with ``joint`` their priors, all starts
-    evaluated in one stacked pass. A start that already meets the stop,
-    max |g| at most ``_JOINT_GTOL``, does not climb and comes back as it went
-    in. The ends are normalized, tabled and scored in one call each and
-    returned as ``_Starts`` of width R; padded rows stay exactly 0.
-
-    A joint ascent climbs each start on its own, over its frame and its
-    prior's logits, by ``_lbfgs_rows`` on ``_joint_rows``: one row per start,
-    so a start's end does not depend on the other starts. At fixed priors the
-    starts climbing are one L-BFGS-B problem (``_lbfgs``, ``ftol`` 0) on
-    ``_povm_objective`` of sum_f I(p_f, M_f), each start one block of x, so
-    the gradient is blockwise (Byrd, Lu, Nocedal and Zhu, SIAM J. Sci.
-    Comput. 16, 1190 (1995)); it runs to the stop, a failed line search or
-    ``_LBFGS_MAX_ITERS`` iterations.
+    zero-padded (F, R, d) array, and with ``joint`` their priors, else at
+    their fixed priors. Each start climbs on its own by ``_lbfgs_rows`` on
+    ``_joint_rows``, one row per start: its frame, then its prior's logits
+    (joint) or its prior itself, which gets a gradient of exactly 0 and so
+    never moves. So a start's end does not depend on the other starts, and a
+    start that already meets the stop, max |g| at most ``_JOINT_GTOL``, comes
+    back as it went in. The ends are normalized, tabled and scored in one call
+    each and returned as ``_Starts`` of width R; padded rows stay exactly 0.
     """
     priors = np.asarray(priors, dtype=float)
+    count, m, rows = len(frames), frames[0].size, frames.shape[1:]
+    tail = np.log(np.clip(priors, _EIG_LOG_FLOOR, None)) if joint else priors
+    x0 = np.concatenate([frames.real.reshape(count, m), frames.imag.reshape(count, m), tail], 1)
+    x, ok = _lbfgs_rows(lambda y: _joint_rows(y, stack, rows, joint), x0, _JOINT_GTOL,
+                        _LBFGS_MAX_ITERS)
+    w, ends = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(frames.shape), x[:, 2 * m :]
     if joint:
-        count, m, rows = len(frames), frames[0].size, frames.shape[1:]
-        x0 = np.concatenate([frames.real.reshape(count, m), frames.imag.reshape(count, m),
-                             np.log(np.clip(priors, _EIG_LOG_FLOOR, None))], axis=1)
-        x, ok = _lbfgs_rows(lambda y: _joint_rows(y, stack, rows), x0, _JOINT_GTOL,
-                            _LBFGS_MAX_ITERS)
-        w, ends = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(frames.shape), _softmax(x[:, 2 * m :])
-    else:
-        (w, ok), ends = _ascend_frames(stack, priors, frames), priors.copy()
+        ends = _softmax(ends)
     u, valid = _normalized_frames(w)
     tables = _frame_tables(u, stack)
     return _Starts(ends, u, tables, np.where(valid, _scores(ends, tables), -np.inf), ok)
 
 
-def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
-    """max_M I(P, M) at the ensemble's own prior, over the starts (Helstrom
-    for two letters, the pretty-good measurement, ``cfg.restarts`` random
-    rank-one POVMs) climbed by one fixed-prior ``_ascend_starts`` call. A
-    start its ascent does not improve keeps its own value and POVM."""
-    rng = np.random.default_rng(cfg.seed)
-    povms = [pretty_good_measurement(e)]
+def _structured_starts(
+    e: CqEnsemble, cfg: OptimizerConfig, helstrom_at: tuple[float, ...] = ()
+) -> list[tuple[np.ndarray, Povm]]:
+    """The structured starts of C1 and accessible information, (prior, POVM)
+    pairs: for two letters the Helstrom measurement at the ensemble's prior
+    and at the first-letter weights ``helstrom_at``, then the pretty-good
+    measurement at the ensemble's prior, at the uniform prior and at the
+    Holevo-capacity prior of the same states (C1 <= C, so that prior is a
+    natural start). The last two depend on the states alone, not on the
+    ensemble's prior. A start is left out when its prior is within 1e-6 of an
+    earlier start's of the same measurement, so a symmetric binary ensemble
+    keeps one pretty-good start.
+    """
+
+    def fresh(priors):
+        kept = []
+        for p in priors:
+            if all(np.abs(p - q).max() > 1e-6 for q in kept):
+                kept.append(p)
+        return kept
+
+    starts = []
     if e.size == 2:
-        povms.insert(0, helstrom(e.states[0], e.states[1], float(e.prior[0])))
+        for p in fresh([np.array([p0, 1.0 - p0]) for p0 in (float(e.prior[0]), *helstrom_at)]):
+            starts.append((p, helstrom(e.states[0], e.states[1], float(p[0]))))
+    pgm_priors = (e.prior.copy(), np.full(e.size, 1.0 / e.size), holevo_capacity(e, cfg).prior)
+    for p in fresh(pgm_priors):
+        starts.append((p, pretty_good_measurement(CqEnsemble(p, e.states))))
+    return starts
+
+
+def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
+    """max_M I(P, M) at the ensemble's own prior, over the frames of
+    ``_structured_starts`` (Helstrom at the ensemble's prior only) and
+    ``cfg.restarts`` random rank-one POVMs, each climbed on its own at that
+    prior by one fixed-prior ``_ascend_starts`` call, so the value is the
+    maximum over independent starts. A start its ascent does not improve
+    keeps its own value and POVM."""
+    rng = np.random.default_rng(cfg.seed)
+    povms = [povm for _, povm in _structured_starts(e, cfg)]
     m = (e.dim * e.dim, e.dim)
     raws = [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(cfg.restarts)]
     priors = np.tile(e.prior, (len(povms) + len(raws), 1))
@@ -818,11 +805,10 @@ def _best_prior_for_channel(
 
 
 def _climb(stack, held: _Starts, active, news, own, joint: bool) -> np.ndarray:
-    """One ``_ascend_starts`` of the ``active`` starts, joint (each start on
-    its own, in lockstep) or at their fixed priors (one stacked L-BFGS-B
-    problem); each moves to its end where that beats its ``news``, which then
-    takes the end's value, and no longer holds its ``own`` POVM. Returns the
-    new ``news``."""
+    """One ``_ascend_starts`` of the ``active`` starts, joint or at their
+    fixed priors, each start on its own; each moves to its end where that
+    beats its ``news``, which then takes the end's value, and no longer holds
+    its ``own`` POVM. Returns the new ``news``."""
     ends = _ascend_starts(stack, held.priors[active], held.frames[active], joint)
     up = ends.values > news
     moved = active[up]
@@ -839,27 +825,22 @@ def _joint_maximize(
     """Seesaw over (prior, POVM) from each start, until a round gains at
     most ``cfg.tol``.
 
-    The starts (``extra_starts``, for two letters Helstrom at the ensemble's
-    prior and at 0.5, 0.25 and 0.75, the pretty-good measurement and
-    ``cfg.restarts`` random ones) are ``_Starts`` with a converged flag each,
-    and every start still climbing takes its round in the same
-    ``_ascend_starts`` calls. A round is one joint ascent, in which each start
-    climbs on its own by ``_lbfgs_rows`` and all share one evaluation per
-    step, kept when it raises the start's value; from three letters on it
-    first has a fixed-prior frame ascent, one stacked L-BFGS-B problem, kept
-    likewise, and ``_best_prior_for_channel`` on the row-normalized table,
-    kept when as good. A start leaves once a round gains at most
-    ``cfg.tol``, or after ``cfg.max_iters`` rounds.
+    The starts (``extra_starts``, then ``_structured_starts`` with Helstrom
+    also at 0.5, 0.25 and 0.75, then ``cfg.restarts`` random ones) are
+    ``_Starts`` with a converged flag each, and every start still climbing
+    takes its round in the same ``_ascend_starts`` calls, in which each start
+    climbs on its own and all share one evaluation per step. A round is one
+    joint ascent, kept when it raises the start's value; from three letters
+    on it first has a fixed-prior frame ascent, kept likewise, and
+    ``_best_prior_for_channel`` on the row-normalized table, kept when as
+    good. A start leaves once a round gains at most ``cfg.tol``, or after
+    ``cfg.max_iters`` rounds. No start's path depends on another's, so the
+    value is a maximum over independent starts, and adding a start never
+    lowers it by more than ``_TIE_BITS``.
     """
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
-    starts: list[tuple[np.ndarray, Povm]] = list(extra_starts)
-    if e.size == 2:
-        ps = (float(e.prior[0]), 0.5, 0.25, 0.75)
-        for i, p0 in enumerate(ps):
-            if round(p0, 6) not in {round(p, 6) for p in ps[:i]}:
-                starts.append((np.array([p0, 1.0 - p0]), helstrom(e.states[0], e.states[1], p0)))
-    starts.append((e.prior.copy(), pretty_good_measurement(e)))
+    starts = list(extra_starts) + _structured_starts(e, cfg, (0.5, 0.25, 0.75))
     priors, povms = map(list, zip(*starts))
     raws, m = [], (e.dim * e.dim, e.dim)
     for _ in range(cfg.restarts):

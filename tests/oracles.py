@@ -474,10 +474,11 @@ def _refine_frame(stack, prior, frame):
 
 
 def _c1_starts(e, cfg, extra_starts=()):
-    """C1's start set: ``extra_starts``, then for two letters Helstrom at the
-    ensemble's prior and at 0.5, 0.25 and 0.75, the pretty-good measurement,
-    then ``cfg.restarts`` random (prior, rank-one POVM) pairs drawn from
-    ``cfg.seed``."""
+    """C1's start set as it was before the pretty-good starts at the uniform
+    and the capacity prior joined it: ``extra_starts``, then for two letters
+    Helstrom at the ensemble's prior and at 0.5, 0.25 and 0.75, the
+    pretty-good measurement, then ``cfg.restarts`` random (prior, rank-one
+    POVM) pairs drawn from ``cfg.seed``."""
     rng = np.random.default_rng(cfg.seed)
     starts = list(extra_starts)
     if e.size == 2:
@@ -573,7 +574,7 @@ def alternating_c1(e, cfg) -> float:
     """C1 of ensemble e by the alternating seesaw over (prior, POVM) on every
     start, binary alphabets included.
 
-    The starts are ``information.c1``'s: for two letters Helstrom at the
+    The starts are ``_c1_starts``': for two letters Helstrom at the
     ensemble's prior and at 0.5, 0.25 and 0.75, the pretty-good measurement,
     then ``cfg.restarts`` random (prior, rank-one POVM) pairs drawn from
     ``cfg.seed``. Each round ascends the frame at the fixed prior, moves the

@@ -577,10 +577,19 @@ class TestStartup:
         assert run == {"codes": [0, 0], "scipy": []}
 
     def test_first_optimizer_call_loads_scipy(self):
-        # Accessible information's fixed-prior ascent of its random starts is L-BFGS-B.
-        run = _scipy_after([["accessible", "paper-example", "--overlap", "0.5"]])
+        # The adversary's slot ascent of its random restart is L-BFGS-B.
+        run = _scipy_after([["simulate", "paper-example", "--overlap", "0.5", "-n", "3",
+                             "--eve", "optimized", "--restarts", "2"]])
         assert run["codes"] == [0]
         assert "scipy.optimize" in run["scipy"]
+
+    def test_symmetric_binary_accessible_never_loads_scipy_optimize(self):
+        # Every start climbs by the package's own L-BFGS, and the capacity
+        # prior of the pretty-good start is the uniform prior, which already
+        # meets its stop.
+        run = _scipy_after([["accessible", "paper-example", "--overlap", "0.5"]])
+        assert run["codes"] == [0]
+        assert "scipy.optimize" not in run["scipy"]
 
     def test_binary_analyze_never_loads_scipy_optimize(self):
         # C1's joint ascents are the package's own L-BFGS, and the symmetric

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from qkdsim import information
-from qkdsim.channels import identity_channel
+from qkdsim.channels import CqEnsemble, identity_channel
 from qkdsim.errors import DimensionMismatch, ValidationError
 from qkdsim.information import (
     _JOINT_GTOL,
@@ -344,19 +344,27 @@ class TestAscentGradient:
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_joint_objective_value_and_gradient(self, rng, size):
-        """Each row of the joint objective: its value and its central differences."""
+        """Each row of the objective, its prior's logits or its fixed prior
+        trailing: its value and its central differences; a fixed prior's
+        gradient is exactly 0."""
         e = ensemble(np.full(size, 1.0 / size), tuple(random_density(rng, 2) for _ in range(size)))
         stack = e.states
         w = rng.normal(size=(2, 4, 2)) + 1j * rng.normal(size=(2, 4, 2))
         z = rng.normal(size=(2, size))
-        x = np.stack([flat(frame, logits) for frame, logits in zip(w, z)])
-        values, grads = _joint_rows(x, stack, w.shape[1:])
-        for f, row in enumerate(x):
-            povm = Povm([np.outer(v, v.conj()) for v in normalized(w[f])])
-            exact = mutual_information(_softmax(z[f]), induced_channel(povm, e))
-            assert -values[f] == pytest.approx(exact, abs=1e-12)
-            fd = central_differences(lambda y: _joint_rows(y[None], stack, w.shape[1:])[0][0], row)
-            np.testing.assert_allclose(grads[f], fd, rtol=0, atol=1e-6)
+        for logits in (True, False):
+            tails = z if logits else _softmax(z)
+            x = np.stack([flat(frame, tail) for frame, tail in zip(w, tails)])
+            values, grads = _joint_rows(x, stack, w.shape[1:], logits)
+            for f, row in enumerate(x):
+                povm = Povm([np.outer(v, v.conj()) for v in normalized(w[f])])
+                exact = mutual_information(_softmax(z[f]), induced_channel(povm, e))
+                assert -values[f] == pytest.approx(exact, abs=1e-12)
+                fd = central_differences(
+                    lambda y: _joint_rows(y[None], stack, w.shape[1:], logits)[0][0], row)
+                if not logits:
+                    assert not grads[f, w[0].size * 2 :].any()
+                    fd = fd[: w[0].size * 2]
+                np.testing.assert_allclose(grads[f, : fd.size], fd, rtol=0, atol=1e-6)
 
     def test_singular_frame_scores_fifty_with_zero_gradient(self):
         stack = qubit_pair_ensemble(0.5).states
@@ -369,9 +377,9 @@ class TestAscentGradient:
         # In the joint objective it does so in its own row only.
         spanning = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5j]])
         rows = np.stack([flat(w[0], np.zeros(2)), flat(spanning, np.zeros(2))])
-        values, grads = _joint_rows(rows, stack, w.shape[1:])
+        values, grads = _joint_rows(rows, stack, w.shape[1:], True)
         assert values[0] == 50.0 and not grads[0].any()
-        alone_value, alone_grad = _joint_rows(rows[1:], stack, w.shape[1:])
+        alone_value, alone_grad = _joint_rows(rows[1:], stack, w.shape[1:], True)
         assert values[1] == alone_value[0] < 0.0
         assert np.array_equal(grads[1], alone_grad[0]) and grads[1].any()
 
@@ -443,7 +451,8 @@ class TestAscentGradient:
             assert np.array_equal(groups, want_groups)
         assert list(_rank1_pieces(stacks[0])[1]) == [0, 0, 1, 2]
 
-    def test_few_objective_calls_per_iteration(self, monkeypatch):
+    def test_few_objective_calls_per_iteration(self, rng, monkeypatch):
+        """The adversary's slot ascent, the one L-BFGS-B POVM ascent."""
         calls = {"objective": 0, "nit": 0}
         objective = information._povm_objective
         minimize = optimize.minimize
@@ -459,7 +468,9 @@ class TestAscentGradient:
 
         monkeypatch.setattr(information, "_povm_objective", counted_objective)
         monkeypatch.setattr(optimize, "minimize", counted_minimize)
-        accessible_information(qubit_pair_ensemble(0.4), OptimizerConfig(restarts=1, seed=0))
+        e = qubit_pair_ensemble(0.4)
+        frame = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        _ascend_povm(e.states, [frame], one_frame(lambda t: _mi_and_grad(e.prior, t)), 300)
         assert calls["nit"] > 0
         assert calls["objective"] <= 3 * calls["nit"]
 
@@ -478,7 +489,7 @@ class TestLbfgs:
         if joint:
 
             def fun(y, stack, rows):
-                values, grads = _joint_rows(y[None], stack, rows)
+                values, grads = _joint_rows(y[None], stack, rows, True)
                 return values[0], grads[0]
 
             args, ftol, gtol = (stack, w.shape[1:]), 0.0, _JOINT_GTOL
@@ -542,7 +553,7 @@ class TestStackedStarts:
         logits = np.log(priors)
         w = _padded(frames)
         rows = np.stack([flat(frame, z) for frame, z in zip(w, logits)])
-        values, grads = _joint_rows(rows, stack, w.shape[1:])
+        values, grads = _joint_rows(rows, stack, w.shape[1:], True)
         m = w[0].size
         for f, (frame, r) in enumerate(zip(frames, self.SIZES)):
             one_value, one_grad = oracle_joint_objective(flat(frame, logits[f]), stack, r)
@@ -597,13 +608,14 @@ class TestStackedStarts:
         assert both.values[0] == alone.values[0] and both.ok[0] == alone.ok[0]
         assert both.values[1] > _mi_from_probs(priors[1], random_table) + 0.01
 
+    @pytest.mark.parametrize("joint", [False, True], ids=["frame", "joint"])
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(size=st.integers(2, 4), dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
-    def test_joint_end_does_not_depend_on_the_other_starts_property(self, size, dim, seed):
-        """Every start of a joint ascent ends where it ends climbing alone, bit
-        for bit: frame, prior, value and success. The starts are a Helstrom
-        frame of the first two letters, the pretty-good measurement and three
-        random frames, zero-padded to d^2 rows."""
+    def test_joint_end_does_not_depend_on_the_other_starts_property(self, joint, size, dim, seed):
+        """Every start of an ascent, joint or at fixed priors, ends where it
+        ends climbing alone, bit for bit: frame, prior, value and success. The
+        starts are a Helstrom frame of the first two letters, the pretty-good
+        measurement and three random frames, zero-padded to d^2 rows."""
         e = random_mixed_ensemble(size, dim, seed)
         stack = e.states
         rng = np.random.default_rng(seed + 1)
@@ -612,9 +624,9 @@ class TestStackedStarts:
         raws = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
         priors = rng.dirichlet(np.ones(size), size=len(povms) + len(raws))
         starts = _start_set(stack, priors, povms, raws)
-        ends = _ascend_starts(stack, starts.priors, starts.frames, True)
+        ends = _ascend_starts(stack, starts.priors, starts.frames, joint)
         for f in range(len(priors)):
-            alone = _ascend_starts(stack, starts.priors[f : f + 1], starts.frames[f : f + 1], True)
+            alone = _ascend_starts(stack, starts.priors[f : f + 1], starts.frames[f : f + 1], joint)
             assert np.array_equal(ends.frames[f], alone.frames[0])
             assert np.array_equal(ends.priors[f], alone.priors[0])
             assert ends.values[f] == alone.values[0] and ends.ok[f] == alone.ok[0]
@@ -704,7 +716,7 @@ class TestStartSetReference:
         assert padded.shape[1] == dim * dim and list(ok) == [True, True, True, False, True]
         # The nonsingular frames climb from the padded stack: every padded
         # entry of the gradient is exactly 0, and so is every padded row of the
-        # ends of a real L-BFGS-B run, at fixed priors and jointly.
+        # ends of a real ascent, at fixed priors and jointly.
         keep = [0, 1, 2, 4]
         fixed, climbing = priors[keep], padded[keep]
 
@@ -761,6 +773,19 @@ class TestC1:
         alternating seesaw reaches from every start."""
         cfg = OptimizerConfig(restarts=restarts)
         assert c1(e, cfg).value >= alternating_c1(e, cfg) - 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(size=st.integers(2, 4), dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+           restarts=st.integers(1, 2))
+    def test_prior_never_lowers_c1_below_uniform_property(self, size, dim, seed, restarts):
+        """C1 is a maximum over priors, so the ensemble's own prior must not
+        lower it: C1 of the states at a skewed random prior is at least C1 of
+        the same states at the uniform prior."""
+        states = random_mixed_ensemble(size, dim, seed).states
+        skewed = np.random.default_rng(seed + 1).dirichlet(np.full(size, 0.3))
+        cfg = OptimizerConfig(restarts=restarts)
+        uniform = c1(CqEnsemble(np.full(size, 1.0 / size), states), cfg).value
+        assert c1(CqEnsemble(skewed, states), cfg).value >= uniform - 1e-9
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(e=mixed_ensembles, restarts=st.integers(1, 2))
