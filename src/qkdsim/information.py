@@ -26,23 +26,20 @@ exactly through the Born rule and the normalization (the Daleckii-Krein
 derivative of T^(-1/2)), every frame in one batched pass and each frame's
 bits its own. A padded row is a variable whose gradient is exactly 0 (u_b = 0
 gives it a zero column of P, whose log ratio is 0), so an ascent leaves it at
-exactly 0. Two ascents use it:
+exactly 0. Every POVM ascent is the package's own L-BFGS, ``_lbfgs_rows``,
+one row per problem, each row with its own curvature pairs, step and stop:
 
-- The package's own L-BFGS (``_lbfgs_rows``) on ``_joint_rows``, one row per
-  start, climbs every ascent of starts (``_ascend_starts``): C1's and C_k's
-  joint ascents over each start's frame and its prior's logits, and the
-  fixed-prior ascents (accessible information, and the frame step of C1's
-  three-letter round), where the row carries the prior itself with a
-  gradient of exactly 0. Each start keeps its own curvature pairs, step and
-  stop, and all starts still climbing share one stacked evaluation per
-  round, so a start ends where it would alone, and one that has stopped is
-  no longer evaluated. A start that already meets the stop, max |g| at most
-  ``_JOINT_GTOL``, does not climb.
-- L-BFGS-B (``_lbfgs``, the package's one scipy call site) on
-  ``_povm_objective``, one value over all frames: the adversary's seesaw
-  (``simulation.eve_optimize``) ascends a slot or all of its slots this way
-  by ``_ascend_povm``. ``_lbfgs`` also serves the prior ascents, on bounded
-  weights.
+- Every ascent of starts (``_ascend_starts``) climbs one row per start on
+  ``_joint_rows``: C1's and C_k's joint ascents over each start's frame and
+  its prior's logits, and the fixed-prior ascents (accessible information,
+  and the frame step of C1's three-letter round), where the row carries the
+  prior itself with a gradient of exactly 0. All starts still climbing share
+  one stacked evaluation per round, so a start ends where it would alone, and
+  one that has stopped is no longer evaluated. A start that already meets the
+  stop, max |g| at most ``_JOINT_GTOL``, does not climb.
+- The adversary's seesaw (``simulation.eve_optimize``) ascends a slot or all
+  of its slots by ``_ascend_povm``: one row, the slots' frames, on
+  ``_povm_objective``, one value over all of them.
 
 The starts are held as arrays, one per quantity (``_Starts``): frames
 zero-padded into (F, R, d), priors, Born tables and values. An ascent's ends
@@ -63,9 +60,10 @@ the earliest is the witness. ``accessible_information`` climbs its starts at
 the ensemble's prior. Every reported value is re-evaluated through the exact
 Born-rule path, so it is achievable by the returned witness.
 
-``scipy.optimize`` is imported inside ``_lbfgs``, not at module level: the
-exact enumerator, the command line's set-up, every ascent of starts, and so C1
-of two letters and accessible information where ``holevo_capacity`` takes no
+``scipy.optimize`` is imported inside ``_ascend_prior``, not at module level,
+and only for the prior ascents, on bounded weights: the exact enumerator, the
+command line's set-up, every POVM ascent, and so the adversary's seesaw, C1 of
+two letters and accessible information where ``holevo_capacity`` takes no
 step (its uniform start already meets the stop), run on numpy alone and never
 pay scipy's import, which costs more than the rest of the package's start-up.
 """
@@ -246,7 +244,8 @@ def _channel_divergences(rows: np.ndarray):
 
 def _ascend_prior(divergences, p0: np.ndarray, gtol: float) -> np.ndarray:
     """L-BFGS-B ascent from p0 of a value p @ D(p) whose entries D =
-    ``divergences(p)`` are its derivatives in p up to a shared constant.
+    ``divergences(p)`` are its derivatives in p up to a shared constant: the
+    package's one ``scipy.optimize`` call site, imported here on first need.
 
     The variables are weights q >= 0, p = q / sum(q); the value's gradient in
     q is (D - p @ D) / sum(q), so L-BFGS-B's projected-gradient stop at
@@ -255,7 +254,10 @@ def _ascend_prior(divergences, p0: np.ndarray, gtol: float) -> np.ndarray:
     (sum(q) - 1)^2 / 2 pins the scale that the value ignores, lest q drift to
     where every gradient is below the stop; q = 0, where p is undefined and
     which a quasi-Newton step can still propose, scores 50.0 with a zero
-    gradient, so the line search backs off.
+    gradient, so the line search backs off. A p0 whose |g| is at most
+    ``gtol`` entry by entry, where L-BFGS-B would stop at iteration 0, is
+    returned without a scipy call; otherwise scipy's first evaluation, at
+    p0, is served from a one-shot memo.
     """
 
     def objective(q):
@@ -267,8 +269,18 @@ def _ascend_prior(divergences, p0: np.ndarray, gtol: float) -> np.ndarray:
         value = float(p @ div)
         return 0.5 * (total - 1.0) ** 2 - value, (total - 1.0) - (div - value) / total
 
-    bounds = [(0.0, None)] * p0.size
-    q, _ = _lbfgs(objective, p0, (), _LBFGS_MAX_ITERS, 0.0, gtol, bounds)
+    pending = [objective(p0)]
+    if np.abs(pending[0][1]).max() <= gtol:
+        return p0 / p0.sum()
+
+    def memo(q):
+        return pending.pop() if pending and np.array_equal(q, p0) else objective(q)
+
+    from scipy import optimize
+
+    options = {"maxiter": _LBFGS_MAX_ITERS, "ftol": 0.0, "gtol": gtol}
+    q = optimize.minimize(memo, p0, jac=True, method="L-BFGS-B",
+                          bounds=[(0.0, None)] * p0.size, options=options).x
     return q / q.sum()
 
 
@@ -323,16 +335,12 @@ def _rank1_pieces(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[take], np.nonzero(take)[0]
 
 
-def _mi_and_marginal(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
-    """I(prior, probs) in bits and the output marginal P(b), from one
-    ``_entropy_rows`` call over the rows and the marginal together."""
+def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
+    """I(prior, probs) in bits, from one ``_entropy_rows`` call over the rows
+    and the output marginal together."""
     out = prior @ probs
     h = _entropy_rows(np.concatenate((probs, out[None])))
-    return float(max(h[-1] - prior @ h[:-1], 0.0)), out
-
-
-def _mi_from_probs(prior: np.ndarray, probs: np.ndarray) -> float:
-    return _mi_and_marginal(prior, probs)[0]
+    return float(max(h[-1] - prior @ h[:-1], 0.0))
 
 
 def _scores(priors: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -353,15 +361,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def _mi_and_grad(prior: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
     """I(prior, probs) and its gradient G[a, b] = p(a) (log2 P(b|a) - log2 P(b)),
-    both logarithms floored at ``_EIG_LOG_FLOOR``.
+    both logarithms floored at ``_EIG_LOG_FLOOR``; the value is sum probs * G,
+    from the same log ratios.
 
     The entropy terms' constants cancel, so G needs no normalization of the
     rows.
     """
-    value, out = _mi_and_marginal(prior, probs)
     floor = _EIG_LOG_FLOOR
-    ratio = np.log2(np.maximum(probs, floor)) - np.log2(np.maximum(out, floor))
-    return value, prior[:, None] * ratio
+    ratio = np.log2(np.maximum(probs, floor)) - np.log2(np.maximum(prior @ probs, floor))
+    g = prior[:, None] * ratio
+    return float((probs * g).sum()), g
 
 
 def _divergences_stacked(priors: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,56 +437,31 @@ def _frame_pullback(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray, stack: np.
 
 def _ascend_povm(
     stack: np.ndarray, frames: list[np.ndarray], value_and_grad, max_iters: int, gtol: float = 1e-5
-) -> tuple[np.ndarray | None, bool]:
+) -> np.ndarray | None:
     """Quasi-Newton ascent of one value(P_1, ..., P_F) over rank-one POVMs,
     the adversary's slot ascent.
 
     Each of the F ``frames`` holds one POVM's raw vectors, one row per
-    rank-one piece; they are zero-padded once into (F, R, d) and optimized
-    together, unconstrained, on ``_povm_objective`` with its
-    ``value_and_grad``, so L-BFGS-B (``_lbfgs``) gets the exact gradient. It
-    stops after ``max_iters`` iterations or once the projected gradient is at
-    most ``gtol``. Returns the normalized final frames as one (F, R, d) array
-    (None if any fails ``_normalized_frames``) and whether L-BFGS-B reported
-    success.
+    rank-one piece; they are zero-padded once into (F, R, d) and climbed
+    together, unconstrained, as one row of ``_lbfgs_rows`` on
+    ``_povm_objective`` with its ``value_and_grad``, so the ascent gets the
+    exact gradient. It stops after ``max_iters`` accepted steps or once
+    max |g| is at most ``gtol``. Returns the normalized end frames as one
+    (F, R, d) array, or None when the ascent took no step or a frame fails
+    ``_normalized_frames``.
     """
     w = _padded(frames)
-    x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
-    x, ok = _lbfgs(_povm_objective, x0, (stack, value_and_grad, w.shape), max_iters, 1e-12, gtol)
-    u, good = _normalized_frames((x[: w.size] + 1j * x[w.size :]).reshape(w.shape))
-    return (u if good.all() else None), ok
+    x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])[None]
 
+    def objective(x):
+        value, grad = _povm_objective(x[0], stack, value_and_grad, w.shape)
+        return np.array([value]), grad[None]
 
-def _lbfgs(fun, x0: np.ndarray, args: tuple, max_iters: int, ftol: float, gtol: float,
-           bounds=None):
-    """L-BFGS-B minimization of fun(x, *args) = (value, gradient) from x0: the
-    final point and whether L-BFGS-B reported success. The package's one
-    L-BFGS-B call site, for the prior ascents (bounded weights) and the
-    adversary's ``_ascend_povm`` (ascents of starts run ``_lbfgs_rows``);
-    ``bounds`` are L-BFGS-B's (low, high) pairs, None for an unbounded ascent.
-
-    L-BFGS-B stops at iteration 0 when x0's projected gradient, never
-    larger than |g| entry by entry, is at most gtol; so a start with
-    max_i |g_i(x0)| <= gtol returns x0 as converged here without a scipy
-    call. Otherwise scipy's first evaluation, at x0, is served from a
-    one-shot memo. ``scipy.optimize`` is imported here, on first need.
-    """
-    first = fun(x0, *args)
-    if np.abs(first[1]).max() <= gtol:
-        return x0, True
-
-    pending = [first]
-
-    def memo(x, *fun_args):
-        return pending.pop() if pending and np.array_equal(x, x0) else fun(x, *fun_args)
-
-    from scipy import optimize
-
-    options = {"maxiter": max_iters, "ftol": ftol, "gtol": gtol}
-    res = optimize.minimize(
-        memo, x0, args=args, jac=True, method="L-BFGS-B", bounds=bounds, options=options
-    )
-    return res.x, bool(res.success)
+    x, _ = _lbfgs_rows(objective, x0, gtol, max_iters)
+    if np.array_equal(x, x0):
+        return None
+    u, good = _normalized_frames((x[0, : w.size] + 1j * x[0, w.size :]).reshape(w.shape))
+    return u if good.all() else None
 
 
 def _kept_rows(u: np.ndarray) -> np.ndarray:
@@ -685,7 +669,9 @@ def _lbfgs_rows(fun, x: np.ndarray, gtol: float, max_iters: int):
         s, y = trial - x, g_new - g
         sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
         valid = accept & (sy > (8.0 * eps) * yy)
-        pairs.push(s * valid[:, None], y * valid[:, None], sy * valid)
+        if not valid.all():
+            s, y, sy = s * valid[:, None], y * valid[:, None], sy * valid
+        pairs.push(s, y, sy)
         gamma = np.divide(sy, yy, out=gamma, where=valid)
         if accept.all():
             x, f, g, t, rejects = trial, f_new, g_new, np.ones(live.size), np.zeros_like(rejects)

@@ -11,7 +11,9 @@ the maximum-likelihood decoder. The attack is factorized, so a one-slot
 ascent contracts the other slots and the decoder into a key channel of the
 free slot once (``_joint_value_and_grad``): each evaluation then costs
 O(K r K) for r rank-one pieces, not O(n K prod_j m_j) over every outcome
-tuple. The channel is memoryless, so block states
+tuple. Every ascent is the package's own L-BFGS
+(``information._ascend_povm``), so the seesaw runs on numpy alone. The
+channel is memoryless, so block states
 are Kronecker products of single-letter states. The receiver's measurement
 is held in Gram form on the span of the K codeword states. A constant
 codebook column, one letter in every codeword, factors out of the Gram
@@ -58,11 +60,11 @@ from .measurements import (
 )
 from .states import hermitian_eigensystem
 
-# Iteration cap of the slot ascent per free slot; C1's ascent uses 300.
+# Cap on the accepted L-BFGS steps of a slot ascent, per free slot.
 _SLOT_ASCENT_MAX_ITERS = 200
 # A seesaw round whose per-slot pass gains less than this many bits has
-# stalled; it adds one joint ascent over all slots, which stops at a
-# projected gradient of _JOINT_GTOL (the per-slot ascents keep L-BFGS-B's 1e-5).
+# stalled; it adds one joint ascent over all slots, which stops at max |g| of
+# _JOINT_GTOL (a one-slot ascent stops at 1e-5).
 _STALL_BITS = 1e-4
 # Eigenvalues at or below this lie outside a state's support: the receiver's
 # letter factors drop them, and its G^(-1/2) inverts G_inf/K (the Gram matrix
@@ -543,13 +545,14 @@ def _refine_slots(
     pieces, whose probabilities are summed back into its outcomes; slot
     free[f] reads its rows of the ascent's zero-padded (F, R, d) end. Returns
     all slots' effects and tables and their exactly scored information, or
-    None when a frame fails ``_normalized_frames``; the caller decides
-    whether they beat its running value.
+    None at once when the ascent took no step or a frame fails
+    ``_normalized_frames``; the caller decides whether they beat its running
+    value.
     """
     frames, groups = zip(*(_rank1_pieces(slots[i]) for i in free))
     value_and_grad = _joint_value_and_grad(c, decoder_idx, tables, free, groups)
     gtol = _JOINT_GTOL if len(free) > 1 else 1e-5
-    us, _ = _ascend_povm(eve_states, frames, value_and_grad, _SLOT_ASCENT_MAX_ITERS * len(free), gtol)
+    us = _ascend_povm(eve_states, frames, value_and_grad, _SLOT_ASCENT_MAX_ITERS * len(free), gtol)
     if us is None:
         return None
     slots, tables = list(slots), list(tables)

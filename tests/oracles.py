@@ -16,10 +16,13 @@ reference seesaw for C1: every start climbed by the longer alternating
 round, against which C1 must never report less; ``sequential_c1``,
 ``sequential_c_k`` and ``sequential_accessible`` climb each start on its own,
 as the package did before it stacked its starts into one ascent. They reuse
-the package's POVM objective, called with one frame, and its L-BFGS-B call
-site; the joint objective, the per-start ascents, the prior search of
-``alternating_c1`` and the frame normalization, ``normalize_vectors``, are
-this module's own.
+the package's POVM objective, called with one frame; their L-BFGS-B ascents
+(``lbfgs_b``, ``ascend_povm_lbfgsb``), the joint objective, the per-start
+ascents, the prior search of ``alternating_c1`` and the frame normalization,
+``normalize_vectors``, are this module's own. ``lbfgsb_eve_optimize`` is the
+reference seesaw for the adversary: the package's seesaw as it ran with its
+slot ascents on L-BFGS-B, against which ``simulation.eve_optimize`` must never
+report less.
 """
 
 import itertools
@@ -27,12 +30,17 @@ import math
 from functools import reduce
 
 import numpy as np
+from scipy import optimize
 
 from qkdsim import information as info
+from qkdsim import simulation as sim
 from qkdsim.channels import CqEnsemble, QuantumChannel
 from qkdsim.measurements import (
     COMPLETENESS_ATOL,
     EFFECT_PSD_ATOL,
+    Povm,
+    _born_table,
+    _normalized_frames,
     expand,
     helstrom,
     pretty_good_measurement,
@@ -270,6 +278,13 @@ def mi_from_probs(prior, probs) -> float:
     return float(max(h[-1] - prior @ h[:-1], 0.0))
 
 
+def mi_and_grad(prior, probs) -> tuple[float, np.ndarray]:
+    """``mi_from_probs`` and its gradient G[a, b] = p(a) (log2 P(b|a) -
+    log2 P(b)), both logarithms floored at 1e-18."""
+    ratio = np.log2(np.maximum(probs, 1e-18)) - np.log2(np.maximum(prior @ probs, 1e-18))
+    return mi_from_probs(prior, probs), prior[:, None] * ratio
+
+
 def povm_objective_per_frame(x, stack, value_and_grad, parts):
     """-value(P_1..P_F) and its gradient in the packed raw rows x, one frame at a time.
 
@@ -433,8 +448,8 @@ def joint_objective(y, stack, rows):
 
     def value_and_grad(tables):
         (table,) = tables
-        value, out = info._mi_and_marginal(p, table)
-        ratio = np.log2(np.maximum(table, 1e-18)) - np.log2(np.maximum(out, 1e-18))
+        value = mi_from_probs(p, table)
+        ratio = np.log2(np.maximum(table, 1e-18)) - np.log2(np.maximum(p @ table, 1e-18))
         div[:] = (table * ratio).sum(axis=1)
         return value, (p[:, None] * ratio)[None]
 
@@ -443,13 +458,110 @@ def joint_objective(y, stack, rows):
     return value, np.concatenate([grad, -p * (div - p @ div)])
 
 
+def lbfgs_b(fun, x0, args, max_iters, ftol, gtol):
+    """L-BFGS-B minimization of fun(x, *args) = (value, gradient) from x0, as
+    the package ran its unbounded ascents on scipy: the end point and whether
+    L-BFGS-B reported success. A start with max |g(x0)| <= gtol, which
+    L-BFGS-B would stop at iteration 0, comes back as converged without a
+    scipy call."""
+    if np.abs(fun(x0, *args)[1]).max() <= gtol:
+        return x0, True
+    options = {"maxiter": max_iters, "ftol": ftol, "gtol": gtol}
+    res = optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", options=options)
+    return res.x, bool(res.success)
+
+
+def ascend_povm_lbfgsb(stack, frames, value_and_grad, max_iters, gtol=1e-5):
+    """The adversary's slot ascent on L-BFGS-B: F raw frames zero-padded into
+    one (F, R, d) array, climbed as one problem on the package's
+    ``_povm_objective`` with ``ftol`` 1e-12 until ``max_iters`` iterations or
+    a projected gradient of at most ``gtol``. Returns the normalized end
+    frames (None if any is singular) and L-BFGS-B's success flag."""
+    w = info._padded(frames)
+    x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
+    x, ok = lbfgs_b(info._povm_objective, x0, (stack, value_and_grad, w.shape), max_iters,
+                    1e-12, gtol)
+    u, good = _normalized_frames((x[: w.size] + 1j * x[w.size :]).reshape(w.shape))
+    return (u if good.all() else None), ok
+
+
+def _refine_slots_lbfgsb(slots, tables, free, c, decoder_idx, eve_states):
+    """``simulation._refine_slots`` on ``ascend_povm_lbfgsb``: all slots'
+    effects and tables and their information after one ascent of the slots
+    ``free``, whether or not it took a step, or None for a singular frame."""
+    frames, groups = zip(*(info._rank1_pieces(slots[i]) for i in free))
+    value_and_grad = sim._joint_value_and_grad(c, decoder_idx, tables, free, groups)
+    gtol = info._JOINT_GTOL if len(free) > 1 else 1e-5
+    us, _ = ascend_povm_lbfgsb(eve_states, frames, value_and_grad,
+                               sim._SLOT_ASCENT_MAX_ITERS * len(free), gtol)
+    if us is None:
+        return None
+    slots, tables = list(slots), list(tables)
+    for i, u, g in zip(free, us, groups):
+        u = u[: len(g)]
+        slots[i] = np.einsum("ro,ri,rj->oij", np.eye(len(slots[i]))[g], u, u.conj())
+        tables[i] = _born_table(slots[i], eve_states).T
+    return slots, tables, sim._key_info(sim._likelihoods(tables, c), decoder_idx)
+
+
+def lbfgsb_eve_optimize(s, c, cfg):
+    """``simulation.eve_optimize``'s seesaw with every slot ascent on
+    L-BFGS-B (``ascend_povm_lbfgsb``): per-slot ascents, one joint ascent
+    over all slots once a round gains less than ``simulation._STALL_BITS``,
+    then the maximum-likelihood decoder, from the refined default attack and
+    ``cfg.restarts - 1`` random starts. Returns the best ``EveStrategy``."""
+    ee = s.eve_ensemble()
+    default = sim._default_attack(s, c, ee)
+    if cfg.restarts == 0:
+        return default
+    eve_states, n = ee.states, c.length
+    best = None
+    rng = np.random.default_rng(cfg.seed)
+    for restart in range(cfg.restarts):
+        if restart == 0:
+            starts = default.slots
+        else:
+            starts = [random_rank1_povm(s.dim_e, s.dim_e**2, rng) for _ in range(n)]
+        slots = [p.effects for p in starts]
+        tables = sim._slot_channels(slots, eve_states)
+        lik = sim._likelihoods(tables, c)
+        idx = sim._ml_decoder(lik)
+        val = sim._key_info(lik, idx)
+        if best is None or val > best[0]:
+            best = (val, slots, idx)
+        for _ in range(cfg.max_iters):
+            start, improved = val, False
+            for i in range(n):
+                step = _refine_slots_lbfgsb(slots, tables, [i], c, idx, eve_states)
+                if step is not None and step[2] > val + cfg.tol:
+                    slots, tables, val = step
+                    improved = True
+            if n > 1 and val - start < sim._STALL_BITS:
+                step = _refine_slots_lbfgsb(slots, tables, list(range(n)), c, idx, eve_states)
+                if step is not None and step[2] > val:
+                    improved = improved or step[2] > val + cfg.tol
+                    slots, tables, val = step
+            lik = sim._likelihoods(tables, c)
+            ml_idx = sim._ml_decoder(lik)
+            ml_val = sim._key_info(lik, ml_idx)
+            if ml_val >= val - cfg.tol:
+                improved = improved or ml_val > val
+                idx, val = ml_idx, ml_val
+            if val > best[0]:
+                best = (val, slots, idx)
+            if not improved:
+                break
+    _, slots, idx = best
+    return sim.EveStrategy([Povm(effects) for effects in slots], idx)
+
+
 def _joint_step(stack, prior, frame):
     """One L-BFGS-B ascent over the prior's logits and the frame together,
     stopped at a projected gradient of 1e-8: (prior, normalized frame, Born
     table), or None for a singular frame."""
     logits = np.log(np.clip(prior, 1e-18, None))
     y0 = np.concatenate([frame.real.ravel(), frame.imag.ravel(), logits])
-    y, _ = info._lbfgs(joint_objective, y0, (stack, len(frame)), 300, 0.0, 1e-8)
+    y, _ = lbfgs_b(joint_objective, y0, (stack, len(frame)), 300, 0.0, 1e-8)
     n = frame.size
     u = normalized((y[:n] + 1j * y[n : 2 * n]).reshape(frame.shape))
     if u is None:
@@ -464,10 +576,10 @@ def _refine_frame(stack, prior, frame):
     alone: (normalized frame, Born table, L-BFGS-B's success), or None for a
     singular frame."""
     def value_and_grad(tables):
-        value, g = info._mi_and_grad(prior, tables[0])
+        value, g = mi_and_grad(prior, tables[0])
         return value, g[None]
 
-    us, ok = info._ascend_povm(stack, [frame], value_and_grad, 300)
+    us, ok = ascend_povm_lbfgsb(stack, [frame], value_and_grad, 300)
     if us is None:
         return None
     return us[0], frame_table(us[0], stack), ok

@@ -576,12 +576,27 @@ class TestStartup:
                             ["capacity", "bsc-pair", "0.1", "0.3"]])
         assert run == {"codes": [0, 0], "scipy": []}
 
-    def test_first_optimizer_call_loads_scipy(self):
-        # The adversary's slot ascent of its random restart is L-BFGS-B.
-        run = _scipy_after([["simulate", "paper-example", "--overlap", "0.5", "-n", "3",
-                             "--eve", "optimized", "--restarts", "2"]])
+    def test_first_optimizer_call_loads_scipy(self, tmp_path):
+        # The prior ascents are L-BFGS-B, and this capacity's climbs: the
+        # uniform prior of |0>, 0.6|0> + 0.8|1> and |1> is not optimal.
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps({
+            "format": "qkdsim-scenario-v1", "name": "skewed", "key_count": 2,
+            "alphabet_size": 3, "channel": {"builtin": "identity"}, "output_dims": [2, 1],
+            "states": {"0": [[1, 0], [0, 0]], "1": [[0.6, 0], [0.8, 0]], "2": [[0, 0], [1, 0]]},
+        }))
+        run = _scipy_after([["capacity", str(path)]])
         assert run["codes"] == [0]
         assert "scipy.optimize" in run["scipy"]
+
+    def test_optimized_simulate_never_loads_scipy_optimize(self):
+        # Every ascent of the adversary's seesaw is the package's own L-BFGS.
+        run = _scipy_after([["simulate", "paper-example", "--overlap", "0.5", "-n", "3",
+                             "--eve", "optimized", "--restarts", "2"],
+                            ["sweep", "paper-example", "--overlap", "0.5", "--n-range", "3",
+                             "--seeds", "0", "--coder", "repetition", "--eve", "optimized"]])
+        assert run["codes"] == [0, 0]
+        assert "scipy.optimize" not in run["scipy"]
 
     def test_symmetric_binary_accessible_never_loads_scipy_optimize(self):
         # Every start climbs by the package's own L-BFGS, and the capacity

@@ -20,7 +20,6 @@ from qkdsim.information import (
     _divergences_stacked,
     _frame_tables,
     _joint_rows,
-    _lbfgs,
     _mi_and_grad,
     _mi_from_probs,
     _padded,
@@ -452,81 +451,100 @@ class TestAscentGradient:
         assert list(_rank1_pieces(stacks[0])[1]) == [0, 0, 1, 2]
 
     def test_few_objective_calls_per_iteration(self, rng, monkeypatch):
-        """The adversary's slot ascent, the one L-BFGS-B POVM ascent."""
-        calls = {"objective": 0, "nit": 0}
-        objective = information._povm_objective
-        minimize = optimize.minimize
+        """The adversary's slot ascent on the package's L-BFGS: at most three
+        objective evaluations per accepted step, counted as the steps that
+        add a curvature pair (s . y > 0), of which there are no more than
+        accepted steps."""
+        calls = {"objective": 0, "steps": 0}
+        objective, push = information._povm_objective, information._Pairs.push
 
         def counted_objective(*args):
             calls["objective"] += 1
             return objective(*args)
 
-        def counted_minimize(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            calls["nit"] += res.nit
-            return res
+        def counted_push(pairs, s, y, sy):
+            calls["steps"] += int((sy > 0.0).sum())
+            return push(pairs, s, y, sy)
 
         monkeypatch.setattr(information, "_povm_objective", counted_objective)
-        monkeypatch.setattr(optimize, "minimize", counted_minimize)
+        monkeypatch.setattr(information._Pairs, "push", counted_push)
         e = qubit_pair_ensemble(0.4)
         frame = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        _ascend_povm(e.states, [frame], one_frame(lambda t: _mi_and_grad(e.prior, t)), 300)
-        assert calls["nit"] > 0
-        assert calls["objective"] <= 3 * calls["nit"]
+        u = _ascend_povm(e.states, [frame], one_frame(lambda t: _mi_and_grad(e.prior, t)), 300)
+        assert u is not None
+        assert calls["steps"] > 0
+        assert calls["objective"] <= 3 * calls["steps"]
 
 
 def _no_minimize(*args, **kwargs):
     raise AssertionError("scipy.optimize.minimize called")
 
 
+def _prior_objective(divergences):
+    """``_ascend_prior``'s objective in the weights q, written out: the penalty
+    (sum(q) - 1)^2 / 2 minus p @ D(p), p = q / sum(q), and its gradient."""
+
+    def objective(q):
+        total = q.sum()
+        if total <= 0.0:
+            return 50.0, np.zeros_like(q)
+        p = q / total
+        div = divergences(p)
+        value = float(p @ div)
+        return 0.5 * (total - 1.0) ** 2 - value, (total - 1.0) - (div - value) / total
+
+    return objective
+
+
 class TestLbfgs:
-    @pytest.mark.parametrize("joint", [False, True], ids=["povm", "joint"])
-    def test_same_point_as_plain_minimize(self, rng, joint):
-        e = ensemble(rng.dirichlet(np.ones(3)), tuple(random_density(rng, 2) for _ in range(3)))
-        stack = e.states
-        w = rng.normal(size=(1, 4, 2)) + 1j * rng.normal(size=(1, 4, 2))
-        x0 = flat(w)
-        if joint:
+    @pytest.mark.parametrize("kind", ["capacity", "advantage"])
+    def test_same_point_as_plain_minimize(self, rng, kind):
+        """The prior ascent, the package's one L-BFGS-B call, ends where plain
+        L-BFGS-B on its objective ends, bit for bit: neither its early stop
+        nor its memo of the first evaluation moves it. A classical capacity
+        climbs from the uniform prior, a wiretap advantage from a random one."""
+        divergences = _channel_divergences(rng.dirichlet(np.ones(3), size=4))
+        p0 = np.full(4, 0.25)
+        if kind == "advantage":
+            div_v, div_w = divergences, _channel_divergences(rng.dirichlet(np.ones(3), size=4))
 
-            def fun(y, stack, rows):
-                values, grads = _joint_rows(y[None], stack, rows, True)
-                return values[0], grads[0]
+            def divergences(p):
+                return div_v(p) - div_w(p)
 
-            args, ftol, gtol = (stack, w.shape[1:]), 0.0, _JOINT_GTOL
-            x0 = np.concatenate([x0, rng.normal(size=3)])
-        else:
-            vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
-            fun, args, ftol, gtol = _povm_objective, (stack, vg, w.shape), 1e-12, 1e-5
+            p0 = rng.dirichlet(np.ones(4))
 
-        def same_as_plain(x0):
-            x, ok = _lbfgs(fun, x0, args, 300, ftol, gtol)
-            res = optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
-                                    options={"maxiter": 300, "ftol": ftol, "gtol": gtol})
-            assert np.array_equal(x, res.x)
-            assert ok == res.success
+        def same_as_plain(p0):
+            res = optimize.minimize(_prior_objective(divergences), p0, jac=True,
+                                    method="L-BFGS-B", bounds=[(0.0, None)] * p0.size,
+                                    options={"maxiter": 300, "ftol": 0.0, "gtol": 1e-9})
+            assert np.array_equal(_ascend_prior(divergences, p0, 1e-9), res.x / res.x.sum())
             return res
 
-        res = same_as_plain(x0)
+        res = same_as_plain(p0)
         assert res.nit > 0
-        # Its normalized end point lies near the stop but, here, not within it.
-        n = w.size
-        u, _ = _normalized_frames((res.x[:n] + 1j * res.x[n : 2 * n]).reshape(w.shape))
-        restart = flat(u, res.x[2 * n :])
-        assert same_as_plain(restart).nit > 0
+        same_as_plain(res.x / res.x.sum())
 
     @pytest.mark.parametrize("overlap", [0.3, 0.8])
     def test_converged_start_makes_no_scipy_call(self, monkeypatch, overlap):
+        """A start that meets the stop makes one evaluation and takes no step:
+        the slot ascent from the Helstrom frame, a stationary point of I at a
+        fixed prior for two pure letters, and an ascent of starts from its
+        own ends."""
         e = qubit_pair_ensemble(overlap, prior=(0.3, 0.7))
         stack = e.states
         frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.3), stack)
-
-        vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
-        u, _ = _ascend_povm(stack, [frame], vg, 300)
         end = _ascend_starts(stack, [e.prior], frame[None], joint=True)
         monkeypatch.setattr(optimize, "minimize", _no_minimize)
-        u_again, ok = _ascend_povm(stack, list(u), vg, 300)
-        assert ok
-        np.testing.assert_allclose(u_again, u, rtol=0, atol=1e-12)
+        calls, objective = [], information._povm_objective
+
+        def counted_objective(*args):
+            calls.append(args)
+            return objective(*args)
+
+        monkeypatch.setattr(information, "_povm_objective", counted_objective)
+        vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
+        assert _ascend_povm(stack, [frame], vg, 300) is None
+        assert len(calls) == 1
         again = _ascend_starts(stack, end.priors, end.frames, joint=True)
         np.testing.assert_allclose(again.priors, end.priors, rtol=0, atol=1e-12)
         np.testing.assert_allclose(again.frames, end.frames, rtol=0, atol=1e-12)

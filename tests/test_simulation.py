@@ -52,6 +52,7 @@ from oracles import (
     coarse_grain,
     dense_pgm,
     helstrom_crossover,
+    lbfgsb_eve_optimize,
     majority_error,
     majority_vote_info,
     partial_trace,
@@ -310,6 +311,22 @@ class TestSeesawProperties:
             assert len(a) == len(b)
             for x, y in zip(a.effects, b.effects):
                 np.testing.assert_array_equal(x, y)
+
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    def test_never_below_lbfgsb_seesaw(self, s):
+        """The seesaw against its reference with every slot ascent on
+        L-BFGS-B (``oracles.lbfgsb_eve_optimize``), on a fixed grid:
+        repetition and random codebooks at n = 2..4, seeds 0 and 1, two
+        restarts. Its information never falls below the reference's by more
+        than 1e-12."""
+        sc = paper_example(s)
+        for n, coder, seed in itertools.product((2, 3, 4), ("repetition", "random"), (0, 1)):
+            book = repetition_codebook(2, n) if coder == "repetition" else sample_codebook(2, n, 2, seed)
+            cfg = OptimizerConfig(restarts=2, seed=seed)
+            ours = evaluate(sc, book, eve_optimize(sc, book, cfg)).eve_info
+            ref = evaluate(sc, book, lbfgsb_eve_optimize(sc, book, cfg)).eve_info
+            assert ours >= ref - 1e-12, (n, coder, seed)
 
 
 def random_attack(seed, k, counts=(4, 4, 4)):
