@@ -39,7 +39,7 @@ one row per problem, each row with its own curvature pairs, step and stop:
   stop, max |g| at most ``_JOINT_GTOL``, does not climb.
 - The adversary's seesaw (``simulation.eve_optimize``) ascends a slot or all
   of its slots by ``_ascend_povm``: one row, the slots' frames, on
-  ``_povm_objective``, one value over all of them.
+  ``_povm_objective``, one value over all of them, to the seesaw's own stops.
 
 The starts are held as arrays, one per quantity (``_Starts``): frames
 zero-padded into (F, R, d), priors, Born tables and values. An ascent's ends
@@ -93,8 +93,8 @@ from .states import require_distribution
 _BA_MAX_ITERS = 2000
 _LBFGS_MAX_ITERS = 300
 _EIG_LOG_FLOOR = 1e-18
-# The stop max |g| of every ascent of starts and of the adversary's joint
-# ascent over its slots; one-slot ascents keep 1e-5.
+# The stop max |g| of every ascent of starts, whose witnesses C1, C_k and
+# accessible information print to 12 digits; the seesaw's stops are its own.
 _JOINT_GTOL = 1e-8
 # Curvature pairs each start keeps in an ascent of starts (scipy's default
 # maxcor), the rejected trial steps in a row after which a start stops, and
@@ -436,7 +436,7 @@ def _frame_pullback(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray, stack: np.
 
 
 def _ascend_povm(
-    stack: np.ndarray, frames: list[np.ndarray], value_and_grad, max_iters: int, gtol: float = 1e-5
+    stack: np.ndarray, frames: list[np.ndarray], value_and_grad, max_iters: int, gtol: float
 ) -> np.ndarray | None:
     """Quasi-Newton ascent of one value(P_1, ..., P_F) over rank-one POVMs,
     the adversary's slot ascent.

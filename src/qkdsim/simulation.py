@@ -6,12 +6,12 @@ block with a collective POVM (the square-root, or pretty-good, measurement
 of the codeword block states) while the adversary measures slot by slot
 with one POVM per slot and post-processes outcomes through a classical
 decoding function. Its optimized attack comes from a seesaw that alternates
-per-slot ascents, joined by one ascent over all slots once they stall, with
-the maximum-likelihood decoder. The attack is factorized, so a one-slot
-ascent contracts the other slots and the decoder into a key channel of the
-free slot once (``_joint_value_and_grad``): each evaluation then costs
-O(K r K) for r rank-one pieces, not O(n K prod_j m_j) over every outcome
-tuple. Every ascent is the package's own L-BFGS
+per-slot ascents, joined by one ascent over all slots once a pass of them
+gains under 3e-3 bits, with the maximum-likelihood decoder. The attack is
+factorized, so a one-slot ascent contracts the other slots and the decoder
+into a key channel of the free slot once (``_joint_value_and_grad``): each
+evaluation then costs O(K r K) for r rank-one pieces, not O(n K prod_j m_j)
+over every outcome tuple. Every ascent is the package's own L-BFGS
 (``information._ascend_povm``), so the seesaw runs on numpy alone. The
 channel is memoryless, so block states
 are Kronecker products of single-letter states. The receiver's measurement
@@ -44,7 +44,6 @@ import numpy as np
 from .channels import DEFAULT_DIM_BUDGET, CqEnsemble, QuantumChannel, marginal, push_through
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .information import (
-    _JOINT_GTOL,
     OptimizerConfig,
     _ascend_povm,
     _mi_and_grad,
@@ -62,10 +61,14 @@ from .states import hermitian_eigensystem
 
 # Cap on the accepted L-BFGS steps of a slot ascent, per free slot.
 _SLOT_ASCENT_MAX_ITERS = 200
-# A seesaw round whose per-slot pass gains less than this many bits has
-# stalled; it adds one joint ascent over all slots, which stops at max |g| of
-# _JOINT_GTOL (a one-slot ascent stops at 1e-5).
-_STALL_BITS = 1e-4
+# The seesaw's stops. A one-slot ascent stops at max |g| of _SLOT_GTOL. A
+# round whose per-slot pass gains under _STALL_BITS bits adds one joint ascent
+# over all slots, which stops at max |g| of _SEESAW_JOINT_GTOL: eve_info, the
+# seesaw's one output, no longer moves below it. Moving the hand-over a decade
+# either way, or the joint stop up one, lowered some run (CHANGES.md).
+_SLOT_GTOL = 1e-5
+_STALL_BITS = 3e-3
+_SEESAW_JOINT_GTOL = 1e-7
 # Eigenvalues at or below this lie outside a state's support: the receiver's
 # letter factors drop them, and its G^(-1/2) inverts G_inf/K (the Gram matrix
 # on the informative columns) only above it, the threshold of
@@ -388,14 +391,15 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
     """Best factorized attack found by a seesaw between the slots and the decoder.
 
     Each round ascends each slot's POVM in turn (decoder and other slots
-    fixed), then re-derives the maximum-likelihood decoder. Where that
-    block-coordinate ascent only crawls along a ridge (the slots gain less
-    than ``_STALL_BITS``), the round adds one joint ascent over every slot,
-    which climbs to the ridge's top. All ascents are ``_refine_slots`` on the
-    exact gradient of the adversary's information. ``cfg.restarts`` counts
-    seesaw starts: 0 returns the default strategy untouched, start 0 refines
-    the default and further starts are random rank-one POVMs with d_e^2
-    outcomes per slot.
+    fixed), each to max |g| at most ``_SLOT_GTOL``, then re-derives the
+    maximum-likelihood decoder. Where that block-coordinate ascent only
+    crawls along a ridge (the pass gains less than ``_STALL_BITS``, 3e-3
+    bits), the round adds one joint ascent over every slot, which climbs to
+    the ridge's top and stops at max |g| at most ``_SEESAW_JOINT_GTOL``. All
+    ascents are ``_refine_slots`` on the exact gradient of the adversary's
+    information. ``cfg.restarts`` counts seesaw starts: 0 returns the default
+    strategy untouched, start 0 refines the default and further starts are
+    random rank-one POVMs with d_e^2 outcomes per slot.
 
     The running value is always the exact information of the current slots
     and decoder. A slot's ascent is accepted only when it beats the running
@@ -551,7 +555,7 @@ def _refine_slots(
     """
     frames, groups = zip(*(_rank1_pieces(slots[i]) for i in free))
     value_and_grad = _joint_value_and_grad(c, decoder_idx, tables, free, groups)
-    gtol = _JOINT_GTOL if len(free) > 1 else 1e-5
+    gtol = _SEESAW_JOINT_GTOL if len(free) > 1 else _SLOT_GTOL
     us = _ascend_povm(eve_states, frames, value_and_grad, _SLOT_ASCENT_MAX_ITERS * len(free), gtol)
     if us is None:
         return None

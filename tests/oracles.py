@@ -485,13 +485,22 @@ def ascend_povm_lbfgsb(stack, frames, value_and_grad, max_iters, gtol=1e-5):
     return (u if good.all() else None), ok
 
 
+# The reference seesaw's own stops, fixed so that it does not move with the
+# package's: a round whose per-slot pass gains less than REF_STALL_BITS bits
+# adds a joint ascent stopped at max |g| of REF_JOINT_GTOL, and a one-slot
+# ascent stops at REF_SLOT_GTOL.
+REF_STALL_BITS = 1e-4
+REF_JOINT_GTOL = 1e-8
+REF_SLOT_GTOL = 1e-5
+
+
 def _refine_slots_lbfgsb(slots, tables, free, c, decoder_idx, eve_states):
     """``simulation._refine_slots`` on ``ascend_povm_lbfgsb``: all slots'
     effects and tables and their information after one ascent of the slots
     ``free``, whether or not it took a step, or None for a singular frame."""
     frames, groups = zip(*(info._rank1_pieces(slots[i]) for i in free))
     value_and_grad = sim._joint_value_and_grad(c, decoder_idx, tables, free, groups)
-    gtol = info._JOINT_GTOL if len(free) > 1 else 1e-5
+    gtol = REF_JOINT_GTOL if len(free) > 1 else REF_SLOT_GTOL
     us, _ = ascend_povm_lbfgsb(eve_states, frames, value_and_grad,
                                sim._SLOT_ASCENT_MAX_ITERS * len(free), gtol)
     if us is None:
@@ -506,10 +515,14 @@ def _refine_slots_lbfgsb(slots, tables, free, c, decoder_idx, eve_states):
 
 def lbfgsb_eve_optimize(s, c, cfg):
     """``simulation.eve_optimize``'s seesaw with every slot ascent on
-    L-BFGS-B (``ascend_povm_lbfgsb``): per-slot ascents, one joint ascent
-    over all slots once a round gains less than ``simulation._STALL_BITS``,
-    then the maximum-likelihood decoder, from the refined default attack and
-    ``cfg.restarts - 1`` random starts. Returns the best ``EveStrategy``."""
+    L-BFGS-B (``ascend_povm_lbfgsb``) and its own fixed stops: per-slot
+    ascents to ``REF_SLOT_GTOL``, one joint ascent over all slots to
+    ``REF_JOINT_GTOL`` once a round gains less than ``REF_STALL_BITS``, then
+    the maximum-likelihood decoder, from the refined default attack and
+    ``cfg.restarts - 1`` random starts. These stops are the longer schedule
+    the package's seesaw ran before it stopped polishing what ``eve_info``
+    cannot show, so the reference does not move when the package's stops do.
+    Returns the best ``EveStrategy``."""
     ee = s.eve_ensemble()
     default = sim._default_attack(s, c, ee)
     if cfg.restarts == 0:
@@ -536,7 +549,7 @@ def lbfgsb_eve_optimize(s, c, cfg):
                 if step is not None and step[2] > val + cfg.tol:
                     slots, tables, val = step
                     improved = True
-            if n > 1 and val - start < sim._STALL_BITS:
+            if n > 1 and val - start < REF_STALL_BITS:
                 step = _refine_slots_lbfgsb(slots, tables, list(range(n)), c, idx, eve_states)
                 if step is not None and step[2] > val:
                     improved = improved or step[2] > val + cfg.tol

@@ -470,7 +470,8 @@ class TestAscentGradient:
         monkeypatch.setattr(information._Pairs, "push", counted_push)
         e = qubit_pair_ensemble(0.4)
         frame = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        u = _ascend_povm(e.states, [frame], one_frame(lambda t: _mi_and_grad(e.prior, t)), 300)
+        vg = one_frame(lambda t: _mi_and_grad(e.prior, t))
+        u = _ascend_povm(e.states, [frame], vg, 300, 1e-5)
         assert u is not None
         assert calls["steps"] > 0
         assert calls["objective"] <= 3 * calls["steps"]
@@ -543,7 +544,7 @@ class TestLbfgs:
 
         monkeypatch.setattr(information, "_povm_objective", counted_objective)
         vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
-        assert _ascend_povm(stack, [frame], vg, 300) is None
+        assert _ascend_povm(stack, [frame], vg, 300, 1e-5) is None
         assert len(calls) == 1
         again = _ascend_starts(stack, end.priors, end.frames, joint=True)
         np.testing.assert_allclose(again.priors, end.priors, rtol=0, atol=1e-12)
