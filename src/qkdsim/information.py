@@ -18,28 +18,29 @@ POVM maximization runs on rank-one frames: raw vectors w_b, normalized by
 the frame operator to u_b = T^(-1/2) w_b (``measurements._normalized_frames``)
 and scored through the Born table P[a, b] = <u_b| rho_a |u_b>. Frames have
 one layout everywhere: F frames zero-padded into one (F, R, d) array, a
-frame's rows its nonzero rows; an ascent's variables are the real and then
-the imaginary parts of that array, with any logits after them.
-``_frame_pullback`` pulls the caller's gradient dI/dP_f (for the mutual
-information p(a) (log2 P(b|a) - log2 P(b)), ``_divergences_stacked``) back
-exactly through the Born rule and the normalization (the Daleckii-Krein
+frame's rows its nonzero rows; an ascent's row of variables holds the real and
+then the imaginary parts of its frames, then a tail: logits, a fixed prior or
+nothing. ``_frame_pullback`` pulls the caller's gradient dI/dP_f (for the
+mutual information p(a) (log2 P(b|a) - log2 P(b)), ``_divergences_stacked``)
+back exactly through the Born rule and the normalization (the Daleckii-Krein
 derivative of T^(-1/2)), every frame in one batched pass and each frame's
 bits its own. A padded row is a variable whose gradient is exactly 0 (u_b = 0
 gives it a zero column of P, whose log ratio is 0), so an ascent leaves it at
-exactly 0. Every POVM ascent is the package's own L-BFGS, ``_lbfgs_rows``,
-one row per problem, each row with its own curvature pairs, step and stop:
+exactly 0.
 
-- Every ascent of starts (``_ascend_starts``) climbs one row per start on
-  ``_joint_rows``: C1's and C_k's joint ascents over each start's frame and
-  its prior's logits, and the fixed-prior ascents (accessible information,
-  and the frame step of C1's three-letter round), where the row carries the
-  prior itself with a gradient of exactly 0. All starts still climbing share
-  one stacked evaluation per round, so a start ends where it would alone, and
-  one that has stopped is no longer evaluated. A start that already meets the
-  stop, max |g| at most ``_JOINT_GTOL``, does not climb.
-- The adversary's seesaw (``simulation.eve_optimize``) ascends a slot or all
-  of its slots by ``_ascend_povm``: one row, the slots' frames, on
-  ``_povm_objective``, one value over all of them, to the seesaw's own stops.
+Every POVM ascent is ``_ascend_frames``: the package's own L-BFGS,
+``_lbfgs_rows``, on one row objective, ``_frame_rows``, with the caller's
+value function of the rows' Born tables and tails, one row per problem, each
+row with its own curvature pairs, step and stop. All rows still climbing share
+one stacked evaluation per round, so a row ends where it would alone, one that
+has stopped is no longer evaluated, and one that already meets its stop does
+not climb. C1's and C_k's joint ascents (``_ascend_starts``) climb one row per
+start, its frame and its prior's logits, on ``_mi_values``; the fixed-prior
+ascents (accessible information, and the frame step of C1's three-letter
+round) carry the prior itself with a gradient of exactly 0; both stop at max
+|g| at most ``_JOINT_GTOL``. The adversary's seesaw
+(``simulation.eve_optimize``) climbs a slot or all of its slots as one row of
+the slots' frames and no tail, on its own value function and to its own stops.
 
 The starts are held as arrays, one per quantity (``_Starts``): frames
 zero-padded into (F, R, d), priors, Born tables and values. An ascent's ends
@@ -49,7 +50,7 @@ measurement at the ensemble's, the uniform and the Holevo-capacity prior) are
 shared by C1 and accessible information; one keeps its ``Povm`` until an
 ascent moves it, and otherwise only the winner's is built. C1 and C_k are a
 seesaw over (prior, POVM): a round is one joint ascent over the frame and the
-prior's logits (``_joint_rows``; Shor, Math. Program. 97, 311 (2003)), kept
+prior's logits (``_mi_values``; Shor, Math. Program. 97, 311 (2003)), kept
 when it raises the start's exact value. For two letters that is the
 whole round, I being concave in the one-number prior at a fixed POVM. From
 three letters on, a letter whose logit has fallen far cannot come back, so
@@ -385,31 +386,13 @@ def _divergences_stacked(priors: np.ndarray, probs: np.ndarray) -> tuple[np.ndar
     return (probs * ratio).sum(axis=2), ratio
 
 
-def _povm_objective(
-    x: np.ndarray, stack: np.ndarray, value_and_grad, shape: tuple[int, int, int]
-) -> tuple[float, np.ndarray]:
-    """-value and its exact gradient in x, the real and then the imaginary
-    parts of F frames zero-padded into one array of ``shape`` (F, R, d), by
-    ``_frame_pullback``. A singular frame scores 50.0 with a zero gradient.
-
-    ``value_and_grad`` maps the (F, A, R) tables to the value and an
-    (F, A, R) G. A padded row changes neither T nor the other rows, and its
-    gradient is exactly 0 when G is finite on its zero column.
-    """
-    n = x.size // 2
-    w = (x[:n] + 1j * x[n:]).reshape(shape)
-    lam, vecs = np.linalg.eigh(np.einsum("...bi,...bj->...ij", w, w.conj()))
-    if lam.min() < 1e-12:
-        return 50.0, np.zeros_like(x)
-    value, grad = _frame_pullback(w, lam, vecs, stack, value_and_grad)
-    return -value, -np.concatenate([grad.real.ravel(), grad.imag.ravel()])
-
-
 def _frame_pullback(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray, stack: np.ndarray,
-                    value_and_grad):
-    """value_and_grad's value at the Born tables of raw frames w (F, R, d),
-    and its gradient 2 d value / d conj(w), given the frame operators'
-    eigenvalues lam (all positive) and eigenvectors.
+                    value_fn, tail: np.ndarray):
+    """value_fn's value at the Born tables of the k rows' raw frames w, F a
+    row stacked into (k F, R, d), and at their tails (k, t), its gradient
+    2 d value / d conj(w) and its gradient in the tails, given the frame
+    operators' eigenvalues lam (all positive) and eigenvectors. value_fn
+    sees the tables as (k, F, A, R).
 
     Per frame, with T = sum_b |w_b><w_b| = V diag(lam) V^dagger,
     u_b = T^(-1/2) w_b and P[a, b] = <u_b| rho_a |u_b> clipped at 0, the
@@ -426,42 +409,62 @@ def _frame_pullback(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray, stack: np.
     inv_sqrt_t = ((vecs / root[..., None, :]) @ vecs_h).swapaxes(-1, -2)
     u = w @ inv_sqrt_t
     raw = np.einsum("...bi,aij,...bj->...ab", u.conj(), stack, u).real
-    value, g = value_and_grad(np.maximum(raw, 0.0))
+    value, g, tail_grad = value_fn(np.maximum(raw, 0.0).reshape(len(tail), -1, *raw.shape[1:]),
+                                   tail)
+    g = g.reshape(raw.shape)
     h = np.einsum("...ab,aij,...bj->...bi", np.where(raw < 0.0, 0.0, g), stack, u)
     c = w.swapaxes(-1, -2) @ h.conj()
     col, row = root[..., :, None], root[..., None, :]
     f1 = -1.0 / ((col * row) * (col + row))
     dd = vecs @ (f1 * (vecs_h @ (c + c.conj().swapaxes(-1, -2)) @ vecs)) @ vecs_h
-    return value, 2.0 * (h @ inv_sqrt_t + w @ dd.swapaxes(-1, -2))
+    return value, 2.0 * (h @ inv_sqrt_t + w @ dd.swapaxes(-1, -2)), tail_grad
 
 
-def _ascend_povm(
-    stack: np.ndarray, frames: list[np.ndarray], value_and_grad, max_iters: int, gtol: float
-) -> np.ndarray | None:
-    """Quasi-Newton ascent of one value(P_1, ..., P_F) over rank-one POVMs,
-    the adversary's slot ascent.
+def _frame_rows(x: np.ndarray, stack: np.ndarray, shape: tuple[int, int, int], value_fn):
+    """-value of every row of x and its exact gradient, (k,) and (k, n).
 
-    Each of the F ``frames`` holds one POVM's raw vectors, one row per
-    rank-one piece; they are zero-padded once into (F, R, d) and climbed
-    together, unconstrained, as one row of ``_lbfgs_rows`` on
-    ``_povm_objective`` with its ``value_and_grad``, so the ascent gets the
-    exact gradient. It stops after ``max_iters`` accepted steps or once
-    max |g| is at most ``gtol``. Returns the normalized end frames as one
-    (F, R, d) array, or None when the ascent took no step or a frame fails
-    ``_normalized_frames``.
+    A row holds F frames zero-padded to ``shape`` (F, R, d), their real and
+    then their imaginary parts, then a tail that the frames do not touch (a
+    prior's logits, a fixed prior, or nothing). ``value_fn(tables, tail)``
+    maps the rows' (k, F, A, R) Born tables and their (k, t) tails to the
+    values (k,), their gradient in the tables (k, F, A, R) and their gradient
+    in the tails (k, t); the frames' gradient is ``_frame_pullback``'s. A row
+    with a singular frame scores 50.0 with a zero gradient in its own row
+    only. A padded row changes neither T nor the other rows, and its gradient
+    is exactly 0 when the tables' gradient is finite on its zero column; no
+    row's bits depend on the others when ``value_fn``'s do not.
     """
-    w = _padded(frames)
-    x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])[None]
+    k, m = len(x), math.prod(shape)
+    w = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(k * shape[0], *shape[1:])
+    lam, vecs = np.linalg.eigh(np.einsum("...bi,...bj->...ij", w, w.conj()))
+    if lam[:, 0].min() < 1e-12:
+        good = lam[:, 0].reshape(k, -1).min(axis=1) >= 1e-12
+        values, grads = np.full(k, 50.0), np.zeros_like(x)
+        if good.any():
+            values[good], grads[good] = _frame_rows(x[good], stack, shape, value_fn)
+        return values, grads
+    value, grad, pull = _frame_pullback(w, lam, vecs, stack, value_fn, x[:, 2 * m :])
+    return -value, -np.concatenate([grad.real.reshape(k, m), grad.imag.reshape(k, m), pull], 1)
 
-    def objective(x):
-        value, grad = _povm_objective(x[0], stack, value_and_grad, w.shape)
-        return np.array([value]), grad[None]
 
-    x, _ = _lbfgs_rows(objective, x0, gtol, max_iters)
-    if np.array_equal(x, x0):
-        return None
-    u, good = _normalized_frames((x[0, : w.size] + 1j * x[0, w.size :]).reshape(w.shape))
-    return u if good.all() else None
+def _ascend_frames(stack: np.ndarray, frames: np.ndarray, tail: np.ndarray, value_fn,
+                   gtol: float, max_iters: int):
+    """Every POVM ascent: each row of k climbs on its own by ``_lbfgs_rows`` on
+    ``_frame_rows`` with ``value_fn``, from its F raw frames, zero-padded into
+    one (k, F, R, d) array, and its tail (k, t), to max |g| at most ``gtol``
+    or ``max_iters`` accepted steps, unconstrained and on the exact gradient.
+
+    Returns the raw end frames (k, F, R, d), the end tails, whether each row
+    met the stop and whether each took a step; padded rows stay exactly 0.
+    The caller normalizes the end frames it uses (``_normalized_frames``):
+    C1's starts every row, the seesaw only a row that took a step.
+    """
+    k, m = len(frames), frames[0].size
+    x0 = np.concatenate([frames.real.reshape(k, m), frames.imag.reshape(k, m), tail], 1)
+    x, ok = _lbfgs_rows(lambda y: _frame_rows(y, stack, frames.shape[1:], value_fn), x0, gtol,
+                        max_iters)
+    w = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(frames.shape)
+    return w, x[:, 2 * m :], ok, (x != x0).any(axis=1)
 
 
 def _kept_rows(u: np.ndarray) -> np.ndarray:
@@ -534,39 +537,22 @@ def _start_set(stack: np.ndarray, priors: np.ndarray, povms, raws) -> _Starts:
     return _Starts(priors, frames, padded, _scores(priors, padded), np.ones(len(tables), bool))
 
 
-def _joint_rows(x: np.ndarray, stack: np.ndarray, rows: tuple[int, int], logits: bool):
-    """-I(p_f, M_f) of every row of x and its exact gradient, (k,) and (k, n).
-
-    A row holds one frame zero-padded to ``rows`` (R, d), its real and then
-    its imaginary parts, then its prior: with ``logits`` the prior's logits
-    z_f, p_f = softmax(z_f), otherwise p_f itself, whose gradient is exactly 0
-    so that an ascent leaves it as it is. The frame's gradient is
-    ``_frame_pullback``'s; with D_f[a] = sum_b P_f[a, b] (log2 P_f[a, b] -
+def _mi_values(logits: bool):
+    """``_frame_rows``' value function of I(p_f, M_f), one frame a row, whose
+    tail is the prior: with ``logits`` its logits z_f, p_f = softmax(z_f),
+    otherwise p_f itself, whose gradient is exactly 0 so that an ascent
+    leaves it as it is. With D_f[a] = sum_b P_f[a, b] (log2 P_f[a, b] -
     log2 P_f(b)), dI/dp_f[a] = D_f[a] - 1/ln 2 pulls back to dI/dz_f[a] =
-    p_f[a] (D_f[a] - p_f . D_f), where the constant cancels. A singular frame
-    scores 50.0 with a zero gradient in its own row only, and a padded row's
-    gradient is exactly 0; no row's bits depend on the others.
-    """
-    k, m = len(x), rows[0] * rows[1]
-    w = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(k, *rows)
-    lam, vecs = np.linalg.eigh(np.einsum("...bi,...bj->...ij", w, w.conj()))
-    if lam[:, 0].min() < 1e-12:
-        good = lam[:, 0] >= 1e-12
-        values, grads = np.full(k, 50.0), np.zeros_like(x)
-        if good.any():
-            values[good], grads[good] = _joint_rows(x[good], stack, rows, logits)
-        return values, grads
-    p = _softmax(x[:, 2 * m :]) if logits else x[:, 2 * m :]
-    div = []
+    p_f[a] (D_f[a] - p_f . D_f), where the constant cancels."""
 
-    def value_and_grad(tables):
-        d, ratio = _divergences_stacked(p, tables)
-        div.append(d)
-        return (p * d).sum(axis=1), p[:, :, None] * ratio
+    def value_fn(tables, tail):
+        p = _softmax(tail) if logits else tail
+        div, ratio = _divergences_stacked(p, tables[:, 0])
+        value = (p * div).sum(axis=1)
+        pull = p * (div - value[:, None]) if logits else np.zeros_like(p)
+        return value, (p[:, :, None] * ratio)[:, None], pull
 
-    value, grad = _frame_pullback(w, lam, vecs, stack, value_and_grad)
-    pull = p * (value[:, None] - div[0]) if logits else np.zeros_like(p)
-    return -value, np.concatenate([-grad.real.reshape(k, m), -grad.imag.reshape(k, m), pull], 1)
+    return value_fn
 
 
 class _Pairs:
@@ -703,24 +689,21 @@ def _lbfgs_rows(fun, x: np.ndarray, gtol: float, max_iters: int):
 def _ascend_starts(stack: np.ndarray, priors, frames: np.ndarray, joint: bool) -> _Starts:
     """An ascent of I(p_f, M_f) from each of F starts' rank-one frames, a
     zero-padded (F, R, d) array, and with ``joint`` their priors, else at
-    their fixed priors. Each start climbs on its own by ``_lbfgs_rows`` on
-    ``_joint_rows``, one row per start: its frame, then its prior's logits
-    (joint) or its prior itself, which gets a gradient of exactly 0 and so
-    never moves. So a start's end does not depend on the other starts, and a
-    start that already meets the stop, max |g| at most ``_JOINT_GTOL``, comes
-    back as it went in. The ends are normalized, tabled and scored in one call
-    each and returned as ``_Starts`` of width R; padded rows stay exactly 0.
+    their fixed priors. Each start is one row of ``_ascend_frames`` with
+    ``_mi_values``: its frame, then its prior's logits (joint) or its prior
+    itself, which gets a gradient of exactly 0 and so never moves. So a
+    start's end does not depend on the other starts, and a start that
+    already meets the stop, max |g| at most ``_JOINT_GTOL``, does not climb.
+    The ends are normalized, tabled and scored in one call each and returned
+    as ``_Starts`` of width R; padded rows stay exactly 0.
     """
     priors = np.asarray(priors, dtype=float)
-    count, m, rows = len(frames), frames[0].size, frames.shape[1:]
     tail = np.log(np.clip(priors, _EIG_LOG_FLOOR, None)) if joint else priors
-    x0 = np.concatenate([frames.real.reshape(count, m), frames.imag.reshape(count, m), tail], 1)
-    x, ok = _lbfgs_rows(lambda y: _joint_rows(y, stack, rows, joint), x0, _JOINT_GTOL,
-                        _LBFGS_MAX_ITERS)
-    w, ends = (x[:, :m] + 1j * x[:, m : 2 * m]).reshape(frames.shape), x[:, 2 * m :]
+    w, ends, ok, _ = _ascend_frames(stack, frames[:, None], tail, _mi_values(joint), _JOINT_GTOL,
+                                    _LBFGS_MAX_ITERS)
     if joint:
         ends = _softmax(ends)
-    u, valid = _normalized_frames(w)
+    u, valid = _normalized_frames(w[:, 0])
     tables = _frame_tables(u, stack)
     return _Starts(ends, u, tables, np.where(valid, _scores(ends, tables), -np.inf), ok)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -283,16 +282,21 @@ def scenario_to_dict(s: Scenario) -> dict:
 def write_atomic(path: str, text: str) -> None:
     """Write text to path atomically (temp file in the same directory, then rename).
 
-    The file gets the mode a plain write would give it, 0o666 less the umask,
-    not the 0o600 of the temporary file.
+    The temporary file is created under a fresh name with mode 0o666, so the
+    kernel applies the umask and the file gets the mode a plain write would
+    give it. The process-wide umask is neither read nor changed, so no other
+    thread ever creates a file under a cleared one.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -11,10 +11,10 @@ gains under 3e-3 bits, with the maximum-likelihood decoder. The attack is
 factorized, so a one-slot ascent contracts the other slots and the decoder
 into a key channel of the free slot once (``_joint_value_and_grad``): each
 evaluation then costs O(K r K) for r rank-one pieces, not O(n K prod_j m_j)
-over every outcome tuple. Every ascent is the package's own L-BFGS
-(``information._ascend_povm``), so the seesaw runs on numpy alone. The
-channel is memoryless, so block states
-are Kronecker products of single-letter states. The receiver's measurement
+over every outcome tuple. Every ascent is the package's one POVM ascent,
+``information._ascend_frames``, on its own L-BFGS, so the seesaw runs on
+numpy alone. The channel is memoryless, so block states are Kronecker
+products of single-letter states. The receiver's measurement
 is held in Gram form on the span of the K codeword states. A constant
 codebook column, one letter in every codeword, factors out of the Gram
 matrix (G = G_inf (x) (x) A_a^dagger A_a), so the Gram matrix and the
@@ -45,14 +45,16 @@ from .channels import DEFAULT_DIM_BUDGET, CqEnsemble, QuantumChannel, marginal, 
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .information import (
     OptimizerConfig,
-    _ascend_povm,
+    _ascend_frames,
     _mi_and_grad,
     _mi_from_probs,
+    _padded,
     _rank1_pieces,
 )
 from .measurements import (
     Povm,
     _born_table,
+    _normalized_frames,
     helstrom,
     pretty_good_measurement,
     random_rank1_povm,
@@ -466,14 +468,16 @@ def _joint_value_and_grad(
 ):
     """The adversary's information as a function of the free slots' piece tables.
 
-    Returns value_and_grad(Ps) for ``_ascend_povm``: Ps[f, a, r] is the Born
+    Returns the value function of ``information._frame_rows`` for one row
+    and no tail: value_fn(Ps, tail) gives the value (1,), its gradient in Ps
+    and a zero (1, 0) gradient in the tail. Ps[0, f, a, r] is the Born
     probability of slot free[f]'s piece r (of outcome groups[f][r]) on
-    letter a, the free slots' tables zero-padded to one (F, A, R) array as
-    ``_povm_objective`` passes them, of which each slot reads its own columns
-    and gets a gradient of the same shape, zero in the padding; one free
-    slot's is (1, A, r). The other slots keep their ``tables``. The key channel sums
-    the likelihoods lik[k, t] over the tuples t decoded to each key, and
-    ``_mi_and_grad`` gives G[k, e] = d value / d chan[k, e].
+    letter a, the free slots' tables zero-padded to one (1, F, A, R) array,
+    of which each slot reads its own columns and gets a gradient of the same
+    shape, zero in the padding; one free slot's is (1, 1, A, r). The other
+    slots keep their ``tables``. The key channel sums the likelihoods lik[k, t] over
+    the tuples t decoded to each key, and ``_mi_and_grad`` gives
+    G[k, e] = d value / d chan[k, e].
 
     One free slot i: everything but slot i's table is fixed for the whole
     ascent, so S[k, r, e], the product of the other slots' likelihoods
@@ -490,6 +494,7 @@ def _joint_value_and_grad(
     """
     k, n = len(c), len(tables)
     prior = np.full(k, 1.0 / k)
+    no_tail = np.zeros((1, 0))
     letters = c.letters.T
     counts = [t.shape[0] for t in tables]
     if len(free) == 1:
@@ -505,20 +510,21 @@ def _joint_value_and_grad(
         slot_letters = letters[i]
         slot_onehot = np.eye(tables[i].shape[1])[slot_letters].T
 
-        def value_and_grad(ps: np.ndarray) -> tuple[float, np.ndarray]:
-            value, gk = _mi_and_grad(prior, np.einsum("kr,kre->ke", ps[0][slot_letters], s))
-            return value, (slot_onehot @ np.einsum("ke,kre->kr", gk, s))[None]
+        def value_fn(ps: np.ndarray, tail: np.ndarray):
+            value, gk = _mi_and_grad(prior, np.einsum("kr,kre->ke", ps[0, 0][slot_letters], s))
+            grad = slot_onehot @ np.einsum("ke,kre->kr", gk, s)
+            return np.array([value]), grad[None, None], no_tail
 
-        return value_and_grad
+        return value_fn
 
     onehot = [np.eye(tables[0].shape[1])[a] for a in letters]
     decode = np.eye(k)[decoder_idx]
     sums = [np.eye(g.max() + 1)[g] for g in groups]
     fixed = [t[:, a] for t, a in zip(tables, letters)]
 
-    def value_and_grad(ps: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_fn(ps: np.ndarray, tail: np.ndarray):
         cols = list(fixed)
-        for i, p, m in zip(free, ps, sums):
+        for i, p, m in zip(free, ps[0], sums):
             cols[i] = (p[:, : len(m)] @ m).T[:, letters[i]]
         value, g = _mi_and_grad(prior, _column_likelihoods(cols) @ decode)
         w = (g @ decode.T).reshape([k] + counts)
@@ -527,10 +533,10 @@ def _joint_value_and_grad(
         for f, (i, m) in enumerate(zip(free, sums)):
             others = [x for j, col in enumerate(labelled) if j != i for x in col]
             dcol = np.einsum(w, list(range(n + 1)), *others, [i + 1, 0])
-            grads[f, :, : len(m)] = (dcol @ onehot[i]).T @ m.T
-        return value, grads
+            grads[0, f, :, : len(m)] = (dcol @ onehot[i]).T @ m.T
+        return np.array([value]), grads, no_tail
 
-    return value_and_grad
+    return value_fn
 
 
 def _refine_slots(
@@ -543,21 +549,25 @@ def _refine_slots(
 ) -> tuple[list[np.ndarray], list[np.ndarray], float] | None:
     """One ascent over the stacked effects of the slots in ``free``, all else fixed.
 
-    Runs ``information._ascend_povm`` with one frame per free slot on
-    ``_joint_value_and_grad``. No outcome count may change (the decoder is
-    defined on the outcome tuples), so each frame holds the slot's rank-one
-    pieces, whose probabilities are summed back into its outcomes; slot
-    free[f] reads its rows of the ascent's zero-padded (F, R, d) end. Returns
-    all slots' effects and tables and their exactly scored information, or
-    None at once when the ascent took no step or a frame fails
-    ``_normalized_frames``; the caller decides whether they beat its running
-    value.
+    Runs ``information._ascend_frames`` on one row, one frame per free slot
+    and no tail, with ``_joint_value_and_grad``'s value function. No outcome
+    count may change (the decoder is defined on the outcome tuples), so each
+    frame holds the slot's rank-one pieces, whose probabilities are summed
+    back into its outcomes; slot free[f] reads its rows of the row's
+    zero-padded (F, R, d) end. Returns all slots' effects and tables and their
+    exactly scored information, or None at once when the ascent took no step
+    or a frame fails ``_normalized_frames``; the caller decides whether they
+    beat its running value.
     """
     frames, groups = zip(*(_rank1_pieces(slots[i]) for i in free))
-    value_and_grad = _joint_value_and_grad(c, decoder_idx, tables, free, groups)
+    value_fn = _joint_value_and_grad(c, decoder_idx, tables, free, groups)
     gtol = _SEESAW_JOINT_GTOL if len(free) > 1 else _SLOT_GTOL
-    us = _ascend_povm(eve_states, frames, value_and_grad, _SLOT_ASCENT_MAX_ITERS * len(free), gtol)
-    if us is None:
+    (w,), _, _, (moved,) = _ascend_frames(eve_states, _padded(frames)[None], np.zeros((1, 0)),
+                                          value_fn, gtol, _SLOT_ASCENT_MAX_ITERS * len(free))
+    if not moved:
+        return None
+    us, good = _normalized_frames(w)
+    if not good.all():
         return None
     slots, tables = list(slots), list(tables)
     for i, u, g in zip(free, us, groups):

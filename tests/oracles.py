@@ -16,8 +16,8 @@ reference seesaw for C1: every start climbed by the longer alternating
 round, against which C1 must never report less; ``sequential_c1``,
 ``sequential_c_k`` and ``sequential_accessible`` climb each start on its own,
 as the package did before it stacked its starts into one ascent. They reuse
-the package's POVM objective, called with one frame; their L-BFGS-B ascents
-(``lbfgs_b``, ``ascend_povm_lbfgsb``), the joint objective, the per-start
+the package's frame objective, called with one row (``frame_row``); their
+L-BFGS-B ascents (``lbfgs_b``, ``ascend_povm_lbfgsb``), the joint objective, the per-start
 ascents, the prior search of ``alternating_c1`` and the frame normalization,
 ``normalize_vectors``, are this module's own. ``lbfgsb_eve_optimize`` is the
 reference seesaw for the adversary: the package's seesaw as it ran with its
@@ -435,26 +435,44 @@ def _best_prior(rows, cfg):
     return classical_capacity_ba(rows)
 
 
+def frame_row(x, stack, value_fn, shape):
+    """The package's frame objective, ``_frame_rows``, on one row of F frames
+    zero-padded to ``shape`` (F, R, d) and no tail: -value and its gradient
+    in x, as L-BFGS-B takes them."""
+    values, grads = info._frame_rows(x[None], stack, shape, value_fn)
+    return values[0], grads[0]
+
+
+def one_frame(value_and_grad):
+    """A value function of ``_frame_rows`` for one row of one frame and no
+    tail, from value_and_grad(table) = (value, gradient) on the frame's
+    (A, r) Born table."""
+
+    def value_fn(tables, tail):
+        value, g = value_and_grad(tables[0, 0])
+        return np.array([value]), g[None, None], np.zeros_like(tail)
+
+    return value_fn
+
+
 def joint_objective(y, stack, rows):
     """-I(p, M) and its gradient over one frame of ``rows`` raw vectors and
     the prior's logits z, p = softmax(z), packed in that order: the package's
-    single-frame POVM objective for the frame and p_a (D_a - p . D) for the
-    logits, with D_a = sum_b P[a, b] (log2 P[a, b] - log2 P(b))."""
+    frame objective on the frame alone (``frame_row``) and p_a (D_a - p . D)
+    for the logits, with D_a = sum_b P[a, b] (log2 P[a, b] - log2 P(b))."""
     n = 2 * rows * stack.shape[1]
     z = y[n:]
     p = np.exp(z - z.max())
     p = p / p.sum()
     div = np.zeros_like(p)
 
-    def value_and_grad(tables):
-        (table,) = tables
+    def value_and_grad(table):
         value = mi_from_probs(p, table)
         ratio = np.log2(np.maximum(table, 1e-18)) - np.log2(np.maximum(p @ table, 1e-18))
         div[:] = (table * ratio).sum(axis=1)
-        return value, (p[:, None] * ratio)[None]
+        return value, p[:, None] * ratio
 
-    shape = (1, rows, stack.shape[1])
-    value, grad = info._povm_objective(y[:n], stack, value_and_grad, shape)
+    value, grad = frame_row(y[:n], stack, one_frame(value_and_grad), (1, rows, stack.shape[1]))
     return value, np.concatenate([grad, -p * (div - p @ div)])
 
 
@@ -471,16 +489,16 @@ def lbfgs_b(fun, x0, args, max_iters, ftol, gtol):
     return res.x, bool(res.success)
 
 
-def ascend_povm_lbfgsb(stack, frames, value_and_grad, max_iters, gtol=1e-5):
+def ascend_povm_lbfgsb(stack, frames, value_fn, max_iters, gtol=1e-5):
     """The adversary's slot ascent on L-BFGS-B: F raw frames zero-padded into
-    one (F, R, d) array, climbed as one problem on the package's
-    ``_povm_objective`` with ``ftol`` 1e-12 until ``max_iters`` iterations or
-    a projected gradient of at most ``gtol``. Returns the normalized end
-    frames (None if any is singular) and L-BFGS-B's success flag."""
+    one (F, R, d) array, climbed as one problem on the package's frame
+    objective (``frame_row``) with its value function ``value_fn`` and
+    ``ftol`` 1e-12 until ``max_iters`` iterations or a projected gradient of
+    at most ``gtol``. Returns the normalized end frames (None if any is
+    singular) and L-BFGS-B's success flag."""
     w = info._padded(frames)
     x0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
-    x, ok = lbfgs_b(info._povm_objective, x0, (stack, value_and_grad, w.shape), max_iters,
-                    1e-12, gtol)
+    x, ok = lbfgs_b(frame_row, x0, (stack, value_fn, w.shape), max_iters, 1e-12, gtol)
     u, good = _normalized_frames((x[: w.size] + 1j * x[w.size :]).reshape(w.shape))
     return (u if good.all() else None), ok
 
@@ -499,9 +517,9 @@ def _refine_slots_lbfgsb(slots, tables, free, c, decoder_idx, eve_states):
     effects and tables and their information after one ascent of the slots
     ``free``, whether or not it took a step, or None for a singular frame."""
     frames, groups = zip(*(info._rank1_pieces(slots[i]) for i in free))
-    value_and_grad = sim._joint_value_and_grad(c, decoder_idx, tables, free, groups)
+    value_fn = sim._joint_value_and_grad(c, decoder_idx, tables, free, groups)
     gtol = REF_JOINT_GTOL if len(free) > 1 else REF_SLOT_GTOL
-    us, _ = ascend_povm_lbfgsb(eve_states, frames, value_and_grad,
+    us, _ = ascend_povm_lbfgsb(eve_states, frames, value_fn,
                                sim._SLOT_ASCENT_MAX_ITERS * len(free), gtol)
     if us is None:
         return None
@@ -588,11 +606,8 @@ def _refine_frame(stack, prior, frame):
     """One L-BFGS-B ascent of I(prior, .) over rank-one POVMs from ``frame``,
     alone: (normalized frame, Born table, L-BFGS-B's success), or None for a
     singular frame."""
-    def value_and_grad(tables):
-        value, g = mi_and_grad(prior, tables[0])
-        return value, g[None]
-
-    us, ok = ascend_povm_lbfgsb(stack, [frame], value_and_grad, 300)
+    value_fn = one_frame(lambda table: mi_and_grad(prior, table))
+    us, ok = ascend_povm_lbfgsb(stack, [frame], value_fn, 300)
     if us is None:
         return None
     return us[0], frame_table(us[0], stack), ok

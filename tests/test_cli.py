@@ -506,6 +506,37 @@ class TestFileMode:
         assert out.stat().st_mode & 0o777 == mode
         assert saved.stat().st_mode & 0o777 == mode
 
+    def test_mode_comes_without_touching_the_umask(self, tmp_path, monkeypatch):
+        """The kernel applies the umask to the new file: a write never calls
+        os.umask, which would clear it for the whole process for a moment."""
+
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        set_umask = os.umask
+        old = set_umask(0o027)
+        monkeypatch.setattr(os, "umask", no_umask)
+        try:
+            out = tmp_path / "cap.json"
+            assert main(["capacity", "paper-example", "--restarts", "1", "--out", str(out)]) == 0
+            saved = tmp_path / "scenario.json"
+            save_scenario(paper_example(0.5), str(saved))
+        finally:
+            set_umask(old)
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert saved.stat().st_mode & 0o777 == 0o640
+
+    def test_taken_temporary_name_is_skipped(self, tmp_path, monkeypatch):
+        """A temporary name that already exists is left alone and another is drawn."""
+        taken = tmp_path / f"tmp{bytes(6).hex()}.tmp"
+        taken.write_text("someone else's")
+        draws = iter([bytes(6), bytes([1] * 6)])
+        monkeypatch.setattr(os, "urandom", lambda size: next(draws))
+        saved = tmp_path / "scenario.json"
+        save_scenario(paper_example(0.5), str(saved))
+        assert taken.read_text() == "someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", taken.name]
+
 
 class TestSeedValidation:
     @pytest.mark.parametrize(

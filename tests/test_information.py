@@ -12,18 +12,18 @@ from qkdsim.errors import DimensionMismatch, ValidationError
 from qkdsim.information import (
     _JOINT_GTOL,
     OptimizerConfig,
-    _ascend_povm,
+    _ascend_frames,
     _ascend_prior,
     _ascend_starts,
     _best_prior_for_channel,
     _channel_divergences,
     _divergences_stacked,
+    _frame_rows,
     _frame_tables,
-    _joint_rows,
     _mi_and_grad,
     _mi_from_probs,
+    _mi_values,
     _padded,
-    _povm_objective,
     _rank1_pieces,
     _scores,
     _softmax,
@@ -67,10 +67,12 @@ from oracles import (
     coarse_grain,
     grid_c1_qubit,
     holevo_capacity_ba,
+    frame_row,
     frame_table,
     joint_objective as oracle_joint_objective,
     mi_from_probs,
     normalized,
+    one_frame,
     povm_objective_per_frame,
     pure_pair_c1,
     pure_pair_capacity,
@@ -106,17 +108,6 @@ def qubit_pair_ensemble(s, prior=(0.5, 0.5)):
     psi0 = np.array([1.0, 0.0])
     psi1 = np.array([s, math.sqrt(1 - s * s)])
     return ensemble(prior, (pure_state(psi0), pure_state(psi1)))
-
-
-def one_frame(value_and_grad):
-    """A one-frame value_and_grad on an (A, r) table as ``_povm_objective``
-    calls it, on the (1, A, r) tables of one frame."""
-
-    def stacked(tables):
-        value, g = value_and_grad(tables[0])
-        return value, g[None]
-
-    return stacked
 
 
 def bsc(eps):
@@ -334,8 +325,8 @@ class TestAscentGradient:
         w = rng.normal(size=(1, dim * dim, dim)) + 1j * rng.normal(size=(1, dim * dim, dim))
         x = flat(w)
         vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
-        value, grad = _povm_objective(x, stack, vg, w.shape)
-        fd = central_differences(lambda y: _povm_objective(y, stack, vg, w.shape)[0], x)
+        value, grad = frame_row(x, stack, vg, w.shape)
+        fd = central_differences(lambda y: frame_row(y, stack, vg, w.shape)[0], x)
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
         povm = Povm([np.outer(v, v.conj()) for v in normalized(w[0])])
         replay = mutual_information(e.prior, induced_channel(povm, e))
@@ -353,13 +344,14 @@ class TestAscentGradient:
         for logits in (True, False):
             tails = z if logits else _softmax(z)
             x = np.stack([flat(frame, tail) for frame, tail in zip(w, tails)])
-            values, grads = _joint_rows(x, stack, w.shape[1:], logits)
+            shape, value_fn = (1, *w.shape[1:]), _mi_values(logits)
+            values, grads = _frame_rows(x, stack, shape, value_fn)
             for f, row in enumerate(x):
                 povm = Povm([np.outer(v, v.conj()) for v in normalized(w[f])])
                 exact = mutual_information(_softmax(z[f]), induced_channel(povm, e))
                 assert -values[f] == pytest.approx(exact, abs=1e-12)
                 fd = central_differences(
-                    lambda y: _joint_rows(y[None], stack, w.shape[1:], logits)[0][0], row)
+                    lambda y: _frame_rows(y[None], stack, shape, value_fn)[0][0], row)
                 if not logits:
                     assert not grads[f, w[0].size * 2 :].any()
                     fd = fd[: w[0].size * 2]
@@ -370,17 +362,54 @@ class TestAscentGradient:
         w = np.array([[[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]]], dtype=complex)
         x = flat(w)
         vg = one_frame(lambda table: _mi_and_grad(np.full(2, 0.5), table))
-        value, grad = _povm_objective(x, stack, vg, w.shape)
+        value, grad = frame_row(x, stack, vg, w.shape)
         assert value == 50.0
         np.testing.assert_array_equal(grad, np.zeros_like(x))
-        # In the joint objective it does so in its own row only.
+        # Among several rows it does so in its own row only.
         spanning = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5j]])
         rows = np.stack([flat(w[0], np.zeros(2)), flat(spanning, np.zeros(2))])
-        values, grads = _joint_rows(rows, stack, w.shape[1:], True)
+        values, grads = _frame_rows(rows, stack, w.shape, _mi_values(True))
         assert values[0] == 50.0 and not grads[0].any()
-        alone_value, alone_grad = _joint_rows(rows[1:], stack, w.shape[1:], True)
+        alone_value, alone_grad = _frame_rows(rows[1:], stack, w.shape, _mi_values(True))
         assert values[1] == alone_value[0] < 0.0
         assert np.array_equal(grads[1], alone_grad[0]) and grads[1].any()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_rows_of_several_frames_do_not_affect_each_other(self, rng, dim, count):
+        """Three rows of ``count`` frames each, of d to d^2 + 1 raw rows
+        zero-padded to d^2 + 1, no tail, the last frame of row 1 singular; the
+        value is the sum of each frame's I at its own fixed prior. Each row's
+        value and gradient are that row's alone, bit for bit; the singular row
+        scores 50.0 with an all-zero gradient; every padded entry's gradient
+        is exactly 0."""
+        stack = np.stack([random_density(rng, dim).matrix for _ in range(3)])
+        priors = rng.dirichlet(np.ones(3), size=count)
+        sizes = rng.integers(dim, dim * dim + 2, size=(3, count))
+        w = np.zeros((3, count, dim * dim + 1, dim), dtype=complex)
+        for (j, f), r in np.ndenumerate(sizes):
+            w[j, f, :r] = rng.normal(size=(r, dim)) + 1j * rng.normal(size=(r, dim))
+        line = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        w[1, -1, : sizes[1, -1]] = rng.normal(size=(sizes[1, -1], 1)) * line
+        x = np.stack([flat(row) for row in w])
+
+        def value_fn(tables, tail):
+            p = np.tile(priors, (len(tables), 1))
+            div, ratio = _divergences_stacked(p, tables.reshape(-1, *tables.shape[2:]))
+            values = (p * div).reshape(len(tables), count, 3).sum(axis=2).sum(axis=1)
+            return values, (p[:, :, None] * ratio).reshape(tables.shape), np.zeros_like(tail)
+
+        values, grads = _frame_rows(x, stack, w.shape[1:], value_fn)
+        for j in range(3):
+            alone_value, alone_grad = _frame_rows(x[j : j + 1], stack, w.shape[1:], value_fn)
+            assert values[j] == alone_value[0]
+            assert np.array_equal(grads[j], alone_grad[0])
+        assert values[1] == 50.0 and not grads[1].any()
+        assert values[0] < 0.0 and values[2] < 0.0
+        parts = grads.reshape(3, 2, *w.shape[1:])
+        for (j, f), r in np.ndenumerate(sizes):
+            assert not parts[j, :, f, r:].any()
+            assert j == 1 or parts[j, :, f, :r].any()
 
     @staticmethod
     def _frames_objective(rng, dim, rows):
@@ -408,11 +437,11 @@ class TestAscentGradient:
             rng, dim, [dim, dim * dim, dim + 1, dim * dim]
         )
 
-        def stacked_vg(tables):
-            value, grads = vg(list(tables))
-            return value, np.stack(grads)
+        def stacked_vg(tables, tail):
+            value, grads = vg(list(tables[0]))
+            return np.array([value]), np.stack(grads)[None], np.zeros_like(tail)
 
-        value, grad = _povm_objective(flat(w), stack, stacked_vg, w.shape)
+        value, grad = frame_row(flat(w), stack, stacked_vg, w.shape)
         want, want_grad = povm_objective_per_frame(packed, stack, vg, parts)
         assert value == pytest.approx(want, abs=1e-13)
         grad, want_grad = grad.reshape(2, *w.shape), want_grad.reshape(2, -1, dim)
@@ -426,11 +455,11 @@ class TestAscentGradient:
         for rows in (dim, dim + 1, dim * dim):
             w, stack, vg, packed, parts = self._frames_objective(rng, dim, [rows])
 
-            def one_vg(tables):
-                value, (g,) = vg(list(tables))
-                return value, g[None]
+            def one_vg(tables, tail):
+                value, (g,) = vg(list(tables[0]))
+                return np.array([value]), g[None, None], np.zeros_like(tail)
 
-            value, grad = _povm_objective(flat(w), stack, one_vg, w.shape)
+            value, grad = frame_row(flat(w), stack, one_vg, w.shape)
             want, want_grad = povm_objective_per_frame(packed, stack, vg, parts)
             assert value == want
             assert np.array_equal(grad, want_grad)
@@ -456,7 +485,7 @@ class TestAscentGradient:
         add a curvature pair (s . y > 0), of which there are no more than
         accepted steps."""
         calls = {"objective": 0, "steps": 0}
-        objective, push = information._povm_objective, information._Pairs.push
+        objective, push = information._frame_rows, information._Pairs.push
 
         def counted_objective(*args):
             calls["objective"] += 1
@@ -466,13 +495,14 @@ class TestAscentGradient:
             calls["steps"] += int((sy > 0.0).sum())
             return push(pairs, s, y, sy)
 
-        monkeypatch.setattr(information, "_povm_objective", counted_objective)
+        monkeypatch.setattr(information, "_frame_rows", counted_objective)
         monkeypatch.setattr(information._Pairs, "push", counted_push)
         e = qubit_pair_ensemble(0.4)
         frame = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         vg = one_frame(lambda t: _mi_and_grad(e.prior, t))
-        u = _ascend_povm(e.states, [frame], vg, 300, 1e-5)
-        assert u is not None
+        w, _, _, moved = _ascend_frames(e.states, frame[None, None], np.zeros((1, 0)), vg,
+                                        1e-5, 300)
+        assert moved[0] and _normalized_frames(w[0])[1].all()
         assert calls["steps"] > 0
         assert calls["objective"] <= 3 * calls["steps"]
 
@@ -536,15 +566,16 @@ class TestLbfgs:
         frame, _ = _start_frame(helstrom(e.states[0], e.states[1], 0.3), stack)
         end = _ascend_starts(stack, [e.prior], frame[None], joint=True)
         monkeypatch.setattr(optimize, "minimize", _no_minimize)
-        calls, objective = [], information._povm_objective
+        calls, objective = [], information._frame_rows
 
         def counted_objective(*args):
             calls.append(args)
             return objective(*args)
 
-        monkeypatch.setattr(information, "_povm_objective", counted_objective)
+        monkeypatch.setattr(information, "_frame_rows", counted_objective)
         vg = one_frame(lambda table: _mi_and_grad(e.prior, table))
-        assert _ascend_povm(stack, [frame], vg, 300, 1e-5) is None
+        moved = _ascend_frames(stack, frame[None, None], np.zeros((1, 0)), vg, 1e-5, 300)[3]
+        assert not moved[0]
         assert len(calls) == 1
         again = _ascend_starts(stack, end.priors, end.frames, joint=True)
         np.testing.assert_allclose(again.priors, end.priors, rtol=0, atol=1e-12)
@@ -572,7 +603,7 @@ class TestStackedStarts:
         logits = np.log(priors)
         w = _padded(frames)
         rows = np.stack([flat(frame, z) for frame, z in zip(w, logits)])
-        values, grads = _joint_rows(rows, stack, w.shape[1:], True)
+        values, grads = _frame_rows(rows, stack, (1, *w.shape[1:]), _mi_values(True))
         m = w[0].size
         for f, (frame, r) in enumerate(zip(frames, self.SIZES)):
             one_value, one_grad = oracle_joint_objective(flat(frame, logits[f]), stack, r)
@@ -586,17 +617,17 @@ class TestStackedStarts:
         stack, frames, priors = self._problem(rng)
         seen = []
 
-        def vg(tables):
-            div, ratio = _divergences_stacked(priors, tables)
-            seen.append((tables, priors[:, :, None] * ratio))
-            return float((priors * div).sum()), seen[-1][1]
+        def vg(tables, tail):
+            div, ratio = _divergences_stacked(priors, tables[0])
+            seen.append((tables[0], priors[:, :, None] * ratio))
+            return np.array([(priors * div).sum()]), seen[-1][1][None], np.zeros_like(tail)
 
         w = _padded(frames)
-        value, grad = _povm_objective(flat(w), stack, vg, w.shape)
+        value, grad = frame_row(flat(w), stack, vg, w.shape)
         tables, g = seen[0]
         singles = [
-            _povm_objective(flat(frame), stack, one_frame(lambda t, p=p: _mi_and_grad(p, t)),
-                            (1,) + frame.shape)
+            frame_row(flat(frame), stack, one_frame(lambda t, p=p: _mi_and_grad(p, t)),
+                      (1,) + frame.shape)
             for frame, p in zip(frames, priors)
         ]
         assert value == pytest.approx(sum(v for v, _ in singles), abs=1e-13)
@@ -739,11 +770,12 @@ class TestStartSetReference:
         keep = [0, 1, 2, 4]
         fixed, climbing = priors[keep], padded[keep]
 
-        def vg(tables):
-            div, ratio = _divergences_stacked(fixed, tables)
-            return float((fixed * div).sum()), fixed[:, :, None] * ratio
+        def vg(tables, tail):
+            div, ratio = _divergences_stacked(fixed, tables[0])
+            grad = (fixed[:, :, None] * ratio)[None]
+            return np.array([(fixed * div).sum()]), grad, np.zeros_like(tail)
 
-        grad = _povm_objective(flat(climbing), stack, vg, climbing.shape)[1]
+        grad = frame_row(flat(climbing), stack, vg, climbing.shape)[1]
         grad = grad.reshape(2, *climbing.shape)
         rows = [len(frames[f]) for f in keep]
         assert not any(grad[:, j, r:].any() for j, r in enumerate(rows))

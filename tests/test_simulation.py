@@ -14,7 +14,6 @@ from qkdsim.errors import BudgetExceeded, DimensionMismatch, ValidationError
 from qkdsim.information import (
     OptimizerConfig,
     _padded,
-    _povm_objective,
     _rank1_pieces,
     c1,
 )
@@ -51,6 +50,7 @@ from oracles import (
     block_success,
     coarse_grain,
     dense_pgm,
+    frame_row,
     helstrom_crossover,
     lbfgsb_eve_optimize,
     majority_error,
@@ -353,11 +353,11 @@ def piece_table(frame, states):
 
 
 def stack_tables(ps):
-    """Piece tables as the POVM objective passes them: zero-padded to the
-    most pieces into one (F, A, R) array."""
-    out = np.zeros((len(ps), ps[0].shape[0], max(p.shape[1] for p in ps)))
+    """Piece tables as the frame objective passes them for one row:
+    zero-padded to the most pieces into one (1, F, A, R) array."""
+    out = np.zeros((1, len(ps), ps[0].shape[0], max(p.shape[1] for p in ps)))
     for f, p in enumerate(ps):
-        out[f, :, : p.shape[1]] = p
+        out[0, f, :, : p.shape[1]] = p
     return out
 
 
@@ -375,10 +375,10 @@ class TestJointObjective:
             lik = _likelihoods(tables, book)
             vg = _joint_value_and_grad(book, idx, tables, free, [pieces[i][1] for i in free])
             ps = [piece_table(pieces[i][0], states) for i in free]
-            value, grads = vg(stack_tables(ps))
+            (value,), grads, _ = vg(stack_tables(ps), np.zeros((1, 0)))
             assert value == pytest.approx(_key_info(lik, idx), abs=1e-12)
             assert grads.shape == stack_tables(ps).shape
-            for g, p in zip(grads, ps):
+            for g, p in zip(grads[0], ps):
                 assert not g[:, p.shape[1] :].any()
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -391,8 +391,8 @@ class TestJointObjective:
             noise = [rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape) for f in frames]
             w = _padded([f + 0.1 * e for f, e in zip(frames, noise)])
             x = flat(w)
-            _, grad = _povm_objective(x, states, vg, w.shape)
-            fd = central_differences(lambda y: _povm_objective(y, states, vg, w.shape)[0], x)
+            _, grad = frame_row(x, states, vg, w.shape)
+            fd = central_differences(lambda y: frame_row(y, states, vg, w.shape)[0], x)
             np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -409,10 +409,11 @@ class TestJointObjective:
         free = [slot % len(counts)]
         groups = [pieces[free[0]][1]]
         ps = [_born_table(random_rank1_povm(2, counts[free[0]], rng).effects, states)]
-        value, grad = _joint_value_and_grad(book, idx, tables, free, groups)(ps[0][None])
+        vg = _joint_value_and_grad(book, idx, tables, free, groups)
+        (value,), grad, _ = vg(ps[0][None, None], np.zeros((1, 0)))
         want, want_grads = tuple_key_information(book.letters, idx, tables, free, groups, ps)
         assert value == pytest.approx(want, abs=1e-12)
-        np.testing.assert_allclose(grad[0], want_grads[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad[0, 0], want_grads[0], rtol=0, atol=1e-12)
 
 
 def dense_joint(sc, book, me):
