@@ -52,10 +52,13 @@ ascent moves it, and otherwise only the winner's is built. C1 and C_k are a
 seesaw over (prior, POVM): a round is one joint ascent over the frame and the
 prior's logits (``_mi_values``; Shor, Math. Program. 97, 311 (2003)), kept
 when it raises the start's exact value. For two letters that is the
-whole round, I being concave in the one-number prior at a fixed POVM. From
-three letters on, a letter whose logit has fallen far cannot come back, so
-the round first ascends every frame at its fixed prior and re-optimizes each
-prior for its row-normalized table. A later start replaces the best only when
+whole round, I being concave in the one-number prior at a fixed POVM, and a
+start whose joint ascent met its stop has converged: a further round would
+only re-climb from the normalized copy of its end frame. From three letters
+on, a letter whose logit has fallen far cannot come back, so the round first
+ascends every frame at its fixed prior and re-optimizes each prior for its
+row-normalized table, and a start converges only on a round that gains at
+most ``cfg.tol``. A later start replaces the best only when
 it beats it by more than ``_TIE_BITS``, so of starts that reach one maximum
 the earliest is the witness. ``accessible_information`` climbs its starts at
 the ensemble's prior. Every reported value is re-evaluated through the exact
@@ -773,17 +776,18 @@ def _best_prior_for_channel(
     return p, value, converged
 
 
-def _climb(stack, held: _Starts, active, news, own, joint: bool) -> np.ndarray:
+def _climb(stack, held: _Starts, active, news, own, joint: bool) -> tuple[np.ndarray, np.ndarray]:
     """One ``_ascend_starts`` of the ``active`` starts, joint or at their
     fixed priors, each start on its own; each moves to its end where that
     beats its ``news``, which then takes the end's value, and no longer holds
-    its ``own`` POVM. Returns the new ``news``."""
+    its ``own`` POVM. Returns the new ``news`` and whether each start's
+    ascent met its stop, max |g| at most ``_JOINT_GTOL``."""
     ends = _ascend_starts(stack, held.priors[active], held.frames[active], joint)
     up = ends.values > news
     moved = active[up]
     held.priors[moved], held.frames[moved] = ends.priors[up], ends.frames[up]
     held.tables[moved], own[moved] = ends.tables[up], False
-    return np.where(up, ends.values, news)
+    return np.where(up, ends.values, news), ends.ok
 
 
 def _joint_maximize(
@@ -792,7 +796,8 @@ def _joint_maximize(
     extra_starts: tuple[tuple[np.ndarray, Povm], ...] = (),
 ) -> OptimizationResult:
     """Seesaw over (prior, POVM) from each start, until a round gains at
-    most ``cfg.tol``.
+    most ``cfg.tol`` or, for two letters, until its joint ascent meets its
+    stop.
 
     The starts (``extra_starts``, then ``_structured_starts`` with Helstrom
     also at 0.5, 0.25 and 0.75, then ``cfg.restarts`` random ones) are
@@ -802,10 +807,14 @@ def _joint_maximize(
     joint ascent, kept when it raises the start's value; from three letters
     on it first has a fixed-prior frame ascent, kept likewise, and
     ``_best_prior_for_channel`` on the row-normalized table, kept when as
-    good. A start leaves once a round gains at most ``cfg.tol``, or after
-    ``cfg.max_iters`` rounds. No start's path depends on another's, so the
-    value is a maximum over independent starts, and adding a start never
-    lowers it by more than ``_TIE_BITS``.
+    good. A start leaves, converged, once a round gains at most ``cfg.tol``
+    or, for two letters, once its joint ascent met its stop, max |g| at most
+    ``_JOINT_GTOL``: a further round would only re-climb from the normalized
+    copy of its end frame. From three letters on the next round's prior step
+    can still revive a letter, so a round must confirm. A start leaves
+    unconverged after ``cfg.max_iters`` rounds. No start's path depends on
+    another's, so the value is a maximum over independent starts, and adding
+    a start never lowers it by more than ``_TIE_BITS``.
     """
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
@@ -825,15 +834,15 @@ def _joint_maximize(
         if e.size > 2:
             # A kept prior step leaves a start's value apart from its table's.
             news = _scores(held.priors[active], held.tables[active])
-            news = _climb(stack, held, active, news, own, False)
+            news, _ = _climb(stack, held, active, news, own, False)
             for j, f in enumerate(active):
                 # Its nonzero columns in C order, as an unpadded table holds them.
                 table = held.tables[f].compress(held.tables[f].any(axis=0), axis=1)
                 prior, value, _ = _best_prior_for_channel(table / table.sum(axis=1, keepdims=True), cfg)
                 if value >= news[j]:
                     held.priors[f], news[j] = prior, value
-        news = _climb(stack, held, active, news, own, True)
-        converged[active] = news <= held.values[active] + cfg.tol
+        news, ok = _climb(stack, held, active, news, own, True)
+        converged[active] = (news <= held.values[active] + cfg.tol) | (ok & (e.size == 2))
         held.values[active] = np.maximum(held.values[active], news)
         active = active[~converged[active]]
     values, best = held.values.tolist(), 0

@@ -233,6 +233,10 @@ def load_scenario_file(path: str) -> Scenario:
             data = json.load(fh)
     except FileNotFoundError:
         raise ScenarioFormatError(f"no such scenario file or builtin: {path!r}")
+    except OSError as exc:
+        raise ScenarioFormatError(f"cannot read {path!r}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(data, dict):

@@ -19,7 +19,9 @@ as the package did before it stacked its starts into one ascent. They reuse
 the package's frame objective, called with one row (``frame_row``); their
 L-BFGS-B ascents (``lbfgs_b``, ``ascend_povm_lbfgsb``), the joint objective, the per-start
 ascents, the prior search of ``alternating_c1`` and the frame normalization,
-``normalize_vectors``, are this module's own. ``lbfgsb_eve_optimize`` is the
+``normalize_vectors``, are this module's own. ``confirming_c1`` is C1 on the
+package's own stacked ascents but with the confirming round that every start
+once took after its joint ascent met its stop. ``lbfgsb_eve_optimize`` is the
 reference seesaw for the adversary: the package's seesaw as it ran with its
 slot ascents on L-BFGS-B, against which ``simulation.eve_optimize`` must never
 report less.
@@ -674,6 +676,58 @@ def sequential_c1(e, cfg, extra_starts=()):
     val, prior, povm, frame, converged = best
     povm = povm if povm is not None else info._frame_povm(frame)
     return info.OptimizationResult(val, prior, povm=povm, converged=converged)
+
+
+def confirming_c1(e, cfg):
+    """``information.c1`` with a two-letter start converged only by a round
+    that gains at most ``cfg.tol``, as C1 ran before a joint ascent that met
+    its own stop ended the start: the package's start set and stacked
+    ascents, each round one joint ``_ascend_starts`` (from three letters on
+    preceded by a fixed-prior one and the capacity prior of the
+    row-normalized table), kept when it raises a start's value. Returns an
+    ``OptimizationResult``."""
+    rng = np.random.default_rng(cfg.seed)
+    stack = e.states
+    starts = info._structured_starts(e, cfg, (0.5, 0.25, 0.75))
+    priors, povms = map(list, zip(*starts))
+    raws, m = [], (e.dim * e.dim, e.dim)
+    for _ in range(cfg.restarts):
+        priors.append(rng.dirichlet(np.ones(e.size)))
+        raws.append(rng.normal(size=m) + 1j * rng.normal(size=m))
+    held = info._start_set(stack, np.array(priors), povms, raws)
+    active = np.arange(held.values.size)
+    own, converged = active < len(povms), np.zeros(active.size, dtype=bool)
+
+    def climb(news, joint):
+        ends = info._ascend_starts(stack, held.priors[active], held.frames[active], joint)
+        up = ends.values > news
+        moved = active[up]
+        held.priors[moved], held.frames[moved] = ends.priors[up], ends.frames[up]
+        held.tables[moved], own[moved] = ends.tables[up], False
+        return np.where(up, ends.values, news)
+
+    for _ in range(cfg.max_iters):
+        if not active.size:
+            break
+        news = held.values[active]
+        if e.size > 2:
+            news = climb(info._scores(held.priors[active], held.tables[active]), False)
+            for j, f in enumerate(active):
+                table = held.tables[f].compress(held.tables[f].any(axis=0), axis=1)
+                rows = table / table.sum(axis=1, keepdims=True)
+                prior, value, _ = info._best_prior_for_channel(rows, cfg)
+                if value >= news[j]:
+                    held.priors[f], news[j] = prior, value
+        news = climb(news, True)
+        converged[active] = news <= held.values[active] + cfg.tol
+        held.values[active] = np.maximum(held.values[active], news)
+        active = active[~converged[active]]
+    values, best = held.values.tolist(), 0
+    for f, value in enumerate(values):
+        if value > values[best] + info._TIE_BITS:
+            best = f
+    povm = povms[best] if own[best] else info._frame_povm(held.frames[best])
+    return info.OptimizationResult(values[best], held.priors[best], povm, bool(converged[best]))
 
 
 def sequential_c_k(e, k, cfg):

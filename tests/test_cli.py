@@ -167,6 +167,19 @@ class TestScenarioIO:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_directory_path_exits_1_without_traceback(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path), "--restarts", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: scenario: cannot read {str(tmp_path)!r}" in err and "Traceback" not in err
+
+    def test_non_utf8_file_exits_1_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"name": "\xd0\x00"}')
+        assert main(["analyze", str(path), "--restarts", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: scenario: {str(path)!r} is not UTF-8 text" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "amps, message",
         [
@@ -367,6 +380,14 @@ class TestSimulateCommand:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "budget: adversary outcome tuple count 8589934592 exceeds budget 4096" in err
+
+    def test_count_past_the_string_limit_exits_3(self, capsys):
+        # 2^100000 outcome tuples has 30103 digits, past the 4300 digits
+        # Python converts an int to a string by default.
+        assert main(["simulate", "paper-example", "-n", "100000"]) == 3
+        err = capsys.readouterr().err
+        assert "budget: adversary outcome tuple count 9.99e+30102 exceeds budget 4096" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_block_length_below_one_exits_1(self, n, capsys, monkeypatch):

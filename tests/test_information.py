@@ -65,6 +65,7 @@ from oracles import (
     binary_entropy,
     classical_capacity_ba,
     coarse_grain,
+    confirming_c1,
     grid_c1_qubit,
     holevo_capacity_ba,
     frame_row,
@@ -858,8 +859,8 @@ class TestC1:
 
     @pytest.mark.parametrize("overlap", [0.2, 0.5, 0.8])
     def test_at_most_two_joint_ascents_per_start(self, monkeypatch, overlap):
-        """The joint ascent ends each start in one round, and the next round
-        confirms it: every start climbs in the same two stacked ascents."""
+        """The joint ascent ends each start in one round: every start climbs
+        in at most two stacked ascents."""
         calls = {"starts": 0, "ascents": 0}
 
         def counted(name, key):
@@ -877,6 +878,26 @@ class TestC1:
         c1(paper_example(overlap).eve_ensemble(), OptimizerConfig())
         assert calls["starts"] > 0
         assert calls["ascents"] <= 2
+
+    def test_two_letters_take_one_joint_ascent(self, monkeypatch):
+        """A two-letter start whose joint ascent met its stop is converged, so
+        no round confirms it: every start ends in one stacked ascent."""
+        ascents, original = [], information._ascend_starts
+        monkeypatch.setattr(information, "_ascend_starts",
+                            lambda *args: ascents.append(args) or original(*args))
+        res = c1(paper_example(0.5).eve_ensemble(), OptimizerConfig())
+        assert len(ascents) == 1 and res.converged
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16), restarts=st.integers(1, 2))
+    def test_two_letters_match_the_confirming_round_property(self, dim, seed, restarts):
+        """Ending a two-letter start at its joint ascent's stop loses nothing
+        the confirming round found, and decides convergence as it did."""
+        e = random_mixed_ensemble(2, dim, seed)
+        cfg = OptimizerConfig(restarts=restarts)
+        res, ref = c1(e, cfg), confirming_c1(e, cfg)
+        assert res.value >= ref.value - 1e-12
+        assert res.converged == ref.converged
 
     def test_orthogonal_pair(self):
         assert c1(qubit_pair_ensemble(0.0), CFG).value == pytest.approx(1.0, abs=1e-9)

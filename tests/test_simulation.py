@@ -715,6 +715,22 @@ class TestSweep:
         assert by_n[1].report is not None and by_n[1].error is None
         assert by_n[13].report is None and "exceeds budget" in by_n[13].error
 
+    @pytest.mark.parametrize(
+        "count, shown",
+        [(10**18 - 1, "999999999999999999"), (10**18, "1.00e+18"),
+         (999_499_999_999_999_999_999, "9.99e+20"), (999_500_000_000_000_000_000, "1.00e+21"),
+         (2**100000, "9.99e+30102"), (10**4400, "1.00e+4400")],
+        ids=["18-digits", "19-digits", "rounds-down", "rounds-up", "2^100000", "10^4400"],
+    )
+    def test_budget_message_shows_huge_counts_to_three_digits(self, count, shown):
+        assert str(BudgetExceeded(count, 4096)) == f"dimension {shown} exceeds budget 4096"
+
+    def test_count_past_the_string_limit_marks_cell(self):
+        (cell,) = sweep(paper_example(0.5), [20000], [0], CFG)
+        assert cell.report is None
+        assert cell.error == ("adversary outcome tuple count 3.98e+6020 exceeds budget 4096"
+                              " (n=20000)")
+
     @pytest.mark.parametrize("coder", ["random", "repetition"])
     def test_empty_codewords_mark_cell(self, coder):
         cells = sweep(paper_example(0.5), [0, 1], [1], CFG, coder=coder)

@@ -6,19 +6,20 @@ Usage: python3 tools/c1_grid.py SRC OUT
 
 The first form imports ``qkdsim`` from the package under SRC (a ``src``
 directory) and writes to the file OUT, as JSON keyed ``ensemble/quantity``,
-the value, the prior and the POVM effects (real and imaginary parts) of
-``c1`` and ``accessible_information`` on 40 random ensembles, and of
-``c_k(e, 2)`` where the ensemble is a pair of qubit letters. Ensemble i is
-drawn from ``default_rng(1000 + i)``: 2 to 4 letters on a qubit or a qutrit,
-each a random density matrix of random rank, at a Dirichlet prior, scored
+the value, the prior, the POVM effects (real and imaginary parts) and the
+``converged`` flag of ``c1`` and ``accessible_information`` on 40 random
+ensembles, and of ``c_k(e, 2)`` where the ensemble is a pair of qubit
+letters. Ensemble i is drawn from ``default_rng(1000 + i)``: 2 to 4 letters
+on a qubit or a qutrit, each a random density matrix of random rank, at a
+Dirichlet prior, scored
 under ``OptimizerConfig(restarts=r, seed=i)`` with r drawn from 1..2. JSON
 writes every float at full precision, so a witness round-trips bit for bit.
 The equality set's golden files hold C1 at a few points and 12 digits only;
 this grid shows what a change to the POVM ascent moved.
 
 The second form prints every value in NEW that moved by more than 1e-12
-against BASE, every witness (prior or effects) that changed a byte, and a
-count of each, then exits 0.
+against BASE, every witness (prior or effects) that changed a byte, every
+``converged`` flag that flipped, and a count of each, then exits 0.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def run_grid() -> dict[str, dict]:
     def record(res):
         effects = res.povm.effects
         return {"value": res.value, "prior": res.prior.tolist(),
-                "real": effects.real.tolist(), "imag": effects.imag.tolist()}
+                "real": effects.real.tolist(), "imag": effects.imag.tolist(),
+                "converged": res.converged}
 
     out = {}
     for i in ENSEMBLES:
@@ -71,9 +73,10 @@ def run_grid() -> dict[str, dict]:
 
 
 def diff(base: dict[str, dict], new: dict[str, dict]) -> list[str]:
-    """One line per value that moved by more than TOLERANCE and per witness
-    that changed a byte, then a summary."""
-    lines, moved, changed, witnesses = [], 0, 0, 0
+    """One line per value that moved by more than TOLERANCE, per witness
+    that changed a byte and per ``converged`` flag that flipped, then a
+    summary."""
+    lines, moved, changed, witnesses, flips = [], 0, 0, 0, 0
     shared = sorted(base.keys() & new.keys(), key=lambda k: (int(k.split("/")[0]), k))
     for key in shared:
         old, now = base[key], new[key]
@@ -86,11 +89,15 @@ def diff(base: dict[str, dict], new: dict[str, dict]) -> list[str]:
         if parts:
             witnesses += 1
             lines.append(f"witness {key}: {', '.join(parts)} changed")
+        if old["converged"] != now["converged"]:
+            flips += 1
+            lines.append(f"converged {key}: {old['converged']} -> {now['converged']}")
     missing = sorted(base.keys() ^ new.keys())
     if missing:
         lines.append(f"entries in only one file: {' '.join(missing)}")
     lines.append(f"{len(shared)} entries compared: {moved} values moved beyond {TOLERANCE:g}, "
-                 f"{changed} changed any bit; {witnesses} witnesses changed a byte")
+                 f"{changed} changed any bit; {witnesses} witnesses changed a byte; "
+                 f"{flips} converged flags flipped")
     return lines
 
 
