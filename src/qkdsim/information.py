@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -133,6 +134,9 @@ class OptimizerConfig:
     margin: float = 1e-6
 
     def __post_init__(self):
+        for name in ("grid_points", "restarts", "max_iters", "seed"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValidationError(name.replace("_", "-"), f"{name} must be an integer, got {value!r}")
         if self.grid_points < 2:
             raise ValidationError("grid-points", f"need >= 2 grid points, got {self.grid_points}")
         if self.restarts < 0:
@@ -573,7 +577,7 @@ class _Pairs:
     rows and columns in slot order. ``z`` holds every s and then every y (k, 2M, n); R^(-1), Y^T Y and
     D are updated as each pair enters, so a product takes matrix products
     only. A zero pair (s = y = 0) gets R_ii = 1, so that u_i = v_i = 0 and it
-    drops out exactly.
+    drops out exactly. A call of ``_lbfgs_rows`` builds it once a row climbs.
     """
 
     def __init__(self, k: int, n: int):
@@ -639,53 +643,62 @@ def _lbfgs_rows(fun, x: np.ndarray, gtol: float, max_iters: int):
     [``_MIN_SHRINK`` t, 0.5 t]. A row stops when an accepted step meets the stop
     (success), after ``max_iters`` accepted steps or after ``_MAX_REJECTS``
     rejected trials in a row. Returns the end rows and whether each met the
-    stop.
+    stop. numpy holds the n-vectors and ``_Pairs``' products; each row's
+    scalars and flags are Python numbers, updated in one loop over the rows
+    per round in the same IEEE double arithmetic, so every decision and bit
+    is what masked numpy updates give.
     """
-    eps = np.finfo(float).eps
+    slack = 8.0 * math.ulp(1.0)
     f, g = fun(x)
     ends, ok = x.copy(), np.ones(len(x), dtype=bool)
     live = np.flatnonzero(np.abs(g).max(axis=1) > gtol)
-    x, f, g = x[live], f[live], g[live]
+    if not live.size:
+        return ends, ok
+    x, g, k = x[live], g[live], live.size
     gamma = 1.0 / np.sqrt((g * g).sum(axis=1))
     d = -gamma[:, None] * g
-    slope, t = (g * d).sum(axis=1), np.ones(live.size)
-    pairs = _Pairs(*x.shape)
-    steps, rejects = np.zeros(live.size, dtype=int), np.zeros(live.size, dtype=int)
+    f, gamma, slope = f[live].tolist(), gamma.tolist(), (g * d).sum(axis=1).tolist()
+    t, steps, rejects, accept, pairs = [1.0] * k, [0] * k, [0] * k, [True] * k, _Pairs(*x.shape)
     while live.size:
-        trial = x + t[:, None] * d
+        trial = x + d if all(accept) else x + np.array(t)[:, None] * d
         f_new, g_new = fun(trial)
-        accept = f_new <= f + (1e-4 * t) * slope + (8.0 * eps) * np.abs(f)
         s, y = trial - x, g_new - g
         sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
-        valid = accept & (sy > (8.0 * eps) * yy)
-        if not valid.all():
-            s, y, sy = s * valid[:, None], y * valid[:, None], sy * valid
+        peaks, flags = np.abs(g_new).max(axis=1).tolist(), []
+        for i, (fi, syi, yyi) in enumerate(zip(f_new.tolist(), sy.tolist(), yy.tolist())):
+            up = fi <= f[i] + (1e-4 * t[i]) * slope[i] + slack * abs(f[i])
+            good = up and syi > slack * yyi
+            if good:
+                gamma[i] = syi / yyi if yyi else math.inf
+            if up:
+                f[i], t[i], steps[i], rejects[i] = fi, 1.0, steps[i] + 1, 0
+            else:
+                # q is the decrease over its linear prediction t * slope, below
+                # Armijo's 1e-4; the quadratic through f, slope and f_new has its
+                # minimizer at t / (2 (1 - q)). numpy divides: t * slope = 0 gives inf or nan.
+                q = float(np.float64(fi - f[i]) / (t[i] * slope[i]))
+                t[i] *= max(0.5 / (1.0 - q) if 1.0 - q > 1.0 else 0.5, _MIN_SHRINK)
+                rejects[i] += 1
+            met = up and peaks[i] <= gtol
+            flags.append((up, good, met, met or steps[i] >= max_iters or rejects[i] >= _MAX_REJECTS))
+        accept, valid, met, stop = map(list, zip(*flags))
+        if not all(valid):
+            mask = np.array(valid)
+            s, y, sy = s * mask[:, None], y * mask[:, None], sy * mask
         pairs.push(s, y, sy)
-        gamma = np.divide(sy, yy, out=gamma, where=valid)
-        if accept.all():
-            x, f, g, t, rejects = trial, f_new, g_new, np.ones(live.size), np.zeros_like(rejects)
-        else:
-            # q is the decrease over its linear prediction t * slope, below
-            # Armijo's 1e-4 on a rejection; the quadratic through f, slope and
-            # f_new has its minimizer at t / (2 (1 - q)).
-            q = (f_new - f) / (t * slope)
-            t = np.where(accept, 1.0, t * np.maximum(0.5 / np.fmax(1.0 - q, 1.0), _MIN_SHRINK))
-            rejects = np.where(accept, 0, rejects + 1)
-            moved = accept[:, None]
-            x, f, g = np.where(moved, trial, x), np.where(accept, f_new, f), np.where(moved, g_new, g)
-        steps += accept
-        met = accept & (np.abs(g).max(axis=1) <= gtol)
-        stop = met | (steps >= max_iters) | (rejects >= _MAX_REJECTS)
-        if stop.any():
-            ends[live[stop]], ok[live[stop]] = x[stop], met[stop]
-            keep = ~stop
-            live, x, f, g, d, t = live[keep], x[keep], f[keep], g[keep], d[keep], t[keep]
-            slope, gamma, steps, rejects, accept = (
-                slope[keep], gamma[keep], steps[keep], rejects[keep], accept[keep])
+        moved = None if all(accept) else np.array(accept)[:, None]
+        x, g = (trial, g_new) if moved is None else (np.where(moved, trial, x), np.where(moved, g_new, g))
+        if any(stop):
+            keep = [i for i, st in enumerate(stop) if not st]
+            ends[live[stop]], ok[live[stop]] = x[stop], np.array(met)[stop]
+            live, x, g, d = live[keep], x[keep], g[keep], d[keep]
+            f, t, slope, gamma, steps, rejects, accept = (
+                [v[i] for i in keep] for v in (f, t, slope, gamma, steps, rejects, accept))
             pairs.take(keep)
-        if accept.any():
-            d = np.where(accept[:, None], -pairs.times(g, gamma), d)
-            slope = (g * d).sum(axis=1)
+        if any(accept):
+            step = -pairs.times(g, np.array(gamma))
+            d = step if all(accept) else np.where(np.array(accept)[:, None], step, d)
+            slope = (g * d).sum(axis=1).tolist()
     return ends, ok
 
 

@@ -7,7 +7,8 @@ of the codeword block states) while the adversary measures slot by slot
 with one POVM per slot and post-processes outcomes through a classical
 decoding function. Its optimized attack comes from a seesaw that alternates
 per-slot ascents, joined by one ascent over all slots once a pass of them
-gains under 3e-3 bits, with the maximum-likelihood decoder. The attack is
+gains under 3e-3 bits, with the maximum-likelihood decoder; after a joint
+ascent that settled, the next round runs the joint ascent alone. The attack is
 factorized, so a one-slot ascent contracts the other slots and the decoder
 into a key channel of the free slot once (``_joint_value_and_grad``): each
 evaluation then costs O(K r K) for r rank-one pieces, not O(n K prod_j m_j)
@@ -410,7 +411,10 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
     The maximum-likelihood decoder is adopted unless it lowers the value by
     more than ``cfg.tol`` (a decoder that is ML for the likelihoods need not
     maximize the mutual information). A round without progress ends the
-    start. The best (value, slots, decoder) seen is returned, so the result
+    start. After a round whose joint ascent settled (met its stop, its end
+    kept or no step taken, the decoder unchanged), the next round's one-slot
+    ascents would start inside ``_SLOT_GTOL``, so it runs its joint ascent
+    alone. The best (value, slots, decoder) seen is returned, so the result
     never falls below the default and its information is the value recorded.
 
     Each slot is held as its stacked (m, d_e, d_e) effects array; the
@@ -437,15 +441,17 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
         val = _key_info(lik, idx)
         if best is None or val > best[0]:
             best = (val, slots, idx)
+        settled = False
         for _ in range(cfg.max_iters):
             start, improved = val, False
-            for i in range(n):
-                step = _refine_slots(slots, tables, [i], c, idx, eve_states)
+            for i in range(0 if settled else n):
+                step, _ = _refine_slots(slots, tables, [i], c, idx, eve_states)
                 if step is not None and step[2] > val + cfg.tol:
                     slots, tables, val = step
                     improved = True
             if n > 1 and val - start < _STALL_BITS:
-                step = _refine_slots(slots, tables, list(range(n)), c, idx, eve_states)
+                step, ok = _refine_slots(slots, tables, list(range(n)), c, idx, eve_states)
+                settled = ok and (step is None or step[2] > val)
                 if step is not None and step[2] > val:
                     improved = improved or step[2] > val + cfg.tol
                     slots, tables, val = step
@@ -454,6 +460,7 @@ def eve_optimize(s: Scenario, c: Codebook, cfg: OptimizerConfig) -> EveStrategy:
             ml_val = _key_info(lik, ml_idx)
             if ml_val >= val - cfg.tol:
                 improved = improved or ml_val > val
+                settled = settled and np.array_equal(ml_idx, idx)
                 idx, val = ml_idx, ml_val
             if val > best[0]:
                 best = (val, slots, idx)
@@ -546,7 +553,7 @@ def _refine_slots(
     c: Codebook,
     decoder_idx: np.ndarray,
     eve_states: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray], float] | None:
+) -> tuple[tuple[list[np.ndarray], list[np.ndarray], float] | None, bool]:
     """One ascent over the stacked effects of the slots in ``free``, all else fixed.
 
     Runs ``information._ascend_frames`` on one row, one frame per free slot
@@ -556,25 +563,26 @@ def _refine_slots(
     back into its outcomes; slot free[f] reads its rows of the row's
     zero-padded (F, R, d) end. Returns all slots' effects and tables and their
     exactly scored information, or None at once when the ascent took no step
-    or a frame fails ``_normalized_frames``; the caller decides whether they
-    beat its running value.
+    or a frame fails ``_normalized_frames``, and whether the ascent met its
+    stop (False when a frame fails); the caller decides whether the step
+    beats its running value.
     """
     frames, groups = zip(*(_rank1_pieces(slots[i]) for i in free))
     value_fn = _joint_value_and_grad(c, decoder_idx, tables, free, groups)
     gtol = _SEESAW_JOINT_GTOL if len(free) > 1 else _SLOT_GTOL
-    (w,), _, _, (moved,) = _ascend_frames(eve_states, _padded(frames)[None], np.zeros((1, 0)),
-                                          value_fn, gtol, _SLOT_ASCENT_MAX_ITERS * len(free))
+    (w,), _, (ok,), (moved,) = _ascend_frames(eve_states, _padded(frames)[None], np.zeros((1, 0)),
+                                              value_fn, gtol, _SLOT_ASCENT_MAX_ITERS * len(free))
     if not moved:
-        return None
+        return None, bool(ok)
     us, good = _normalized_frames(w)
     if not good.all():
-        return None
+        return None, False
     slots, tables = list(slots), list(tables)
     for i, u, g in zip(free, us, groups):
         u = u[: len(g)]
         slots[i] = np.einsum("ro,ri,rj->oij", np.eye(len(slots[i]))[g], u, u.conj())
         tables[i] = _born_table(slots[i], eve_states).T
-    return slots, tables, _key_info(_likelihoods(tables, c), decoder_idx)
+    return (slots, tables, _key_info(_likelihoods(tables, c), decoder_idx)), bool(ok)
 
 
 def _receiver_law(letters: np.ndarray, factors, effects: np.ndarray, slot_ops) -> np.ndarray:

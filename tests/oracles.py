@@ -24,7 +24,11 @@ package's own stacked ascents but with the confirming round that every start
 once took after its joint ascent met its stop. ``lbfgsb_eve_optimize`` is the
 reference seesaw for the adversary: the package's seesaw as it ran with its
 slot ascents on L-BFGS-B, against which ``simulation.eve_optimize`` must never
-report less.
+report less; ``confirming_eve_optimize`` is the package's seesaw with the
+per-slot pass in every round, which ``eve_optimize`` must equal exactly.
+``lbfgs_rows_reference`` and ``PairsReference`` are the package's L-BFGS as
+it held each row's scalars in numpy arrays, which ``_lbfgs_rows`` must match
+bit for bit.
 """
 
 import itertools
@@ -588,6 +592,58 @@ def lbfgsb_eve_optimize(s, c, cfg):
     return sim.EveStrategy([Povm(effects) for effects in slots], idx)
 
 
+def confirming_eve_optimize(s, c, cfg):
+    """``simulation.eve_optimize`` with the per-slot pass in every round, as
+    the seesaw ran before a round after a settled joint ascent skipped it:
+    the package's ``_refine_slots`` and stops, each round the per-slot
+    ascents, the joint ascent over all slots once the pass gains less than
+    ``simulation._STALL_BITS``, then the maximum-likelihood decoder. Returns
+    the best ``EveStrategy``."""
+    ee = s.eve_ensemble()
+    default = sim._default_attack(s, c, ee)
+    if cfg.restarts == 0:
+        return default
+    eve_states, n = ee.states, c.length
+    best = None
+    rng = np.random.default_rng(cfg.seed)
+    for restart in range(cfg.restarts):
+        if restart == 0:
+            starts = default.slots
+        else:
+            starts = [random_rank1_povm(s.dim_e, s.dim_e**2, rng) for _ in range(n)]
+        slots = [p.effects for p in starts]
+        tables = sim._slot_channels(slots, eve_states)
+        lik = sim._likelihoods(tables, c)
+        idx = sim._ml_decoder(lik)
+        val = sim._key_info(lik, idx)
+        if best is None or val > best[0]:
+            best = (val, slots, idx)
+        for _ in range(cfg.max_iters):
+            start, improved = val, False
+            for i in range(n):
+                step, _ = sim._refine_slots(slots, tables, [i], c, idx, eve_states)
+                if step is not None and step[2] > val + cfg.tol:
+                    slots, tables, val = step
+                    improved = True
+            if n > 1 and val - start < sim._STALL_BITS:
+                step, _ = sim._refine_slots(slots, tables, list(range(n)), c, idx, eve_states)
+                if step is not None and step[2] > val:
+                    improved = improved or step[2] > val + cfg.tol
+                    slots, tables, val = step
+            lik = sim._likelihoods(tables, c)
+            ml_idx = sim._ml_decoder(lik)
+            ml_val = sim._key_info(lik, ml_idx)
+            if ml_val >= val - cfg.tol:
+                improved = improved or ml_val > val
+                idx, val = ml_idx, ml_val
+            if val > best[0]:
+                best = (val, slots, idx)
+            if not improved:
+                break
+    _, slots, idx = best
+    return sim.EveStrategy([Povm(effects) for effects in slots], idx)
+
+
 def _joint_step(stack, prior, frame):
     """One L-BFGS-B ascent over the prior's logits and the frame together,
     stopped at a projected gradient of 1e-8: (prior, normalized frame, Born
@@ -805,3 +861,141 @@ def alternating_c1(e, cfg) -> float:
                 break
         best = max(best, val)
     return best
+
+
+# ``information._lbfgs_rows`` as it ran with its per-row scalars in numpy
+# arrays, under masked updates: the package's constants, the code verbatim.
+_LBFGS_MEMORY = info._LBFGS_MEMORY
+_MAX_REJECTS = info._MAX_REJECTS
+_MIN_SHRINK = info._MIN_SHRINK
+
+
+class PairsReference:
+    """Each row's last ``_LBFGS_MEMORY`` curvature pairs (s, y), held for the
+    compact form of the L-BFGS inverse Hessian (Byrd, Nocedal and Schnabel,
+    Math. Program. 63, 129 (1994)), with H0 = gamma I:
+
+        H g = gamma g + S v - gamma Y u,  u = R^(-1) S^T g,
+        v = R^(-T) ((D + gamma Y^T Y) u - gamma Y^T g),
+
+    R the upper triangle of S^T Y in the order the pairs came, and D its
+    diagonal. The pairs sit in a ring of slots shared by all rows, the next
+    entering slot ``count % M`` in place of the oldest; every product above
+    is the same in any order of the slots, so ``r_inv`` holds R^(-1) with its
+    rows and columns in slot order. ``z`` holds every s and then every y (k, 2M, n); R^(-1), Y^T Y and
+    D are updated as each pair enters, so a product takes matrix products
+    only. A zero pair (s = y = 0) gets R_ii = 1, so that u_i = v_i = 0 and it
+    drops out exactly.
+    """
+
+    def __init__(self, k: int, n: int):
+        mem = _LBFGS_MEMORY
+        self.z = np.zeros((k, 2 * mem, n))
+        self.r_inv = np.tile(np.eye(mem), (k, 1, 1))
+        self.yy = np.zeros((k, mem, mem))
+        self.diag = np.zeros((k, mem))
+        self.count = 0
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> None:
+        """Put (s, y), with sy = s . y > 0, or a zero pair with sy = 0, in
+        place of every row's oldest pair. The oldest pair is R's first row and
+        column, so dropping it leaves R'^(-1), the trailing block of R^(-1);
+        the new pair adds the last column c = S^T y, and R^(-1) becomes
+        [[R'^(-1), -R'^(-1) c / sy], [0, 1 / sy]]."""
+        mem, z, r_inv = _LBFGS_MEMORY, self.z, self.r_inv
+        j = self.count % mem
+        self.count += 1
+        z[:, j], z[:, mem + j] = s, y
+        cross = (z @ y[:, :, None])[..., 0]
+        pivot = np.where(sy > 0.0, sy, 1.0)
+        r_inv[:, j] = r_inv[:, :, j] = 0.0
+        r_inv[:, :, j] = (r_inv @ cross[:, :mem, None])[..., 0] / -pivot[:, None]
+        r_inv[:, j, j] = 1.0 / pivot
+        self.yy[:, j] = self.yy[:, :, j] = cross[:, mem:]
+        self.diag[:, j] = sy
+
+    def times(self, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """H g of every row."""
+        mem = _LBFGS_MEMORY
+        proj = self.z @ g[:, :, None]
+        u = self.r_inv @ proj[:, :mem]
+        scale = gamma[:, None, None]
+        inner = self.diag[:, :, None] * u + scale * (self.yy @ u - proj[:, mem:])
+        v = self.r_inv.swapaxes(1, 2) @ inner
+        back = self.z.swapaxes(1, 2) @ np.concatenate((v, -scale * u), 1)
+        return gamma[:, None] * g + back[..., 0]
+
+    def take(self, keep: np.ndarray) -> None:
+        """Keep the rows ``keep``."""
+        self.z, self.r_inv, self.yy, self.diag = (
+            self.z[keep], self.r_inv[keep], self.yy[keep], self.diag[keep])
+
+
+def lbfgs_rows_reference(fun, x: np.ndarray, gtol: float, max_iters: int):
+    """Minimize every row of x on its own by L-BFGS (Liu and Nocedal, Math.
+    Program. 45, 503 (1989)), the rows still climbing in lockstep: one
+    fun(rows) = (values (k,), gradients (k, n)) call per round serves them
+    all, and each row keeps its own curvature pairs, step and stop, so no
+    row's path depends on the others.
+
+    A row that meets the stop max |g| <= ``gtol`` at x does not climb. The
+    others keep their last ``_LBFGS_MEMORY`` pairs in one ring shared by
+    round (``_Pairs``): a row that did not step, or whose pair fails
+    s . y > 8 eps y . y, adds a zero pair, so H stays positive definite and
+    -H g is a descent direction. H0 = gamma I, gamma = s . y / y . y of the
+    newest valid pair and 1/|g| before the first, so the first step is
+    -g/|g|, of unit length, as L-BFGS-B's first iteration is; later trial
+    steps are t = 1. A trial is accepted under Armijo's rule with c = 1e-4 and
+    a rounding slack of 8 eps |f|; otherwise t backtracks to the minimizer of
+    the quadratic through f, its slope and the trial's value, clipped to
+    [``_MIN_SHRINK`` t, 0.5 t]. A row stops when an accepted step meets the stop
+    (success), after ``max_iters`` accepted steps or after ``_MAX_REJECTS``
+    rejected trials in a row. Returns the end rows and whether each met the
+    stop.
+    """
+    eps = np.finfo(float).eps
+    f, g = fun(x)
+    ends, ok = x.copy(), np.ones(len(x), dtype=bool)
+    live = np.flatnonzero(np.abs(g).max(axis=1) > gtol)
+    x, f, g = x[live], f[live], g[live]
+    gamma = 1.0 / np.sqrt((g * g).sum(axis=1))
+    d = -gamma[:, None] * g
+    slope, t = (g * d).sum(axis=1), np.ones(live.size)
+    pairs = PairsReference(*x.shape)
+    steps, rejects = np.zeros(live.size, dtype=int), np.zeros(live.size, dtype=int)
+    while live.size:
+        trial = x + t[:, None] * d
+        f_new, g_new = fun(trial)
+        accept = f_new <= f + (1e-4 * t) * slope + (8.0 * eps) * np.abs(f)
+        s, y = trial - x, g_new - g
+        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
+        valid = accept & (sy > (8.0 * eps) * yy)
+        if not valid.all():
+            s, y, sy = s * valid[:, None], y * valid[:, None], sy * valid
+        pairs.push(s, y, sy)
+        gamma = np.divide(sy, yy, out=gamma, where=valid)
+        if accept.all():
+            x, f, g, t, rejects = trial, f_new, g_new, np.ones(live.size), np.zeros_like(rejects)
+        else:
+            # q is the decrease over its linear prediction t * slope, below
+            # Armijo's 1e-4 on a rejection; the quadratic through f, slope and
+            # f_new has its minimizer at t / (2 (1 - q)).
+            q = (f_new - f) / (t * slope)
+            t = np.where(accept, 1.0, t * np.maximum(0.5 / np.fmax(1.0 - q, 1.0), _MIN_SHRINK))
+            rejects = np.where(accept, 0, rejects + 1)
+            moved = accept[:, None]
+            x, f, g = np.where(moved, trial, x), np.where(accept, f_new, f), np.where(moved, g_new, g)
+        steps += accept
+        met = accept & (np.abs(g).max(axis=1) <= gtol)
+        stop = met | (steps >= max_iters) | (rejects >= _MAX_REJECTS)
+        if stop.any():
+            ends[live[stop]], ok[live[stop]] = x[stop], met[stop]
+            keep = ~stop
+            live, x, f, g, d, t = live[keep], x[keep], f[keep], g[keep], d[keep], t[keep]
+            slope, gamma, steps, rejects, accept = (
+                slope[keep], gamma[keep], steps[keep], rejects[keep], accept[keep])
+            pairs.take(keep)
+        if accept.any():
+            d = np.where(accept[:, None], -pairs.times(g, gamma), d)
+            slope = (g * d).sum(axis=1)
+    return ends, ok

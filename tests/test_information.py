@@ -69,6 +69,7 @@ from oracles import (
     grid_c1_qubit,
     holevo_capacity_ba,
     frame_row,
+    lbfgs_rows_reference,
     frame_table,
     joint_objective as oracle_joint_objective,
     mi_from_probs,
@@ -132,6 +133,31 @@ class TestOptimizerConfig:
         with pytest.raises(ValidationError) as err:
             OptimizerConfig(**kwargs)
         assert err.value.invariant == invariant
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 2.5),
+            ("restarts", float("nan")),
+            ("restarts", 2.0),
+            ("max_iters", float("inf")),
+            ("max_iters", 60.5),
+            ("grid_points", 101.5),
+            ("grid_points", "101"),
+            ("seed", 1.5),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        """A count or seed that is not an integer is refused by name, not
+        left to fail later inside ``range`` or ``SeedSequence``."""
+        with pytest.raises(ValidationError) as err:
+            OptimizerConfig(**{field: value})
+        assert err.value.invariant == field.replace("_", "-")
+        assert field in str(err.value)
+
+    def test_numpy_integers_accepted(self):
+        cfg = OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(3))
+        assert (cfg.restarts, cfg.max_iters, cfg.seed) == (2, 5, 3)
 
     def test_boundary_values_accepted(self):
         cfg = OptimizerConfig(restarts=0, max_iters=1, margin=0.0)
@@ -581,6 +607,101 @@ class TestLbfgs:
         again = _ascend_starts(stack, end.priors, end.frames, joint=True)
         np.testing.assert_allclose(again.priors, end.priors, rtol=0, atol=1e-12)
         np.testing.assert_allclose(again.frames, end.frames, rtol=0, atol=1e-12)
+
+
+class TestLbfgsRows:
+    """``_lbfgs_rows`` holds each row's scalars as Python numbers; it must make
+    every decision and every bit of ``oracles.lbfgs_rows_reference``, the
+    same L-BFGS with its scalars in numpy arrays under masked updates."""
+
+    # One row per exit, chosen by the row's last entry, a tag whose gradient
+    # is 0 so that no step moves it. 0 meets the stop at x0 and 1 after some
+    # steps. 2, Rosenbrock's valley from (-1.2, 1), runs out of MAX_ITERS
+    # steps. 3, a plateau whose gradient at its start promises a descent that
+    # never comes, is rejected _MAX_REJECTS times on trials of gradient 0.
+    # 4, a steep quadratic, has its unit first step rejected and backtracks
+    # to the quadratic's exact minimizer. 5, cos, takes a first step whose
+    # pair has s . y < 0, and 6, a saddle, one whose pair has
+    # 0 < s . y <= 8 eps y . y, so each adds a zero pair. 7, flat at 1e4 with
+    # a gradient just above the stop, steps only through the rounding slack
+    # 8 eps |f|.
+    X0 = np.array([[0.3, -0.2, 0], [1.0, 1.0, 1], [-1.2, 1.0, 2], [0.5, 0.5, 3],
+                   [0.1, 0.0, 4], [0.1, 0.0, 5], [0.0, 0.0, 6], [0.0, 0.0, 7]])
+    MAX_ITERS = 12
+
+    @staticmethod
+    def exits(x):
+        values, grads = np.empty(len(x)), np.zeros_like(x)
+        for r, (a, b, tag) in enumerate(x):
+            if tag <= 1:
+                values[r] = 0.5 * ((a - 0.3) ** 2 + 3.0 * (b + 0.2) ** 2)
+                grads[r, :2] = a - 0.3, 3.0 * (b + 0.2)
+            elif tag == 2:
+                values[r] = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+                grads[r, :2] = -2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)
+            elif tag == 3:
+                values[r], grads[r, :2] = 1.0, (1.0, -1.0) if (a, b) == (0.5, 0.5) else (0.0, 0.0)
+            elif tag == 4:
+                values[r] = 50.0 * (a * a + b * b)
+                grads[r, :2] = 100.0 * a, 100.0 * b
+            elif tag == 5:
+                values[r], grads[r, 0] = math.cos(a), -math.sin(a)
+            elif tag == 6:
+                values[r] = -a + 0.5e-9 * a * a + 1e4 * a * b
+                grads[r, :2] = -1.0 + 1e-9 * a + 1e4 * b, 1e4 * a
+            else:
+                values[r], grads[r, :2] = 1e4, (2e-8, 0.0)
+        return values, grads
+
+    def test_every_exit_matches_the_reference(self):
+        ends, ok = information._lbfgs_rows(self.exits, self.X0, 1e-8, self.MAX_ITERS)
+        ref_ends, ref_ok = lbfgs_rows_reference(self.exits, self.X0, 1e-8, self.MAX_ITERS)
+        assert np.array_equal(ends, ref_ends) and np.array_equal(ok, ref_ok)
+        assert ok.tolist() == [True, True, False, False, True, True, False, False]
+        assert np.array_equal(ends[[0, 3]], self.X0[[0, 3]])
+        assert np.array_equal(ends[4], [0.0, 0.0, 4.0])
+        assert np.array_equal(ends[:, 2], self.X0[:, 2])
+        assert np.array_equal(ends[7], [-self.MAX_ITERS, 0.0, 7.0])
+        longer, ok = information._lbfgs_rows(self.exits, self.X0[2:3], 1e-8, 1000)
+        assert ok[0] and np.abs(longer[0, :2] - 1.0).max() < 1e-6
+        calls = []
+        information._lbfgs_rows(lambda x: calls.append(x) or self.exits(x), self.X0[3:4], 1e-8,
+                                self.MAX_ITERS)
+        assert len(calls) == 1 + information._MAX_REJECTS
+
+    def test_each_row_ends_as_it_would_alone(self):
+        ends, ok = information._lbfgs_rows(self.exits, self.X0, 1e-8, self.MAX_ITERS)
+        for r in range(len(self.X0)):
+            alone, alone_ok = information._lbfgs_rows(self.exits, self.X0[r : r + 1], 1e-8,
+                                                      self.MAX_ITERS)
+            assert np.array_equal(alone[0], ends[r]) and alone_ok[0] == ok[r]
+
+    def test_no_climbing_row_allocates_no_pairs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_Pairs allocated")
+
+        monkeypatch.setattr(information, "_Pairs", refuse)
+        ends, ok = information._lbfgs_rows(self.exits, self.X0[:1], 1e-8, self.MAX_ITERS)
+        assert np.array_equal(ends, self.X0[:1]) and ok.all()
+
+    @pytest.mark.parametrize("dim, seed", [(2, 3), (3, 4), (2, 5)])
+    def test_joint_ascent_of_starts_matches_the_reference(self, dim, seed):
+        """C1's joint objective on random starts of a random ensemble, whose
+        ascents reject trials and drop pairs as they come: every end and
+        flag equal to the reference's."""
+        rng = np.random.default_rng(seed)
+        e = random_mixed_ensemble(3, dim, seed)
+        frames = rng.normal(size=(6, 1, dim * dim, dim)) + 1j * rng.normal(size=(6, 1, dim * dim, dim))
+        x0 = np.concatenate([frames.real.reshape(6, -1), frames.imag.reshape(6, -1),
+                             np.log(rng.dirichlet(np.ones(3), size=6))], 1)
+
+        def fun(x):
+            return _frame_rows(x, e.states, frames.shape[1:], _mi_values(True))
+
+        ends, ok = information._lbfgs_rows(fun, x0, _JOINT_GTOL, 40)
+        ref_ends, ref_ok = lbfgs_rows_reference(fun, x0, _JOINT_GTOL, 40)
+        assert np.array_equal(ends, ref_ends) and np.array_equal(ok, ref_ok)
+        assert not np.array_equal(ends, x0)
 
 
 class TestStackedStarts:

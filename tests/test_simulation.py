@@ -49,6 +49,7 @@ from oracles import (
     binary_entropy,
     block_success,
     coarse_grain,
+    confirming_eve_optimize,
     dense_pgm,
     frame_row,
     helstrom_crossover,
@@ -332,6 +333,46 @@ class TestSeesawProperties:
             ours = evaluate(sc, book, eve_optimize(sc, book, cfg)).eve_info
             ref = evaluate(sc, book, lbfgsb_eve_optimize(sc, book, cfg)).eve_info
             assert ours >= ref - 1e-12, (n, coder, seed)
+
+    def test_settled_joint_ascent_skips_the_next_per_slot_pass(self, monkeypatch):
+        """A round after one whose joint ascent met its stop and left the
+        decoder as it was runs its joint ascent alone. On the inputs of the
+        ``eve-seesaw`` benchmark, seeds 0..7 then make these ``_refine_slots``
+        calls; with the per-slot pass in every round they made
+        [18, 18, 18, 15, 18, 15, 18, 18]."""
+        calls, inner = [], simulation._refine_slots
+
+        def counted(*args):
+            calls.append(args[2])
+            return inner(*args)
+
+        monkeypatch.setattr(simulation, "_refine_slots", counted)
+        sc, book, counts = paper_example(0.5), repetition_codebook(2, 3), []
+        for seed in range(8):
+            calls.clear()
+            eve_optimize(sc, book, OptimizerConfig(restarts=2, seed=seed))
+            counts.append(len(calls))
+        assert counts == [15, 15, 18, 15, 15, 12, 15, 18]
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        s=st.floats(0.1, 0.9),
+        n=st.sampled_from([2, 3, 4]),
+        coder=st.sampled_from(["repetition", "random"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_attack_as_a_per_slot_pass_every_round_property(self, s, n, coder, seed):
+        """Skipping the per-slot pass after a settled joint ascent changes
+        nothing: the attack and its information equal, bit for bit, those of
+        the seesaw that runs the pass in every round
+        (``oracles.confirming_eve_optimize``)."""
+        sc = paper_example(s)
+        book = repetition_codebook(2, n) if coder == "repetition" else sample_codebook(2, n, 2, seed)
+        cfg = OptimizerConfig(restarts=2, seed=seed)
+        ours, ref = eve_optimize(sc, book, cfg), confirming_eve_optimize(sc, book, cfg)
+        assert np.array_equal(ours.decoder, ref.decoder)
+        assert all(np.array_equal(a.effects, b.effects) for a, b in zip(ours.slots, ref.slots))
+        assert evaluate(sc, book, ours).eve_info == evaluate(sc, book, ref).eve_info
 
 
 def random_attack(seed, k, counts=(4, 4, 4)):

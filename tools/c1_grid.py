@@ -15,7 +15,9 @@ Dirichlet prior, scored
 under ``OptimizerConfig(restarts=r, seed=i)`` with r drawn from 1..2. JSON
 writes every float at full precision, so a witness round-trips bit for bit.
 The equality set's golden files hold C1 at a few points and 12 digits only;
-this grid shows what a change to the POVM ascent moved.
+this grid shows what a change to the POVM ascent moved. It also prints the
+L-BFGS work behind the grid (``lbfgs_work``): calls, objective evaluations and
+calls that took no step.
 
 The second form prints every value in NEW that moved by more than 1e-12
 against BASE, every witness (prior or effects) that changed a byte, every
@@ -27,6 +29,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+
+import lbfgs_work
 
 ENSEMBLES = range(40)
 TOLERANCE = 1e-12
@@ -117,11 +121,13 @@ def main(argv=None) -> int:
     if not os.path.abspath(qkdsim.__file__).startswith(src + os.sep):
         print(f"error: imported qkdsim from {qkdsim.__file__}, not {src}", file=sys.stderr)
         return 1
-    values = run_grid()
+    with lbfgs_work.counted() as counts:
+        values = run_grid()
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(values, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{len(values)} entries written to {out}")
+    print(lbfgs_work.summary(counts))
     return 0
 
 

@@ -12,10 +12,12 @@ repetition code (coder ``rep``) and the random codebooks
 ``cs101``), each under ``OptimizerConfig(restarts=2, seed=seed)`` for seeds
 0..7. The equality set's golden files hold the seesaw's values at a few
 points only; this grid shows what a change to the seesaw's schedule moved.
+It also prints the L-BFGS work behind the grid (``lbfgs_work``): calls,
+objective evaluations and calls that took no step.
 
 The second form prints every run whose value in NEW rises or falls by more
-than 1e-12 against BASE, the count of each and the largest fall and rise
-of any run, and exits 0.
+than 1e-12 against BASE, the count of each, the count of runs that changed
+any bit and the largest fall and rise of any run, and exits 0.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import itertools
 import json
 import os
 import sys
+
+import lbfgs_work
 
 OVERLAPS = (0.3, 0.5, 0.7)
 BLOCK_LENGTHS = (2, 3, 4)
@@ -53,9 +57,10 @@ def run_grid() -> dict[str, float]:
 
 def diff(base: dict[str, float], new: dict[str, float]) -> list[str]:
     """One line per run that moved by more than TOLERANCE, then a summary."""
-    lines, rises, falls, low, high = [], 0, 0, 0.0, 0.0
+    lines, rises, falls, changed, low, high = [], 0, 0, 0, 0.0, 0.0
     for key in base.keys() & new.keys():
         delta = new[key] - base[key]
+        changed += new[key] != base[key]
         low, high = min(low, delta), max(high, delta)
         if abs(delta) > TOLERANCE:
             rises, falls = rises + (delta > 0), falls + (delta < 0)
@@ -66,8 +71,8 @@ def diff(base: dict[str, float], new: dict[str, float]) -> list[str]:
     if missing:
         lines.append(f"runs in only one file: {' '.join(missing)}")
     lines.append(f"{len(base.keys() & new.keys())} runs compared: {rises} rises and "
-                 f"{falls} falls beyond {TOLERANCE:g}; largest fall {low:.3e}, "
-                 f"largest rise {high:.3e}")
+                 f"{falls} falls beyond {TOLERANCE:g}, {changed} changed any bit; "
+                 f"largest fall {low:.3e}, largest rise {high:.3e}")
     return lines
 
 
@@ -87,11 +92,13 @@ def main(argv=None) -> int:
     if not os.path.abspath(qkdsim.__file__).startswith(src + os.sep):
         print(f"error: imported qkdsim from {qkdsim.__file__}, not {src}", file=sys.stderr)
         return 1
-    values = run_grid()
+    with lbfgs_work.counted() as counts:
+        values = run_grid()
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(values, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{len(values)} runs written to {out}")
+    print(lbfgs_work.summary(counts))
     return 0
 
 
