@@ -21,10 +21,12 @@ L-BFGS-B ascents (``lbfgs_b``, ``ascend_povm_lbfgsb``), the joint objective, the
 ascents, the prior search of ``alternating_c1`` and the frame normalization,
 ``normalize_vectors``, are this module's own. ``confirming_c1`` is C1 on the
 package's own stacked ascents but with the confirming round that every start
-once took after its joint ascent met its stop. ``lbfgsb_eve_optimize`` is the
-reference seesaw for the adversary: the package's seesaw as it ran with its
-slot ascents on L-BFGS-B, against which ``simulation.eve_optimize`` must never
-report less; ``confirming_eve_optimize`` is the package's seesaw with the
+once took after its joint ascent met its stop; ``all_starts_c1`` is C1 as it
+climbed every start, before two pure letters ended at a start that reaches
+their closed form, which ``information.c1`` must equal exactly.
+``lbfgsb_eve_optimize`` is the reference seesaw for the adversary: the
+package's seesaw as it ran with its slot ascents on L-BFGS-B, against which
+``simulation.eve_optimize`` must never report less; ``confirming_eve_optimize`` is the package's seesaw with the
 per-slot pass in every round, which ``eve_optimize`` must equal exactly.
 ``lbfgs_rows_reference`` and ``PairsReference`` are the package's L-BFGS as
 it held each row's scalars in numpy arrays, which ``_lbfgs_rows`` must match
@@ -776,6 +778,49 @@ def confirming_c1(e, cfg):
                     held.priors[f], news[j] = prior, value
         news = climb(news, True)
         converged[active] = news <= held.values[active] + cfg.tol
+        held.values[active] = np.maximum(held.values[active], news)
+        active = active[~converged[active]]
+    values, best = held.values.tolist(), 0
+    for f, value in enumerate(values):
+        if value > values[best] + info._TIE_BITS:
+            best = f
+    povm = povms[best] if own[best] else info._frame_povm(held.frames[best])
+    return info.OptimizationResult(values[best], held.priors[best], povm, bool(converged[best]))
+
+
+def all_starts_c1(e, cfg, extra_starts=()):
+    """``information._joint_maximize`` as it ran before two pure letters
+    certified start 0 by the closed form: every start climbs, rounds of the
+    package's own stacked ascents (``_climb``) for all starts at once, and a
+    later start replaces the best only when it beats it by more than
+    ``_TIE_BITS``. Returns an ``OptimizationResult``."""
+    rng = np.random.default_rng(cfg.seed)
+    stack = e.states
+    starts = list(extra_starts) + info._structured_starts(e, cfg, (0.5, 0.25, 0.75))
+    priors, povms = map(list, zip(*starts))
+    raws, m = [], (e.dim * e.dim, e.dim)
+    for _ in range(cfg.restarts):
+        priors.append(rng.dirichlet(np.ones(e.size)))
+        raws.append(rng.normal(size=m) + 1j * rng.normal(size=m))
+    held = info._start_set(stack, np.array(priors), povms, raws)
+    active = np.arange(held.values.size)
+    own, converged = active < len(povms), np.zeros(active.size, dtype=bool)
+    for _ in range(cfg.max_iters):
+        if not active.size:
+            break
+        news = held.values[active]
+        if e.size > 2:
+            # A kept prior step leaves a start's value apart from its table's.
+            news = info._scores(held.priors[active], held.tables[active])
+            news, _ = info._climb(stack, held, active, news, own, False)
+            for j, f in enumerate(active):
+                # Its nonzero columns in C order, as an unpadded table holds them.
+                table = held.tables[f].compress(held.tables[f].any(axis=0), axis=1)
+                prior, value, _ = info._best_prior_for_channel(table / table.sum(axis=1, keepdims=True), cfg)
+                if value >= news[j]:
+                    held.priors[f], news[j] = prior, value
+        news, ok = info._climb(stack, held, active, news, own, True)
+        converged[active] = (news <= held.values[active] + cfg.tol) | (ok & (e.size == 2))
         held.values[active] = np.maximum(held.values[active], news)
         active = active[~converged[active]]
     values, best = held.values.tolist(), 0

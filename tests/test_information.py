@@ -24,6 +24,7 @@ from qkdsim.information import (
     _mi_from_probs,
     _mi_values,
     _padded,
+    _pair_bound,
     _rank1_pieces,
     _scores,
     _softmax,
@@ -61,6 +62,7 @@ from conftest import (
     random_pure,
 )
 from oracles import (
+    all_starts_c1,
     alternating_c1,
     binary_entropy,
     classical_capacity_ba,
@@ -127,6 +129,13 @@ class TestOptimizerConfig:
             ({"margin": float("nan")}, "margin"),
             ({"margin": float("-inf")}, "margin"),
             ({"seed": -1}, "seed"),
+            ({"tol": "1e-9"}, "tolerance"),
+            ({"tol": None}, "tolerance"),
+            ({"tol": True}, "tolerance"),
+            ({"tol": 1e-9 + 0j}, "tolerance"),
+            ({"margin": None}, "margin"),
+            ({"margin": "0"}, "margin"),
+            ({"margin": False}, "margin"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs, invariant):
@@ -145,6 +154,10 @@ class TestOptimizerConfig:
             ("grid_points", 101.5),
             ("grid_points", "101"),
             ("seed", 1.5),
+            ("restarts", True),
+            ("seed", False),
+            ("max_iters", True),
+            ("grid_points", True),
         ],
     )
     def test_non_integer_counts_rejected(self, field, value):
@@ -158,6 +171,12 @@ class TestOptimizerConfig:
     def test_numpy_integers_accepted(self):
         cfg = OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(3))
         assert (cfg.restarts, cfg.max_iters, cfg.seed) == (2, 5, 3)
+
+    def test_numpy_and_integer_tolerances_accepted(self):
+        cfg = OptimizerConfig(tol=np.float32(1e-6), margin=np.float64(-0.5))
+        assert (cfg.tol, cfg.margin) == (np.float32(1e-6), -0.5)
+        cfg = OptimizerConfig(tol=1, margin=np.int64(0))
+        assert (cfg.tol, cfg.margin) == (1, 0)
 
     def test_boundary_values_accepted(self):
         cfg = OptimizerConfig(restarts=0, max_iters=1, margin=0.0)
@@ -1019,6 +1038,85 @@ class TestC1:
         res, ref = c1(e, cfg), confirming_c1(e, cfg)
         assert res.value >= ref.value - 1e-12
         assert res.converged == ref.converged
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16), uniform=st.booleans(),
+           restarts=st.integers(0, 8))
+    def test_pure_pairs_match_all_starts_property(self, dim, seed, uniform, restarts):
+        """Two pure letters end at start 0 once it reaches the closed form,
+        and that is exactly what climbing every start gives: the same value,
+        prior, effects and ``converged``, bit for bit."""
+        rng = np.random.default_rng(seed)
+        prior = [0.5, 0.5] if uniform else rng.dirichlet(np.ones(2))
+        e = ensemble(prior, (random_pure(rng, dim), random_pure(rng, dim)))
+        cfg = OptimizerConfig(restarts=restarts, seed=seed % 5)
+        res, ref = c1(e, cfg), all_starts_c1(e, cfg)
+        assert res.value == ref.value
+        assert np.array_equal(res.prior, ref.prior)
+        assert np.array_equal(res.povm.effects, ref.povm.effects)
+        assert res.converged == ref.converged
+
+    @staticmethod
+    def _ascents(monkeypatch, fn, *args):
+        """The ``_ascend_starts`` calls of fn(*args), each as its priors'
+        and frames' bytes and its ``joint`` flag, and fn's result."""
+        calls, original = [], information._ascend_starts
+
+        def record(stack, priors, frames, joint):
+            calls.append((np.asarray(priors).tobytes(), frames.shape, frames.tobytes(), joint))
+            return original(stack, priors, frames, joint)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(information, "_ascend_starts", record)
+            return calls, fn(*args)
+
+    def test_certified_pair_climbs_start_zero_alone(self, monkeypatch):
+        """``paper-example``'s adversary letters are two pure letters: start
+        0, Helstrom at the uniform prior, reaches the closed form, so one
+        ascent of one row is all that C1 climbs (all starts took 12 rows)."""
+        e, cfg = paper_example(0.5).eve_ensemble(), OptimizerConfig()
+        calls, res = self._ascents(monkeypatch, c1, e, cfg)
+        assert [shape[0] for _, shape, _, _ in calls] == [1]
+        assert res.converged and res.value >= _pair_bound(e.states) - information._TIE_BITS / 2
+        ref_calls, ref = self._ascents(monkeypatch, all_starts_c1, e, cfg)
+        assert [shape[0] for _, shape, _, _ in ref_calls] == [12]
+        assert res.value == ref.value
+
+    @pytest.mark.parametrize("make", [
+        lambda: scenario_from_dict(THREE_MIXED).eve_ensemble(),
+        lambda: random_mixed_ensemble(3, 2, 68),
+        lambda: random_mixed_ensemble(2, 2, 5),
+        lambda: ensemble([0.4, 0.6], (random_pure(np.random.default_rng(3), 2),
+                                      random_density(np.random.default_rng(4), 2))),
+    ], ids=["three-mixed", "three-qubit-letters", "mixed-pair", "pure-and-mixed-pair"])
+    def test_other_ensembles_make_the_all_starts_calls(self, monkeypatch, make):
+        """An ensemble that is not two rank-one letters climbs every start as
+        before: the same ``_ascend_starts`` calls, with the same rows, and the
+        same result."""
+        e, cfg = make(), OptimizerConfig(restarts=2, seed=1)
+        calls, res = self._ascents(monkeypatch, c1, e, cfg)
+        ref_calls, ref = self._ascents(monkeypatch, all_starts_c1, e, cfg)
+        assert calls == ref_calls
+        assert (res.value, res.converged) == (ref.value, ref.converged)
+        assert np.array_equal(res.prior, ref.prior)
+        assert np.array_equal(res.povm.effects, ref.povm.effects)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+    def test_pair_bound_is_at_least_c1_property(self, dim, seed):
+        """The closed form at the letters' Uhlmann fidelity bounds C1 of any
+        pair, pure or mixed."""
+        e = random_mixed_ensemble(2, dim, seed)
+        assert _pair_bound(e.states) >= c1(e, OptimizerConfig(restarts=4)).value - 1e-12
+
+    def test_pair_bound_is_the_pure_pair_closed_form(self, rng):
+        for dim in (2, 3, 2, 3, 2, 3):
+            a, b = random_pure(rng, dim), random_pure(rng, dim)
+            overlap = math.sqrt(max(np.trace(a.matrix @ b.matrix).real, 0.0))
+            e = ensemble([0.5, 0.5], (a, b))
+            assert _pair_bound(e.states) == pytest.approx(pure_pair_c1(overlap), abs=1e-15)
+        for s in (0.0, 1e-8, 0.3, 0.5, 0.9, 1 - 1e-12, 1.0):
+            assert _pair_bound(qubit_pair_ensemble(s).states) == pytest.approx(pure_pair_c1(s), abs=1e-15)
 
     def test_orthogonal_pair(self):
         assert c1(qubit_pair_ensemble(0.0), CFG).value == pytest.approx(1.0, abs=1e-9)

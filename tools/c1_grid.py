@@ -7,12 +7,18 @@ Usage: python3 tools/c1_grid.py SRC OUT
 The first form imports ``qkdsim`` from the package under SRC (a ``src``
 directory) and writes to the file OUT, as JSON keyed ``ensemble/quantity``,
 the value, the prior, the POVM effects (real and imaginary parts) and the
-``converged`` flag of ``c1`` and ``accessible_information`` on 40 random
+``converged`` flag of ``c1`` and ``accessible_information`` on 56
 ensembles, and of ``c_k(e, 2)`` where the ensemble is a pair of qubit
-letters. Ensemble i is drawn from ``default_rng(1000 + i)``: 2 to 4 letters
-on a qubit or a qutrit, each a random density matrix of random rank, at a
-Dirichlet prior, scored
-under ``OptimizerConfig(restarts=r, seed=i)`` with r drawn from 1..2. JSON
+letters. Ensembles 0-39 are random: ensemble i is drawn from
+``default_rng(1000 + i)``, 2 to 4 letters on a qubit or a qutrit, each a
+random density matrix of random rank, at a Dirichlet prior, scored under
+``OptimizerConfig(restarts=r, seed=i)`` with r drawn from 1..2. Ensembles
+40-55 are pairs of pure letters, whose C1 ``c1`` certifies by its closed
+form: 40-45 are ``paper_example``'s adversary letters at the overlaps
+``PAPER_OVERLAPS``, at the uniform prior and at (0.3, 0.7), under the default
+``OptimizerConfig(seed=i)``; 46-55 are random pure pairs from
+``default_rng(1000 + i)``, on a qubit (i even) or a qutrit (i odd), at the
+uniform prior or a Dirichlet one, with ``restarts`` drawn from 0..8. JSON
 writes every float at full precision, so a witness round-trips bit for bit.
 The equality set's golden files hold C1 at a few points and 12 digits only;
 this grid shows what a change to the POVM ascent moved. It also prints the
@@ -32,7 +38,10 @@ import sys
 
 import lbfgs_work
 
-ENSEMBLES = range(40)
+MIXED = 40
+PAPER_OVERLAPS = (0.2, 0.5, 0.8)
+PURE_PAIRS = 10
+ENSEMBLES = range(MIXED + 2 * len(PAPER_OVERLAPS) + PURE_PAIRS)
 TOLERANCE = 1e-12
 
 
@@ -42,8 +51,19 @@ def ensemble(i: int):
 
     from qkdsim.channels import CqEnsemble
     from qkdsim.information import OptimizerConfig
+    from qkdsim.scenarios import paper_example
 
     rng = np.random.default_rng(1000 + i)
+    if MIXED <= i < MIXED + 2 * len(PAPER_OVERLAPS):
+        overlap, skewed = PAPER_OVERLAPS[(i - MIXED) // 2], (i - MIXED) % 2
+        e = paper_example(overlap).eve_ensemble()
+        return CqEnsemble([0.3, 0.7] if skewed else e.prior, e.states), OptimizerConfig(seed=i)
+    if i >= MIXED:
+        dim = 2 + i % 2
+        vectors = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        states = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in vectors]
+        prior = rng.dirichlet(np.ones(2)) if i // 2 % 2 else np.full(2, 0.5)
+        return CqEnsemble(prior, states), OptimizerConfig(restarts=int(rng.integers(0, 9)), seed=i)
     size, dim = int(rng.integers(2, 5)), int(rng.integers(2, 4))
     states = []
     for _ in range(size):
