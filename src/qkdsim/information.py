@@ -60,13 +60,11 @@ ascends every frame at its fixed prior and re-optimizes each prior for its
 row-normalized table, and a start converges only on a round that gains at
 most ``cfg.tol``. A later start replaces the best only when it beats it by
 more than ``_TIE_BITS``, so of starts that reach one maximum the earliest is
-the witness. Two rank-one letters have C1 in closed form, ``_pair_bound``,
-which no start exceeds: start 0 climbs first, alone but at the full start
-set's padded width, and once within ``_TIE_BITS`` / 2 of the bound it is the
-certified result, as all starts would give, and no other start climbs.
-``accessible_information`` climbs its starts at the ensemble's prior. Every
-reported value is re-evaluated through the exact Born-rule path, so it is
-achievable by the returned witness.
+the witness. Two rank-one letters need no seesaw: ``c1`` returns their closed
+form's witness, the Helstrom measurement at the uniform prior (Levitin 1995),
+and builds no start. ``accessible_information`` climbs its starts at the
+ensemble's prior. Every reported value is re-evaluated through the exact
+Born-rule path, so it is achievable by the returned witness.
 
 ``scipy.optimize`` is imported inside ``_ascend_prior``, not at module level,
 and only for the prior ascents, on bounded weights: the exact enumerator, the
@@ -210,14 +208,12 @@ def shannon_entropy(p) -> float:
 
 
 def mutual_information(p, v: ClassicalChannel) -> float:
-    """I(P, V) = H(output) - sum_a P(a) H(row a), in bits."""
+    """I(P, V) = H(output) - sum_a P(a) H(row a), in bits (``_mi_from_probs``)."""
     p = np.asarray(p, dtype=float).ravel()
     if p.size != v.in_size:
         raise DimensionMismatch(f"prior length {p.size} != channel inputs {v.in_size}")
     require_distribution(p, "distribution", floor=-1e-12, atol=1e-9)
-    out = p @ v.matrix
-    val = float(_entropy_rows(out) - p @ _entropy_rows(v.matrix))
-    return max(val, 0.0)
+    return _mi_from_probs(p, v.matrix)
 
 
 def holevo_chi(e: CqEnsemble) -> float:
@@ -792,9 +788,7 @@ def _best_prior_for_channel(
     rows) by ``_capacity_prior``: the prior, its value and whether the duality
     gap closed to ``cfg.tol``."""
     p, converged = _capacity_prior(_channel_divergences(rows), rows.shape[0], cfg.tol)
-    out = p @ rows
-    value = float(max(_entropy_rows(out) - p @ _entropy_rows(rows), 0.0))
-    return p, value, converged
+    return p, _mi_from_probs(p, rows), converged
 
 
 def _climb(stack, held: _Starts, active, news, own, joint: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -811,30 +805,34 @@ def _climb(stack, held: _Starts, active, news, own, joint: bool) -> tuple[np.nda
     return np.where(up, ends.values, news), ends.ok
 
 
-def _pair_bound(stack: np.ndarray) -> float:
-    """1 - h((1 - sqrt(1 - F)) / 2), F = ||sqrt(rho_0) sqrt(rho_1)||_1^2 the
-    Uhlmann fidelity of the two letters' parts above 1e-12
-    (``_rank1_pieces``), normalized: C1 of two pure letters (Levitin 1995),
-    and at least C1 of any pair, whose purifications at overlap sqrt(F)
-    (Uhlmann 1976) lose no C1 to a partial trace."""
-    pieces, groups = _rank1_pieces(stack)
-    a, b = pieces[groups == 0], pieces[groups == 1]
-    overlap = np.linalg.svd(a.conj() @ b.T, compute_uv=False).sum()
-    fidelity = overlap**2 / (np.vdot(a, a).real * np.vdot(b, b).real)
-    x = (1.0 - math.sqrt(max(1.0 - fidelity, 0.0))) / 2.0
-    return 1.0 - float(_entropy_rows(np.array([x, 1.0 - x])))
-
-
-def _rounds(e: CqEnsemble, cfg: OptimizerConfig, held: _Starts, active, own, converged) -> None:
-    """C1's seesaw rounds, at most ``cfg.max_iters``, of the ``active`` starts
-    of ``held``, in shared ``_ascend_starts`` calls where each climbs on its
-    own. A round is one joint ascent, kept when it raises the start's value,
-    after (from three letters on) a fixed-prior frame ascent, kept likewise,
-    and ``_best_prior_for_channel`` on the row-normalized table, kept when as
-    good. A start is ``converged`` once a round gains at most ``cfg.tol`` or,
-    for two letters, once its joint ascent met its stop: another round would
-    only re-climb from the normalized copy of its end frame."""
+def _joint_maximize(
+    e: CqEnsemble,
+    cfg: OptimizerConfig,
+    extra_starts: tuple[tuple[np.ndarray, Povm], ...] = (),
+) -> OptimizationResult:
+    """Seesaw over (prior, POVM) from each start: the starts are
+    ``extra_starts``, then ``_structured_starts`` with Helstrom also at 0.5,
+    0.25 and 0.75, then ``cfg.restarts`` random ones. Each climbs on its own
+    for at most ``cfg.max_iters`` rounds of shared ``_ascend_starts`` calls,
+    so the value is a maximum over independent starts. A round is one joint
+    ascent, kept when it raises the start's value, after (from three letters
+    on) a fixed-prior frame ascent, kept likewise, and
+    ``_best_prior_for_channel`` on the row-normalized table, kept when as
+    good. A start is converged once a round gains at most ``cfg.tol`` or, for
+    two letters, once its joint ascent met its stop: another round would only
+    re-climb from the normalized copy of its end frame.
+    """
+    rng = np.random.default_rng(cfg.seed)
     stack = e.states
+    starts = list(extra_starts) + _structured_starts(e, cfg, (0.5, 0.25, 0.75))
+    priors, povms = map(list, zip(*starts))
+    raws, m = [], (e.dim * e.dim, e.dim)
+    for _ in range(cfg.restarts):
+        priors.append(rng.dirichlet(np.ones(e.size)))
+        raws.append(rng.normal(size=m) + 1j * rng.normal(size=m))
+    held = _start_set(stack, np.array(priors), povms, raws)
+    active = np.arange(held.values.size)
+    own, converged = active < len(povms), np.zeros(active.size, dtype=bool)
     for _ in range(cfg.max_iters):
         if not active.size:
             break
@@ -853,51 +851,29 @@ def _rounds(e: CqEnsemble, cfg: OptimizerConfig, held: _Starts, active, own, con
         converged[active] = (news <= held.values[active] + cfg.tol) | (ok & (e.size == 2))
         held.values[active] = np.maximum(held.values[active], news)
         active = active[~converged[active]]
-
-
-def _joint_maximize(
-    e: CqEnsemble,
-    cfg: OptimizerConfig,
-    extra_starts: tuple[tuple[np.ndarray, Povm], ...] = (),
-) -> OptimizationResult:
-    """Seesaw over (prior, POVM) from each start (``_rounds``): the starts
-    are ``extra_starts``, then ``_structured_starts`` with Helstrom also at
-    0.5, 0.25 and 0.75, then ``cfg.restarts`` random ones. No start's path
-    depends on another's, so the value is a maximum over independent starts.
-
-    Two rank-one letters climb start 0 alone first. If it ends within
-    ``_TIE_BITS`` / 2 of ``_pair_bound``, which no start exceeds by more than
-    rounding, no other start can beat it by ``_TIE_BITS``: it is the result,
-    certified, and no other start climbs. It climbs as a row of the full
-    start set, whose padded width is part of the row's arithmetic, so every
-    output is what climbing all starts gives.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    stack = e.states
-    starts = list(extra_starts) + _structured_starts(e, cfg, (0.5, 0.25, 0.75))
-    priors, povms = map(list, zip(*starts))
-    raws, m = [], (e.dim * e.dim, e.dim)
-    for _ in range(cfg.restarts):
-        priors.append(rng.dirichlet(np.ones(e.size)))
-        raws.append(rng.normal(size=m) + 1j * rng.normal(size=m))
-    held = _start_set(stack, np.array(priors), povms, raws)
-    every = np.arange(held.values.size)
-    own, converged = every < len(povms), np.zeros(every.size, dtype=bool)
-    lead = int(e.size == 2 and _rank1_pieces(stack)[1].size == 2)
-    _rounds(e, cfg, held, every[:lead], own, converged)
-    best = 0
-    if not lead or held.values[0] < _pair_bound(stack) - _TIE_BITS / 2:
-        _rounds(e, cfg, held, every[lead:], own, converged)
-        values = held.values.tolist()
-        for f, value in enumerate(values):
-            if value > values[best] + _TIE_BITS:
-                best = f
+    values, best = held.values.tolist(), 0
+    for f, value in enumerate(values):
+        if value > values[best] + _TIE_BITS:
+            best = f
     povm = povms[best] if own[best] else _frame_povm(held.frames[best])
-    return OptimizationResult(float(held.values[best]), held.priors[best], povm, bool(converged[best]))
+    return OptimizationResult(values[best], held.priors[best], povm, bool(converged[best]))
 
 
 def c1(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
-    """Single-copy capacity: max over priors and POVMs of I(P, M)."""
+    """Single-copy capacity: max over priors and POVMs of I(P, M).
+
+    Two rank-one letters have it in closed form, 1 - h((1 - sqrt(1 - F)) / 2)
+    with F their fidelity, reached at the uniform prior by the Helstrom
+    measurement at 1/2 (Levitin 1995; Fuchs, PRL 79, 1162 (1997)), whatever
+    the ensemble's own prior: that witness is returned, converged, and scored
+    through the exact Born-rule path. Any other ensemble takes C1's seesaw,
+    ``_joint_maximize``.
+    """
+    stack = e.states
+    if e.size == 2 and _rank1_pieces(stack)[1].size == 2:
+        prior, povm = np.array([0.5, 0.5]), helstrom(stack[0], stack[1], 0.5)
+        value = _scores(prior[None], _born_table(povm.effects, stack)[None])[0]
+        return OptimizationResult(float(value), prior, povm)
     return _joint_maximize(e, cfg)
 
 

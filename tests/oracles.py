@@ -22,8 +22,10 @@ ascents, the prior search of ``alternating_c1`` and the frame normalization,
 ``normalize_vectors``, are this module's own. ``confirming_c1`` is C1 on the
 package's own stacked ascents but with the confirming round that every start
 once took after its joint ascent met its stop; ``all_starts_c1`` is C1 as it
-climbed every start, before two pure letters ended at a start that reaches
-their closed form, which ``information.c1`` must equal exactly.
+climbed every start, two pure letters included, which ``information.c1`` must
+equal on those within 1e-12 and on every other ensemble exactly.
+``_pair_bound`` is the closed form of two pure letters at their Uhlmann
+fidelity, an upper bound on C1 of any pair.
 ``lbfgsb_eve_optimize`` is the reference seesaw for the adversary: the
 package's seesaw as it ran with its slot ascents on L-BFGS-B, against which
 ``simulation.eve_optimize`` must never report less; ``confirming_eve_optimize`` is the package's seesaw with the
@@ -114,6 +116,20 @@ def helstrom_crossover(s: float) -> float:
 def pure_pair_c1(s: float) -> float:
     """Single-copy capacity of the pure pair: Helstrom channel at uniform prior."""
     return 1.0 - binary_entropy(helstrom_crossover(s))
+
+
+def _pair_bound(stack: np.ndarray) -> float:
+    """1 - h((1 - sqrt(1 - F)) / 2), F = ||sqrt(rho_0) sqrt(rho_1)||_1^2 the
+    Uhlmann fidelity of the two letters' parts above 1e-12
+    (``_rank1_pieces``), normalized: C1 of two pure letters (Levitin 1995),
+    and at least C1 of any pair, whose purifications at overlap sqrt(F)
+    (Uhlmann 1976) lose no C1 to a partial trace."""
+    pieces, groups = info._rank1_pieces(stack)
+    a, b = pieces[groups == 0], pieces[groups == 1]
+    overlap = np.linalg.svd(a.conj() @ b.T, compute_uv=False).sum()
+    fidelity = overlap**2 / (np.vdot(a, a).real * np.vdot(b, b).real)
+    x = (1.0 - math.sqrt(max(1.0 - fidelity, 0.0))) / 2.0
+    return 1.0 - binary_entropy(x)
 
 
 def block_success(s: float, n: int) -> float:
@@ -789,8 +805,8 @@ def confirming_c1(e, cfg):
 
 
 def all_starts_c1(e, cfg, extra_starts=()):
-    """``information._joint_maximize`` as it ran before two pure letters
-    certified start 0 by the closed form: every start climbs, rounds of the
+    """``information.c1`` as it ran before two pure letters returned their
+    closed form's witness: every start climbs, rounds of the
     package's own stacked ascents (``_climb``) for all starts at once, and a
     later start replaces the best only when it beats it by more than
     ``_TIE_BITS``. Returns an ``OptimizationResult``."""

@@ -13,8 +13,8 @@ letters. Ensembles 0-39 are random: ensemble i is drawn from
 ``default_rng(1000 + i)``, 2 to 4 letters on a qubit or a qutrit, each a
 random density matrix of random rank, at a Dirichlet prior, scored under
 ``OptimizerConfig(restarts=r, seed=i)`` with r drawn from 1..2. Ensembles
-40-55 are pairs of pure letters, whose C1 ``c1`` certifies by its closed
-form: 40-45 are ``paper_example``'s adversary letters at the overlaps
+40-55 are pairs of pure letters, whose C1 ``c1`` returns in closed form:
+40-45 are ``paper_example``'s adversary letters at the overlaps
 ``PAPER_OVERLAPS``, at the uniform prior and at (0.3, 0.7), under the default
 ``OptimizerConfig(seed=i)``; 46-55 are random pure pairs from
 ``default_rng(1000 + i)``, on a qubit (i even) or a qutrit (i odd), at the
