@@ -384,8 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help exits 0
+            raise
+        return 1  # argparse's usage error: 2 means non-convergence here
     try:
         if args.out:
             _check_out(args.out)

@@ -45,10 +45,11 @@ the slots' frames and no tail, on its own value function and to its own stops.
 The starts are held as arrays, one per quantity (``_Starts``): frames
 zero-padded into (F, R, d), priors, Born tables and values. An ascent's ends
 are normalized, tabled and scored by one call each over every start. The
-structured starts (``_structured_starts``: Helstrom, and the pretty-good
-measurement at the ensemble's, the uniform and the Holevo-capacity prior) are
-shared by C1 and accessible information; one keeps its ``Povm`` until an
-ascent moves it, and otherwise only the winner's is built. C1 and C_k are a
+structured starts (``_structured_starts``: for two letters Helstrom, then the
+pretty-good measurement, each at the ensemble's and the uniform prior) are
+built from the ensemble alone and shared by C1 and accessible information;
+one keeps its ``Povm`` until an ascent moves it, and otherwise only the
+winner's is built. C1 and C_k are a
 seesaw over (prior, POVM): a round is one joint ascent over the frame and the
 prior's logits (``_mi_values``; Shor, Math. Program. 97, 311 (2003)), kept
 when it raises the start's exact value. For two letters that is the
@@ -69,9 +70,8 @@ Born-rule path, so it is achievable by the returned witness.
 ``scipy.optimize`` is imported inside ``_ascend_prior``, not at module level,
 and only for the prior ascents, on bounded weights: the exact enumerator, the
 command line's set-up, every POVM ascent, and so the adversary's seesaw, C1 of
-two letters and accessible information where ``holevo_capacity`` takes no
-step (its uniform start already meets the stop), run on numpy alone and never
-pay scipy's import, which costs more than the rest of the package's start-up.
+two letters and accessible information, run on numpy alone and never pay
+scipy's import, which costs more than the rest of the package's start-up.
 """
 
 from __future__ import annotations
@@ -728,46 +728,27 @@ def _ascend_starts(stack: np.ndarray, priors, frames: np.ndarray, joint: bool) -
     return _Starts(ends, u, tables, np.where(valid, _scores(ends, tables), -np.inf), ok)
 
 
-def _structured_starts(
-    e: CqEnsemble, cfg: OptimizerConfig, helstrom_at: tuple[float, ...] = ()
-) -> list[tuple[np.ndarray, Povm]]:
+def _structured_starts(e: CqEnsemble) -> list[tuple[np.ndarray, Povm]]:
     """The structured starts of C1 and accessible information, (prior, POVM)
-    pairs: for two letters the Helstrom measurement at the ensemble's prior
-    and at the first-letter weights ``helstrom_at``, then the pretty-good
-    measurement at the ensemble's prior, at the uniform prior and at the
-    Holevo-capacity prior of the same states (C1 <= C, so that prior is a
-    natural start). The last two depend on the states alone, not on the
-    ensemble's prior. A start is left out when its prior is within 1e-6 of an
-    earlier start's of the same measurement, so a symmetric binary ensemble
-    keeps one pretty-good start.
-    """
-
-    def fresh(priors):
-        kept = []
-        for p in priors:
-            if all(np.abs(p - q).max() > 1e-6 for q in kept):
-                kept.append(p)
-        return kept
-
-    starts = []
-    if e.size == 2:
-        for p in fresh([np.array([p0, 1.0 - p0]) for p0 in (float(e.prior[0]), *helstrom_at)]):
-            starts.append((p, helstrom(e.states[0], e.states[1], float(p[0]))))
-    pgm_priors = (e.prior.copy(), np.full(e.size, 1.0 / e.size), holevo_capacity(e, cfg).prior)
-    for p in fresh(pgm_priors):
-        starts.append((p, pretty_good_measurement(CqEnsemble(p, e.states))))
-    return starts
+    pairs at the ensemble's prior and then the uniform prior, the latter left
+    out when within 1e-6 of the former: for two letters the Helstrom
+    measurement at each prior's first weight, then the pretty-good
+    measurement at each prior."""
+    uniform = np.full(e.size, 1.0 / e.size)
+    priors = [e.prior, uniform] if np.abs(uniform - e.prior).max() > 1e-6 else [e.prior]
+    starts = [(p, helstrom(*e.states, float(p[0]))) for p in priors if e.size == 2]
+    return starts + [(p, pretty_good_measurement(CqEnsemble(p, e.states))) for p in priors]
 
 
 def accessible_information(e: CqEnsemble, cfg: OptimizerConfig) -> OptimizationResult:
-    """max_M I(P, M) at the ensemble's own prior, over the frames of
-    ``_structured_starts`` (Helstrom at the ensemble's prior only) and
+    """max_M I(P, M) at the ensemble's own prior, over the frames of C1's
+    ``_structured_starts`` (built at the ensemble's and the uniform prior) and
     ``cfg.restarts`` random rank-one POVMs, each climbed on its own at that
     prior by one fixed-prior ``_ascend_starts`` call, so the value is the
     maximum over independent starts. A start its ascent does not improve
     keeps its own value and POVM."""
     rng = np.random.default_rng(cfg.seed)
-    povms = [povm for _, povm in _structured_starts(e, cfg)]
+    povms = [povm for _, povm in _structured_starts(e)]
     m = (e.dim * e.dim, e.dim)
     raws = [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(cfg.restarts)]
     priors = np.tile(e.prior, (len(povms) + len(raws), 1))
@@ -811,21 +792,18 @@ def _joint_maximize(
     extra_starts: tuple[tuple[np.ndarray, Povm], ...] = (),
 ) -> OptimizationResult:
     """Seesaw over (prior, POVM) from each start: the starts are
-    ``extra_starts``, then ``_structured_starts`` with Helstrom also at 0.5,
-    0.25 and 0.75, then ``cfg.restarts`` random ones. Each climbs on its own
-    for at most ``cfg.max_iters`` rounds of shared ``_ascend_starts`` calls,
-    so the value is a maximum over independent starts. A round is one joint
-    ascent, kept when it raises the start's value, after (from three letters
-    on) a fixed-prior frame ascent, kept likewise, and
-    ``_best_prior_for_channel`` on the row-normalized table, kept when as
+    ``extra_starts``, then ``_structured_starts``, then ``cfg.restarts`` random
+    ones. Each climbs on its own for at most ``cfg.max_iters`` rounds of shared
+    ``_ascend_starts`` calls, so the value is a maximum over independent
+    starts. A round is one joint ascent, kept when it raises the start's value,
+    after (from three letters on) a fixed-prior frame ascent, kept likewise,
+    and ``_best_prior_for_channel`` on the row-normalized table, kept when as
     good. A start is converged once a round gains at most ``cfg.tol`` or, for
     two letters, once its joint ascent met its stop: another round would only
-    re-climb from the normalized copy of its end frame.
-    """
+    re-climb from the normalized copy of its end frame."""
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
-    starts = list(extra_starts) + _structured_starts(e, cfg, (0.5, 0.25, 0.75))
-    priors, povms = map(list, zip(*starts))
+    priors, povms = map(list, zip(*extra_starts, *_structured_starts(e)))
     raws, m = [], (e.dim * e.dim, e.dim)
     for _ in range(cfg.restarts):
         priors.append(rng.dirichlet(np.ones(e.size)))
@@ -897,10 +875,7 @@ def c_k(e: CqEnsemble, k: int, cfg: OptimizerConfig) -> OptimizationResult:
     words = itertools.product(range(e.size), repeat=k)
     prod_states = [reduce(np.kron, (e.states[a] for a in w)) for w in words]
     prod_e = CqEnsemble(reduce(np.kron, [e.prior] * k), prod_states)
-    extra = ()
-    if single.povm is not None:
-        start_prior = reduce(np.kron, [single.prior] * k)
-        extra = ((start_prior, expand([single.povm] * k)),)
+    extra = ((reduce(np.kron, [single.prior] * k), expand([single.povm] * k)),)
     result = _joint_maximize(prod_e, cfg, extra_starts=extra)
     result.converged = result.converged and single.converged
     return result

@@ -23,7 +23,10 @@ ascents, the prior search of ``alternating_c1`` and the frame normalization,
 package's own stacked ascents but with the confirming round that every start
 once took after its joint ascent met its stop; ``all_starts_c1`` is C1 as it
 climbed every start, two pure letters included, which ``information.c1`` must
-equal on those within 1e-12 and on every other ensemble exactly.
+equal on those within 1e-12 and never fall below on any other ensemble.
+Both start from ``_structured_starts``, the package's start set as it was
+with Helstrom also at 0.25 and 0.75 and the pretty-good measurement also at
+the Holevo-capacity prior, so each stays the algorithm it was.
 ``_pair_bound`` is the closed form of two pure letters at their Uhlmann
 fidelity, an upper bound on C1 of any pair.
 ``lbfgsb_eve_optimize`` is the reference seesaw for the adversary: the
@@ -710,6 +713,37 @@ def _c1_starts(e, cfg, extra_starts=()):
     return starts
 
 
+def _structured_starts(
+    e: CqEnsemble, cfg: info.OptimizerConfig, helstrom_at: tuple[float, ...] = ()
+) -> list[tuple[np.ndarray, Povm]]:
+    """The structured starts of C1 and accessible information, (prior, POVM)
+    pairs: for two letters the Helstrom measurement at the ensemble's prior
+    and at the first-letter weights ``helstrom_at``, then the pretty-good
+    measurement at the ensemble's prior, at the uniform prior and at the
+    Holevo-capacity prior of the same states (C1 <= C, so that prior is a
+    natural start). The last two depend on the states alone, not on the
+    ensemble's prior. A start is left out when its prior is within 1e-6 of an
+    earlier start's of the same measurement, so a symmetric binary ensemble
+    keeps one pretty-good start.
+    """
+
+    def fresh(priors):
+        kept = []
+        for p in priors:
+            if all(np.abs(p - q).max() > 1e-6 for q in kept):
+                kept.append(p)
+        return kept
+
+    starts = []
+    if e.size == 2:
+        for p in fresh([np.array([p0, 1.0 - p0]) for p0 in (float(e.prior[0]), *helstrom_at)]):
+            starts.append((p, helstrom(e.states[0], e.states[1], float(p[0]))))
+    pgm_priors = (e.prior.copy(), np.full(e.size, 1.0 / e.size), info.holevo_capacity(e, cfg).prior)
+    for p in fresh(pgm_priors):
+        starts.append((p, pretty_good_measurement(CqEnsemble(p, e.states))))
+    return starts
+
+
 def sequential_c1(e, cfg, extra_starts=()):
     """C1's seesaw with every start climbed on its own, one L-BFGS-B call per
     ascent, as C1 was computed before its starts were stacked: a round is one
@@ -755,14 +789,14 @@ def sequential_c1(e, cfg, extra_starts=()):
 def confirming_c1(e, cfg):
     """``information.c1`` with a two-letter start converged only by a round
     that gains at most ``cfg.tol``, as C1 ran before a joint ascent that met
-    its own stop ended the start: the package's start set and stacked
-    ascents, each round one joint ``_ascend_starts`` (from three letters on
+    its own stop ended the start: the earlier start set
+    (``_structured_starts``) and the package's stacked ascents, each round one joint ``_ascend_starts`` (from three letters on
     preceded by a fixed-prior one and the capacity prior of the
     row-normalized table), kept when it raises a start's value. Returns an
     ``OptimizationResult``."""
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
-    starts = info._structured_starts(e, cfg, (0.5, 0.25, 0.75))
+    starts = _structured_starts(e, cfg, (0.5, 0.25, 0.75))
     priors, povms = map(list, zip(*starts))
     raws, m = [], (e.dim * e.dim, e.dim)
     for _ in range(cfg.restarts):
@@ -806,13 +840,14 @@ def confirming_c1(e, cfg):
 
 def all_starts_c1(e, cfg, extra_starts=()):
     """``information.c1`` as it ran before two pure letters returned their
-    closed form's witness: every start climbs, rounds of the
+    closed form's witness: every start of the earlier start set
+    (``_structured_starts``) climbs, rounds of the
     package's own stacked ascents (``_climb``) for all starts at once, and a
     later start replaces the best only when it beats it by more than
     ``_TIE_BITS``. Returns an ``OptimizationResult``."""
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
-    starts = list(extra_starts) + info._structured_starts(e, cfg, (0.5, 0.25, 0.75))
+    starts = list(extra_starts) + _structured_starts(e, cfg, (0.5, 0.25, 0.75))
     priors, povms = map(list, zip(*starts))
     raws, m = [], (e.dim * e.dim, e.dim)
     for _ in range(cfg.restarts):

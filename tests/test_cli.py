@@ -19,6 +19,7 @@ from qkdsim.scenarios import (
     scenario_to_dict,
 )
 
+from conftest import THREE_MIXED
 from oracles import binary_entropy, pure_pair_c1, pure_pair_capacity
 
 
@@ -307,6 +308,23 @@ class TestAnalyzeCommand:
         code = main(["analyze", "paper-example", "--overlap", "1.5"])
         assert code == 1
         assert "overlap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze"], "the following arguments are required: scenario"),
+        (["analyze", "paper-example", "--restarts", "x"], "argument --restarts: invalid int value"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ], ids=["no-scenario", "non-integer-restarts", "unknown-command"])
+    def test_usage_error_exits_1_with_usage(self, argv, message, capsys):
+        # Exit 2 is non-convergence or a partial sweep, not argparse's usage error.
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qkdsim") and message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qkdsim")
 
     def test_no_tmp_files_left(self, tmp_path):
         out = tmp_path / "r.json"
@@ -651,10 +669,20 @@ class TestStartup:
         assert "scipy.optimize" not in run["scipy"]
 
     def test_symmetric_binary_accessible_never_loads_scipy_optimize(self):
-        # Every start climbs by the package's own L-BFGS, and the capacity
-        # prior of the pretty-good start is the uniform prior, which already
-        # meets its stop.
+        # Every start climbs by the package's own L-BFGS, and the starts are
+        # built from the ensemble alone, with no Holevo-capacity solve.
         run = _scipy_after([["accessible", "paper-example", "--overlap", "0.5"]])
+        assert run["codes"] == [0]
+        assert "scipy.optimize" not in run["scipy"]
+
+    def test_two_mixed_letters_accessible_never_loads_scipy_optimize(self, tmp_path):
+        # C1 and accessible information of two mixed letters at a non-uniform
+        # prior: no start needs the Holevo-capacity prior, so no prior ascent.
+        path = tmp_path / "two-mixed.json"
+        states = {a: THREE_MIXED["states"][a] for a in ("0", "1")}
+        path.write_text(json.dumps(dict(THREE_MIXED, name="two-mixed", alphabet_size=2,
+                                        states=states, prior=[0.3, 0.7])))
+        run = _scipy_after([["accessible", str(path)]])
         assert run["codes"] == [0]
         assert "scipy.optimize" not in run["scipy"]
 

@@ -29,6 +29,7 @@ from qkdsim.information import (
     _softmax,
     _start_frame,
     _start_set,
+    _structured_starts,
     accessible_information,
     c1,
     c_k,
@@ -63,6 +64,7 @@ from conftest import (
 )
 from oracles import (
     _pair_bound,
+    _structured_starts as earlier_starts,
     all_starts_c1,
     alternating_c1,
     binary_entropy,
@@ -1043,12 +1045,13 @@ class TestC1:
 
     def test_two_letters_take_one_joint_ascent(self, monkeypatch):
         """A two-letter start whose joint ascent met its stop is converged, so
-        no round confirms it: every start ends in one stacked ascent."""
+        no round confirms it: every start ends in one stacked ascent, Helstrom
+        and the pretty-good measurement at two priors and 8 random starts."""
         ascents, original = [], information._ascend_starts
         monkeypatch.setattr(information, "_ascend_starts",
                             lambda *args: ascents.append(args) or original(*args))
         res = c1(random_mixed_ensemble(2, 2, 5), OptimizerConfig())
-        assert [len(priors) for _, priors, _, _ in ascents] == [15] and res.converged
+        assert [len(priors) for _, priors, _, _ in ascents] == [12] and res.converged
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16), restarts=st.integers(1, 2))
@@ -1112,16 +1115,56 @@ class TestC1:
                                       random_density(np.random.default_rng(4), 2))),
     ], ids=["three-mixed", "three-qubit-letters", "mixed-pair", "pure-and-mixed-pair"])
     def test_other_ensembles_make_the_all_starts_calls(self, monkeypatch, make):
-        """An ensemble that is not two rank-one letters climbs every start as
-        before: the same ``_ascend_starts`` calls, with the same rows, and the
-        same result."""
+        """An ensemble that is not two rank-one letters climbs every start of
+        its own start set, built with no Holevo-capacity solve, and ends no
+        lower and no less converged than the earlier start set with
+        Helstrom also at 0.25 and 0.75 and the capacity prior's pretty-good
+        start (``all_starts_c1``)."""
         e, cfg = make(), OptimizerConfig(restarts=2, seed=1)
-        calls, res = self._ascents(monkeypatch, c1, e, cfg)
-        ref_calls, ref = self._ascents(monkeypatch, all_starts_c1, e, cfg)
-        assert calls == ref_calls
-        assert (res.value, res.converged) == (ref.value, ref.converged)
-        assert np.array_equal(res.prior, ref.prior)
-        assert np.array_equal(res.povm.effects, ref.povm.effects)
+        capacity, original = [], information.holevo_capacity
+        with monkeypatch.context() as patch:
+            patch.setattr(information, "holevo_capacity",
+                          lambda *args: capacity.append(args) or original(*args))
+            calls, res = self._ascents(monkeypatch, c1, e, cfg)
+        _, ref = self._ascents(monkeypatch, all_starts_c1, e, cfg)
+        assert capacity == []
+        assert calls[0][1][0] == len(_structured_starts(e)) + cfg.restarts
+        assert res.value >= ref.value - 1e-12
+        assert res.converged or not ref.converged
+
+    def test_no_holevo_capacity_solve(self, monkeypatch):
+        """C1, C_2 and accessible information build their starts from the
+        ensemble alone."""
+
+        def refuse(*args):
+            raise AssertionError("holevo_capacity called")
+
+        monkeypatch.setattr(information, "holevo_capacity", refuse)
+        pair, three = random_mixed_ensemble(2, 2, 5), scenario_from_dict(THREE_MIXED).eve_ensemble()
+        for e in (pair, three):
+            c1(e, CFG)
+            accessible_information(e, CFG)
+        c_k(pair, 2, CFG)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(size=st.integers(2, 4), dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+           restarts=st.integers(0, 2))
+    def test_no_lower_than_the_capacity_prior_start_set_property(self, size, dim, seed, restarts):
+        """C1 and accessible information on the ensemble's own start set are
+        no lower, and no less converged, than on the earlier one
+        (``oracles._structured_starts``)."""
+        e = random_mixed_ensemble(size, dim, seed)
+        cfg = OptimizerConfig(restarts=restarts, seed=seed % 5)
+        res_c1, res_acc = c1(e, cfg), accessible_information(e, cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(information, "_structured_starts",
+                          lambda e: earlier_starts(e, cfg, (0.5, 0.25, 0.75)))
+            ref_c1 = c1(e, cfg)
+            patch.setattr(information, "_structured_starts", lambda e: earlier_starts(e, cfg))
+            ref_acc = accessible_information(e, cfg)
+        for res, ref in ((res_c1, ref_c1), (res_acc, ref_acc)):
+            assert res.value >= ref.value - 1e-12
+            assert res.converged or not ref.converged
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))

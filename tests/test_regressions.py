@@ -180,8 +180,8 @@ def _random_letters(rng, size, dim):
 
 def test_c1_skewed_prior_three_qutrit_pin():
     # Three qutrit letters at a prior of about [0.005, 0.977, 0.018]: every
-    # start but the pretty-good measurements at the uniform and the capacity
-    # prior ends at 0.319725, with letter 0 dropped.
+    # start but the pretty-good measurement at the uniform prior ends at
+    # 0.319725, with letter 0 dropped; that one alone reaches 0.591733.
     rng = np.random.default_rng(1195)
     rng.integers(2, 4), rng.integers(2, 4), rng.integers(0, 4)
     letters = _random_letters(rng, 3, 3)
@@ -193,8 +193,8 @@ def test_c1_skewed_prior_three_qutrit_pin():
 def test_accessible_information_pin(seed, value):
     # Four and three qubit letters. Climbed as one coupled problem, the starts
     # of seed 1010 ended 7.5e-5 low; climbed one by one without the
-    # pretty-good starts at the uniform and the capacity prior, those of seed
-    # 1014 end 6.0e-4 low.
+    # pretty-good start at the uniform prior, those of seed 1014 end 6.0e-4
+    # low. In both, that start alone reaches the pinned value.
     rng = np.random.default_rng(seed)
     size, dim = int(rng.integers(2, 5)), int(rng.integers(2, 4))
     letters = _random_letters(rng, size, dim)

@@ -657,6 +657,31 @@ class TestJointLawProperties:
         assert rep.joint.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(rep.joint.sum(axis=(1, 2)), 1 / k, rtol=0, atol=1e-10)
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), count=st.integers(1, 3),
+           repetition=st.booleans())
+    def test_coarse_grained_slot_keeps_the_joint_law_property(self, seed, n, count, repetition):
+        # Data processing, exactly: one slot's effects merged into ``count``
+        # outcomes and a decoder d on the coarse tuples give the joint law of
+        # the fine slots decoded by d o merge.
+        rng = np.random.default_rng(seed)
+        theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_factorization=(2, 2))
+        ensemble = CqEnsemble([0.5, 0.5], [random_density(rng, 2).matrix, random_pure(rng, 2).matrix])
+        sc = Scenario(name="random", key_count=2, ensemble=ensemble, theta=theta)
+        book = repetition_codebook(2, n) if repetition else sample_codebook(2, n, 2, seed)
+        slots = [random_rank1_povm(2, int(rng.integers(2, 5)), rng) for _ in range(n)]
+        slot, counts = int(rng.integers(n)), [len(p) for p in slots]
+        merge = rng.integers(0, count, size=counts[slot])
+        coarse = list(slots)
+        coarse[slot] = Povm(coarse_grain(slots[slot].effects, merge, count))
+        decoder = rng.integers(0, 2, size=math.prod(counts) // counts[slot] * count)
+        tuples = np.array(list(np.ndindex(*counts)))
+        tuples[:, slot] = merge[tuples[:, slot]]
+        merged = decoder[np.ravel_multi_index(tuples.T, [len(p) for p in coarse])]
+        rep = evaluate(sc, book, EveStrategy(coarse, decoder))
+        ref = evaluate(sc, book, EveStrategy(slots, merged))
+        np.testing.assert_allclose(rep.joint, ref.joint, rtol=0, atol=1e-12)
+
 
 def assert_same_default_report(sc, book, short):
     """Under the default attack, ``book`` and ``short`` give the same report to 1e-12."""

@@ -22,8 +22,9 @@ uniform prior or a Dirichlet one, with ``restarts`` drawn from 0..8. JSON
 writes every float at full precision, so a witness round-trips bit for bit.
 The equality set's golden files hold C1 at a few points and 12 digits only;
 this grid shows what a change to the POVM ascent moved. It also prints the
-L-BFGS work behind the grid (``lbfgs_work``): calls, objective evaluations and
-calls that took no step.
+work behind the grid (``lbfgs_work``): the L-BFGS calls, objective
+evaluations and calls that took no step, the prior ascents and the scipy
+``minimize`` calls they reach, and the Holevo-capacity solves.
 
 The second form prints every value in NEW that moved by more than 1e-12
 against BASE, every witness (prior or effects) that changed a byte, every

@@ -12,8 +12,9 @@ repetition code (coder ``rep``) and the random codebooks
 ``cs101``), each under ``OptimizerConfig(restarts=2, seed=seed)`` for seeds
 0..7. The equality set's golden files hold the seesaw's values at a few
 points only; this grid shows what a change to the seesaw's schedule moved.
-It also prints the L-BFGS work behind the grid (``lbfgs_work``): calls,
-objective evaluations and calls that took no step.
+It also prints the work behind the grid (``lbfgs_work``): L-BFGS calls,
+objective evaluations and calls that took no step, prior ascents, the scipy
+``minimize`` calls they reach and Holevo-capacity solves.
 
 The second form prints every run whose value in NEW rises or falls by more
 than 1e-12 against BASE, the count of each, the count of runs that changed
