@@ -16,10 +16,11 @@ over every outcome tuple. Every ascent is the package's one POVM ascent,
 ``information._ascend_frames``, on its own L-BFGS, so the seesaw runs on
 numpy alone. The channel is memoryless, so block states are Kronecker
 products of single-letter states. The receiver's measurement
-is held in Gram form on the span of the K codeword states. A constant
-codebook column, one letter in every codeword, factors out of the Gram
-matrix (G = G_inf (x) (x) A_a^dagger A_a), so the Gram matrix and the
-effects are built on the informative columns only, and each constant slot
+is held as G^(1/2), the square root of the K codeword states' Gram matrix,
+whose blocks are the measurement's amplitudes on the codeword span. A
+constant codebook column, one letter in every codeword, factors out of the
+Gram matrix (G = G_inf (x) (x) A_a^dagger A_a), so the Gram matrix and its
+root are built on the informative columns only, and each constant slot
 multiplies the law by its Born probabilities on the letter's support
 projector. The joint law is contracted one slot at a time; no operator on
 the receiver's or the adversary's block space is ever built. The joint law
@@ -73,9 +74,9 @@ _SLOT_GTOL = 1e-5
 _STALL_BITS = 3e-3
 _SEESAW_JOINT_GTOL = 1e-7
 # Eigenvalues at or below this lie outside a state's support: the receiver's
-# letter factors drop them, and its G^(-1/2) inverts G_inf/K (the Gram matrix
-# on the informative columns) only above it, the threshold of
-# measurements.pretty_good_measurement on the average state.
+# letter factors drop them, and its G^(1/2) keeps the eigenvalues of G_inf/K
+# (the Gram matrix on the informative columns) only above it, the threshold
+# of measurements.pretty_good_measurement on the average state.
 _SUPPORT_FLOOR = 1e-12
 
 
@@ -273,33 +274,34 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def bob_decoder(s: Scenario, c: Codebook) -> tuple[tuple, np.ndarray]:
-    """Square-root (pretty-good) measurement of the codeword block states, in Gram form.
+    """Square-root (pretty-good) measurement of the codeword block states, as G^(1/2).
 
     Each receiver letter is rho_a = A_a A_a^dagger with a d_b x r_a rank
     factor A_a that keeps the eigenvalues above ``_SUPPORT_FLOOR``. The
     channel is memoryless, so codeword w has the factor A_w = (x)_i A_{w_i};
     the factors stack into Psi = [A_{w_1} .. A_{w_K}]. The Gram matrix
-    G = Psi^dagger Psi has the blocks (x)_i A_{w_j,i}^dagger A_{w_l,i}, and
-    under the uniform prior the measurement is M_b = Psi Q_b Psi^dagger with
-    Q_b = G^(-1/2) E_b G^(-1/2) (Hausladen et al., PRA 54, 1869 (1996); Eldar
-    and Forney, IEEE TIT 47, 858 (2001)).
+    G = Psi^dagger Psi has the blocks (x)_i A_{w_j,i}^dagger A_{w_l,i}. Under
+    the uniform prior the measurement's amplitudes <mu_i|psi_j>, between its
+    measurement vectors and the factor columns, are the entries of G^(1/2)
+    (Hausladen et al., PRA 54, 1869 (1996); Eldar and Forney, IEEE TIT 47,
+    858 (2001)). Effect b owns the measurement vectors of block b, so block
+    (b, k) of G^(1/2), W_bk, gives M_b's probabilities on codeword k's state.
+    The receiver is held as that one matrix: nothing divides by an eigenvalue
+    of G, so nearly identical codewords give a law that sums to 1 up to
+    rounding.
 
     A constant column, where every codeword carries letter a, adds the same
     factor O_aa = A_a^dagger A_a to every block, so G = G_inf (x) (x) O_aa over
-    the constant columns, Q_b = Q_b^inf (x) (x) O_aa^(-1) and
-    M_b = M_b^inf (x) (x) Pi_a, with Pi_a the projector onto rho_a's kept
-    support. The Gram matrix, G^(-1/2) and the effects are therefore built on
-    the informative columns (``_informative``) only. G^(-1/2) inverts only
-    the support of G_inf/K, so repeated codewords are allowed; the constant
-    factor needs no such floor, since its eigenvalues are kept letter
-    eigenvalues. Nothing of the receiver's block dimension d_b^n is built; the
-    Gram dimension, sum_k prod_i r_{w_k,i} over the informative columns, is
-    held to the budget. The effects are entangled across slots in general;
-    outcomes are the keys 0..K-1.
+    the constant columns and M_b = M_b^inf (x) (x) Pi_a, with Pi_a the
+    projector onto rho_a's kept support. G^(1/2) is therefore built on the
+    informative columns (``_informative``) only, from the eigenvalues of G_inf
+    above ``_SUPPORT_FLOOR`` * K; repeated codewords are allowed. Nothing of
+    the receiver's block dimension d_b^n is built; the Gram dimension,
+    sum_k prod_i r_{w_k,i} over the informative columns, is held to the
+    budget. Outcomes are the keys 0..K-1.
 
-    Returns ``(factors, effects)``: the A_a, and the Q_b^inf stacked, indexed
-    by the codewords' factor columns on the informative columns, in codebook
-    order.
+    Returns ``(factors, root)``: the A_a, and G_inf^(1/2), indexed by the
+    codewords' factor columns on the informative columns, in codebook order.
     """
     _check_letters(s, c)
     factors = []
@@ -317,11 +319,8 @@ def bob_decoder(s: Scenario, c: Codebook) -> tuple[tuple, np.ndarray]:
          for u in letters]
     )
     vals, vecs = np.linalg.eigh(gram)
-    keep = vals > _SUPPORT_FLOOR * len(c)
-    root = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
-    cols = np.split(root, np.cumsum(sizes)[:-1], axis=1)
-    effects = np.stack([col @ col.conj().T for col in cols])
-    return tuple(factors), effects
+    vals = np.where(vals > _SUPPORT_FLOOR * len(c), vals, 0.0)
+    return tuple(factors), (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def _slot_channels(slots: list[np.ndarray], eve_states: np.ndarray) -> list[np.ndarray]:
@@ -585,62 +584,58 @@ def _refine_slots(
     return (slots, tables, _key_info(_likelihoods(tables, c), decoder_idx)), bool(ok)
 
 
-def _receiver_law(letters: np.ndarray, factors, effects: np.ndarray, slot_ops) -> np.ndarray:
+def _receiver_law(letters: np.ndarray, factors, root: np.ndarray, slot_ops) -> np.ndarray:
     """p(b, t | k) = Tr[M_b (x)_i X_{w_k,i}(o_i)] for every codeword k, effect b, outcome tuple t.
 
-    ``factors`` and ``effects`` are ``bob_decoder``'s for the codebook ``letters``.
+    ``factors`` and ``root`` are ``bob_decoder``'s for the codebook ``letters``.
     ``slot_ops[i]`` stacks X_a(o) for every letter a and outcome o of slot i,
     shape (A, m_i, d_b, d_b). Since M_b = M_b^inf (x) (x) Pi_a, the law is the
     informative slots' law times q_i(o) = Tr[Pi_a X_a(o)] of every constant
     slot i with letter a, all multiplied in one broadcast.
 
-    On the informative slots the law is Tr[Q_b^inf Y_k(t)], where Y_k(t) has
-    the blocks Y_{lj} = (x)_i A_{w_l,i}^dagger X_{w_k,i}(o_i) A_{w_j,i}, so
-    the trace is a sum over block pairs (j, l); within a pair it is taken one
-    slot at a time, each slot consuming its rank indices of Q_b's block, so
-    no block of Y is built for all tuples at once. Q_b and Y are Hermitian,
-    so the pair (l, j) adds the conjugate of (j, l) and only j <= l is
-    contracted. Returns the real array of shape (K, len(effects), M), tuples
-    in lexicographic order.
+    X_a(o) <= rho_a lies in A_a's column space, so X_a(o) = A_a C_a(o)
+    A_a^dagger with C_a(o) = A_a^+ X_a(o) A_a^+dagger, and on the informative
+    slots the law is Tr[W_bk^dagger W_bk C_k(t)], where W_bk is block (b, k)
+    of ``root`` and C_k(t) = (x)_i C_{w_k,i}(o_i). Each codeword takes one
+    pass: the trace is taken one slot at a time, each slot consuming its rank
+    indices, so no C_k(t) is built for all tuples at once. Returns the real
+    array of shape (K, K, M), tuples in lexicographic order.
     """
     k = len(letters)
     inf = _informative(letters)
     ranks = [f.shape[1] for f in factors]
     sizes = _codeword_sizes(factors, letters[:, inf])
-    blocks = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
-    spans = [slice(end - r, end) for r, end in zip(ranks, np.cumsum(ranks))]
-    stacked = np.hstack(factors)
-    # sandwiches[i][k, o][span b, span a] = A_b^dagger X_{w_k,i}(o) A_a, informative slots
-    sandwiches = [
-        stacked.conj().T @ x[a] @ stacked
-        for x, a, keep in zip(slot_ops, letters.T, inf)
+    ends = np.cumsum(sizes)
+    # A_a's columns are orthogonal, so A_a^+ = (A_a / |a_r|^2)^dagger.
+    pinvs = [f / (abs(f) ** 2).sum(axis=0) for f in factors]
+    # coords[i][a][o] = C_a(o), informative slots
+    coords = [
+        [p.conj().T @ x[a] @ p for a, p in enumerate(pinvs)]
+        for x, keep in zip(slot_ops, inf)
         if keep
     ]
-    law = 0.0
-    for j in range(k):
-        for l in range(j, k):
-            t = effects[None, :, blocks[j], blocks[l]]
-            rest_j, rest_l = sizes[j], sizes[l]
-            for y, a, b in zip(sandwiches, letters[j, inf], letters[l, inf]):
-                rest_j, rest_l = rest_j // ranks[a], rest_l // ranks[b]
-                t = t.reshape(len(t), -1, ranks[a], rest_j, ranks[b], rest_l)
-                t = np.einsum("kpaxby,koba->kpoxy", t, y[:, :, spans[b], spans[a]])
-            law = law + (1 if j == l else 2) * t.reshape(k, len(effects), -1)
-    law = law.real
+    law = []
+    for word, end, rest in zip(letters[:, inf], ends, sizes):
+        t = np.stack([w.conj().T @ w for w in np.split(root[:, end - rest:end], ends[:-1])])
+        for c, a in zip(coords, word):
+            rest //= ranks[a]
+            t = t.reshape(-1, ranks[a], rest, ranks[a], rest)
+            t = np.einsum("paxby,oba->poxy", t, c[a])
+        law.append(t.reshape(k, -1).real)
+    law = np.stack(law)
     if inf.all():
         return law
-    # A_a's columns are orthogonal, so Pi_a = sum_r a_r a_r^dagger / |a_r|^2.
-    projs = [(f / (abs(f) ** 2).sum(axis=0)) @ f.conj().T for f in factors]
+    # Pi_a = A_a^+dagger A_a^dagger
     consts = [
-        np.einsum("ij,oji->o", projs[a], x[a]).real
+        np.einsum("ij,oji->o", pinvs[a] @ factors[a].conj().T, x[a]).real
         for x, a, keep in zip(slot_ops, letters[0], inf)
         if not keep
     ]
     const_law = reduce(np.multiply.outer, consts)
     counts = [x.shape[1] for x in slot_ops]
-    law = law.reshape(k, len(effects), *np.where(inf, counts, 1))
+    law = law.reshape(k, k, *np.where(inf, counts, 1))
     law = law * const_law.reshape(np.where(inf, 1, counts))
-    return law.reshape(k, len(effects), -1)
+    return law.reshape(k, k, -1)
 
 
 def evaluate(s: Scenario, c: Codebook, me: EveStrategy) -> KeySimReport:
@@ -649,7 +644,7 @@ def evaluate(s: Scenario, c: Codebook, me: EveStrategy) -> KeySimReport:
     The channel is memoryless and the attack factorized, so for codeword w
     p(b, o_1..o_n | w) = Tr[M_b (x)_i X_{w_i}(o_i)], where
     X_a(o) = Tr_E[(I (x) E_o) Theta(xi_a)] is an operator on one receiver
-    letter space. With M_b = Psi Q_b Psi^dagger this is Tr[Q_b Y(t)] on the
+    letter space. With G^(1/2) this is Tr[W_bk^dagger W_bk C_k(t)] on the
     codeword span of the informative columns times the constant slots' Born
     probabilities (``_receiver_law``), contracted slot by slot for every
     outcome tuple, in lexicographic order of the effect positions, and
@@ -673,13 +668,13 @@ def evaluate(s: Scenario, c: Codebook, me: EveStrategy) -> KeySimReport:
     if me.decoder.max() >= k:
         raise ValidationError("decoder-range", f"decoder key {me.decoder.max()} >= {k} keys")
     _check_tuple_count((len(p) for p in me.slots), n)
-    factors, effects = bob_decoder(s, c)
+    factors, root = bob_decoder(s, c)
 
     taus = np.stack([s.theta.apply_matrix(rho) for rho in s.ensemble.states])
     taus = taus.reshape(-1, d_b, d_e, d_b, d_e)
     # slot_ops[i][a, o] = X_a(o) for slot i's POVM
     slot_ops = [np.einsum("aiejf,ofe->aoij", taus, povm.effects) for povm in me.slots]
-    probs = np.clip(_receiver_law(c.letters, factors, effects, slot_ops), 0.0, None)
+    probs = np.clip(_receiver_law(c.letters, factors, root, slot_ops), 0.0, None)
 
     joint = np.zeros((k, k, k))
     for key in range(k):

@@ -30,6 +30,15 @@ class TestValidationAndApply:
         with pytest.raises(ValidationError, match="trace-preserving"):
             QuantumChannel([np.eye(2) * 0.5])
 
+    @pytest.mark.parametrize("off, refused", [(1e-8, True), (1e-10, False)])
+    def test_trace_preservation_tolerance_is_1e_minus_9(self, off, refused):
+        kraus = [np.diag([1.0, math.sqrt(1.0 + off)])]
+        if refused:
+            with pytest.raises(ValidationError, match="trace-preserving"):
+                QuantumChannel(kraus)
+        else:
+            QuantumChannel(kraus)
+
     def test_non_finite_kraus_rejected(self):
         with pytest.raises(ValidationError) as err:
             QuantumChannel([np.array([[1.0, 0.0], [0.0, float("nan")]])])

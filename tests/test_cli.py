@@ -348,6 +348,12 @@ class TestSimulateCommand:
         assert payload["quantum_satisfied"] is True
         assert "wall_time" not in json.dumps(payload)
 
+    def test_nearly_identical_codewords_simulate(self, capsys):
+        # The codeword Gram matrix's smaller eigenvalue is about 6e-12.
+        code = main(["simulate", "paper-example", "--overlap", "0.999999999997", "-n", "2"])
+        assert code == 0
+        assert "p_agree=0.500002" in capsys.readouterr().out
+
     def test_orthogonal_perfect(self, capsys):
         code = main(["simulate", "orthogonal", "-n", "1", "--restarts", "1"])
         assert code == 0

@@ -20,6 +20,7 @@ from qkdsim.information import (
     _divergences_stacked,
     _frame_rows,
     _frame_tables,
+    _kept_rows,
     _mi_and_grad,
     _mi_from_probs,
     _mi_values,
@@ -385,6 +386,18 @@ class TestAccessibleInformation:
         assert res.value <= holevo_chi(e) + 1e-9
         replay = mutual_information(e.prior, induced_channel(res.povm, e))
         assert replay == pytest.approx(res.value, abs=1e-9)
+
+
+class TestStartThresholds:
+    def test_prior_off_uniform_by_1e_minus_3_adds_the_uniform_starts(self):
+        # Helstrom and the pretty-good measurement at (0.499, 0.501), then at uniform.
+        e = ensemble([0.499, 0.501], (pure_state([1, 0]), pure_state([0.6, 0.8])))
+        priors = [p.tolist() for p, _ in _structured_starts(e)]
+        assert priors == [[0.499, 0.501], [0.5, 0.5], [0.499, 0.501], [0.5, 0.5]]
+
+    def test_row_of_squared_norm_1e_minus_12_is_kept(self):
+        u = np.array([[[1.0, 0.0], [1e-6, 0.0], [0.0, 1e-8]]])
+        assert _kept_rows(u).tolist() == [[True, True, False]]
 
 
 class TestAscentGradient:

@@ -49,6 +49,15 @@ class TestPovmValidation:
         with pytest.raises(ValidationError, match="completeness"):
             Povm([np.diag([0.4, 0.0]), np.diag([0.0, 0.4]), np.diag([0.5, 0.5])])
 
+    @pytest.mark.parametrize("off, refused", [(1e-8, True), (1e-10, False)])
+    def test_completeness_tolerance_is_1e_minus_9(self, off, refused):
+        effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + off])]
+        if refused:
+            with pytest.raises(ValidationError, match="completeness"):
+                Povm(effects)
+        else:
+            Povm(effects)
+
     def test_non_positive_rejected(self):
         with pytest.raises(ValidationError, match="effect-positive"):
             Povm([np.diag([1.1, 0.0]), np.diag([-0.1, 1.0])])
@@ -204,6 +213,13 @@ class TestPrettyGoodMeasurement:
         for m in povm.effects:
             assert np.abs(m - m.conj().T).max() <= 1e-15
         np.testing.assert_allclose(sum(povm.effects), np.eye(2), rtol=0, atol=1e-14)
+
+    def test_prior_weight_above_the_support_threshold_keeps_its_effect(self):
+        # sigma^2 = 1e-10 for letter 1 lies above the 1e-12 support threshold,
+        # so letter 1 keeps its projector instead of losing it to outcome 0.
+        rho0, rho1 = pure_state([1, 0]), pure_state([0, 1])
+        povm = pretty_good_measurement(ensemble((1 - 1e-10, 1e-10), (rho0, rho1)))
+        np.testing.assert_allclose(povm.effects, [np.diag([1, 0]), np.diag([0, 1])], rtol=0, atol=1e-9)
 
     def test_matches_square_root_formula(self, rng):
         states = (random_density(rng, 3, 1), random_density(rng, 3, 2), random_density(rng, 3, 3))

@@ -5,7 +5,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import simulation
@@ -39,6 +39,7 @@ from qkdsim.simulation import (
     sweep,
     _key_info,
     _likelihoods,
+    _ml_decoder,
     _slot_channels,
     _joint_value_and_grad,
 )
@@ -190,6 +191,10 @@ class TestEveStrategies:
         assert me.decoder.tolist() == [0, 0, 0, 1]
         with pytest.raises(ValueError):
             me.decoder[0] = 1
+
+    def test_ml_decoder_tie_is_relative_1e_minus_9(self):
+        # Key 1 leads tuple 0 by a relative 1e-7, beyond the tie band; tuple 1 is a tie.
+        assert _ml_decoder(np.array([[1.0, 0.5], [1 + 1e-7, 0.5]])).tolist() == [1, 0]
 
     def test_constant_adversary_states_zero_info(self):
         sc = paper_example(1.0)
@@ -826,19 +831,70 @@ class TestLargeBlocks:
         # Columns 3-7 and 11 differ; the other six are constant.
         sc = bsc_pair(0.1, 0.3)
         book = sample_codebook(2, 12, 2, 0)
-        _, effects = bob_decoder(sc, book)
-        assert effects.shape == (2, 2 * 2**6, 2 * 2**6)
+        _, root = bob_decoder(sc, book)
+        assert root.shape == (2 * 2**6, 2 * 2**6)
         assert_same_default_report(sc, book, Codebook(book.letters[:, [3, 4, 5, 6, 7, 11]]))
 
     def test_mixed_letters_span_k_times_two_to_the_n(self):
         sc = bsc_pair(0.1, 0.3)
-        _, effects = bob_decoder(sc, sample_codebook(2, 4, 2, seed=3))
-        assert effects.shape == (2, 2 * 2**4, 2 * 2**4)
+        _, root = bob_decoder(sc, sample_codebook(2, 4, 2, seed=3))
+        assert root.shape == (2 * 2**4, 2 * 2**4)
         with pytest.raises(BudgetExceeded, match="dimension 8192 exceeds budget 4096"):
             bob_decoder(sc, repetition_codebook(2, 12))
 
 
+class TestNearlyIdenticalCodewords:
+    """Codewords whose Gram matrix has an eigenvalue just above the support floor."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [3e-12, 1e-9, 1e-7])
+    def test_repetition_code_meets_the_closed_form(self, delta, n):
+        sc = paper_example(1 - delta)
+        book = repetition_codebook(2, n)
+        rep = evaluate(sc, book, eve_default_strategy(sc, book))
+        assert rep.p_agree == pytest.approx(block_success(1 - delta, n), rel=0, abs=1e-10)
+
+    def test_eigenvalue_under_the_floor_leaves_the_span(self):
+        # The codeword Gram matrix's smaller eigenvalue is 1.5e-12, under
+        # _SUPPORT_FLOOR * K = 2e-12: the receiver cannot tell the codewords
+        # apart. Kept, it would give p_agree = 0.5 + 8.7e-7.
+        sc = paper_example(1 - 1.5e-12)
+        book = repetition_codebook(2, 1)
+        rep = evaluate(sc, book, eve_default_strategy(sc, book))
+        assert rep.p_agree == pytest.approx(0.5, rel=0, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bsc=st.booleans(),
+        param=st.floats(0.01, 0.95),
+        k=st.sampled_from([2, 3]),
+        n=st.sampled_from([1, 2, 3]),
+    )
+    def test_root_squares_to_the_gram_matrix(self, seed, bsc, param, k, n):
+        sc = bsc_pair(min(param, 0.49), 0.3) if bsc else paper_example(param)
+        book = sample_codebook(k, n, 2, seed)
+        factors, root = bob_decoder(sc, book)
+        mask = (book.letters != book.letters[0]).any(axis=0)
+        mask[0] |= not mask.any()
+        psi = np.hstack([reduce(np.kron, [factors[a] for a in w]) for w in book.letters[:, mask]])
+        gram = psi.conj().T @ psi
+        vals = np.linalg.eigvalsh(gram)
+        # Eigenvalues that are 0 up to rounding are allowed; none may lie under the floor.
+        assume(not ((vals > 1e-14) & (vals <= simulation._SUPPORT_FLOOR * k)).any())
+        np.testing.assert_allclose(root @ root, gram, rtol=0, atol=1e-12)
+
+
 class TestReportValidation:
+    @pytest.mark.parametrize("off, refused", [(1e-8, True), (1e-10, False)])
+    def test_normalization_tolerance_is_1e_minus_9(self, off, refused):
+        joint = np.full((2, 2, 2), (1 + off) / 8)
+        if refused:
+            with pytest.raises(ValidationError, match="joint-normalization"):
+                KeySimReport(joint=joint, p_agree=0.5, bob_info=0.0, eve_info=0.0)
+        else:
+            KeySimReport(joint=joint, p_agree=0.5, bob_info=0.0, eve_info=0.0)
+
     def test_normalization_enforced(self):
         bad = np.full((2, 2, 2), 0.3)
         with pytest.raises(ValidationError, match="joint-normalization"):

@@ -25,6 +25,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="hermitian"):
             DensityOperator([[0.5, 1j], [0, 0.5]])
 
+    @pytest.mark.parametrize("off, refused", [(1e-9, True), (1e-11, False)])
+    def test_hermiticity_tolerance_is_1e_minus_10(self, off, refused):
+        matrix = [[0.5, off], [0.0, 0.5]]
+        if refused:
+            with pytest.raises(ValidationError, match="hermitian"):
+                DensityOperator(matrix)
+        else:
+            DensityOperator(matrix)
+
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValidationError, match="unit-trace"):
             DensityOperator([[0.6, 0], [0, 0.6]])

@@ -97,6 +97,9 @@ COMMANDS = [
     ["capacity", FOUR_LETTER],
     # C1 on a qutrit: 3-row structured frames padded beside 9-row random frames.
     ["accessible", THREE_QUTRIT],
+    # Nearly identical codewords: the codeword Gram matrix has an eigenvalue of
+    # about 6e-12, just above the support floor.
+    ["simulate", "paper-example", "--overlap", "0.999999999997", "-n", "2"],
 ]
 
 
