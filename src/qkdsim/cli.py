@@ -7,8 +7,8 @@ written atomically. Exit codes: 0 success, 1 validation or parse failure
 (the message names the failed invariant), 2 optimizer non-convergence
 (partial report still emitted) or partial sweep failure, 3 budget
 exceeded (the message names the count that exceeds it: the receiver's Gram
-dimension, the adversary's outcome tuples, or a tensor power's or block
-capacity's dimension).
+dimension, the adversary's outcome tuples, a codebook's letters, a sweep's
+cells, or a tensor power's or block capacity's dimension).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from .channels import DEFAULT_DIM_BUDGET
 from .errors import BudgetExceeded, ValidationError
 from .information import (
     ConditionReport,
@@ -194,12 +195,13 @@ def cmd_simulate(args) -> int:
     return 0 if condition.converged else 2
 
 
-def _parse_int_range(text: str, flag: str) -> list[int]:
+def _parse_int_range(text: str, flag: str) -> range | list[int]:
+    """The integers of ``a..b`` as a range, never listed, or of a comma list."""
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
             values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
@@ -207,6 +209,11 @@ def _parse_int_range(text: str, flag: str) -> list[int]:
     if not values:
         raise ValidationError(flag, f"{text!r} names no value")
     return values
+
+
+def _size(values) -> int:
+    """How many values a parsed range holds; ``len`` fails past 2^63."""
+    return max(values.stop - values.start, 0) if isinstance(values, range) else len(values)
 
 
 def _sweep_rows(cells) -> list[dict]:
@@ -251,8 +258,12 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     n_range = _parse_int_range(args.n_range, "--n-range")
-    _check_block_lengths(n_range, "--n-range")
     seeds = _parse_int_range(args.seeds, "--seeds")
+    # Counted before any pass over the values: a range may be too long to walk.
+    count = _size(n_range) * _size(seeds)
+    if count > DEFAULT_DIM_BUDGET:
+        raise BudgetExceeded(count, DEFAULT_DIM_BUDGET, "n values times seeds", "sweep cell count")
+    _check_block_lengths(n_range, "--n-range")
     if any(seed < 0 for seed in seeds):
         raise ValidationError("--seeds", f"codebook seeds must be >= 0, got {min(seeds)}")
     scenario = _load(args)
@@ -348,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Key-distribution feasibility analysis and exact finite-block simulation",
         epilog="exit codes: 0 success; 1 validation or parse failure; 2 optimizer "
         "non-convergence or partial sweep failure; 3 budget exceeded (a simulation "
-        "builds at most 2^12 receiver Gram dimensions and 2^12 adversary outcome tuples)",
+        "builds at most 2^12 receiver Gram dimensions, 2^12 adversary outcome tuples "
+        "and a codebook of 2^20 letters; a sweep runs at most 2^12 cells)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -56,7 +56,7 @@ def paper_example(overlap: float = 0.5) -> Scenario:
     ensemble = CqEnsemble([0.5, 0.5], [np.kron(q, q) for q in qubits])
     theta = identity_channel(4, out_factorization=TensorFactorization((2, 2)))
     return Scenario(
-        name=f"paper-example(s={s:g})", key_count=2, ensemble=ensemble, theta=theta
+        name=f"paper-example(s={s!r})", key_count=2, ensemble=ensemble, theta=theta
     )
 
 

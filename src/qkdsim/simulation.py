@@ -78,6 +78,11 @@ _SEESAW_JOINT_GTOL = 1e-7
 # (the Gram matrix on the informative columns) only above it, the threshold
 # of measurements.pretty_good_measurement on the average state.
 _SUPPORT_FLOOR = 1e-12
+# A codebook holds at most this many letters (key count times block length),
+# so an absurd block length is refused before numpy is asked for the array.
+# The outcome-tuple budget refuses any attack of two or more outcomes per slot
+# from n = 13 on, far below it.
+_LETTER_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -158,16 +163,24 @@ class Codebook:
         return self.letters.shape[0]
 
 
+def _check_letter_count(key_count: int, n: int) -> None:
+    """Refuse a codebook of more than ``_LETTER_BUDGET`` letters before building it."""
+    if key_count * n > _LETTER_BUDGET:
+        raise BudgetExceeded(key_count * n, _LETTER_BUDGET, f"n={n}", "codebook letter count")
+
+
 def sample_codebook(key_count: int, n: int, alphabet_size: int, seed: int) -> Codebook:
     """Random coder realization: i.i.d. uniform letters, reproducible by seed."""
     if key_count < 2:
         raise ValidationError("key-count", f"need at least 2 keys, got {key_count}")
+    _check_letter_count(key_count, n)
     rng = np.random.default_rng(seed)
     return Codebook(rng.integers(0, alphabet_size, size=(key_count, n)))
 
 
 def repetition_codebook(key_count: int, n: int) -> Codebook:
     """Deterministic coder sending letter k for key k, n times."""
+    _check_letter_count(key_count, n)
     return Codebook(np.repeat(np.arange(key_count)[:, None], n, axis=1))
 
 

@@ -1,41 +1,48 @@
-"""Independent reference computations used to freeze expected test values.
+"""Reference computations that freeze expected test values, one per algorithm.
 
-Everything here is deliberately separate from the package's own code paths:
-closed forms for binary pure-state ensembles, a dense brute-force grid over
-qubit projective measurements and priors, dense partial-trace and
-coarse-graining references, the receiver's pretty-good measurement built on
-the full block space, plain Blahut-Arimoto for the Holevo and the classical
-channel capacity, run to a duality gap of 1e-12 or a step cap, and the
-straightforward forms of the optimizers' inner loops: the rank-one split one
-effect at a time, the POVM objective one frame at a time and the adversary's
-information contracted over every outcome tuple. The state product, the
-von Neumann entropy and the depolarizing channel are test helpers only, and
-``povm_invariant`` is the POVM check one effect at a time, against which the
-batched ``Povm`` check is tested. ``alternating_c1`` is the
-reference seesaw for C1: every start climbed by the longer alternating
-round, against which C1 must never report less; ``sequential_c1``,
-``sequential_c_k`` and ``sequential_accessible`` climb each start on its own,
-as the package did before it stacked its starts into one ascent. They reuse
-the package's frame objective, called with one row (``frame_row``); their
-L-BFGS-B ascents (``lbfgs_b``, ``ascend_povm_lbfgsb``), the joint objective, the per-start
-ascents, the prior search of ``alternating_c1`` and the frame normalization,
-``normalize_vectors``, are this module's own. ``confirming_c1`` is C1 on the
-package's own stacked ascents but with the confirming round that every start
-once took after its joint ascent met its stop; ``all_starts_c1`` is C1 as it
-climbed every start, two pure letters included, which ``information.c1`` must
-equal on those within 1e-12 and never fall below on any other ensemble.
-Both start from ``_structured_starts``, the package's start set as it was
-with Helstrom also at 0.25 and 0.75 and the pretty-good measurement also at
-the Holevo-capacity prior, so each stays the algorithm it was.
-``_pair_bound`` is the closed form of two pure letters at their Uhlmann
-fidelity, an upper bound on C1 of any pair.
-``lbfgsb_eve_optimize`` is the reference seesaw for the adversary: the
-package's seesaw as it ran with its slot ascents on L-BFGS-B, against which
-``simulation.eve_optimize`` must never report less; ``confirming_eve_optimize`` is the package's seesaw with the
-per-slot pass in every round, which ``eve_optimize`` must equal exactly.
-``lbfgs_rows_reference`` and ``PairsReference`` are the package's L-BFGS as
-it held each row's scalars in numpy arrays, which ``_lbfgs_rows`` must match
+Test helpers: ``tensor``, ``von_neumann_entropy`` and ``depolarizing_channel``
+build states and channels the package has no need of.
+``povm_invariant`` checks a POVM one effect at a time, against which the
+batched ``Povm`` check is tested.
+The closed forms (``binary_entropy``, ``pure_pair_capacity``,
+``helstrom_crossover``, ``pure_pair_c1``, ``block_success``,
+``majority_error``, ``majority_vote_info``) give the exact values of pure
+pairs, repetition codes and majority votes.
+``_pair_bound`` is the closed form of two letters at their Uhlmann fidelity,
+C1 of two pure letters and an upper bound on C1 of any pair.
+``grid_c1_qubit`` is C1 of a pure qubit pair by a dense grid over projective
+measurements and priors, independent of every optimizer.
+``partial_trace``, ``coarse_grain`` and ``dense_pgm`` are the dense forms of
+the marginals, the coarse-grained POVM and the receiver's pretty-good
+measurement, built on the full space.
+``rank1_pieces_per_effect``, ``start_frame``, ``normalized``, ``frame_table``
+and ``mi_from_probs`` are the start set's per-start path, one effect and one
+start at a time, against which the stacked start set is checked bit for bit.
+``povm_objective_per_frame`` and ``tuple_key_information`` are the POVM
+objective one frame at a time and the adversary's information contracted
+over every outcome tuple, which check the package's gradients.
+``classical_capacity_ba`` and ``holevo_capacity_ba`` are plain
+Blahut-Arimoto run to a duality gap of 1e-12, the capacities C1 and C are
+checked against.
+``lbfgs_b`` and ``ascend_povm_lbfgsb`` climb on scipy's L-BFGS-B instead of
+the package's own L-BFGS, on the package's frame objective (``frame_row``).
+``eve_seesaw`` is the adversary's seesaw with the per-slot pass in every
+round: on ``refine_slots_lbfgsb`` and ``REF_STALL_BITS`` it is the
+independent L-BFGS-B seesaw that ``simulation.eve_optimize`` must never
+report less than, and on ``package_refine_slots`` and
+``simulation._STALL_BITS`` it is the seesaw that ``eve_optimize`` must equal
 bit for bit.
+``per_start_c1`` climbs every C1 start on its own: with ``alternating`` it is
+the reference seesaw with its own prior search (``_best_prior``), without it
+C1 as it ran before its starts were stacked; ``sequential_c_k`` and
+``sequential_accessible`` are C_k and accessible information the same way.
+``history_c1`` is C1 on the package's stacked ascents from the earlier start
+set (``structured_starts``), every start climbed, which ``information.c1``
+must equal on two pure letters and never fall below elsewhere; with
+``two_letter_stop=False`` it takes the confirming round it retired.
+``lbfgs_rows_reference`` and ``PairsReference`` are the package's L-BFGS as it
+held each row's scalars in numpy arrays, which ``_lbfgs_rows`` must match bit
+for bit.
 """
 
 import itertools
@@ -266,26 +273,16 @@ def start_frame(povm, stack) -> tuple[np.ndarray, np.ndarray]:
     return pieces[pieces.any(axis=1)], table
 
 
-def normalize_vectors(w: np.ndarray) -> np.ndarray | None:
-    """Rank-one POVM vectors u_b from one frame's raw rows w_b: u = w T^(-1/2).
-
-    T = sum_b |w_b><w_b| is the frame operator, so sum_b |u_b><u_b| = I.
-    Returns None when the frame is singular (the rows do not span).
-    """
-    t = np.einsum("bi,bj->ij", w, w.conj())
-    vals, vecs = np.linalg.eigh(t)
+def normalized(w):
+    """One raw frame's rank-one POVM vectors u = w T^(-1/2), T = sum_b
+    |w_b><w_b| the frame operator, so that sum_b |u_b><u_b| = I; or None
+    when T is singular (the rows do not span) or the vectors miss the
+    identity by more than ``COMPLETENESS_ATOL``."""
+    vals, vecs = np.linalg.eigh(np.einsum("bi,bj->ij", w, w.conj()))
     if vals.min() < 1e-12:
         return None
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return w @ inv_sqrt.T
-
-
-def normalized(w):
-    """One raw frame's rank-one POVM vectors, ``normalize_vectors(w)``, or None
-    when the frame is singular or its vectors miss the identity by more than
-    ``COMPLETENESS_ATOL``."""
-    u = normalize_vectors(w)
-    if u is None or np.abs(u.T @ u.conj() - np.eye(u.shape[1])).max() > COMPLETENESS_ATOL:
+    u = w @ ((vecs / np.sqrt(vals)) @ vecs.conj().T).T
+    if np.abs(u.T @ u.conj() - np.eye(u.shape[1])).max() > COMPLETENESS_ATOL:
         return None
     return u
 
@@ -530,7 +527,7 @@ def ascend_povm_lbfgsb(stack, frames, value_fn, max_iters, gtol=1e-5):
     return (u if good.all() else None), ok
 
 
-# The reference seesaw's own stops, fixed so that it does not move with the
+# The L-BFGS-B seesaw's own stops, fixed so that it does not move with the
 # package's: a round whose per-slot pass gains less than REF_STALL_BITS bits
 # adds a joint ascent stopped at max |g| of REF_JOINT_GTOL, and a one-slot
 # ascent stops at REF_SLOT_GTOL.
@@ -539,10 +536,11 @@ REF_JOINT_GTOL = 1e-8
 REF_SLOT_GTOL = 1e-5
 
 
-def _refine_slots_lbfgsb(slots, tables, free, c, decoder_idx, eve_states):
-    """``simulation._refine_slots`` on ``ascend_povm_lbfgsb``: all slots'
-    effects and tables and their information after one ascent of the slots
-    ``free``, whether or not it took a step, or None for a singular frame."""
+def refine_slots_lbfgsb(slots, tables, free, c, decoder_idx, eve_states):
+    """``simulation._refine_slots`` on ``ascend_povm_lbfgsb`` and the stops
+    above: all slots' effects and tables and their information after one
+    ascent of the slots ``free``, whether or not it took a step, or None for
+    a singular frame."""
     frames, groups = zip(*(info._rank1_pieces(slots[i]) for i in free))
     value_fn = sim._joint_value_and_grad(c, decoder_idx, tables, free, groups)
     gtol = REF_JOINT_GTOL if len(free) > 1 else REF_SLOT_GTOL
@@ -558,16 +556,19 @@ def _refine_slots_lbfgsb(slots, tables, free, c, decoder_idx, eve_states):
     return slots, tables, sim._key_info(sim._likelihoods(tables, c), decoder_idx)
 
 
-def lbfgsb_eve_optimize(s, c, cfg):
-    """``simulation.eve_optimize``'s seesaw with every slot ascent on
-    L-BFGS-B (``ascend_povm_lbfgsb``) and its own fixed stops: per-slot
-    ascents to ``REF_SLOT_GTOL``, one joint ascent over all slots to
-    ``REF_JOINT_GTOL`` once a round gains less than ``REF_STALL_BITS``, then
-    the maximum-likelihood decoder, from the refined default attack and
-    ``cfg.restarts - 1`` random starts. These stops are the longer schedule
-    the package's seesaw ran before it stopped polishing what ``eve_info``
-    cannot show, so the reference does not move when the package's stops do.
-    Returns the best ``EveStrategy``."""
+def package_refine_slots(slots, tables, free, c, decoder_idx, eve_states):
+    """``simulation._refine_slots``' step, or None, without its stop flag."""
+    return sim._refine_slots(slots, tables, free, c, decoder_idx, eve_states)[0]
+
+
+def eve_seesaw(s, c, cfg, refine, stall_bits):
+    """``simulation.eve_optimize``'s seesaw with the per-slot pass in every
+    round, on the slot ascent ``refine`` (``refine_slots_lbfgsb`` or
+    ``package_refine_slots``): from the refined default attack and
+    ``cfg.restarts - 1`` random starts, each round the one-slot ascents, one
+    joint ascent over all slots once the pass gains less than ``stall_bits``,
+    then the maximum-likelihood decoder, with ``eve_optimize``'s acceptance
+    rules. Returns the best ``EveStrategy``."""
     ee = s.eve_ensemble()
     default = sim._default_attack(s, c, ee)
     if cfg.restarts == 0:
@@ -590,64 +591,12 @@ def lbfgsb_eve_optimize(s, c, cfg):
         for _ in range(cfg.max_iters):
             start, improved = val, False
             for i in range(n):
-                step = _refine_slots_lbfgsb(slots, tables, [i], c, idx, eve_states)
+                step = refine(slots, tables, [i], c, idx, eve_states)
                 if step is not None and step[2] > val + cfg.tol:
                     slots, tables, val = step
                     improved = True
-            if n > 1 and val - start < REF_STALL_BITS:
-                step = _refine_slots_lbfgsb(slots, tables, list(range(n)), c, idx, eve_states)
-                if step is not None and step[2] > val:
-                    improved = improved or step[2] > val + cfg.tol
-                    slots, tables, val = step
-            lik = sim._likelihoods(tables, c)
-            ml_idx = sim._ml_decoder(lik)
-            ml_val = sim._key_info(lik, ml_idx)
-            if ml_val >= val - cfg.tol:
-                improved = improved or ml_val > val
-                idx, val = ml_idx, ml_val
-            if val > best[0]:
-                best = (val, slots, idx)
-            if not improved:
-                break
-    _, slots, idx = best
-    return sim.EveStrategy([Povm(effects) for effects in slots], idx)
-
-
-def confirming_eve_optimize(s, c, cfg):
-    """``simulation.eve_optimize`` with the per-slot pass in every round, as
-    the seesaw ran before a round after a settled joint ascent skipped it:
-    the package's ``_refine_slots`` and stops, each round the per-slot
-    ascents, the joint ascent over all slots once the pass gains less than
-    ``simulation._STALL_BITS``, then the maximum-likelihood decoder. Returns
-    the best ``EveStrategy``."""
-    ee = s.eve_ensemble()
-    default = sim._default_attack(s, c, ee)
-    if cfg.restarts == 0:
-        return default
-    eve_states, n = ee.states, c.length
-    best = None
-    rng = np.random.default_rng(cfg.seed)
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            starts = default.slots
-        else:
-            starts = [random_rank1_povm(s.dim_e, s.dim_e**2, rng) for _ in range(n)]
-        slots = [p.effects for p in starts]
-        tables = sim._slot_channels(slots, eve_states)
-        lik = sim._likelihoods(tables, c)
-        idx = sim._ml_decoder(lik)
-        val = sim._key_info(lik, idx)
-        if best is None or val > best[0]:
-            best = (val, slots, idx)
-        for _ in range(cfg.max_iters):
-            start, improved = val, False
-            for i in range(n):
-                step, _ = sim._refine_slots(slots, tables, [i], c, idx, eve_states)
-                if step is not None and step[2] > val + cfg.tol:
-                    slots, tables, val = step
-                    improved = True
-            if n > 1 and val - start < sim._STALL_BITS:
-                step, _ = sim._refine_slots(slots, tables, list(range(n)), c, idx, eve_states)
+            if n > 1 and val - start < stall_bits:
+                step = refine(slots, tables, list(range(n)), c, idx, eve_states)
                 if step is not None and step[2] > val:
                     improved = improved or step[2] > val + cfg.tol
                     slots, tables, val = step
@@ -692,37 +641,13 @@ def _refine_frame(stack, prior, frame):
     return us[0], frame_table(us[0], stack), ok
 
 
-def _c1_starts(e, cfg, extra_starts=()):
-    """C1's start set as it was before the pretty-good starts at the uniform
-    and the capacity prior joined it: ``extra_starts``, then for two letters
-    Helstrom at the ensemble's prior and at 0.5, 0.25 and 0.75, the
-    pretty-good measurement, then ``cfg.restarts`` random (prior, rank-one
-    POVM) pairs drawn from ``cfg.seed``."""
-    rng = np.random.default_rng(cfg.seed)
-    starts = list(extra_starts)
-    if e.size == 2:
-        seen = set()
-        for p0 in (float(e.prior[0]), 0.5, 0.25, 0.75):
-            if round(p0, 6) not in seen:
-                seen.add(round(p0, 6))
-                starts.append((np.array([p0, 1.0 - p0]), helstrom(e.states[0], e.states[1], p0)))
-    starts.append((e.prior.copy(), pretty_good_measurement(e)))
-    for _ in range(cfg.restarts):
-        prior = rng.dirichlet(np.ones(e.size))
-        starts.append((prior, random_rank1_povm(e.dim, e.dim * e.dim, rng)))
-    return starts
-
-
-def _structured_starts(
-    e: CqEnsemble, cfg: info.OptimizerConfig, helstrom_at: tuple[float, ...] = ()
-) -> list[tuple[np.ndarray, Povm]]:
-    """The structured starts of C1 and accessible information, (prior, POVM)
-    pairs: for two letters the Helstrom measurement at the ensemble's prior
-    and at the first-letter weights ``helstrom_at``, then the pretty-good
-    measurement at the ensemble's prior, at the uniform prior and at the
-    Holevo-capacity prior of the same states (C1 <= C, so that prior is a
-    natural start). The last two depend on the states alone, not on the
-    ensemble's prior. A start is left out when its prior is within 1e-6 of an
+def structured_starts(e, cfg, helstrom_at=(), capacity=True) -> list[tuple[np.ndarray, Povm]]:
+    """An earlier structured start set of C1 and accessible information,
+    (prior, POVM) pairs: for two letters the Helstrom measurement at the
+    ensemble's prior and at the first-letter weights ``helstrom_at``, then
+    the pretty-good measurement at the ensemble's prior and, with
+    ``capacity``, at the uniform prior and at the Holevo-capacity prior of
+    the same states. A start is left out when its prior is within 1e-6 of an
     earlier start's of the same measurement, so a symmetric binary ensemble
     keeps one pretty-good start.
     """
@@ -738,22 +663,35 @@ def _structured_starts(
     if e.size == 2:
         for p in fresh([np.array([p0, 1.0 - p0]) for p0 in (float(e.prior[0]), *helstrom_at)]):
             starts.append((p, helstrom(e.states[0], e.states[1], float(p[0]))))
-    pgm_priors = (e.prior.copy(), np.full(e.size, 1.0 / e.size), info.holevo_capacity(e, cfg).prior)
+    pgm_priors = [e.prior.copy()]
+    if capacity:
+        pgm_priors += [np.full(e.size, 1.0 / e.size), info.holevo_capacity(e, cfg).prior]
     for p in fresh(pgm_priors):
         starts.append((p, pretty_good_measurement(CqEnsemble(p, e.states))))
     return starts
 
 
-def sequential_c1(e, cfg, extra_starts=()):
+def per_start_c1(e, cfg, extra_starts=(), alternating=False):
     """C1's seesaw with every start climbed on its own, one L-BFGS-B call per
-    ascent, as C1 was computed before its starts were stacked: a round is one
-    joint ascent (for three letters or more preceded by a frame ascent at the
-    fixed prior and the capacity prior of the row-normalized table), each step
-    kept when it raises the start's value, until a round gains at most
-    ``cfg.tol``; a later start replaces the best only when it beats it by
-    more than ``information._TIE_BITS``. Returns an ``OptimizationResult``."""
+    ascent. The starts are ``extra_starts``, ``structured_starts`` with
+    Helstrom also at 0.5, 0.25 and 0.75 and no capacity-prior start, then
+    ``cfg.restarts`` random (prior, rank-one POVM) pairs drawn from
+    ``cfg.seed``. A round is one joint ascent, stopped at a projected
+    gradient of 1e-8, after a frame ascent at the fixed prior and the
+    capacity prior of the row-normalized table: for three letters or more
+    and on ``information._best_prior_for_channel``, as C1 ran before its
+    starts were stacked, or with ``alternating`` for every alphabet and on
+    this module's ``_best_prior``, the reference seesaw against which C1 must
+    never report less. Each step is kept when it raises the start's value,
+    the prior when it does not lower it, until a round gains at most
+    ``cfg.tol`` or after ``cfg.max_iters`` rounds; the best start is the
+    first of the highest. Returns an ``OptimizationResult``."""
     stack = e.states
-    starts = _c1_starts(e, cfg, extra_starts)
+    rng = np.random.default_rng(cfg.seed)
+    starts = list(extra_starts) + structured_starts(e, cfg, (0.5, 0.25, 0.75), capacity=False)
+    for _ in range(cfg.restarts):
+        prior = rng.dirichlet(np.ones(e.size))
+        starts.append((prior, random_rank1_povm(e.dim, e.dim * e.dim, rng)))
     best = None
     for prior, povm in starts:
         frame, table = start_frame(povm, stack)
@@ -761,93 +699,47 @@ def sequential_c1(e, cfg, extra_starts=()):
         converged = False
         for _ in range(cfg.max_iters):
             new_val = mi_from_probs(prior, table)
-            if e.size > 2:
+            if alternating or e.size > 2:
                 step = _refine_frame(stack, prior, frame)
                 if step is not None and mi_from_probs(prior, step[1]) > new_val:
                     (frame, table, _), povm = step, None
                     new_val = mi_from_probs(prior, table)
                 rows = table / table.sum(axis=1, keepdims=True)
-                prior_new, v_pri, _ = info._best_prior_for_channel(rows, cfg)
+                search = _best_prior if alternating else info._best_prior_for_channel
+                prior_new, v_pri = search(rows, cfg)[:2]
                 if v_pri >= new_val:
                     prior, new_val = prior_new, v_pri
             joint = _joint_step(stack, prior, frame)
             if joint is not None and mi_from_probs(joint[0], joint[2]) > new_val:
                 (prior, frame, table), povm = joint, None
                 new_val = mi_from_probs(prior, table)
-            if new_val <= val + cfg.tol:
-                val = max(val, new_val)
-                converged = True
+            converged = new_val <= val + cfg.tol
+            val = max(val, new_val)
+            if converged:
                 break
-            val = new_val
-        if best is None or val > best[0] + info._TIE_BITS:
+        if best is None or val > best[0]:
             best = (val, prior, povm, frame, converged)
     val, prior, povm, frame, converged = best
     povm = povm if povm is not None else info._frame_povm(frame)
     return info.OptimizationResult(val, prior, povm=povm, converged=converged)
 
 
-def confirming_c1(e, cfg):
-    """``information.c1`` with a two-letter start converged only by a round
-    that gains at most ``cfg.tol``, as C1 ran before a joint ascent that met
-    its own stop ended the start: the earlier start set
-    (``_structured_starts``) and the package's stacked ascents, each round one joint ``_ascend_starts`` (from three letters on
-    preceded by a fixed-prior one and the capacity prior of the
-    row-normalized table), kept when it raises a start's value. Returns an
+def history_c1(e, cfg, extra_starts=(), two_letter_stop=True):
+    """``information.c1`` as it ran before two pure letters returned their
+    closed form's witness: every start of ``extra_starts`` and the earlier
+    start set (``structured_starts`` with Helstrom also at 0.5, 0.25 and
+    0.75) climbs, in rounds of the package's own stacked ascents
+    (``_climb``) for all starts at once, each round one joint ascent, from
+    three letters on preceded by a fixed-prior one and the capacity prior of
+    the row-normalized table; a later start replaces the best only when it
+    beats it by more than ``_TIE_BITS``. A start is converged once a round
+    gains at most ``cfg.tol`` or, with ``two_letter_stop``, for two letters
+    once its joint ascent met its stop; without it every two-letter start
+    takes the confirming round it once took. Returns an
     ``OptimizationResult``."""
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
-    starts = _structured_starts(e, cfg, (0.5, 0.25, 0.75))
-    priors, povms = map(list, zip(*starts))
-    raws, m = [], (e.dim * e.dim, e.dim)
-    for _ in range(cfg.restarts):
-        priors.append(rng.dirichlet(np.ones(e.size)))
-        raws.append(rng.normal(size=m) + 1j * rng.normal(size=m))
-    held = info._start_set(stack, np.array(priors), povms, raws)
-    active = np.arange(held.values.size)
-    own, converged = active < len(povms), np.zeros(active.size, dtype=bool)
-
-    def climb(news, joint):
-        ends = info._ascend_starts(stack, held.priors[active], held.frames[active], joint)
-        up = ends.values > news
-        moved = active[up]
-        held.priors[moved], held.frames[moved] = ends.priors[up], ends.frames[up]
-        held.tables[moved], own[moved] = ends.tables[up], False
-        return np.where(up, ends.values, news)
-
-    for _ in range(cfg.max_iters):
-        if not active.size:
-            break
-        news = held.values[active]
-        if e.size > 2:
-            news = climb(info._scores(held.priors[active], held.tables[active]), False)
-            for j, f in enumerate(active):
-                table = held.tables[f].compress(held.tables[f].any(axis=0), axis=1)
-                rows = table / table.sum(axis=1, keepdims=True)
-                prior, value, _ = info._best_prior_for_channel(rows, cfg)
-                if value >= news[j]:
-                    held.priors[f], news[j] = prior, value
-        news = climb(news, True)
-        converged[active] = news <= held.values[active] + cfg.tol
-        held.values[active] = np.maximum(held.values[active], news)
-        active = active[~converged[active]]
-    values, best = held.values.tolist(), 0
-    for f, value in enumerate(values):
-        if value > values[best] + info._TIE_BITS:
-            best = f
-    povm = povms[best] if own[best] else info._frame_povm(held.frames[best])
-    return info.OptimizationResult(values[best], held.priors[best], povm, bool(converged[best]))
-
-
-def all_starts_c1(e, cfg, extra_starts=()):
-    """``information.c1`` as it ran before two pure letters returned their
-    closed form's witness: every start of the earlier start set
-    (``_structured_starts``) climbs, rounds of the
-    package's own stacked ascents (``_climb``) for all starts at once, and a
-    later start replaces the best only when it beats it by more than
-    ``_TIE_BITS``. Returns an ``OptimizationResult``."""
-    rng = np.random.default_rng(cfg.seed)
-    stack = e.states
-    starts = list(extra_starts) + _structured_starts(e, cfg, (0.5, 0.25, 0.75))
+    starts = list(extra_starts) + structured_starts(e, cfg, (0.5, 0.25, 0.75))
     priors, povms = map(list, zip(*starts))
     raws, m = [], (e.dim * e.dim, e.dim)
     for _ in range(cfg.restarts):
@@ -871,7 +763,8 @@ def all_starts_c1(e, cfg, extra_starts=()):
                 if value >= news[j]:
                     held.priors[f], news[j] = prior, value
         news, ok = info._climb(stack, held, active, news, own, True)
-        converged[active] = (news <= held.values[active] + cfg.tol) | (ok & (e.size == 2))
+        stopped = ok & (e.size == 2) if two_letter_stop else False
+        converged[active] = (news <= held.values[active] + cfg.tol) | stopped
         held.values[active] = np.maximum(held.values[active], news)
         active = active[~converged[active]]
     values, best = held.values.tolist(), 0
@@ -883,27 +776,25 @@ def all_starts_c1(e, cfg, extra_starts=()):
 
 
 def sequential_c_k(e, k, cfg):
-    """``information.c_k`` on ``sequential_c1``: the seesaw over length-k
+    """``information.c_k`` on ``per_start_c1``: the seesaw over length-k
     words and product-space POVMs, its start set led by the product of the
-    sequential C1 witness."""
-    single = sequential_c1(e, cfg)
+    per-start C1 witness."""
+    single = per_start_c1(e, cfg)
     words = itertools.product(range(e.size), repeat=k)
     states = [reduce(np.kron, (e.states[a] for a in w)) for w in words]
     prod_e = CqEnsemble(reduce(np.kron, [e.prior] * k), states)
     extra = ((reduce(np.kron, [single.prior] * k), expand([single.povm] * k)),)
-    return sequential_c1(prod_e, cfg, extra_starts=extra)
+    return per_start_c1(prod_e, cfg, extra_starts=extra)
 
 
 def sequential_accessible(e, cfg) -> float:
     """max_M I(P, M) at the ensemble's own prior with every start (Helstrom for
-    two letters, the pretty-good measurement, ``cfg.restarts`` random rank-one
-    POVMs) ascended on its own; a start keeps its own value when its ascent
-    does not raise it."""
+    two letters and the pretty-good measurement, both at that prior, then
+    ``cfg.restarts`` random rank-one POVMs) ascended on its own; a start
+    keeps its own value when its ascent does not raise it."""
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
-    starts = [pretty_good_measurement(e)]
-    if e.size == 2:
-        starts.insert(0, helstrom(e.states[0], e.states[1], float(e.prior[0])))
+    starts = [povm for _, povm in structured_starts(e, cfg, capacity=False)]
     starts += [random_rank1_povm(e.dim, e.dim * e.dim, rng) for _ in range(cfg.restarts)]
     best = -math.inf
     for povm in starts:
@@ -912,49 +803,6 @@ def sequential_accessible(e, cfg) -> float:
         step = _refine_frame(stack, e.prior, frame)
         if step is not None:
             val = max(val, mi_from_probs(e.prior, step[1]))
-        best = max(best, val)
-    return best
-
-
-def alternating_c1(e, cfg) -> float:
-    """C1 of ensemble e by the alternating seesaw over (prior, POVM) on every
-    start, binary alphabets included.
-
-    The starts are ``_c1_starts``': for two letters Helstrom at the
-    ensemble's prior and at 0.5, 0.25 and 0.75, the pretty-good measurement,
-    then ``cfg.restarts`` random (prior, rank-one POVM) pairs drawn from
-    ``cfg.seed``. Each round ascends the frame at the fixed prior, moves the
-    prior to the capacity-achieving prior of the row-normalized Born table
-    and ends with one joint ascent over both, stopped at a projected gradient
-    of 1e-8 whatever the package's own stop is; each step is kept when it does
-    not lower the value, and a start stops once a round gains at most
-    ``cfg.tol`` or after ``cfg.max_iters`` rounds. Returns the best start's
-    value.
-    """
-    stack = e.states
-    starts = _c1_starts(e, cfg)
-    best = -math.inf
-    for prior, povm in starts:
-        frame, table = start_frame(povm, stack)
-        val = mi_from_probs(prior, table)
-        for _ in range(cfg.max_iters):
-            v_pov = mi_from_probs(prior, table)
-            step = _refine_frame(stack, prior, frame)
-            if step is not None and mi_from_probs(prior, step[1]) > v_pov:
-                frame, table, _ = step
-                v_pov = mi_from_probs(prior, table)
-            prior_new, v_pri = _best_prior(table / table.sum(axis=1, keepdims=True), cfg)
-            new_val = max(v_pov, v_pri)
-            if v_pri >= v_pov:
-                prior = prior_new
-            joint = _joint_step(stack, prior, frame)
-            if joint is not None and mi_from_probs(joint[0], joint[2]) > new_val:
-                prior, frame, table = joint
-                new_val = mi_from_probs(prior, table)
-            done = new_val <= val + cfg.tol
-            val = max(val, new_val)
-            if done:
-                break
         best = max(best, val)
     return best
 

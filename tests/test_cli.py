@@ -31,6 +31,14 @@ class TestScenarioIO:
         fidelity = np.trace(m0 @ m1).real
         assert fidelity == pytest.approx(0.5**4, abs=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(0.999999999997, 1.0), (0.5, 0.5000001)])
+    def test_overlaps_equal_to_six_digits_get_distinct_names(self, a, b):
+        # Both pairs print alike to 6 significant digits.
+        assert f"{a:g}" == f"{b:g}"
+        names = [load_scenario("paper-example", overlap=s).name for s in (a, b)]
+        assert names == [f"paper-example(s={a!r})", f"paper-example(s={b!r})"]
+        assert names[0] != names[1]
+
     def test_builtin_orthogonal(self):
         sc = load_scenario("orthogonal")
         m0, m1 = sc.ensemble.states
@@ -413,6 +421,14 @@ class TestSimulateCommand:
         assert "budget: adversary outcome tuple count 9.99e+30102 exceeds budget 4096" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("coder", ["repetition", "random"])
+    def test_block_length_past_numpy_exits_3(self, coder, capsys):
+        # 2 * 10^20 letters: numpy could neither repeat nor draw them.
+        assert main(["simulate", "paper-example", "-n", "1" + "0" * 20, "--coder", coder]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: budget: codebook letter count 2.00e+20 exceeds budget 1048576"
+                       " (n=100000000000000000000)\n")
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_block_length_below_one_exits_1(self, n, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("scenario loaded"))
@@ -452,6 +468,31 @@ class TestSweepCommand:
                      "--out", str(out)])
         assert code == 1
         assert "error: --n-range: block lengths must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_block_length_past_numpy_marks_its_cell(self, capsys):
+        code = main(["sweep", "paper-example", "--n-range", "2," + "1" + "0" * 20, "--seeds", "0",
+                     "--restarts", "1"])
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("n=2 seed=0 p_agree=")
+        assert lines[1] == ("n=100000000000000000000 seed=0 error:codebook letter count 2.00e+20"
+                            " exceeds budget 1048576 (n=100000000000000000000)")
+
+    @pytest.mark.parametrize("n_range, seeds, count", [("1..99999999999", "0", "99999999999"),
+                                                       ("1", "1..99999999999", "99999999999"),
+                                                       ("0..65", "-1..63", "4290")],
+                             ids=["n-range", "seeds", "before-the-value-checks"])
+    def test_more_cells_than_the_budget_exit_3(self, n_range, seeds, count, tmp_path, capsys,
+                                               monkeypatch):
+        # Refused from the ranges' lengths alone, before any value is listed
+        # or checked: "0..65" holds a block length 0 and "-1..63" a seed -1.
+        monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("scenario loaded"))
+        out = tmp_path / "huge.csv"
+        assert main(["sweep", "paper-example", "--n-range", n_range, f"--seeds={seeds}",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"error: budget: sweep cell count {count} exceeds"
+                                           " budget 4096 (n values times seeds)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n-range", "--seeds"])

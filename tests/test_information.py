@@ -65,14 +65,11 @@ from conftest import (
 )
 from oracles import (
     _pair_bound,
-    _structured_starts as earlier_starts,
-    all_starts_c1,
-    alternating_c1,
     binary_entropy,
     classical_capacity_ba,
     coarse_grain,
-    confirming_c1,
     grid_c1_qubit,
+    history_c1,
     holevo_capacity_ba,
     frame_row,
     lbfgs_rows_reference,
@@ -81,14 +78,15 @@ from oracles import (
     mi_from_probs,
     normalized,
     one_frame,
+    per_start_c1,
     povm_objective_per_frame,
     pure_pair_c1,
     pure_pair_capacity,
     rank1_pieces_per_effect,
     sequential_accessible,
-    sequential_c1,
     sequential_c_k,
     start_frame,
+    structured_starts,
     von_neumann_entropy,
 )
 
@@ -1001,7 +999,7 @@ class TestC1:
         """A maximum may move up, never down: C1 reaches at least what the
         alternating seesaw reaches from every start."""
         cfg = OptimizerConfig(restarts=restarts)
-        assert c1(e, cfg).value >= alternating_c1(e, cfg) - 1e-12
+        assert c1(e, cfg).value >= per_start_c1(e, cfg, alternating=True).value - 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(size=st.integers(2, 4), dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
@@ -1022,7 +1020,7 @@ class TestC1:
         """Climbing every start in one stacked ascent per round reaches at
         least what climbing each start on its own reaches."""
         cfg = OptimizerConfig(restarts=restarts)
-        assert c1(e, cfg).value >= sequential_c1(e, cfg).value - 1e-12
+        assert c1(e, cfg).value >= per_start_c1(e, cfg).value - 1e-12
 
     def test_stacked_c_k_never_below_sequential(self):
         e = random_mixed_ensemble(2, 2, 5)
@@ -1073,7 +1071,7 @@ class TestC1:
         the confirming round found, and decides convergence as it did."""
         e = random_mixed_ensemble(2, dim, seed)
         cfg = OptimizerConfig(restarts=restarts)
-        res, ref = c1(e, cfg), confirming_c1(e, cfg)
+        res, ref = c1(e, cfg), history_c1(e, cfg, two_letter_stop=False)
         assert res.value >= ref.value - 1e-12
         assert res.converged == ref.converged
 
@@ -1088,11 +1086,53 @@ class TestC1:
         prior = [0.5, 0.5] if uniform else rng.dirichlet(np.ones(2))
         e = ensemble(prior, (random_pure(rng, dim), random_pure(rng, dim)))
         cfg = OptimizerConfig(restarts=restarts, seed=seed % 5)
-        res, ref = c1(e, cfg), all_starts_c1(e, cfg)
+        res, ref = c1(e, cfg), history_c1(e, cfg)
         assert abs(res.value - ref.value) <= 1e-12
         assert np.array_equal(res.prior, [0.5, 0.5])
         assert np.array_equal(res.povm.effects, helstrom(e.states[0], e.states[1], 0.5).effects)
         assert res.converged
+
+    def test_prior_step_that_ties_the_value_is_kept(self, monkeypatch):
+        """From three letters on, a round's capacity prior is kept when it is
+        as good as the start's value after the fixed-prior ascent: a prior
+        that only ties it is the one the round's joint ascent climbs from."""
+        e, tied = scenario_from_dict(THREE_MIXED).eve_ensemble(), np.array([0.2, 0.3, 0.5])
+        news, joint_priors, climb = [], [], information._climb
+
+        def recording(stack, held, active, values, own, joint):
+            if joint:
+                joint_priors.extend(held.priors[active].tolist())
+            out = climb(stack, held, active, values, own, joint)
+            if not joint:
+                news.extend(out[0].tolist())
+            return out
+
+        monkeypatch.setattr(information, "_climb", recording)
+        monkeypatch.setattr(information, "_best_prior_for_channel",
+                            lambda rows, cfg: (tied.copy(), news.pop(0), True))
+        c1(e, OptimizerConfig(restarts=1, max_iters=1))
+        # One pretty-good start (the prior is uniform) and one random start.
+        assert news == [] and joint_priors == [tied.tolist()] * 2
+
+    def test_later_start_must_beat_the_best_by_1e_minus_13(self, monkeypatch):
+        """A later start replaces the best start only when it beats it by
+        more than ``_TIE_BITS``, 1e-13: with the ascents made no-ops, start 1
+        (5e-14 above start 0) ties and start 2 (5e-12 above) wins, and start 3
+        (5e-14 above start 2) ties again."""
+        values = [0.3, 0.3 + 5e-14, 0.3 + 5e-12, 0.3 + 5e-12 + 5e-14]
+        start_set = information._start_set
+
+        def rigged(*args):
+            held = start_set(*args)
+            held.values[:] = values + [0.0] * (held.values.size - len(values))
+            return held
+
+        monkeypatch.setattr(information, "_start_set", rigged)
+        monkeypatch.setattr(information, "_climb",
+                            lambda stack, held, active, news, own, joint: (news, np.ones(active.size, bool)))
+        # Helstrom and the pretty-good measurement at two priors, two random starts.
+        res = c1(random_mixed_ensemble(2, 2, 5), OptimizerConfig(restarts=2))
+        assert res.value == values[2]
 
     @staticmethod
     def _ascents(monkeypatch, fn, *args):
@@ -1132,14 +1172,14 @@ class TestC1:
         its own start set, built with no Holevo-capacity solve, and ends no
         lower and no less converged than the earlier start set with
         Helstrom also at 0.25 and 0.75 and the capacity prior's pretty-good
-        start (``all_starts_c1``)."""
+        start (``oracles.history_c1``)."""
         e, cfg = make(), OptimizerConfig(restarts=2, seed=1)
         capacity, original = [], information.holevo_capacity
         with monkeypatch.context() as patch:
             patch.setattr(information, "holevo_capacity",
                           lambda *args: capacity.append(args) or original(*args))
             calls, res = self._ascents(monkeypatch, c1, e, cfg)
-        _, ref = self._ascents(monkeypatch, all_starts_c1, e, cfg)
+        _, ref = self._ascents(monkeypatch, history_c1, e, cfg)
         assert capacity == []
         assert calls[0][1][0] == len(_structured_starts(e)) + cfg.restarts
         assert res.value >= ref.value - 1e-12
@@ -1165,15 +1205,15 @@ class TestC1:
     def test_no_lower_than_the_capacity_prior_start_set_property(self, size, dim, seed, restarts):
         """C1 and accessible information on the ensemble's own start set are
         no lower, and no less converged, than on the earlier one
-        (``oracles._structured_starts``)."""
+        (``oracles.structured_starts``)."""
         e = random_mixed_ensemble(size, dim, seed)
         cfg = OptimizerConfig(restarts=restarts, seed=seed % 5)
         res_c1, res_acc = c1(e, cfg), accessible_information(e, cfg)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(information, "_structured_starts",
-                          lambda e: earlier_starts(e, cfg, (0.5, 0.25, 0.75)))
+                          lambda e: structured_starts(e, cfg, (0.5, 0.25, 0.75)))
             ref_c1 = c1(e, cfg)
-            patch.setattr(information, "_structured_starts", lambda e: earlier_starts(e, cfg))
+            patch.setattr(information, "_structured_starts", lambda e: structured_starts(e, cfg))
             ref_acc = accessible_information(e, cfg)
         for res, ref in ((res_c1, ref_c1), (res_acc, ref_acc)):
             assert res.value >= ref.value - 1e-12

@@ -50,15 +50,17 @@ from oracles import (
     binary_entropy,
     block_success,
     coarse_grain,
-    confirming_eve_optimize,
+    REF_STALL_BITS,
     dense_pgm,
+    eve_seesaw,
     frame_row,
     helstrom_crossover,
-    lbfgsb_eve_optimize,
     majority_error,
     majority_vote_info,
+    package_refine_slots,
     partial_trace,
     pure_pair_c1,
+    refine_slots_lbfgsb,
     tuple_key_information,
 )
 
@@ -100,6 +102,14 @@ class TestCodebooks:
         assert book.letters.tolist() == [[0, 0, 0], [1, 1, 1]]
         with pytest.raises(ValueError):
             book.letters[0, 0] = 1
+
+    @pytest.mark.parametrize("build", [repetition_codebook, lambda k, n: sample_codebook(k, n, 2, 0)],
+                             ids=["repetition", "random"])
+    def test_letter_budget_is_2_to_the_20(self, build):
+        assert build(2, 2**19).letters.shape == (2, 2**19)
+        with pytest.raises(BudgetExceeded) as err:
+            build(4, 2**18 + 1)
+        assert str(err.value) == "codebook letter count 1048580 exceeds budget 1048576 (n=262145)"
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValidationError, match="codebook"):
@@ -195,6 +205,32 @@ class TestEveStrategies:
     def test_ml_decoder_tie_is_relative_1e_minus_9(self):
         # Key 1 leads tuple 0 by a relative 1e-7, beyond the tie band; tuple 1 is a tie.
         assert _ml_decoder(np.array([[1.0, 0.5], [1 + 1e-7, 0.5]])).tolist() == [1, 0]
+
+    def test_ml_decoder_within_tol_below_the_value_is_adopted(self, monkeypatch):
+        """The seesaw adopts the maximum-likelihood decoder unless it lowers
+        the running value by more than ``cfg.tol``: a decoder ``tol / 2``
+        below it, after a round whose slot ascent made progress, is the
+        decoder the next round's slot ascent runs under."""
+        sc, book = paper_example(0.5), repetition_codebook(2, 1)
+        cfg = OptimizerConfig(restarts=1, max_iters=2)
+        ml, decoders, seen = simulation._ml_decoder, [], []
+
+        def decoder(lik):
+            # Calls 1 and 2 are the default attack's and the start's.
+            decoders.append(ml(lik))
+            return decoders[-1][::-1].copy() if len(decoders) > 2 else decoders[-1]
+
+        def refine(slots, tables, free, c, idx, states):
+            seen.append(idx.tolist())
+            return ((slots, tables, 0.6) if len(seen) == 1 else None), True
+
+        values = iter([0.5, 0.6 - cfg.tol / 2, 0.6 - cfg.tol / 2])
+        monkeypatch.setattr(simulation, "_ml_decoder", decoder)
+        monkeypatch.setattr(simulation, "_key_info", lambda lik, idx: next(values))
+        monkeypatch.setattr(simulation, "_refine_slots", refine)
+        eve_optimize(sc, book, cfg)
+        start = decoders[1].tolist()
+        assert seen == [start, start[::-1]] and start != start[::-1]
 
     def test_constant_adversary_states_zero_info(self):
         sc = paper_example(1.0)
@@ -322,7 +358,8 @@ class TestSeesawProperties:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_never_below_lbfgsb_seesaw(self, s):
         """The seesaw against its reference with every slot ascent on
-        L-BFGS-B and the longer stops (``oracles.lbfgsb_eve_optimize``), on a
+        L-BFGS-B and the longer stops (``oracles.eve_seesaw`` on
+        ``refine_slots_lbfgsb`` and ``REF_STALL_BITS``), on a
         fixed grid: repetition and random codebooks at n = 2..4, seeds 0 and
         1, and at n = 3, the block length of the ``eve-seesaw`` benchmark,
         also its seeds 2..7; two restarts. Its information never falls below
@@ -336,7 +373,7 @@ class TestSeesawProperties:
             book = repetition_codebook(2, n) if coder == "repetition" else sample_codebook(2, n, 2, seed)
             cfg = OptimizerConfig(restarts=2, seed=seed)
             ours = evaluate(sc, book, eve_optimize(sc, book, cfg)).eve_info
-            ref = evaluate(sc, book, lbfgsb_eve_optimize(sc, book, cfg)).eve_info
+            ref = evaluate(sc, book, eve_seesaw(sc, book, cfg, refine_slots_lbfgsb, REF_STALL_BITS)).eve_info
             assert ours >= ref - 1e-12, (n, coder, seed)
 
     def test_settled_joint_ascent_skips_the_next_per_slot_pass(self, monkeypatch):
@@ -370,11 +407,13 @@ class TestSeesawProperties:
         """Skipping the per-slot pass after a settled joint ascent changes
         nothing: the attack and its information equal, bit for bit, those of
         the seesaw that runs the pass in every round
-        (``oracles.confirming_eve_optimize``)."""
+        (``oracles.eve_seesaw`` on the package's ``_refine_slots`` and
+        ``_STALL_BITS``)."""
         sc = paper_example(s)
         book = repetition_codebook(2, n) if coder == "repetition" else sample_codebook(2, n, 2, seed)
         cfg = OptimizerConfig(restarts=2, seed=seed)
-        ours, ref = eve_optimize(sc, book, cfg), confirming_eve_optimize(sc, book, cfg)
+        ours = eve_optimize(sc, book, cfg)
+        ref = eve_seesaw(sc, book, cfg, package_refine_slots, simulation._STALL_BITS)
         assert np.array_equal(ours.decoder, ref.decoder)
         assert all(np.array_equal(a.effects, b.effects) for a, b in zip(ours.slots, ref.slots))
         assert evaluate(sc, book, ours).eve_info == evaluate(sc, book, ref).eve_info
