@@ -8,13 +8,16 @@ by letter. Channels whose output splits as H_B (x) H_E carry
 that split in ``out_factorization`` so the receiver/adversary marginals can
 be formed.
 
-One budget, ``DEFAULT_DIM_BUDGET`` = 2^12, holds for the whole package and
-bounds what is built: a simulation's receiver Gram dimension (the sum over
-codewords of the product of their letters' ranks) and its number of
-adversary outcome tuples, a tensor power (its n-th power of the input
-dimension, output dimension or Kraus count), an expanded product of slot
-POVMs and a block capacity's product space are refused beyond it. This
-package does exact desk-scale simulation and fails fast beyond that.
+``DEFAULT_DIM_BUDGET`` = 2^12 bounds what is built: a simulation's receiver
+Gram dimension (the sum over codewords of the product of their letters'
+ranks) and its number of adversary outcome tuples, a tensor power (its n-th
+power of the input dimension, output dimension or Kraus count), an expanded
+product of slot POVMs, a block capacity's product space and a sweep's cell
+count (its n values times its seeds) are refused beyond it. A second budget,
+``simulation._LETTER_BUDGET`` = 2^20, bounds a codebook's letters (key count
+times block length), so an absurd block length is refused before its arrays
+are allocated. This package does exact desk-scale simulation and fails fast
+beyond that.
 """
 
 from __future__ import annotations

@@ -724,14 +724,14 @@ def per_start_c1(e, cfg, extra_starts=(), alternating=False):
     return info.OptimizationResult(val, prior, povm=povm, converged=converged)
 
 
-def history_c1(e, cfg, extra_starts=(), two_letter_stop=True):
+def history_c1(e, cfg, two_letter_stop=True):
     """``information.c1`` as it ran before two pure letters returned their
-    closed form's witness: every start of ``extra_starts`` and the earlier
-    start set (``structured_starts`` with Helstrom also at 0.5, 0.25 and
-    0.75) climbs, in rounds of the package's own stacked ascents
-    (``_climb``) for all starts at once, each round one joint ascent, from
-    three letters on preceded by a fixed-prior one and the capacity prior of
-    the row-normalized table; a later start replaces the best only when it
+    closed form's witness: every start of the earlier start set
+    (``structured_starts`` with Helstrom also at 0.5, 0.25 and 0.75) climbs,
+    in rounds of the package's own stacked ascents (``_climb``) for all
+    starts at once, each round one joint ascent, from three letters on
+    preceded by a fixed-prior one and the capacity prior of the
+    row-normalized table; a later start replaces the best only when it
     beats it by more than ``_TIE_BITS``. A start is converged once a round
     gains at most ``cfg.tol`` or, with ``two_letter_stop``, for two letters
     once its joint ascent met its stop; without it every two-letter start
@@ -739,7 +739,7 @@ def history_c1(e, cfg, extra_starts=(), two_letter_stop=True):
     ``OptimizationResult``."""
     rng = np.random.default_rng(cfg.seed)
     stack = e.states
-    starts = list(extra_starts) + structured_starts(e, cfg, (0.5, 0.25, 0.75))
+    starts = structured_starts(e, cfg, (0.5, 0.25, 0.75))
     priors, povms = map(list, zip(*starts))
     raws, m = [], (e.dim * e.dim, e.dim)
     for _ in range(cfg.restarts):

@@ -39,6 +39,11 @@ class TestScenarioIO:
         assert names == [f"paper-example(s={a!r})", f"paper-example(s={b!r})"]
         assert names[0] != names[1]
 
+    @pytest.mark.parametrize("overlap, name", [(1, "paper-example(s=1.0)"), (0, "paper-example(s=0.0)")])
+    def test_whole_number_overlaps_name_themselves_as_floats(self, overlap, name):
+        # `--overlap 1` printed `s=1` under the old `{s:g}` name.
+        assert load_scenario("paper-example", overlap=overlap).name == name
+
     def test_builtin_orthogonal(self):
         sc = load_scenario("orthogonal")
         m0, m1 = sc.ensemble.states

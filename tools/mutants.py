@@ -1,6 +1,6 @@
 """Run tier-1 against one-line mutants of the package and report which it catches.
 
-Usage: python3 tools/mutants.py [--root DIR] [--only NAME ...]
+Usage: python3 tools/mutants.py [--root DIR]
 
 ``MUTANTS`` is a fixed, named list of one-line mutations of ``src/qkdsim``:
 each entry is (name, file under the root, old text, new text). Every entry's
@@ -155,12 +155,9 @@ def row(name: str, outcome: str, failing: str, seconds: float) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="tree to mutate (default: this repository)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     problems = stale_entries(root)
-    names = [m[0] for m in MUTANTS]
-    problems += [f"{name}: no such mutant" for name in args.only or () if name not in names]
     if problems:
         print("stale mutant list:", *problems, sep="\n  ", file=sys.stderr)
         return 2
@@ -169,14 +166,13 @@ def main(argv=None) -> int:
     if outcome != "passed":
         print("tier-1 does not pass unmutated; no mutant can be judged", file=sys.stderr)
         return 1
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
     counts = {}
-    for mutant in chosen:
+    for mutant in MUTANTS:
         outcome, failing, seconds = run_copy(root, mutant)
         outcome = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
         counts[outcome] = counts.get(outcome, 0) + 1
         row(mutant[0], outcome, failing, seconds)
-    print(", ".join(f"{n} {o}" for o, n in sorted(counts.items())), f"of {len(chosen)}")
+    print(", ".join(f"{n} {o}" for o, n in sorted(counts.items())), f"of {len(MUTANTS)}")
     return 0
 
 
