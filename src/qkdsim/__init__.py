@@ -59,8 +59,6 @@ from .simulation import (
 )
 from .states import (
     DensityOperator,
-    StateVector,
-    TensorFactorization,
     permute_factors,
     pure_state,
 )

@@ -5,8 +5,8 @@ sum_i K_i^dagger K_i = I, which makes trace preservation checkable and
 tensor powers mechanical. An ensemble holds its states as one validated
 (A, d, d) array, and pushing it through a channel maps that array letter
 by letter. Channels whose output splits as H_B (x) H_E carry
-that split in ``out_factorization`` so the receiver/adversary marginals can
-be formed.
+that split in ``out_dims`` so the receiver/adversary marginals can be
+formed.
 
 ``DEFAULT_DIM_BUDGET`` = 2^12 bounds what is built: a simulation's receiver
 Gram dimension (the sum over codewords of the product of their letters'
@@ -23,6 +23,7 @@ beyond that.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -30,8 +31,8 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .states import (
     DensityOperator,
-    TensorFactorization,
     check_states,
+    factor_dims,
     matrix_stack,
     require_distribution,
     require_finite,
@@ -48,14 +49,17 @@ class QuantumChannel:
     ----------
     kraus : sequence of array-like
         Kraus operators, each of shape (out_dim, in_dim).
-    out_factorization : TensorFactorization or sequence of int, optional
+    out_dims : sequence of int, optional
         Tensor structure of the output space, e.g. (dim_B, dim_E) for a
-        channel into a receiver/adversary pair.
+        channel into a receiver/adversary pair; each factor is at least 1
+        and their product is the output dimension.
     """
 
-    __slots__ = ("kraus", "out_factorization", "in_dim", "out_dim")
+    __slots__ = ("kraus", "out_dims", "in_dim", "out_dim")
 
-    def __init__(self, kraus, out_factorization=None):
+    def __init__(self, kraus, out_dims=None):
+        if out_dims is not None:
+            out_dims = factor_dims(out_dims)
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise ValidationError("kraus", "channel needs at least one Kraus operator")
@@ -72,11 +76,12 @@ class QuantumChannel:
         self.kraus = tuple(ops)
         self.in_dim = in_dim
         self.out_dim = out_dim
-        if out_factorization is not None:
-            if not isinstance(out_factorization, TensorFactorization):
-                out_factorization = TensorFactorization(tuple(out_factorization))
-            out_factorization.check_dim(self.out_dim)
-        self.out_factorization = out_factorization
+        if out_dims is not None and math.prod(out_dims) != out_dim:
+            raise ValidationError(
+                "factorization",
+                f"product of factor dims {out_dims} is {math.prod(out_dims)}, expected {out_dim}",
+            )
+        self.out_dims = out_dims
 
     def apply_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Linear action sum_i K_i M K_i^dagger on a raw matrix."""
@@ -113,15 +118,11 @@ def tensor_power(c: QuantumChannel, n: int) -> QuantumChannel:
     worst = max(c.in_dim, c.out_dim, len(c.kraus)) ** n
     if worst > DEFAULT_DIM_BUDGET:
         raise BudgetExceeded(worst, DEFAULT_DIM_BUDGET, f"tensor power n={n}")
-    if c.out_factorization is not None:
-        out_f = TensorFactorization(c.out_factorization.dims * n)
-    else:
-        out_f = TensorFactorization((c.out_dim,) * n)
     ops = [
         reduce(np.kron, combo)
         for combo in itertools.product(c.kraus, repeat=n)
     ]
-    return QuantumChannel(ops, out_factorization=out_f)
+    return QuantumChannel(ops, (c.out_dims or (c.out_dim,)) * n)
 
 
 def marginal(c: QuantumChannel, side: str) -> QuantumChannel:
@@ -131,12 +132,12 @@ def marginal(c: QuantumChannel, side: str) -> QuantumChannel:
     marginal of Theta is Tr over the discarded leg, realized in Kraus form
     by slicing each operator along that leg's basis.
     """
-    if c.out_factorization is None or len(c.out_factorization) != 2:
+    if c.out_dims is None or len(c.out_dims) != 2:
         raise ValidationError(
             "output-factorization",
             "marginal requires an output factorization with exactly two factors",
         )
-    d_b, d_e = c.out_factorization.dims
+    d_b, d_e = c.out_dims
     side = str(side).upper()
     if side not in ("B", "E"):
         raise ValidationError("side", f"side must be 'B' or 'E', got {side!r}")
@@ -196,6 +197,6 @@ def push_through(e: CqEnsemble, c: QuantumChannel) -> CqEnsemble:
     return CqEnsemble(e.prior, [c.apply_matrix(rho) for rho in e.states])
 
 
-def identity_channel(dim: int, out_factorization=None) -> QuantumChannel:
+def identity_channel(dim: int, out_dims=None) -> QuantumChannel:
     """The identity map on a dim-dimensional space."""
-    return QuantumChannel([np.eye(dim)], out_factorization=out_factorization)
+    return QuantumChannel([np.eye(dim)], out_dims)

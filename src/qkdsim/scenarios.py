@@ -29,7 +29,7 @@ from .channels import CqEnsemble, QuantumChannel, identity_channel
 from .errors import ValidationError
 from .measurements import ClassicalChannel
 from .simulation import Scenario
-from .states import StateVector, TensorFactorization, hermitian_eigensystem
+from .states import factor_dims, hermitian_eigensystem, unit_vector
 
 FORMAT_TAG = "qkdsim-scenario-v1"
 BUILTIN_NAMES = ("paper-example", "orthogonal", "bsc-pair")
@@ -41,7 +41,7 @@ class ScenarioFormatError(ValueError):
 
 def _letter(amplitudes) -> np.ndarray:
     """|v><v| of a validated unit vector v; the ensemble checks it as a state."""
-    v = StateVector(amplitudes).amplitudes
+    v = unit_vector(amplitudes)
     return np.outer(v, v.conj())
 
 
@@ -54,7 +54,7 @@ def paper_example(overlap: float = 0.5) -> Scenario:
     psi = np.array([s, math.sqrt(max(1.0 - s * s, 0.0))])
     qubits = [_letter(phi), _letter(psi)]
     ensemble = CqEnsemble([0.5, 0.5], [np.kron(q, q) for q in qubits])
-    theta = identity_channel(4, out_factorization=TensorFactorization((2, 2)))
+    theta = identity_channel(4, (2, 2))
     return Scenario(
         name=f"paper-example(s={s!r})", key_count=2, ensemble=ensemble, theta=theta
     )
@@ -92,7 +92,7 @@ def bsc_pair(eps_b: float, eps_e: float) -> Scenario:
                     continue
                 k = amp * np.outer(np.kron(basis[b], basis[e]), basis[a])
                 ops.append(k)
-    theta = QuantumChannel(ops, out_factorization=TensorFactorization((2, 2)))
+    theta = QuantumChannel(ops, (2, 2))
     ensemble = CqEnsemble([0.5, 0.5], [_letter([1, 0]), _letter([0, 1])])
     return Scenario(
         name=f"bsc-pair({eps_b:g},{eps_e:g})",
@@ -197,16 +197,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "builtin" in chan:
         if chan["builtin"] != "identity":
             raise ScenarioFormatError(f"channel.builtin: unknown builtin {chan['builtin']!r}")
-        theta = identity_channel(
-            out_dims[0] * out_dims[1], out_factorization=TensorFactorization(out_dims)
-        )
+        # The factors are checked before np.eye sees their product.
+        theta = identity_channel(math.prod(factor_dims(out_dims)), out_dims)
     elif "kraus" in chan:
         if not isinstance(chan["kraus"], list):
             raise ScenarioFormatError("channel.kraus: expected a list of matrices")
         ops = [
             _complex_matrix(k, f"channel.kraus[{i}]") for i, k in enumerate(chan["kraus"])
         ]
-        theta = QuantumChannel(ops, out_factorization=TensorFactorization(out_dims))
+        theta = QuantumChannel(ops, out_dims)
     else:
         raise ScenarioFormatError("channel: needs either 'builtin' or 'kraus'")
     classical_pair = None
@@ -272,7 +271,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "prior": [float(p) for p in s.ensemble.prior],
         "states": states,
         "channel": {"kraus": [[_pairs(row) for row in k] for k in s.theta.kraus]},
-        "output_dims": list(s.theta.out_factorization.dims),
+        "output_dims": list(s.theta.out_dims),
     }
     if s.classical_pair is not None:
         v, w = s.classical_pair

@@ -38,13 +38,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .channels import DEFAULT_DIM_BUDGET, CqEnsemble, QuantumChannel, marginal, push_through
-from .errors import BudgetExceeded, DimensionMismatch, ValidationError
+from .errors import BudgetExceeded, DimensionMismatch, ValidationError, _count
 from .information import (
     OptimizerConfig,
     _ascend_frames,
@@ -91,8 +92,8 @@ class Scenario:
 
     ``key_count`` keys are encoded into codewords over the ensemble
     alphabet; ``theta`` maps each transmitted letter state into the
-    receiver/adversary pair space (its output factorization gives the B/E
-    split). The block length is the codebook's, not the scenario's.
+    receiver/adversary pair space, its ``out_dims`` giving the B/E split.
+    The block length is the codebook's, not the scenario's.
     """
 
     name: str
@@ -108,7 +109,7 @@ class Scenario:
             raise DimensionMismatch(
                 f"ensemble dim {self.ensemble.dim} != channel input dim {self.theta.in_dim}"
             )
-        if self.theta.out_factorization is None or len(self.theta.out_factorization) != 2:
+        if self.theta.out_dims is None or len(self.theta.out_dims) != 2:
             raise ValidationError(
                 "output-factorization",
                 "scenario channel needs a two-factor output (receiver/adversary split)",
@@ -116,11 +117,11 @@ class Scenario:
 
     @property
     def dim_b(self) -> int:
-        return self.theta.out_factorization.dims[0]
+        return self.theta.out_dims[0]
 
     @property
     def dim_e(self) -> int:
-        return self.theta.out_factorization.dims[1]
+        return self.theta.out_dims[1]
 
     def eve_ensemble(self) -> CqEnsemble:
         """Single-letter ensemble seen by the adversary."""
@@ -184,6 +185,13 @@ def repetition_codebook(key_count: int, n: int) -> Codebook:
     return Codebook(np.repeat(np.arange(key_count)[:, None], n, axis=1))
 
 
+def _exact_product(counts) -> int:
+    """The exact product of positive ints, taken as one power per distinct
+    value: a product taken one factor at a time grows a big int once per
+    factor, in time quadratic in the number of factors (the slots)."""
+    return math.prod(m**c for m, c in Counter(counts).items())
+
+
 class EveStrategy:
     """A factorized attack: per-slot POVMs plus a classical decoder.
 
@@ -203,10 +211,10 @@ class EveStrategy:
         if not slots or any(not isinstance(p, Povm) for p in slots):
             raise ValidationError("slots", "slots must be one or more Povm values")
         keys = np.asarray(decoder)
-        total = math.prod(len(p) for p in slots)
+        total = _exact_product(len(p) for p in slots)
         if keys.shape != (total,):
             raise ValidationError(
-                "decoder-total", f"decoder has shape {keys.shape} for {total} outcome tuples"
+                "decoder-total", f"decoder has shape {keys.shape} for {_count(total)} outcome tuples"
             )
         if keys.dtype.kind not in "iu":
             raise ValidationError("decoder-range", "decoder keys must be integers")
@@ -264,7 +272,7 @@ def _check_letters(s: Scenario, c: Codebook) -> None:
 
 def _codeword_sizes(factors, letters: np.ndarray) -> list[int]:
     """Columns of each codeword's factor, prod_i r_{w_i}: its share of the Gram dimension."""
-    return [math.prod(factors[a].shape[1] for a in word) for word in letters]
+    return [_exact_product(factors[a].shape[1] for a in word) for word in letters]
 
 
 def _informative(letters: np.ndarray) -> np.ndarray:
@@ -343,7 +351,7 @@ def _slot_channels(slots: list[np.ndarray], eve_states: np.ndarray) -> list[np.n
 
 def _check_tuple_count(counts, n: int) -> None:
     """Refuse a likelihood table or joint law over more outcome tuples than the budget."""
-    total = math.prod(counts)
+    total = _exact_product(counts)
     if total > DEFAULT_DIM_BUDGET:
         raise BudgetExceeded(total, DEFAULT_DIM_BUDGET, f"n={n}", "adversary outcome tuple count")
 

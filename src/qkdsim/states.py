@@ -5,8 +5,8 @@ complex matrices. This module provides their construction and validation:
 one batched check, ``check_states``, validates a stack of states at once and
 serves both a single ``DensityOperator`` and a whole ensemble's
 ``(A, d, d)`` array. It also holds the shared input checks (finiteness,
-probability vectors, square-matrix stacks), tensor-factor reordering and
-the Hermitian eigendecomposition.
+probability vectors, unit vectors, factor dimensions, square-matrix
+stacks), tensor-factor reordering and the Hermitian eigendecomposition.
 All entropies are in bits (base-2 logarithms) throughout the package.
 
 Everything here is immutable after construction and every operation is a
@@ -15,7 +15,6 @@ pure function, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -97,55 +96,25 @@ def _as_square_complex(matrix, what: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class TensorFactorization:
-    """Ordered subsystem dimensions of a tensor-product space."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValidationError("factor-dims", f"factor dimensions must be >= 1, got {dims}")
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def check_dim(self, dim: int) -> None:
-        if self.total_dim != dim:
-            raise ValidationError(
-                "factorization",
-                f"product of factor dims {self.dims} is {self.total_dim}, expected {dim}",
-            )
+def factor_dims(dims) -> tuple[int, ...]:
+    """Ordered subsystem dimensions of a tensor-product space, each at least 1."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValidationError("factor-dims", f"factor dimensions must be >= 1, got {dims}")
+    return dims
 
 
-class StateVector:
-    """A unit-norm complex amplitude vector."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes):
-        v = np.asarray(amplitudes, dtype=complex).ravel()
-        if v.size < 1:
-            raise ValidationError("shape", "state vector must have at least one amplitude")
-        require_finite(v, "amplitudes")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValidationError("normalized", f"state vector norm is {norm!r}, expected 1")
-        v.flags.writeable = False
-        self.amplitudes = v
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def __repr__(self) -> str:
-        return f"StateVector(dim={self.dim})"
+def unit_vector(amplitudes) -> np.ndarray:
+    """The amplitudes as a flat complex array, refused unless non-empty,
+    finite and of norm within ``NORM_ATOL`` of 1."""
+    v = np.asarray(amplitudes, dtype=complex).ravel()
+    if v.size < 1:
+        raise ValidationError("shape", "state vector must have at least one amplitude")
+    require_finite(v, "amplitudes")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise ValidationError("normalized", f"state vector norm is {norm!r}, expected 1")
+    return v
 
 
 class DensityOperator:
@@ -177,16 +146,10 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim})"
 
 
-def pure_state(v: StateVector | Sequence[complex]) -> DensityOperator:
-    """Rank-1 projector |v><v| of a unit vector.
-
-    Accepts a :class:`StateVector` or any amplitude sequence, which is
-    validated first.
-    """
-    if not isinstance(v, StateVector):
-        v = StateVector(v)
-    a = v.amplitudes
-    return DensityOperator(np.outer(a, a.conj()))
+def pure_state(amplitudes: Sequence[complex]) -> DensityOperator:
+    """Rank-1 projector |v><v| of a unit vector v, checked by ``unit_vector``."""
+    v = unit_vector(amplitudes)
+    return DensityOperator(np.outer(v, v.conj()))
 
 
 def permute_factors(

@@ -61,7 +61,7 @@ class TestValidationAndApply:
 
     def test_identity_on_letter_state(self):
         xi0, _, phi, _ = paper_letter_states(0.5)
-        theta = identity_channel(4, out_factorization=(2, 2))
+        theta = identity_channel(4, out_dims=(2, 2))
         out = apply(theta, xi0)
         np.testing.assert_allclose(out.matrix, np.kron(phi.matrix, phi.matrix), atol=1e-12)
 
@@ -110,7 +110,7 @@ class TestMarginal:
 
     def test_ideal_eavesdropping_marginals(self):
         xi0, xi1, phi, psi = paper_letter_states(0.5)
-        theta = identity_channel(4, out_factorization=(2, 2))
+        theta = identity_channel(4, out_dims=(2, 2))
         bob = marginal(theta, "B")
         eve = marginal(theta, "E")
         np.testing.assert_allclose(apply(bob, xi0).matrix, phi.matrix, atol=1e-10)
@@ -121,7 +121,7 @@ class TestMarginal:
         phi_b = random_channel(rng, 2, 2)
         phi_e = random_channel(rng, 2, 3)
         kraus = [np.kron(k, l) for k in phi_b.kraus for l in phi_e.kraus]
-        theta = QuantumChannel(kraus, out_factorization=(2, 3))
+        theta = QuantumChannel(kraus, out_dims=(2, 3))
         bob = marginal(theta, "B")
         for _ in range(5):
             r1, r2 = random_density(rng, 2), random_density(rng, 2)
@@ -130,7 +130,7 @@ class TestMarginal:
 
     def test_marginal_equals_partial_trace_on_basis(self, rng):
         theta = random_channel(rng, 2, 4, n_kraus=2)
-        theta = QuantumChannel(theta.kraus, out_factorization=(2, 2))
+        theta = QuantumChannel(theta.kraus, out_dims=(2, 2))
         bob = marginal(theta, "B")
         for i in range(2):
             for j in range(2):
@@ -179,7 +179,7 @@ class TestEnsembles:
     def test_push_through_eve_marginal(self):
         xi0, xi1, phi, psi = paper_letter_states(0.5)
         e = CqEnsemble([0.5, 0.5], (xi0.matrix, xi1.matrix))
-        theta = identity_channel(4, out_factorization=(2, 2))
+        theta = identity_channel(4, out_dims=(2, 2))
         out = push_through(e, marginal(theta, "E"))
         np.testing.assert_allclose(out.states[0], phi.matrix, atol=1e-10)
         np.testing.assert_allclose(out.states[1], psi.matrix, atol=1e-10)

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from qkdsim import cli
+from qkdsim import cli, information
 from qkdsim.cli import main
-from qkdsim.information import ConditionReport
+from qkdsim.information import ConditionReport, OptimizerConfig, holevo_capacity
 from qkdsim.scenarios import (
     ScenarioFormatError,
     bsc_pair,
@@ -111,7 +112,7 @@ class TestScenarioIO:
         sc = load_scenario(str(path))
         assert sc.name == "custom"
         np.testing.assert_allclose(sc.ensemble.prior, [0.5, 0.5])
-        assert sc.theta.out_factorization.dims == (2, 2)
+        assert sc.theta.out_dims == (2, 2)
         code = main(["analyze", str(path), "--restarts", "1"])
         assert code == 0
 
@@ -211,6 +212,20 @@ class TestScenarioIO:
         assert main(["analyze", str(path), "--restarts", "1"]) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("channel", [None, {"builtin": "identity"}], ids=["kraus", "identity"])
+    def test_output_dim_below_one_exits_1(self, channel, tmp_path, capsys):
+        # (-1, 2): the identity builtin must refuse the factor before it
+        # builds an identity of dimension -2.
+        data = scenario_to_dict(paper_example(0.5))
+        data["output_dims"] = [-1, 2]
+        if channel is not None:
+            data["channel"] = channel
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--restarts", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: factor-dims: factor dimensions must be >= 1, got (-1, 2)\n"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -316,6 +331,17 @@ class TestAnalyzeCommand:
         lhs_line = [l for l in raw.splitlines() if '"lhs"' in l][0]
         digits = lhs_line.split(":")[1].strip().rstrip(",")
         assert len(digits.replace("0.", "")) <= 12
+
+    def test_non_converged_condition_exits_2(self, capsys, monkeypatch, tmp_path):
+        def stalled(*args, **kwargs):
+            return ConditionReport(kind="quantum", lhs=0.5, rhs=0.25, margin=1e-6,
+                                   converged=False)
+
+        monkeypatch.setattr(cli, "quantum_condition", stalled)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "paper-example", "--out", str(out)]) == 2
+        assert "warning: optimizer did not converge; report is partial" in capsys.readouterr().err
+        assert json.loads(out.read_text())["quantum"]["converged"] is False
 
     def test_validation_error_exit_code(self, capsys):
         code = main(["analyze", "paper-example", "--overlap", "1.5"])
@@ -425,6 +451,16 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "budget: adversary outcome tuple count 9.99e+30102 exceeds budget 4096" in err
         assert "Traceback" not in err
+
+    def test_refusal_near_the_letter_budget_is_prompt(self, capsys):
+        # 500000 slots: their outcome counts multiplied one slot at a time take
+        # seconds, in time quadratic in n; one power per distinct count does not.
+        start = time.perf_counter()
+        assert main(["simulate", "paper-example", "-n", "500000"]) == 3
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert "budget: adversary outcome tuple count 9.95e+150514 exceeds budget 4096" in err
+        assert elapsed < 1.5
 
     @pytest.mark.parametrize("coder", ["repetition", "random"])
     def test_block_length_past_numpy_exits_3(self, coder, capsys):
@@ -664,6 +700,14 @@ class TestInfoCommands:
         payload = json.loads(out.read_text())
         assert payload["c1"] == pytest.approx(pure_pair_c1(0.5), abs=1e-4)
         assert payload["accessible_information"] == pytest.approx(pure_pair_c1(0.5), abs=1e-4)
+
+    def test_capacity_gap_left_open_exits_2(self, monkeypatch, tmp_path):
+        # With no Blahut-Arimoto step allowed, nothing certifies the prior's gap.
+        monkeypatch.setattr(information, "_BA_MAX_ITERS", 0)
+        assert not holevo_capacity(paper_example(0.5).bob_ensemble(), OptimizerConfig()).converged
+        out = tmp_path / "cap.json"
+        assert main(["capacity", "paper-example", "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["converged"] is False
 
 
 def _scipy_after(commands):

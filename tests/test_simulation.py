@@ -43,7 +43,7 @@ from qkdsim.simulation import (
     _slot_channels,
     _joint_value_and_grad,
 )
-from qkdsim.states import TensorFactorization, permute_factors, pure_state
+from qkdsim.states import permute_factors, pure_state
 
 from conftest import central_differences, flat, random_channel, random_density, random_pure
 from oracles import (
@@ -79,7 +79,7 @@ def correlated_scenario(eps=0.1):
         for b in range(2):
             p = 1 - eps if a == b else eps
             ops.append(math.sqrt(p) * np.outer(np.kron(basis[b], basis[b]), basis[a]))
-    theta = QuantumChannel(ops, out_factorization=TensorFactorization((2, 2)))
+    theta = QuantumChannel(ops, out_dims=(2, 2))
     ensemble = CqEnsemble([0.5, 0.5], [pure_state([1, 0]).matrix, pure_state([0, 1]).matrix])
     return Scenario(name="correlated", key_count=2, ensemble=ensemble, theta=theta)
 
@@ -232,6 +232,32 @@ class TestEveStrategies:
         start = decoders[1].tolist()
         assert seen == [start, start[::-1]] and start != start[::-1]
 
+    def test_failed_frame_keeps_the_running_slots(self, monkeypatch):
+        """An ascent whose end fails ``_normalized_frames`` gives no step and
+        no stop, and the seesaw keeps the slots it held."""
+        sc, book = paper_example(0.5), repetition_codebook(2, 2)
+        default = eve_default_strategy(sc, book)
+        normalized, failed = simulation._normalized_frames, []
+
+        def failing(w):
+            u, good = normalized(w)
+            failed.append(w)
+            return u, np.zeros_like(good)
+
+        monkeypatch.setattr(simulation, "_normalized_frames", failing)
+        eve_states = sc.eve_ensemble().states
+        rng = np.random.default_rng(1)
+        slots = [random_rank1_povm(2, 4, rng).effects for _ in range(2)]
+        tables = _slot_channels(slots, eve_states)
+        idx = _ml_decoder(_likelihoods(tables, book))
+        assert simulation._refine_slots(slots, tables, [0], book, idx, eve_states) == (None, False)
+        assert len(failed) == 1
+        me = eve_optimize(sc, book, OptimizerConfig(restarts=1))
+        assert len(failed) > 1
+        for ours, theirs in zip(me.slots, default.slots):
+            np.testing.assert_array_equal(ours.effects, theirs.effects)
+        np.testing.assert_array_equal(me.decoder, default.decoder)
+
     def test_constant_adversary_states_zero_info(self):
         sc = paper_example(1.0)
         book = repetition_codebook(2, 2)
@@ -258,6 +284,14 @@ class TestEveStrategies:
         me = eve_default_strategy(sc, repetition_codebook(2, 2))
         with pytest.raises(ValidationError, match="decoder-total"):
             EveStrategy(me.slots, me.decoder[:-1])
+
+    def test_decoder_total_past_the_string_limit(self):
+        # 2^20000 outcome tuples has 6021 digits, past the 4300 digits Python
+        # converts an int to a string by default.
+        slots = [Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])] * 20000
+        message = r"^decoder-total: decoder has shape \(1,\) for 3\.98e\+6020 outcome tuples$"
+        with pytest.raises(ValidationError, match=message):
+            EveStrategy(slots, [0])
 
     @pytest.mark.parametrize(
         "slots",
@@ -687,7 +721,7 @@ class TestJointLawProperties:
         # The channel's receiver letters have rank 2; a repeated codeword
         # makes the receiver's Gram matrix singular.
         rng = np.random.default_rng(seed)
-        theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_factorization=(2, 2))
+        theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_dims=(2, 2))
         states = [random_density(rng, 2) if m else random_pure(rng, 2) for m in mixed]
         ensemble = CqEnsemble(np.full(len(states), 1 / len(states)), [rho.matrix for rho in states])
         sc = Scenario(name="random", key_count=k, ensemble=ensemble, theta=theta)
@@ -709,7 +743,7 @@ class TestJointLawProperties:
         # outcomes and a decoder d on the coarse tuples give the joint law of
         # the fine slots decoded by d o merge.
         rng = np.random.default_rng(seed)
-        theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_factorization=(2, 2))
+        theta = QuantumChannel(random_channel(rng, 2, 4).kraus, out_dims=(2, 2))
         ensemble = CqEnsemble([0.5, 0.5], [random_density(rng, 2).matrix, random_pure(rng, 2).matrix])
         sc = Scenario(name="random", key_count=2, ensemble=ensemble, theta=theta)
         book = repetition_codebook(2, n) if repetition else sample_codebook(2, n, 2, seed)

@@ -1,19 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim.channels import CqEnsemble, apply, identity_channel, marginal
+from qkdsim.channels import CqEnsemble, QuantumChannel, apply, identity_channel, marginal
 from qkdsim.errors import ValidationError
 from qkdsim.states import (
     DensityOperator,
-    StateVector,
-    TensorFactorization,
     hermitian_eigensystem,
     permute_factors,
     pure_state,
+    unit_vector,
 )
 
 from conftest import SPOILS, binary_entropy, random_density, random_unitary, spoil
@@ -47,14 +47,32 @@ class TestValidation:
         np.testing.assert_array_equal(rho.matrix, np.diag([1 + 5e-11, -5e-11]))
 
     def test_non_normalized_vector_rejected(self):
-        with pytest.raises(ValidationError, match="normalized"):
-            StateVector([1.0, 1.0])
+        message = r"^normalized: state vector norm is 1\.4142135623730951, expected 1$"
+        with pytest.raises(ValidationError, match=message):
+            unit_vector([1.0, 1.0])
+        with pytest.raises(ValidationError, match=message):
+            pure_state([1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_vector_rejected(self, bad):
-        with pytest.raises(ValidationError) as err:
-            StateVector([bad, 0.0])
-        assert err.value.invariant == "amplitudes"
+        for check in (unit_vector, pure_state):
+            with pytest.raises(ValidationError) as err:
+                check([bad, 0.0])
+            assert err.value.invariant == "amplitudes"
+
+    def test_empty_vector_rejected(self):
+        message = "^shape: state vector must have at least one amplitude$"
+        with pytest.raises(ValidationError, match=message):
+            unit_vector([])
+
+    @pytest.mark.parametrize("off, refused", [(1e-9, True), (1e-11, False)])
+    def test_norm_tolerance_is_1e_minus_10(self, off, refused):
+        amplitudes = [1.0 + off, 0.0]
+        if refused:
+            with pytest.raises(ValidationError, match="normalized"):
+                unit_vector(amplitudes)
+        else:
+            np.testing.assert_array_equal(unit_vector(amplitudes), amplitudes)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_matrix_rejected(self, bad):
@@ -68,8 +86,15 @@ class TestValidation:
             rho.matrix[0, 0] = 0.0
 
     def test_bad_factorization_rejected(self):
-        with pytest.raises(ValidationError, match="factorization"):
-            TensorFactorization((2, 3)).check_dim(4)
+        message = r"^factorization: product of factor dims \(2, 3\) is 6, expected 4$"
+        with pytest.raises(ValidationError, match=message):
+            QuantumChannel([np.eye(4)], out_dims=(2, 3))
+
+    @pytest.mark.parametrize("dims", [(), (2, 0), (-1, -4)])
+    def test_bad_factor_dims_rejected(self, dims):
+        message = rf"^factor-dims: factor dimensions must be >= 1, got {re.escape(str(dims))}$"
+        with pytest.raises(ValidationError, match=message):
+            QuantumChannel([np.eye(4)], out_dims=dims)
 
 
 def invariant_of(build):
@@ -140,7 +165,7 @@ class TestPureState:
 
 def trace_out(rho, dims, side):
     """Partial trace of a two-factor state, taken by the package's channel marginal."""
-    return apply(marginal(identity_channel(rho.dim, out_factorization=dims), side), rho)
+    return apply(marginal(identity_channel(rho.dim, out_dims=dims), side), rho)
 
 
 class TestTensorAndPartialTrace:
